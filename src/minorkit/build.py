@@ -13,6 +13,7 @@ its own output before handing it back.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -127,9 +128,9 @@ def build_tree_rep(t: Graph) -> Representation:
     parent: dict[int, int | None] = {root: None}
     order = [root]
     children: dict[int, list[int]] = {v: [] for v in t.vertices()}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w in t.neighbors(v):
             if w not in parent:
                 parent[w] = v

@@ -49,14 +49,21 @@ def _read_json(path: str) -> tuple[dict, str]:
 
 def _write_json(path: str, obj: dict) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _seed() -> int:
-    return int(os.environ.get("MINORKIT_SEED", "0"))
+    raw = os.environ.get("MINORKIT_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ParseError(f"MINORKIT_SEED must be an integer, got {raw!r}") from exc
 
 
 def _display(value: Fraction, tolerance: float | None) -> float:
@@ -331,22 +338,27 @@ def cmd_flow_recover(args) -> int:
             a = tuple(parse_ratio(v) for v in aobj["a"])
             targets = {tuple(sorted(map(int, e))) for e in aobj["targets"]}
             s = [parse_ratio(v) for v in aobj["s"]] if "s" in aobj else None
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad attack bundle: {exc}") from exc
+        if len(a) != len(z):
+            raise ParseError(f"attack vector has length {len(a)}, expected {len(z)}")
+        if s is not None and len(s) != g.n:
+            raise ParseError(f"stealth vector has length {len(s)}, expected {g.n}")
         corrupted = tuple(zi + ai for zi, ai in zip(z, a))
         x_bad = recover_states(h, corrupted, g, parse_ratio(args.ref))
-        deltas = {}
-        for u, v in g.edges:
-            d = (x_bad[u - 1] - x_bad[v - 1]) - (x[u - 1] - x[v - 1])
-            deltas[f"{u}-{v}"] = fmt_ratio(d)
+        deltas = {
+            (u, v): (x_bad[u - 1] - x_bad[v - 1]) - (x[u - 1] - x[v - 1]) for u, v in g.edges
+        }
         results["corrupted_states"] = [fmt_ratio(v) for v in x_bad]
-        results["edge_difference_deltas"] = deltas
+        results["edge_difference_deltas"] = {
+            f"{u}-{v}": fmt_ratio(d) for (u, v), d in deltas.items()
+        }
         results["deltas_nonzero_exactly_on_targets"] = all(
-            (parse_ratio(deltas[f"{u}-{v}"]) != 0) == ((u, v) in targets) for u, v in g.edges
+            (d != 0) == (e in targets) for e, d in deltas.items()
         )
         if s is not None:
             results["deltas_match_stealth_jumps"] = all(
-                parse_ratio(deltas[f"{u}-{v}"]) == s[u - 1] - s[v - 1] for u, v in g.edges
+                d == s[u - 1] - s[v - 1] for (u, v), d in deltas.items()
             )
     rep.data["results"] = results
     return rep.emit(OK)

@@ -4,10 +4,15 @@ A flow graph's t-by-n gain matrix stacks one row per vertex (net flow) on top
 of one row per edge (through flow).  Edge rows carry +gain at the smaller
 endpoint and -gain at the larger; vertex rows carry the gain sums.  Every row
 sums to zero, so constant states produce zero flow.
+
+Only the per-edge gains are stored: an edge row has two nonzeros and a vertex
+row is the signed sum of its incident edge rows, so H*x costs O(n+m).  Dense
+rows are a derived view, built on request (and for export) from the gains.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,8 +34,27 @@ F = Fraction
 class GainMatrix:
     n: int
     t: int
-    rows: tuple[tuple[Fraction, ...], ...]  # rows 1..n: vertices; rows n+1..t: edges
-    edges: tuple[Edge, ...]  # edge order mirrors the flow indices
+    gains: tuple[Fraction, ...]  # one gain per edge, in edge order
+    edges: tuple[Edge, ...]  # edge order mirrors the flow indices n+1..t
+
+    def _sparse_rows(self) -> list[dict[int, Fraction]]:
+        """Nonzero cells of every row (0-based column -> value); diagonals always present."""
+        vertex_rows: list[dict[int, Fraction]] = [{i: F(0)} for i in range(self.n)]
+        edge_rows = []
+        for (u, v), b in zip(self.edges, self.gains):
+            for a, c in ((u - 1, v - 1), (v - 1, u - 1)):
+                vertex_rows[a][a] += b
+                vertex_rows[a][c] = -b
+            edge_rows.append({u - 1: b, v - 1: -b})
+        return vertex_rows + edge_rows
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense rows 1..t (vertices, then edges), derived from the gains on each access."""
+        zero = F(0)
+        return tuple(
+            tuple(cells.get(j, zero) for j in range(self.n)) for cells in self._sparse_rows()
+        )
 
     def row(self, index: int) -> tuple[Fraction, ...]:
         """Row by 1-based flow index."""
@@ -41,10 +65,17 @@ class GainMatrix:
     def multiply(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(x) != self.n:
             raise DimensionMismatch(f"state has length {len(x)}, expected {self.n}")
-        return tuple(sum(c * xi for c, xi in zip(row, x)) for row in self.rows)
+        net = [F(0)] * self.n
+        through = []
+        for (u, v), b in zip(self.edges, self.gains):
+            f = b * (x[u - 1] - x[v - 1])
+            net[u - 1] += f
+            net[v - 1] -= f
+            through.append(f)
+        return tuple(net + through)
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row) for row in self.rows)
+        return tuple(sum(cells.values()) for cells in self._sparse_rows())
 
 
 def assemble_gain_matrix(g: Graph) -> GainMatrix:
@@ -54,24 +85,8 @@ def assemble_gain_matrix(g: Graph) -> GainMatrix:
     for pos in range(len(g.edges)):
         if g.n + 1 + pos not in g.gains:
             raise MissingGain(f"edge {g.edges[pos]} has no gain")
-    rows: list[tuple[Fraction, ...]] = []
-    zero = F(0)
-    for i in g.vertices():
-        row = [zero] * g.n
-        total = zero
-        for j in g.neighbors(i):
-            b = g.gain(i, j)
-            row[j - 1] = -b
-            total += b
-        row[i - 1] = total
-        rows.append(tuple(row))
-    for pos, (u, v) in enumerate(g.edges):
-        b = g.gains[g.n + 1 + pos]
-        row = [zero] * g.n
-        row[u - 1] = b
-        row[v - 1] = -b
-        rows.append(tuple(row))
-    return GainMatrix(n=g.n, t=g.t, rows=tuple(rows), edges=g.edges)
+    gains = tuple(g.gains[g.n + 1 + pos] for pos in range(len(g.edges)))
+    return GainMatrix(n=g.n, t=g.t, gains=gains, edges=g.edges)
 
 
 def flows(h: GainMatrix, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -97,15 +112,13 @@ def recover_states(
     if len(z) != h.t:
         raise DimensionMismatch(f"flow vector has length {len(z)}, expected {h.t}")
 
-    diffs: dict[Edge, Fraction] = {}
-    for pos, (u, v) in enumerate(h.edges):
-        gain = h.rows[g.n + pos][u - 1]  # +B at the smaller endpoint
-        diffs[(u, v)] = z[g.n + pos] / gain  # x_u - x_v
+    # through flow / gain = x_u - x_v across each edge (u, v)
+    diffs = {e: zf / gain for e, gain, zf in zip(h.edges, h.gains, z[g.n :])}
 
     x: dict[int, Fraction] = {1: parse_ratio(x1_ref)}
-    queue = [1]
+    queue = deque([1])
     while queue:
-        a = queue.pop(0)
+        a = queue.popleft()
         for b in g.neighbors(a):
             if b in x:
                 continue
@@ -125,12 +138,14 @@ def recover_states(
 
 
 def matrix_to_json(h: GainMatrix) -> dict:
-    return {
-        "n": h.n,
-        "t": h.t,
-        "edges": [[u, v] for u, v in h.edges],
-        "rows": [[fmt_ratio(c) for c in row] for row in h.rows],
-    }
+    """Dense text grid: every cell "0" except the few nonzeros each row carries."""
+    rows = []
+    for cells in h._sparse_rows():
+        row = ["0"] * h.n
+        for col, val in cells.items():
+            row[col] = fmt_ratio(val)
+        rows.append(row)
+    return {"n": h.n, "t": h.t, "edges": [[u, v] for u, v in h.edges], "rows": rows}
 
 
 def vector_to_json(vec: Sequence[Fraction]) -> dict:

@@ -155,8 +155,7 @@ def _boundary_polys(spec: AttackSpec, h: GainMatrix) -> dict[int, list[tuple[int
         own = spec.comp_of[l]
         mass: dict[int, Fraction] = {}
         for q in g.neighbors(l):
-            # the edge row carries +gain at its smaller endpoint
-            b = h.rows[g.edge_index(l, q) - 1][min(l, q) - 1]
+            b = h.gains[g.edge_index(l, q) - g.n - 1]
             cq = spec.comp_of[q]
             if cq != own:
                 mass[cq] = mass.get(cq, F(0)) + b
@@ -479,20 +478,17 @@ def robust_attack_audit(
     """
     import random
 
-    from .flow import assemble_gain_matrix
-
     rng = random.Random(seed)
     eps1, eps2 = Fraction(eps1), Fraction(eps2)
+    if not (0 < eps1 <= eps2):
+        raise BadBounds(f"need 0 < eps1 <= eps2, got {eps1}, {eps2}")
     g = spec.graph
     expected = spec.expected_support()
     worst: Fraction | None = None
     for _ in range(samples):
-        gains = {}
-        for pos in range(len(g.edges)):
-            # uniform rational in [eps1, eps2] on a 1/64 grid
-            step = rng.randrange(0, 65)
-            gains[g.n + 1 + pos] = eps1 + (eps2 - eps1) * F(step, 64)
-        h = assemble_gain_matrix(Graph(g.n, g.edges, gains=gains))
+        # uniform rationals in [eps1, eps2] on a 1/64 grid
+        gains = tuple(eps1 + (eps2 - eps1) * F(rng.randrange(0, 65), 64) for _ in g.edges)
+        h = GainMatrix(n=g.n, t=g.t, gains=gains, edges=g.edges)
         a = h.multiply(sv.values)
         for i, val in enumerate(a, start=1):
             if i not in expected and val != 0:

@@ -204,3 +204,40 @@ class TestFlowCommands:
         code = main(["flow", "attack", flow_file, "--target", "1:2"])
         capsys.readouterr()
         assert code == 2
+
+
+class TestInputContract:
+    """Malformed input exits 2 with a one-line diagnosis, never a traceback."""
+
+    @pytest.fixture()
+    def recover_args(self, tmp_path, flow_file):
+        zf = write(tmp_path / "z.json", {"values": ["0"] * 8})  # constant states
+        return ["flow", "recover", flow_file, "--flows", zf]
+
+    def assert_input_error(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and err.startswith("input error:")
+
+    def test_non_integer_bundle_target(self, tmp_path, recover_args, capsys):
+        bundle = write(tmp_path / "atk.json", {"targets": [["1", "x"]], "a": ["0"] * 8})
+        self.assert_input_error(capsys, [*recover_args, "--attack", bundle])
+
+    def test_short_attack_vector(self, tmp_path, recover_args, capsys):
+        bundle = write(tmp_path / "atk.json", {"targets": [[1, 2], [1, 4]], "a": ["1"] * 7})
+        self.assert_input_error(capsys, [*recover_args, "--attack", bundle])
+
+    def test_short_stealth_vector(self, tmp_path, recover_args, capsys):
+        bundle = write(tmp_path / "atk.json", {"targets": [[1, 2]], "a": ["0"] * 8, "s": ["1"] * 3})
+        self.assert_input_error(capsys, [*recover_args, "--attack", bundle])
+
+    def test_unwritable_out(self, tmp_path, flow_file, capsys):
+        out = str(tmp_path / "missing" / "H.json")
+        self.assert_input_error(capsys, ["flow", "matrix", flow_file, "--out", out])
+
+    def test_non_integer_seed(self, flow_file, capsys, monkeypatch):
+        monkeypatch.setenv("MINORKIT_SEED", "abc")
+        self.assert_input_error(capsys, [
+            "flow", "attack", flow_file, "--target", "1-2,1-4", "--mode", "robust", "--audit", "2",
+        ])

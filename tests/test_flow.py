@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minorkit import (
     Graph,
@@ -18,6 +20,7 @@ from minorkit.exceptions import (
     Inconsistent,
     MissingGain,
 )
+from minorkit.ratio import fmt_ratio
 
 from helpers import random_connected
 
@@ -140,3 +143,15 @@ class TestFlowRecoveryIdentities:
             x = tuple(F(rng.randrange(-15, 15), rng.randrange(1, 7)) for _ in range(n))
             z = flows(h, x)
             assert flows(h, recover_states(h, z, g, x[0])) == z
+
+
+@given(st.integers(min_value=2, max_value=10), st.integers())
+@settings(max_examples=60, deadline=None)
+def test_sparse_engine_matches_dense_rows(n, seed):
+    rng = random.Random(seed)
+    m = rng.randrange(n - 1, n * (n - 1) // 2 + 1)
+    h = assemble_gain_matrix(random_connected(n, m, rng, gains=True))
+    x = tuple(F(rng.randrange(-20, 21), rng.randrange(1, 8)) for _ in range(n))
+    assert h.multiply(x) == tuple(sum(c * xi for c, xi in zip(row, x)) for row in h.rows)
+    assert matrix_to_json(h)["rows"] == [[fmt_ratio(c) for c in row] for row in h.rows]
+    assert h.row_sums() == tuple(sum(row) for row in h.rows)

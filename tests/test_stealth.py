@@ -360,6 +360,12 @@ class TestRobust:
         with pytest.raises(BadBounds):
             build_robust_stealth(spec, triangle(), 0, 1)
 
+    def test_audit_rejects_bad_bounds(self):
+        spec = feasibility(triangle(), triangle().edges)
+        sv, _ = build_robust_stealth(spec, triangle(), 1, 2)
+        with pytest.raises(BadBounds):
+            robust_attack_audit(spec, sv, 0, 1, samples=1, seed=0)
+
 
 class TestThetaOracle:
     def test_single_bridge_is_unit(self):
