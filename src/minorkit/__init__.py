@@ -26,6 +26,7 @@ from .boxes import (
     verify,
     verify_c1,
     verify_c2,
+    witness_radii,
     witness_radius,
 )
 from .build import (

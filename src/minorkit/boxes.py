@@ -1,9 +1,12 @@
 """Exact axis-aligned boxes and the strong-representation verifier.
 
-Everything here is Fraction arithmetic: touching boxes, shared endpoints and
-zero-width gaps are decided exactly, never by floating point.  Boxes are closed,
-so two boxes that share only a boundary point do intersect; builders therefore
-keep strictly positive gaps between non-adjacent boxes.
+Every decision is exact: touching boxes, shared endpoints and zero-width gaps are
+never left to floating point.  The verifier puts each call's boxes and points
+on one integer grid: with L the lcm of all their denominators, p/q becomes the
+int p * (L // q), which keeps order, equality and L-scaled gaps exact, so C1,
+witness radii and witness checks compare ints.  Boxes are closed, so two boxes
+that share only a boundary point do intersect; builders therefore keep strictly
+positive gaps between non-adjacent boxes.
 
 The exclusivity condition for a vertex v asks for a boundary point of v's box
 together with a small cube around it that avoids every other box.  Deciding it
@@ -11,14 +14,15 @@ exactly reduces to facet coverage: v's boundary is fully covered by the other
 (closed) boxes iff each of its 2d facets is, and a facet is covered iff every
 full-dimensional cell of the endpoint arrangement restricted to it lies inside
 some other box.  The search below subdivides facets recursively at box
-endpoints, discarding pieces that sit inside one covering box, so an uncovered
-cell centre is found quickly when one exists.
+endpoints (in Fraction arithmetic), discarding pieces that sit inside one
+covering box, so an uncovered cell centre is found quickly when one exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .exceptions import (
@@ -178,6 +182,13 @@ class Representation:
 # -- JSON -------------------------------------------------------------------------
 
 
+def witnesses_to_json(witnesses: Mapping[int, Witness]) -> dict:
+    return {
+        str(v): {"point": [fmt_ratio(x) for x in w.point], "radius": fmt_ratio(w.radius)}
+        for v, w in witnesses.items()
+    }
+
+
 def rep_to_json(rep: Representation) -> dict:
     out: dict = {
         "dim": rep.dim,
@@ -187,10 +198,7 @@ def rep_to_json(rep: Representation) -> dict:
         },
     }
     if rep.witnesses:
-        out["witnesses"] = {
-            str(v): {"point": [fmt_ratio(x) for x in w.point], "radius": fmt_ratio(w.radius)}
-            for v, w in rep.witnesses.items()
-        }
+        out["witnesses"] = witnesses_to_json(rep.witnesses)
     return out
 
 
@@ -215,6 +223,76 @@ def rep_from_json(obj) -> Representation:
         raise ParseError(f"bad representation object: {exc}") from exc
 
 
+# -- the integer grid ----------------------------------------------------------------
+
+# Many distinct coprime denominators make L as long as all of them together, and
+# every scaled coordinate that long.  Past this size the grid costs more time and
+# memory than the rationals it replaces, so the checks run on those instead.
+GRID_MAX_BITS = 4096
+
+IntBox = tuple[tuple[int, int], ...]
+IntPoint = tuple[int, ...]
+
+
+def _grid(
+    rep: Representation, points: Mapping[int, Point] | None = None
+) -> tuple[int, dict[int, IntBox], dict[int, IntPoint]]:
+    """Scale rep's boxes and the given points onto one integer grid.
+
+    L is the lcm of every denominator involved and p/q becomes p * (L // q), so
+    comparisons and differences of the ints equal those of the rationals, times L.
+    If L would pass GRID_MAX_BITS, the values stay rationals and L is 1; the
+    callers' comparisons and arithmetic are exact on either.
+    """
+    points = points or {}
+    dens = {x.denominator for b in rep.boxes.values() for iv in b.intervals for x in iv}
+    dens.update(x.denominator for p in points.values() for x in p)
+    scale = 1
+    for q in dens:
+        scale = lcm(scale, q)
+        if scale.bit_length() > GRID_MAX_BITS:
+            return 1, {v: b.intervals for v, b in rep.boxes.items()}, dict(points)
+    mult = {q: scale // q for q in dens}
+    boxes = {
+        v: tuple(
+            (lo.numerator * mult[lo.denominator], hi.numerator * mult[hi.denominator])
+            for lo, hi in b.intervals
+        )
+        for v, b in rep.boxes.items()
+    }
+    scaled = {v: tuple(x.numerator * mult[x.denominator] for x in p) for v, p in points.items()}
+    return scale, boxes, scaled
+
+
+def _meet(a: IntBox, b: IntBox) -> bool:
+    for (a_lo, a_hi), (b_lo, b_hi) in zip(a, b):
+        if a_lo > b_hi or b_lo > a_hi:
+            return False
+    return True
+
+
+def _gap(box: IntBox, p: IntPoint) -> int:
+    """L-infinity distance from p to the box on the grid (0 when inside)."""
+    gap = 0
+    for (lo, hi), x in zip(box, p):
+        d = lo - x if x < lo else x - hi  # <= 0 inside the interval
+        if d > gap:
+            gap = d
+    return gap
+
+
+def _on_boundary(box: IntBox, p: IntPoint) -> bool:
+    if len(p) != len(box):
+        return False
+    touch = False
+    for (lo, hi), x in zip(box, p):
+        if x < lo or x > hi:
+            return False
+        if x == lo or x == hi:
+            touch = True
+    return touch
+
+
 # -- intersection-pattern check ------------------------------------------------------
 
 
@@ -234,12 +312,15 @@ def _check_cover(g: Graph, rep: Representation) -> None:
 def verify_c1(g: Graph, rep: Representation) -> C1Report:
     """Boxes intersect exactly for edges; every discrepancy is reported."""
     _check_cover(g, rep)
+    _, grid, _ = _grid(rep)
+    edges = set(g.edges)
     bad: list[tuple[int, int, str]] = []
     verts = rep.vertices()
     for a_pos, i in enumerate(verts):
+        box = grid[i]
         for j in verts[a_pos + 1:]:
-            meet = rep.boxes[i].intersects(rep.boxes[j])
-            edge = g.has_edge(i, j)
+            meet = _meet(box, grid[j])
+            edge = (i, j) in edges
             if meet and not edge:
                 bad.append((i, j, "unexpected"))
             elif edge and not meet:
@@ -255,17 +336,30 @@ def witness_radius(point: Point, rep: Representation, exclude: int) -> Fraction 
 
     None when the point already lies in some other box (no exclusive cube exists).
     """
-    nearest: Fraction | None = None
-    for u, b in rep.boxes.items():
-        if u == exclude:
-            continue
-        d = b.linf_distance(point)
-        if d == 0:
-            return None
-        nearest = d if nearest is None else min(nearest, d)
-    if nearest is None:
-        return QUARTER
-    return min(nearest / 2, QUARTER)
+    return witness_radii({exclude: point}, rep)[exclude]
+
+
+def witness_radii(points: Mapping[int, Point], rep: Representation) -> dict[int, Fraction | None]:
+    """witness_radius of each points[v] against every box but v's, on one shared grid."""
+    scale, grid, scaled = _grid(rep, points)
+    radii: dict[int, Fraction | None] = {}
+    for v, p in scaled.items():
+        nearest: int | None = None
+        for u, b in grid.items():
+            if u == v:
+                continue
+            d = _gap(b, p)
+            if nearest is None or d < nearest:
+                nearest = d
+                if d == 0:
+                    break
+        if nearest == 0:
+            radii[v] = None
+        elif nearest is None or 2 * nearest >= scale:  # nearest / (2 * scale) >= 1/4
+            radii[v] = QUARTER
+        else:
+            radii[v] = Fraction(nearest, 2 * scale)
+    return radii
 
 
 def check_witness(v: int, rep: Representation) -> bool:
@@ -275,16 +369,21 @@ def check_witness(v: int, rep: Representation) -> bool:
     w = rep.witnesses.get(v)
     if w is None:
         raise MissingWitness(f"vertex {v} has no stored witness")
-    return _witness_ok(v, rep, w)
+    scale, grid, scaled = _grid(rep, {v: w.point})
+    return _witness_ok(v, w.radius, scaled[v], scale, grid)
 
 
-def _witness_ok(v: int, rep: Representation, w: Witness) -> bool:
-    if w.radius <= 0 or not rep.boxes[v].on_boundary(w.point):
+def _witness_ok(v: int, radius: Fraction, p: IntPoint, scale: int, grid: dict[int, IntBox]) -> bool:
+    """p on v's boundary and every other box farther than radius/2 from it.
+
+    On the grid a distance d stands for d/scale, so d/scale > rnum/(2*rden)
+    becomes 2*rden*d > rnum*scale.
+    """
+    if radius <= 0 or not _on_boundary(grid[v], p):
         return False
-    half = w.radius / 2
-    return all(
-        b.linf_distance(w.point) > half for u, b in rep.boxes.items() if u != v
-    )
+    twice_den = 2 * radius.denominator
+    need = radius.numerator * scale
+    return all(twice_den * _gap(b, p) > need for u, b in grid.items() if u != v)
 
 
 IntervalTuple = tuple[Interval, ...]
@@ -362,6 +461,19 @@ def _sweep_gate(rep: Representation, max_dim: int, max_boxes: int) -> None:
         raise TooLarge(f"exact facet sweep gated at {max_boxes} boxes")
 
 
+def _exposed_point(v: int, rep: Representation, max_dim: int, max_boxes: int) -> Point | None:
+    """A boundary point of v's box outside every other box, or None if all are covered."""
+    if v not in rep.boxes:
+        raise VertexMismatch(f"vertex {v} has no box")
+    _sweep_gate(rep, max_dim, max_boxes)
+    for axis in range(rep.dim):
+        for side in (0, 1):
+            p = _facet_uncovered(v, axis, side, rep)
+            if p is not None:
+                return p
+    return None
+
+
 def boundary_covered(
     v: int,
     rep: Representation,
@@ -370,14 +482,7 @@ def boundary_covered(
     max_boxes: int = DEFAULT_MAX_SWEEP_BOXES,
 ) -> bool:
     """True iff every point of v's boundary lies in some other box (exact)."""
-    if v not in rep.boxes:
-        raise VertexMismatch(f"vertex {v} has no box")
-    _sweep_gate(rep, max_dim, max_boxes)
-    for axis in range(rep.dim):
-        for side in (0, 1):
-            if _facet_uncovered(v, axis, side, rep) is not None:
-                return False
-    return True
+    return _exposed_point(v, rep, max_dim, max_boxes) is None
 
 
 def exposed_witness(
@@ -388,18 +493,13 @@ def exposed_witness(
     max_boxes: int = DEFAULT_MAX_SWEEP_BOXES,
 ) -> Witness | None:
     """Find an exclusive boundary point for v by facet sweep, or None if covered."""
-    if v not in rep.boxes:
-        raise VertexMismatch(f"vertex {v} has no box")
-    _sweep_gate(rep, max_dim, max_boxes)
-    for axis in range(rep.dim):
-        for side in (0, 1):
-            p = _facet_uncovered(v, axis, side, rep)
-            if p is not None:
-                r = witness_radius(p, rep, v)
-                if r is None:
-                    raise AssertionError("uncovered facet point lies in another box")
-                return Witness(p, r)
-    return None
+    p = _exposed_point(v, rep, max_dim, max_boxes)
+    if p is None:
+        return None
+    r = witness_radius(p, rep, v)
+    if r is None:
+        raise AssertionError("uncovered facet point lies in another box")
+    return Witness(p, r)
 
 
 @dataclass(frozen=True)
@@ -423,11 +523,12 @@ def verify_c2(
     callers can persist it.
     """
     _check_cover(g, rep)
+    scale, grid, scaled = _grid(rep, {v: w.point for v, w in rep.witnesses.items()})
     found: dict[int, Witness] = {}
     covered: list[int] = []
     for v in rep.vertices():
         w = rep.witnesses.get(v)
-        if w is not None and _witness_ok(v, rep, w):
+        if w is not None and _witness_ok(v, w.radius, scaled[v], scale, grid):
             found[v] = w
             continue
         got = exposed_witness(v, rep, max_dim=max_dim, max_boxes=max_boxes)

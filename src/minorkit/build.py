@@ -7,8 +7,10 @@ A pipeline replays a recorded edit sequence backwards, lifting a verified base
 representation up to the original graph, and a tiny brute-force oracle pins
 exact answers for hand-checkable instances.
 
-Every builder returns a representation with stored witnesses and re-verifies
-its own output before handing it back.
+Every builder returns a representation with stored witnesses, verified once
+per step: exact witness radii prove exclusivity and C1 is checked on the
+output.  Public lifts also verify their input; the pipeline verifies its base
+once and then trusts each step's verified output as the next step's input.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .boxes import (
     rep_to_json,
     verify_c1,
     verify_c2,
-    witness_radius,
+    witness_radii,
 )
 from .exceptions import (
     BadNesting,
@@ -62,49 +64,49 @@ Point = tuple[Fraction, ...]
 def _attach_witnesses(boxes: dict[int, Box], points: dict[int, Point]) -> Representation:
     """Wrap boxes with witnesses at the given exclusive boundary points."""
     rep = Representation(boxes)
+    radii = witness_radii(points, rep)
     ws: dict[int, Witness] = {}
-    for v, p in points.items():
+    for v in sorted(points):
+        p = points[v]
         if not boxes[v].on_boundary(p):
             raise AssertionError(f"builder picked a non-boundary witness point for {v}")
-        r = witness_radius(p, rep, v)
-        if r is None:
+        if radii[v] is None:
             raise AssertionError(f"builder picked a non-exclusive witness point for {v}")
-        ws[v] = Witness(p, r)
+        ws[v] = Witness(p, radii[v])
     return Representation(boxes, ws)
 
 
-def _compacted(vertices: Iterable[int], edges: Iterable[Edge], rep: Representation):
-    """Relabel an arbitrary vertex set to 1..k so the verifier can run on it."""
-    order = sorted(vertices)
-    idx = {v: i + 1 for i, v in enumerate(order)}
-    g = Graph(len(order), [norm_edge(idx[u], idx[v]) for u, v in edges])
-    rep2 = rep.rename(idx)
-    return g, rep2, idx
+def _verified(
+    vertices: Iterable[int], edges: Iterable[Edge], rep: Representation, what: str, *, built: bool = False
+) -> Representation:
+    """Check rep against the graph on `vertices` and `edges`; return it with every witness.
 
-
-def _require_valid(vertices: Iterable[int], edges: Iterable[Edge], rep: Representation, what: str) -> Representation:
-    """Verify a representation against a vertex/edge set; return it with full witnesses."""
+    A lift's input must pass C1 and C2 (C2 may find witnesses by facet sweep) and
+    is rejected with InvalidInput.  A builder's output (built=True) comes from
+    _attach_witnesses, which has proved each stored witness exclusive with exact
+    radii, so C1 and a witness for every vertex suffice; failing that is a bug.
+    """
     vertices = sorted(vertices)
+    fail = AssertionError if built else InvalidInput
     if set(rep.boxes) != set(vertices):
-        raise InvalidInput(f"{what}: representation covers the wrong vertex set")
-    g, rep2, idx = _compacted(vertices, edges, rep)
-    c1 = verify_c1(g, rep2)
+        raise fail(f"{what}: representation covers the wrong vertex set")
+    # the verifier wants labels 1..k
+    idx = {v: i + 1 for i, v in enumerate(vertices)}
+    g = Graph(len(vertices), [norm_edge(idx[u], idx[v]) for u, v in edges])
+    local = rep.rename(idx)
+    c1 = verify_c1(g, local)
     if not c1.ok:
-        raise InvalidInput(f"{what}: intersection pattern fails at {c1.violations[:3]}")
-    c2 = verify_c2(g, rep2)
+        raise fail(f"{what}: intersection pattern fails at {c1.violations[:3]}")
+    if built:
+        if set(rep.witnesses) != set(rep.boxes):
+            raise AssertionError(f"{what}: some vertex has no witness")
+        return rep
+    c2 = verify_c2(g, local)
     if not c2.ok:
         raise InvalidInput(f"{what}: vertices {c2.covered} have no exclusive boundary point")
     back = {i: v for v, i in idx.items()}
     witnesses = {back[i]: w for i, w in c2.witnesses.items()}
     return Representation(dict(rep.boxes), witnesses)
-
-
-def _self_check(g: Graph, rep: Representation, what: str) -> Representation:
-    c1 = verify_c1(g, rep)
-    c2 = verify_c2(g, rep)
-    if not (c1.ok and c2.ok):
-        raise AssertionError(f"{what} produced an invalid representation")
-    return Representation(dict(rep.boxes), dict(c2.witnesses))
 
 
 # -- base constructions ---------------------------------------------------------------
@@ -152,8 +154,7 @@ def build_tree_rep(t: Graph) -> Representation:
         # the spare slot keeps this vertex's own boundary exposed
         points[v] = (x0 + m * width + width / 2, y1)
 
-    rep = _attach_witnesses(boxes, points)
-    return _self_check(t, rep, "tree builder")
+    return _verified(t.vertices(), t.edges, _attach_witnesses(boxes, points), "tree builder", built=True)
 
 
 def threshold_graph(n_clique: int, nested_sizes: Sequence[int]) -> Graph:
@@ -206,8 +207,7 @@ def build_threshold_rep(n_clique: int, nested_sizes: Sequence[int]) -> Represent
         boxes[n_clique + i] = Box(((left, F(3, 4)), (y0, y0 + height)))
         points[n_clique + i] = (F(3, 4), y0 + height / 2)  # exposed right edge
 
-    rep = _attach_witnesses(boxes, points)
-    return _self_check(g, rep, "threshold builder")
+    return _verified(g.vertices(), g.edges, _attach_witnesses(boxes, points), "threshold builder", built=True)
 
 
 # -- lifts -----------------------------------------------------------------------------
@@ -243,24 +243,29 @@ def lift_vertex_add(rep_f: Representation, g: Graph, v: int, nbrs: Iterable[int]
     if nbrs != g.neighbors(v):
         raise InvalidInput(f"neighbour snapshot {nbrs} does not match the graph")
     rest = [u for u in g.vertices() if u != v]
-    sub_edges = [e for e in g.edges if v not in e]
-    rep_f = _require_valid(rest, sub_edges, rep_f, "vertex lift input")
+    rep_f = _verified(rest, [e for e in g.edges if v not in e], rep_f, "vertex lift input")
+    return _lift_vertex_add(rep_f, g, v)
+
+
+def _lift_vertex_add(rep_f: Representation, g: Graph, v: int) -> Representation:
+    """lift_vertex_add on an input known to be a valid, fully witnessed representation."""
     rep0 = _positive_shift(rep_f)
     k = rep0.dim
     top = 3 * _coord_max(rep0)
 
     boxes: dict[int, Box] = {}
     points: dict[int, Point] = {}
-    nbr_set = set(nbrs)
-    for u in rest:
+    nbr_set = set(g.neighbors(v))
+    for u in g.vertices():
+        if u == v:
+            continue
         level = (F(2), F(5)) if u in nbr_set else (F(0), F(3))
         boxes[u] = rep0.boxes[u].cross(level)
         points[u] = rep0.witnesses[u].point + (level[0],)
     boxes[v] = Box(tuple((F(1), top) for _ in range(k)) + ((F(4), F(6)),))
     points[v] = tuple(top for _ in range(k)) + (F(6),)
 
-    rep = _attach_witnesses(boxes, points)
-    return _self_check(g, rep, "vertex lift")
+    return _verified(g.vertices(), g.edges, _attach_witnesses(boxes, points), "vertex lift", built=True)
 
 
 def lift_edge_add(rep_h: Representation, g: Graph, e: Edge) -> Representation:
@@ -275,25 +280,29 @@ def lift_edge_add(rep_h: Representation, g: Graph, e: Edge) -> Representation:
     if not g.has_edge(u, v):
         raise InvalidInput(f"({u},{v}) is not an edge of the target graph")
     sub_edges = [ed for ed in g.edges if ed != (u, v)]
-    rep_h = _require_valid(g.vertices(), sub_edges, rep_h, "edge lift input")
+    rep_h = _verified(g.vertices(), sub_edges, rep_h, "edge lift input")
+    return _lift_edge_add(rep_h, g, u, v)
+
+
+def _lift_edge_add(rep_h: Representation, g: Graph, u: int, v: int) -> Representation:
+    """lift_edge_add of the edge (u, v), u < v, on a valid, fully witnessed input."""
     rep0 = _positive_shift(rep_h)
     r = rep0.dim
     top = 3 * _coord_max(rep0)
-    nbrs_v = {w for a, b in sub_edges for w in (a, b) if v in (a, b)} - {v}
+    high = set(g.neighbors(v))  # u and v's other neighbours
 
     boxes: dict[int, Box] = {}
     points: dict[int, Point] = {}
     for i in g.vertices():
         if i == v:
             continue
-        level = (F(2), F(5)) if (i == u or i in nbrs_v) else (F(0), F(3))
+        level = (F(2), F(5)) if i in high else (F(0), F(3))
         boxes[i] = rep0.boxes[i].cross(level)
         points[i] = rep0.witnesses[i].point + (level[0],)
     boxes[v] = Box(tuple((F(1), top) for _ in range(r)) + ((F(4), F(6)),))
     points[v] = tuple(top for _ in range(r)) + (F(6),)
 
-    rep = _attach_witnesses(boxes, points)
-    return _self_check(g, rep, "edge lift")
+    return _verified(g.vertices(), g.edges, _attach_witnesses(boxes, points), "edge lift", built=True)
 
 
 def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
@@ -305,7 +314,7 @@ def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
     u, v = norm_edge(*e)
     if not g.has_edge(u, v):
         raise InvalidInput(f"({u},{v}) is not an edge")
-    rep_g = _require_valid(g.vertices(), g.edges, rep_g, "edge drop input")
+    rep_g = _verified(g.vertices(), g.edges, rep_g, "edge drop input")
 
     boxes: dict[int, Box] = {}
     points: dict[int, Point] = {}
@@ -319,9 +328,8 @@ def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
         boxes[i] = rep_g.boxes[i].cross(level)
         points[i] = rep_g.witnesses[i].point + (level[0],)
 
-    h = Graph(g.n, [ed for ed in g.edges if ed != (u, v)])
-    rep = _attach_witnesses(boxes, points)
-    return _self_check(h, rep, "edge drop")
+    h_edges = [ed for ed in g.edges if ed != (u, v)]
+    return _verified(g.vertices(), h_edges, _attach_witnesses(boxes, points), "edge drop", built=True)
 
 
 def contract_edge_graph(g: Graph, u: int, merged: int) -> Graph:
@@ -366,9 +374,13 @@ def lift_uncontract(
     if not g.has_edge(u, n_restored):
         raise BadSnapshot(f"({u},{n_restored}) is not an edge of the target graph")
     g_e = contract_edge_graph(g, u, n_restored)
-    rep_ge = _require_valid(g_e.vertices(), g_e.edges, rep_ge, "uncontract input")
+    rep_ge = _verified(g_e.vertices(), g_e.edges, rep_ge, "uncontract input")
+    return _lift_uncontract(rep_ge, g, u, n_restored)
 
-    set_u, set_n = set(nb_u), set(nb_n)
+
+def _lift_uncontract(rep_ge: Representation, g: Graph, u: int, n_restored: int) -> Representation:
+    """lift_uncontract on a valid, fully witnessed input whose split matches g."""
+    set_u, set_n = set(g.neighbors(u)), set(g.neighbors(n_restored))
     only_u = set_u - set_n - {n_restored}
     only_n = set_n - set_u - {u}
     s_u = rep_ge.boxes[u]
@@ -393,8 +405,7 @@ def lift_uncontract(
             boxes[i] = rep_ge.boxes[i].cross((0, 10), (0, 10))
             points[i] = rep_ge.witnesses[i].point + (F(0), F(0))
 
-    rep = _attach_witnesses(boxes, points)
-    return _self_check(g, rep, "uncontract lift")
+    return _verified(g.vertices(), g.edges, _attach_witnesses(boxes, points), "uncontract lift", built=True)
 
 
 # -- edit-sequence pipeline --------------------------------------------------------------
@@ -442,29 +453,27 @@ def build_from_edit_sequence(g: Graph, seq: EditSequence, base_rep: Representati
     """Lift a verified base representation back up an edit sequence, in reverse.
 
     Dimension grows by exactly one per inverted deletion and two per inverted
-    contraction; every intermediate representation is verified.
+    contraction; the base and every step's output are each verified once.
     """
     steps_fw = replay_edits(g, seq)  # raises SequenceMismatch on any drift
-    rep = _require_valid(seq.base.vertices(), seq.base.edges, base_rep, "pipeline base")
+    rep = _verified(seq.base.vertices(), seq.base.edges, base_rep, "pipeline base")
     base_dim = rep.dim
     steps: list[TraceStep] = []
 
     for g_before, op, g_after in reversed(steps_fw):
         dim_before = rep.dim
         if isinstance(op, EdgeDelete):
-            rep = lift_edge_add(rep, g_before, (op.u, op.v))
+            rep = _lift_edge_add(rep, g_before, *norm_edge(op.u, op.v))
             roles = {"edge": (op.u, op.v), "wide": (op.v,)}
         elif isinstance(op, VertexDelete):
             if op.swap is not None:
                 a, b = op.swap  # label a currently holds the vertex that was b
                 rep = rep.rename({a: b})
-            rep = lift_vertex_add(rep, g_before, op.v, op.neighbors)
+            rep = _lift_vertex_add(rep, g_before, op.v)
             roles = {"vertex": (op.v,), "neighbors": tuple(op.neighbors or ())}
         elif isinstance(op, Contract):
             gsw = g_before if op.swap is None else swap_labels(g_before, *op.swap)
-            rep = lift_uncontract(
-                rep, gsw, op.u_post, op.merged, (op.nbrs_kept, op.nbrs_merged)
-            )
+            rep = _lift_uncontract(rep, gsw, op.u_post, op.merged)
             if op.swap is not None:
                 a, b = op.swap
                 rep = rep.rename({a: b, b: a})

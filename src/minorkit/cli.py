@@ -22,7 +22,14 @@ from fractions import Fraction
 
 from . import build as bld
 from . import stealth as st
-from .boxes import Representation, rep_from_json, rep_to_json, verify_c1, verify_c2
+from .boxes import (
+    Representation,
+    rep_from_json,
+    rep_to_json,
+    verify_c1,
+    verify_c2,
+    witnesses_to_json,
+)
 from .exceptions import MinorkitError, ParseError, TooLarge
 from .flow import (
     assemble_gain_matrix,
@@ -106,10 +113,7 @@ def cmd_box_verify(args) -> int:
         "c1_violations": [[i, j, kind] for i, j, kind in c1.violations],
         "c2_ok": c2.ok,
         "c2_covered_vertices": list(c2.covered),
-        "witnesses": {
-            str(v): {"point": [fmt_ratio(x) for x in w.point], "radius": fmt_ratio(w.radius)}
-            for v, w in c2.witnesses.items()
-        },
+        "witnesses": witnesses_to_json(c2.witnesses),
         "dim": r.dim,
     }
     return rep.emit(OK if (c1.ok and c2.ok) else FAIL)

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction as F
+from itertools import count, islice
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minorkit import (
     Box,
@@ -16,7 +20,11 @@ from minorkit import (
     rep_to_json,
     verify_c1,
     verify_c2,
+    witness_radii,
+    witness_radius,
 )
+from minorkit import boxes
+from minorkit.boxes import QUARTER
 from minorkit.exceptions import (
     DimensionMismatch,
     MissingWitness,
@@ -184,6 +192,114 @@ class TestSamplingAgreement:
                         not b.contains(w.point) for u, b in rep.boxes.items() if u != v
                     )
                     assert rep.boxes[v].on_boundary(w.point)
+
+
+# -- integer grid vs the Fraction reference ---------------------------------------------
+
+# endpoints mix coprime denominators up to 12 and signs; witness coordinates and
+# radii also use denominators up to 29 that no endpoint carries
+endpoint = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+offgrid = st.fractions(min_value=-6, max_value=6, max_denominator=29)
+
+
+@st.composite
+def witnessed_reps(draw):
+    """A small graph, boxes that often share endpoints, and one candidate witness per box."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(endpoint, min_size=2, max_size=5, unique=True))
+    value = st.one_of(st.sampled_from(pool), endpoint)
+    boxes = {}
+    for v in range(1, n + 1):
+        ivs = []
+        for _ in range(dim):
+            a, b = draw(st.lists(value, min_size=2, max_size=2, unique=True))
+            ivs.append((min(a, b), max(a, b)))
+        boxes[v] = Box(tuple(ivs))
+    ends = sorted({x for b in boxes.values() for iv in b.intervals for x in iv})
+    witnesses = {}
+    for v, b in boxes.items():
+        point = tuple(
+            draw(st.one_of(st.sampled_from(iv), st.sampled_from(ends), offgrid)) for iv in b.intervals
+        )
+        # twice a box's distance puts that box exactly on the cube's closed boundary
+        tight = st.sampled_from([2 * other.linf_distance(point) for other in boxes.values()])
+        radius = draw(st.one_of(st.just(QUARTER), st.fractions(-1, 1, max_denominator=29), tight))
+        witnesses[v] = Witness(point, radius)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    return Graph(n, edges), Representation(boxes, witnesses)
+
+
+def reference_c1(g, rep):
+    verts = rep.vertices()
+    bad = []
+    for pos, i in enumerate(verts):
+        for j in verts[pos + 1:]:
+            meet, edge = rep.boxes[i].intersects(rep.boxes[j]), g.has_edge(i, j)
+            if meet != edge:
+                bad.append((i, j, "unexpected" if meet else "missing"))
+    return tuple(bad)
+
+
+def reference_radius(point, rep, exclude):
+    dists = [b.linf_distance(point) for u, b in rep.boxes.items() if u != exclude]
+    if any(d == 0 for d in dists):
+        return None
+    return min([d / 2 for d in dists] + [QUARTER])
+
+
+def reference_witness_ok(v, rep):
+    w = rep.witnesses[v]
+    return (
+        w.radius > 0
+        and rep.boxes[v].on_boundary(w.point)
+        and all(b.linf_distance(w.point) > w.radius / 2 for u, b in rep.boxes.items() if u != v)
+    )
+
+
+class TestIntegerGrid:
+    @given(witnessed_reps())
+    @settings(max_examples=200, deadline=None)
+    def test_grid_matches_fraction_reference(self, case):
+        g, rep = case
+        points = {v: w.point for v, w in rep.witnesses.items()}
+        expected = {v: reference_radius(p, rep, v) for v, p in points.items()}
+        # GRID_MAX_BITS = 0 keeps every coordinate a Fraction: the oversized-grid path
+        for max_bits in (boxes.GRID_MAX_BITS, 0):
+            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
+                assert verify_c1(g, rep).violations == reference_c1(g, rep)
+                assert witness_radii(points, rep) == expected
+                for v, p in points.items():
+                    assert witness_radius(p, rep, v) == expected[v]
+                    assert check_witness(v, rep) == reference_witness_ok(v, rep)
+
+    def test_many_coprime_denominators(self):
+        # 40 boxes in 3-D with 240 distinct 20-bit prime denominators: L passes GRID_MAX_BITS
+        primes = list(islice((p for p in count(10**6) if all(p % d for d in range(2, 1100))), 240))
+        assert sum(p.bit_length() for p in primes) > boxes.GRID_MAX_BITS
+        it = iter(primes)
+        rep = Representation({
+            v: Box(tuple((2 * v + F(1, next(it)), 2 * v + 1 + F(1, next(it))) for _ in range(3)))
+            for v in range(1, 41)
+        })
+        g = Graph(40, [(v, v + 1) for v in range(1, 40, 2)])
+        assert verify_c1(g, rep).violations == reference_c1(g, rep)
+        points = {v: tuple(hi for _, hi in b.intervals) for v, b in rep.boxes.items()}
+        assert witness_radii(points, rep) == {v: reference_radius(p, rep, v) for v, p in points.items()}
+
+    def test_touching_endpoints_and_coprime_denominators(self):
+        rep = Representation(
+            {1: Box.make(("-1/3", "2/7")), 2: Box.make(("2/7", "5/11")), 3: Box.make(("1/2", "3/5"))},
+            {3: Witness((F(1, 2),), F(1, 13))},
+        )
+        g = Graph(3, [(1, 2)])
+        assert verify_c1(g, rep).ok
+        # 1/2 - 5/11 = 1/22 to box 2, so the radius is 1/44
+        assert witness_radius((F(1, 2),), rep, 3) == F(1, 44)
+        assert check_witness(3, rep)  # 1/22 > (1/13)/2
+        # a cube of side 1/11 would reach exactly to box 2, which is closed
+        assert not check_witness(3, Representation(rep.boxes, {3: Witness((F(1, 2),), F(1, 11))}))
 
 
 class TestInvariances:

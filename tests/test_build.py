@@ -168,6 +168,18 @@ class TestEdgeLift:
         rep = lift_edge_add(trace.final, g, (1, 3))
         assert_strong(g, rep)
 
+    def test_invalid_input_rejected(self):
+        # boxes 1 and 3 touch, but g minus (2,3) has only the edge (1,2)
+        bad = Representation({1: Box.make((0, 2)), 2: Box.make((1, 3)), 3: Box.make((2, 4))})
+        with pytest.raises(InvalidInput):
+            lift_edge_add(bad, Graph(3, [(1, 2), (2, 3)]), (2, 3))
+
+    def test_buried_input_rejected(self):
+        # a valid pattern for the path 1-2-3, but box 2's boundary is covered
+        buried = Representation({1: Box.make((0, 2)), 2: Box.make((1, 4)), 3: Box.make((3, 5))})
+        with pytest.raises(InvalidInput):
+            lift_edge_add(buried, Graph(3, [(1, 2), (2, 3), (1, 3)]), (1, 3))
+
 
 class TestDropEdge:
     def test_k2_comes_apart(self):
@@ -200,6 +212,12 @@ class TestDropEdge:
             assert restored.dim == trace.final.dim + 2
             assert_strong(g, restored)
 
+    def test_invalid_input_rejected(self):
+        # disjoint boxes cannot represent the edge being dropped
+        bad = Representation({1: Box.make((0, 1)), 2: Box.make((2, 3))})
+        with pytest.raises(InvalidInput):
+            drop_edge(bad, Graph(2, [(1, 2)]), (1, 2))
+
 
 class TestUncontract:
     def test_split_line_into_path(self):
@@ -225,6 +243,12 @@ class TestUncontract:
             lift_uncontract(k2_line_rep(), g, 2, 3, ((1,), (2,)))
         with pytest.raises(BadSnapshot):
             lift_uncontract(k2_line_rep(), g, 1, 2, ((2,), (1,)))
+
+    def test_invalid_input_rejected(self):
+        # the contracted graph is the edge (1,2), but the boxes are disjoint
+        bad = Representation({1: Box.make((0, 1)), 2: Box.make((2, 3))})
+        with pytest.raises(InvalidInput):
+            lift_uncontract(bad, Graph(3, [(1, 2), (2, 3)]), 2, 3, ((1, 3), (2,)))
 
 
 class TestPipeline:

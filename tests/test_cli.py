@@ -241,3 +241,8 @@ class TestInputContract:
         self.assert_input_error(capsys, [
             "flow", "attack", flow_file, "--target", "1-2,1-4", "--mode", "robust", "--audit", "2",
         ])
+
+    def test_huge_exponent_gain(self, tmp_path, capsys):
+        gf = write(tmp_path / "g.json", {"n": 2, "edges": [{"u": 1, "v": 2, "gain": "1e5000"}]})
+        out = str(tmp_path / "H.json")
+        self.assert_input_error(capsys, ["flow", "matrix", gf, "--out", out])
