@@ -3,7 +3,11 @@
 Base constructions put trees and threshold graphs in the plane.  Lift
 constructions invert one edit operation at a time: re-adding a vertex or an
 edge costs one extra dimension, splitting a contracted vertex pair costs two.
-A pipeline replays a recorded edit sequence backwards, lifting a verified base
+Both one-dimension lifts are one construction: the re-added vertex v becomes a
+wide box that spans the input's bounding box in the old axes and sits one level
+up in the new axis, and an edge lift is that vertex lift with v's old box
+discarded.  Lifts reuse the input's coordinates, so they add no bits.  A
+pipeline replays a recorded edit sequence backwards, lifting a verified base
 representation up to the original graph, and a tiny brute-force oracle pins
 exact answers for hand-checkable instances.
 
@@ -213,29 +217,15 @@ def build_threshold_rep(n_clique: int, nested_sizes: Sequence[int]) -> Represent
 # -- lifts -----------------------------------------------------------------------------
 
 
-def _positive_shift(rep: Representation) -> Representation:
-    """Translate so every coordinate is >= 1.
-
-    The tall corner box used when re-adding a vertex spans [min, 3*max] in each
-    old axis, which only covers everything when coordinates are positive;
-    verification outcomes are translation-invariant, so normalising is free.
-    """
-    lo = min(lo for b in rep.boxes.values() for lo, _ in b.intervals)
-    shift = 1 - lo
-    return rep.translate([shift] * rep.dim) if shift != 0 else rep
-
-
-def _coord_max(rep: Representation) -> Fraction:
-    return max(hi for b in rep.boxes.values() for _, hi in b.intervals)
-
-
 def lift_vertex_add(rep_f: Representation, g: Graph, v: int, nbrs: Iterable[int] | None = None) -> Representation:
     """Invert a vertex deletion: one extra dimension.
 
-    Old boxes ride at level [0,3], v's neighbours at [2,5], and v becomes a huge
-    box over [4,6], wide enough in the old axes to meet every neighbour but
-    separated from non-neighbours by the level gap.  Old witnesses slide to the
-    bottom of their level; v's witness is the far top corner.
+    Old boxes ride at level [0,3], v's neighbours at [2,5], and v becomes the
+    wide box over [4,6].  In the old axes the wide box is the input's bounding
+    box [lo, hi] on every axis, so it meets every neighbour, while the level gap
+    separates it from non-neighbours.  Old witnesses slide to the bottom of
+    their level; v's witness is the top corner (hi, ..., hi, 6).  Every
+    coordinate is one the input already has or a level, so lifts add no bits.
     """
     if not (1 <= v <= g.n):
         raise InvalidInput(f"vertex {v} is not in the target graph")
@@ -247,23 +237,21 @@ def lift_vertex_add(rep_f: Representation, g: Graph, v: int, nbrs: Iterable[int]
     return _lift_vertex_add(rep_f, g, v)
 
 
-def _lift_vertex_add(rep_f: Representation, g: Graph, v: int) -> Representation:
-    """lift_vertex_add on an input known to be a valid, fully witnessed representation."""
-    rep0 = _positive_shift(rep_f)
-    k = rep0.dim
-    top = 3 * _coord_max(rep0)
-
+def _lift_vertex_add(rep: Representation, g: Graph, v: int) -> Representation:
+    """lift_vertex_add on a valid, fully witnessed input; a box of v in it is ignored."""
+    nbr_set = set(g.neighbors(v))
     boxes: dict[int, Box] = {}
     points: dict[int, Point] = {}
-    nbr_set = set(g.neighbors(v))
     for u in g.vertices():
         if u == v:
             continue
         level = (F(2), F(5)) if u in nbr_set else (F(0), F(3))
-        boxes[u] = rep0.boxes[u].cross(level)
-        points[u] = rep0.witnesses[u].point + (level[0],)
-    boxes[v] = Box(tuple((F(1), top) for _ in range(k)) + ((F(4), F(6)),))
-    points[v] = tuple(top for _ in range(k)) + (F(6),)
+        boxes[u] = rep.boxes[u].cross(level)
+        points[u] = rep.witnesses[u].point + (level[0],)
+    ends = [x for u, b in rep.boxes.items() if u != v for iv in b.intervals for x in iv]
+    lo, hi = min(ends), max(ends)
+    boxes[v] = Box(((lo, hi),) * rep.dim + ((F(4), F(6)),))
+    points[v] = (hi,) * rep.dim + (F(6),)
 
     return _verified(g.vertices(), g.edges, _attach_witnesses(boxes, points), "vertex lift", built=True)
 
@@ -271,38 +259,16 @@ def _lift_vertex_add(rep_f: Representation, g: Graph, v: int) -> Representation:
 def lift_edge_add(rep_h: Representation, g: Graph, e: Edge) -> Representation:
     """Invert an edge deletion: one extra dimension.
 
-    With e=(u,v), u and v's other neighbours ride at [2,5], the rest at [0,3],
-    and v becomes the wide box over [4,6]: it reaches u (and v's other
-    neighbours) through the [4,5] overlap while the level gap separates it from
-    non-neighbours.
+    With e=(u,v), u < v, this is the vertex lift of v with v's old box
+    discarded: u and v's other neighbours ride at [2,5], the rest at [0,3],
+    and v becomes the wide box over [4,6].
     """
     u, v = norm_edge(*e)
     if not g.has_edge(u, v):
         raise InvalidInput(f"({u},{v}) is not an edge of the target graph")
     sub_edges = [ed for ed in g.edges if ed != (u, v)]
     rep_h = _verified(g.vertices(), sub_edges, rep_h, "edge lift input")
-    return _lift_edge_add(rep_h, g, u, v)
-
-
-def _lift_edge_add(rep_h: Representation, g: Graph, u: int, v: int) -> Representation:
-    """lift_edge_add of the edge (u, v), u < v, on a valid, fully witnessed input."""
-    rep0 = _positive_shift(rep_h)
-    r = rep0.dim
-    top = 3 * _coord_max(rep0)
-    high = set(g.neighbors(v))  # u and v's other neighbours
-
-    boxes: dict[int, Box] = {}
-    points: dict[int, Point] = {}
-    for i in g.vertices():
-        if i == v:
-            continue
-        level = (F(2), F(5)) if i in high else (F(0), F(3))
-        boxes[i] = rep0.boxes[i].cross(level)
-        points[i] = rep0.witnesses[i].point + (level[0],)
-    boxes[v] = Box(tuple((F(1), top) for _ in range(r)) + ((F(4), F(6)),))
-    points[v] = tuple(top for _ in range(r)) + (F(6),)
-
-    return _verified(g.vertices(), g.edges, _attach_witnesses(boxes, points), "edge lift", built=True)
+    return _lift_vertex_add(rep_h, g, v)
 
 
 def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
@@ -463,7 +429,7 @@ def build_from_edit_sequence(g: Graph, seq: EditSequence, base_rep: Representati
     for g_before, op, g_after in reversed(steps_fw):
         dim_before = rep.dim
         if isinstance(op, EdgeDelete):
-            rep = _lift_edge_add(rep, g_before, *norm_edge(op.u, op.v))
+            rep = _lift_vertex_add(rep, g_before, max(op.u, op.v))
             roles = {"edge": (op.u, op.v), "wide": (op.v,)}
         elif isinstance(op, VertexDelete):
             if op.swap is not None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 
 from .exceptions import (
     BadBounds,
@@ -170,7 +170,13 @@ def _poly_value(terms, lam: Fraction, exponents: dict[int, int]) -> Fraction:
     return sum(m * lam ** exponents[c] for c, m in terms)
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+def _primes():
+    """2, 3, 5, 7, ... by trial division."""
+    p = 2
+    while True:
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += 1
 
 
 def _root_free_lambda(
@@ -179,25 +185,23 @@ def _root_free_lambda(
     """First lambda, starting from the hint, that zeroes no boundary polynomial.
 
     lambda = 1 always fails (every polynomial's coefficients cancel), so the
-    hint must be in (0,1); deterministic shrinks lam *= 1 - 1/p step past the
-    finitely many roots.
+    hint must be in (0,1); deterministic shrinks lam *= 1 - 1/p over the primes
+    p = 2, 3, 5, ... give distinct candidates in (0,1).  With positive gains a
+    polynomial's own coefficient is its only positive one, so by Descartes'
+    rule of signs it has at most one positive root besides lambda = 1: each
+    polynomial rejects at most one candidate, and one of the first
+    (#polynomials + 1) candidates is root-free.
     """
     if not (0 < hint < 1):
         raise ValueError("lambda hint must lie strictly between 0 and 1")
     polys = _boundary_polys(spec, h)
     lam = hint
-
-    def clean(lam: Fraction) -> bool:
-        return all(_poly_value(terms, lam, exponents) != 0 for terms in polys.values())
-
-    if clean(lam):
-        return lam
-    for p in _PRIMES:
-        lam = lam * (1 - F(1, p))
-        if clean(lam):
+    primes = _primes()
+    for _ in range(len(polys) + 1):
+        if all(_poly_value(terms, lam, exponents) != 0 for terms in polys.values()):
             return lam
-    # 20 distinct values already exceed any root count seen at desk scale
-    raise AssertionError("could not steer clear of the boundary-polynomial roots")
+        lam = lam * (1 - F(1, next(primes)))
+    raise AssertionError("every candidate lambda is a root: some gain is not positive")
 
 
 def _build(
@@ -258,6 +262,25 @@ def _exponent_map(spec: AttackSpec, colors: dict[int, int] | None) -> dict[int, 
     return {i: colors[i] - 1 for i in range(1, spec.k + 1)}
 
 
+def _ladder(spec: AttackSpec, h: GainMatrix, exponents: dict[int, int], steps: int):
+    """Yield (lambda, ratio) for each root-free lambda_q = q/(q+1), q = 1..steps.
+
+    The ratio is the largest over the smallest jump across the crossing
+    component pairs; each power of lambda is computed once per step.
+    """
+    polys = _boundary_polys(spec, h)
+    crossing_pairs = set(spec.crossing.values())
+    used = set(exponents.values())
+    for q in range(1, steps + 1):
+        lam = F(q, q + 1)
+        power = {e: lam ** e for e in used}
+        value = {c: power[e] for c, e in exponents.items()}
+        if any(sum(m * value[c] for c, m in terms) == 0 for terms in polys.values()):
+            continue
+        jumps = [abs(value[ci] - value[cj]) for ci, cj in crossing_pairs]
+        yield lam, max(jumps) / min(jumps)
+
+
 def variation_limit_schedule(
     spec: AttackSpec,
     h: GainMatrix,
@@ -279,18 +302,8 @@ def variation_limit_schedule(
     exponents = _exponent_map(spec, colors)
     c = len(set(exponents.values()))
     target = F(c - 1) if c >= 2 else F(1)
-    polys = _boundary_polys(spec, h)
     epsilon_gap = Fraction(epsilon_gap)
-
-    crossing_pairs = set(spec.crossing.values())
-    for q in range(1, max_steps + 1):
-        lam = F(q, q + 1)
-        if any(_poly_value(terms, lam, exponents) == 0 for terms in polys.values()):
-            continue
-        jumps = [
-            abs(lam ** exponents[ci] - lam ** exponents[cj]) for ci, cj in crossing_pairs
-        ]
-        ratio = max(jumps) / min(jumps)
+    for lam, ratio in _ladder(spec, h, exponents, max_steps):
         if abs(ratio - target) <= epsilon_gap:
             sv, _ = _build(spec, h, exponents, lam)
             return sv, ratio
@@ -312,19 +325,7 @@ def best_constructive_ratio(
     if not spec.targets:
         raise EmptyF("variation needs a non-empty target set")
     exponents = _exponent_map(spec, colors)
-    polys = _boundary_polys(spec, h)
-    crossing_pairs = set(spec.crossing.values())
-    best: tuple[Fraction, Fraction] | None = None
-    for q in range(1, steps + 1):
-        lam = F(q, q + 1)
-        if any(_poly_value(terms, lam, exponents) == 0 for terms in polys.values()):
-            continue
-        jumps = [
-            abs(lam ** exponents[ci] - lam ** exponents[cj]) for ci, cj in crossing_pairs
-        ]
-        ratio = max(jumps) / min(jumps)
-        if best is None or ratio < best[1]:
-            best = (lam, ratio)
+    best = min(_ladder(spec, h, exponents, steps), key=lambda pair: pair[1], default=None)
     assert best is not None  # the ladder always contains root-free values
     return best
 
@@ -533,26 +534,19 @@ def theta_oracle(spec: AttackSpec, h: GainMatrix, grid: int = 12) -> Fraction:
             return None
         return max(jumps) / min(jumps)
 
-    best: Fraction | None = None
-
-    def consider(values: dict[int, Fraction]) -> None:
-        nonlocal best
-        r = ratio_of(values)
-        if r is not None and (best is None or r < best):
-            best = r
-
-    # constructive seeds: power and coloured ladders
+    # constructive seeds: power and coloured ladders, whose tuples separate every
+    # crossing pair, so the ladder's root test is all that ratio_of would add
     colors, _, _ = color_assignment(component_graph(spec))
-    for expmap in ({i: i - 1 for i in range(1, k + 1)}, {i: colors[i] - 1 for i in range(1, k + 1)}):
-        for q in range(1, 200):
-            lam = F(q, q + 1)
-            consider({i: lam ** expmap[i] for i in range(1, k + 1)})
+    expmaps = ({i: i - 1 for i in range(1, k + 1)}, {i: colors[i] - 1 for i in range(1, k + 1)})
+    seeds = (r for expmap in expmaps for _, r in _ladder(spec, h, expmap, 199))
 
     # grid tuples, first component pinned (ratios are shift/scale-free)
     levels = [F(step, grid) for step in range(grid + 1)]
-    for combo in iter_product(levels, repeat=k - 1):
-        consider({1: F(0), **{i + 2: val for i, val in enumerate(combo)}})
-
+    found = (
+        ratio_of({1: F(0), **{i + 2: val for i, val in enumerate(combo)}})
+        for combo in iter_product(levels, repeat=k - 1)
+    )
+    best = min((r for r in chain(seeds, found) if r is not None), default=None)
     assert best is not None  # the root-free ladder always yields a valid tuple
     return best
 

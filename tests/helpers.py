@@ -68,6 +68,26 @@ def random_rep(rng: random.Random, dim: int, count: int, span: int = 6) -> Repre
     return Representation(boxes)
 
 
+def root_trap_graph() -> tuple[Graph, list[tuple[int, int]], list[Fraction]]:
+    """Gains that make the first 21 root-avoidance candidates all fail.
+
+    The candidates start at the default hint 1/2 and shrink by 1 - 1/p over the
+    primes 2..71.  Removing the targets leaves the components {1}, the path
+    2..22 and {23}.  Path vertex l joins 1 and 23 by target edges with
+    gain(1, l) / gain(l, 23) equal to the (l-1)-th candidate, so l's boundary
+    polynomial (b*lam - a)(lam - 1) has that candidate as its root.
+    Returns the graph, the target edges and the 21 candidates.
+    """
+    candidates = [F(1, 2)]
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71):
+        candidates.append(candidates[-1] * (1 - F(1, p)))
+    path = [(l, l + 1) for l in range(2, 22)]
+    targets = [(1, l) for l in range(2, 23)] + [(l, 23) for l in range(2, 23)]
+    gains = [F(1)] * len(path) + candidates + [F(1)] * 21
+    edges = path + targets
+    return Graph(23, edges, gains={24 + i: b for i, b in enumerate(gains)}), targets, candidates
+
+
 # -- independent sampling oracle for boundary coverage ---------------------------------
 
 

@@ -181,6 +181,42 @@ class TestEdgeLift:
             lift_edge_add(buried, Graph(3, [(1, 2), (2, 3), (1, 3)]), (1, 3))
 
 
+def coordinates(rep):
+    """Every box endpoint and witness coordinate of rep."""
+    ends = {x for b in rep.boxes.values() for iv in b.intervals for x in iv}
+    return ends | {x for w in rep.witnesses.values() for x in w.point}
+
+
+class TestWideBoxLift:
+    def test_edge_lift_is_the_vertex_lift_without_v(self):
+        rng = random.Random(29)
+        for _ in range(8):
+            n = rng.randrange(5, 10)
+            h = random_connected(n, min(n + rng.randrange(0, 3), n * (n - 1) // 2 - 1), rng)
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            u, v = rng.choice([p for p in pairs if not h.has_edge(*p)])
+            g = Graph(n, h.edges + ((u, v),))
+            rep = tree_pipeline(h)[1].final
+            without_v = Representation(
+                {w: b for w, b in rep.boxes.items() if w != v},
+                {w: x for w, x in rep.witnesses.items() if w != v},
+            )
+            by_edge = lift_edge_add(rep, g, (u, v))
+            by_vertex = lift_vertex_add(without_v, g, v)
+            assert by_edge.boxes == by_vertex.boxes
+            assert by_edge.witnesses == by_vertex.witnesses
+
+    def test_lifts_create_no_new_coordinates(self):
+        # the wide box reuses the input's extreme endpoints, so only levels are new
+        rng = random.Random(53)
+        levels = {F(x) for x in (0, 2, 3, 4, 5, 6)}
+        for _ in range(5):
+            g = random_connected(24, 24 + rng.randrange(4, 9), rng)
+            seq, trace = tree_pipeline(g)
+            assert trace.final.dim > 6
+            assert coordinates(trace.final) <= coordinates(build_tree_rep(seq.base)) | levels
+
+
 class TestDropEdge:
     def test_k2_comes_apart(self):
         g = Graph(2, [(1, 2)])

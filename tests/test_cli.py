@@ -6,6 +6,8 @@ import pytest
 from minorkit import Graph, assemble_gain_matrix, flows, graph_to_json, vector_to_json
 from minorkit.cli import main
 
+from helpers import root_trap_graph
+
 
 def write(path, obj):
     path.write_text(json.dumps(obj))
@@ -246,3 +248,14 @@ class TestInputContract:
         gf = write(tmp_path / "g.json", {"n": 2, "edges": [{"u": 1, "v": 2, "gain": "1e5000"}]})
         out = str(tmp_path / "H.json")
         self.assert_input_error(capsys, ["flow", "matrix", gf, "--out", out])
+
+    def test_root_trap_graph_attack(self, tmp_path, capsys):
+        # hostile gains, not malformed ones: the first 21 lambda candidates are all roots
+        g, targets, _ = root_trap_graph()
+        gf = write(tmp_path / "trap.json", graph_to_json(g))
+        target = ",".join(f"{u}-{v}" for u, v in targets)
+        code = main(["flow", "attack", gf, "--target", target])
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        res = json.loads(out)["results"]
+        assert res["k"] == 3 and res["support"] == res["expected_support"]

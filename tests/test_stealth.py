@@ -36,7 +36,7 @@ from minorkit.exceptions import (
     TooLarge,
 )
 
-from helpers import random_connected, random_cut_targets, random_gain
+from helpers import random_connected, random_cut_targets, random_gain, root_trap_graph
 
 
 def gained(g, rng=None, value=F(1)):
@@ -132,6 +132,15 @@ class TestBuildStealth:
         assert a2_at_half == 0
         sv, av = build_stealth(spec, h, F(1, 2))
         assert sv.lam == F(1, 4)  # first deterministic shrink
+        assert av.support == spec.expected_support()
+
+    def test_root_count_bounds_the_candidate_walk(self):
+        # 23 boundary polynomials kill the first 21 candidates; one of 24 must be clean
+        g, targets, candidates = root_trap_graph()
+        spec = feasibility(g, targets)
+        assert len(spec.boundary_vertices()) == 23
+        sv, av = build_stealth(spec, assemble_gain_matrix(g))
+        assert sv.lam == candidates[-1] * (1 - F(1, 73))
         assert av.support == spec.expected_support()
 
     def test_support_exact_on_random_cuts(self):
