@@ -300,10 +300,14 @@ def cmd_flow_attack(args) -> int:
         ratio = st.variation_ratio(sv)
 
     c = len(set(sv.exponents.values()))
+    # formatted once: the report and the --out bundle share these lists
+    lam = fmt_ratio(sv.lam)
+    stealth = [fmt_ratio(v) for v in sv.values]
+    attack = [fmt_ratio(v) for v in av.values]
     results.update({
-        "lambda": fmt_ratio(sv.lam),
-        "stealth": [fmt_ratio(v) for v in sv.values],
-        "attack": [fmt_ratio(v) for v in av.values],
+        "lambda": lam,
+        "stealth": stealth,
+        "attack": attack,
         "support": sorted(av.support),
         "expected_support": sorted(spec.expected_support()),
         "ratio": fmt_ratio(ratio),
@@ -316,9 +320,9 @@ def cmd_flow_attack(args) -> int:
     if args.out:
         _write_json(args.out, {
             "targets": sorted(map(list, spec.targets)),
-            "lambda": fmt_ratio(sv.lam),
-            "s": [fmt_ratio(v) for v in sv.values],
-            "a": [fmt_ratio(v) for v in av.values],
+            "lambda": lam,
+            "s": stealth,
+            "a": attack,
         })
         rep.data["results"]["attack_file"] = args.out
     return rep.emit(OK)

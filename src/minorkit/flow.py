@@ -5,19 +5,23 @@ of one row per edge (through flow).  Edge rows carry +gain at the smaller
 endpoint and -gain at the larger; vertex rows carry the gain sums.  Every row
 sums to zero, so constant states produce zero flow.
 
-Only the per-edge gains are stored: an edge row has two nonzeros and a vertex
-row is the signed sum of its incident edge rows, so H*x costs O(n+m).  Dense
-rows are a derived view, built on request (and for export) from the gains.
+Only the per-edge gains are stored, and they must be positive: an edge row
+has two nonzeros and a vertex row is the signed sum of its incident edge rows,
+so H*x costs O(n+m).  The product sums each entry as ints on that entry's own
+common denominator and builds one Fraction per entry.  Dense rows are a
+derived view, built on request (and for export) from the gains.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exceptions import (
+    BadBounds,
     DimensionMismatch,
     Disconnected,
     Inconsistent,
@@ -36,6 +40,11 @@ class GainMatrix:
     t: int
     gains: tuple[Fraction, ...]  # one gain per edge, in edge order
     edges: tuple[Edge, ...]  # edge order mirrors the flow indices n+1..t
+
+    def __post_init__(self) -> None:
+        for (u, v), b in zip(self.edges, self.gains):
+            if b.numerator <= 0:
+                raise BadBounds(f"gain {b} of edge ({u},{v}) is not positive")
 
     def _sparse_rows(self) -> list[dict[int, Fraction]]:
         """Nonzero cells of every row (0-based column -> value); diagonals always present."""
@@ -63,16 +72,31 @@ class GainMatrix:
         return self.rows[index - 1]
 
     def multiply(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """H*x in O(n+m), each entry summed as ints on its own denominator.
+
+        A through flow b*(x_u - x_v) puts both states on the lcm of their two
+        denominators; a net flow keeps a running lcm of its own terms.  Only
+        the returned entries become Fractions.  (One lcm for the whole vector
+        would grow with every coprime denominator in it.)
+        """
         if len(x) != self.n:
             raise DimensionMismatch(f"state has length {len(x)}, expected {self.n}")
-        net = [F(0)] * self.n
+        xs = [(xi.numerator, xi.denominator) for xi in x]
+        net_num = [0] * self.n
+        net_den = [1] * self.n
         through = []
         for (u, v), b in zip(self.edges, self.gains):
-            f = b * (x[u - 1] - x[v - 1])
-            net[u - 1] += f
-            net[v - 1] -= f
-            through.append(f)
-        return tuple(net + through)
+            (un, ud), (vn, vd) = xs[u - 1], xs[v - 1]
+            den = math.lcm(ud, vd)
+            num = b.numerator * (un * (den // ud) - vn * (den // vd))
+            den *= b.denominator
+            through.append(F(num, den))
+            for w, term in ((u - 1, num), (v - 1, -num)):
+                wd = net_den[w]
+                common = math.lcm(wd, den)
+                net_num[w] = net_num[w] * (common // wd) + term * (common // den)
+                net_den[w] = common
+        return tuple([F(a, d) for a, d in zip(net_num, net_den)] + through)
 
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(cells.values()) for cells in self._sparse_rows())

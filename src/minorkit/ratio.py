@@ -48,4 +48,4 @@ def _exponent_too_large(text: str) -> bool:
 
 
 def fmt_ratio(value) -> str:
-    return str(Fraction(value))
+    return str(value) if isinstance(value, Fraction) else str(Fraction(value))

@@ -13,6 +13,11 @@ drives the power construction's ratio to (number of distinct exponents) - 1,
 and colouring the component graph first shrinks that exponent count to the
 chromatic number.  A robust variant picks an integer lambda large enough to
 work for every gain matrix inside known bounds.
+
+Every zero test runs on Python ints.  A boundary polynomial carries integer
+masses (scaled by its gains' denominators), lambda = p/q enters as the ints
+p**e * q**(E-e) on the common denominator q**E, and the theta oracle's grid
+uses integer steps; Fractions are built only for returned values.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product as iter_product
+from itertools import product as iter_product
 
 from .exceptions import (
     BadBounds,
@@ -143,31 +148,53 @@ def _stealth_values(spec: AttackSpec, lam: Fraction, exponents: dict[int, int]) 
     return tuple(powers[spec.comp_of[v]] for v in spec.graph.vertices())
 
 
-def _boundary_polys(spec: AttackSpec, h: GainMatrix) -> dict[int, list[tuple[int, Fraction]]]:
-    """Per boundary vertex: [(component index of itself/neighbour, signed gain mass)].
+def _boundary_polys(spec: AttackSpec, h: GainMatrix) -> dict[int, list[tuple[int, int]]]:
+    """Per boundary vertex: [(component index of itself/neighbour, integer gain mass)].
 
     The attack entry at vertex l is sum of gain * (own power - neighbour power);
-    grouping by component gives a short polynomial in lambda for exact root tests.
+    grouping by component gives a short polynomial in lambda for exact root
+    tests.  Same-component gains cancel, so one pass over the crossing edges
+    finds every term.  Each vertex's masses are scaled by the lcm of its
+    crossing gains' denominators, a positive factor that moves no root.
     """
-    g = spec.graph
-    polys: dict[int, list[tuple[int, Fraction]]] = {}
-    for l in spec.boundary_vertices():
-        own = spec.comp_of[l]
-        mass: dict[int, Fraction] = {}
-        for q in g.neighbors(l):
-            b = h.gains[g.edge_index(l, q) - g.n - 1]
-            cq = spec.comp_of[q]
-            if cq != own:
-                mass[cq] = mass.get(cq, F(0)) + b
-        # same-component gains cancel, so the own coefficient is the crossing mass
-        terms = [(own, sum(mass.values()))]
-        terms += [(c, -m) for c, m in sorted(mass.items())]
-        polys[l] = terms
+    comp_of = spec.comp_of
+    crossing: dict[int, list[tuple[int, Fraction]]] = {}
+    for (u, v), b in zip(h.edges, h.gains):
+        cu, cv = comp_of[u], comp_of[v]
+        if cu != cv:
+            crossing.setdefault(u, []).append((cv, b))
+            crossing.setdefault(v, []).append((cu, b))
+    polys: dict[int, list[tuple[int, int]]] = {}
+    for l in sorted(crossing):
+        scale = math.lcm(*(b.denominator for _, b in crossing[l]))
+        mass: dict[int, int] = {}
+        for c, b in crossing[l]:
+            mass[c] = mass.get(c, 0) + b.numerator * (scale // b.denominator)
+        # the own coefficient is the crossing mass, the only positive one
+        polys[l] = [(comp_of[l], sum(mass.values()))] + [(c, -m) for c, m in sorted(mass.items())]
     return polys
 
 
 def _poly_value(terms, lam: Fraction, exponents: dict[int, int]) -> Fraction:
+    """The polynomial's value in Fractions: the reference for the int root tests."""
     return sum(m * lam ** exponents[c] for c, m in terms)
+
+
+def _scaled_powers(lam: Fraction, exponents: dict[int, int]) -> dict[int, int]:
+    """Component -> p**e * q**(top - e) for lam = p/q and top the largest exponent.
+
+    That is lam**e times q**top, one positive factor for every component, so
+    these ints have the same zero tests and jump ratios as the powers.
+    """
+    p, q = lam.numerator, lam.denominator
+    top = max(exponents.values(), default=0)
+    scaled = {e: p ** e * q ** (top - e) for e in set(exponents.values())}
+    return {c: scaled[e] for c, e in exponents.items()}
+
+
+def _vanishes(terms, value) -> bool:
+    """Is the boundary polynomial zero at these (scaled) component values?"""
+    return sum(m * value[c] for c, m in terms) == 0
 
 
 def _primes():
@@ -198,7 +225,8 @@ def _root_free_lambda(
     lam = hint
     primes = _primes()
     for _ in range(len(polys) + 1):
-        if all(_poly_value(terms, lam, exponents) != 0 for terms in polys.values()):
+        value = _scaled_powers(lam, exponents)
+        if not any(_vanishes(terms, value) for terms in polys.values()):
             return lam
         lam = lam * (1 - F(1, next(primes)))
     raise AssertionError("every candidate lambda is a root: some gain is not positive")
@@ -235,10 +263,13 @@ def variation_ratio(s: StealthVector, targets=None) -> Fraction:
     f_set = s.targets if targets is None else {norm_edge(u, v) for u, v in targets}
     if not f_set:
         raise EmptyF("variation factor needs a non-empty target set")
-    jumps = [abs(s.values[u - 1] - s.values[v - 1]) for u, v in f_set]
+    ends = {v: s.values[v - 1] for e in f_set for v in e}
+    scale = math.lcm(*(x.denominator for x in ends.values()))
+    scaled = {v: x.numerator * (scale // x.denominator) for v, x in ends.items()}
+    jumps = [abs(scaled[u] - scaled[v]) for u, v in f_set]
     if any(j == 0 for j in jumps):
         raise EmptyF("stealth vector does not separate some target edge")
-    return max(jumps) / min(jumps)
+    return F(max(jumps), min(jumps))
 
 
 def ratio_bound(c: int, lam: Fraction) -> Fraction:
@@ -266,19 +297,18 @@ def _ladder(spec: AttackSpec, h: GainMatrix, exponents: dict[int, int], steps: i
     """Yield (lambda, ratio) for each root-free lambda_q = q/(q+1), q = 1..steps.
 
     The ratio is the largest over the smallest jump across the crossing
-    component pairs; each power of lambda is computed once per step.
+    component pairs.  Root tests and jumps run on the scaled int powers, each
+    computed once per step.
     """
     polys = _boundary_polys(spec, h)
     crossing_pairs = set(spec.crossing.values())
-    used = set(exponents.values())
     for q in range(1, steps + 1):
         lam = F(q, q + 1)
-        power = {e: lam ** e for e in used}
-        value = {c: power[e] for c, e in exponents.items()}
-        if any(sum(m * value[c] for c, m in terms) == 0 for terms in polys.values()):
+        value = _scaled_powers(lam, exponents)
+        if any(_vanishes(terms, value) for terms in polys.values()):
             continue
         jumps = [abs(value[ci] - value[cj]) for ci, cj in crossing_pairs]
-        yield lam, max(jumps) / min(jumps)
+        yield lam, F(max(jumps), min(jumps))
 
 
 def variation_limit_schedule(
@@ -524,29 +554,24 @@ def theta_oracle(spec: AttackSpec, h: GainMatrix, grid: int = 12) -> Fraction:
     polys = _boundary_polys(spec, h)
     crossing_pairs = sorted(set(spec.crossing.values()))
 
-    def ratio_of(values: dict[int, Fraction]) -> Fraction | None:
-        jumps = [abs(values[ci] - values[cj]) for ci, cj in crossing_pairs]
-        if any(j == 0 for j in jumps):
-            return None
-        for terms in polys.values():
-            if sum(m * values[c] for c, m in terms) != 0:
-                continue
-            return None
-        return max(jumps) / min(jumps)
-
     # constructive seeds: power and coloured ladders, whose tuples separate every
-    # crossing pair, so the ladder's root test is all that ratio_of would add
+    # crossing pair and pass the same root test as the grid
     colors, _, _ = color_assignment(component_graph(spec))
     expmaps = ({i: i - 1 for i in range(1, k + 1)}, {i: colors[i] - 1 for i in range(1, k + 1)})
-    seeds = (r for expmap in expmaps for _, r in _ladder(spec, h, expmap, 199))
+    best = min((r for expmap in expmaps for _, r in _ladder(spec, h, expmap, 199)), default=None)
 
-    # grid tuples, first component pinned (ratios are shift/scale-free)
-    levels = [F(step, grid) for step in range(grid + 1)]
-    found = (
-        ratio_of({1: F(0), **{i + 2: val for i, val in enumerate(combo)}})
-        for combo in iter_product(levels, repeat=k - 1)
-    )
-    best = min((r for r in chain(seeds, found) if r is not None), default=None)
+    # grid tuples of int steps 0..grid (value step/grid; the scale cancels in
+    # every ratio and zero test), first component pinned since ratios are
+    # shift/scale-free; steps[c] is component c's step, and the root test runs
+    # only for a tuple whose ratio beats the best so far
+    for combo in iter_product(range(grid + 1), repeat=k - 1):
+        steps = (0, 0) + combo
+        jumps = [abs(steps[ci] - steps[cj]) for ci, cj in crossing_pairs]
+        lo, hi = min(jumps), max(jumps)
+        if lo == 0 or (best is not None and hi * best.denominator >= best.numerator * lo):
+            continue
+        if not any(_vanishes(terms, steps) for terms in polys.values()):
+            best = F(hi, lo)
     assert best is not None  # the root-free ladder always yields a valid tuple
     return best
 

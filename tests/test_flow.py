@@ -15,11 +15,13 @@ from minorkit import (
     vector_to_json,
 )
 from minorkit.exceptions import (
+    BadBounds,
     DimensionMismatch,
     Disconnected,
     Inconsistent,
     MissingGain,
 )
+from minorkit.flow import GainMatrix
 from minorkit.ratio import fmt_ratio
 
 from helpers import random_connected
@@ -61,6 +63,12 @@ class TestAssembly:
     def test_missing_gain(self):
         with pytest.raises(MissingGain):
             assemble_gain_matrix(Graph(2, [(1, 2)]))
+
+    @pytest.mark.parametrize("gain", [F(0), F(-3, 2)])
+    def test_non_positive_gain_rejected(self, gain):
+        # root avoidance needs positive gains; a direct build must not get past here
+        with pytest.raises(BadBounds):
+            GainMatrix(n=2, t=3, gains=(gain,), edges=((1, 2),))
 
 
 class TestFlows:
@@ -151,7 +159,15 @@ def test_sparse_engine_matches_dense_rows(n, seed):
     rng = random.Random(seed)
     m = rng.randrange(n - 1, n * (n - 1) // 2 + 1)
     h = assemble_gain_matrix(random_connected(n, m, rng, gains=True))
-    x = tuple(F(rng.randrange(-20, 21), rng.randrange(1, 8)) for _ in range(n))
-    assert h.multiply(x) == tuple(sum(c * xi for c, xi in zip(row, x)) for row in h.rows)
-    assert matrix_to_json(h)["rows"] == [[fmt_ratio(c) for c in row] for row in h.rows]
-    assert h.row_sums() == tuple(sum(row) for row in h.rows)
+    rows = h.rows
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    draws = (
+        tuple(F(rng.randrange(-20, 21), rng.randrange(1, 8)) for _ in range(n)),
+        tuple(F(rng.randrange(-20, 21), p) for p in primes[:n]),  # distinct prime denominators
+        tuple(rng.randrange(-20, 21) for _ in range(n)),  # plain ints
+        tuple(F(rng.choice((0, 0, rng.randrange(-9, 10))), rng.randrange(1, 8)) for _ in range(n)),
+    )
+    for x in draws:
+        assert h.multiply(x) == tuple(sum(c * xi for c, xi in zip(row, x)) for row in rows)
+    assert matrix_to_json(h)["rows"] == [[fmt_ratio(c) for c in row] for row in rows]
+    assert h.row_sums() == tuple(sum(row) for row in rows)

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from minorkit import (
     AttackSpec,
     Graph,
     Infeasibility,
+    StealthVector,
     assemble_gain_matrix,
     best_constructive_ratio,
     build_robust_stealth,
@@ -445,3 +449,128 @@ class TestDegeneracyAtOne:
             exponents = {i: i - 1 for i in range(1, spec.k + 1)}
             for terms in _boundary_polys(spec, h).values():
                 assert _poly_value(terms, F(1), exponents) == 0
+
+
+# -- integer fast paths against the Fraction formulas they replace ---------------------
+
+
+def dense_entries(spec, rows, values):
+    """Boundary attack entries row_l . s in Fractions, s constant per component."""
+    s = [values[spec.comp_of[v]] for v in spec.graph.vertices()]
+    return {l: sum(c * x for c, x in zip(rows[l - 1], s)) for l in spec.boundary_vertices()}
+
+
+def fraction_ladder(spec, rows, exponents, steps):
+    out = []
+    pairs = set(spec.crossing.values())
+    for q in range(1, steps + 1):
+        lam = F(q, q + 1)
+        values = {c: lam ** e for c, e in exponents.items()}
+        if any(a == 0 for a in dense_entries(spec, rows, values).values()):
+            continue
+        jumps = [abs(values[i] - values[j]) for i, j in pairs]
+        out.append((lam, max(jumps) / min(jumps)))
+    return out
+
+
+def fraction_theta(spec, rows, grid):
+    """The oracle as a plain Fraction search: both ladders, then every grid tuple."""
+    colors, _, _ = color_assignment(component_graph(spec))
+    k = spec.k
+    found = [
+        r
+        for expmap in ({i: i - 1 for i in range(1, k + 1)}, {i: colors[i] - 1 for i in range(1, k + 1)})
+        for _, r in fraction_ladder(spec, rows, expmap, 199)
+    ]
+    pairs = set(spec.crossing.values())
+    for combo in product([F(j, grid) for j in range(grid + 1)], repeat=k - 1):
+        values = {1: F(0), **{i + 2: v for i, v in enumerate(combo)}}
+        jumps = [abs(values[i] - values[j]) for i, j in pairs]
+        if min(jumps) == 0 or any(a == 0 for a in dense_entries(spec, rows, values).values()):
+            continue
+        found.append(max(jumps) / min(jumps))
+    return min(found)
+
+
+def spec_and_exponent_maps(n, seed):
+    rng = random.Random(seed)
+    g = random_connected(n, rng.randrange(n - 1, n * (n - 1) // 2 + 1), rng, gains=True)
+    spec = feasibility(g, random_cut_targets(g, rng))
+    colors, _, _ = color_assignment(component_graph(spec))
+    basic = {i: i - 1 for i in range(1, spec.k + 1)}
+    colored = {i: colors[i] - 1 for i in range(1, spec.k + 1)}
+    return spec, assemble_gain_matrix(g), (basic, colored)
+
+
+class TestIntegerFastPaths:
+    @given(
+        hst.integers(min_value=3, max_value=9),
+        hst.integers(),
+        hst.fractions(min_value=0, max_value=1, max_denominator=40).filter(lambda x: 0 < x < 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_root_verdicts_ladders_and_ratios(self, n, seed, lam):
+        from minorkit.stealth import (
+            _boundary_polys,
+            _ladder,
+            _scaled_powers,
+            _stealth_values,
+            _vanishes,
+        )
+
+        spec, h, expmaps = spec_and_exponent_maps(n, seed)
+        rows = h.rows
+        polys = _boundary_polys(spec, h)
+        assert all(type(m) is int for terms in polys.values() for _, m in terms)
+        for exponents in expmaps:
+            stealth = _stealth_values(spec, lam, exponents)
+            value = _scaled_powers(lam, exponents)
+            for l in spec.boundary_vertices():
+                dense = sum(c * s for c, s in zip(rows[l - 1], stealth))
+                assert _vanishes(polys[l], value) == (dense == 0)
+            assert list(_ladder(spec, h, exponents, 30)) == fraction_ladder(spec, rows, exponents, 30)
+            sv = StealthVector(values=stealth, lam=lam, exponents=exponents, targets=spec.targets)
+            jumps = [abs(stealth[u - 1] - stealth[v - 1]) for u, v in spec.targets]
+            assert variation_ratio(sv) == max(jumps) / min(jumps)
+
+        # any values, not just powers of one lambda: coprime denominators and ties
+        rng = random.Random(seed)
+        values = tuple(F(rng.randrange(-6, 7), rng.choice((1, 2, 3, 5, 7))) for _ in range(n))
+        sv = StealthVector(values=values, lam=lam, exponents=expmaps[0], targets=spec.targets)
+        jumps = [abs(values[u - 1] - values[v - 1]) for u, v in spec.targets]
+        if min(jumps) == 0:
+            with pytest.raises(EmptyF):
+                variation_ratio(sv)
+        else:
+            assert variation_ratio(sv) == max(jumps) / min(jumps)
+
+    def test_root_verdicts_at_known_roots(self):
+        # each candidate is a root of exactly one path vertex's polynomial
+        from minorkit.stealth import _boundary_polys, _scaled_powers, _stealth_values, _vanishes
+
+        g, targets, candidates = root_trap_graph()
+        spec = feasibility(g, targets)
+        h = assemble_gain_matrix(g)
+        rows = h.rows
+        polys = _boundary_polys(spec, h)
+        exponents = {i: i - 1 for i in range(1, spec.k + 1)}
+        for lam in candidates:
+            stealth = _stealth_values(spec, lam, exponents)
+            value = _scaled_powers(lam, exponents)
+            zero = {l for l, terms in polys.items() if _vanishes(terms, value)}
+            assert len(zero) == 1
+            assert zero == {l for l in polys if sum(c * s for c, s in zip(rows[l - 1], stealth)) == 0}
+
+    def test_theta_grid_skips_root_tuples(self):
+        # unit gains zero the middle vertex of every ratio-2 grid tuple such as (0, 1/2, 1)
+        g = triangle()
+        spec = feasibility(g, g.edges)
+        h = assemble_gain_matrix(g)
+        assert theta_oracle(spec, h, grid=6) == fraction_theta(spec, h.rows, 6) == F(399, 199)
+
+    @given(hst.integers(min_value=3, max_value=7), hst.integers())
+    @settings(max_examples=25, deadline=None)
+    def test_theta_grid_matches_fraction_search(self, n, seed):
+        spec, h, _ = spec_and_exponent_maps(n, seed)
+        assume(spec.k <= 4)
+        assert theta_oracle(spec, h, grid=6) == fraction_theta(spec, h.rows, 6)
