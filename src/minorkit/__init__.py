@@ -20,10 +20,8 @@ from .boxes import (
     boundary_covered,
     check_witness,
     exposed_witness,
-    intersects,
     rep_from_json,
     rep_to_json,
-    verify,
     verify_c1,
     verify_c2,
     witness_radii,
@@ -37,7 +35,6 @@ from .build import (
     build_from_edit_sequence,
     build_threshold_rep,
     build_tree_rep,
-    contract_edge_graph,
     drop_edge,
     lift_edge_add,
     lift_uncontract,

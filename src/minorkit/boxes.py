@@ -86,14 +86,6 @@ class Box:
             for (a_lo, a_hi), (b_lo, b_hi) in zip(self.intervals, other.intervals)
         )
 
-    def contains_box(self, other: "Box") -> bool:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dims {self.dim} vs {other.dim}")
-        return all(
-            a_lo <= b_lo and b_hi <= a_hi
-            for (a_lo, a_hi), (b_lo, b_hi) in zip(self.intervals, other.intervals)
-        )
-
     def linf_distance(self, p: Point) -> Fraction:
         """L-infinity distance from a point to the box (0 when inside)."""
         gap = Fraction(0)
@@ -115,11 +107,6 @@ class Box:
         """Product with extra trailing intervals."""
         extra = tuple((parse_ratio(a), parse_ratio(b)) for a, b in pairs)
         return Box(self.intervals + extra)
-
-
-def intersects(b1: Box, b2: Box) -> bool:
-    """Closed boxes intersect iff every coordinate interval pair overlaps."""
-    return b1.intersects(b2)
 
 
 @dataclass(frozen=True)
@@ -537,8 +524,3 @@ def verify_c2(
         else:
             found[v] = got
     return C2Report(ok=not covered, witnesses=found, covered=tuple(covered))
-
-
-def verify(g: Graph, rep: Representation) -> tuple[C1Report, C2Report]:
-    """Both conditions in one call."""
-    return verify_c1(g, rep), verify_c2(g, rep)

@@ -51,6 +51,7 @@ from .graph import (
     EditSequence,
     Graph,
     VertexDelete,
+    apply_edit,
     is_tree,
     norm_edge,
     reduce_to_spanning_tree,
@@ -298,24 +299,6 @@ def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
     return _verified(g.vertices(), h_edges, _attach_witnesses(boxes, points), "edge drop", built=True)
 
 
-def contract_edge_graph(g: Graph, u: int, merged: int) -> Graph:
-    """The graph after merging the max-labelled vertex into its neighbour u."""
-    if merged != g.n:
-        raise BadSnapshot("contraction must merge the maximum label")
-    if not g.has_edge(u, merged):
-        raise BadSnapshot(f"({u},{merged}) is not an edge")
-    edges = [e for e in g.edges if merged not in e]
-    present = set(edges)
-    for w in g.neighbors(merged):
-        if w == u:
-            continue
-        e = norm_edge(u, w)
-        if e not in present:
-            edges.append(e)
-            present.add(e)
-    return Graph(g.n - 1, edges)
-
-
 def lift_uncontract(
     rep_ge: Representation,
     g: Graph,
@@ -339,7 +322,7 @@ def lift_uncontract(
         raise BadSnapshot("neighbourhood split does not match the target graph")
     if not g.has_edge(u, n_restored):
         raise BadSnapshot(f"({u},{n_restored}) is not an edge of the target graph")
-    g_e = contract_edge_graph(g, u, n_restored)
+    g_e = apply_edit(g, Contract(u, n_restored))
     rep_ge = _verified(g_e.vertices(), g_e.edges, rep_ge, "uncontract input")
     return _lift_uncontract(rep_ge, g, u, n_restored)
 

@@ -13,6 +13,7 @@ printed in the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -256,16 +257,17 @@ def cmd_flow_attack(args) -> int:
     tol = args.float_tolerance
 
     if args.mode == "robust":
-        sv, threshold = st.build_robust_stealth(spec, g, parse_ratio(args.eps1), parse_ratio(args.eps2))
+        eps1, eps2 = parse_ratio(args.eps1), parse_ratio(args.eps2)
+        sv, threshold = st.build_robust_stealth(spec, g, eps1, eps2)
         seed = _seed()
         worst = st.robust_attack_audit(
-            spec, sv, parse_ratio(args.eps1), parse_ratio(args.eps2), samples=args.audit, seed=seed
+            spec, sv, eps1, eps2, samples=args.audit, seed=seed
         ) if args.audit > 0 else None
         results.update({
             "lambda_threshold": fmt_ratio(threshold),
             "lambda": fmt_ratio(sv.lam),
             "stealth": [fmt_ratio(v) for v in sv.values],
-            "guarantee": f"every boundary entry stays >= {fmt_ratio(parse_ratio(args.eps1)/2)} "
+            "guarantee": f"every boundary entry stays >= {fmt_ratio(eps1 / 2)} "
                          f"for all gains in [{args.eps1}, {args.eps2}]",
             "audit_samples": args.audit,
             "seed": seed,
@@ -386,7 +388,7 @@ def cmd_flow_theta(args) -> int:
         }
         return rep.emit(FAIL)
     h = assemble_gain_matrix(g)
-    bounds = st.theta_bounds(outcome, h, grid=args.grid)
+    bounds = st.theta_bounds(outcome, h)
     tol = args.float_tolerance
     rep.data["results"] = {
         "feasible": True,
@@ -409,7 +411,9 @@ def cmd_flow_theta(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     p = argparse.ArgumentParser(prog="minorkit")
     sub = p.add_subparsers(dest="group", required=True)
 
@@ -472,7 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ft = flowsub.add_parser("theta", help="edge variation factor bracket")
     ft.add_argument("graph")
     ft.add_argument("--target", required=True)
-    ft.add_argument("--grid", type=int, default=12)
     ft.add_argument("--float-tolerance", dest="float_tolerance", type=float, default=None)
     ft.set_defaults(func=cmd_flow_theta)
 

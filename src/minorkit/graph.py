@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 from .exceptions import (
     Disconnected,
     InvalidEdit,
-    MissingGain,
     OracleTooLarge,
     ParseError,
     SequenceMismatch,
@@ -94,19 +93,6 @@ class Graph:
             return self._index[norm_edge(u, v)]
         except KeyError:
             raise ValueError(f"({u},{v}) is not an edge") from None
-
-    def edge_at(self, index: int) -> Edge:
-        if not (self.n + 1 <= index <= self.t):
-            raise ValueError(f"{index} is not an edge index")
-        return self.edges[index - self.n - 1]
-
-    def gain(self, u: int, v: int) -> Fraction:
-        if self.gains is None:
-            raise MissingGain("graph carries no gains")
-        idx = self.edge_index(u, v)
-        if idx not in self.gains:
-            raise MissingGain(f"edge ({u},{v}) has no gain")
-        return self.gains[idx]
 
     def same_topology(self, other: "Graph") -> bool:
         return self.n == other.n and set(self.edges) == set(other.edges)

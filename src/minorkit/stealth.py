@@ -11,13 +11,15 @@ The edge variation factor of a stealth vector is the ratio of the largest to
 the smallest state jump across the attacked edges.  Pushing lambda towards one
 drives the power construction's ratio to (number of distinct exponents) - 1,
 and colouring the component graph first shrinks that exponent count to the
-chromatic number.  A robust variant picks an integer lambda large enough to
-work for every gain matrix inside known bounds.
+chromatic number.  The infimum over all separating component values is exact:
+chi_c - 1, for chi_c the circular chromatic number of the component graph.  A
+robust variant picks an integer lambda large enough to work for every gain
+matrix inside known bounds.
 
 Every zero test runs on Python ints.  A boundary polynomial carries integer
-masses (scaled by its gains' denominators), lambda = p/q enters as the ints
-p**e * q**(E-e) on the common denominator q**E, and the theta oracle's grid
-uses integer steps; Fractions are built only for returned values.
+masses (scaled by its gains' denominators) and lambda = p/q enters as the ints
+p**e * q**(E-e) on the common denominator q**E; Fractions are built only for
+returned values.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .exceptions import (
     BadBounds,
@@ -399,17 +400,25 @@ def color_assignment(gc: Graph, exact_limit: int = 12) -> tuple[dict[int, int], 
     return colors, max(colors.values()), False
 
 
-def _try_color(gc: Graph, c: int) -> dict[int, int] | None:
+def _try_color(gc: Graph, p: int, q: int = 1) -> dict[int, int] | None:
+    """A (p, q)-colouring: colours 1..p with q <= |a - b| <= p - q on every edge.
+
+    That is circular distance at least q on a cycle of p colours; q = 1 is an
+    ordinary p-colouring.
+    """
     order = sorted(gc.vertices(), key=lambda v: (-gc.degree(v), v))
     colors: dict[int, int] = {}
+    near = range(1 - q, q)  # offsets to the colours closer than q around the cycle
 
     def dfs(pos: int, used: int) -> bool:
         if pos == len(order):
             return True
         v = order[pos]
-        taken = {colors[w] for w in gc.neighbors(v) if w in colors}
-        # capping fresh colours at used+1 kills colour-permutation symmetry
-        for col in range(1, min(used + 1, c) + 1):
+        taken = {(colors[w] + d - 1) % p + 1 for w in gc.neighbors(v) if w in colors for d in near}
+        # symmetry: q = 1 colours are interchangeable, so a fresh colour is
+        # capped at used+1; for q > 1 only rotations are, so the first vertex takes 1
+        top = min(used + 1, p) if q == 1 or not used else p
+        for col in range(1, top + 1):
             if col in taken:
                 continue
             colors[v] = col
@@ -535,14 +544,21 @@ def robust_attack_audit(
 # -- variation-factor oracle ----------------------------------------------------------
 
 
-def theta_oracle(spec: AttackSpec, h: GainMatrix, grid: int = 12) -> Fraction:
-    """Upper estimate of the edge variation factor by exhaustive value search.
+def theta_oracle(spec: AttackSpec, h: GainMatrix) -> Fraction:
+    """The edge variation factor, exactly: chi_c(G_F) - 1.
 
-    Component value tuples come from a rational grid plus the constructive
-    ladders (power and coloured assignments); a tuple counts only if it
-    separates every crossing pair and keeps every boundary-vertex entry of the
-    given gain matrix nonzero, i.e. it generates a full-support attack vector.
-    Returns the best ratio found: an upper bound on the infimum.
+    theta is the infimum of max jump / min jump over component values that
+    separate every crossing pair and keep every boundary-vertex entry of the
+    given gain matrix nonzero (full attack support).  Without the support
+    condition it is chi_c - 1 and attained (Zhu 2001): values reduced modulo
+    (ratio + 1) * (min jump) form a circular colouring, and a (p, q)-colouring
+    read as integers has every crossing jump in [q, p - q].  Each boundary
+    entry is a nonzero linear form in the values, so the support condition
+    removes finitely many hyperplanes, which does not move the infimum; it
+    can stop it being attained (the unit triangle: 2, reached only at roots).
+
+    chi_c lies in (chi - 1, chi] and equals p/q for some p <= k (Bondy & Hell
+    1990), so the least such p/q that admits a (p, q)-colouring is chi_c.
     """
     spec = require_spec(spec)
     _check_matrix(spec, h)
@@ -551,44 +567,31 @@ def theta_oracle(spec: AttackSpec, h: GainMatrix, grid: int = 12) -> Fraction:
     k = spec.k
     if k > 5:
         raise TooLarge("value search gated at 5 components")
-    polys = _boundary_polys(spec, h)
-    crossing_pairs = sorted(set(spec.crossing.values()))
-
-    # constructive seeds: power and coloured ladders, whose tuples separate every
-    # crossing pair and pass the same root test as the grid
-    colors, _, _ = color_assignment(component_graph(spec))
-    expmaps = ({i: i - 1 for i in range(1, k + 1)}, {i: colors[i] - 1 for i in range(1, k + 1)})
-    best = min((r for expmap in expmaps for _, r in _ladder(spec, h, expmap, 199)), default=None)
-
-    # grid tuples of int steps 0..grid (value step/grid; the scale cancels in
-    # every ratio and zero test), first component pinned since ratios are
-    # shift/scale-free; steps[c] is component c's step, and the root test runs
-    # only for a tuple whose ratio beats the best so far
-    for combo in iter_product(range(grid + 1), repeat=k - 1):
-        steps = (0, 0) + combo
-        jumps = [abs(steps[ci] - steps[cj]) for ci, cj in crossing_pairs]
-        lo, hi = min(jumps), max(jumps)
-        if lo == 0 or (best is not None and hi * best.denominator >= best.numerator * lo):
-            continue
-        if not any(_vanishes(terms, steps) for terms in polys.values()):
-            best = F(hi, lo)
-    assert best is not None  # the root-free ladder always yields a valid tuple
-    return best
+    gc = component_graph(spec)
+    _, chi, _ = color_assignment(gc)
+    candidates = sorted({F(p, q) for p in range(1, k + 1) for q in range(1, p + 1)})
+    # chi itself is a candidate and has its q = 1 colouring, so next() finds one
+    chi_c = next(
+        r for r in candidates
+        if chi - 1 < r <= chi and _try_color(gc, r.numerator, r.denominator) is not None
+    )
+    return chi_c - 1
 
 
-def theta_bounds(spec: AttackSpec, h: GainMatrix, grid: int = 12) -> dict:
-    """Bracket the variation factor: trivial floor, constructive values, oracle estimate.
+def theta_bounds(spec: AttackSpec, h: GainMatrix) -> dict:
+    """Bracket the variation factor: trivial floor, constructive values, exact value.
 
-    The oracle insists on full attack support (boundary entries nonzero for the
-    given gains), which is the stricter reading of which vectors compete for
-    the infimum; the report carries that policy so consumers can tell.
+    The constructive ratios are attained by full-support attacks, so they
+    bound from above the oracle, which is the exact infimum chi_c - 1 over all
+    full-support attacks (see theta_oracle).  The report carries that support
+    policy so consumers can tell.
     """
     spec = require_spec(spec)
     gc = component_graph(spec)
     colors, chi, exact = color_assignment(gc)
     lam_b, basic = best_constructive_ratio(spec, h)
     lam_c, colored = best_constructive_ratio(spec, h, colors=colors)
-    oracle = theta_oracle(spec, h, grid=grid)
+    oracle = theta_oracle(spec, h)
     return {
         "lower": F(1),
         "constructive_basic": basic,

@@ -15,7 +15,6 @@ from minorkit import (
     boundary_covered,
     check_witness,
     exposed_witness,
-    intersects,
     rep_from_json,
     rep_to_json,
     verify_c1,
@@ -52,18 +51,18 @@ def fig_squares():
 
 class TestIntersects:
     def test_overlapping_intervals(self):
-        assert intersects(Box.make((0, 2)), Box.make((1, 4)))
+        assert Box.make((0, 2)).intersects(Box.make((1, 4)))
 
     def test_touching_counts(self):
         # closed boxes: sharing one point is an intersection
-        assert intersects(Box.make((0, 2)), Box.make((2, 5)))
+        assert Box.make((0, 2)).intersects(Box.make((2, 5)))
 
     def test_disjoint_in_one_axis(self):
-        assert not intersects(Box.make((0, 1), (0, 1)), Box.make((2, 3), (0, 1)))
+        assert not Box.make((0, 1), (0, 1)).intersects(Box.make((2, 3), (0, 1)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            intersects(Box.make((0, 1)), Box.make((0, 1), (0, 1)))
+            Box.make((0, 1)).intersects(Box.make((0, 1), (0, 1)))
 
 
 class TestVerifyC1:

@@ -202,6 +202,25 @@ class TestFlowCommands:
         assert F(res["oracle"]) <= F(res["bound_chi"]) + F(1, 20)
         assert res["support_policy"] == "full-attack-support"
 
+    def test_theta_is_exact(self, tmp_path, capsys):
+        # unit C5, every edge targeted: chi_c(C5) = 5/2, so theta = 3/2
+        c5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], gains={i: F(1) for i in range(6, 11)})
+        gf = write(tmp_path / "c5.json", graph_to_json(c5))
+        target = "1-2,2-3,3-4,4-5,1-5"
+        code, report = run(capsys, "flow", "theta", gf, "--target", target)
+        assert code == 0 and report["results"]["oracle"] == "3/2"
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "theta", gf, "--target", target, "--grid", "6"])
+        capsys.readouterr()
+        assert exc.value.code == 2
+
+    def test_parser_reuse_keeps_no_state(self, tmp_path, flow_file, capsys):
+        out = str(tmp_path / "atk.json")
+        code, report = run(capsys, "flow", "attack", flow_file, "--target", "1-2,1-4", "--out", out)
+        assert code == 0 and report["results"]["attack_file"] == out
+        code, report = run(capsys, "flow", "attack", flow_file, "--target", "1-2,1-4")
+        assert code == 0 and "attack_file" not in report["results"]
+
     def test_bad_target_spec(self, tmp_path, flow_file, capsys):
         code = main(["flow", "attack", flow_file, "--target", "1:2"])
         capsys.readouterr()

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -57,6 +57,11 @@ def cycle_graph(k, rng=None):
 
 def triangle():
     return Graph(3, [(1, 2), (2, 3), (1, 3)], gains={4: F(1), 5: F(1), 6: F(1)})
+
+
+def unit_cycle(k):
+    edges = [(i, i + 1) for i in range(1, k)] + [(1, k)]
+    return Graph(k, edges, gains={k + 1 + i: F(1) for i in range(k)})
 
 
 class TestFeasibility:
@@ -414,6 +419,61 @@ class TestThetaOracle:
         assert rpt["oracle_within_colored_bound"]
         assert rpt["support_policy"] == "full-attack-support"
 
+    def test_exact_hand_cases(self):
+        # unit triangle: chi_c = 3, so theta = 2, but unit gains zero the middle
+        # vertex's entry at every ratio-2 tuple such as (0, 1/2, 1): not attained
+        g = triangle()
+        spec = feasibility(g, g.edges)
+        h = assemble_gain_matrix(g)
+        assert theta_oracle(spec, h) == 2
+        assert fraction_theta(spec, h.rows, 6) > 2
+        # unit C5, every edge targeted: chi_c = 5/2; the (5, 2)-colouring
+        # 0, 1, 2, 1/2, 3/2 perturbed by 1/1000 has full support at ratio 1501/999
+        g = unit_cycle(5)
+        spec = feasibility(g, g.edges)
+        h = assemble_gain_matrix(g)
+        assert theta_oracle(spec, h) == F(3, 2)
+        eps = F(1, 1000)
+        values = (F(0), 1 + eps, F(2), F(1, 2) - eps, F(3, 2))
+        support = {i + 1 for i, a in enumerate(h.multiply(values)) if a != 0}
+        assert support == spec.expected_support()
+        sv = StealthVector(values=values, lam=F(1, 2), exponents={}, targets=spec.targets)
+        assert variation_ratio(sv) == F(1501, 999)
+
+    @given(hst.integers(min_value=2, max_value=5), hst.integers(min_value=1, max_value=2 ** 10 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_theta_is_best_integer_labelling(self, k, mask):
+        # every edge targeted: the components are the k vertices, G_F is the graph
+        pairs = [e for i, e in enumerate(combinations(range(1, k + 1), 2)) if mask >> i & 1]
+        assume(pairs)
+        g = gained(Graph(k, pairs), random.Random(mask))
+        spec = feasibility(g, g.edges)
+        # a (p, q)-colouring has p <= k colours, so labels 0..k-1 reach chi_c - 1
+        best = None
+        for labels in product(range(k), repeat=k):
+            jumps = [abs(labels[i - 1] - labels[j - 1]) for i, j in pairs]
+            if min(jumps) > 0:
+                ratio = F(max(jumps), min(jumps))
+                best = ratio if best is None else min(best, ratio)
+        assert theta_oracle(spec, assemble_gain_matrix(g)) == best
+
+    @pytest.mark.parametrize("gc, chi_c", [
+        (Graph(7, [(i, i % 7 + 1) for i in range(1, 8)]), F(7, 3)),
+        (Graph(10, [(i, i % 5 + 1) for i in range(1, 6)] + [(i, i + 5) for i in range(1, 6)]
+               + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]), F(3)),
+        (Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]), F(4)),
+    ], ids=["C7", "Petersen", "K4"])
+    def test_circular_colouring_backtracker(self, gc, chi_c):
+        from minorkit.stealth import _try_color
+
+        p, q = chi_c.numerator, chi_c.denominator
+        colors = _try_color(gc, p, q)
+        assert colors is not None and set(colors) == set(gc.vertices())
+        assert all(1 <= c <= p for c in colors.values())
+        assert all(q <= abs(colors[u] - colors[v]) <= p - q for u, v in gc.edges)
+        below = {F(a, b) for a in range(1, gc.n + 1) for b in range(1, a + 1) if F(a, b) < chi_c}
+        assert all(_try_color(gc, r.numerator, r.denominator) is None for r in below)
+
 
 class TestStealthMeansConsistent:
     def test_corrupted_flows_recover_with_expected_jumps(self):
@@ -474,7 +534,8 @@ def fraction_ladder(spec, rows, exponents, steps):
 
 
 def fraction_theta(spec, rows, grid):
-    """The oracle as a plain Fraction search: both ladders, then every grid tuple."""
+    """Best full-support ratio found by both ladders and every grid tuple: an
+    upper bound on theta, searched in plain Fractions."""
     colors, _, _ = color_assignment(component_graph(spec))
     k = spec.k
     found = [
@@ -561,16 +622,9 @@ class TestIntegerFastPaths:
             assert len(zero) == 1
             assert zero == {l for l in polys if sum(c * s for c, s in zip(rows[l - 1], stealth)) == 0}
 
-    def test_theta_grid_skips_root_tuples(self):
-        # unit gains zero the middle vertex of every ratio-2 grid tuple such as (0, 1/2, 1)
-        g = triangle()
-        spec = feasibility(g, g.edges)
-        h = assemble_gain_matrix(g)
-        assert theta_oracle(spec, h, grid=6) == fraction_theta(spec, h.rows, 6) == F(399, 199)
-
     @given(hst.integers(min_value=3, max_value=7), hst.integers())
     @settings(max_examples=25, deadline=None)
-    def test_theta_grid_matches_fraction_search(self, n, seed):
+    def test_theta_below_fraction_grid_search(self, n, seed):
         spec, h, _ = spec_and_exponent_maps(n, seed)
-        assume(spec.k <= 4)
-        assert theta_oracle(spec, h, grid=6) == fraction_theta(spec, h.rows, 6)
+        assume(spec.k <= 5)
+        assert theta_oracle(spec, h) <= fraction_theta(spec, h.rows, 6)
