@@ -65,7 +65,6 @@ from .graph import (
     graph_from_json,
     graph_to_json,
     invert_edit,
-    is_bridge,
     is_connected,
     is_tree,
     reduce_to_spanning_tree,

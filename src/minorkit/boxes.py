@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .exceptions import (
     DimensionMismatch,
@@ -96,13 +96,6 @@ class Box:
                 gap = max(gap, x - hi)
         return gap
 
-    def translate(self, vec: Iterable) -> "Box":
-        vec = tuple(parse_ratio(x) for x in vec)
-        return Box(tuple((lo + d, hi + d) for (lo, hi), d in zip(self.intervals, vec)))
-
-    def permute(self, order: Iterable[int]) -> "Box":
-        return Box(tuple(self.intervals[i] for i in order))
-
     def cross(self, *pairs) -> "Box":
         """Product with extra trailing intervals."""
         extra = tuple((parse_ratio(a), parse_ratio(b)) for a, b in pairs)
@@ -141,24 +134,6 @@ class Representation:
 
     def vertices(self) -> list[int]:
         return sorted(self.boxes)
-
-    def translate(self, vec) -> "Representation":
-        vec = tuple(parse_ratio(x) for x in vec)
-        boxes = {v: b.translate(vec) for v, b in self.boxes.items()}
-        ws = {
-            v: Witness(tuple(x + d for x, d in zip(w.point, vec)), w.radius)
-            for v, w in self.witnesses.items()
-        }
-        return Representation(boxes, ws)
-
-    def permute(self, order) -> "Representation":
-        order = tuple(order)
-        boxes = {v: b.permute(order) for v, b in self.boxes.items()}
-        ws = {
-            v: Witness(tuple(w.point[i] for i in order), w.radius)
-            for v, w in self.witnesses.items()
-        }
-        return Representation(boxes, ws)
 
     def rename(self, mapping: Mapping[int, int]) -> "Representation":
         boxes = {mapping.get(v, v): b for v, b in self.boxes.items()}

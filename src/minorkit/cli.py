@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import build as bld
 from . import stealth as st
@@ -55,11 +56,43 @@ def _read_json(path: str) -> tuple[dict, str]:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """The text of json.dumps(obj, indent=2), nested `pad` deep, without the slow encoder.
+
+    indent=2 switches json to its pure-Python encoder, so containers are laid
+    out here and their contents go to C: a list of strings is escaped in one
+    join (the escaper raises TypeError on anything else), any other list of
+    scalars is one C-encoder call whose item separator carries the indent,
+    and a scalar is json.dumps(scalar).  A dict with a non-str key is left to
+    json.dumps(obj, indent=2) whole.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        body = sep.join(f"{_escape(k)}: {_dumps(v, inner)}" for k, v in obj.items())
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        try:
+            body = sep.join(map(_escape, obj))
+        except TypeError:
+            if _SCALARS.issuperset(map(type, obj)):
+                body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+            else:
+                body = sep.join(_dumps(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    return json.dumps(obj)
+
+
 def _write_json(path: str, obj: dict) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(obj, fh, indent=2)
+            fh.write(_dumps(obj))
             fh.write("\n")
         os.replace(tmp, path)
     except OSError as exc:
@@ -92,7 +125,7 @@ class _Report:
     def emit(self, code: int) -> int:
         self.data["timing_ms"] = int((time.monotonic() - self.t0) * 1000)
         self.data["exit_code"] = code
-        print(json.dumps(self.data, indent=2))
+        print(_dumps(self.data))
         return code
 
 
@@ -330,7 +363,26 @@ def cmd_flow_attack(args) -> int:
     return rep.emit(OK)
 
 
+def _ratio_list(bundle: dict, key: str) -> tuple[Fraction, ...]:
+    values = bundle[key]
+    if not isinstance(values, list):
+        raise ParseError(f"attack bundle entry {key!r} is not a list")
+    return tuple(parse_ratio(v) for v in values)
+
+
 def cmd_flow_recover(args) -> int:
+    """Recover the states from the flows and, with --attack, replay the attack on them.
+
+    The replay recovers y from the attack vector a alone, with reference 0,
+    and reports x + y as the corrupted states.  That equals recovering z + a
+    with x's reference: the walk is linear in the flows and the reference, and
+    the breadth-first tree depends only on the graph.  Once x and y each pass
+    the per-edge check, x_u - x_v = z_e / b_e and y_u - y_v = a_e / b_e, so
+    each edge's delta is exactly a_e / b_e.  Given that z passed, z + a is
+    consistent exactly when a is, and the two checks fail first on the same
+    edge because they walk the edges in the same order; so the Inconsistent
+    verdict and the edge it names are unchanged.
+    """
     rep = _Report("flow recover")
     gobj, gdig = _read_json(args.graph)
     zobj, zdig = _read_json(args.flows)
@@ -345,21 +397,21 @@ def cmd_flow_recover(args) -> int:
         aobj, adig = _read_json(args.attack)
         rep.input("attack", args.attack, adig)
         try:
-            a = tuple(parse_ratio(v) for v in aobj["a"])
+            a = _ratio_list(aobj, "a")
             targets = {tuple(sorted(map(int, e))) for e in aobj["targets"]}
-            s = [parse_ratio(v) for v in aobj["s"]] if "s" in aobj else None
+            s = _ratio_list(aobj, "s") if "s" in aobj else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad attack bundle: {exc}") from exc
         if len(a) != len(z):
             raise ParseError(f"attack vector has length {len(a)}, expected {len(z)}")
         if s is not None and len(s) != g.n:
             raise ParseError(f"stealth vector has length {len(s)}, expected {g.n}")
-        corrupted = tuple(zi + ai for zi, ai in zip(z, a))
-        x_bad = recover_states(h, corrupted, g, parse_ratio(args.ref))
+        y = recover_states(h, a, g)
+        zero = Fraction(0)
         deltas = {
-            (u, v): (x_bad[u - 1] - x_bad[v - 1]) - (x[u - 1] - x[v - 1]) for u, v in g.edges
+            e: ae / b if ae else zero for e, b, ae in zip(g.edges, h.gains, a[g.n :])
         }
-        results["corrupted_states"] = [fmt_ratio(v) for v in x_bad]
+        results["corrupted_states"] = [fmt_ratio(xv + yv) for xv, yv in zip(x, y)]
         results["edge_difference_deltas"] = {
             f"{u}-{v}": fmt_ratio(d) for (u, v), d in deltas.items()
         }

@@ -10,6 +10,11 @@ has two nonzeros and a vertex row is the signed sum of its incident edge rows,
 so H*x costs O(n+m).  The product sums each entry as ints on that entry's own
 common denominator and builds one Fraction per entry.  Dense rows are a
 derived view, built on request (and for export) from the gains.
+
+State recovery inverts the through flows in the same way: it walks a
+breadth-first tree on (numerator, denominator) int pairs, one lcm per step,
+checks every edge by cross-multiplication, and builds one Fraction per
+returned state.  It is linear in the flows and the reference state.
 """
 
 from __future__ import annotations
@@ -123,10 +128,17 @@ def recover_states(
 ) -> tuple[Fraction, ...]:
     """Recover the full state from a flow vector and the reference state at vertex 1.
 
-    Edge rows give the exact state difference across each edge; a breadth-first
-    walk from vertex 1 propagates them, and every edge (tree or not) is then
-    re-checked exactly.  Vertex rows are not consulted: the differential
+    Edge rows give the exact state difference z_e / b_e across each edge; a
+    breadth-first walk from vertex 1 propagates them, and every edge (tree or
+    not) is then re-checked exactly, in edge order, so the first conflicting
+    edge is the one named.  Vertex rows are not consulted: the differential
     procedure needs only the through flows.
+
+    The walk runs on ints, like ``GainMatrix.multiply``: each difference and
+    each state is a (numerator, denominator) pair.  A step puts the parent
+    state and the difference on the lcm of their two denominators, and a zero
+    difference copies the parent's pair.  The check compares cross products.
+    Only the returned states become Fractions.
     """
     if not is_connected(g):
         raise Disconnected("state recovery needs a connected graph")
@@ -136,26 +148,36 @@ def recover_states(
     if len(z) != h.t:
         raise DimensionMismatch(f"flow vector has length {len(z)}, expected {h.t}")
 
-    # through flow / gain = x_u - x_v across each edge (u, v)
-    diffs = {e: zf / gain for e, gain, zf in zip(h.edges, h.gains, z[g.n :])}
+    # through flow / gain = x_u - x_v across each edge (u, v); gains are positive
+    diffs = {
+        e: (zf.numerator * b.denominator, zf.denominator * b.numerator)
+        for e, b, zf in zip(h.edges, h.gains, z[g.n :])
+    }
 
-    x: dict[int, Fraction] = {1: parse_ratio(x1_ref)}
+    ref = parse_ratio(x1_ref)
+    x: dict[int, tuple[int, int]] = {1: (ref.numerator, ref.denominator)}
     queue = deque([1])
     while queue:
         a = queue.popleft()
+        an, ad = x[a]
         for b in g.neighbors(a):
             if b in x:
                 continue
-            if a < b:
-                x[b] = x[a] - diffs[(a, b)]
+            # x_b = x_a - d for the edge (a, b), x_a + d for the edge (b, a)
+            dn, dd = diffs[(a, b)] if a < b else diffs[(b, a)]
+            if dn == 0:
+                x[b] = (an, ad)
             else:
-                x[b] = x[a] + diffs[(b, a)]
+                den = math.lcm(ad, dd)
+                step = dn * (den // dd)
+                x[b] = (an * (den // ad) + (step if b < a else -step), den)
             queue.append(b)
 
-    for (u, v), d in diffs.items():
-        if x[u] - x[v] != d:
+    for (u, v), (dn, dd) in diffs.items():
+        (un, ud), (vn, vd) = x[u], x[v]
+        if (un * vd - vn * ud) * dd != dn * ud * vd:
             raise Inconsistent(f"edge ({u},{v}) implies a conflicting state difference")
-    return tuple(x[v] for v in g.vertices())
+    return tuple(F(*x[v]) for v in g.vertices())
 
 
 # -- JSON -----------------------------------------------------------------------
@@ -178,8 +200,9 @@ def vector_to_json(vec: Sequence[Fraction]) -> dict:
 
 def vector_from_json(obj) -> tuple[Fraction, ...]:
     try:
-        return tuple(parse_ratio(v) for v in obj["values"])
-    except ParseError:
-        raise
+        values = obj["values"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad vector object: {exc}") from exc
+    if not isinstance(values, list):
+        raise ParseError("vector values must be a JSON list")
+    return tuple(parse_ratio(v) for v in values)

@@ -120,13 +120,20 @@ def graph_to_json(g: Graph) -> dict:
     return out
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer as is: no bool, and no float or string to coerce."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
 def graph_from_json(obj) -> Graph:
     try:
-        n = int(obj["n"])
+        n = _json_int(obj["n"], "n")
         edges = []
         gains: dict[int, Fraction] = {}
         for pos, entry in enumerate(obj.get("edges", [])):
-            u, v = int(entry["u"]), int(entry["v"])
+            u, v = _json_int(entry["u"], "u"), _json_int(entry["v"], "v")
             edges.append((u, v))
             if "gain" in entry:
                 gains[n + 1 + pos] = parse_ratio(entry["gain"])
@@ -172,13 +179,6 @@ def is_connected(g: Graph) -> bool:
 
 def is_tree(g: Graph) -> bool:
     return g.n >= 1 and len(g.edges) == g.n - 1 and is_connected(g)
-
-
-def is_bridge(g: Graph, e: Edge) -> bool:
-    e = norm_edge(*e)
-    if e not in g._index:
-        raise ValueError(f"{e} is not an edge")
-    return len(components(g, [e])) > len(components(g))
 
 
 def bfs_path(g: Graph, start: int, goal: int, removed: Iterable[Edge] = ()) -> list[int] | None:

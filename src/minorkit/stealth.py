@@ -176,11 +176,6 @@ def _boundary_polys(spec: AttackSpec, h: GainMatrix) -> dict[int, list[tuple[int
     return polys
 
 
-def _poly_value(terms, lam: Fraction, exponents: dict[int, int]) -> Fraction:
-    """The polynomial's value in Fractions: the reference for the int root tests."""
-    return sum(m * lam ** exponents[c] for c, m in terms)
-
-
 def _scaled_powers(lam: Fraction, exponents: dict[int, int]) -> dict[int, int]:
     """Component -> p**e * q**(top - e) for lam = p/q and top the largest exponent.
 

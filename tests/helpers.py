@@ -7,10 +7,12 @@ point probing, so it shares no code path with the exact facet sweep it checks.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
-from minorkit import Box, Graph, Representation
+from minorkit import Box, Graph, Representation, Witness, components
+from minorkit.exceptions import Inconsistent
 
 F = Fraction
 
@@ -112,3 +114,61 @@ def sampled_uncovered_point(rep: Representation, v: int, density: int = 3):
                 if not any(b.contains(p) for b in others):
                     return p
     return None
+
+
+# -- reference implementations the package no longer carries ---------------------------
+
+
+def translate(rep: Representation, vec) -> Representation:
+    """Shift every box and witness by vec."""
+    vec = tuple(F(x) for x in vec)
+    boxes = {
+        v: Box(tuple((lo + d, hi + d) for (lo, hi), d in zip(b.intervals, vec)))
+        for v, b in rep.boxes.items()
+    }
+    ws = {
+        v: Witness(tuple(x + d for x, d in zip(w.point, vec)), w.radius)
+        for v, w in rep.witnesses.items()
+    }
+    return Representation(boxes, ws)
+
+
+def permute(rep: Representation, order) -> Representation:
+    """Reorder the axes of every box and witness."""
+    order = tuple(order)
+    boxes = {v: Box(tuple(b.intervals[i] for i in order)) for v, b in rep.boxes.items()}
+    ws = {v: Witness(tuple(w.point[i] for i in order), w.radius) for v, w in rep.witnesses.items()}
+    return Representation(boxes, ws)
+
+
+def is_bridge(g: Graph, e) -> bool:
+    """Quadratic bridge test by component counting (ValueError if e is no edge)."""
+    return len(components(g, [e])) > len(components(g))
+
+
+def poly_value(terms, lam: Fraction, exponents: dict[int, int]) -> Fraction:
+    """A boundary polynomial's value in Fractions: the reference for the int root tests."""
+    return sum(m * lam ** exponents[c] for c, m in terms)
+
+
+def recover_states_fraction(h, z, g: Graph, x1_ref=0) -> tuple[Fraction, ...]:
+    """The Fraction walk that ``recover_states`` replaced, without its input checks.
+
+    Differences z_e / b_e propagate from vertex 1 in breadth-first order, and
+    every edge is re-checked in edge order.
+    """
+    z = tuple(F(v) for v in z)
+    diffs = {e: zf / gain for e, gain, zf in zip(h.edges, h.gains, z[g.n :])}
+    x = {1: F(x1_ref)}
+    queue = deque([1])
+    while queue:
+        a = queue.popleft()
+        for b in g.neighbors(a):
+            if b in x:
+                continue
+            x[b] = x[a] - diffs[(a, b)] if a < b else x[a] + diffs[(b, a)]
+            queue.append(b)
+    for (u, v), d in diffs.items():
+        if x[u] - x[v] != d:
+            raise Inconsistent(f"edge ({u},{v}) implies a conflicting state difference")
+    return tuple(x[v] for v in g.vertices())

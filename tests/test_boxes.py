@@ -32,7 +32,7 @@ from minorkit.exceptions import (
     VertexMismatch,
 )
 
-from helpers import random_rep, sampled_uncovered_point
+from helpers import permute, random_rep, sampled_uncovered_point, translate
 
 
 def interval_triple():
@@ -309,8 +309,8 @@ class TestInvariances:
             rep = random_rep(rng, 2, 4)
             base_c1 = verify_c1(g, rep)
             base_c2 = verify_c2(g, rep)
-            shifted = rep.translate((F(7, 3), F(-5, 2)))
-            flipped = rep.permute((1, 0))
+            shifted = translate(rep, (F(7, 3), F(-5, 2)))
+            flipped = permute(rep, (1, 0))
             for other in (shifted, flipped):
                 moved = verify_c1(g, other)
                 assert moved.ok == base_c1.ok

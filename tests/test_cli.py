@@ -1,12 +1,16 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from minorkit import Graph, assemble_gain_matrix, flows, graph_to_json, vector_to_json
-from minorkit.cli import main
+from minorkit.cli import _dumps, main
+from minorkit.ratio import fmt_ratio
 
-from helpers import root_trap_graph
+from helpers import random_connected, random_cut_targets, recover_states_fraction, root_trap_graph
 
 
 def write(path, obj):
@@ -194,6 +198,74 @@ class TestFlowCommands:
         capsys.readouterr()
         assert code == 1
 
+    @staticmethod
+    def two_recovery_replay(g, z, ref, bundle):
+        """The replay report as computed before: recover z and z + a, then subtract."""
+        h = assemble_gain_matrix(g)
+        x = recover_states_fraction(h, z, g, ref)
+        a = [F(v) for v in bundle["a"]]
+        x_bad = recover_states_fraction(h, [zi + ai for zi, ai in zip(z, a)], g, ref)
+        deltas = {
+            (u, v): (x_bad[u - 1] - x_bad[v - 1]) - (x[u - 1] - x[v - 1]) for u, v in g.edges
+        }
+        targets = {tuple(sorted(e)) for e in bundle["targets"]}
+        s = [F(v) for v in bundle["s"]]
+        return {
+            "states": [fmt_ratio(v) for v in x],
+            "corrupted_states": [fmt_ratio(v) for v in x_bad],
+            "edge_difference_deltas": {f"{u}-{v}": fmt_ratio(d) for (u, v), d in deltas.items()},
+            "deltas_nonzero_exactly_on_targets": all(
+                (d != 0) == (e in targets) for e, d in deltas.items()
+            ),
+            "deltas_match_stealth_jumps": all(
+                d == s[u - 1] - s[v - 1] for (u, v), d in deltas.items()
+            ),
+        }
+
+    def test_replay_equals_two_recoveries(self, tmp_path, capsys):
+        rng = random.Random(31)
+        for trial in range(6):
+            g = random_connected(9, 14, rng, gains=True)
+            h = assemble_gain_matrix(g)
+            gf = write(tmp_path / f"g{trial}.json", graph_to_json(g))
+            x = tuple(F(rng.randrange(-30, 31), rng.randrange(1, 9)) for _ in range(g.n))
+            z = flows(h, x)
+            zf = write(tmp_path / f"z{trial}.json", vector_to_json(z))
+            atk = str(tmp_path / f"atk{trial}.json")
+            target = ",".join(f"{u}-{v}" for u, v in random_cut_targets(g, rng))
+            code, _ = run(capsys, "flow", "attack", gf, "--target", target, "--out", atk)
+            assert code == 0
+            stealth = json.loads((tmp_path / f"atk{trial}.json").read_text())
+            # a consistent attack that is not stealthy: a = H*y for an arbitrary y
+            y = [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(g.n)]
+            loud = {
+                **stealth,
+                "s": [fmt_ratio(v) for v in y],
+                "a": [fmt_ratio(v) for v in flows(h, y)],
+            }
+            for name, bundle in (("stealth", stealth), ("loud", loud)):
+                bf = write(tmp_path / f"{name}{trial}.json", bundle)
+                ref = "2/7"
+                code, report = run(
+                    capsys, "flow", "recover", gf, "--flows", zf, "--ref", ref, "--attack", bf
+                )
+                assert code == 0
+                assert report["results"] == self.two_recovery_replay(g, z, F(ref), bundle)
+            assert report["results"]["deltas_nonzero_exactly_on_targets"] is False
+
+    def test_inconsistent_attack_names_the_first_bad_edge(self, tmp_path, capsys):
+        g = Graph(3, [(1, 2), (2, 3), (1, 3)], gains={4: F(1), 5: F(2), 6: F(3)})
+        h = assemble_gain_matrix(g)
+        gf = write(tmp_path / "tri.json", graph_to_json(g))
+        zf = write(tmp_path / "z.json", vector_to_json(flows(h, (F(1), F(4), F(-2)))))
+        a = ["0"] * 6
+        a[3] = "1"  # a through flow on (1,2) alone closes no cycle
+        bf = write(tmp_path / "atk.json", {"targets": [[1, 2]], "a": a})
+        code = main(["flow", "recover", gf, "--flows", zf, "--attack", bf])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: Inconsistent: edge (2,3) ")
+
     def test_theta(self, tmp_path, flow_file, capsys):
         code, report = run(capsys, "flow", "theta", flow_file, "--target", "1-2,2-3,3-4,1-4")
         assert code == 0
@@ -253,6 +325,41 @@ class TestInputContract:
         bundle = write(tmp_path / "atk.json", {"targets": [[1, 2]], "a": ["0"] * 8, "s": ["1"] * 3})
         self.assert_input_error(capsys, [*recover_args, "--attack", bundle])
 
+    @pytest.fixture()
+    def path3_file(self, tmp_path):
+        # t = 5, so a five-character string has the length of a flow vector
+        g = Graph(3, [(1, 2), (2, 3)], gains={4: F(1), 5: F(2)})
+        return write(tmp_path / "p3.json", graph_to_json(g))
+
+    def test_string_flow_values(self, tmp_path, path3_file, capsys):
+        zf = write(tmp_path / "z.json", {"values": "00000"})
+        self.assert_input_error(capsys, ["flow", "recover", path3_file, "--flows", zf])
+
+    def test_bool_flow_value(self, tmp_path, path3_file, capsys):
+        zf = write(tmp_path / "z.json", {"values": [True, "0", "0", "0", "0"]})
+        self.assert_input_error(capsys, ["flow", "recover", path3_file, "--flows", zf])
+
+    @pytest.mark.parametrize("key", ["a", "s"])
+    def test_string_bundle_vector(self, tmp_path, path3_file, capsys, key):
+        zf = write(tmp_path / "z.json", {"values": ["0"] * 5})
+        bundle = {"targets": [[1, 2]], "a": ["0"] * 5, "s": ["0"] * 3}
+        bundle[key] = "0" * len(bundle[key])
+        bf = write(tmp_path / "atk.json", bundle)
+        argv = ["flow", "recover", path3_file, "--flows", zf, "--attack", bf]
+        self.assert_input_error(capsys, argv)
+
+    @pytest.mark.parametrize("graph", [
+        {"n": 2.9, "edges": [{"u": 1, "v": 2, "gain": "1"}]},
+        {"n": True, "edges": []},
+        {"n": "2", "edges": [{"u": 1, "v": 2, "gain": "1"}]},
+        {"n": 2, "edges": [{"u": 1.0, "v": 2, "gain": "1"}]},
+        {"n": 2, "edges": [{"u": True, "v": 2, "gain": "1"}]},
+        {"n": 2, "edges": [{"u": 1, "v": 2, "gain": True}]},
+    ])
+    def test_non_integer_graph_fields(self, tmp_path, capsys, graph):
+        gf = write(tmp_path / "g.json", graph)
+        self.assert_input_error(capsys, ["flow", "matrix", gf])
+
     def test_unwritable_out(self, tmp_path, flow_file, capsys):
         out = str(tmp_path / "missing" / "H.json")
         self.assert_input_error(capsys, ["flow", "matrix", flow_file, "--out", out])
@@ -278,3 +385,23 @@ class TestInputContract:
         assert code == 0 and "Traceback" not in err
         res = json.loads(out)["results"]
         assert res["k"] == 3 and res["support"] == res["expected_support"]
+
+
+_strings = hst.text(max_size=8) | hst.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f", "é", "日本", "\u2028", "\U0001f600"]
+)
+_leaves = hst.none() | hst.booleans() | hst.integers() | hst.floats() | _strings
+_json = hst.recursive(
+    _leaves,
+    lambda kids: hst.lists(kids, max_size=4)
+    | hst.lists(_strings, max_size=4)
+    | hst.dictionaries(_strings, kids, max_size=4)
+    | hst.dictionaries(_strings | hst.integers() | hst.booleans() | hst.none(), kids, max_size=3),
+    max_leaves=25,
+)
+
+
+@given(_json)
+@settings(max_examples=300, deadline=None)
+def test_dumps_matches_json_indent_2(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)

@@ -20,11 +20,12 @@ from minorkit.exceptions import (
     Disconnected,
     Inconsistent,
     MissingGain,
+    ParseError,
 )
 from minorkit.flow import GainMatrix
 from minorkit.ratio import fmt_ratio
 
-from helpers import random_connected
+from helpers import is_bridge, random_connected, recover_states_fraction
 
 
 def k2(gain=F(1)):
@@ -129,6 +130,42 @@ class TestRecovery:
         assert tuple(v - F(9) for v in moved) == x
 
 
+PRIMES = tuple(p for p in range(2, 400) if all(p % q for q in range(2, int(p ** 0.5) + 1)))
+
+
+@given(st.integers(min_value=2, max_value=10), st.integers())
+@settings(max_examples=80, deadline=None)
+def test_int_recovery_matches_fraction_reference(n, seed):
+    """Distinct prime denominators in x and in the gains keep every lcm honest."""
+    rng = random.Random(seed)
+    m = rng.randrange(n - 1, n * (n - 1) // 2 + 1)
+    edges = random_connected(n, m, rng).edges
+    primes = list(PRIMES)
+    rng.shuffle(primes)
+    gains = {n + 1 + i: F(rng.randrange(1, 40), primes[n + i]) for i in range(m)}
+    g = Graph(n, edges, gains=gains)
+    h = assemble_gain_matrix(g)
+    draws = (
+        tuple(F(rng.randrange(-50, 51), primes[i]) for i in range(n)),
+        tuple(F(rng.choice((0, 3, -7)), rng.choice((1, 5))) for _ in range(n)),  # many zero steps
+    )
+    for x in draws:
+        z = flows(h, x)
+        ref = rng.choice((x[0], F(2, 3)))
+        assert recover_states(h, z, g, ref) == recover_states_fraction(h, z, g, ref)
+        assert recover_states(h, z, g, x[0]) == x
+        cyclic = [pos for pos, e in enumerate(g.edges) if not is_bridge(g, e)]
+        if not cyclic:
+            continue
+        bad = list(z)
+        bad[n + rng.choice(cyclic)] += F(1, primes[-1])
+        with pytest.raises(Inconsistent) as fast:
+            recover_states(h, bad, g, ref)
+        with pytest.raises(Inconsistent) as slow:
+            recover_states_fraction(h, bad, g, ref)
+        assert str(fast.value) == str(slow.value)
+
+
 class TestJson:
     def test_matrix_payload(self):
         h = assemble_gain_matrix(k2(F(3, 2)))
@@ -138,6 +175,11 @@ class TestJson:
     def test_vector_round_trip(self):
         vec = (F(1, 3), F(-2), F(0))
         assert vector_from_json(vector_to_json(vec)) == vec
+
+    @pytest.mark.parametrize("obj", [{"values": "00000"}, {"values": ["1", True]}, ["1"], {}])
+    def test_malformed_vector_rejected(self, obj):
+        with pytest.raises(ParseError):
+            vector_from_json(obj)
 
 
 class TestFlowRecoveryIdentities:

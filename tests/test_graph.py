@@ -13,7 +13,6 @@ from minorkit import (
     components,
     enumerate_cycles,
     invert_edit,
-    is_bridge,
     is_connected,
     is_tree,
     reduce_to_spanning_tree,
@@ -21,7 +20,7 @@ from minorkit import (
 )
 from minorkit.exceptions import Disconnected, InvalidEdit, OracleTooLarge, SequenceMismatch
 
-from helpers import random_connected, random_tree
+from helpers import is_bridge, random_connected, random_tree
 
 
 def path3():

@@ -21,7 +21,6 @@ from minorkit import (
     enumerate_cycles,
     feasibility,
     flows,
-    is_bridge,
     ratio_bound,
     recover_states,
     robust_attack_audit,
@@ -40,7 +39,14 @@ from minorkit.exceptions import (
     TooLarge,
 )
 
-from helpers import random_connected, random_cut_targets, random_gain, root_trap_graph
+from helpers import (
+    is_bridge,
+    poly_value,
+    random_connected,
+    random_cut_targets,
+    random_gain,
+    root_trap_graph,
+)
 
 
 def gained(g, rng=None, value=F(1)):
@@ -497,7 +503,7 @@ class TestStealthMeansConsistent:
 
 class TestDegeneracyAtOne:
     def test_boundary_polynomials_vanish_at_lambda_one(self):
-        from minorkit.stealth import _boundary_polys, _poly_value
+        from minorkit.stealth import _boundary_polys
 
         rng = random.Random(101)
         for _ in range(20):
@@ -508,7 +514,7 @@ class TestDegeneracyAtOne:
             h = assemble_gain_matrix(g)
             exponents = {i: i - 1 for i in range(1, spec.k + 1)}
             for terms in _boundary_polys(spec, h).values():
-                assert _poly_value(terms, F(1), exponents) == 0
+                assert poly_value(terms, F(1), exponents) == 0
 
 
 # -- integer fast paths against the Fraction formulas they replace ---------------------
