@@ -4,9 +4,10 @@ Every decision is exact: touching boxes, shared endpoints and zero-width gaps ar
 never left to floating point.  The verifier puts each call's boxes and points
 on one integer grid: with L the lcm of all their denominators, p/q becomes the
 int p * (L // q), which keeps order, equality and L-scaled gaps exact, so C1,
-witness radii and witness checks compare ints.  Boxes are closed, so two boxes
-that share only a boundary point do intersect; builders therefore keep strictly
-positive gaps between non-adjacent boxes.
+witness radii and witness checks compare ints; `certify` proves a builder's
+output (C1, witness points, radii) on one such grid.  Boxes are closed, so two
+boxes that share only a boundary point do intersect; builders therefore keep
+strictly positive gaps between non-adjacent boxes.
 
 The exclusivity condition for a vertex v asks for a boundary point of v's box
 together with a small cube around it that avoids every other box.  Deciding it
@@ -197,9 +198,9 @@ IntPoint = tuple[int, ...]
 
 
 def _grid(
-    rep: Representation, points: Mapping[int, Point] | None = None
+    boxes: Mapping[int, Box], points: Mapping[int, Point] | None = None
 ) -> tuple[int, dict[int, IntBox], dict[int, IntPoint]]:
-    """Scale rep's boxes and the given points onto one integer grid.
+    """Scale the boxes and the given points onto one integer grid.
 
     L is the lcm of every denominator involved and p/q becomes p * (L // q), so
     comparisons and differences of the ints equal those of the rationals, times L.
@@ -207,23 +208,23 @@ def _grid(
     callers' comparisons and arithmetic are exact on either.
     """
     points = points or {}
-    dens = {x.denominator for b in rep.boxes.values() for iv in b.intervals for x in iv}
+    dens = {x.denominator for b in boxes.values() for iv in b.intervals for x in iv}
     dens.update(x.denominator for p in points.values() for x in p)
     scale = 1
     for q in dens:
         scale = lcm(scale, q)
         if scale.bit_length() > GRID_MAX_BITS:
-            return 1, {v: b.intervals for v, b in rep.boxes.items()}, dict(points)
+            return 1, {v: b.intervals for v, b in boxes.items()}, dict(points)
     mult = {q: scale // q for q in dens}
-    boxes = {
+    scaled_boxes = {
         v: tuple(
             (lo.numerator * mult[lo.denominator], hi.numerator * mult[hi.denominator])
             for lo, hi in b.intervals
         )
-        for v, b in rep.boxes.items()
+        for v, b in boxes.items()
     }
     scaled = {v: tuple(x.numerator * mult[x.denominator] for x in p) for v, p in points.items()}
-    return scale, boxes, scaled
+    return scale, scaled_boxes, scaled
 
 
 def _meet(a: IntBox, b: IntBox) -> bool:
@@ -274,10 +275,15 @@ def _check_cover(g: Graph, rep: Representation) -> None:
 def verify_c1(g: Graph, rep: Representation) -> C1Report:
     """Boxes intersect exactly for edges; every discrepancy is reported."""
     _check_cover(g, rep)
-    _, grid, _ = _grid(rep)
+    _, grid, _ = _grid(rep.boxes)
+    bad = _c1_violations(g, grid)
+    return C1Report(ok=not bad, violations=tuple(bad))
+
+
+def _c1_violations(g: Graph, grid: dict[int, IntBox]) -> list[tuple[int, int, str]]:
     edges = set(g.edges)
     bad: list[tuple[int, int, str]] = []
-    verts = rep.vertices()
+    verts = sorted(grid)
     for a_pos, i in enumerate(verts):
         box = grid[i]
         for j in verts[a_pos + 1:]:
@@ -287,7 +293,7 @@ def verify_c1(g: Graph, rep: Representation) -> C1Report:
                 bad.append((i, j, "unexpected"))
             elif edge and not meet:
                 bad.append((i, j, "missing"))
-    return C1Report(ok=not bad, violations=tuple(bad))
+    return bad
 
 
 # -- exclusive-boundary machinery ----------------------------------------------------
@@ -303,7 +309,10 @@ def witness_radius(point: Point, rep: Representation, exclude: int) -> Fraction 
 
 def witness_radii(points: Mapping[int, Point], rep: Representation) -> dict[int, Fraction | None]:
     """witness_radius of each points[v] against every box but v's, on one shared grid."""
-    scale, grid, scaled = _grid(rep, points)
+    return _radii(*_grid(rep.boxes, points))
+
+
+def _radii(scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint]) -> dict[int, Fraction | None]:
     radii: dict[int, Fraction | None] = {}
     for v, p in scaled.items():
         nearest: int | None = None
@@ -324,6 +333,27 @@ def witness_radii(points: Mapping[int, Point], rep: Representation) -> dict[int,
     return radii
 
 
+def certify(g: Graph, boxes: Mapping[int, Box], points: Mapping[int, Point], what: str) -> Representation:
+    """A builder's boxes with a witness at each points[v], proved on one integer grid.
+
+    C1 against g, each point on its box's boundary and outside every other box,
+    and the radii; a failure is a bug in the builder `what` (AssertionError).
+    """
+    if set(boxes) != set(g.vertices()) or set(points) != set(boxes):
+        raise AssertionError(f"{what}: boxes and witness points must cover 1..{g.n}")
+    scale, grid, scaled = _grid(boxes, points)
+    bad = _c1_violations(g, grid)
+    if bad:
+        raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
+    radii = _radii(scale, grid, scaled)
+    for v, p in scaled.items():
+        if not _on_boundary(grid[v], p):
+            raise AssertionError(f"{what}: witness point for {v} is not on its boundary")
+        if radii[v] is None:
+            raise AssertionError(f"{what}: witness point for {v} lies in another box")
+    return Representation(boxes, {v: Witness(points[v], radii[v]) for v in sorted(points)})
+
+
 def check_witness(v: int, rep: Representation) -> bool:
     """Fast exclusivity check: stored point on v's boundary, cube avoiding all others."""
     if v not in rep.boxes:
@@ -331,7 +361,7 @@ def check_witness(v: int, rep: Representation) -> bool:
     w = rep.witnesses.get(v)
     if w is None:
         raise MissingWitness(f"vertex {v} has no stored witness")
-    scale, grid, scaled = _grid(rep, {v: w.point})
+    scale, grid, scaled = _grid(rep.boxes, {v: w.point})
     return _witness_ok(v, w.radius, scaled[v], scale, grid)
 
 
@@ -485,7 +515,7 @@ def verify_c2(
     callers can persist it.
     """
     _check_cover(g, rep)
-    scale, grid, scaled = _grid(rep, {v: w.point for v, w in rep.witnesses.items()})
+    scale, grid, scaled = _grid(rep.boxes, {v: w.point for v, w in rep.witnesses.items()})
     found: dict[int, Witness] = {}
     covered: list[int] = []
     for v in rep.vertices():

@@ -11,10 +11,11 @@ pipeline replays a recorded edit sequence backwards, lifting a verified base
 representation up to the original graph, and a tiny brute-force oracle pins
 exact answers for hand-checkable instances.
 
-Every builder returns a representation with stored witnesses, verified once
-per step: exact witness radii prove exclusivity and C1 is checked on the
-output.  Public lifts also verify their input; the pipeline verifies its base
-once and then trusts each step's verified output as the next step's input.
+Every builder hands its boxes and chosen witness points to `boxes.certify`,
+which decides C1, each point's place on its box's boundary and every witness
+radius on one integer grid: one check per construction step.  Public lifts
+also verify their input; the pipeline verifies its base once and then trusts
+each step's certified output as the next step's input.
 """
 
 from __future__ import annotations
@@ -28,18 +29,16 @@ from typing import Iterable, Sequence
 from .boxes import (
     Box,
     Representation,
-    Witness,
+    certify,
     rep_to_json,
     verify_c1,
     verify_c2,
-    witness_radii,
 )
 from .exceptions import (
     BadNesting,
     BadSnapshot,
     InvalidInput,
     NotATree,
-    SequenceMismatch,
     TooLarge,
     TooSmall,
 )
@@ -66,46 +65,24 @@ Point = tuple[Fraction, ...]
 # -- helpers -----------------------------------------------------------------------
 
 
-def _attach_witnesses(boxes: dict[int, Box], points: dict[int, Point]) -> Representation:
-    """Wrap boxes with witnesses at the given exclusive boundary points."""
-    rep = Representation(boxes)
-    radii = witness_radii(points, rep)
-    ws: dict[int, Witness] = {}
-    for v in sorted(points):
-        p = points[v]
-        if not boxes[v].on_boundary(p):
-            raise AssertionError(f"builder picked a non-boundary witness point for {v}")
-        if radii[v] is None:
-            raise AssertionError(f"builder picked a non-exclusive witness point for {v}")
-        ws[v] = Witness(p, radii[v])
-    return Representation(boxes, ws)
-
-
 def _verified(
-    vertices: Iterable[int], edges: Iterable[Edge], rep: Representation, what: str, *, built: bool = False
+    vertices: Iterable[int], edges: Iterable[Edge], rep: Representation, what: str
 ) -> Representation:
     """Check rep against the graph on `vertices` and `edges`; return it with every witness.
 
     A lift's input must pass C1 and C2 (C2 may find witnesses by facet sweep) and
-    is rejected with InvalidInput.  A builder's output (built=True) comes from
-    _attach_witnesses, which has proved each stored witness exclusive with exact
-    radii, so C1 and a witness for every vertex suffice; failing that is a bug.
+    is rejected with InvalidInput.  Builders check their output with certify.
     """
     vertices = sorted(vertices)
-    fail = AssertionError if built else InvalidInput
     if set(rep.boxes) != set(vertices):
-        raise fail(f"{what}: representation covers the wrong vertex set")
+        raise InvalidInput(f"{what}: representation covers the wrong vertex set")
     # the verifier wants labels 1..k
     idx = {v: i + 1 for i, v in enumerate(vertices)}
     g = Graph(len(vertices), [norm_edge(idx[u], idx[v]) for u, v in edges])
     local = rep.rename(idx)
     c1 = verify_c1(g, local)
     if not c1.ok:
-        raise fail(f"{what}: intersection pattern fails at {c1.violations[:3]}")
-    if built:
-        if set(rep.witnesses) != set(rep.boxes):
-            raise AssertionError(f"{what}: some vertex has no witness")
-        return rep
+        raise InvalidInput(f"{what}: intersection pattern fails at {c1.violations[:3]}")
     c2 = verify_c2(g, local)
     if not c2.ok:
         raise InvalidInput(f"{what}: vertices {c2.covered} have no exclusive boundary point")
@@ -159,7 +136,7 @@ def build_tree_rep(t: Graph) -> Representation:
         # the spare slot keeps this vertex's own boundary exposed
         points[v] = (x0 + m * width + width / 2, y1)
 
-    return _verified(t.vertices(), t.edges, _attach_witnesses(boxes, points), "tree builder", built=True)
+    return certify(t, boxes, points, "tree builder")
 
 
 def threshold_graph(n_clique: int, nested_sizes: Sequence[int]) -> Graph:
@@ -212,13 +189,13 @@ def build_threshold_rep(n_clique: int, nested_sizes: Sequence[int]) -> Represent
         boxes[n_clique + i] = Box(((left, F(3, 4)), (y0, y0 + height)))
         points[n_clique + i] = (F(3, 4), y0 + height / 2)  # exposed right edge
 
-    return _verified(g.vertices(), g.edges, _attach_witnesses(boxes, points), "threshold builder", built=True)
+    return certify(g, boxes, points, "threshold builder")
 
 
 # -- lifts -----------------------------------------------------------------------------
 
 
-def lift_vertex_add(rep_f: Representation, g: Graph, v: int, nbrs: Iterable[int] | None = None) -> Representation:
+def lift_vertex_add(rep_f: Representation, g: Graph, v: int) -> Representation:
     """Invert a vertex deletion: one extra dimension.
 
     Old boxes ride at level [0,3], v's neighbours at [2,5], and v becomes the
@@ -230,9 +207,6 @@ def lift_vertex_add(rep_f: Representation, g: Graph, v: int, nbrs: Iterable[int]
     """
     if not (1 <= v <= g.n):
         raise InvalidInput(f"vertex {v} is not in the target graph")
-    nbrs = tuple(sorted(nbrs)) if nbrs is not None else g.neighbors(v)
-    if nbrs != g.neighbors(v):
-        raise InvalidInput(f"neighbour snapshot {nbrs} does not match the graph")
     rest = [u for u in g.vertices() if u != v]
     rep_f = _verified(rest, [e for e in g.edges if v not in e], rep_f, "vertex lift input")
     return _lift_vertex_add(rep_f, g, v)
@@ -254,7 +228,7 @@ def _lift_vertex_add(rep: Representation, g: Graph, v: int) -> Representation:
     boxes[v] = Box(((lo, hi),) * rep.dim + ((F(4), F(6)),))
     points[v] = (hi,) * rep.dim + (F(6),)
 
-    return _verified(g.vertices(), g.edges, _attach_witnesses(boxes, points), "vertex lift", built=True)
+    return certify(g, boxes, points, "vertex lift")
 
 
 def lift_edge_add(rep_h: Representation, g: Graph, e: Edge) -> Representation:
@@ -295,8 +269,8 @@ def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
         boxes[i] = rep_g.boxes[i].cross(level)
         points[i] = rep_g.witnesses[i].point + (level[0],)
 
-    h_edges = [ed for ed in g.edges if ed != (u, v)]
-    return _verified(g.vertices(), h_edges, _attach_witnesses(boxes, points), "edge drop", built=True)
+    h = Graph(g.n, [ed for ed in g.edges if ed != (u, v)])
+    return certify(h, boxes, points, "edge drop")
 
 
 def lift_uncontract(
@@ -354,7 +328,7 @@ def _lift_uncontract(rep_ge: Representation, g: Graph, u: int, n_restored: int) 
             boxes[i] = rep_ge.boxes[i].cross((0, 10), (0, 10))
             points[i] = rep_ge.witnesses[i].point + (F(0), F(0))
 
-    return _verified(g.vertices(), g.edges, _attach_witnesses(boxes, points), "uncontract lift", built=True)
+    return certify(g, boxes, points, "uncontract lift")
 
 
 # -- edit-sequence pipeline --------------------------------------------------------------
@@ -402,7 +376,8 @@ def build_from_edit_sequence(g: Graph, seq: EditSequence, base_rep: Representati
     """Lift a verified base representation back up an edit sequence, in reverse.
 
     Dimension grows by exactly one per inverted deletion and two per inverted
-    contraction; the base and every step's output are each verified once.
+    contraction.  The base is verified once, and each step's output is
+    certified against the graph it represents, so the last one covers g.
     """
     steps_fw = replay_edits(g, seq)  # raises SequenceMismatch on any drift
     rep = _verified(seq.base.vertices(), seq.base.edges, base_rep, "pipeline base")
@@ -434,8 +409,6 @@ def build_from_edit_sequence(g: Graph, seq: EditSequence, base_rep: Representati
     av, ae, bc = seq.counts()
     if rep.dim != base_dim + av + ae + 2 * bc:
         raise AssertionError("pipeline dimension drifted from its budget")
-    if set(rep.boxes) != set(g.vertices()):
-        raise SequenceMismatch("pipeline did not return to the original vertex set")
     return ConstructionTrace(base_dim=base_dim, steps=tuple(steps), final=rep)
 
 

@@ -39,7 +39,7 @@ from .flow import (
     recover_states,
     vector_from_json,
 )
-from .graph import Graph, edits_from_json, graph_from_json, graph_to_json, apply_edits
+from .graph import Graph, _json_int, apply_edits, edits_from_json, graph_from_json, graph_to_json
 from .ratio import fmt_ratio, parse_ratio
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
@@ -158,7 +158,10 @@ def cmd_box_build(args) -> int:
     if args.strategy == "threshold":
         if args.clique is None:
             raise ParseError("--strategy threshold needs --clique (and optional --nested)")
-        sizes = [int(x) for x in args.nested.split(",") if x] if args.nested else []
+        try:
+            sizes = [int(x) for x in args.nested.split(",") if x]
+        except ValueError as exc:
+            raise ParseError(f"--nested wants a comma list of integers, got {args.nested!r}") from exc
         g = bld.threshold_graph(args.clique, sizes)
         r = bld.build_threshold_rep(args.clique, sizes)
         trace = None
@@ -398,7 +401,8 @@ def cmd_flow_recover(args) -> int:
         rep.input("attack", args.attack, adig)
         try:
             a = _ratio_list(aobj, "a")
-            targets = {tuple(sorted(map(int, e))) for e in aobj["targets"]}
+            ends = [(_json_int(u, "target"), _json_int(v, "target")) for u, v in aobj["targets"]]
+            targets = {(min(e), max(e)) for e in ends}
             s = _ratio_list(aobj, "s") if "s" in aobj else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad attack bundle: {exc}") from exc

@@ -4,13 +4,13 @@ Vertices are labelled 1..n and edges carry stable flow indices n+1..t (t = n + m
 so a graph doubles as the index space of a flow system.  Edit operations (vertex
 deletion, edge deletion, contraction) record the neighbourhood snapshots needed to
 invert them later.  Contraction always merges the currently highest label into a
-neighbour; arbitrary edges are handled by a recorded label swap first.
+neighbour; arbitrary edges are handled by a recorded label swap first.  Replay
+checks snapshots alone: an op's snapshots rebuild the graph before it from the
+one after it, so they and the base graph pin every intermediate graph.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,10 +96,6 @@ class Graph:
 
     def same_topology(self, other: "Graph") -> bool:
         return self.n == other.n and set(self.edges) == set(other.edges)
-
-    def checksum(self) -> str:
-        payload = json.dumps({"n": self.n, "edges": sorted(self.edges)}, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
@@ -253,7 +249,6 @@ class VertexDelete:
 class EdgeDelete:
     u: int
     v: int
-    nbrs_after: tuple[int, ...] | None = None  # neighbours of v once the edge is gone
 
 
 @dataclass(frozen=True)
@@ -292,8 +287,7 @@ def record_edit(g: Graph, op: EditOp) -> tuple[Graph, EditOp]:
         if not g.has_edge(u, v):
             raise InvalidEdit(f"({u},{v}) is not an edge")
         edges = [e for e in g.edges if e != (u, v)]
-        h = Graph(g.n, edges)
-        return h, EdgeDelete(u, v, nbrs_after=h.neighbors(v))
+        return Graph(g.n, edges), EdgeDelete(u, v)
 
     if isinstance(op, VertexDelete):
         v = op.v
@@ -376,11 +370,10 @@ def invert_edit(h: Graph, op: EditOp) -> Graph:
 
 @dataclass(frozen=True)
 class EditSequence:
-    """Ordered applied edits reducing some graph to `base`, with replay checksums."""
+    """Ordered applied edits, with their snapshots, reducing some graph to `base`."""
 
     base: Graph
     ops: tuple[EditOp, ...]
-    checksums: tuple[str, ...]
 
     def counts(self) -> tuple[int, int, int]:
         """(vertex deletions, edge deletions, contractions)."""
@@ -391,28 +384,24 @@ class EditSequence:
 
 
 def apply_edits(g: Graph, intents: Sequence[EditOp]) -> EditSequence:
-    """Apply edits in order, recording snapshots and intermediate checksums."""
+    """Apply edits in order, recording each op's snapshots."""
     cur = g
     ops: list[EditOp] = []
-    sums: list[str] = []
     for intent in intents:
         cur, done = record_edit(cur, intent)
         ops.append(done)
-        sums.append(cur.checksum())
-    return EditSequence(base=cur, ops=tuple(ops), checksums=tuple(sums))
+    return EditSequence(base=cur, ops=tuple(ops))
 
 
 def replay_edits(g: Graph, seq: EditSequence) -> list[tuple[Graph, EditOp, Graph]]:
-    """Re-run a sequence from g, checking snapshots, checksums, and the base graph."""
+    """Re-run a sequence from g, checking each op's snapshots and the base graph."""
     cur = g
     steps: list[tuple[Graph, EditOp, Graph]] = []
-    for op, expect_sum in zip(seq.ops, seq.checksums):
+    for op in seq.ops:
         before = cur
         cur, recomputed = record_edit(cur, op)
         if recomputed != op:
             raise SequenceMismatch(f"snapshot mismatch at {op!r}")
-        if cur.checksum() != expect_sum:
-            raise SequenceMismatch("intermediate checksum mismatch")
         steps.append((before, op, cur))
     if not cur.same_topology(seq.base):
         raise SequenceMismatch("sequence does not reproduce its base graph")
@@ -454,11 +443,11 @@ def edits_from_json(items) -> list[EditOp]:
         for item in items:
             kind = item["kind"]
             if kind == "vertex_delete":
-                ops.append(VertexDelete(int(item["v"])))
+                ops.append(VertexDelete(_json_int(item["v"], "v")))
             elif kind == "edge_delete":
-                ops.append(EdgeDelete(int(item["u"]), int(item["v"])))
+                ops.append(EdgeDelete(_json_int(item["u"], "u"), _json_int(item["v"], "v")))
             elif kind == "contract":
-                ops.append(Contract(int(item["u"]), int(item["v"])))
+                ops.append(Contract(_json_int(item["u"], "u"), _json_int(item["v"], "v")))
             else:
                 raise ParseError(f"unknown edit kind {kind!r}")
     except ParseError:

@@ -23,7 +23,7 @@ from minorkit import (
     witness_radius,
 )
 from minorkit import boxes
-from minorkit.boxes import QUARTER
+from minorkit.boxes import QUARTER, certify
 from minorkit.exceptions import (
     DimensionMismatch,
     MissingWitness,
@@ -299,6 +299,76 @@ class TestIntegerGrid:
         assert check_witness(3, rep)  # 1/22 > (1/13)/2
         # a cube of side 1/11 would reach exactly to box 2, which is closed
         assert not check_witness(3, Representation(rep.boxes, {3: Witness((F(1, 2),), F(1, 11))}))
+
+
+def reference_certify(g, box_map, points):
+    """The checks certify replaces: Representation + verify_c1 + on_boundary + witness_radii."""
+    rep = Representation(box_map)
+    if set(points) != set(box_map) or not verify_c1(g, rep).ok:
+        return None
+    radii = witness_radii(points, rep)
+    if any(not box_map[v].on_boundary(p) or radii[v] is None for v, p in points.items()):
+        return None
+    return {v: Witness(p, radii[v]) for v, p in points.items()}
+
+
+@st.composite
+def certify_cases(draw):
+    """witnessed_reps, half the time with the boxes' own pattern as g and points on boundaries."""
+    g, rep = draw(witnessed_reps())
+    points = {v: w.point for v, w in rep.witnesses.items()}
+    if draw(st.booleans()):
+        vs = rep.vertices()
+        meets = [(i, j) for i in vs for j in vs if i < j and rep.boxes[i].intersects(rep.boxes[j])]
+        g = Graph(g.n, meets)
+        for v, b in rep.boxes.items():
+            axis = draw(st.integers(0, b.dim - 1))
+            points[v] = tuple(
+                draw(st.sampled_from(iv if ax == axis else (iv[0], (iv[0] + iv[1]) / 2, iv[1])))
+                for ax, iv in enumerate(b.intervals)
+            )
+    if draw(st.integers(0, 3)) == 0:
+        del points[max(points)]
+    return g, rep.boxes, points
+
+
+class TestCertify:
+    @given(certify_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_checks_it_replaces(self, case):
+        g, box_map, points = case
+        expected = reference_certify(g, box_map, points)
+        # GRID_MAX_BITS = 0 keeps every coordinate a Fraction: the oversized-grid path
+        for max_bits in (boxes.GRID_MAX_BITS, 0):
+            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
+                if expected is None:
+                    with pytest.raises(AssertionError):
+                        certify(g, box_map, points, "case")
+                else:
+                    got = certify(g, box_map, points, "case")
+                    assert got.boxes == box_map and got.witnesses == expected
+
+    def square_points(self):
+        return {1: (F(0), F(0)), 2: (F(3), F(3)), 3: (F(6), F(0))}
+
+    def test_square_layout_certified(self):
+        rep = certify(Graph(3, [(1, 2), (2, 3)]), fig_squares().boxes, self.square_points(), "squares")
+        assert verify_c2(Graph(3, [(1, 2), (2, 3)]), rep).witnesses == rep.witnesses
+
+    @pytest.mark.parametrize("edges, move, drop, reason", [
+        ([(2, 3)], {}, None, "intersection pattern"),  # boxes 1 and 2 meet: unexpected
+        ([(1, 2), (2, 3), (1, 3)], {}, None, "intersection pattern"),  # 1-3 missing
+        ([(1, 2), (2, 3)], {1: (F(1, 2), F(1, 2))}, None, "not on its boundary"),
+        ([(1, 2), (2, 3)], {1: (F(2), F(2))}, None, "lies in another box"),  # corner inside box 2
+        ([(1, 2), (2, 3)], {}, 3, "must cover"),
+    ])
+    def test_each_failure_raises(self, edges, move, drop, reason):
+        points = {**self.square_points(), **move}
+        points.pop(drop, None)
+        for max_bits in (boxes.GRID_MAX_BITS, 0):
+            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
+                with pytest.raises(AssertionError, match=reason):
+                    certify(Graph(3, edges), fig_squares().boxes, points, "squares")
 
 
 class TestInvariances:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 
@@ -27,6 +28,7 @@ from minorkit import (
     verify_c1,
     verify_c2,
 )
+from minorkit import boxes
 from minorkit.exceptions import (
     BadNesting,
     BadSnapshot,
@@ -38,6 +40,25 @@ from minorkit.exceptions import (
 )
 
 from helpers import random_connected, random_tree
+
+
+def test_tree_pipeline_makes_one_grid_and_one_rep_per_step():
+    # build_tree_rep: 1 each; the pipeline base: 2 each (verify_c1 + verify_c2 grids,
+    # the relabelled copy + the witnessed result); each lift step: 1 each (certify)
+    g = random_connected(10, 15, random.Random(4))
+    grids, reps = [], []
+    init = Representation.__init__
+
+    def counted_init(self, *args, **kwargs):
+        reps.append(1)
+        init(self, *args, **kwargs)
+
+    with patch.object(boxes, "_grid", wraps=boxes._grid) as grid, \
+            patch.object(Representation, "__init__", counted_init):
+        seq, trace = tree_pipeline(g)
+    s = len(seq.ops)
+    assert s == 6 and len(trace.steps) == s
+    assert grid.call_count == s + 3 and len(reps) == s + 3
 
 
 def assert_strong(g, rep):

@@ -317,6 +317,34 @@ class TestInputContract:
         bundle = write(tmp_path / "atk.json", {"targets": [["1", "x"]], "a": ["0"] * 8})
         self.assert_input_error(capsys, [*recover_args, "--attack", bundle])
 
+    @pytest.mark.parametrize("targets", [
+        ["12", "14"],  # strings of digits: int() read each character as a vertex
+        [["12", "14"]],
+        [[1.9, 2], [True, 4]],
+        [[1, 2, 4]],
+        [[1]],
+        [1, 2],
+    ])
+    def test_bundle_targets_are_integer_pairs(self, tmp_path, recover_args, capsys, targets):
+        bundle = write(tmp_path / "atk.json", {"targets": targets, "a": ["0"] * 8})
+        self.assert_input_error(capsys, [*recover_args, "--attack", bundle])
+
+    @pytest.mark.parametrize("edit", [
+        {"kind": "edge_delete", "u": 1.9, "v": 4},
+        {"kind": "edge_delete", "u": True, "v": 4},
+        {"kind": "edge_delete", "u": "1", "v": "4"},  # numeric strings: accepted before, now exit 2
+        {"kind": "contract", "u": 1, "v": 4.0},
+        {"kind": "vertex_delete", "v": "4"},
+    ])
+    def test_non_integer_edit_labels(self, tmp_path, flow_file, capsys, edit):
+        ef = write(tmp_path / "edits.json", [edit])
+        self.assert_input_error(capsys, ["box", "build", flow_file, "--strategy", "edits", "--edits", ef])
+
+    def test_non_integer_nested_size(self, capsys):
+        self.assert_input_error(
+            capsys, ["box", "build", "--strategy", "threshold", "--clique", "3", "--nested", "2,x"]
+        )
+
     def test_short_attack_vector(self, tmp_path, recover_args, capsys):
         bundle = write(tmp_path / "atk.json", {"targets": [[1, 2], [1, 4]], "a": ["1"] * 7})
         self.assert_input_error(capsys, [*recover_args, "--attack", bundle])

@@ -10,6 +10,7 @@ from minorkit import (
     Graph,
     VertexDelete,
     apply_edit,
+    apply_edits,
     components,
     enumerate_cycles,
     invert_edit,
@@ -144,9 +145,30 @@ class TestEditRoundTrip:
     def test_replay_detects_tampered_base(self):
         g = random_connected(6, 8, random.Random(3))
         seq = reduce_to_spanning_tree(g)
-        tampered = type(seq)(base=Graph(seq.base.n, []), ops=seq.ops, checksums=seq.checksums)
+        tampered = type(seq)(base=Graph(seq.base.n, []), ops=seq.ops)
         with pytest.raises(SequenceMismatch):
             replay_edits(g, tampered)
+
+    def test_replay_rejects_a_start_one_edge_away(self):
+        # matching snapshots and base pin every intermediate graph, so a start one edge off fails
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randrange(3, 9)
+            g = random_connected(n, rng.randrange(n - 1, n * (n - 1) // 2 + 1), rng)
+            intents, cur = [], g
+            for _ in range(rng.randrange(1, 4)):
+                if cur.n < 2:
+                    break
+                intents.append(_random_intent(cur, rng))
+                cur = apply_edit(cur, intents[-1])
+            seq = apply_edits(g, intents)
+            replay_edits(g, seq)
+            for u in g.vertices():
+                for v in range(u + 1, n + 1):
+                    edges = [e for e in g.edges if e != (u, v)]
+                    g2 = Graph(n, edges if g.has_edge(u, v) else [*edges, (u, v)])
+                    with pytest.raises((SequenceMismatch, InvalidEdit)):
+                        replay_edits(g2, seq)
 
 
 class TestSpanningTreeReduction:
@@ -169,7 +191,7 @@ class TestSpanningTreeReduction:
             seq = reduce_to_spanning_tree(g)
             assert len(seq.ops) == m - (n - 1)
             assert is_tree(seq.base)
-            replay_edits(g, seq)  # checksums line up
+            replay_edits(g, seq)  # snapshots and base line up
 
     def test_disconnected_rejected(self):
         with pytest.raises(Disconnected):
