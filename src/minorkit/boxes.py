@@ -4,10 +4,12 @@ Every decision is exact: touching boxes, shared endpoints and zero-width gaps ar
 never left to floating point.  The verifier puts each call's boxes and points
 on one integer grid: with L the lcm of all their denominators, p/q becomes the
 int p * (L // q), which keeps order, equality and L-scaled gaps exact, so C1,
-witness radii and witness checks compare ints; `certify` proves a builder's
-output (C1, witness points, radii) on one such grid.  Boxes are closed, so two
-boxes that share only a boundary point do intersect; builders therefore keep
-strictly positive gaps between non-adjacent boxes.
+witness radii and witness checks compare ints; `certify_grid` proves a
+builder's output (C1, witness points, radii) on such a grid, and `GridRep`
+holds a witnessed representation in that form, so an edit pipeline's lifts
+can stay on their base's grid.  Boxes are closed, so two boxes that share
+only a boundary point do intersect; builders therefore keep strictly positive
+gaps between non-adjacent boxes.
 
 The exclusivity condition for a vertex v asks for a boundary point of v's box
 together with a small cube around it that avoids every other box.  Deciding it
@@ -33,7 +35,7 @@ from .exceptions import (
     TooLarge,
     VertexMismatch,
 )
-from .graph import Graph
+from .graph import Graph, _json_int
 from .ratio import fmt_ratio, parse_ratio
 
 Point = tuple[Fraction, ...]
@@ -96,11 +98,6 @@ class Box:
             elif x > hi:
                 gap = max(gap, x - hi)
         return gap
-
-    def cross(self, *pairs) -> "Box":
-        """Product with extra trailing intervals."""
-        extra = tuple((parse_ratio(a), parse_ratio(b)) for a, b in pairs)
-        return Box(self.intervals + extra)
 
 
 @dataclass(frozen=True)
@@ -165,18 +162,36 @@ def rep_to_json(rep: Representation) -> dict:
     return out
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _label(key: str) -> int:
+    """A vertex label spelled in canonical decimal: "7", not " 7", "07" or "+7"."""
+    if key.isascii() and key.isdigit() and (key[0] != "0" or key == "0"):
+        return int(key)
+    raise ParseError(f"vertex key {key!r} is not a canonical decimal label")
+
+
 def rep_from_json(obj) -> Representation:
     try:
-        dim = int(obj["dim"])
+        obj = _json_object(obj, "a representation")
+        dim = _json_int(obj["dim"], "dim")
         boxes = {}
-        for key, ivs in obj["boxes"].items():
+        for key, ivs in _json_object(obj["boxes"], "boxes").items():
+            if not isinstance(ivs, list) or not all(isinstance(iv, list) for iv in ivs):
+                raise ParseError(f"box {key} must be a JSON list of [lo, hi] lists")
             b = Box.make(*ivs)
             if b.dim != dim:
                 raise ParseError(f"box for vertex {key} has dim {b.dim}, expected {dim}")
-            boxes[int(key)] = b
+            boxes[_label(key)] = b
         witnesses = {}
-        for key, w in obj.get("witnesses", {}).items():
-            witnesses[int(key)] = Witness(
+        for key, w in _json_object(obj.get("witnesses", {}), "witnesses").items():
+            if not isinstance(w, dict) or not isinstance(w.get("point"), list):
+                raise ParseError(f"witness {key} must be a JSON object with a list point")
+            witnesses[_label(key)] = Witness(
                 tuple(parse_ratio(x) for x in w["point"]), parse_ratio(w["radius"])
             )
         return Representation(boxes, witnesses)
@@ -313,35 +328,53 @@ def witness_radii(points: Mapping[int, Point], rep: Representation) -> dict[int,
 
 
 def _radii(scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint]) -> dict[int, Fraction | None]:
+    """Each point's radius: its gap to the nearest other box over 2 * scale, at most 1/4.
+
+    None when the point lies in another box.  Any gap of scale or more gives 1/4,
+    so the search starts from that bound and leaves a box as soon as one axis
+    puts it no nearer than the nearest so far.
+    """
     radii: dict[int, Fraction | None] = {}
     for v, p in scaled.items():
-        nearest: int | None = None
+        nearest = scale
         for u, b in grid.items():
             if u == v:
                 continue
-            d = _gap(b, p)
-            if nearest is None or d < nearest:
-                nearest = d
-                if d == 0:
+            gap = 0
+            for (lo, hi), x in zip(b, p):
+                d = lo - x if x < lo else x - hi  # <= 0 inside the interval
+                if d > gap:
+                    gap = d
+                    if gap >= nearest:
+                        break
+            if gap < nearest:
+                nearest = gap
+                if gap == 0:
                     break
         if nearest == 0:
             radii[v] = None
-        elif nearest is None or 2 * nearest >= scale:  # nearest / (2 * scale) >= 1/4
+        elif 2 * nearest >= scale:  # nearest / (2 * scale) >= 1/4
             radii[v] = QUARTER
         else:
             radii[v] = Fraction(nearest, 2 * scale)
     return radii
 
 
-def certify(g: Graph, boxes: Mapping[int, Box], points: Mapping[int, Point], what: str) -> Representation:
-    """A builder's boxes with a witness at each points[v], proved on one integer grid.
+def certify_grid(
+    g: Graph, scale: int, grid: Mapping[int, IntBox], scaled: Mapping[int, IntPoint], what: str
+) -> dict[int, Fraction]:
+    """Prove a builder's grid-form boxes and witness points; return the radii by vertex.
 
-    C1 against g, each point on its box's boundary and outside every other box,
-    and the radii; a failure is a bug in the builder `what` (AssertionError).
+    Coordinates are read as x / scale.  Every box must be full-dimensional, the
+    boxes must meet exactly on g's edges, and each scaled[v] must lie on grid[v]'s
+    boundary and outside every other box; a failure is a bug in the builder
+    `what` (AssertionError).
     """
-    if set(boxes) != set(g.vertices()) or set(points) != set(boxes):
+    if set(grid) != set(g.vertices()) or set(scaled) != set(grid):
         raise AssertionError(f"{what}: boxes and witness points must cover 1..{g.n}")
-    scale, grid, scaled = _grid(boxes, points)
+    for v, box in grid.items():
+        if any(lo >= hi for lo, hi in box):
+            raise AssertionError(f"{what}: box for vertex {v} is degenerate")
     bad = _c1_violations(g, grid)
     if bad:
         raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
@@ -351,7 +384,64 @@ def certify(g: Graph, boxes: Mapping[int, Box], points: Mapping[int, Point], wha
             raise AssertionError(f"{what}: witness point for {v} is not on its boundary")
         if radii[v] is None:
             raise AssertionError(f"{what}: witness point for {v} lies in another box")
-    return Representation(boxes, {v: Witness(points[v], radii[v]) for v in sorted(points)})
+    return {v: radii[v] for v in sorted(radii)}
+
+
+def certify(g: Graph, boxes: Mapping[int, Box], points: Mapping[int, Point], what: str) -> Representation:
+    """A builder's boxes with a witness at each points[v], proved by certify_grid.
+
+    The boxes and points go on one integer grid, and the Representation is
+    built once, from the given rationals.
+    """
+    radii = certify_grid(g, *_grid(boxes, points), what)
+    return Representation(boxes, {v: Witness(points[v], r) for v, r in radii.items()})
+
+
+@dataclass(frozen=True)
+class GridRep:
+    """A witnessed representation on the grid of `scale`: coordinate x stands for x / scale.
+
+    Lifts add integer levels and reuse coordinates, so a whole edit pipeline
+    keeps the grid of its base and converts to Fractions once, at the end.
+    Past GRID_MAX_BITS the scale is 1 and the coordinates stay Fractions.
+    """
+
+    scale: int
+    boxes: dict[int, IntBox]
+    points: dict[int, IntPoint]
+    radii: dict[int, Fraction]
+
+    @classmethod
+    def of(cls, rep: Representation) -> "GridRep":
+        """The grid form of a representation that has a witness for every vertex."""
+        scale, grid, scaled = _grid(rep.boxes, {v: w.point for v, w in rep.witnesses.items()})
+        return cls(scale, grid, scaled, {v: w.radius for v, w in rep.witnesses.items()})
+
+    @property
+    def dim(self) -> int:
+        return len(next(iter(self.boxes.values())))
+
+    def rename(self, mapping: Mapping[int, int]) -> "GridRep":
+        return GridRep(
+            self.scale,
+            {mapping.get(v, v): b for v, b in self.boxes.items()},
+            {mapping.get(v, v): p for v, p in self.points.items()},
+            {mapping.get(v, v): r for v, r in self.radii.items()},
+        )
+
+    def to_representation(self) -> Representation:
+        scale = self.scale
+        frac: dict = {}  # lifts repeat coordinates, so each distinct one is divided once
+
+        def q(x) -> Fraction:
+            f = frac.get(x)
+            if f is None:
+                f = frac[x] = Fraction(x, scale)
+            return f
+
+        boxes = {v: Box(tuple((q(lo), q(hi)) for lo, hi in b)) for v, b in self.boxes.items()}
+        ws = {v: Witness(tuple(map(q, self.points[v])), r) for v, r in self.radii.items()}
+        return Representation(boxes, ws)
 
 
 def check_witness(v: int, rep: Representation) -> bool:

@@ -11,11 +11,16 @@ pipeline replays a recorded edit sequence backwards, lifting a verified base
 representation up to the original graph, and a tiny brute-force oracle pins
 exact answers for hand-checkable instances.
 
-Every builder hands its boxes and chosen witness points to `boxes.certify`,
-which decides C1, each point's place on its box's boundary and every witness
-radius on one integer grid: one check per construction step.  Public lifts
-also verify their input; the pipeline verifies its base once and then trusts
-each step's certified output as the next step's input.
+Every construction step is checked once: C1, each chosen witness point's
+place on its box's boundary and every witness radius, decided on one integer
+grid.  The base builders hand their Fraction boxes to `boxes.certify`.  The
+lifts work on the grid form itself (`boxes.GridRep`: ints over one scale):
+a lift appends integer levels k * scale and reuses the input's coordinates,
+so the grid of its input is the grid of its output, and `boxes.certify_grid`
+checks the step's ints directly.  A pipeline verifies its base once, puts it
+on its grid, runs every lift there, and builds the Fraction representation
+once, after the last step.  Public lifts verify their input, convert it,
+lift and convert back.
 """
 
 from __future__ import annotations
@@ -28,8 +33,12 @@ from typing import Iterable, Sequence
 
 from .boxes import (
     Box,
+    GridRep,
+    IntBox,
+    IntPoint,
     Representation,
     certify,
+    certify_grid,
     rep_to_json,
     verify_c1,
     verify_c2,
@@ -209,26 +218,27 @@ def lift_vertex_add(rep_f: Representation, g: Graph, v: int) -> Representation:
         raise InvalidInput(f"vertex {v} is not in the target graph")
     rest = [u for u in g.vertices() if u != v]
     rep_f = _verified(rest, [e for e in g.edges if v not in e], rep_f, "vertex lift input")
-    return _lift_vertex_add(rep_f, g, v)
+    return _lift_vertex_add(GridRep.of(rep_f), g, v).to_representation()
 
 
-def _lift_vertex_add(rep: Representation, g: Graph, v: int) -> Representation:
-    """lift_vertex_add on a valid, fully witnessed input; a box of v in it is ignored."""
+def _lift_vertex_add(rep: GridRep, g: Graph, v: int) -> GridRep:
+    """lift_vertex_add on a valid grid-form input; a box of v in it is ignored."""
+    s = rep.scale
+    low, high = (0, 3 * s), (2 * s, 5 * s)
     nbr_set = set(g.neighbors(v))
-    boxes: dict[int, Box] = {}
-    points: dict[int, Point] = {}
+    boxes: dict[int, IntBox] = {}
+    points: dict[int, IntPoint] = {}
     for u in g.vertices():
         if u == v:
             continue
-        level = (F(2), F(5)) if u in nbr_set else (F(0), F(3))
-        boxes[u] = rep.boxes[u].cross(level)
-        points[u] = rep.witnesses[u].point + (level[0],)
-    ends = [x for u, b in rep.boxes.items() if u != v for iv in b.intervals for x in iv]
-    lo, hi = min(ends), max(ends)
-    boxes[v] = Box(((lo, hi),) * rep.dim + ((F(4), F(6)),))
-    points[v] = (hi,) * rep.dim + (F(6),)
-
-    return certify(g, boxes, points, "vertex lift")
+        level = high if u in nbr_set else low
+        boxes[u] = rep.boxes[u] + (level,)
+        points[u] = rep.points[u] + (level[0],)
+    lo = min(x for u, b in rep.boxes.items() if u != v for x, _ in b)
+    hi = max(x for u, b in rep.boxes.items() if u != v for _, x in b)
+    boxes[v] = ((lo, hi),) * rep.dim + ((4 * s, 6 * s),)
+    points[v] = (hi,) * rep.dim + (6 * s,)
+    return GridRep(s, boxes, points, certify_grid(g, s, boxes, points, "vertex lift"))
 
 
 def lift_edge_add(rep_h: Representation, g: Graph, e: Edge) -> Representation:
@@ -243,7 +253,7 @@ def lift_edge_add(rep_h: Representation, g: Graph, e: Edge) -> Representation:
         raise InvalidInput(f"({u},{v}) is not an edge of the target graph")
     sub_edges = [ed for ed in g.edges if ed != (u, v)]
     rep_h = _verified(g.vertices(), sub_edges, rep_h, "edge lift input")
-    return _lift_vertex_add(rep_h, g, v)
+    return _lift_vertex_add(GridRep.of(rep_h), g, v).to_representation()
 
 
 def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
@@ -256,21 +266,25 @@ def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
     if not g.has_edge(u, v):
         raise InvalidInput(f"({u},{v}) is not an edge")
     rep_g = _verified(g.vertices(), g.edges, rep_g, "edge drop input")
+    return _drop_edge(GridRep.of(rep_g), g, u, v).to_representation()
 
-    boxes: dict[int, Box] = {}
-    points: dict[int, Point] = {}
+
+def _drop_edge(rep: GridRep, g: Graph, u: int, v: int) -> GridRep:
+    """drop_edge on a valid grid-form input, for the edge (u, v) of g."""
+    s = rep.scale
+    boxes: dict[int, IntBox] = {}
+    points: dict[int, IntPoint] = {}
     for i in g.vertices():
         if i == u:
-            level = (F(1), F(2))
+            level = (s, 2 * s)
         elif i == v:
-            level = (F(3), F(5))
+            level = (3 * s, 5 * s)
         else:
-            level = (F(0), F(4))
-        boxes[i] = rep_g.boxes[i].cross(level)
-        points[i] = rep_g.witnesses[i].point + (level[0],)
-
+            level = (0, 4 * s)
+        boxes[i] = rep.boxes[i] + (level,)
+        points[i] = rep.points[i] + (level[0],)
     h = Graph(g.n, [ed for ed in g.edges if ed != (u, v)])
-    return certify(h, boxes, points, "edge drop")
+    return GridRep(s, boxes, points, certify_grid(h, s, boxes, points, "edge drop"))
 
 
 def lift_uncontract(
@@ -298,37 +312,36 @@ def lift_uncontract(
         raise BadSnapshot(f"({u},{n_restored}) is not an edge of the target graph")
     g_e = apply_edit(g, Contract(u, n_restored))
     rep_ge = _verified(g_e.vertices(), g_e.edges, rep_ge, "uncontract input")
-    return _lift_uncontract(rep_ge, g, u, n_restored)
+    return _lift_uncontract(GridRep.of(rep_ge), g, u, n_restored).to_representation()
 
 
-def _lift_uncontract(rep_ge: Representation, g: Graph, u: int, n_restored: int) -> Representation:
-    """lift_uncontract on a valid, fully witnessed input whose split matches g."""
+def _lift_uncontract(rep: GridRep, g: Graph, u: int, n_restored: int) -> GridRep:
+    """lift_uncontract on a valid grid-form input whose split matches g."""
+    s = rep.scale
     set_u, set_n = set(g.neighbors(u)), set(g.neighbors(n_restored))
     only_u = set_u - set_n - {n_restored}
     only_n = set_n - set_u - {u}
-    s_u = rep_ge.boxes[u]
-    x_u = rep_ge.witnesses[u].point
+    s_u, x_u = rep.boxes[u], rep.points[u]
 
-    boxes: dict[int, Box] = {}
-    points: dict[int, Point] = {}
+    boxes: dict[int, IntBox] = {}
+    points: dict[int, IntPoint] = {}
     for i in g.vertices():
         if i == u:
-            boxes[i] = s_u.cross((0, 6), (3, 7))
-            points[i] = x_u + (F(0), F(3))
+            boxes[i] = s_u + ((0, 6 * s), (3 * s, 7 * s))
+            points[i] = x_u + (0, 3 * s)
         elif i == n_restored:
-            boxes[i] = s_u.cross((4, 10), (6, 10))
-            points[i] = x_u + (F(10), F(6))
+            boxes[i] = s_u + ((4 * s, 10 * s), (6 * s, 10 * s))
+            points[i] = x_u + (10 * s, 6 * s)
         elif i in only_u:
-            boxes[i] = rep_ge.boxes[i].cross((0, 10), (0, 5))
-            points[i] = rep_ge.witnesses[i].point + (F(0), F(0))
+            boxes[i] = rep.boxes[i] + ((0, 10 * s), (0, 5 * s))
+            points[i] = rep.points[i] + (0, 0)
         elif i in only_n:
-            boxes[i] = rep_ge.boxes[i].cross((8, 10), (0, 10))
-            points[i] = rep_ge.witnesses[i].point + (F(8), F(0))
+            boxes[i] = rep.boxes[i] + ((8 * s, 10 * s), (0, 10 * s))
+            points[i] = rep.points[i] + (8 * s, 0)
         else:
-            boxes[i] = rep_ge.boxes[i].cross((0, 10), (0, 10))
-            points[i] = rep_ge.witnesses[i].point + (F(0), F(0))
-
-    return certify(g, boxes, points, "uncontract lift")
+            boxes[i] = rep.boxes[i] + ((0, 10 * s), (0, 10 * s))
+            points[i] = rep.points[i] + (0, 0)
+    return GridRep(s, boxes, points, certify_grid(g, s, boxes, points, "uncontract lift"))
 
 
 # -- edit-sequence pipeline --------------------------------------------------------------
@@ -376,11 +389,12 @@ def build_from_edit_sequence(g: Graph, seq: EditSequence, base_rep: Representati
     """Lift a verified base representation back up an edit sequence, in reverse.
 
     Dimension grows by exactly one per inverted deletion and two per inverted
-    contraction.  The base is verified once, and each step's output is
-    certified against the graph it represents, so the last one covers g.
+    contraction.  The base is verified once and put on its integer grid; each
+    step runs on that grid and its output is certified against the graph it
+    represents, so the last one covers g.  Fractions come back once, at the end.
     """
     steps_fw = replay_edits(g, seq)  # raises SequenceMismatch on any drift
-    rep = _verified(seq.base.vertices(), seq.base.edges, base_rep, "pipeline base")
+    rep = GridRep.of(_verified(seq.base.vertices(), seq.base.edges, base_rep, "pipeline base"))
     base_dim = rep.dim
     steps: list[TraceStep] = []
 
@@ -409,7 +423,7 @@ def build_from_edit_sequence(g: Graph, seq: EditSequence, base_rep: Representati
     av, ae, bc = seq.counts()
     if rep.dim != base_dim + av + ae + 2 * bc:
         raise AssertionError("pipeline dimension drifted from its budget")
-    return ConstructionTrace(base_dim=base_dim, steps=tuple(steps), final=rep)
+    return ConstructionTrace(base_dim=base_dim, steps=tuple(steps), final=rep.to_representation())
 
 
 def tree_pipeline(g: Graph) -> tuple[EditSequence, ConstructionTrace]:

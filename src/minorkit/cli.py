@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -107,10 +108,27 @@ def _seed() -> int:
         raise ParseError(f"MINORKIT_SEED must be an integer, got {raw!r}") from exc
 
 
-def _display(value: Fraction, tolerance: float | None) -> float:
-    f = float(value)
+def _finite_float(text: str) -> float:
+    """argparse type for display tolerances: any finite float ("inf" would print NaN)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _display(value: Fraction, tolerance: float | None) -> float | None:
+    """A float copy of an exact value, for reading only; None past the float range."""
+    try:
+        f = float(value)
+    except OverflowError:
+        return None
     if tolerance and tolerance > 0:
-        f = round(f / tolerance) * tolerance
+        steps = f / tolerance
+        if math.isfinite(steps):  # a subnormal tolerance can overflow the quotient
+            f = round(steps) * tolerance
     return f
 
 
@@ -331,6 +349,8 @@ def cmd_flow_attack(args) -> int:
         av = st.AttackVector(values=av_values, support=frozenset(support))
     else:
         hint = parse_ratio(args.lam) if args.lam else Fraction(1, 2)
+        if not 0 < hint < 1:
+            raise ParseError(f"--lambda must lie strictly between 0 and 1, got {args.lam}")
         if colors is not None:
             sv, av = st.build_stealth_colored(spec, h, colors, hint)
         else:
@@ -517,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fa.add_argument("--schedule-gap", dest="schedule_gap",
                     help="push lambda towards 1 until the ratio is this close to its limit")
     fa.add_argument("--audit", type=int, default=20, help="robust: sampled gain matrices")
-    fa.add_argument("--float-tolerance", dest="float_tolerance", type=float, default=None,
+    fa.add_argument("--float-tolerance", dest="float_tolerance", type=_finite_float, default=None,
                     help="display rounding only; never feeds the exact core")
     fa.add_argument("--out", help="write the attack bundle here")
     fa.set_defaults(func=cmd_flow_attack)
@@ -532,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ft = flowsub.add_parser("theta", help="edge variation factor bracket")
     ft.add_argument("graph")
     ft.add_argument("--target", required=True)
-    ft.add_argument("--float-tolerance", dest="float_tolerance", type=float, default=None)
+    ft.add_argument("--float-tolerance", dest="float_tolerance", type=_finite_float, default=None)
     ft.set_defaults(func=cmd_flow_theta)
 
     return p

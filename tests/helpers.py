@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from minorkit import Box, Graph, Representation, Witness, components
+from minorkit.boxes import certify
 from minorkit.exceptions import Inconsistent
 
 F = Fraction
@@ -141,6 +142,11 @@ def permute(rep: Representation, order) -> Representation:
     return Representation(boxes, ws)
 
 
+def cross(box: Box, *pairs) -> Box:
+    """Product with extra trailing intervals."""
+    return Box(box.intervals + tuple((F(a), F(b)) for a, b in pairs))
+
+
 def is_bridge(g: Graph, e) -> bool:
     """Quadratic bridge test by component counting (ValueError if e is no edge)."""
     return len(components(g, [e])) > len(components(g))
@@ -172,3 +178,65 @@ def recover_states_fraction(h, z, g: Graph, x1_ref=0) -> tuple[Fraction, ...]:
         if x[u] - x[v] != d:
             raise Inconsistent(f"edge ({u},{v}) implies a conflicting state difference")
     return tuple(x[v] for v in g.vertices())
+
+
+# -- the Fraction lift bodies the grid-form lifts replaced --------------------------------
+# Each takes a valid, fully witnessed Representation and certifies its output,
+# exactly as the package did before its lifts ran on the integer grid.
+
+
+def lift_vertex_add_fraction(rep: Representation, g: Graph, v: int) -> Representation:
+    nbr_set = set(g.neighbors(v))
+    boxes, points = {}, {}
+    for u in g.vertices():
+        if u == v:
+            continue
+        level = (F(2), F(5)) if u in nbr_set else (F(0), F(3))
+        boxes[u] = cross(rep.boxes[u], level)
+        points[u] = rep.witnesses[u].point + (level[0],)
+    ends = [x for u, b in rep.boxes.items() if u != v for iv in b.intervals for x in iv]
+    lo, hi = min(ends), max(ends)
+    boxes[v] = Box(((lo, hi),) * rep.dim + ((F(4), F(6)),))
+    points[v] = (hi,) * rep.dim + (F(6),)
+    return certify(g, boxes, points, "vertex lift")
+
+
+def drop_edge_fraction(rep: Representation, g: Graph, u: int, v: int) -> Representation:
+    boxes, points = {}, {}
+    for i in g.vertices():
+        if i == u:
+            level = (F(1), F(2))
+        elif i == v:
+            level = (F(3), F(5))
+        else:
+            level = (F(0), F(4))
+        boxes[i] = cross(rep.boxes[i], level)
+        points[i] = rep.witnesses[i].point + (level[0],)
+    h = Graph(g.n, [ed for ed in g.edges if ed != (u, v)])
+    return certify(h, boxes, points, "edge drop")
+
+
+def lift_uncontract_fraction(rep: Representation, g: Graph, u: int, n_restored: int) -> Representation:
+    set_u, set_n = set(g.neighbors(u)), set(g.neighbors(n_restored))
+    only_u = set_u - set_n - {n_restored}
+    only_n = set_n - set_u - {u}
+    s_u = rep.boxes[u]
+    x_u = rep.witnesses[u].point
+    boxes, points = {}, {}
+    for i in g.vertices():
+        if i == u:
+            boxes[i] = cross(s_u, (0, 6), (3, 7))
+            points[i] = x_u + (F(0), F(3))
+        elif i == n_restored:
+            boxes[i] = cross(s_u, (4, 10), (6, 10))
+            points[i] = x_u + (F(10), F(6))
+        elif i in only_u:
+            boxes[i] = cross(rep.boxes[i], (0, 10), (0, 5))
+            points[i] = rep.witnesses[i].point + (F(0), F(0))
+        elif i in only_n:
+            boxes[i] = cross(rep.boxes[i], (8, 10), (0, 10))
+            points[i] = rep.witnesses[i].point + (F(8), F(0))
+        else:
+            boxes[i] = cross(rep.boxes[i], (0, 10), (0, 10))
+            points[i] = rep.witnesses[i].point + (F(0), F(0))
+    return certify(g, boxes, points, "uncontract lift")

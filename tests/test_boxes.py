@@ -32,7 +32,7 @@ from minorkit.exceptions import (
     VertexMismatch,
 )
 
-from helpers import permute, random_rep, sampled_uncovered_point, translate
+from helpers import cross, permute, random_rep, sampled_uncovered_point, translate
 
 
 def interval_triple():
@@ -370,6 +370,15 @@ class TestCertify:
                 with pytest.raises(AssertionError, match=reason):
                     certify(Graph(3, edges), fig_squares().boxes, points, "squares")
 
+    def test_degenerate_box_raises(self):
+        # box 2 flattened to the segment y = 2: every meet and witness still holds
+        flat = {**fig_squares().boxes, 2: Box.make((1, 5), (2, 2))}
+        points = {**self.square_points(), 2: (F(3), F(2))}
+        for max_bits in (boxes.GRID_MAX_BITS, 0):
+            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
+                with pytest.raises(AssertionError, match="degenerate"):
+                    certify(Graph(3, [(1, 2), (2, 3)]), flat, points, "squares")
+
 
 class TestInvariances:
     def test_translation_and_axis_permutation(self):
@@ -397,7 +406,7 @@ class TestInvariances:
             edge_pt = (x0, y0 + (y1 - y0) / 3)
             assert box.on_boundary(edge_pt)
             lo, hi = F(rng.randrange(-3, 0)), F(rng.randrange(1, 4))
-            tall = box.cross((lo, hi))
+            tall = cross(box, (lo, hi))
             mid = lo + (hi - lo) * F(rng.randrange(0, 5), 4)
             assert tall.on_boundary(edge_pt + (mid,))
 

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minorkit import (
     Box,
@@ -17,6 +19,7 @@ from minorkit import (
     build_from_edit_sequence,
     build_threshold_rep,
     build_tree_rep,
+    components,
     drop_edge,
     lift_edge_add,
     lift_uncontract,
@@ -28,7 +31,7 @@ from minorkit import (
     verify_c1,
     verify_c2,
 )
-from minorkit import boxes
+from minorkit import boxes, build
 from minorkit.exceptions import (
     BadNesting,
     BadSnapshot,
@@ -38,27 +41,37 @@ from minorkit.exceptions import (
     TooLarge,
     TooSmall,
 )
+from minorkit.graph import spanning_tree_edges
 
-from helpers import random_connected, random_tree
+from helpers import (
+    drop_edge_fraction,
+    is_bridge,
+    lift_uncontract_fraction,
+    lift_vertex_add_fraction,
+    random_connected,
+    random_tree,
+)
 
 
-def test_tree_pipeline_makes_one_grid_and_one_rep_per_step():
-    # build_tree_rep: 1 each; the pipeline base: 2 each (verify_c1 + verify_c2 grids,
-    # the relabelled copy + the witnessed result); each lift step: 1 each (certify)
-    g = random_connected(10, 15, random.Random(4))
-    grids, reps = [], []
+def test_tree_pipeline_makes_four_grids_and_four_reps():
+    # build_tree_rep: 1 each; the pipeline base: 2 grids (verify_c1 + verify_c2) and
+    # 2 reps (the relabelled copy + the witnessed result); its grid form: 1 grid;
+    # the final conversion: 1 rep.  The lifts in between make neither.
+    assert "_grid" not in vars(build)  # so patching boxes._grid counts every call
     init = Representation.__init__
+    for n, m, steps in ((8, 7, 0), (10, 15, 6), (12, 22, 11)):
+        g = random_connected(n, m, random.Random(4))
+        reps = []
 
-    def counted_init(self, *args, **kwargs):
-        reps.append(1)
-        init(self, *args, **kwargs)
+        def counted_init(self, *args, **kwargs):
+            reps.append(1)
+            init(self, *args, **kwargs)
 
-    with patch.object(boxes, "_grid", wraps=boxes._grid) as grid, \
-            patch.object(Representation, "__init__", counted_init):
-        seq, trace = tree_pipeline(g)
-    s = len(seq.ops)
-    assert s == 6 and len(trace.steps) == s
-    assert grid.call_count == s + 3 and len(reps) == s + 3
+        with patch.object(boxes, "_grid", wraps=boxes._grid) as grid, \
+                patch.object(Representation, "__init__", counted_init):
+            seq, trace = tree_pipeline(g)
+        assert len(seq.ops) == len(trace.steps) == steps
+        assert grid.call_count == 4 and len(reps) == 4
 
 
 def assert_strong(g, rep):
@@ -379,6 +392,70 @@ class TestPipeline:
         blob = trace_to_json(trace)
         assert blob["base_dim"] == 2 and len(blob["steps"]) == 1
         assert blob["steps"][0]["op"]["kind"] == "edge_delete"
+
+
+@st.composite
+def connected_edit_cases(draw):
+    """A connected graph and an edit list that mixes edge deletions, vertex
+    deletions and contractions (with relabelling swaps), ending in a spanning tree."""
+    n = draw(st.integers(4, 8))
+    m = min(n - 1 + draw(st.integers(0, 5)), n * (n - 1) // 2)
+    g = random_connected(n, m, random.Random(draw(st.integers(0, 2**16))))
+    cur, intents = g, []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["edge", "vertex", "contract"]))
+        if kind == "edge":
+            cands = [EdgeDelete(*e) for e in cur.edges if not is_bridge(cur, e)]
+        elif kind == "vertex" and cur.n > 3:
+            cands = [VertexDelete(v) for v in cur.vertices()
+                     if len(components(apply_edit(cur, VertexDelete(v)))) == 1]
+        elif kind == "contract" and cur.n > 3:
+            cands = [Contract(a, b) for u, v in cur.edges for a, b in ((u, v), (v, u))]
+        else:
+            cands = []
+        if cands:
+            op = draw(st.sampled_from(cands))
+            cur = apply_edit(cur, op)
+            intents.append(op)
+    tree = spanning_tree_edges(cur)
+    intents += [EdgeDelete(*e) for e in cur.edges if e not in tree]
+    return g, apply_edits(g, intents)
+
+
+def assert_same_rep(got, want):
+    # key order too: it decides the order of the written JSON
+    assert list(got.boxes.items()) == list(want.boxes.items())
+    assert list(got.witnesses.items()) == list(want.witnesses.items())
+
+
+@given(connected_edit_cases(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_pipeline_steps_match_the_fraction_lifts(case, oversized_grid):
+    g, seq = case
+    reference = {
+        build._lift_vertex_add: lift_vertex_add_fraction,
+        build._lift_uncontract: lift_uncontract_fraction,
+    }
+    calls = []
+
+    def recording(body):
+        def recorded(rep, *args):
+            out = body(rep, *args)
+            calls.append((body, rep, args, out))
+            return out
+        return recorded
+
+    # GRID_MAX_BITS = 0 keeps every coordinate a Fraction on a grid of scale 1
+    with patch.object(boxes, "GRID_MAX_BITS", 0 if oversized_grid else boxes.GRID_MAX_BITS), \
+            patch.object(build, "_lift_vertex_add", recording(build._lift_vertex_add)), \
+            patch.object(build, "_lift_uncontract", recording(build._lift_uncontract)):
+        trace = build_from_edit_sequence(g, seq, build_tree_rep(seq.base))
+        assert len(calls) == len(seq.ops)
+        for body, rep, args, out in calls:
+            assert_same_rep(out.to_representation(), reference[body](rep.to_representation(), *args))
+        e = g.edges[len(g.edges) // 2]
+        assert_same_rep(drop_edge(trace.final, g, e), drop_edge_fraction(trace.final, g, *e))
+    assert_strong(g, trace.final)
 
 
 class TestBruteForceOracle:

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from minorkit import Graph, assemble_gain_matrix, flows, graph_to_json, vector_to_json
+from minorkit import (
+    Graph,
+    assemble_gain_matrix,
+    build_tree_rep,
+    flows,
+    graph_from_json,
+    graph_to_json,
+    rep_to_json,
+    vector_to_json,
+)
 from minorkit.cli import _dumps, main
 from minorkit.ratio import fmt_ratio
 
@@ -32,6 +41,10 @@ def flow_file(tmp_path):
         gains={5: F(1), 6: F(3, 2), 7: F(2), 8: F(1)},
     )
     return write(tmp_path / "flow.json", graph_to_json(g))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def run(capsys, *argv):
@@ -402,6 +415,63 @@ class TestInputContract:
         gf = write(tmp_path / "g.json", {"n": 2, "edges": [{"u": 1, "v": 2, "gain": "1e5000"}]})
         out = str(tmp_path / "H.json")
         self.assert_input_error(capsys, ["flow", "matrix", gf, "--out", out])
+
+    @pytest.fixture()
+    def tree_rep(self, tree_file):
+        g = graph_from_json(json.loads(open(tree_file).read()))
+        return rep_to_json(build_tree_rep(g))
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(boxes=list(r["boxes"].values())),
+        lambda r: r.update(witnesses=[]),
+        lambda r: r["witnesses"].update({"1": ["0", "0"]}),
+        lambda r: r.update(dim=True),
+        lambda r: r.update(dim=1.9),
+        lambda r: r.update(dim="2"),
+        # labels must be canonical decimals: accepted before, now exit 2
+        lambda r: r["boxes"].update({" 1": r["boxes"].pop("1")}),
+        lambda r: r["boxes"].update({"01": r["boxes"].pop("1")}),
+        lambda r: r["witnesses"].update({"+1": r["witnesses"].pop("1")}),
+        # strings of digits: read as one coordinate per character before
+        lambda r: r["boxes"].update({"1": ["01", "01"]}),
+        lambda r: r["witnesses"]["1"].update(point="00"),
+    ], ids=["boxes-list", "witnesses-list", "witness-list", "dim-true", "dim-float", "dim-string",
+            "key-space", "key-zero", "key-plus", "interval-string", "point-string"])
+    def test_malformed_representation(self, tmp_path, tree_file, tree_rep, capsys, edit):
+        edit(tree_rep)
+        rf = write(tmp_path / "rep.json", tree_rep)
+        self.assert_input_error(capsys, ["box", "verify", rf, tree_file])
+
+    def test_well_formed_representation_passes(self, tmp_path, tree_file, tree_rep, capsys):
+        rf = write(tmp_path / "rep.json", tree_rep)
+        code, _ = run(capsys, "box", "verify", rf, tree_file)
+        assert code == 0
+
+    @pytest.mark.parametrize("lam", ["3", "0", "1", "-1/2"])
+    def test_lambda_outside_the_unit_interval(self, flow_file, capsys, lam):
+        argv = ["flow", "attack", flow_file, "--target", "1-2,1-4", f"--lambda={lam}"]
+        self.assert_input_error(capsys, argv)
+
+    @pytest.mark.parametrize("cmd", ["attack", "theta"])
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "x"])
+    def test_non_finite_float_tolerance(self, flow_file, capsys, cmd, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", cmd, flow_file, "--target", "1-2,1-4", f"--float-tolerance={tol}"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "Traceback" not in err and "--float-tolerance" in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--lambda", "1/" + "1" + "0" * 400],  # the ratio, about 10^400, passes the float range
+        ["--float-tolerance", "1e-320"],  # ratio / tolerance overflows
+    ])
+    def test_float_display_stays_json(self, tmp_path, capsys, extra):
+        triangle = write(tmp_path / "k3.json", graph_to_json(
+            Graph(3, [(1, 2), (2, 3), (1, 3)], gains={4: F(1), 5: F(1), 6: F(1)})))
+        code = main(["flow", "attack", triangle, "--target", "1-2,2-3,1-3", *extra])
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        res = json.loads(out, parse_constant=_reject_constant)["results"]
+        assert res["ratio_float"] is None or res["ratio_float"] > 0
 
     def test_root_trap_graph_attack(self, tmp_path, capsys):
         # hostile gains, not malformed ones: the first 21 lambda candidates are all roots
