@@ -33,15 +33,15 @@ from .boxes import (
     verify_c2,
     witnesses_to_json,
 )
-from .exceptions import MinorkitError, ParseError, TooLarge
+from .exceptions import BadBounds, BadNesting, MinorkitError, ParseError, TooLarge
 from .flow import (
     assemble_gain_matrix,
     matrix_to_json,
-    recover_states,
-    vector_from_json,
+    pairs_from_json,
+    recover_pairs,
 )
 from .graph import Graph, _json_int, apply_edits, edits_from_json, graph_from_json, graph_to_json
-from .ratio import fmt_ratio, parse_ratio
+from .ratio import fmt_pair, fmt_ratio, parse_pair, parse_ratio
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -60,15 +60,24 @@ def _read_json(path: str) -> tuple[dict, str]:
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
+@functools.cache
+def _scalar_list_encoder(sep: str):
+    """json.dumps(obj, separators=(sep, ": ")) without building an encoder per call.
+
+    One per nesting depth; the few depths a report reaches bound the cache.
+    """
+    return json.JSONEncoder(separators=(sep, ": ")).encode
+
+
 def _dumps(obj, pad: str = "") -> str:
     """The text of json.dumps(obj, indent=2), nested `pad` deep, without the slow encoder.
 
     indent=2 switches json to its pure-Python encoder, so containers are laid
     out here and their contents go to C: a list of strings is escaped in one
     join (the escaper raises TypeError on anything else), any other list of
-    scalars is one C-encoder call whose item separator carries the indent,
-    and a scalar is json.dumps(scalar).  A dict with a non-str key is left to
-    json.dumps(obj, indent=2) whole.
+    scalars is one call of a cached C encoder whose item separator carries the
+    indent, and a scalar is json.dumps(scalar).  A dict with a non-str key is
+    left to json.dumps(obj, indent=2) whole.
     """
     inner = pad + "  "
     sep = ",\n" + inner
@@ -80,7 +89,7 @@ def _dumps(obj, pad: str = "") -> str:
             body = sep.join(map(_escape, obj))
         except TypeError:
             if _SCALARS.issuperset(map(type, obj)):
-                body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+                body = _scalar_list_encoder(sep)(obj)[1:-1]
             else:
                 body = sep.join(_dumps(v, inner) for v in obj)
         return "[\n" + inner + body + "\n" + pad + "]"
@@ -341,9 +350,10 @@ def cmd_flow_attack(args) -> int:
         results["colors"] = {str(i): c for i, c in colors.items()}
 
     if args.schedule_gap is not None:
-        sv, ratio = st.variation_limit_schedule(
-            spec, h, parse_ratio(args.schedule_gap), colors=colors
-        )
+        gap = parse_ratio(args.schedule_gap)
+        if gap < 0:  # no ratio comes within a negative gap: the ladder would run to its end
+            raise ParseError(f"--schedule-gap must not be negative, got {args.schedule_gap}")
+        sv, ratio = st.variation_limit_schedule(spec, h, gap, colors=colors)
         av_values = h.multiply(sv.values)
         support = sorted(i + 1 for i, val in enumerate(av_values) if val != 0)
         av = st.AttackVector(values=av_values, support=frozenset(support))
@@ -386,13 +396,6 @@ def cmd_flow_attack(args) -> int:
     return rep.emit(OK)
 
 
-def _ratio_list(bundle: dict, key: str) -> tuple[Fraction, ...]:
-    values = bundle[key]
-    if not isinstance(values, list):
-        raise ParseError(f"attack bundle entry {key!r} is not a list")
-    return tuple(parse_ratio(v) for v in values)
-
-
 def cmd_flow_recover(args) -> int:
     """Recover the states from the flows and, with --attack, replay the attack on them.
 
@@ -405,6 +408,9 @@ def cmd_flow_recover(args) -> int:
     consistent exactly when a is, and the two checks fail first on the same
     edge because they walk the edges in the same order; so the Inconsistent
     verdict and the edge it names are unchanged.
+
+    Every value stays a (num, den > 0) int pair from the input text to the
+    output text: sums and comparisons cross-multiply, and ``fmt_pair`` prints.
     """
     rep = _Report("flow recover")
     gobj, gdig = _read_json(args.graph)
@@ -413,38 +419,44 @@ def cmd_flow_recover(args) -> int:
     rep.input("flows", args.flows, zdig)
     g = graph_from_json(gobj)
     h = assemble_gain_matrix(g)
-    z = vector_from_json(zobj)
-    x = recover_states(h, z, g, parse_ratio(args.ref))
-    results: dict = {"states": [fmt_ratio(v) for v in x]}
+    z = pairs_from_json(zobj)
+    x = recover_pairs(h, z, g, parse_pair(args.ref))
+    results: dict = {"states": [fmt_pair(n, d) for n, d in x]}
     if args.attack:
         aobj, adig = _read_json(args.attack)
         rep.input("attack", args.attack, adig)
         try:
-            a = _ratio_list(aobj, "a")
+            a = pairs_from_json(aobj, "a")
             ends = [(_json_int(u, "target"), _json_int(v, "target")) for u, v in aobj["targets"]]
             targets = {(min(e), max(e)) for e in ends}
-            s = _ratio_list(aobj, "s") if "s" in aobj else None
+            s = pairs_from_json(aobj, "s") if "s" in aobj else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad attack bundle: {exc}") from exc
         if len(a) != len(z):
             raise ParseError(f"attack vector has length {len(a)}, expected {len(z)}")
         if s is not None and len(s) != g.n:
             raise ParseError(f"stealth vector has length {len(s)}, expected {g.n}")
-        y = recover_states(h, a, g)
-        zero = Fraction(0)
+        y = recover_pairs(h, a, g, (0, 1))
+        # delta_e = a_e / b_e; a zero a_e keeps its own (0, den)
         deltas = {
-            e: ae / b if ae else zero for e, b, ae in zip(g.edges, h.gains, a[g.n :])
+            e: (an * b.denominator, ad * b.numerator)
+            for e, b, (an, ad) in zip(g.edges, h.gains, a[g.n :])
         }
-        results["corrupted_states"] = [fmt_ratio(xv + yv) for xv, yv in zip(x, y)]
+        results["corrupted_states"] = [
+            fmt_pair(xn * yd + yn * xd, xd * yd) for (xn, xd), (yn, yd) in zip(x, y)
+        ]
         results["edge_difference_deltas"] = {
-            f"{u}-{v}": fmt_ratio(d) for (u, v), d in deltas.items()
+            f"{u}-{v}": fmt_pair(dn, dd) for (u, v), (dn, dd) in deltas.items()
         }
         results["deltas_nonzero_exactly_on_targets"] = all(
-            (d != 0) == (e in targets) for e, d in deltas.items()
+            (dn != 0) == (e in targets) for e, (dn, _) in deltas.items()
         )
         if s is not None:
+            # dn / dd == s_u - s_v, cross-multiplied
             results["deltas_match_stealth_jumps"] = all(
-                d == s[u - 1] - s[v - 1] for (u, v), d in deltas.items()
+                dn * ud * vd == (un * vd - vn * ud) * dd
+                for (u, v), (dn, dd) in deltas.items()
+                for (un, ud), (vn, vd) in [(s[u - 1], s[v - 1])]
             )
     rep.data["results"] = results
     return rep.emit(OK)
@@ -563,7 +575,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, TooLarge) as exc:
+    # BadNesting and BadBounds reject flag values (--clique, --nested, --eps1/--eps2)
+    except (ParseError, TooLarge, BadNesting, BadBounds) as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return BAD_INPUT
     except MinorkitError as exc:

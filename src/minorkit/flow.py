@@ -11,10 +11,12 @@ so H*x costs O(n+m).  The product sums each entry as ints on that entry's own
 common denominator and builds one Fraction per entry.  Dense rows are a
 derived view, built on request (and for export) from the gains.
 
-State recovery inverts the through flows in the same way: it walks a
-breadth-first tree on (numerator, denominator) int pairs, one lcm per step,
-checks every edge by cross-multiplication, and builds one Fraction per
-returned state.  It is linear in the flows and the reference state.
+State recovery inverts the through flows in the same way: ``recover_pairs``
+takes the flows and the reference state as (numerator, denominator) int pairs,
+walks a breadth-first tree on them, one lcm per step, checks every edge by
+cross-multiplication, and returns pairs, so the CLI reads, recovers and prints
+without a Fraction.  ``recover_states`` is the same walk on Fractions in and
+out.  Recovery is linear in the flows and the reference state.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .exceptions import (
     ParseError,
 )
 from .graph import Edge, Graph, is_connected
-from .ratio import fmt_ratio, parse_ratio
+from .ratio import fmt_ratio, parse_pair, parse_ratio
 
 F = Fraction
 
@@ -123,10 +125,10 @@ def flows(h: GainMatrix, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return h.multiply(tuple(parse_ratio(v) for v in x))
 
 
-def recover_states(
-    h: GainMatrix, z: Sequence[Fraction], g: Graph, x1_ref: Fraction | str | int = 0
-) -> tuple[Fraction, ...]:
-    """Recover the full state from a flow vector and the reference state at vertex 1.
+def recover_pairs(
+    h: GainMatrix, z: Sequence[tuple[int, int]], g: Graph, ref: tuple[int, int]
+) -> tuple[tuple[int, int], ...]:
+    """Recover the full state, as (num, den > 0) pairs, from flow and reference pairs.
 
     Edge rows give the exact state difference z_e / b_e across each edge; a
     breadth-first walk from vertex 1 propagates them, and every edge (tree or
@@ -138,24 +140,22 @@ def recover_states(
     each state is a (numerator, denominator) pair.  A step puts the parent
     state and the difference on the lcm of their two denominators, and a zero
     difference copies the parent's pair.  The check compares cross products.
-    Only the returned states become Fractions.
+    Input pairs need not be reduced, and neither are the returned ones.
     """
     if not is_connected(g):
         raise Disconnected("state recovery needs a connected graph")
     if g.n != h.n or g.t != h.t or g.edges != h.edges:
         raise DimensionMismatch("gain matrix does not match the graph")
-    z = tuple(parse_ratio(v) for v in z)
     if len(z) != h.t:
         raise DimensionMismatch(f"flow vector has length {len(z)}, expected {h.t}")
 
     # through flow / gain = x_u - x_v across each edge (u, v); gains are positive
     diffs = {
-        e: (zf.numerator * b.denominator, zf.denominator * b.numerator)
-        for e, b, zf in zip(h.edges, h.gains, z[g.n :])
+        e: (zn * b.denominator, zd * b.numerator)
+        for e, b, (zn, zd) in zip(h.edges, h.gains, z[g.n :])
     }
 
-    ref = parse_ratio(x1_ref)
-    x: dict[int, tuple[int, int]] = {1: (ref.numerator, ref.denominator)}
+    x: dict[int, tuple[int, int]] = {1: ref}
     queue = deque([1])
     while queue:
         a = queue.popleft()
@@ -177,7 +177,15 @@ def recover_states(
         (un, ud), (vn, vd) = x[u], x[v]
         if (un * vd - vn * ud) * dd != dn * ud * vd:
             raise Inconsistent(f"edge ({u},{v}) implies a conflicting state difference")
-    return tuple(F(*x[v]) for v in g.vertices())
+    return tuple(x[v] for v in g.vertices())
+
+
+def recover_states(
+    h: GainMatrix, z: Sequence[Fraction], g: Graph, x1_ref: Fraction | str | int = 0
+) -> tuple[Fraction, ...]:
+    """``recover_pairs`` on parsed rationals: the states as Fractions."""
+    pairs = [parse_pair(v) for v in z]
+    return tuple(F(n, d) for n, d in recover_pairs(h, pairs, g, parse_pair(x1_ref)))
 
 
 # -- JSON -----------------------------------------------------------------------
@@ -198,11 +206,16 @@ def vector_to_json(vec: Sequence[Fraction]) -> dict:
     return {"values": [fmt_ratio(v) for v in vec]}
 
 
-def vector_from_json(obj) -> tuple[Fraction, ...]:
+def pairs_from_json(obj, key: str = "values") -> list[tuple[int, int]]:
+    """obj[key], a JSON list of rationals, as (num, den > 0) pairs (see ``parse_pair``)."""
     try:
-        values = obj["values"]
+        values = obj[key]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad vector object: {exc}") from exc
     if not isinstance(values, list):
-        raise ParseError("vector values must be a JSON list")
-    return tuple(parse_ratio(v) for v in values)
+        raise ParseError(f"vector {key!r} must be a JSON list")
+    return [parse_pair(v) for v in values]
+
+
+def vector_from_json(obj) -> tuple[Fraction, ...]:
+    return tuple(F(n, d) for n, d in pairs_from_json(obj))

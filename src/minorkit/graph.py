@@ -35,7 +35,7 @@ def norm_edge(u: int, v: int) -> Edge:
 class Graph:
     """Immutable simple graph. Treat instances as values; no mutators are provided."""
 
-    def __init__(self, n: int, edges: Iterable[Edge] = (), gains: dict[int, Fraction] | None = None):
+    def __init__(self, n: int, edges: Iterable[Edge] = (), gains: dict | None = None):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         seen: set[Edge] = set()
@@ -68,7 +68,7 @@ class Graph:
                 if not (n + 1 <= key <= self.t):
                     raise ValueError(f"gain key {key} is not an edge index")
                 g = parse_ratio(val)
-                if g <= 0:
+                if g.numerator <= 0:
                     raise ValueError(f"gain for edge index {key} must be positive")
                 clean[key] = g
             gains = clean
@@ -127,12 +127,12 @@ def graph_from_json(obj) -> Graph:
     try:
         n = _json_int(obj["n"], "n")
         edges = []
-        gains: dict[int, Fraction] = {}
+        gains = {}  # raw values: Graph parses each gain once
         for pos, entry in enumerate(obj.get("edges", [])):
             u, v = _json_int(entry["u"], "u"), _json_int(entry["v"], "v")
             edges.append((u, v))
             if "gain" in entry:
-                gains[n + 1 + pos] = parse_ratio(entry["gain"])
+                gains[n + 1 + pos] = entry["gain"]
         return Graph(n, edges, gains=gains or None)
     except ParseError:
         raise

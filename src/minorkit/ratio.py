@@ -1,5 +1,6 @@
 """Parsing and formatting of exact rationals as "p/q" strings."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -9,32 +10,47 @@ from .exceptions import ParseError
 DEFAULT_MAX_DIGITS = 4300
 
 
-def parse_ratio(value) -> Fraction:
-    """Read an exact rational from an int, Fraction, or "p/q" string.
+def parse_pair(value) -> tuple[int, int]:
+    """Read an exact rational from an int, Fraction, or "p/q" string as (num, den > 0).
 
     Floats are rejected: the exact core never ingests binary approximations.
     Bools are rejected too, so a JSON true is not read as 1.  A plain ASCII
-    "p" or "p/q" (optional leading "-") is split and read with int(); every
-    other string goes to Fraction(text), so the accepted set stays the
-    interpreter's own (3.10 rejects "1_000", 3.12 accepts "3/ 4").
-    Exponent literals ("1e5") are rejected before expansion when the numerator
-    or denominator could exceed the interpreter's int/str digit limit, since
-    such a value could not be printed back.
+    "p" or "p/q" (optional leading "-") is split and read with int(), and the
+    pair is returned as written, not reduced; every other string goes to
+    Fraction(text), so the accepted set stays the interpreter's own (3.10
+    rejects "1_000", 3.12 accepts "3/ 4").  Exponent literals ("1e5") are
+    rejected before expansion when the numerator or denominator could exceed
+    the interpreter's int/str digit limit, since such a value could not be
+    printed back.
     """
-    if isinstance(value, str):  # tested first: isinstance(x, Fraction) is an ABC check
+    if isinstance(value, str):
         num, slash, den = value.partition("/")
-        if _is_digits(num[1:] if num[:1] == "-" else num) and (not slash or _is_digits(den)):
-            # plain ASCII "p" or "p/q": the same value as Fraction(text), without its regex
+        # plain ASCII "p" or "p/q": the value of Fraction(text), without its regex
+        # (str.isdigit alone also accepts digits of other scripts, and is False on "")
+        if value.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() and (
+            not slash or den.isdigit()
+        ):
             try:
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            except (ValueError, ZeroDivisionError) as exc:
+                pair = (int(num), int(den) if slash else 1)
+            except ValueError as exc:  # past the int/str digit limit
                 raise ParseError(f"bad rational literal {value!r}") from exc
-        return _parse_text(value)
-    if isinstance(value, Fraction):
+            if pair[1] == 0:
+                raise ParseError(f"bad rational literal {value!r}")
+            return pair
+        value = _parse_text(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    elif not isinstance(value, Fraction):  # an ABC check, so tested after str and int
+        raise ParseError(f"cannot read a rational from {type(value).__name__}")
+    return value.numerator, value.denominator
+
+
+def parse_ratio(value) -> Fraction:
+    """``parse_pair`` as a Fraction; a Fraction is returned as it is."""
+    if not isinstance(value, str) and isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ParseError(f"cannot read a rational from {type(value).__name__}")
+    num, den = parse_pair(value)
+    return Fraction(num) if den == 1 else Fraction(num, den)  # one argument skips the gcd
 
 
 def _parse_text(value: str) -> Fraction:
@@ -46,11 +62,6 @@ def _parse_text(value: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {value!r}") from exc
-
-
-def _is_digits(text: str) -> bool:
-    """Non-empty and only ASCII 0-9 (str.isdigit alone also accepts other scripts)."""
-    return text.isascii() and text.isdigit()
 
 
 def _exponent_too_large(text: str) -> bool:
@@ -70,3 +81,9 @@ def _exponent_too_large(text: str) -> bool:
 
 def fmt_ratio(value) -> str:
     return str(value) if isinstance(value, Fraction) else str(Fraction(value))
+
+
+def fmt_pair(num: int, den: int) -> str:
+    """The text of str(Fraction(num, den)) for den > 0, from one gcd."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)

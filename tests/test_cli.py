@@ -1,9 +1,10 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from minorkit import (
@@ -51,6 +52,54 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else {})
+
+
+def respell(text, i):
+    """Another spelling of the same rational, by position: "2/4", "-0", "5e-1" or "0.5" style."""
+    v = F(text)
+    num, den = v.numerator, v.denominator
+    if v == 0:
+        return "-0" if i % 2 else "0/3"
+    if 10**6 % den == 0 and i % 3 == 1:
+        return f"{num * 10**6 // den}e-6"
+    if 10**6 % den == 0 and i % 3 == 2:
+        return str(Decimal(num) / Decimal(den))
+    return f"{2 * num}/{2 * den}"
+
+
+def spellings(text):
+    """The non-canonical kinds a respelled value shows."""
+    kinds = set()
+    if text == "-0":
+        kinds.add("-0")
+    if "/" in text and text != fmt_ratio(F(text)):
+        kinds.add("unreduced")
+    if "e" in text:
+        kinds.add("exponent")
+    if "." in text:
+        kinds.add("decimal")
+    return kinds
+
+
+def count_fractions(monkeypatch):
+    """A one-item list that counts every Fraction built from now on, however it is built."""
+    made = [0]
+    new = F.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted_new))
+    if hasattr(F, "_from_coprime_ints"):  # 3.12 arithmetic bypasses __new__
+        coprime = F._from_coprime_ints
+
+        def counted_coprime(cls, *args):
+            made[0] += 1
+            return coprime.__func__(cls, *args)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counted_coprime))
+    return made
 
 
 class TestBoxCommands:
@@ -256,7 +305,16 @@ class TestFlowCommands:
                 "s": [fmt_ratio(v) for v in y],
                 "a": [fmt_ratio(v) for v in flows(h, y)],
             }
-            for name, bundle in (("stealth", stealth), ("loud", loud)):
+            respelled = {
+                **stealth,
+                "s": [respell(v, i) for i, v in enumerate(stealth["s"])],
+                "a": [respell(v, i) for i, v in enumerate(stealth["a"])],
+            }
+            kinds = {kind for v in respelled["s"] + respelled["a"] for kind in spellings(v)}
+            assert kinds == {"unreduced", "-0", "exponent", "decimal"}
+            bundles = (("stealth", stealth), ("loud", loud), ("respelled", respelled))
+            reports = {}
+            for name, bundle in bundles:
                 bf = write(tmp_path / f"{name}{trial}.json", bundle)
                 ref = "2/7"
                 code, report = run(
@@ -264,7 +322,26 @@ class TestFlowCommands:
                 )
                 assert code == 0
                 assert report["results"] == self.two_recovery_replay(g, z, F(ref), bundle)
-            assert report["results"]["deltas_nonzero_exactly_on_targets"] is False
+                reports[name] = report["results"]
+            assert reports["loud"]["deltas_nonzero_exactly_on_targets"] is False
+            assert reports["respelled"] == reports["stealth"]
+
+    def test_replay_builds_only_the_gains_as_fractions(self, tmp_path, capsys, monkeypatch):
+        """flow recover --attack reads, recovers, checks and prints on int pairs."""
+        rng = random.Random(5)
+        g = random_connected(12, 20, rng, gains=True)
+        h = assemble_gain_matrix(g)
+        gf = write(tmp_path / "g.json", graph_to_json(g))
+        x = tuple(F(rng.randrange(-30, 31), rng.randrange(1, 9)) for _ in range(g.n))
+        zf = write(tmp_path / "z.json", vector_to_json(flows(h, x)))
+        atk = str(tmp_path / "atk.json")
+        target = ",".join(f"{u}-{v}" for u, v in random_cut_targets(g, rng))
+        code, _ = run(capsys, "flow", "attack", gf, "--target", target, "--out", atk)
+        assert code == 0
+        made = count_fractions(monkeypatch)
+        code, report = run(capsys, "flow", "recover", gf, "--flows", zf, "--ref", "2/7", "--attack", atk)
+        assert code == 0 and report["results"]["deltas_match_stealth_jumps"]
+        assert made == [len(g.edges)]
 
     def test_inconsistent_attack_names_the_first_bad_edge(self, tmp_path, capsys):
         g = Graph(3, [(1, 2), (2, 3), (1, 3)], gains={4: F(1), 5: F(2), 6: F(3)})
@@ -357,6 +434,27 @@ class TestInputContract:
         self.assert_input_error(
             capsys, ["box", "build", "--strategy", "threshold", "--clique", "3", "--nested", "2,x"]
         )
+
+    @pytest.mark.parametrize("flags", [
+        ["--clique", "0"],  # BadNesting: exited 1, like a failed verification
+        ["--clique", "3", "--nested", "1,2"],
+    ])
+    def test_bad_threshold_flags(self, capsys, flags):
+        self.assert_input_error(capsys, ["box", "build", "--strategy", "threshold", *flags])
+
+    def test_robust_bounds_out_of_order(self, flow_file, capsys):
+        # BadBounds: exited 1, like a failed verification
+        self.assert_input_error(capsys, [
+            "flow", "attack", flow_file, "--target", "1-2,1-4", "--mode", "robust",
+            "--eps1", "2", "--eps2", "1",
+        ])
+
+    def test_negative_schedule_gap(self, flow_file, capsys):
+        # no ratio comes within a negative gap: this walked all 20,000 ladder steps, then exit 1
+        argv = ["flow", "attack", flow_file, "--target", "1-2,1-4"]
+        self.assert_input_error(capsys, [*argv, "--schedule-gap=-1/100"])
+        code, report = run(capsys, *argv, "--schedule-gap", "0")  # the limit, met exactly
+        assert code == 0 and report["results"]["ratio"] == "1"
 
     def test_short_attack_vector(self, tmp_path, recover_args, capsys):
         bundle = write(tmp_path / "atk.json", {"targets": [[1, 2], [1, 4]], "a": ["1"] * 7})
@@ -493,6 +591,7 @@ _json = hst.recursive(
     _leaves,
     lambda kids: hst.lists(kids, max_size=4)
     | hst.lists(_strings, max_size=4)
+    | hst.lists(hst.lists(hst.integers(), max_size=3), max_size=4)  # targets, components
     | hst.dictionaries(_strings, kids, max_size=4)
     | hst.dictionaries(_strings | hst.integers() | hst.booleans() | hst.none(), kids, max_size=3),
     max_leaves=25,
@@ -500,6 +599,10 @@ _json = hst.recursive(
 
 
 @given(_json)
+@example([[1, 2], [2, 6], [3, 4]])
+@example({"results": {"components": [[1], [2, 3, 4], []], "support": [1, 2]}, "lambda": "1/2"})
+@example({"targets": [[1, 2]], "s": ["1", "1/2"], "a": ["0", "-1/2"]})
+@example([[[1, 2], [3]], [[]], [True, None, 1.5, "x"]])
 @settings(max_examples=300, deadline=None)
 def test_dumps_matches_json_indent_2(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)

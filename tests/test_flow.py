@@ -22,7 +22,7 @@ from minorkit.exceptions import (
     MissingGain,
     ParseError,
 )
-from minorkit.flow import GainMatrix
+from minorkit.flow import GainMatrix, recover_pairs
 from minorkit.ratio import fmt_ratio
 
 from helpers import is_bridge, random_connected, recover_states_fraction
@@ -164,6 +164,37 @@ def test_int_recovery_matches_fraction_reference(n, seed):
         with pytest.raises(Inconsistent) as slow:
             recover_states_fraction(h, bad, g, ref)
         assert str(fast.value) == str(slow.value)
+
+
+@given(st.integers(min_value=2, max_value=9), st.integers())
+@settings(max_examples=80, deadline=None)
+def test_pair_recovery_on_unreduced_pairs_matches_fraction_reference(n, seed):
+    """recover_pairs reads pairs scaled by random factors, (0, k) included, as their values."""
+    rng = random.Random(seed)
+    m = rng.randrange(n - 1, n * (n - 1) // 2 + 1)
+    g = random_connected(n, m, rng, gains=True)
+    h = assemble_gain_matrix(g)
+    x = tuple(F(rng.choice((0, rng.randrange(-30, 31))), rng.randrange(1, 9)) for _ in range(n))
+    z = list(flows(h, x))
+    cyclic = [n + pos for pos, e in enumerate(g.edges) if not is_bridge(g, e)]
+    if cyclic and rng.random() < 0.4:
+        z[rng.choice(cyclic)] += F(1, rng.randrange(1, 9))
+
+    def unreduced(v):
+        k = rng.randrange(1, 7)
+        return v.numerator * k, v.denominator * k
+
+    ref = F(rng.randrange(-9, 10), rng.randrange(1, 6))
+    try:
+        slow = recover_states_fraction(h, z, g, ref)
+    except Inconsistent as exc:
+        with pytest.raises(Inconsistent) as fast:
+            recover_pairs(h, [unreduced(v) for v in z], g, unreduced(ref))
+        assert str(fast.value) == str(exc)
+        return
+    pairs = recover_pairs(h, [unreduced(v) for v in z], g, unreduced(ref))
+    assert all(den > 0 for _, den in pairs)
+    assert tuple(F(num, den) for num, den in pairs) == slow
 
 
 class TestJson:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,20 @@ from minorkit import (
     apply_edits,
     components,
     enumerate_cycles,
+    graph_from_json,
     invert_edit,
     is_connected,
     is_tree,
     reduce_to_spanning_tree,
     replay_edits,
 )
-from minorkit.exceptions import Disconnected, InvalidEdit, OracleTooLarge, SequenceMismatch
+from minorkit.exceptions import (
+    Disconnected,
+    InvalidEdit,
+    OracleTooLarge,
+    ParseError,
+    SequenceMismatch,
+)
 
 from helpers import is_bridge, random_connected, random_tree
 
@@ -236,6 +244,16 @@ class TestGraphValidation:
     def test_rejects_nonpositive_gain(self):
         with pytest.raises(ValueError):
             Graph(2, [(1, 2)], gains={3: 0})
+        with pytest.raises(ValueError):
+            Graph(2, [(1, 2)], gains={3: "-0/5"})
+
+    def test_json_gains_are_parsed_once_after_the_edges(self):
+        g = graph_from_json({"n": 2, "edges": [{"u": 1, "v": 2, "gain": "6/4"}]})
+        assert g.gains == {3: Fraction(3, 2)}
+        # a bad gain and a bad edge in one file: the edge is reported (exit 2 either way)
+        bad = {"n": 2, "edges": [{"u": 1, "v": 2, "gain": "x"}, {"u": 2, "v": 2, "gain": "1"}]}
+        with pytest.raises(ParseError, match="self-loop"):
+            graph_from_json(bad)
 
     def test_edge_indices_follow_positions(self):
         g = Graph(3, [(1, 3), (1, 2)])

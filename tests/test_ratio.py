@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from minorkit.exceptions import ParseError
-from minorkit.ratio import DEFAULT_MAX_DIGITS, _parse_text, fmt_ratio, parse_ratio
+from minorkit.ratio import DEFAULT_MAX_DIGITS, _parse_text, fmt_pair, fmt_ratio, parse_pair, parse_ratio
 
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_MAX_DIGITS
 
@@ -35,8 +35,18 @@ class TestExponentLiterals:
                 parse_ratio(text)
 
 
+def _pair_value(text):
+    """parse_pair read back as a Fraction, after checking its denominator is positive."""
+    num, den = parse_pair(text)
+    assert type(num) is int and type(den) is int and den > 0
+    return F(num, den)
+
+
 class TestPlainFastPath:
-    """parse_ratio reads plain ASCII "p" and "p/q" with int(); other strings take Fraction(text)."""
+    """parse_pair reads plain ASCII "p" and "p/q" with int(); other strings take Fraction(text).
+
+    parse_ratio and parse_pair are checked against _parse_text, the Fraction(text) path.
+    """
 
     @staticmethod
     def outcome(read, text):
@@ -45,17 +55,29 @@ class TestPlainFastPath:
         except ParseError:
             return ParseError
 
+    def assert_readers_agree(self, text):
+        slow = self.outcome(_parse_text, text)
+        assert self.outcome(parse_ratio, text) == slow
+        assert self.outcome(_pair_value, text) == slow
+
     @settings(max_examples=400, deadline=None)
     @given(hst.text(alphabet="0123456789-+/_.eE٣ \n", max_size=10))
     def test_agrees_with_fraction_path(self, text):
-        assert self.outcome(parse_ratio, text) == self.outcome(_parse_text, text)
+        self.assert_readers_agree(text)
 
     @pytest.mark.parametrize("text", [
         "0", "-0", "007", "-12/18", "0/5", "1/0", "0/0", "-/2", "3/-4",
-        "1_000", "3/ 4", " 3/4", "+3", "٣/4",
+        "1_000", "3/ 4", " 3/4", "+3", "٣/4", "2/4", "1e1", "0.5", "-0/3",
     ])
     def test_hand_cases_agree(self, text):
-        assert self.outcome(parse_ratio, text) == self.outcome(_parse_text, text)
+        self.assert_readers_agree(text)
+
+    def test_pairs_are_read_as_written(self):
+        assert parse_pair("-12/18") == (-12, 18)
+        assert parse_pair("-0") == (0, 1)
+        assert parse_pair(F(-12, 18)) == (-2, 3)
+        assert parse_pair(7) == (7, 1)
+        assert parse_pair("0.5") == (1, 2)
 
     def test_values(self):
         assert parse_ratio("-12/18") == F(-2, 3)
@@ -66,11 +88,18 @@ class TestPlainFastPath:
     def test_digit_limit_is_a_parse_error_on_both_paths(self):
         # past the limit int() raises ValueError (3.11+); 3.10 has no limit and reads both
         for text in ("1" * (LIMIT + 1), "1/" + "3" * (LIMIT + 1)):
-            assert self.outcome(parse_ratio, text) == self.outcome(_parse_text, text)
+            self.assert_readers_agree(text)
             if hasattr(sys, "get_int_max_str_digits"):
-                assert self.outcome(parse_ratio, text) is ParseError
+                assert self.outcome(parse_pair, text) is ParseError
 
     @pytest.mark.parametrize("value", [True, False, 1.5, None, [1]])
     def test_non_rationals_rejected(self, value):
-        with pytest.raises(ParseError):
-            parse_ratio(value)
+        for read in (parse_ratio, parse_pair):
+            with pytest.raises(ParseError):
+                read(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hst.integers(), hst.integers(min_value=1) | hst.integers(min_value=1, max_value=12))
+def test_fmt_pair_matches_fraction_text(num, den):
+    assert fmt_pair(num, den) == str(F(num, den))
