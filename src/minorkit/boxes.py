@@ -4,12 +4,17 @@ Every decision is exact: touching boxes, shared endpoints and zero-width gaps ar
 never left to floating point.  The verifier puts each call's boxes and points
 on one integer grid: with L the lcm of all their denominators, p/q becomes the
 int p * (L // q), which keeps order, equality and L-scaled gaps exact, so C1,
-witness radii and witness checks compare ints; `certify_grid` proves a
-builder's output (C1, witness points, radii) on such a grid, and `GridRep`
-holds a witnessed representation in that form, so an edit pipeline's lifts
-can stay on their base's grid.  Boxes are closed, so two boxes that share
-only a boundary point do intersect; builders therefore keep strictly positive
-gaps between non-adjacent boxes.
+witness radii and witness checks compare ints.  `GridRep` holds a
+representation in that form, with radii as (num, den) pairs.  A file goes
+to the grid and back without Fractions: `grid_from_json` reads each value as
+the (num, den) pair it spells and scales it onto one grid, `verify_grid`
+decides C1 and re-checks the stored witnesses on those ints, and
+`grid_to_json` writes each x as the text of x / L.  `certify_grid` proves a
+builder's output (C1, witness points, radii) on such a grid, so an edit
+pipeline's lifts stay on their base's grid from the base to the written file.
+Boxes are closed, so two boxes that share only a boundary point do
+intersect; builders therefore keep strictly positive gaps between
+non-adjacent boxes.
 
 The exclusivity condition for a vertex v asks for a boundary point of v's box
 together with a small cube around it that avoids every other box.  Deciding it
@@ -23,10 +28,10 @@ covering box, so an uncovered cell centre is found quickly when one exists.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
 
 from .exceptions import (
     DimensionMismatch,
@@ -36,12 +41,10 @@ from .exceptions import (
     VertexMismatch,
 )
 from .graph import Graph, _json_int
-from .ratio import fmt_ratio, parse_ratio
+from .ratio import fmt_pair, fmt_ratio, parse_pair, parse_ratio
 
 Point = tuple[Fraction, ...]
 Interval = tuple[Fraction, Fraction]
-
-QUARTER = Fraction(1, 4)
 
 # Exact facet sweeps are gated; past these sizes a representation must carry
 # witnesses to be checkable.
@@ -142,23 +145,50 @@ class Representation:
 # -- JSON -------------------------------------------------------------------------
 
 
+def _witness_json(w: Witness) -> dict:
+    return {"point": [fmt_ratio(x) for x in w.point], "radius": fmt_ratio(w.radius)}
+
+
 def witnesses_to_json(witnesses: Mapping[int, Witness]) -> dict:
-    return {
-        str(v): {"point": [fmt_ratio(x) for x in w.point], "radius": fmt_ratio(w.radius)}
-        for v, w in witnesses.items()
-    }
+    if isinstance(witnesses, GridWitnesses):
+        return witnesses.to_json()
+    return {str(v): _witness_json(w) for v, w in witnesses.items()}
 
 
 def rep_to_json(rep: Representation) -> dict:
+    return grid_to_json(GridRep.of(rep))
+
+
+def _grid_text(scale: int):
+    """x -> the text of x / scale, each distinct x formatted once: lifts repeat coordinates.
+
+    Past GRID_MAX_BITS the scale is 1 and x is the Fraction itself.
+    """
+    memo: dict = {}
+
+    def text(x) -> str:
+        t = memo.get(x)
+        if t is None:
+            t = memo[x] = fmt_pair(x, scale) if isinstance(x, int) else str(x)
+        return t
+
+    return text
+
+
+def grid_to_json(rep: GridRep, witnesses: Mapping[int, Witness] | None = None) -> dict:
+    """rep_to_json of the representation on rep's grid, written from its ints.
+
+    The boxes come in rep's order, then the given witnesses, or rep's own.
+    """
+    text = _grid_text(rep.scale)
     out: dict = {
         "dim": rep.dim,
-        "boxes": {
-            str(v): [[fmt_ratio(lo), fmt_ratio(hi)] for lo, hi in b.intervals]
-            for v, b in rep.boxes.items()
-        },
+        "boxes": {str(v): [[text(lo), text(hi)] for lo, hi in b] for v, b in rep.boxes.items()},
     }
-    if rep.witnesses:
-        out["witnesses"] = witnesses_to_json(rep.witnesses)
+    if witnesses is None:
+        witnesses = GridWitnesses(rep, dict.fromkeys(rep.radii))
+    if witnesses:
+        out["witnesses"] = witnesses_to_json(witnesses)
     return out
 
 
@@ -175,7 +205,26 @@ def _label(key: str) -> int:
     raise ParseError(f"vertex key {key!r} is not a canonical decimal label")
 
 
-def rep_from_json(obj) -> Representation:
+def grid_from_json(obj) -> GridRep:
+    """A representation's JSON, read straight onto one integer grid.
+
+    Each value is the (num, den) pair it spells (parse_pair), and the grid's
+    scale is the lcm of every box and witness-point den, with the same
+    GRID_MAX_BITS fallback as the verifier.  Witnesses are optional, and radii
+    stay pairs.  The checks, their order and their messages are those of
+    Box, Representation and rep_from_json, which is this reader plus
+    GridRep.to_representation.
+    """
+    spelled: dict[str, Pair] = {}  # lifts repeat values, so each distinct text is parsed once
+
+    def pair(value) -> Pair:
+        if value.__class__ is not str:
+            return parse_pair(value)
+        p = spelled.get(value)
+        if p is None:
+            p = spelled[value] = parse_pair(value)
+        return p
+
     try:
         obj = _json_object(obj, "a representation")
         dim = _json_int(obj["dim"], "dim")
@@ -183,22 +232,50 @@ def rep_from_json(obj) -> Representation:
         for key, ivs in _json_object(obj["boxes"], "boxes").items():
             if not isinstance(ivs, list) or not all(isinstance(iv, list) for iv in ivs):
                 raise ParseError(f"box {key} must be a JSON list of [lo, hi] lists")
-            b = Box.make(*ivs)
-            if b.dim != dim:
-                raise ParseError(f"box for vertex {key} has dim {b.dim}, expected {dim}")
-            boxes[_label(key)] = b
-        witnesses = {}
+            box = [(pair(lo), pair(hi)) for lo, hi in ivs]
+            if not box:
+                raise ValueError("a box needs dimension >= 1")
+            for (lo_n, lo_d), (hi_n, hi_d) in box:
+                if lo_n * hi_d > hi_n * lo_d:
+                    raise ValueError(f"interval [{fmt_pair(lo_n, lo_d)},{fmt_pair(hi_n, hi_d)}] out of order")
+            if len(box) != dim:
+                raise ParseError(f"box for vertex {key} has dim {len(box)}, expected {dim}")
+            boxes[_label(key)] = box
+        points, radii = {}, {}
         for key, w in _json_object(obj.get("witnesses", {}), "witnesses").items():
             if not isinstance(w, dict) or not isinstance(w.get("point"), list):
                 raise ParseError(f"witness {key} must be a JSON object with a list point")
-            witnesses[_label(key)] = Witness(
-                tuple(parse_ratio(x) for x in w["point"]), parse_ratio(w["radius"])
-            )
-        return Representation(boxes, witnesses)
+            point = [pair(x) for x in w["point"]]
+            radius = pair(w["radius"])
+            v = _label(key)
+            points[v], radii[v] = point, radius
+        if not boxes:
+            raise ValueError("a representation needs at least one box")
+        dens = {d for box in boxes.values() for iv in box for _, d in iv}
+        dens.update(d for p in points.values() for _, d in p)
+        scale, mult = _multipliers(dens)
+        grid = {
+            v: tuple((lo_n * mult[lo_d], hi_n * mult[hi_d]) for (lo_n, lo_d), (hi_n, hi_d) in box)
+            for v, box in boxes.items()
+        }
+        for v, b in grid.items():
+            if any(lo == hi for lo, hi in b):
+                raise ValueError(f"box for vertex {v} is degenerate")
+        for v, p in points.items():
+            if v not in grid:
+                raise VertexMismatch(f"witness for unknown vertex {v}")
+            if len(p) != dim:
+                raise DimensionMismatch(f"witness point for {v} has wrong dimension")
+        scaled = {v: tuple(n * mult[d] for n, d in p) for v, p in points.items()}
+        return GridRep(scale, grid, scaled, radii)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, DimensionMismatch, VertexMismatch) as exc:
         raise ParseError(f"bad representation object: {exc}") from exc
+
+
+def rep_from_json(obj) -> Representation:
+    return grid_from_json(obj).to_representation()
 
 
 # -- the integer grid ----------------------------------------------------------------
@@ -210,27 +287,35 @@ GRID_MAX_BITS = 4096
 
 IntBox = tuple[tuple[int, int], ...]
 IntPoint = tuple[int, ...]
+Pair = tuple[int, int]  # num / den, den > 0, not necessarily reduced
+
+
+def _multipliers(dens) -> tuple[int, dict]:
+    """(L, {q: L // q}) for L the lcm of the denominators dens.
+
+    p * mult[q] is then p/q on the grid of L.  If L would pass GRID_MAX_BITS,
+    L is 1 and mult[q] is Fraction(1, q), so p * mult[q] is the rational
+    itself; the callers' comparisons and arithmetic are exact on either.
+    """
+    scale = 1
+    for q in dens:
+        scale = lcm(scale, q)
+        if scale.bit_length() > GRID_MAX_BITS:
+            return 1, {q: Fraction(1, q) for q in dens}
+    return scale, {q: scale // q for q in dens}
 
 
 def _grid(
     boxes: Mapping[int, Box], points: Mapping[int, Point] | None = None
 ) -> tuple[int, dict[int, IntBox], dict[int, IntPoint]]:
-    """Scale the boxes and the given points onto one integer grid.
+    """Scale the boxes and the given points onto one integer grid (see _multipliers).
 
-    L is the lcm of every denominator involved and p/q becomes p * (L // q), so
-    comparisons and differences of the ints equal those of the rationals, times L.
-    If L would pass GRID_MAX_BITS, the values stay rationals and L is 1; the
-    callers' comparisons and arithmetic are exact on either.
+    Comparisons and differences of the ints equal those of the rationals, times L.
     """
     points = points or {}
     dens = {x.denominator for b in boxes.values() for iv in b.intervals for x in iv}
     dens.update(x.denominator for p in points.values() for x in p)
-    scale = 1
-    for q in dens:
-        scale = lcm(scale, q)
-        if scale.bit_length() > GRID_MAX_BITS:
-            return 1, {v: b.intervals for v, b in boxes.items()}, dict(points)
-    mult = {q: scale // q for q in dens}
+    scale, mult = _multipliers(dens)
     scaled_boxes = {
         v: tuple(
             (lo.numerator * mult[lo.denominator], hi.numerator * mult[hi.denominator])
@@ -247,16 +332,6 @@ def _meet(a: IntBox, b: IntBox) -> bool:
         if a_lo > b_hi or b_lo > a_hi:
             return False
     return True
-
-
-def _gap(box: IntBox, p: IntPoint) -> int:
-    """L-infinity distance from p to the box on the grid (0 when inside)."""
-    gap = 0
-    for (lo, hi), x in zip(box, p):
-        d = lo - x if x < lo else x - hi  # <= 0 inside the interval
-        if d > gap:
-            gap = d
-    return gap
 
 
 def _on_boundary(box: IntBox, p: IntPoint) -> bool:
@@ -324,17 +399,18 @@ def witness_radius(point: Point, rep: Representation, exclude: int) -> Fraction 
 
 def witness_radii(points: Mapping[int, Point], rep: Representation) -> dict[int, Fraction | None]:
     """witness_radius of each points[v] against every box but v's, on one shared grid."""
-    return _radii(*_grid(rep.boxes, points))
+    radii = _radii(*_grid(rep.boxes, points))
+    return {v: r if r is None else Fraction(*r) for v, r in radii.items()}
 
 
-def _radii(scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint]) -> dict[int, Fraction | None]:
+def _radii(scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint]) -> dict[int, Pair | None]:
     """Each point's radius: its gap to the nearest other box over 2 * scale, at most 1/4.
 
     None when the point lies in another box.  Any gap of scale or more gives 1/4,
     so the search starts from that bound and leaves a box as soon as one axis
     puts it no nearer than the nearest so far.
     """
-    radii: dict[int, Fraction | None] = {}
+    radii: dict[int, Pair | None] = {}
     for v, p in scaled.items():
         nearest = scale
         for u, b in grid.items():
@@ -354,15 +430,16 @@ def _radii(scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint]) -> 
         if nearest == 0:
             radii[v] = None
         elif 2 * nearest >= scale:  # nearest / (2 * scale) >= 1/4
-            radii[v] = QUARTER
+            radii[v] = (1, 4)
         else:
-            radii[v] = Fraction(nearest, 2 * scale)
+            num, den = nearest.as_integer_ratio()  # den > 1 only for a Fraction gap (scale 1)
+            radii[v] = (num, 2 * scale * den)
     return radii
 
 
 def certify_grid(
     g: Graph, scale: int, grid: Mapping[int, IntBox], scaled: Mapping[int, IntPoint], what: str
-) -> dict[int, Fraction]:
+) -> dict[int, Pair]:
     """Prove a builder's grid-form boxes and witness points; return the radii by vertex.
 
     Coordinates are read as x / scale.  Every box must be full-dimensional, the
@@ -393,29 +470,40 @@ def certify(g: Graph, boxes: Mapping[int, Box], points: Mapping[int, Point], wha
     The boxes and points go on one integer grid, and the Representation is
     built once, from the given rationals.
     """
-    radii = certify_grid(g, *_grid(boxes, points), what)
-    return Representation(boxes, {v: Witness(points[v], r) for v, r in radii.items()})
+    radii = GridRep.certified(g, boxes, points, what).radii
+    return Representation(boxes, {v: Witness(points[v], Fraction(*r)) for v, r in radii.items()})
 
 
 @dataclass(frozen=True)
 class GridRep:
-    """A witnessed representation on the grid of `scale`: coordinate x stands for x / scale.
+    """A representation on the grid of `scale`: coordinate x stands for x / scale.
 
-    Lifts add integer levels and reuse coordinates, so a whole edit pipeline
-    keeps the grid of its base and converts to Fractions once, at the end.
-    Past GRID_MAX_BITS the scale is 1 and the coordinates stay Fractions.
+    points and radii hold the witnesses, of every vertex when a builder made
+    the grid, of those a file gives when grid_from_json read it; a radius is
+    a (num, den) pair.  Lifts add integer levels and reuse coordinates, so a
+    whole edit pipeline keeps the grid of its base.  Past GRID_MAX_BITS the
+    scale is 1 and the coordinates are Fractions.
     """
 
     scale: int
     boxes: dict[int, IntBox]
     points: dict[int, IntPoint]
-    radii: dict[int, Fraction]
+    radii: dict[int, Pair]
 
     @classmethod
     def of(cls, rep: Representation) -> "GridRep":
-        """The grid form of a representation that has a witness for every vertex."""
+        """The grid form of a representation and its witnesses."""
         scale, grid, scaled = _grid(rep.boxes, {v: w.point for v, w in rep.witnesses.items()})
-        return cls(scale, grid, scaled, {v: w.radius for v, w in rep.witnesses.items()})
+        radii = {v: (w.radius.numerator, w.radius.denominator) for v, w in rep.witnesses.items()}
+        return cls(scale, grid, scaled, radii)
+
+    @classmethod
+    def certified(
+        cls, g: Graph, boxes: Mapping[int, Box], points: Mapping[int, Point], what: str
+    ) -> "GridRep":
+        """A builder's boxes with a witness at each points[v], on their grid and proved by certify_grid."""
+        scale, grid, scaled = _grid(boxes, points)
+        return cls(scale, grid, scaled, certify_grid(g, scale, grid, scaled, what))
 
     @property
     def dim(self) -> int:
@@ -429,19 +517,31 @@ class GridRep:
             {mapping.get(v, v): r for v, r in self.radii.items()},
         )
 
-    def to_representation(self) -> Representation:
-        scale = self.scale
-        frac: dict = {}  # lifts repeat coordinates, so each distinct one is divided once
+    def _fraction(self):
+        """x -> x / scale as a Fraction, each distinct x divided once: lifts repeat coordinates."""
+        scale, memo = self.scale, {}
 
         def q(x) -> Fraction:
-            f = frac.get(x)
+            f = memo.get(x)
             if f is None:
-                f = frac[x] = Fraction(x, scale)
+                f = memo[x] = Fraction(x, scale)
             return f
 
-        boxes = {v: Box(tuple((q(lo), q(hi)) for lo, hi in b)) for v, b in self.boxes.items()}
-        ws = {v: Witness(tuple(map(q, self.points[v])), r) for v, r in self.radii.items()}
-        return Representation(boxes, ws)
+        return q
+
+    def fraction_boxes(self, q=None) -> dict[int, Box]:
+        """The boxes as Fractions; q divides by the scale (a fresh _fraction by default)."""
+        q = q or self._fraction()
+        return {v: Box(tuple((q(lo), q(hi)) for lo, hi in b)) for v, b in self.boxes.items()}
+
+    def witness(self, v: int, q=None) -> Witness:
+        """v's witness as Fractions; q as for fraction_boxes."""
+        q = q or self._fraction()
+        return Witness(tuple(map(q, self.points[v])), Fraction(*self.radii[v]))
+
+    def to_representation(self) -> Representation:
+        q = self._fraction()
+        return Representation(self.fraction_boxes(q), {v: self.witness(v, q) for v in self.radii})
 
 
 def check_witness(v: int, rep: Representation) -> bool:
@@ -452,20 +552,29 @@ def check_witness(v: int, rep: Representation) -> bool:
     if w is None:
         raise MissingWitness(f"vertex {v} has no stored witness")
     scale, grid, scaled = _grid(rep.boxes, {v: w.point})
-    return _witness_ok(v, w.radius, scaled[v], scale, grid)
+    return _witness_ok(v, (w.radius.numerator, w.radius.denominator), scaled[v], scale, grid)
 
 
-def _witness_ok(v: int, radius: Fraction, p: IntPoint, scale: int, grid: dict[int, IntBox]) -> bool:
+def _witness_ok(v: int, radius: Pair, p: IntPoint, scale: int, grid: dict[int, IntBox]) -> bool:
     """p on v's boundary and every other box farther than radius/2 from it.
 
-    On the grid a distance d stands for d/scale, so d/scale > rnum/(2*rden)
-    becomes 2*rden*d > rnum*scale.
+    On the grid a distance d stands for d/scale, so with radius rn/rd the test
+    d/scale > rn/(2*rd) becomes 2*rd*d > rn*scale, which holds for an
+    unreduced pair too.  A box is far enough once one axis puts it so.
     """
-    if radius <= 0 or not _on_boundary(grid[v], p):
+    rn, rd = radius
+    if rn <= 0 or not _on_boundary(grid[v], p):
         return False
-    twice_den = 2 * radius.denominator
-    need = radius.numerator * scale
-    return all(twice_den * _gap(b, p) > need for u, b in grid.items() if u != v)
+    twice_den, need = 2 * rd, rn * scale
+    for u, b in grid.items():
+        if u == v:
+            continue
+        for (lo, hi), x in zip(b, p):
+            if twice_den * (lo - x if x < lo else x - hi) > need:
+                break
+        else:
+            return False
+    return True
 
 
 IntervalTuple = tuple[Interval, ...]
@@ -587,8 +696,43 @@ def exposed_witness(
 @dataclass(frozen=True)
 class C2Report:
     ok: bool
-    witnesses: dict[int, Witness]
+    witnesses: Mapping[int, Witness]  # by vertex, in vertex order
     covered: tuple[int, ...]  # vertices whose whole boundary is covered by the others
+
+
+def _c2_found(
+    rep: GridRep, max_dim: int, max_boxes: int, frac: Representation | None
+) -> tuple[dict[int, Witness | None], list[int]]:
+    """C2 on rep's grid: (found, covered), each in vertex order.
+
+    found[v] is None when v's stored witness passes the exact re-check, and
+    otherwise the witness a facet sweep found.  The sweep runs on frac, rep's
+    boxes as Fractions, made from the grid for the first vertex that needs
+    it; the swept points' radii come from one witness_radii call.
+    """
+    scale, grid = rep.scale, rep.boxes
+    found: dict[int, Witness | None] = {}
+    swept: dict[int, Point] = {}
+    covered: list[int] = []
+    for v in sorted(grid):
+        p = rep.points.get(v)
+        if p is not None and _witness_ok(v, rep.radii[v], p, scale, grid):
+            found[v] = None
+            continue
+        if frac is None:
+            frac = Representation(rep.fraction_boxes())
+        point = _exposed_point(v, frac, max_dim, max_boxes)
+        if point is None:
+            covered.append(v)
+        else:
+            found[v] = None  # keeps v's place; its witness is set below
+            swept[v] = point
+    if swept:
+        for v, r in witness_radii(swept, frac).items():
+            if r is None:
+                raise AssertionError("uncovered facet point lies in another box")
+            found[v] = Witness(swept[v], r)
+    return found, covered
 
 
 def verify_c2(
@@ -605,17 +749,60 @@ def verify_c2(
     callers can persist it.
     """
     _check_cover(g, rep)
-    scale, grid, scaled = _grid(rep.boxes, {v: w.point for v, w in rep.witnesses.items()})
-    found: dict[int, Witness] = {}
-    covered: list[int] = []
-    for v in rep.vertices():
-        w = rep.witnesses.get(v)
-        if w is not None and _witness_ok(v, w.radius, scaled[v], scale, grid):
-            found[v] = w
-            continue
-        got = exposed_witness(v, rep, max_dim=max_dim, max_boxes=max_boxes)
-        if got is None:
-            covered.append(v)
-        else:
-            found[v] = got
-    return C2Report(ok=not covered, witnesses=found, covered=tuple(covered))
+    found, covered = _c2_found(GridRep.of(rep), max_dim, max_boxes, rep)
+    witnesses = {v: rep.witnesses[v] if w is None else w for v, w in found.items()}
+    return C2Report(ok=not covered, witnesses=witnesses, covered=tuple(covered))
+
+
+def verify_grid(
+    g: Graph,
+    rep: GridRep,
+    *,
+    max_dim: int = DEFAULT_MAX_SWEEP_DIM,
+    max_boxes: int = DEFAULT_MAX_SWEEP_BOXES,
+) -> tuple[C1Report, C2Report]:
+    """verify_c1 and verify_c2 of the representation on rep's grid, decided on its ints.
+
+    A stored witness that passes stays on the grid: the report builds its
+    Fractions only when it is read, and witnesses_to_json writes it from the
+    ints.  Only the facet sweep of a vertex whose stored witness fails makes
+    Fractions.
+    """
+    _check_cover(g, rep)
+    bad = _c1_violations(g, rep.boxes)
+    found, covered = _c2_found(rep, max_dim, max_boxes, None)
+    return (
+        C1Report(ok=not bad, violations=tuple(bad)),
+        C2Report(ok=not covered, witnesses=GridWitnesses(rep, found), covered=tuple(covered)),
+    )
+
+
+class GridWitnesses(Mapping):
+    """The witnesses of a verify_grid report, by vertex.
+
+    found[v] is a swept Witness, or None for a stored witness that passed: that
+    one stays ints on rep's grid until it is read, and to_json writes it from them.
+    """
+
+    def __init__(self, rep: GridRep, found: dict[int, Witness | None]):
+        self.rep = rep
+        self.found = found
+
+    def __getitem__(self, v: int) -> Witness:
+        w = self.found[v]
+        return self.rep.witness(v) if w is None else w
+
+    def __iter__(self):
+        return iter(self.found)
+
+    def __len__(self) -> int:
+        return len(self.found)
+
+    def to_json(self) -> dict:
+        """witnesses_to_json of these witnesses."""
+        text, points, radii = _grid_text(self.rep.scale), self.rep.points, self.rep.radii
+        return {
+            str(v): {"point": [text(x) for x in points[v]], "radius": fmt_pair(*radii[v])}
+            if w is None else _witness_json(w)
+            for v, w in self.found.items()
+        }

@@ -17,10 +17,11 @@ grid.  The base builders hand their Fraction boxes to `boxes.certify`.  The
 lifts work on the grid form itself (`boxes.GridRep`: ints over one scale):
 a lift appends integer levels k * scale and reuses the input's coordinates,
 so the grid of its input is the grid of its output, and `boxes.certify_grid`
-checks the step's ints directly.  A pipeline verifies its base once, puts it
-on its grid, runs every lift there, and builds the Fraction representation
-once, after the last step.  Public lifts verify their input, convert it,
-lift and convert back.
+checks the step's ints directly.  A pipeline puts its base on its grid once
+(a given base is verified first; the tree base it builds itself is certified
+there), runs every lift there, and keeps the final grid: its trace builds the
+Fraction representation only when `final` is read.  Public lifts verify
+their input, convert it, lift and convert back.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -39,7 +41,7 @@ from .boxes import (
     Representation,
     certify,
     certify_grid,
-    rep_to_json,
+    grid_to_json,
     verify_c1,
     verify_c2,
 )
@@ -112,6 +114,11 @@ def build_tree_rep(t: Graph) -> Representation:
     shallow enough to stay clear of grandparents, and sibling subtrees stay in
     disjoint vertical corridors, so only parent/child boxes meet.
     """
+    return certify(t, *_tree_layout(t), "tree builder")
+
+
+def _tree_layout(t: Graph) -> tuple[dict[int, Box], dict[int, Point]]:
+    """build_tree_rep's boxes and witness points, before they are certified."""
     if not is_tree(t):
         raise NotATree("input graph is not a tree")
     if t.n < 3:
@@ -144,8 +151,7 @@ def build_tree_rep(t: Graph) -> Representation:
             boxes[c] = Box(((slot + width / 4, slot + width - width / 4), (y1 - half, y1 + half)))
         # the spare slot keeps this vertex's own boundary exposed
         points[v] = (x0 + m * width + width / 2, y1)
-
-    return certify(t, boxes, points, "tree builder")
+    return boxes, points
 
 
 def threshold_graph(n_clique: int, nested_sizes: Sequence[int]) -> Graph:
@@ -359,7 +365,11 @@ class TraceStep:
 class ConstructionTrace:
     base_dim: int
     steps: tuple[TraceStep, ...]
-    final: Representation
+    grid: GridRep  # the final representation, on the grid of the base
+
+    @cached_property
+    def final(self) -> Representation:
+        return self.grid.to_representation()
 
 
 def trace_to_json(trace: ConstructionTrace) -> dict:
@@ -381,20 +391,27 @@ def trace_to_json(trace: ConstructionTrace) -> dict:
             }
             for s in trace.steps
         ],
-        "final": rep_to_json(trace.final),
+        "final": grid_to_json(trace.grid),
     }
 
 
-def build_from_edit_sequence(g: Graph, seq: EditSequence, base_rep: Representation) -> ConstructionTrace:
-    """Lift a verified base representation back up an edit sequence, in reverse.
+def build_from_edit_sequence(
+    g: Graph, seq: EditSequence, base_rep: Representation | None = None
+) -> ConstructionTrace:
+    """Lift a base representation back up an edit sequence, in reverse.
 
     Dimension grows by exactly one per inverted deletion and two per inverted
-    contraction.  The base is verified once and put on its integer grid; each
-    step runs on that grid and its output is certified against the graph it
-    represents, so the last one covers g.  Fractions come back once, at the end.
+    contraction.  A given base is verified once and put on its integer grid;
+    without one, the base is build_tree_rep's layout of seq.base, certified
+    on its grid.  Each step runs on that grid and its output is certified
+    against the graph it represents, so the last one covers g.  The trace's
+    final Representation is made from the grid when it is first read.
     """
     steps_fw = replay_edits(g, seq)  # raises SequenceMismatch on any drift
-    rep = GridRep.of(_verified(seq.base.vertices(), seq.base.edges, base_rep, "pipeline base"))
+    if base_rep is None:
+        rep = GridRep.certified(seq.base, *_tree_layout(seq.base), "tree builder")
+    else:
+        rep = GridRep.of(_verified(seq.base.vertices(), seq.base.edges, base_rep, "pipeline base"))
     base_dim = rep.dim
     steps: list[TraceStep] = []
 
@@ -423,14 +440,13 @@ def build_from_edit_sequence(g: Graph, seq: EditSequence, base_rep: Representati
     av, ae, bc = seq.counts()
     if rep.dim != base_dim + av + ae + 2 * bc:
         raise AssertionError("pipeline dimension drifted from its budget")
-    return ConstructionTrace(base_dim=base_dim, steps=tuple(steps), final=rep.to_representation())
+    return ConstructionTrace(base_dim=base_dim, steps=tuple(steps), grid=rep)
 
 
 def tree_pipeline(g: Graph) -> tuple[EditSequence, ConstructionTrace]:
     """Spanning-tree reduction plus lifts: dimension 2 + (#non-tree edges)."""
     seq = reduce_to_spanning_tree(g)
-    base = build_tree_rep(seq.base)
-    return seq, build_from_edit_sequence(g, seq, base)
+    return seq, build_from_edit_sequence(g, seq)
 
 
 # -- tiny exact oracle ----------------------------------------------------------------

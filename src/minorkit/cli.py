@@ -26,11 +26,12 @@ from json.encoder import encode_basestring_ascii as _escape
 from . import build as bld
 from . import stealth as st
 from .boxes import (
-    Representation,
+    GridRep,
+    grid_from_json,
+    grid_to_json,
     rep_from_json,
     rep_to_json,
-    verify_c1,
-    verify_c2,
+    verify_grid,
     witnesses_to_json,
 )
 from .exceptions import BadBounds, BadNesting, MinorkitError, ParseError, TooLarge
@@ -166,9 +167,8 @@ def cmd_box_verify(args) -> int:
     rep.input("graph", args.graph, gdig)
     rep.input("rep", args.rep, rdig)
     g = graph_from_json(gobj)
-    r = rep_from_json(robj)
-    c1 = verify_c1(g, r)
-    c2 = verify_c2(g, r)
+    r = grid_from_json(robj)
+    c1, c2 = verify_grid(g, r)
     rep.data["results"] = {
         "c1_ok": c1.ok,
         "c1_violations": [[i, j, kind] for i, j, kind in c1.violations],
@@ -190,7 +190,7 @@ def cmd_box_build(args) -> int:
         except ValueError as exc:
             raise ParseError(f"--nested wants a comma list of integers, got {args.nested!r}") from exc
         g = bld.threshold_graph(args.clique, sizes)
-        r = bld.build_threshold_rep(args.clique, sizes)
+        r = GridRep.of(bld.build_threshold_rep(args.clique, sizes))
         trace = None
     else:
         if not args.graph:
@@ -199,26 +199,24 @@ def cmd_box_build(args) -> int:
         rep.input("graph", args.graph, gdig)
         g = graph_from_json(gobj)
         if args.strategy == "tree":
-            r = bld.build_tree_rep(g)
+            r = GridRep.of(bld.build_tree_rep(g))
             trace = None
         else:  # edits
             if args.edits:
                 eobj, edig = _read_json(args.edits)
                 rep.input("edits", args.edits, edig)
                 seq = apply_edits(g, edits_from_json(eobj))
+                base = None  # the pipeline builds and certifies a tree base
                 if args.base_rep:
                     bobj, bdig = _read_json(args.base_rep)
                     rep.input("base_rep", args.base_rep, bdig)
                     base = rep_from_json(bobj)
-                else:
-                    base = bld.build_tree_rep(seq.base)
                 trace = bld.build_from_edit_sequence(g, seq, base)
             else:
                 _, trace = bld.tree_pipeline(g)
-            r = trace.final
-    # builders self-verify, but reports carry freshly recomputed verdicts
-    c1 = verify_c1(g, r)
-    c2 = verify_c2(g, r)
+            r = trace.grid
+    # builders self-verify, but reports carry fresh verdicts on the grid that is written
+    c1, c2 = verify_grid(g, r)
     if not (c1.ok and c2.ok):
         rep.data["results"] = {"error": "built representation failed verification"}
         return rep.emit(FAIL)
@@ -236,7 +234,7 @@ def cmd_box_build(args) -> int:
             _write_json(args.trace_out, bld.trace_to_json(trace))
             rep.data["results"]["trace_file"] = args.trace_out
     if args.out:
-        _write_json(args.out, rep_to_json(Representation(r.boxes, c2.witnesses)))
+        _write_json(args.out, grid_to_json(r, c2.witnesses))
         rep.data["results"]["rep_file"] = args.out
     if args.graph_out:
         _write_json(args.graph_out, graph_to_json(g))

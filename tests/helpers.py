@@ -11,9 +11,11 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 
-from minorkit import Box, Graph, Representation, Witness, components
-from minorkit.boxes import certify
-from minorkit.exceptions import Inconsistent
+from minorkit import Box, C1Report, C2Report, Graph, Representation, Witness, components, exposed_witness
+from minorkit.boxes import DEFAULT_MAX_SWEEP_BOXES, DEFAULT_MAX_SWEEP_DIM, _json_object, _label, certify
+from minorkit.exceptions import DimensionMismatch, Inconsistent, ParseError, VertexMismatch
+from minorkit.graph import _json_int
+from minorkit.ratio import parse_ratio
 
 F = Fraction
 
@@ -240,3 +242,77 @@ def lift_uncontract_fraction(rep: Representation, g: Graph, u: int, n_restored: 
             boxes[i] = cross(rep.boxes[i], (0, 10), (0, 10))
             points[i] = rep.witnesses[i].point + (F(0), F(0))
     return certify(g, boxes, points, "uncontract lift")
+
+
+# -- the Fraction reader and verifier the grid path replaced ------------------------------
+
+
+def rep_from_json_fraction(obj) -> Representation:
+    """rep_from_json as it read every value with parse_ratio into a Box and a Witness."""
+    try:
+        obj = _json_object(obj, "a representation")
+        dim = _json_int(obj["dim"], "dim")
+        boxes = {}
+        for key, ivs in _json_object(obj["boxes"], "boxes").items():
+            if not isinstance(ivs, list) or not all(isinstance(iv, list) for iv in ivs):
+                raise ParseError(f"box {key} must be a JSON list of [lo, hi] lists")
+            b = Box.make(*ivs)
+            if b.dim != dim:
+                raise ParseError(f"box for vertex {key} has dim {b.dim}, expected {dim}")
+            boxes[_label(key)] = b
+        witnesses = {}
+        for key, w in _json_object(obj.get("witnesses", {}), "witnesses").items():
+            if not isinstance(w, dict) or not isinstance(w.get("point"), list):
+                raise ParseError(f"witness {key} must be a JSON object with a list point")
+            witnesses[_label(key)] = Witness(
+                tuple(parse_ratio(x) for x in w["point"]), parse_ratio(w["radius"])
+            )
+        return Representation(boxes, witnesses)
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError, DimensionMismatch, VertexMismatch) as exc:
+        raise ParseError(f"bad representation object: {exc}") from exc
+
+
+def _check_cover_fraction(g: Graph, rep: Representation) -> None:
+    if set(rep.boxes) != set(g.vertices()):
+        raise VertexMismatch(f"representation covers {sorted(rep.boxes)} but the graph has 1..{g.n}")
+
+
+def verify_c1_fraction(g: Graph, rep: Representation) -> C1Report:
+    """verify_c1 by Box.intersects on the Fractions: every pair, in vertex order."""
+    _check_cover_fraction(g, rep)
+    edges = set(g.edges)
+    bad = []
+    verts = rep.vertices()
+    for pos, i in enumerate(verts):
+        for j in verts[pos + 1:]:
+            meet = rep.boxes[i].intersects(rep.boxes[j])
+            if meet and (i, j) not in edges:
+                bad.append((i, j, "unexpected"))
+            elif (i, j) in edges and not meet:
+                bad.append((i, j, "missing"))
+    return C1Report(ok=not bad, violations=tuple(bad))
+
+
+def verify_c2_fraction(
+    g: Graph, rep: Representation, *, max_dim=DEFAULT_MAX_SWEEP_DIM, max_boxes=DEFAULT_MAX_SWEEP_BOXES
+) -> C2Report:
+    """verify_c2 on the Fractions: a stored witness passes when its point lies on v's
+    boundary and every other box is farther than radius / 2 from it; every other
+    vertex gets exposed_witness's facet sweep, one vertex at a time."""
+    _check_cover_fraction(g, rep)
+    found, covered = {}, []
+    for v in rep.vertices():
+        w = rep.witnesses.get(v)
+        if w is not None and w.radius > 0 and rep.boxes[v].on_boundary(w.point) and all(
+            b.linf_distance(w.point) > w.radius / 2 for u, b in rep.boxes.items() if u != v
+        ):
+            found[v] = w
+            continue
+        got = exposed_witness(v, rep, max_dim=max_dim, max_boxes=max_boxes)
+        if got is None:
+            covered.append(v)
+        else:
+            found[v] = got
+    return C2Report(ok=not covered, witnesses=found, covered=tuple(covered))

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import count, islice
 from unittest.mock import patch
@@ -17,13 +18,14 @@ from minorkit import (
     exposed_witness,
     rep_from_json,
     rep_to_json,
+    tree_pipeline,
     verify_c1,
     verify_c2,
     witness_radii,
     witness_radius,
 )
 from minorkit import boxes
-from minorkit.boxes import QUARTER, certify
+from minorkit.boxes import certify, grid_from_json, grid_to_json, verify_grid, witnesses_to_json
 from minorkit.exceptions import (
     DimensionMismatch,
     MissingWitness,
@@ -32,7 +34,20 @@ from minorkit.exceptions import (
     VertexMismatch,
 )
 
-from helpers import cross, permute, random_rep, sampled_uncovered_point, translate
+from helpers import (
+    cross,
+    permute,
+    random_connected,
+    random_rep,
+    rep_from_json_fraction,
+    sampled_uncovered_point,
+    translate,
+    verify_c1_fraction,
+    verify_c2_fraction,
+)
+
+
+QUARTER = F(1, 4)  # the largest witness radius
 
 
 def interval_triple():
@@ -299,6 +314,156 @@ class TestIntegerGrid:
         assert check_witness(3, rep)  # 1/22 > (1/13)/2
         # a cube of side 1/11 would reach exactly to box 2, which is closed
         assert not check_witness(3, Representation(rep.boxes, {3: Witness((F(1, 2),), F(1, 11))}))
+
+
+def spelled(x: F, how: int):
+    """x as a JSON value: by `how`, "3p/3q", a decimal, an exponent, "-0", an int, or "p/q"."""
+    n, d = x.numerator, x.denominator
+    k = next((k for k in range(7) if 10**k % d == 0), None)
+    if how == 1:
+        return f"{3 * n}/{3 * d}"
+    if how == 2 and k is not None:
+        return format(Decimal(n * 10**k // d).scaleb(-k), "f")
+    if how == 3 and k is not None:
+        return f"{n * 10**k // d}e-{k}"
+    if how == 4 and n == 0:
+        return "-0"
+    if how == 5 and d == 1:
+        return n
+    return str(x)
+
+
+def malform(obj: dict, rnd: random.Random) -> None:
+    """Break one part of a representation's JSON, or none."""
+    boxes_, ws = obj["boxes"], obj.get("witnesses", {})
+    key = rnd.choice(sorted(boxes_))
+    box = boxes_[key]
+    ax = rnd.randrange(len(box))
+    wkey = rnd.choice(sorted(ws)) if ws else None
+    kind = rnd.randrange(20)
+    if kind == 0:
+        box[ax] = box[ax][::-1]  # out of order, or unchanged if lo == hi
+    elif kind == 1:
+        box[ax] = [box[ax][0], box[ax][0]]  # degenerate
+    elif kind == 2:
+        box[ax] = [rnd.choice(["x", 1.5, True, "1/0", None, [], "01", "1e99999"]), box[ax][1]]
+    elif kind == 3:
+        box[ax] = box[ax] + [box[ax][1]]
+    elif kind == 4:
+        boxes_[key] = []
+    elif kind == 5:
+        obj["dim"] += 1
+    elif kind == 6:
+        del obj["dim"]
+    elif kind == 7:
+        boxes_["0" + key] = boxes_.pop(key)
+    elif kind == 8:
+        obj["boxes"] = {}
+    elif kind == 9 and wkey:
+        ws[wkey]["point"] = ws[wkey]["point"][:-1]
+    elif kind == 10 and wkey:
+        ws[str(len(boxes_) + 1)] = dict(ws[wkey])
+    elif kind == 11 and wkey:
+        del ws[wkey]["radius"]
+    elif kind == 12 and wkey:
+        ws[wkey]["radius"] = rnd.choice(["x", 0.5, False, "2/0"])
+
+
+@st.composite
+def rep_files(draw):
+    """(graph, representation JSON) as a user might write it.
+
+    The representation is a small one with candidate witnesses, or a lifted
+    one (dim >= 3) whose witnesses are kept, dropped, zeroed, widened or moved
+    off the boundary.  Every value is respelled, and now and then one part of
+    the file is broken.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        g, rep = draw(witnessed_reps())
+    else:
+        n = draw(st.integers(3, 7))
+        g = random_connected(n, min(n - 1 + draw(st.integers(1, 3)), n * (n - 1) // 2), rnd)
+        rep = tree_pipeline(g)[1].final
+        ws = {}
+        for v, w in rep.witnesses.items():
+            how = rnd.randrange(7)
+            if how == 1:
+                w = Witness(w.point, F(0))
+            elif how == 2:
+                w = Witness(w.point, w.radius * 8)
+            elif how == 3:
+                w = Witness(w.point[:-1] + (w.point[-1] + F(1, 3),), w.radius)
+            if how:
+                ws[v] = w
+        rep = Representation(rep.boxes, ws)
+    obj = rep_to_json(rep)
+    spell = lambda text: spelled(F(text), rnd.randrange(8))  # noqa: E731
+    obj["boxes"] = {k: [[spell(lo), spell(hi)] for lo, hi in b] for k, b in obj["boxes"].items()}
+    for w in obj.get("witnesses", {}).values():
+        w["point"] = [spell(x) for x in w["point"]]
+        w["radius"] = spell(w["radius"])
+    if rnd.randrange(3) == 0:
+        malform(obj, rnd)
+    return g, obj
+
+
+def outcome(call):
+    """call()'s result, or the type and message of the error it raised."""
+    try:
+        return call()
+    except (ParseError, TooLarge, VertexMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def witnesses_json_fraction(witnesses) -> dict:
+    """The witness JSON as written from Fractions."""
+    return {str(v): {"point": [str(x) for x in w.point], "radius": str(w.radius)} for v, w in witnesses.items()}
+
+
+class TestGridPath:
+    """grid_from_json and verify_grid against the Fraction reader and verifier they replaced."""
+
+    @given(rep_files(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_and_verifier_match_the_fraction_path(self, case, oversized_grid):
+        g, obj = case
+        # GRID_MAX_BITS = 0 keeps every coordinate a Fraction on a grid of scale 1
+        with patch.object(boxes, "GRID_MAX_BITS", 0 if oversized_grid else boxes.GRID_MAX_BITS):
+            want = outcome(lambda: rep_from_json_fraction(obj))
+            got = outcome(lambda: rep_from_json(obj))
+            if not isinstance(want, Representation):
+                assert got == want and want[0] is ParseError
+                assert outcome(lambda: grid_from_json(obj)) == want
+                return
+            # key order too: it decides the order of the written JSON
+            assert list(got.boxes.items()) == list(want.boxes.items())
+            assert list(got.witnesses.items()) == list(want.witnesses.items())
+
+            ref = outcome(lambda: (verify_c1_fraction(g, want), verify_c2_fraction(g, want)))
+            grid = grid_from_json(obj)
+            for verify in (lambda: verify_grid(g, grid), lambda: (verify_c1(g, want), verify_c2(g, want))):
+                reports = outcome(verify)
+                if isinstance(ref[0], type):  # both raised
+                    assert reports == ref
+                    continue
+                (c1, c2), (r1, r2) = reports, ref
+                assert c1 == r1
+                assert c2.ok == r2.ok and c2.covered == r2.covered
+                assert list(c2.witnesses.items()) == list(r2.witnesses.items())
+                assert witnesses_to_json(c2.witnesses) == witnesses_json_fraction(r2.witnesses)
+
+    def test_written_file_matches_the_fraction_writer(self):
+        g = random_connected(9, 12, random.Random(3))
+        rep = tree_pipeline(g)[1].final
+        c1, c2 = verify_grid(g, grid_from_json(rep_to_json(rep)))
+        assert c1.ok and c2.ok
+        obj = grid_to_json(grid_from_json(rep_to_json(rep)), c2.witnesses)
+        assert obj == {
+            "dim": rep.dim,
+            "boxes": {str(v): [[str(lo), str(hi)] for lo, hi in b.intervals] for v, b in rep.boxes.items()},
+            "witnesses": witnesses_json_fraction(rep.witnesses),
+        }
 
 
 def reference_certify(g, box_map, points):

@@ -53,10 +53,9 @@ from helpers import (
 )
 
 
-def test_tree_pipeline_makes_four_grids_and_four_reps():
-    # build_tree_rep: 1 each; the pipeline base: 2 grids (verify_c1 + verify_c2) and
-    # 2 reps (the relabelled copy + the witnessed result); its grid form: 1 grid;
-    # the final conversion: 1 rep.  The lifts in between make neither.
+def test_tree_pipeline_makes_one_grid_and_one_rep():
+    # the tree base goes onto its grid once, through certify_grid, and makes no rep;
+    # the lifts make neither; the final rep is made once, when trace.final is read
     assert "_grid" not in vars(build)  # so patching boxes._grid counts every call
     init = Representation.__init__
     for n, m, steps in ((8, 7, 0), (10, 15, 6), (12, 22, 11)):
@@ -70,8 +69,10 @@ def test_tree_pipeline_makes_four_grids_and_four_reps():
         with patch.object(boxes, "_grid", wraps=boxes._grid) as grid, \
                 patch.object(Representation, "__init__", counted_init):
             seq, trace = tree_pipeline(g)
+            assert grid.call_count == 1 and len(reps) == 0
+            assert trace.final is trace.final
         assert len(seq.ops) == len(trace.steps) == steps
-        assert grid.call_count == 4 and len(reps) == 4
+        assert grid.call_count == 1 and len(reps) == 1
 
 
 def assert_strong(g, rep):

@@ -8,16 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from minorkit import (
+    Contract,
+    EdgeDelete,
     Graph,
+    VertexDelete,
+    apply_edit,
     assemble_gain_matrix,
     build_tree_rep,
     flows,
     graph_from_json,
     graph_to_json,
+    is_connected,
     rep_to_json,
     vector_to_json,
 )
+from minorkit import build as bld
 from minorkit.cli import _dumps, main
+from minorkit.graph import spanning_tree_edges
 from minorkit.ratio import fmt_ratio
 
 from helpers import random_connected, random_cut_targets, recover_states_fraction, root_trap_graph
@@ -129,6 +136,52 @@ class TestBoxCommands:
         ef = write(tmp_path / "edits.json", [{"kind": "edge_delete", "u": 1, "v": 4}])
         code, report = run(capsys, "box", "build", gf, "--strategy", "edits", "--edits", ef)
         assert code == 0 and report["results"]["dim"] == 3
+
+    @staticmethod
+    def edits_of_every_kind(g):
+        """A vertex deletion that keeps g connected, a contraction, then the non-tree edges."""
+        v = max(u for u in g.vertices() if is_connected(apply_edit(g, VertexDelete(u))))
+        ops = [VertexDelete(v)]
+        cur = apply_edit(g, ops[0])
+        ops.append(Contract(*cur.edges[0]))
+        cur = apply_edit(cur, ops[1])
+        tree = spanning_tree_edges(cur)
+        ops += [EdgeDelete(*e) for e in cur.edges if e not in tree]
+        kinds = {VertexDelete: "vertex_delete", Contract: "contract", EdgeDelete: "edge_delete"}
+        return [
+            {"kind": kinds[type(op)], "v": op.v} if isinstance(op, VertexDelete)
+            else {"kind": kinds[type(op)], "u": op.u, "v": op.v}
+            for op in ops
+        ]
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["tree-pipeline", "edit-list"])
+    def test_box_path_builds_no_fractions_past_the_lifts(self, tmp_path, capsys, monkeypatch, explicit):
+        """box build writes its last lift's grid, and box verify checks a file, on ints."""
+        g = random_connected(14, 20, random.Random(6))
+        gf = write(tmp_path / "g.json", graph_to_json(g))
+        rf, tf = str(tmp_path / "rep.json"), str(tmp_path / "trace.json")
+        argv = ["box", "build", gf, "--strategy", "edits", "--out", rf, "--trace-out", tf]
+        if explicit:
+            argv += ["--edits", write(tmp_path / "e.json", self.edits_of_every_kind(g))]
+        made = count_fractions(monkeypatch)
+        after_lift = []
+
+        def recording(lift):
+            def recorded(*args):
+                out = lift(*args)
+                after_lift.append(made[0])
+                return out
+            return recorded
+
+        for name in ("_lift_vertex_add", "_lift_uncontract"):
+            monkeypatch.setattr(bld, name, recording(getattr(bld, name)))
+        code, report = run(capsys, *argv)
+        assert code == 0 and report["results"]["steps"] == len(after_lift) >= 7
+        assert made[0] == after_lift[-1]
+        made[0] = 0
+        code, report = run(capsys, "box", "verify", rf, gf)
+        assert code == 0 and report["results"]["c1_ok"] and report["results"]["c2_ok"]
+        assert made == [0]
 
     def test_threshold_fixture(self, tmp_path, capsys):
         rep_file = str(tmp_path / "th.json")

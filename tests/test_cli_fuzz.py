@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import tempfile
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorkit import Graph, assemble_gain_matrix, build_tree_rep, flows, graph_to_json, rep_to_json
-from minorkit import vector_to_json
+from minorkit import tree_pipeline, vector_to_json
 from minorkit.cli import main
 
 CYCLE = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], gains={5: F(1), 6: F(3, 2), 7: F(2), 8: F(1)})
@@ -27,8 +28,32 @@ TREE = Graph(5, [(1, 2), (1, 3), (2, 4), (2, 5)])
 PATH = Graph(3, [(1, 2), (2, 3)])
 CHORDED = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 5)])
 
+
+
+def _respelled(rep: dict) -> dict:
+    """The same representation with its values spelled "2p/2q", "ke-6", "0.5", "-0" or as ints, in turn."""
+    spellings = [
+        lambda x: f"{2 * x.numerator}/{2 * x.denominator}",
+        lambda x: f"{x.numerator * 10**6 // x.denominator}e-6" if 10**6 % x.denominator == 0 else str(x),
+        lambda x: "-0" if x == 0 else format(Decimal(x.numerator) / x.denominator, "f")
+        if 10**6 % x.denominator == 0 else str(x),
+        lambda x: x.numerator if x.denominator == 1 else str(x),
+    ]
+    turn = iter(range(10**6))
+    spell = lambda text: spellings[next(turn) % 4](F(text))  # noqa: E731
+    out = {"dim": rep["dim"], "boxes": {k: [[spell(a), spell(b)] for a, b in ivs] for k, ivs in rep["boxes"].items()}}
+    out["witnesses"] = {
+        k: {"point": [spell(x) for x in w["point"]], "radius": spell(w["radius"])} for k, w in rep["witnesses"].items()
+    }
+    return out
+
+
+LIFTED = rep_to_json(tree_pipeline(CHORDED)[1].final)  # dim 4: two non-tree edges
 # (graph, representation) pairs that verify, and graphs the other commands accept
-TREE_REPS = [(graph_to_json(t), rep_to_json(build_tree_rep(t))) for t in (TREE, PATH)]
+TREE_REPS = [(graph_to_json(t), rep_to_json(build_tree_rep(t))) for t in (TREE, PATH)] + [
+    (graph_to_json(CHORDED), LIFTED),
+    (graph_to_json(CHORDED), _respelled(LIFTED)),
+]
 BOX_GRAPHS = [graph_to_json(g) for g in (TREE, CHORDED, CYCLE)]
 EDITS = [
     [{"kind": "edge_delete", "u": 1, "v": 5}, {"kind": "edge_delete", "u": 2, "v": 5}],
