@@ -22,8 +22,10 @@ exactly reduces to facet coverage: v's boundary is fully covered by the other
 (closed) boxes iff each of its 2d facets is, and a facet is covered iff every
 full-dimensional cell of the endpoint arrangement restricted to it lies inside
 some other box.  The search below subdivides facets recursively at box
-endpoints (in Fraction arithmetic), discarding pieces that sit inside one
-covering box, so an uncovered cell centre is found quickly when one exists.
+endpoints, on the grid's ints, discarding pieces that sit inside one covering
+box, so an uncovered cell centre is found quickly when one exists.  A centre
+is kept doubled, lo + hi per axis, so no int is divided: the swept points lie
+on the grid of 2 * scale, and `GridRep.witnessed` re-bases the boxes there.
 """
 
 from __future__ import annotations
@@ -162,14 +164,14 @@ def rep_to_json(rep: Representation) -> dict:
 def _grid_text(scale: int):
     """x -> the text of x / scale, each distinct x formatted once: lifts repeat coordinates.
 
-    Past GRID_MAX_BITS the scale is 1 and x is the Fraction itself.
+    Past GRID_MAX_BITS x may be a Fraction, on a scale of 1 or, once swept, 2.
     """
     memo: dict = {}
 
     def text(x) -> str:
         t = memo.get(x)
         if t is None:
-            t = memo[x] = fmt_pair(x, scale) if isinstance(x, int) else str(x)
+            t = memo[x] = fmt_pair(x, scale) if isinstance(x, int) else str(x / scale)
         return t
 
     return text
@@ -186,7 +188,7 @@ def grid_to_json(rep: GridRep, witnesses: Mapping[int, Witness] | None = None) -
         "boxes": {str(v): [[text(lo), text(hi)] for lo, hi in b] for v, b in rep.boxes.items()},
     }
     if witnesses is None:
-        witnesses = GridWitnesses(rep, dict.fromkeys(rep.radii))
+        witnesses = GridWitnesses(rep)
     if witnesses:
         out["witnesses"] = witnesses_to_json(witnesses)
     return out
@@ -479,10 +481,12 @@ class GridRep:
     """A representation on the grid of `scale`: coordinate x stands for x / scale.
 
     points and radii hold the witnesses, of every vertex when a builder made
-    the grid, of those a file gives when grid_from_json read it; a radius is
+    the grid, of those a file gives when grid_from_json read it, and of every
+    vertex that keeps one when the verifier made it (witnessed); a radius is
     a (num, den) pair.  Lifts add integer levels and reuse coordinates, so a
     whole edit pipeline keeps the grid of its base.  Past GRID_MAX_BITS the
-    scale is 1 and the coordinates are Fractions.
+    scale is 1, or 2 once witnessed re-bases it, and the coordinates are
+    Fractions.
     """
 
     scale: int
@@ -517,6 +521,26 @@ class GridRep:
             {mapping.get(v, v): r for v, r in self.radii.items()},
         )
 
+    def witnessed(self, order: list[int], swept: Mapping[int, IntPoint]) -> "GridRep":
+        """The grid with a witness for each vertex of order, in that order.
+
+        A vertex in swept gets the facet sweep's point, which lies on the grid of
+        2 * scale; every other one keeps its stored witness.  With any swept
+        point the boxes and the kept points are re-based on 2 * scale, and the
+        swept points' radii are found there.  A radius pair is a value, not a
+        grid coordinate, so a kept one carries over unchanged.
+        """
+        scale, boxes, points, radii = self.scale, self.boxes, self.points, self.radii
+        if swept:
+            scale *= 2
+            boxes = {v: tuple((2 * lo, 2 * hi) for lo, hi in b) for v, b in boxes.items()}
+            points = {v: tuple(2 * x for x in p) for v, p in points.items()} | swept
+            found = _radii(scale, boxes, swept)
+            if None in found.values():
+                raise AssertionError("uncovered facet point lies in another box")
+            radii = radii | found
+        return GridRep(scale, boxes, {v: points[v] for v in order}, {v: radii[v] for v in order})
+
     def _fraction(self):
         """x -> x / scale as a Fraction, each distinct x divided once: lifts repeat coordinates."""
         scale, memo = self.scale, {}
@@ -529,19 +553,15 @@ class GridRep:
 
         return q
 
-    def fraction_boxes(self, q=None) -> dict[int, Box]:
-        """The boxes as Fractions; q divides by the scale (a fresh _fraction by default)."""
-        q = q or self._fraction()
-        return {v: Box(tuple((q(lo), q(hi)) for lo, hi in b)) for v, b in self.boxes.items()}
-
     def witness(self, v: int, q=None) -> Witness:
-        """v's witness as Fractions; q as for fraction_boxes."""
+        """v's witness as Fractions; q divides by the scale (a fresh _fraction by default)."""
         q = q or self._fraction()
         return Witness(tuple(map(q, self.points[v])), Fraction(*self.radii[v]))
 
     def to_representation(self) -> Representation:
         q = self._fraction()
-        return Representation(self.fraction_boxes(q), {v: self.witness(v, q) for v in self.radii})
+        boxes = {v: Box(tuple((q(lo), q(hi)) for lo, hi in b)) for v, b in self.boxes.items()}
+        return Representation(boxes, {v: self.witness(v, q) for v in self.radii})
 
 
 def check_witness(v: int, rep: Representation) -> bool:
@@ -577,10 +597,7 @@ def _witness_ok(v: int, radius: Pair, p: IntPoint, scale: int, grid: dict[int, I
     return True
 
 
-IntervalTuple = tuple[Interval, ...]
-
-
-def _clip_fulldim(box: IntervalTuple, region: IntervalTuple) -> IntervalTuple | None:
+def _clip_fulldim(box: IntBox, region: IntBox) -> IntBox | None:
     """Clip to the region, dropping empty or measure-zero overlaps.
 
     Measure-zero slices cannot cover any full-dimensional arrangement cell, and
@@ -596,13 +613,13 @@ def _clip_fulldim(box: IntervalTuple, region: IntervalTuple) -> IntervalTuple | 
     return tuple(out)
 
 
-def _search_uncovered(region: IntervalTuple, boxes: list[IntervalTuple]) -> Point | None:
-    """Centre of an arrangement cell of region not covered by any box, else None."""
+def _search_uncovered(region: IntBox, boxes: list[IntBox]) -> IntPoint | None:
+    """Twice the centre of an arrangement cell of region not covered by any box, else None."""
     for b in boxes:
         if all(blo <= rlo and rhi <= bhi for (blo, bhi), (rlo, rhi) in zip(b, region)):
             return None  # region fully inside one covering box
     if not boxes:
-        return tuple((lo + hi) / 2 for lo, hi in region)
+        return tuple(lo + hi for lo, hi in region)
     for b in boxes:
         for ax, (blo, bhi) in enumerate(b):
             rlo, rhi = region[ax]
@@ -619,30 +636,26 @@ def _search_uncovered(region: IntervalTuple, boxes: list[IntervalTuple]) -> Poin
     raise AssertionError("unreachable: no covering box and no split point")
 
 
-def _facet_uncovered(v: int, axis: int, side: int, rep: Representation) -> Point | None:
-    """An uncovered point on the given facet of v's box, or None if fully covered."""
-    box = rep.boxes[v]
-    c = box.intervals[axis][side]
-    others = [
-        b for u, b in rep.boxes.items()
-        if u != v and b.intervals[axis][0] <= c <= b.intervals[axis][1]
-    ]
-    if rep.dim == 1:
-        return None if others else (c,)
-    region = box.intervals[:axis] + box.intervals[axis + 1:]
+def _facet_uncovered(v: int, axis: int, side: int, grid: Mapping[int, IntBox]) -> IntPoint | None:
+    """An uncovered point on the given facet of v's box, doubled, or None if fully covered."""
+    box = grid[v]
+    c = box[axis][side]
+    others = [b for u, b in grid.items() if u != v and b[axis][0] <= c <= b[axis][1]]
+    if len(box) == 1:
+        return None if others else (2 * c,)
+    region = box[:axis] + box[axis + 1:]
     cands = []
     for b in others:
-        reduced = b.intervals[:axis] + b.intervals[axis + 1:]
-        clipped = _clip_fulldim(reduced, region)
+        clipped = _clip_fulldim(b[:axis] + b[axis + 1:], region)
         if clipped:
             cands.append(clipped)
     hit = _search_uncovered(region, cands)
     if hit is None:
         return None
-    return hit[:axis] + (c,) + hit[axis:]
+    return hit[:axis] + (2 * c,) + hit[axis:]
 
 
-def _sweep_gate(rep: Representation, max_dim: int, max_boxes: int) -> None:
+def _sweep_gate(rep: GridRep, max_dim: int, max_boxes: int) -> None:
     if rep.dim > max_dim:
         raise TooLarge(
             f"exact facet sweep gated at dimension {max_dim}; "
@@ -652,14 +665,17 @@ def _sweep_gate(rep: Representation, max_dim: int, max_boxes: int) -> None:
         raise TooLarge(f"exact facet sweep gated at {max_boxes} boxes")
 
 
-def _exposed_point(v: int, rep: Representation, max_dim: int, max_boxes: int) -> Point | None:
-    """A boundary point of v's box outside every other box, or None if all are covered."""
+def _exposed_point(v: int, rep: GridRep, max_dim: int, max_boxes: int) -> IntPoint | None:
+    """A boundary point of v's box outside every other box, or None if all are covered.
+
+    The point lies on the grid of 2 * rep.scale.
+    """
     if v not in rep.boxes:
         raise VertexMismatch(f"vertex {v} has no box")
     _sweep_gate(rep, max_dim, max_boxes)
     for axis in range(rep.dim):
         for side in (0, 1):
-            p = _facet_uncovered(v, axis, side, rep)
+            p = _facet_uncovered(v, axis, side, rep.boxes)
             if p is not None:
                 return p
     return None
@@ -673,7 +689,7 @@ def boundary_covered(
     max_boxes: int = DEFAULT_MAX_SWEEP_BOXES,
 ) -> bool:
     """True iff every point of v's boundary lies in some other box (exact)."""
-    return _exposed_point(v, rep, max_dim, max_boxes) is None
+    return _exposed_point(v, GridRep.of(rep), max_dim, max_boxes) is None
 
 
 def exposed_witness(
@@ -684,55 +700,39 @@ def exposed_witness(
     max_boxes: int = DEFAULT_MAX_SWEEP_BOXES,
 ) -> Witness | None:
     """Find an exclusive boundary point for v by facet sweep, or None if covered."""
-    p = _exposed_point(v, rep, max_dim, max_boxes)
-    if p is None:
-        return None
-    r = witness_radius(p, rep, v)
-    if r is None:
-        raise AssertionError("uncovered facet point lies in another box")
-    return Witness(p, r)
+    grid = GridRep.of(rep)
+    p = _exposed_point(v, grid, max_dim, max_boxes)
+    return None if p is None else grid.witnessed([v], {v: p}).witness(v)
 
 
 @dataclass(frozen=True)
 class C2Report:
     ok: bool
-    witnesses: Mapping[int, Witness]  # by vertex, in vertex order
+    witnesses: GridWitnesses  # by vertex, in vertex order, on the grid they were found on
     covered: tuple[int, ...]  # vertices whose whole boundary is covered by the others
 
 
-def _c2_found(
-    rep: GridRep, max_dim: int, max_boxes: int, frac: Representation | None
-) -> tuple[dict[int, Witness | None], list[int]]:
-    """C2 on rep's grid: (found, covered), each in vertex order.
+def _c2_found(rep: GridRep, max_dim: int, max_boxes: int) -> C2Report:
+    """C2 on rep's grid, with the witnesses and the covered vertices in vertex order.
 
-    found[v] is None when v's stored witness passes the exact re-check, and
-    otherwise the witness a facet sweep found.  The sweep runs on frac, rep's
-    boxes as Fractions, made from the grid for the first vertex that needs
-    it; the swept points' radii come from one witness_radii call.
+    A stored witness that passes the exact re-check is kept; every other
+    vertex gets a facet sweep, and the witnesses live on rep.witnessed's grid.
     """
     scale, grid = rep.scale, rep.boxes
-    found: dict[int, Witness | None] = {}
-    swept: dict[int, Point] = {}
+    found: list[int] = []
+    swept: dict[int, IntPoint] = {}
     covered: list[int] = []
     for v in sorted(grid):
         p = rep.points.get(v)
-        if p is not None and _witness_ok(v, rep.radii[v], p, scale, grid):
-            found[v] = None
-            continue
-        if frac is None:
-            frac = Representation(rep.fraction_boxes())
-        point = _exposed_point(v, frac, max_dim, max_boxes)
-        if point is None:
-            covered.append(v)
-        else:
-            found[v] = None  # keeps v's place; its witness is set below
-            swept[v] = point
-    if swept:
-        for v, r in witness_radii(swept, frac).items():
-            if r is None:
-                raise AssertionError("uncovered facet point lies in another box")
-            found[v] = Witness(swept[v], r)
-    return found, covered
+        if p is None or not _witness_ok(v, rep.radii[v], p, scale, grid):
+            p = _exposed_point(v, rep, max_dim, max_boxes)
+            if p is None:
+                covered.append(v)
+                continue
+            swept[v] = p
+        found.append(v)
+    witnesses = GridWitnesses(rep.witnessed(found, swept))
+    return C2Report(ok=not covered, witnesses=witnesses, covered=tuple(covered))
 
 
 def verify_c2(
@@ -749,9 +749,7 @@ def verify_c2(
     callers can persist it.
     """
     _check_cover(g, rep)
-    found, covered = _c2_found(GridRep.of(rep), max_dim, max_boxes, rep)
-    witnesses = {v: rep.witnesses[v] if w is None else w for v, w in found.items()}
-    return C2Report(ok=not covered, witnesses=witnesses, covered=tuple(covered))
+    return _c2_found(GridRep.of(rep), max_dim, max_boxes)
 
 
 def verify_grid(
@@ -763,46 +761,37 @@ def verify_grid(
 ) -> tuple[C1Report, C2Report]:
     """verify_c1 and verify_c2 of the representation on rep's grid, decided on its ints.
 
-    A stored witness that passes stays on the grid: the report builds its
-    Fractions only when it is read, and witnesses_to_json writes it from the
-    ints.  Only the facet sweep of a vertex whose stored witness fails makes
-    Fractions.
+    The report's witnesses stay ints on their grid: they build Fractions only
+    when they are read, and witnesses_to_json writes them from the ints.
     """
     _check_cover(g, rep)
     bad = _c1_violations(g, rep.boxes)
-    found, covered = _c2_found(rep, max_dim, max_boxes, None)
-    return (
-        C1Report(ok=not bad, violations=tuple(bad)),
-        C2Report(ok=not covered, witnesses=GridWitnesses(rep, found), covered=tuple(covered)),
-    )
+    return C1Report(ok=not bad, violations=tuple(bad)), _c2_found(rep, max_dim, max_boxes)
 
 
 class GridWitnesses(Mapping):
-    """The witnesses of a verify_grid report, by vertex.
+    """The witnesses of a grid-form representation, by vertex.
 
-    found[v] is a swept Witness, or None for a stored witness that passed: that
-    one stays ints on rep's grid until it is read, and to_json writes it from them.
+    They stay ints on rep's grid: a Witness is built when one is read, and
+    to_json writes them from the ints.
     """
 
-    def __init__(self, rep: GridRep, found: dict[int, Witness | None]):
+    def __init__(self, rep: GridRep):
         self.rep = rep
-        self.found = found
 
     def __getitem__(self, v: int) -> Witness:
-        w = self.found[v]
-        return self.rep.witness(v) if w is None else w
+        return self.rep.witness(v)
 
     def __iter__(self):
-        return iter(self.found)
+        return iter(self.rep.radii)
 
     def __len__(self) -> int:
-        return len(self.found)
+        return len(self.rep.radii)
 
     def to_json(self) -> dict:
         """witnesses_to_json of these witnesses."""
-        text, points, radii = _grid_text(self.rep.scale), self.rep.points, self.rep.radii
+        text, points = _grid_text(self.rep.scale), self.rep.points
         return {
-            str(v): {"point": [text(x) for x in points[v]], "radius": fmt_pair(*radii[v])}
-            if w is None else _witness_json(w)
-            for v, w in self.found.items()
+            str(v): {"point": [text(x) for x in points[v]], "radius": fmt_pair(*r)}
+            for v, r in self.rep.radii.items()
         }

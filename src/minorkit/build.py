@@ -18,10 +18,10 @@ lifts work on the grid form itself (`boxes.GridRep`: ints over one scale):
 a lift appends integer levels k * scale and reuses the input's coordinates,
 so the grid of its input is the grid of its output, and `boxes.certify_grid`
 checks the step's ints directly.  A pipeline puts its base on its grid once
-(a given base is verified first; the tree base it builds itself is certified
-there), runs every lift there, and keeps the final grid: its trace builds the
-Fraction representation only when `final` is read.  Public lifts verify
-their input, convert it, lift and convert back.
+(and verifies it there, or certifies the tree base it builds itself), runs
+every lift there, and keeps the final grid: its trace builds the Fraction
+representation only when `final` is read.  Public lifts put their input on
+its grid, verify it there, lift and convert back.
 """
 
 from __future__ import annotations
@@ -34,16 +34,19 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .boxes import (
+    DEFAULT_MAX_SWEEP_BOXES,
+    DEFAULT_MAX_SWEEP_DIM,
     Box,
     GridRep,
     IntBox,
     IntPoint,
     Representation,
+    _c1_violations,
+    _c2_found,
     certify,
     certify_grid,
     grid_to_json,
-    verify_c1,
-    verify_c2,
+    verify_grid,
 )
 from .exceptions import (
     BadNesting,
@@ -76,13 +79,12 @@ Point = tuple[Fraction, ...]
 # -- helpers -----------------------------------------------------------------------
 
 
-def _verified(
-    vertices: Iterable[int], edges: Iterable[Edge], rep: Representation, what: str
-) -> Representation:
+def _verified(vertices: Iterable[int], edges: Iterable[Edge], rep: GridRep, what: str) -> GridRep:
     """Check rep against the graph on `vertices` and `edges`; return it with every witness.
 
-    A lift's input must pass C1 and C2 (C2 may find witnesses by facet sweep) and
-    is rejected with InvalidInput.  Builders check their output with certify.
+    A lift's input must pass C1 and then C2 (C2 may find witnesses by facet
+    sweep, on the grid of twice rep's scale) and is rejected with InvalidInput.
+    Builders check their output with certify.
     """
     vertices = sorted(vertices)
     if set(rep.boxes) != set(vertices):
@@ -91,15 +93,13 @@ def _verified(
     idx = {v: i + 1 for i, v in enumerate(vertices)}
     g = Graph(len(vertices), [norm_edge(idx[u], idx[v]) for u, v in edges])
     local = rep.rename(idx)
-    c1 = verify_c1(g, local)
-    if not c1.ok:
-        raise InvalidInput(f"{what}: intersection pattern fails at {c1.violations[:3]}")
-    c2 = verify_c2(g, local)
+    bad = _c1_violations(g, local.boxes)
+    if bad:
+        raise InvalidInput(f"{what}: intersection pattern fails at {tuple(bad[:3])}")
+    c2 = _c2_found(local, DEFAULT_MAX_SWEEP_DIM, DEFAULT_MAX_SWEEP_BOXES)
     if not c2.ok:
         raise InvalidInput(f"{what}: vertices {c2.covered} have no exclusive boundary point")
-    back = {i: v for v, i in idx.items()}
-    witnesses = {back[i]: w for i, w in c2.witnesses.items()}
-    return Representation(dict(rep.boxes), witnesses)
+    return c2.witnesses.rep.rename({i: v for v, i in idx.items()})
 
 
 # -- base constructions ---------------------------------------------------------------
@@ -223,8 +223,8 @@ def lift_vertex_add(rep_f: Representation, g: Graph, v: int) -> Representation:
     if not (1 <= v <= g.n):
         raise InvalidInput(f"vertex {v} is not in the target graph")
     rest = [u for u in g.vertices() if u != v]
-    rep_f = _verified(rest, [e for e in g.edges if v not in e], rep_f, "vertex lift input")
-    return _lift_vertex_add(GridRep.of(rep_f), g, v).to_representation()
+    rep = _verified(rest, [e for e in g.edges if v not in e], GridRep.of(rep_f), "vertex lift input")
+    return _lift_vertex_add(rep, g, v).to_representation()
 
 
 def _lift_vertex_add(rep: GridRep, g: Graph, v: int) -> GridRep:
@@ -258,8 +258,8 @@ def lift_edge_add(rep_h: Representation, g: Graph, e: Edge) -> Representation:
     if not g.has_edge(u, v):
         raise InvalidInput(f"({u},{v}) is not an edge of the target graph")
     sub_edges = [ed for ed in g.edges if ed != (u, v)]
-    rep_h = _verified(g.vertices(), sub_edges, rep_h, "edge lift input")
-    return _lift_vertex_add(GridRep.of(rep_h), g, v).to_representation()
+    rep = _verified(g.vertices(), sub_edges, GridRep.of(rep_h), "edge lift input")
+    return _lift_vertex_add(rep, g, v).to_representation()
 
 
 def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
@@ -271,8 +271,8 @@ def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
     u, v = norm_edge(*e)
     if not g.has_edge(u, v):
         raise InvalidInput(f"({u},{v}) is not an edge")
-    rep_g = _verified(g.vertices(), g.edges, rep_g, "edge drop input")
-    return _drop_edge(GridRep.of(rep_g), g, u, v).to_representation()
+    rep = _verified(g.vertices(), g.edges, GridRep.of(rep_g), "edge drop input")
+    return _drop_edge(rep, g, u, v).to_representation()
 
 
 def _drop_edge(rep: GridRep, g: Graph, u: int, v: int) -> GridRep:
@@ -317,8 +317,8 @@ def lift_uncontract(
     if not g.has_edge(u, n_restored):
         raise BadSnapshot(f"({u},{n_restored}) is not an edge of the target graph")
     g_e = apply_edit(g, Contract(u, n_restored))
-    rep_ge = _verified(g_e.vertices(), g_e.edges, rep_ge, "uncontract input")
-    return _lift_uncontract(GridRep.of(rep_ge), g, u, n_restored).to_representation()
+    rep = _verified(g_e.vertices(), g_e.edges, GridRep.of(rep_ge), "uncontract input")
+    return _lift_uncontract(rep, g, u, n_restored).to_representation()
 
 
 def _lift_uncontract(rep: GridRep, g: Graph, u: int, n_restored: int) -> GridRep:
@@ -396,22 +396,25 @@ def trace_to_json(trace: ConstructionTrace) -> dict:
 
 
 def build_from_edit_sequence(
-    g: Graph, seq: EditSequence, base_rep: Representation | None = None
+    g: Graph, seq: EditSequence, base_rep: Representation | GridRep | None = None
 ) -> ConstructionTrace:
     """Lift a base representation back up an edit sequence, in reverse.
 
     Dimension grows by exactly one per inverted deletion and two per inverted
-    contraction.  A given base is verified once and put on its integer grid;
-    without one, the base is build_tree_rep's layout of seq.base, certified
-    on its grid.  Each step runs on that grid and its output is certified
-    against the graph it represents, so the last one covers g.  The trace's
-    final Representation is made from the grid when it is first read.
+    contraction.  A given base is put on its integer grid once (a GridRep is
+    taken as given) and verified there; without one, the base is
+    build_tree_rep's layout of seq.base, certified on its grid.  Each step
+    runs on that grid and its output is certified against the graph it
+    represents, so the last one covers g.  The trace's final Representation
+    is made from the grid when it is first read.
     """
     steps_fw = replay_edits(g, seq)  # raises SequenceMismatch on any drift
     if base_rep is None:
         rep = GridRep.certified(seq.base, *_tree_layout(seq.base), "tree builder")
     else:
-        rep = GridRep.of(_verified(seq.base.vertices(), seq.base.edges, base_rep, "pipeline base"))
+        if isinstance(base_rep, Representation):
+            base_rep = GridRep.of(base_rep)
+        rep = _verified(seq.base.vertices(), seq.base.edges, base_rep, "pipeline base")
     base_dim = rep.dim
     steps: list[TraceStep] = []
 
@@ -464,7 +467,7 @@ def brute_force_strong_boxicity(g: Graph, max_dim: int = 2, *, max_n: int = 5) -
     Any representation can be squeezed order-isomorphically, axis by axis, onto
     the grid 0..2n-1 (ties included), and both verification conditions depend
     only on endpoint order, so searching the grid is complete.  The inner loops
-    run on ints; a found assignment is confirmed by the exact verifier.
+    run on ints, and so does the exact verifier that confirms a full assignment.
     """
     if g.n > max_n:
         raise TooLarge(f"oracle gated at {max_n} vertices")
@@ -530,15 +533,8 @@ def _oracle_search(g: Graph, d: int) -> Representation | None:
 
     def dfs(pos: int) -> Representation | None:
         if pos == len(order):
-            boxes = {
-                v: Box(tuple((F(a), F(b)) for a, b in assign[v])) for v in assign
-            }
-            rep = Representation(boxes)
-            if verify_c1(g, rep).ok:
-                c2 = verify_c2(g, rep)
-                if c2.ok:
-                    return Representation(boxes, c2.witnesses)
-            return None
+            c1, c2 = verify_grid(g, GridRep(1, assign, {}, {}))
+            return c2.witnesses.rep.to_representation() if c1.ok and c2.ok else None
         v = order[pos]
         for cand in candidates:
             ok = True

@@ -29,7 +29,6 @@ from .boxes import (
     GridRep,
     grid_from_json,
     grid_to_json,
-    rep_from_json,
     rep_to_json,
     verify_grid,
     witnesses_to_json,
@@ -210,7 +209,7 @@ def cmd_box_build(args) -> int:
                 if args.base_rep:
                     bobj, bdig = _read_json(args.base_rep)
                     rep.input("base_rep", args.base_rep, bdig)
-                    base = rep_from_json(bobj)
+                    base = grid_from_json(bobj)
                 trace = bld.build_from_edit_sequence(g, seq, base)
             else:
                 _, trace = bld.tree_pipeline(g)

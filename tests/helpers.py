@@ -11,9 +11,9 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 
-from minorkit import Box, C1Report, C2Report, Graph, Representation, Witness, components, exposed_witness
+from minorkit import Box, C1Report, C2Report, Graph, Representation, Witness, components, witness_radius
 from minorkit.boxes import DEFAULT_MAX_SWEEP_BOXES, DEFAULT_MAX_SWEEP_DIM, _json_object, _label, certify
-from minorkit.exceptions import DimensionMismatch, Inconsistent, ParseError, VertexMismatch
+from minorkit.exceptions import DimensionMismatch, Inconsistent, ParseError, TooLarge, VertexMismatch
 from minorkit.graph import _json_int
 from minorkit.ratio import parse_ratio
 
@@ -244,6 +244,95 @@ def lift_uncontract_fraction(rep: Representation, g: Graph, u: int, n_restored: 
     return certify(g, boxes, points, "uncontract lift")
 
 
+# -- the Fraction facet sweep the grid sweep replaced ---------------------------------------
+
+
+def _clip_fulldim_fraction(box, region):
+    out = []
+    for (lo, hi), (rlo, rhi) in zip(box, region):
+        a, b = max(lo, rlo), min(hi, rhi)
+        if a >= b:
+            return None
+        out.append((a, b))
+    return tuple(out)
+
+
+def _search_uncovered_fraction(region, boxes):
+    """Centre of an arrangement cell of region not covered by any box, else None."""
+    for b in boxes:
+        if all(blo <= rlo and rhi <= bhi for (blo, bhi), (rlo, rhi) in zip(b, region)):
+            return None
+    if not boxes:
+        return tuple((lo + hi) / 2 for lo, hi in region)
+    for b in boxes:
+        for ax, (blo, bhi) in enumerate(b):
+            rlo, rhi = region[ax]
+            for val in (blo, bhi):
+                if rlo < val < rhi:
+                    for piece in ((rlo, val), (val, rhi)):
+                        sub = region[:ax] + (piece,) + region[ax + 1:]
+                        sub_boxes = [c for c in (_clip_fulldim_fraction(x, sub) for x in boxes) if c]
+                        hit = _search_uncovered_fraction(sub, sub_boxes)
+                        if hit is not None:
+                            return hit
+                    return None
+    raise AssertionError("unreachable: no covering box and no split point")
+
+
+def _facet_uncovered_fraction(v: int, axis: int, side: int, rep: Representation):
+    box = rep.boxes[v]
+    c = box.intervals[axis][side]
+    others = [
+        b for u, b in rep.boxes.items()
+        if u != v and b.intervals[axis][0] <= c <= b.intervals[axis][1]
+    ]
+    if rep.dim == 1:
+        return None if others else (c,)
+    region = box.intervals[:axis] + box.intervals[axis + 1:]
+    cands = []
+    for b in others:
+        reduced = b.intervals[:axis] + b.intervals[axis + 1:]
+        clipped = _clip_fulldim_fraction(reduced, region)
+        if clipped:
+            cands.append(clipped)
+    hit = _search_uncovered_fraction(region, cands)
+    if hit is None:
+        return None
+    return hit[:axis] + (c,) + hit[axis:]
+
+
+def exposed_point_fraction(v: int, rep: Representation, max_dim: int, max_boxes: int):
+    """The first uncovered facet cell centre of v's box, as Fractions, or None if covered."""
+    if v not in rep.boxes:
+        raise VertexMismatch(f"vertex {v} has no box")
+    if rep.dim > max_dim:
+        raise TooLarge(
+            f"exact facet sweep gated at dimension {max_dim}; "
+            "store witnesses to verify higher-dimensional representations"
+        )
+    if len(rep.boxes) > max_boxes:
+        raise TooLarge(f"exact facet sweep gated at {max_boxes} boxes")
+    for axis in range(rep.dim):
+        for side in (0, 1):
+            p = _facet_uncovered_fraction(v, axis, side, rep)
+            if p is not None:
+                return p
+    return None
+
+
+def exposed_witness_fraction(
+    v: int, rep: Representation, *, max_dim=DEFAULT_MAX_SWEEP_DIM, max_boxes=DEFAULT_MAX_SWEEP_BOXES
+) -> Witness | None:
+    """exposed_witness as it swept the facets in Fraction arithmetic."""
+    p = exposed_point_fraction(v, rep, max_dim, max_boxes)
+    if p is None:
+        return None
+    r = witness_radius(p, rep, v)
+    if r is None:
+        raise AssertionError("uncovered facet point lies in another box")
+    return Witness(p, r)
+
+
 # -- the Fraction reader and verifier the grid path replaced ------------------------------
 
 
@@ -300,7 +389,7 @@ def verify_c2_fraction(
 ) -> C2Report:
     """verify_c2 on the Fractions: a stored witness passes when its point lies on v's
     boundary and every other box is farther than radius / 2 from it; every other
-    vertex gets exposed_witness's facet sweep, one vertex at a time."""
+    vertex gets exposed_witness_fraction's facet sweep, one vertex at a time."""
     _check_cover_fraction(g, rep)
     found, covered = {}, []
     for v in rep.vertices():
@@ -310,7 +399,7 @@ def verify_c2_fraction(
         ):
             found[v] = w
             continue
-        got = exposed_witness(v, rep, max_dim=max_dim, max_boxes=max_boxes)
+        got = exposed_witness_fraction(v, rep, max_dim=max_dim, max_boxes=max_boxes)
         if got is None:
             covered.append(v)
         else:

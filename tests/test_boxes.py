@@ -36,6 +36,7 @@ from minorkit.exceptions import (
 
 from helpers import (
     cross,
+    exposed_witness_fraction,
     permute,
     random_connected,
     random_rep,
@@ -464,6 +465,65 @@ class TestGridPath:
             "boxes": {str(v): [[str(lo), str(hi)] for lo, hi in b.intervals] for v, b in rep.boxes.items()},
             "witnesses": witnesses_json_fraction(rep.witnesses),
         }
+
+
+@st.composite
+def sweep_cases(draw):
+    """Boxes in dims 1-4 on endpoints with denominators up to 12, candidate witnesses
+    for about half the vertices, now and then a vertex buried inside another
+    box, and a sweep gate at dimension 3 or 4."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(endpoint, min_size=2, max_size=6, unique=True))
+    value = st.one_of(st.sampled_from(pool), endpoint)
+    box_map = {}
+    for v in range(1, n + 1):
+        ivs = []
+        for _ in range(dim):
+            a, b = draw(st.lists(value, min_size=2, max_size=2, unique=True))
+            ivs.append((min(a, b), max(a, b)))
+        box_map[v] = Box(tuple(ivs))
+    if n > 1 and draw(st.booleans()):
+        host = box_map[draw(st.integers(1, n - 1))]
+        t = draw(st.sampled_from([F(1, 5), F(1, 4), F(1, 3)]))
+        box_map[n] = Box(tuple((lo + (hi - lo) * t, hi - (hi - lo) * t) for lo, hi in host.intervals))
+    witnesses = {}
+    for v, b in box_map.items():
+        if draw(st.booleans()):
+            point = tuple(draw(st.one_of(st.sampled_from(iv), offgrid)) for iv in b.intervals)
+            radius = draw(st.one_of(st.just(QUARTER), st.fractions(0, 1, max_denominator=29)))
+            witnesses[v] = Witness(point, radius)
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if draw(st.booleans())]
+    return Graph(n, edges), Representation(box_map, witnesses), draw(st.sampled_from([3, 4]))
+
+
+class TestGridSweep:
+    """The facet sweep on the grid's ints against the Fraction sweep it replaced."""
+
+    @given(sweep_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_the_fraction_sweep(self, case, oversized_grid):
+        g, rep, max_dim = case
+        # GRID_MAX_BITS = 0 keeps every coordinate a Fraction on a grid of scale 1
+        with patch.object(boxes, "GRID_MAX_BITS", 0 if oversized_grid else boxes.GRID_MAX_BITS):
+            for v in rep.vertices():
+                want = outcome(lambda: exposed_witness_fraction(v, rep, max_dim=max_dim))
+                assert outcome(lambda: exposed_witness(v, rep, max_dim=max_dim)) == want
+                raised = isinstance(want, tuple)
+                assert outcome(lambda: boundary_covered(v, rep, max_dim=max_dim)) == (want if raised else want is None)
+            ref = outcome(lambda: verify_c2_fraction(g, rep, max_dim=max_dim))
+            got = outcome(lambda: verify_c2(g, rep, max_dim=max_dim))
+            if isinstance(ref, tuple):
+                assert got == ref
+                return
+            assert got.ok == ref.ok and got.covered == ref.covered
+            assert list(got.witnesses.items()) == list(ref.witnesses.items())
+            assert witnesses_to_json(got.witnesses) == witnesses_json_fraction(ref.witnesses)
+            # the sweep ran on the grid: ints, or the Fractions of an oversized grid
+            kind = F if oversized_grid else int
+            witnessed = got.witnesses.rep
+            assert all(type(x) is kind for p in witnessed.points.values() for x in p)
+            assert all(type(x) is kind for b in witnessed.boxes.values() for iv in b for x in iv)
 
 
 def reference_certify(g, box_map, points):

@@ -75,6 +75,31 @@ def test_tree_pipeline_makes_one_grid_and_one_rep():
         assert grid.call_count == 1 and len(reps) == 1
 
 
+def test_edit_pipeline_on_a_given_base_makes_one_grid_and_one_rep():
+    # a Representation base goes onto its grid once and is verified there, a
+    # witness-free one by the facet sweep on that grid; the final rep is made once
+    assert "_grid" not in vars(build)
+    init = Representation.__init__
+    for n, m in ((8, 10), (12, 18)):
+        g = random_connected(n, m, random.Random(5))
+        seq = reduce_to_spanning_tree(g)
+        witnessed = build_tree_rep(seq.base)
+        for base in (witnessed, Representation(witnessed.boxes)):
+            reps = []
+
+            def counted_init(self, *args, **kwargs):
+                reps.append(1)
+                init(self, *args, **kwargs)
+
+            with patch.object(boxes, "_grid", wraps=boxes._grid) as grid, \
+                    patch.object(Representation, "__init__", counted_init):
+                trace = build_from_edit_sequence(g, seq, base)
+                assert grid.call_count == 1 and len(reps) == 0
+                assert trace.final is trace.final
+            assert len(trace.steps) == m - n + 1
+            assert grid.call_count == 1 and len(reps) == 1
+
+
 def assert_strong(g, rep):
     assert verify_c1(g, rep).ok
     assert verify_c2(g, rep).ok
@@ -178,6 +203,12 @@ class TestVertexLift:
         g = Graph(3, [(1, 3)])
         with pytest.raises(InvalidInput):
             lift_vertex_add(bad, g, 3)
+
+    def test_pattern_is_checked_before_the_sweep_gate(self):
+        # a witness-free 5-D input failing C1 is rejected for its pattern, not by the sweep's TooLarge
+        bad = Representation({1: Box(((F(0), F(2)),) * 5), 2: Box(((F(1), F(3)),) * 5)})
+        with pytest.raises(InvalidInput, match="intersection pattern fails"):
+            lift_vertex_add(bad, Graph(3, [(1, 3)]), 3)
 
 
 class TestEdgeLift:

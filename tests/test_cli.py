@@ -13,6 +13,7 @@ from minorkit import (
     Graph,
     VertexDelete,
     apply_edit,
+    apply_edits,
     assemble_gain_matrix,
     build_tree_rep,
     flows,
@@ -24,7 +25,7 @@ from minorkit import (
 )
 from minorkit import build as bld
 from minorkit.cli import _dumps, main
-from minorkit.graph import spanning_tree_edges
+from minorkit.graph import edits_from_json, spanning_tree_edges
 from minorkit.ratio import fmt_ratio
 
 from helpers import random_connected, random_cut_targets, recover_states_fraction, root_trap_graph
@@ -154,15 +155,23 @@ class TestBoxCommands:
             for op in ops
         ]
 
-    @pytest.mark.parametrize("explicit", [False, True], ids=["tree-pipeline", "edit-list"])
-    def test_box_path_builds_no_fractions_past_the_lifts(self, tmp_path, capsys, monkeypatch, explicit):
-        """box build writes its last lift's grid, and box verify checks a file, on ints."""
+    @pytest.mark.parametrize("source", ["tree-pipeline", "edit-list", "base-rep"])
+    def test_box_path_builds_no_fractions_past_the_lifts(self, tmp_path, capsys, monkeypatch, source):
+        """box build writes its last lift's grid, and box verify checks a file, on ints.
+
+        With a witnessed --base-rep, the build reads, verifies, lifts and writes
+        without a single Fraction.
+        """
         g = random_connected(14, 20, random.Random(6))
         gf = write(tmp_path / "g.json", graph_to_json(g))
         rf, tf = str(tmp_path / "rep.json"), str(tmp_path / "trace.json")
         argv = ["box", "build", gf, "--strategy", "edits", "--out", rf, "--trace-out", tf]
-        if explicit:
-            argv += ["--edits", write(tmp_path / "e.json", self.edits_of_every_kind(g))]
+        if source != "tree-pipeline":
+            edits = self.edits_of_every_kind(g)
+            argv += ["--edits", write(tmp_path / "e.json", edits)]
+        if source == "base-rep":
+            base = build_tree_rep(apply_edits(g, edits_from_json(edits)).base)
+            argv += ["--base-rep", write(tmp_path / "base.json", rep_to_json(base))]
         made = count_fractions(monkeypatch)
         after_lift = []
 
@@ -178,10 +187,78 @@ class TestBoxCommands:
         code, report = run(capsys, *argv)
         assert code == 0 and report["results"]["steps"] == len(after_lift) >= 7
         assert made[0] == after_lift[-1]
+        if source == "base-rep":
+            assert made == [0]
         made[0] = 0
         code, report = run(capsys, "box", "verify", rf, gf)
         assert code == 0 and report["results"]["c1_ok"] and report["results"]["c2_ok"]
         assert made == [0]
+
+    # a plane layout of the path 1-2-3-4, the base of C4 less the edge 1-4
+    PATH_BOXES = {
+        "1": [["0", "2/3"], ["0", "2/3"]],
+        "2": [["1/3", "4/3"], ["1/3", "1"]],
+        "3": [["1", "2"], ["0", "2/3"]],
+        "4": [["5/3", "7/3"], ["1/3", "1"]],
+    }
+    PATH_WITNESSES = {
+        "1": {"point": ["0", "0"], "radius": "1/4"},
+        "2": {"point": ["2/3", "1"], "radius": "1/4"},
+        "3": {"point": ["2", "0"], "radius": "1/4"},
+        "4": {"point": ["7/3", "1"], "radius": "1/4"},
+    }
+
+    def build_on_base(self, tmp_path, capsys, base):
+        """box build of C4 from the path base, by lifting the edge 1-4: (exit code, stderr, --out path)."""
+        gf = write(tmp_path / "g.json", graph_to_json(Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])))
+        ef = write(tmp_path / "e.json", [{"kind": "edge_delete", "u": 1, "v": 4}])
+        out = tmp_path / "rep.json"
+        code = main(["box", "build", gf, "--edits", ef, "--base-rep", write(tmp_path / "b.json", base),
+                     "--out", str(out)])
+        return code, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize("witnessed", [True, False], ids=["stored-witnesses", "swept-witnesses"])
+    def test_base_rep_output(self, tmp_path, capsys, witnessed):
+        base = {"dim": 2, "boxes": self.PATH_BOXES}
+        if witnessed:
+            base["witnesses"] = self.PATH_WITNESSES
+            # the stored witnesses carry over; vertex 1's radius shrinks to 1/6 in the lifted boxes
+            witnesses = {
+                "1": {"point": ["0", "0", "2"], "radius": "1/6"},
+                "2": {"point": ["2/3", "1", "0"], "radius": "1/4"},
+                "3": {"point": ["2", "0", "2"], "radius": "1/4"},
+                "4": {"point": ["2", "2", "6"], "radius": "1/4"},
+            }
+        else:
+            # the facet sweep's cell centres, on the doubled grid of the base
+            witnesses = {
+                "1": {"point": ["0", "1/3", "2"], "radius": "1/6"},
+                "2": {"point": ["1/3", "5/6", "0"], "radius": "1/4"},
+                "3": {"point": ["1", "1/6", "2"], "radius": "1/12"},
+                "4": {"point": ["2", "2", "6"], "radius": "1/4"},
+            }
+        code, err, out = self.build_on_base(tmp_path, capsys, base)
+        assert code == 0 and err == ""
+        expected = {
+            "dim": 3,
+            "boxes": {
+                "1": [["0", "2/3"], ["0", "2/3"], ["2", "5"]],
+                "2": [["1/3", "4/3"], ["1/3", "1"], ["0", "3"]],
+                "3": [["1", "2"], ["0", "2/3"], ["2", "5"]],
+                "4": [["0", "2"], ["0", "2"], ["4", "6"]],
+            },
+            "witnesses": witnesses,
+        }
+        assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("boxes, message", [
+        ({v: b for v, b in PATH_BOXES.items() if v != "4"}, "representation covers the wrong vertex set"),
+        (PATH_BOXES | {"3": [["2/3", "2"], ["0", "2/3"]]}, "intersection pattern fails at ((1, 3, 'unexpected'),)"),
+    ], ids=["wrong-vertex-set", "c1-fails"])
+    def test_base_rep_rejected(self, tmp_path, capsys, boxes, message):
+        code, err, out = self.build_on_base(tmp_path, capsys, {"dim": 2, "boxes": boxes})
+        assert code == 1 and err == f"error: InvalidInput: pipeline base: {message}\n"
+        assert not out.exists()
 
     def test_threshold_fixture(self, tmp_path, capsys):
         rep_file = str(tmp_path / "th.json")

@@ -1,4 +1,8 @@
-"""The exact core never touches floating point; only cli.py's display copies may."""
+"""The exact core never touches floating point; only cli.py's display copies may.
+
+The builders and the CLI check boxes on the integer grid, never through the
+Fraction-form checks.
+"""
 
 import ast
 from pathlib import Path
@@ -29,3 +33,32 @@ def test_scanner_sees_floats():
 def test_core_module_has_no_float(module):
     path = Path(minorkit.__file__).with_name(f"{module}.py")
     assert float_uses(path.read_text()) == [], f"{module}.py uses floats"
+
+
+# The Fraction-form checks; the box commands and the builders check on the grid instead.
+FRACTION_CHECKS = frozenset(("verify_c1", "verify_c2", "rep_from_json", "witness_radii", "exposed_witness"))
+
+
+def names_used(source: str, names) -> list[str]:
+    """The given names that the source imports, names or reaches as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.extend(alias.name for alias in node.names)
+    return sorted(name for name in found if name in names)
+
+
+def test_name_scanner_sees_calls_and_imports():
+    source = "from .boxes import verify_c1\nboxes.verify_c2(g, r)\ncheck = exposed_witness\nverify_grid(g, r)\n"
+    assert names_used(source, FRACTION_CHECKS) == ["exposed_witness", "verify_c1", "verify_c2"]
+    assert names_used('"""verify_c1 in prose"""\n', FRACTION_CHECKS) == []
+
+
+@pytest.mark.parametrize("module", ("build", "cli"))
+def test_box_paths_use_no_fraction_check(module):
+    path = Path(minorkit.__file__).with_name(f"{module}.py")
+    assert names_used(path.read_text(), FRACTION_CHECKS) == [], f"{module}.py checks boxes off the grid"
