@@ -8,8 +8,9 @@ sums to zero, so constant states produce zero flow.
 Only the per-edge gains are stored, and they must be positive: an edge row
 has two nonzeros and a vertex row is the signed sum of its incident edge rows,
 so H*x costs O(n+m).  The product sums each entry as ints on that entry's own
-common denominator and builds one Fraction per entry.  Dense rows are a
-derived view, built on request (and for export) from the gains.
+common denominator and builds one Fraction per entry.  The sparse rows are
+built from the gains once per matrix, on first use; the dense rows, the row
+sums and the export all read them.
 
 State recovery inverts the through flows in the same way: ``recover_pairs``
 takes the flows and the reference state as (numerator, denominator) int pairs,
@@ -25,6 +26,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exceptions import (
@@ -53,8 +55,13 @@ class GainMatrix:
             if b.numerator <= 0:
                 raise BadBounds(f"gain {b} of edge ({u},{v}) is not positive")
 
+    @cached_property
     def _sparse_rows(self) -> list[dict[int, Fraction]]:
-        """Nonzero cells of every row (0-based column -> value); diagonals always present."""
+        """Nonzero cells of every row (0-based column -> value); diagonals always present.
+
+        Built once per matrix, on first use, and shared by ``rows``,
+        ``row_sums`` and ``matrix_to_json``; callers only read it.
+        """
         vertex_rows: list[dict[int, Fraction]] = [{i: F(0)} for i in range(self.n)]
         edge_rows = []
         for (u, v), b in zip(self.edges, self.gains):
@@ -66,10 +73,10 @@ class GainMatrix:
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense rows 1..t (vertices, then edges), derived from the gains on each access."""
+        """Dense rows 1..t (vertices, then edges), derived from the sparse rows on each access."""
         zero = F(0)
         return tuple(
-            tuple(cells.get(j, zero) for j in range(self.n)) for cells in self._sparse_rows()
+            tuple(cells.get(j, zero) for j in range(self.n)) for cells in self._sparse_rows
         )
 
     def row(self, index: int) -> tuple[Fraction, ...]:
@@ -106,7 +113,7 @@ class GainMatrix:
         return tuple([F(a, d) for a, d in zip(net_num, net_den)] + through)
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(cells.values()) for cells in self._sparse_rows())
+        return tuple(sum(cells.values()) for cells in self._sparse_rows)
 
 
 def assemble_gain_matrix(g: Graph) -> GainMatrix:
@@ -194,7 +201,7 @@ def recover_states(
 def matrix_to_json(h: GainMatrix) -> dict:
     """Dense text grid: every cell "0" except the few nonzeros each row carries."""
     rows = []
-    for cells in h._sparse_rows():
+    for cells in h._sparse_rows:
         row = ["0"] * h.n
         for col, val in cells.items():
             row[col] = fmt_ratio(val)

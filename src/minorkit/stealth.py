@@ -19,7 +19,12 @@ matrix inside known bounds.
 Every zero test runs on Python ints.  A boundary polynomial carries integer
 masses (scaled by its gains' denominators) and lambda = p/q enters as the ints
 p**e * q**(E-e) on the common denominator q**E; Fractions are built only for
-returned values.
+returned values.  Each loop runs its cheap int test before any root test: the
+lambda ladder (``_ladder``) yields every step's jumps unfiltered, the schedule
+root-tests only a step inside its gap, and the best constructive ratio
+root-tests the steps in (ratio, q) order, where each boundary polynomial can
+reject at most one step.  The sampled robust audit runs H*s as int masses on
+one denominator, D * S for the gains' D and the stealth values' S.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .exceptions import (
     BadBounds,
@@ -193,6 +199,11 @@ def _vanishes(terms, value) -> bool:
     return sum(m * value[c] for c, m in terms) == 0
 
 
+def _root_free(polys: dict[int, list[tuple[int, int]]], value: dict[int, int]) -> bool:
+    """The root test of one lambda: does it zero no boundary polynomial?"""
+    return not any(_vanishes(terms, value) for terms in polys.values())
+
+
 def _primes():
     """2, 3, 5, 7, ... by trial division."""
     p = 2
@@ -221,8 +232,7 @@ def _root_free_lambda(
     lam = hint
     primes = _primes()
     for _ in range(len(polys) + 1):
-        value = _scaled_powers(lam, exponents)
-        if not any(_vanishes(terms, value) for terms in polys.values()):
+        if _root_free(polys, _scaled_powers(lam, exponents)):
             return lam
         lam = lam * (1 - F(1, next(primes)))
     raise AssertionError("every candidate lambda is a root: some gain is not positive")
@@ -289,22 +299,22 @@ def _exponent_map(spec: AttackSpec, colors: dict[int, int] | None) -> dict[int, 
     return {i: colors[i] - 1 for i in range(1, spec.k + 1)}
 
 
-def _ladder(spec: AttackSpec, h: GainMatrix, exponents: dict[int, int], steps: int):
-    """Yield (lambda, ratio) for each root-free lambda_q = q/(q+1), q = 1..steps.
+def _ladder(spec: AttackSpec, exponents: dict[int, int], steps: int):
+    """Yield (q, largest jump, smallest jump) for lambda_q = q/(q+1), q = 1..steps.
 
-    The ratio is the largest over the smallest jump across the crossing
-    component pairs.  Root tests and jumps run on the scaled int powers, each
-    computed once per step.
+    The jumps run across the crossing component pairs on the scaled int
+    powers of ``_scaled_powers``, so their ratio is the step's variation
+    ratio.  A jump depends only on the pair's two exponents, so each step
+    scales each distinct exponent once and takes each exponent pair once.  No
+    step is root-tested here: the callers test the jumps first and root-test
+    (``_root_free``) only a step they would keep.
     """
-    polys = _boundary_polys(spec, h)
-    crossing_pairs = set(spec.crossing.values())
+    levels = {e: e for e in exponents.values()}
+    pairs = {(exponents[ci], exponents[cj]) for ci, cj in spec.crossing.values()}
     for q in range(1, steps + 1):
-        lam = F(q, q + 1)
-        value = _scaled_powers(lam, exponents)
-        if any(_vanishes(terms, value) for terms in polys.values()):
-            continue
-        jumps = [abs(value[ci] - value[cj]) for ci, cj in crossing_pairs]
-        yield lam, F(max(jumps), min(jumps))
+        value = _scaled_powers(F(q, q + 1), levels)
+        jumps = [abs(value[a] - value[b]) for a, b in pairs]
+        yield q, max(jumps), min(jumps)
 
 
 def variation_limit_schedule(
@@ -316,10 +326,12 @@ def variation_limit_schedule(
 ) -> tuple[StealthVector, Fraction]:
     """Walk lambda_q = q/(q+1) upward until the ratio is within the gap of c-1.
 
-    c is the number of distinct exponents in use.  Root-rejected lambdas are
-    skipped.  The limit c-1 is only attained when the crossing structure
-    realises both the extreme exponent gap and a unit gap; otherwise the
-    schedule stalls and says so rather than looping forever.
+    c is the number of distinct exponents in use.  Each step tests the gap
+    first, on ints (|top - (c-1) low| * den <= num * low for the gap num/den),
+    and root-tests only a step inside it, skipping it if it is a root.  The
+    limit c-1 is only attained when the crossing structure realises both the
+    extreme exponent gap and a unit gap; otherwise the schedule stalls and
+    says so rather than looping forever.
     """
     spec = require_spec(spec)
     _check_matrix(spec, h)
@@ -327,12 +339,17 @@ def variation_limit_schedule(
         raise EmptyF("schedule needs a non-empty target set")
     exponents = _exponent_map(spec, colors)
     c = len(set(exponents.values()))
-    target = F(c - 1) if c >= 2 else F(1)
+    target = c - 1 if c >= 2 else 1
     epsilon_gap = Fraction(epsilon_gap)
-    for lam, ratio in _ladder(spec, h, exponents, max_steps):
-        if abs(ratio - target) <= epsilon_gap:
+    gap_num, gap_den = epsilon_gap.numerator, epsilon_gap.denominator
+    polys = _boundary_polys(spec, h)
+    for q, top, low in _ladder(spec, exponents, max_steps):
+        if abs(top - target * low) * gap_den > gap_num * low:
+            continue
+        lam = F(q, q + 1)
+        if _root_free(polys, _scaled_powers(lam, exponents)):
             sv, _ = _build(spec, h, exponents, lam)
-            return sv, ratio
+            return sv, F(top, low)
     raise ScheduleStalled(
         f"ratio did not come within {epsilon_gap} of {target}; "
         "the crossing structure does not realise the extreme exponent gaps"
@@ -345,15 +362,30 @@ def best_constructive_ratio(
     colors: dict[int, int] | None = None,
     steps: int = 400,
 ) -> tuple[Fraction, Fraction]:
-    """Best (lambda, ratio) over the ladder, without demanding convergence to c-1."""
+    """Best (lambda, ratio) over the root-free ladder steps, without demanding convergence to c-1.
+
+    Every step's ratio comes from its jumps first; the steps are then ranked
+    by (ratio, q) and root-tested in that order, and the first root-free one
+    is the pick: the least ratio, ties to the smallest q.  Each boundary
+    polynomial has at most one root in (0, 1) (the Descartes argument in
+    ``_root_free_lambda``), so at most #polynomials ranked steps fail and at
+    most #polynomials + 1 root tests run.
+    """
     spec = require_spec(spec)
     _check_matrix(spec, h)
     if not spec.targets:
         raise EmptyF("variation needs a non-empty target set")
     exponents = _exponent_map(spec, colors)
-    best = min(_ladder(spec, h, exponents, steps), key=lambda pair: pair[1], default=None)
-    assert best is not None  # the ladder always contains root-free values
-    return best
+    polys = _boundary_polys(spec, h)
+    # a stable sort on the ratio keeps equal ratios in q order
+    ranked = sorted(
+        ((F(top, low), q) for q, top, low in _ladder(spec, exponents, steps)), key=itemgetter(0)
+    )
+    for ratio, q in ranked:
+        lam = F(q, q + 1)
+        if _root_free(polys, _scaled_powers(lam, exponents)):
+            return lam, ratio
+    raise AssertionError("every ladder step is a root: the ladder is shorter than the polynomials")
 
 
 # -- component graph and colouring -----------------------------------------------------
@@ -510,6 +542,14 @@ def robust_attack_audit(
     """Smallest boundary-vertex attack magnitude over sampled gain matrices.
 
     Also asserts that required-zero entries vanish exactly for every sample.
+    Each sample draws one gain per edge, eps1 + (eps2 - eps1) r/64 for r
+    uniform in 0..64; all of them share the denominator D = lcm(den eps1,
+    den eps2) * 64, and the stealth values go on their common denominator S.
+    So every entry of H s is an int mass over D * S: an edge's through flow
+    is its gain numerator times the jump of the scaled values, and a vertex
+    sums its edges' flows.  Only edges whose ends differ carry mass.  Only
+    the bounds, the result and a failing entry become Fractions, so their
+    count does not grow with the samples.
     """
     import random
 
@@ -518,22 +558,49 @@ def robust_attack_audit(
     if not (0 < eps1 <= eps2):
         raise BadBounds(f"need 0 < eps1 <= eps2, got {eps1}, {eps2}")
     g = spec.graph
+    if len(sv.values) != g.n:
+        raise DimensionMismatch(f"state has length {len(sv.values)}, expected {g.n}")
+    # gain numerators over D: base + step * r
+    den = math.lcm(eps1.denominator, eps2.denominator)
+    lo_num = eps1.numerator * (den // eps1.denominator)
+    base, step = lo_num * 64, eps2.numerator * (den // eps2.denominator) - lo_num
+    s_den = math.lcm(*(x.denominator for x in sv.values))
+    scaled = [x.numerator * (s_den // x.denominator) for x in sv.values]
+    total_den = den * 64 * s_den
     expected = spec.expected_support()
-    worst: Fraction | None = None
+    boundary = spec.boundary_vertices()
+    # (position, u, v, scaled jump) of every edge whose ends differ
+    active = [
+        (pos, u, v, scaled[u - 1] - scaled[v - 1])
+        for pos, (u, v) in enumerate(g.edges)
+        if scaled[u - 1] != scaled[v - 1]
+    ]
+    # the required-zero entries that can carry mass, in flow-index order
+    zero_vertices = sorted({w for _, u, v, _ in active for w in (u, v)} - expected)
+    zero_edges = [
+        (g.n + 1 + pos, pos, jump) for pos, _, _, jump in active if g.n + 1 + pos not in expected
+    ]
+    no_mass = dict.fromkeys([*boundary, *zero_vertices], 0)
+    draw = rng.randrange
+    worst: int | None = None
     for _ in range(samples):
-        # uniform rationals in [eps1, eps2] on a 1/64 grid
-        gains = tuple(eps1 + (eps2 - eps1) * F(rng.randrange(0, 65), 64) for _ in g.edges)
-        h = GainMatrix(n=g.n, t=g.t, gains=gains, edges=g.edges)
-        a = h.multiply(sv.values)
-        for i, val in enumerate(a, start=1):
-            if i not in expected and val != 0:
-                raise AssertionError(f"required-zero entry {i} is {val}")
-        for l in spec.boundary_vertices():
-            mag = abs(a[l - 1])
+        draws = [draw(0, 65) for _ in g.edges]
+        net = no_mass.copy()
+        for pos, u, v, jump in active:
+            flow = (base + step * draws[pos]) * jump
+            net[u] += flow
+            net[v] -= flow
+        bad = [(i, net[i]) for i in zero_vertices if net[i]]
+        bad += [(i, (base + step * draws[pos]) * jump) for i, pos, jump in zero_edges]
+        if bad:
+            i, mass = bad[0]
+            raise AssertionError(f"required-zero entry {i} is {F(mass, total_den)}")
+        for l in boundary:
+            mag = abs(net[l])
             worst = mag if worst is None else min(worst, mag)
     if worst is None:
         raise EmptyF("audit needs at least one sample and one boundary vertex")
-    return worst
+    return F(worst, total_den)
 
 
 # -- variation-factor oracle ----------------------------------------------------------

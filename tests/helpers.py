@@ -13,7 +13,8 @@ from itertools import product
 
 from minorkit import Box, C1Report, C2Report, Graph, Representation, Witness, components, witness_radius
 from minorkit.boxes import DEFAULT_MAX_SWEEP_BOXES, DEFAULT_MAX_SWEEP_DIM, _json_object, _label, certify
-from minorkit.exceptions import DimensionMismatch, Inconsistent, ParseError, TooLarge, VertexMismatch
+from minorkit.exceptions import BadBounds, DimensionMismatch, EmptyF, Inconsistent, ParseError, TooLarge, VertexMismatch
+from minorkit.flow import GainMatrix
 from minorkit.graph import _json_int
 from minorkit.ratio import parse_ratio
 
@@ -154,6 +155,27 @@ def is_bridge(g: Graph, e) -> bool:
     return len(components(g, [e])) > len(components(g))
 
 
+def count_fractions(monkeypatch):
+    """A one-item list that counts every Fraction built from now on, however it is built."""
+    made = [0]
+    new = F.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted_new))
+    if hasattr(F, "_from_coprime_ints"):  # 3.12 arithmetic bypasses __new__
+        coprime = F._from_coprime_ints
+
+        def counted_coprime(cls, *args):
+            made[0] += 1
+            return coprime.__func__(cls, *args)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counted_coprime))
+    return made
+
+
 def poly_value(terms, lam: Fraction, exponents: dict[int, int]) -> Fraction:
     """A boundary polynomial's value in Fractions: the reference for the int root tests."""
     return sum(m * lam ** exponents[c] for c, m in terms)
@@ -180,6 +202,34 @@ def recover_states_fraction(h, z, g: Graph, x1_ref=0) -> tuple[Fraction, ...]:
         if x[u] - x[v] != d:
             raise Inconsistent(f"edge ({u},{v}) implies a conflicting state difference")
     return tuple(x[v] for v in g.vertices())
+
+
+def robust_attack_audit_fraction(spec, sv, eps1, eps2, samples: int, seed: int) -> Fraction:
+    """The sampled audit as it ran in Fractions: one GainMatrix and one H*s per sample.
+
+    Same draws as ``robust_attack_audit``, the same required-zero message and
+    the same smallest boundary magnitude.
+    """
+    rng = random.Random(seed)
+    eps1, eps2 = F(eps1), F(eps2)
+    if not (0 < eps1 <= eps2):
+        raise BadBounds(f"need 0 < eps1 <= eps2, got {eps1}, {eps2}")
+    g = spec.graph
+    expected = spec.expected_support()
+    worst = None
+    for _ in range(samples):
+        gains = tuple(eps1 + (eps2 - eps1) * F(rng.randrange(0, 65), 64) for _ in g.edges)
+        h = GainMatrix(n=g.n, t=g.t, gains=gains, edges=g.edges)
+        a = h.multiply(sv.values)
+        for i, val in enumerate(a, start=1):
+            if i not in expected and val != 0:
+                raise AssertionError(f"required-zero entry {i} is {val}")
+        for l in spec.boundary_vertices():
+            mag = abs(a[l - 1])
+            worst = mag if worst is None else min(worst, mag)
+    if worst is None:
+        raise EmptyF("audit needs at least one sample and one boundary vertex")
+    return worst
 
 
 # -- the Fraction lift bodies the grid-form lifts replaced --------------------------------

@@ -25,10 +25,17 @@ from minorkit import (
 )
 from minorkit import build as bld
 from minorkit.cli import _dumps, main
+from minorkit.flow import GainMatrix, matrix_to_json
 from minorkit.graph import edits_from_json, spanning_tree_edges
 from minorkit.ratio import fmt_ratio
 
-from helpers import random_connected, random_cut_targets, recover_states_fraction, root_trap_graph
+from helpers import (
+    count_fractions,
+    random_connected,
+    random_cut_targets,
+    recover_states_fraction,
+    root_trap_graph,
+)
 
 
 def write(path, obj):
@@ -87,27 +94,6 @@ def spellings(text):
     if "." in text:
         kinds.add("decimal")
     return kinds
-
-
-def count_fractions(monkeypatch):
-    """A one-item list that counts every Fraction built from now on, however it is built."""
-    made = [0]
-    new = F.__new__
-
-    def counted_new(cls, *args, **kwargs):
-        made[0] += 1
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", staticmethod(counted_new))
-    if hasattr(F, "_from_coprime_ints"):  # 3.12 arithmetic bypasses __new__
-        coprime = F._from_coprime_ints
-
-        def counted_coprime(cls, *args):
-            made[0] += 1
-            return coprime.__func__(cls, *args)
-
-        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counted_coprime))
-    return made
 
 
 class TestBoxCommands:
@@ -302,6 +288,25 @@ class TestFlowCommands:
         assert code == 0 and report["results"]["row_sums_zero"]
         blob = json.loads((tmp_path / "H.json").read_text())
         assert blob["t"] == 8 and len(blob["rows"]) == 8
+
+    def test_matrix_builds_its_sparse_rows_once(self, tmp_path, monkeypatch, capsys):
+        """The row-sum check and the export share one pass over the gains."""
+        g = random_connected(40, 80, random.Random(8), gains=True)
+        gf = write(tmp_path / "g.json", graph_to_json(g))
+        built = []
+        sparse_rows = GainMatrix._sparse_rows
+        build = sparse_rows.func
+
+        def counted(h):
+            built.append(h)
+            return build(h)
+
+        monkeypatch.setattr(sparse_rows, "func", counted)
+        out = tmp_path / "H.json"
+        code, report = run(capsys, "flow", "matrix", gf, "--out", str(out))
+        assert code == 0 and report["results"]["row_sums_zero"] is True
+        assert len(built) == 1
+        assert json.loads(out.read_text()) == matrix_to_json(assemble_gain_matrix(g))
 
     def test_attack_bridge(self, tmp_path, capsys):
         g = Graph(3, [(1, 2), (2, 3)], gains={4: F(1), 5: F(2)})

@@ -40,11 +40,13 @@ from minorkit.exceptions import (
 )
 
 from helpers import (
+    count_fractions,
     is_bridge,
     poly_value,
     random_connected,
     random_cut_targets,
     random_gain,
+    robust_attack_audit_fraction,
     root_trap_graph,
 )
 
@@ -580,6 +582,7 @@ class TestIntegerFastPaths:
         from minorkit.stealth import (
             _boundary_polys,
             _ladder,
+            _root_free,
             _scaled_powers,
             _stealth_values,
             _vanishes,
@@ -595,7 +598,12 @@ class TestIntegerFastPaths:
             for l in spec.boundary_vertices():
                 dense = sum(c * s for c, s in zip(rows[l - 1], stealth))
                 assert _vanishes(polys[l], value) == (dense == 0)
-            assert list(_ladder(spec, h, exponents, 30)) == fraction_ladder(spec, rows, exponents, 30)
+            kept = [
+                (F(q, q + 1), F(top, low))
+                for q, top, low in _ladder(spec, exponents, 30)
+                if _root_free(polys, _scaled_powers(F(q, q + 1), exponents))
+            ]
+            assert kept == fraction_ladder(spec, rows, exponents, 30)
             sv = StealthVector(values=stealth, lam=lam, exponents=exponents, targets=spec.targets)
             jumps = [abs(stealth[u - 1] - stealth[v - 1]) for u, v in spec.targets]
             assert variation_ratio(sv) == max(jumps) / min(jumps)
@@ -634,3 +642,181 @@ class TestIntegerFastPaths:
         spec, h, _ = spec_and_exponent_maps(n, seed)
         assume(spec.k <= 5)
         assert theta_oracle(spec, h) <= fraction_theta(spec, h.rows, 6)
+
+
+# -- ranked ladders and the int-mass audit against their Fraction references ------------
+
+
+def ladder_trap_graph(steps: int, roots: int):
+    """Gains that make the `roots` best-ranked basic ladder steps roots.
+
+    Removing the targets leaves the components {1}, the path 2..roots+1 and
+    {roots+2}, with exponents 0, 1 and 2.  The jumps are 1 - lam and
+    lam (1 - lam), so the ratio 1/lam ranks the steps q = steps, steps - 1, ...
+    Path vertex l joins both ends by target edges with gains q and q + 1 for
+    q = steps + 2 - l, so its boundary polynomial (lam - 1)(q - (q + 1) lam)
+    has lambda_q = q/(q+1) as its root.
+    """
+    far = roots + 2
+    path = [(l, l + 1) for l in range(2, roots + 1)]
+    ends = [(1, l) for l in range(2, far)] + [(l, far) for l in range(2, far)]
+    gains = [F(1)] * len(path)
+    gains += [F(steps + 2 - l) for l in range(2, far)] + [F(steps + 3 - l) for l in range(2, far)]
+    edges = path + ends
+    return Graph(far, edges, gains={far + 1 + i: b for i, b in enumerate(gains)}), ends
+
+
+def counted_root_tests(monkeypatch):
+    """A one-item list that counts every ladder root test from now on."""
+    from minorkit import stealth
+
+    tests = [0]
+    root_free = stealth._root_free
+
+    def counted(polys, value):
+        tests[0] += 1
+        return root_free(polys, value)
+
+    monkeypatch.setattr(stealth, "_root_free", counted)
+    return tests
+
+
+class TestRankedLadders:
+    @given(
+        hst.integers(min_value=3, max_value=8),
+        hst.integers(),
+        hst.integers(min_value=1, max_value=25),
+        hst.fractions(min_value=0, max_value=2, max_denominator=20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_picks_match_the_fraction_ladder(self, n, seed, steps, gap):
+        spec, h, (basic, colored) = spec_and_exponent_maps(n, seed)
+        for colors, exponents in ((None, basic), ({i: e + 1 for i, e in colored.items()}, colored)):
+            ladder = fraction_ladder(spec, h.rows, exponents, steps)
+            if ladder:
+                # least ratio, ties to the smallest q (lambda_q grows with q)
+                best = min(ladder, key=lambda pair: (pair[1], pair[0]))
+                assert best_constructive_ratio(spec, h, colors=colors, steps=steps) == best
+            else:
+                with pytest.raises(AssertionError):
+                    best_constructive_ratio(spec, h, colors=colors, steps=steps)
+            c = len(set(exponents.values()))
+            target = c - 1 if c >= 2 else 1
+            first = next(((lam, r) for lam, r in ladder if abs(r - target) <= gap), None)
+            if first is None:
+                with pytest.raises(ScheduleStalled):
+                    variation_limit_schedule(spec, h, gap, colors=colors, max_steps=steps)
+            else:
+                sv, ratio = variation_limit_schedule(spec, h, gap, colors=colors, max_steps=steps)
+                assert (sv.lam, ratio) == first
+
+    def test_ranked_roots_are_skipped_in_order(self, monkeypatch):
+        steps, roots = 30, 6
+        g, targets = ladder_trap_graph(steps, roots)
+        spec = feasibility(g, targets)
+        h = assemble_gain_matrix(g)
+        assert spec.k == 3 and len(spec.boundary_vertices()) == roots + 2
+        ladder = fraction_ladder(spec, h.rows, {1: 0, 2: 1, 3: 2}, steps)
+        assert [lam.numerator for lam, _ in ladder] == list(range(1, steps - roots + 1))
+        tests = counted_root_tests(monkeypatch)
+        lam, ratio = best_constructive_ratio(spec, h, steps=steps)
+        assert (lam, ratio) == (F(steps - roots, steps - roots + 1), F(steps - roots + 1, steps - roots))
+        assert tests == [roots + 1]
+
+    def test_root_tests_bounded_by_the_polynomials(self, monkeypatch):
+        from minorkit.stealth import _boundary_polys
+
+        tests = counted_root_tests(monkeypatch)
+        rng = random.Random(83)
+        for _ in range(25):
+            n = rng.randrange(3, 10)
+            g = random_connected(n, rng.randrange(n - 1, n * (n - 1) // 2 + 1), rng, gains=True)
+            spec = feasibility(g, random_cut_targets(g, rng))
+            h = assemble_gain_matrix(g)
+            colors, _, _ = color_assignment(component_graph(spec))
+            for c in (None, colors):
+                tests[0] = 0
+                best_constructive_ratio(spec, h, colors=c)
+                assert 1 <= tests[0] <= len(_boundary_polys(spec, h)) + 1
+
+
+def path_spec():
+    """The path 1-2-3-4-5 cut at (2,3): boundary 2 and 3, required zeros 1, 4, 5 and two edges."""
+    g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], gains={6: F(1), 7: F(1), 8: F(1), 9: F(1)})
+    return g, feasibility(g, [(2, 3)])
+
+
+class TestIntAudit:
+    @given(
+        hst.integers(min_value=3, max_value=9),
+        hst.integers(),
+        hst.fractions(min_value=0, max_value=3, max_denominator=12).filter(lambda x: x > 0),
+        hst.fractions(min_value=1, max_value=4, max_denominator=9),
+        hst.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_worst_as_the_fraction_audit(self, n, seed, eps1, widen, samples):
+        spec, h, _ = spec_and_exponent_maps(n, seed)
+        eps2 = eps1 * widen
+        robust, _ = build_robust_stealth(spec, spec.graph, eps1, eps2)
+        powers, _ = build_stealth(spec, h)  # lambda <= 1/2: non-integer values
+        for sv in (robust, powers):
+            got = robust_attack_audit(spec, sv, eps1, eps2, samples=samples, seed=seed)
+            assert got == robust_attack_audit_fraction(spec, sv, eps1, eps2, samples, seed)
+        assert robust_attack_audit(spec, robust, eps1, eps2, samples, seed) >= eps1 / 2
+
+    def test_coprime_bound_denominators(self):
+        g = cycle_graph(6)
+        spec = feasibility(g, [(1, 2), (3, 4), (5, 6)])
+        eps1, eps2 = F(1, 3), F(5, 7)
+        sv, _ = build_robust_stealth(spec, g, eps1, eps2)
+        got = robust_attack_audit(spec, sv, eps1, eps2, samples=25, seed=9)
+        assert got == robust_attack_audit_fraction(spec, sv, eps1, eps2, 25, 9)
+        assert got >= eps1 / 2
+        assert (21 * 64) % got.denominator == 0  # on D = lcm(3, 7) * 64, with S = 1
+
+    def test_non_integer_stealth_values(self):
+        g, spec = path_spec()
+        for values in (
+            (F(2, 3), F(2, 3), F(-5, 7), F(-5, 7), F(-5, 7)),
+            (F(1, 6), F(1, 6), F(11, 10), F(11, 10), F(11, 10)),
+        ):
+            sv = StealthVector(values=values, lam=F(1, 2), exponents={1: 0, 2: 1}, targets=spec.targets)
+            for eps1, eps2 in ((F(1), F(2)), (F(1, 3), F(5, 7))):
+                got = robust_attack_audit(spec, sv, eps1, eps2, samples=12, seed=4)
+                assert got == robust_attack_audit_fraction(spec, sv, eps1, eps2, 12, 4)
+                assert got > 0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (F(1, 2), F(1, 3), F(3, 4), F(3, 4), F(3, 4)),  # vertex 1 and edge (1,2) nonzero
+            (F(1, 3), F(1, 3), F(3, 4), F(3, 4), F(5, 4)),  # vertices 4, 5 and edge (4,5)
+            (F(1, 3), F(1, 3), F(3, 4), F(2, 5), F(2, 5)),  # vertex 4 cancels only for some gains
+        ],
+    )
+    def test_planted_required_zero_entry(self, values):
+        g, spec = path_spec()
+        sv = StealthVector(values=values, lam=F(1, 2), exponents={1: 0, 2: 1}, targets=spec.targets)
+        for eps1, eps2 in ((F(1), F(2)), (F(1, 3), F(5, 7))):
+            with pytest.raises(AssertionError) as ref:
+                robust_attack_audit_fraction(spec, sv, eps1, eps2, 5, 1)
+            with pytest.raises(AssertionError) as got:
+                robust_attack_audit(spec, sv, eps1, eps2, samples=5, seed=1)
+            assert str(got.value) == str(ref.value)
+            assert str(got.value).startswith("required-zero entry ")
+
+    def test_fraction_count_does_not_grow_with_samples(self, monkeypatch):
+        rng = random.Random(29)
+        g = random_connected(30, 60, rng, gains=True)
+        spec = feasibility(g, random_cut_targets(g, rng))
+        eps1, eps2 = F(1, 3), F(5, 7)
+        sv, _ = build_robust_stealth(spec, g, eps1, eps2)
+        made = count_fractions(monkeypatch)
+        counts = []
+        for samples in (1, 10, 40):
+            made[0] = 0
+            robust_attack_audit(spec, sv, eps1, eps2, samples=samples, seed=2)
+            counts.append(made[0])
+        # the two bounds as Fractions and the result
+        assert counts == [3, 3, 3]
