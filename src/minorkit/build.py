@@ -26,7 +26,6 @@ its grid, verify it there, lift and convert back.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,6 +42,7 @@ from .boxes import (
     Representation,
     _c1_violations,
     _c2_found,
+    _meet,
     certify,
     certify_grid,
     grid_to_json,
@@ -65,6 +65,7 @@ from .graph import (
     Graph,
     VertexDelete,
     apply_edit,
+    bfs_order,
     is_tree,
     norm_edge,
     reduce_to_spanning_tree,
@@ -125,18 +126,11 @@ def _tree_layout(t: Graph) -> tuple[dict[int, Box], dict[int, Point]]:
         raise TooSmall("tree builder needs at least three vertices")
 
     root = 1
-    parent: dict[int, int | None] = {root: None}
-    order = [root]
-    children: dict[int, list[int]] = {v: [] for v in t.vertices()}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in t.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                children[v].append(w)
-                order.append(w)
-                queue.append(w)
+    parent: dict[int, int | None] = {}
+    order = bfs_order(t, root, parent=parent)
+    children: dict[int, list[int]] = {v: [] for v in order}
+    for v in order[1:]:
+        children[parent[v]].append(v)
 
     boxes: dict[int, Box] = {root: Box.make((0, 1), (0, 1))}
     points: dict[int, Point] = {}
@@ -494,9 +488,6 @@ def _oracle_search(g: Graph, d: int) -> Representation | None:
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     assign: dict[int, tuple] = {}
 
-    def boxes_meet(a, b) -> bool:
-        return all(max(p[0], q[0]) <= min(p[1], q[1]) for p, q in zip(a, b))
-
     def segment_covered(lo: int, hi: int, segs: list[tuple[int, int]]) -> bool:
         cur = lo
         for s_lo, s_hi in sorted(segs):
@@ -539,7 +530,7 @@ def _oracle_search(g: Graph, d: int) -> Representation | None:
         for cand in candidates:
             ok = True
             for u in assign:
-                if boxes_meet(assign[u], cand) != g.has_edge(u, v):
+                if _meet(assign[u], cand) != g.has_edge(u, v):
                     ok = False
                     break
             if not ok:

@@ -14,7 +14,8 @@ sums and the export all read them.
 
 State recovery inverts the through flows in the same way: ``recover_pairs``
 takes the flows and the reference state as (numerator, denominator) int pairs,
-walks a breadth-first tree on them, one lcm per step, checks every edge by
+walks the graph once (``graph.bfs_order``, which also shows it connected), sets
+each state from its parent's, one lcm per step, checks every edge by
 cross-multiplication, and returns pairs, so the CLI reads, recovers and prints
 without a Fraction.  ``recover_states`` is the same walk on Fractions in and
 out.  Recovery is linear in the flows and the reference state.
@@ -23,7 +24,6 @@ out.  Recovery is linear in the flows and the reference state.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,7 +37,7 @@ from .exceptions import (
     MissingGain,
     ParseError,
 )
-from .graph import Edge, Graph, is_connected
+from .graph import Edge, Graph, bfs_order
 from .ratio import fmt_ratio, parse_pair, parse_ratio
 
 F = Fraction
@@ -59,7 +59,7 @@ class GainMatrix:
     def _sparse_rows(self) -> list[dict[int, Fraction]]:
         """Nonzero cells of every row (0-based column -> value); diagonals always present.
 
-        Built once per matrix, on first use, and shared by ``rows``,
+        Built once per matrix, on first use, and shared by ``row``,
         ``row_sums`` and ``matrix_to_json``; callers only read it.
         """
         vertex_rows: list[dict[int, Fraction]] = [{i: F(0)} for i in range(self.n)]
@@ -74,16 +74,14 @@ class GainMatrix:
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """Dense rows 1..t (vertices, then edges), derived from the sparse rows on each access."""
-        zero = F(0)
-        return tuple(
-            tuple(cells.get(j, zero) for j in range(self.n)) for cells in self._sparse_rows
-        )
+        return tuple(self.row(i) for i in range(1, self.t + 1))
 
     def row(self, index: int) -> tuple[Fraction, ...]:
-        """Row by 1-based flow index."""
+        """Row by 1-based flow index, built from its sparse row alone."""
         if not (1 <= index <= self.t):
             raise ValueError(f"row index {index} outside 1..{self.t}")
-        return self.rows[index - 1]
+        cells, zero = self._sparse_rows[index - 1], F(0)
+        return tuple(cells.get(j, zero) for j in range(self.n))
 
     def multiply(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """H*x in O(n+m), each entry summed as ints on its own denominator.
@@ -137,11 +135,12 @@ def recover_pairs(
 ) -> tuple[tuple[int, int], ...]:
     """Recover the full state, as (num, den > 0) pairs, from flow and reference pairs.
 
-    Edge rows give the exact state difference z_e / b_e across each edge; a
-    breadth-first walk from vertex 1 propagates them, and every edge (tree or
-    not) is then re-checked exactly, in edge order, so the first conflicting
-    edge is the one named.  Vertex rows are not consulted: the differential
-    procedure needs only the through flows.
+    Edge rows give the exact state difference z_e / b_e across each edge; one
+    breadth-first walk from vertex 1 (``bfs_order``) shows the graph connected
+    and propagates them along its tree, and every edge (tree or not) is then
+    re-checked exactly, in edge order, so the first conflicting edge is the one
+    named.  Vertex rows are not consulted: the differential procedure needs
+    only the through flows.
 
     The walk runs on ints, like ``GainMatrix.multiply``: each difference and
     each state is a (numerator, denominator) pair.  A step puts the parent
@@ -149,7 +148,9 @@ def recover_pairs(
     difference copies the parent's pair.  The check compares cross products.
     Input pairs need not be reduced, and neither are the returned ones.
     """
-    if not is_connected(g):
+    parent: dict[int, int | None] = {}
+    order = bfs_order(g, 1, parent=parent) if g.n else []
+    if len(order) != g.n:
         raise Disconnected("state recovery needs a connected graph")
     if g.n != h.n or g.t != h.t or g.edges != h.edges:
         raise DimensionMismatch("gain matrix does not match the graph")
@@ -163,22 +164,17 @@ def recover_pairs(
     }
 
     x: dict[int, tuple[int, int]] = {1: ref}
-    queue = deque([1])
-    while queue:
-        a = queue.popleft()
+    for b in order[1:]:
+        a = parent[b]
         an, ad = x[a]
-        for b in g.neighbors(a):
-            if b in x:
-                continue
-            # x_b = x_a - d for the edge (a, b), x_a + d for the edge (b, a)
-            dn, dd = diffs[(a, b)] if a < b else diffs[(b, a)]
-            if dn == 0:
-                x[b] = (an, ad)
-            else:
-                den = math.lcm(ad, dd)
-                step = dn * (den // dd)
-                x[b] = (an * (den // ad) + (step if b < a else -step), den)
-            queue.append(b)
+        # x_b = x_a - d for the edge (a, b), x_a + d for the edge (b, a)
+        dn, dd = diffs[(a, b)] if a < b else diffs[(b, a)]
+        if dn == 0:
+            x[b] = (an, ad)
+        else:
+            den = math.lcm(ad, dd)
+            step = dn * (den // dd)
+            x[b] = (an * (den // ad) + (step if b < a else -step), den)
 
     for (u, v), (dn, dd) in diffs.items():
         (un, ud), (vn, vd) = x[u], x[v]

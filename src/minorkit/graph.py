@@ -7,14 +7,16 @@ invert them later.  Contraction always merges the currently highest label into a
 neighbour; arbitrary edges are handled by a recorded label swap first.  Replay
 checks snapshots alone: an op's snapshots rebuild the graph before it from the
 one after it, so they and the base graph pin every intermediate graph.
+
+One breadth-first walk, ``bfs_order``, gives components, shortest paths and the
+BFS spanning tree here, and the tree layout and state recovery elsewhere.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .exceptions import (
     Disconnected,
@@ -143,34 +145,44 @@ def graph_from_json(obj) -> Graph:
 # -- connectivity ---------------------------------------------------------------
 
 
+def bfs_order(g: Graph, root: int, removed: Collection[Edge] = (), parent: dict | None = None) -> list[int]:
+    """Vertices reached from root, in breadth-first discovery order, root first.
+
+    Neighbours are taken in increasing label order and no edge in `removed`
+    (normalised pairs) is crossed.  Each reached vertex is recorded in `parent`
+    (root -> None) and a vertex already there is skipped, so one map shared
+    across several roots walks each vertex once.  The order is its own queue.
+    """
+    if parent is None:
+        parent = {}
+    parent[root] = None
+    order = [root]
+    adj = g._adj
+    for v in order:
+        for w in adj[v]:
+            if w in parent or (removed and ((v, w) if v < w else (w, v)) in removed):
+                continue
+            parent[w] = v
+            order.append(w)
+    return order
+
+
 def components(g: Graph, removed: Iterable[Edge] = ()) -> list[tuple[int, ...]]:
     """Connected components of g minus the removed edges, ordered by smallest vertex."""
     removed_set = {norm_edge(u, v) for u, v in removed}
     for e in removed_set:
         if e not in g._index:
             raise ValueError(f"removed edge {e} is not in the graph")
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for start in g.vertices():
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        comp = [start]
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w in seen or norm_edge(v, w) in removed_set:
-                    continue
-                seen.add(w)
-                comp.append(w)
-                queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    parent: dict[int, int | None] = {}
+    return [
+        tuple(sorted(bfs_order(g, start, removed_set, parent)))
+        for start in g.vertices()
+        if start not in parent
+    ]
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
+    return g.n <= 1 or len(bfs_order(g, 1)) == g.n
 
 
 def is_tree(g: Graph) -> bool:
@@ -179,22 +191,14 @@ def is_tree(g: Graph) -> bool:
 
 def bfs_path(g: Graph, start: int, goal: int, removed: Iterable[Edge] = ()) -> list[int] | None:
     """Shortest vertex path avoiding removed edges, or None if unreachable."""
-    removed_set = {norm_edge(u, v) for u, v in removed}
-    prev: dict[int, int] = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        if v == goal:
-            path = [v]
-            while path[-1] != start:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for w in g.neighbors(v):
-            if w in prev or norm_edge(v, w) in removed_set:
-                continue
-            prev[w] = v
-            queue.append(w)
-    return None
+    parent: dict[int, int | None] = {}
+    bfs_order(g, start, {norm_edge(u, v) for u, v in removed}, parent)
+    if goal not in parent:
+        return None
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 # -- cycle oracle ---------------------------------------------------------------
@@ -412,19 +416,11 @@ def spanning_tree_edges(g: Graph) -> set[Edge]:
     """BFS tree from vertex 1, ties broken by smallest neighbour id."""
     if g.n == 0:
         return set()
-    tree: set[Edge] = set()
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                tree.add(norm_edge(v, w))
-                queue.append(w)
-    if len(seen) != g.n:
+    parent: dict[int, int | None] = {}
+    order = bfs_order(g, 1, parent=parent)
+    if len(order) != g.n:
         raise Disconnected("graph is not connected")
-    return tree
+    return {norm_edge(v, parent[v]) for v in order[1:]}
 
 
 def reduce_to_spanning_tree(g: Graph) -> EditSequence:

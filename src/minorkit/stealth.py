@@ -24,7 +24,9 @@ lambda ladder (``_ladder``) yields every step's jumps unfiltered, the schedule
 root-tests only a step inside its gap, and the best constructive ratio
 root-tests the steps in (ratio, q) order, where each boundary polynomial can
 reject at most one step.  The sampled robust audit runs H*s as int masses on
-one denominator, D * S for the gains' D and the stealth values' S.
+one denominator, D * S for the gains' D and the stealth values' S, and the
+robust certificate sums each boundary vertex's int coefficients for its int
+lambda, the positive and the negative ones apart.
 """
 
 from __future__ import annotations
@@ -182,13 +184,12 @@ def _boundary_polys(spec: AttackSpec, h: GainMatrix) -> dict[int, list[tuple[int
     return polys
 
 
-def _scaled_powers(lam: Fraction, exponents: dict[int, int]) -> dict[int, int]:
-    """Component -> p**e * q**(top - e) for lam = p/q and top the largest exponent.
+def _scaled_powers(p: int, q: int, exponents: dict[int, int]) -> dict[int, int]:
+    """Component -> p**e * q**(top - e) for lambda = p/q and top the largest exponent.
 
-    That is lam**e times q**top, one positive factor for every component, so
-    these ints have the same zero tests and jump ratios as the powers.
+    That is lambda**e times q**top, one positive factor for every component,
+    so these ints have the same zero tests and jump ratios as the powers.
     """
-    p, q = lam.numerator, lam.denominator
     top = max(exponents.values(), default=0)
     scaled = {e: p ** e * q ** (top - e) for e in set(exponents.values())}
     return {c: scaled[e] for c, e in exponents.items()}
@@ -232,7 +233,7 @@ def _root_free_lambda(
     lam = hint
     primes = _primes()
     for _ in range(len(polys) + 1):
-        if _root_free(polys, _scaled_powers(lam, exponents)):
+        if _root_free(polys, _scaled_powers(lam.numerator, lam.denominator, exponents)):
             return lam
         lam = lam * (1 - F(1, next(primes)))
     raise AssertionError("every candidate lambda is a root: some gain is not positive")
@@ -312,7 +313,7 @@ def _ladder(spec: AttackSpec, exponents: dict[int, int], steps: int):
     levels = {e: e for e in exponents.values()}
     pairs = {(exponents[ci], exponents[cj]) for ci, cj in spec.crossing.values()}
     for q in range(1, steps + 1):
-        value = _scaled_powers(F(q, q + 1), levels)
+        value = _scaled_powers(q, q + 1, levels)
         jumps = [abs(value[a] - value[b]) for a, b in pairs]
         yield q, max(jumps), min(jumps)
 
@@ -346,9 +347,8 @@ def variation_limit_schedule(
     for q, top, low in _ladder(spec, exponents, max_steps):
         if abs(top - target * low) * gap_den > gap_num * low:
             continue
-        lam = F(q, q + 1)
-        if _root_free(polys, _scaled_powers(lam, exponents)):
-            sv, _ = _build(spec, h, exponents, lam)
+        if _root_free(polys, _scaled_powers(q, q + 1, exponents)):
+            sv, _ = _build(spec, h, exponents, F(q, q + 1))
             return sv, F(top, low)
     raise ScheduleStalled(
         f"ratio did not come within {epsilon_gap} of {target}; "
@@ -382,9 +382,8 @@ def best_constructive_ratio(
         ((F(top, low), q) for q, top, low in _ladder(spec, exponents, steps)), key=itemgetter(0)
     )
     for ratio, q in ranked:
-        lam = F(q, q + 1)
-        if _root_free(polys, _scaled_powers(lam, exponents)):
-            return lam, ratio
+        if _root_free(polys, _scaled_powers(q, q + 1, exponents)):
+            return F(q, q + 1), ratio
     raise AssertionError("every ladder step is a root: the ladder is shorter than the polynomials")
 
 
@@ -479,31 +478,32 @@ def robust_lambda_threshold(k: int, eps1: Fraction, eps2: Fraction) -> int:
     return math.ceil(F(2 * k) * eps2 / eps1) + 1
 
 
-def _certified(
-    spec: AttackSpec, lam: Fraction, eps1: Fraction, eps2: Fraction
-) -> bool:
+def _certified(spec: AttackSpec, lam: int, eps1: Fraction, eps2: Fraction) -> bool:
     """Exact interval check: does every gain matrix in the box keep |a_l| >= eps1/2?
 
     The attack entry at a boundary vertex is linear in the gains with fixed
-    coefficients (own power minus neighbour power), so its range over the gain
-    box is an exact interval.
+    int coefficients lam**(own-1) - lam**(c-1), one per neighbour in component
+    c.  With P and N the sums of the positive and of the negative ones, its
+    range over the gain box is [P eps1 + N eps2, P eps2 + N eps1], compared
+    on ints over the common denominator of the bounds.
     """
-    g = spec.graph
-    floor = eps1 / 2
+    den = math.lcm(eps1.denominator, eps2.denominator)
+    e1 = eps1.numerator * (den // eps1.denominator)
+    e2 = eps2.numerator * (den // eps2.denominator)
+    power = {c: lam ** (c - 1) for c in range(1, spec.k + 1)}
+    comp_of = spec.comp_of
     for l in spec.boundary_vertices():
-        own = spec.comp_of[l]
-        lo = F(0)
-        hi = F(0)
-        for q in g.neighbors(l):
-            coeff = lam ** (own - 1) - lam ** (spec.comp_of[q] - 1)
+        own = power[comp_of[l]]
+        pos = neg = 0
+        for q in spec.graph.neighbors(l):
+            coeff = own - power[comp_of[q]]
             if coeff > 0:
-                lo += coeff * eps1
-                hi += coeff * eps2
-            elif coeff < 0:
-                lo += coeff * eps2
-                hi += coeff * eps1
-        magnitude = lo if lo > 0 else (-hi if hi < 0 else F(0))
-        if magnitude < floor:
+                pos += coeff
+            else:
+                neg += coeff
+        lo, hi = pos * e1 + neg * e2, pos * e2 + neg * e1
+        # the least |a_l| over [lo, hi] (times den) is lo or -hi, or 0 if the interval holds 0
+        if 2 * max(lo, -hi) < e1:
             return False
     return True
 
@@ -528,7 +528,7 @@ def build_robust_stealth(
         raise ValueError("topology does not match the spec")
     threshold = robust_lambda_threshold(spec.k, eps1, eps2)
     lam = threshold
-    while not _certified(spec, F(lam), eps1, eps2):
+    while not _certified(spec, lam, eps1, eps2):
         lam *= 2
     exponents = {i: i - 1 for i in range(1, spec.k + 1)}
     s = _stealth_values(spec, F(lam), exponents)

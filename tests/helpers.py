@@ -232,6 +232,33 @@ def robust_attack_audit_fraction(spec, sv, eps1, eps2, samples: int, seed: int) 
     return worst
 
 
+def certified_fraction(spec, lam: Fraction, eps1: Fraction, eps2: Fraction) -> bool:
+    """The robust interval certificate as it ran in Fractions, one neighbour at a time.
+
+    Each coefficient lam**(own-1) - lam**(c-1) widens [lo, hi] by its product
+    with the bound that makes the entry smallest and with the one that makes
+    it largest; the check is |a_l| >= eps1/2 on the whole interval.
+    """
+    g = spec.graph
+    floor = eps1 / 2
+    for l in spec.boundary_vertices():
+        own = spec.comp_of[l]
+        lo = F(0)
+        hi = F(0)
+        for q in g.neighbors(l):
+            coeff = lam ** (own - 1) - lam ** (spec.comp_of[q] - 1)
+            if coeff > 0:
+                lo += coeff * eps1
+                hi += coeff * eps2
+            elif coeff < 0:
+                lo += coeff * eps2
+                hi += coeff * eps1
+        magnitude = lo if lo > 0 else (-hi if hi < 0 else F(0))
+        if magnitude < floor:
+            return False
+    return True
+
+
 # -- the Fraction lift bodies the grid-form lifts replaced --------------------------------
 # Each takes a valid, fully witnessed Representation and certifies its output,
 # exactly as the package did before its lifts ran on the integer grid.

@@ -62,3 +62,10 @@ def test_name_scanner_sees_calls_and_imports():
 def test_box_paths_use_no_fraction_check(module):
     path = Path(minorkit.__file__).with_name(f"{module}.py")
     assert names_used(path.read_text(), FRACTION_CHECKS) == [], f"{module}.py checks boxes off the grid"
+
+
+@pytest.mark.parametrize("module", CORE)
+def test_core_module_has_no_second_walk(module):
+    # graph.bfs_order is the one breadth-first walk; it queues on its own order list
+    path = Path(minorkit.__file__).with_name(f"{module}.py")
+    assert names_used(path.read_text(), {"deque"}) == [], f"{module}.py queues its own walk"

@@ -130,6 +130,47 @@ class TestRecovery:
         assert tuple(v - F(9) for v in moved) == x
 
 
+class TestRecoveryWalk:
+    def test_empty_graph(self):
+        assert recover_pairs(GainMatrix(n=0, t=0, gains=(), edges=()), [], Graph(0), (0, 1)) == ()
+
+    def test_disconnected_before_dimension_errors(self):
+        g = Graph(4, [(1, 2), (3, 4)], gains={5: F(1), 6: F(1)})
+        h = assemble_gain_matrix(g)
+        with pytest.raises(Disconnected, match="connected graph"):
+            recover_pairs(h, [(0, 1)] * 2, g, (0, 1))  # the flow vector is 4 short too
+
+    def test_walks_without_components(self, monkeypatch):
+        import minorkit.graph
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("recovery walks the graph once, without components()")
+
+        monkeypatch.setattr(minorkit.graph, "components", refuse)
+        g = random_connected(7, 11, random.Random(5), gains=True)
+        h = assemble_gain_matrix(g)
+        x = tuple(F(i, 3) for i in range(7))
+        assert recover_states(h, flows(h, x), g, x[0]) == x
+
+
+@given(st.integers(min_value=1, max_value=10), st.integers())
+@settings(max_examples=40, deadline=None)
+def test_row_builds_the_dense_row(n, seed):
+    rng = random.Random(seed)
+    g = random_connected(n, rng.randrange(n - 1, n * (n - 1) // 2 + 1), rng, gains=True)
+    h = assemble_gain_matrix(g)
+    dense = [[F(0)] * n for _ in range(h.t)]  # the matrix cell by cell, from the edge list
+    for pos, ((u, v), b) in enumerate(zip(h.edges, h.gains)):
+        for a, c in ((u, v), (v, u)):
+            dense[a - 1][a - 1] += b
+            dense[a - 1][c - 1] -= b
+        dense[n + pos][u - 1], dense[n + pos][v - 1] = b, -b
+    assert [h.row(i) for i in range(1, h.t + 1)] == [tuple(r) for r in dense] == list(h.rows)
+    for bad in (0, h.t + 1):
+        with pytest.raises(ValueError):
+            h.row(bad)
+
+
 PRIMES = tuple(p for p in range(2, 400) if all(p % q for q in range(2, int(p ** 0.5) + 1)))
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from minorkit.exceptions import (
     ParseError,
     SequenceMismatch,
 )
+from minorkit.graph import bfs_order, bfs_path, spanning_tree_edges
 
 from helpers import is_bridge, random_connected, random_tree
 
@@ -57,6 +59,74 @@ class TestComponents:
     def test_removed_must_be_edges(self):
         with pytest.raises(ValueError):
             components(path3(), [(1, 3)])
+
+
+class TestBfsOrder:
+    def test_order_and_parents(self):
+        g = Graph(6, [(1, 3), (1, 2), (2, 4), (3, 4), (4, 5)])  # 6 is isolated
+        parent = {}
+        assert bfs_order(g, 1, parent=parent) == [1, 2, 3, 4, 5]
+        assert parent == {1: None, 2: 1, 3: 1, 4: 2, 5: 4}  # smaller neighbour first
+        parent = {}
+        assert bfs_order(g, 1, {(2, 4)}, parent) == [1, 2, 3, 4, 5]
+        assert parent == {1: None, 2: 1, 3: 1, 4: 3, 5: 4}
+        assert bfs_order(g, 4, {(2, 4), (3, 4)}) == [4, 5]
+        assert bfs_order(g, 6) == [6]
+
+    def test_shared_map_across_roots(self):
+        g = Graph(6, [(1, 2), (3, 4), (4, 5), (2, 5), (5, 6)])
+        parent = {}
+        assert bfs_order(g, 1, {(2, 5)}, parent) == [1, 2]
+        assert bfs_order(g, 3, {(2, 5)}, parent) == [3, 4, 5, 6]
+        assert parent == {1: None, 2: 1, 3: None, 4: 3, 5: 4, 6: 5}
+        # a second walk that may cross (2, 5) still skips 2, which the first walk recorded
+        parent = {}
+        bfs_order(g, 1, {(2, 5)}, parent)
+        assert bfs_order(g, 3, parent=parent) == [3, 4, 5, 6]
+        assert parent[2] == 1 and parent[5] == 4
+
+
+@st.composite
+def graphs_with_removed(draw):
+    """A graph on 0..9 vertices, its edges in a random order, and some of them, either way round."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    picked = draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+    removed = [e[::-1] if draw(st.booleans()) else e for e in picked]
+    return Graph(n, edges), removed
+
+
+@given(graphs_with_removed())
+@settings(max_examples=150, deadline=None)
+def test_walks_match_networkx(case):
+    g, removed = case
+    full = nx.Graph()
+    full.add_nodes_from(g.vertices())
+    full.add_edges_from(g.edges)
+    cut = full.copy()
+    cut.remove_edges_from(removed)
+    assert components(g, removed) == sorted(tuple(sorted(c)) for c in nx.connected_components(cut))
+    assert is_connected(g) == (g.n <= 1 or nx.is_connected(full))
+    for s in g.vertices():
+        for t in g.vertices():
+            path = bfs_path(g, s, t, removed)
+            if not nx.has_path(cut, s, t):
+                assert path is None
+                continue
+            assert path[0] == s and path[-1] == t
+            assert all(cut.has_edge(a, b) for a, b in zip(path, path[1:]))
+            assert len(path) - 1 == nx.shortest_path_length(cut, s, t)
+    if g.n and not nx.is_connected(full):
+        with pytest.raises(Disconnected):
+            spanning_tree_edges(g)
+        return
+    tree = spanning_tree_edges(g)
+    assert len(tree) == max(g.n - 1, 0) and tree <= set(g.edges)
+    if g.n:  # a BFS tree: every vertex as far from 1 in the tree as in the graph
+        walk = nx.Graph(tree)
+        walk.add_node(1)
+        assert nx.single_source_shortest_path_length(walk, 1) == nx.single_source_shortest_path_length(full, 1)
 
 
 class TestBridges:

@@ -40,6 +40,7 @@ from minorkit.exceptions import (
 )
 
 from helpers import (
+    certified_fraction,
     count_fractions,
     is_bridge,
     poly_value,
@@ -594,14 +595,14 @@ class TestIntegerFastPaths:
         assert all(type(m) is int for terms in polys.values() for _, m in terms)
         for exponents in expmaps:
             stealth = _stealth_values(spec, lam, exponents)
-            value = _scaled_powers(lam, exponents)
+            value = _scaled_powers(lam.numerator, lam.denominator, exponents)
             for l in spec.boundary_vertices():
                 dense = sum(c * s for c, s in zip(rows[l - 1], stealth))
                 assert _vanishes(polys[l], value) == (dense == 0)
             kept = [
                 (F(q, q + 1), F(top, low))
                 for q, top, low in _ladder(spec, exponents, 30)
-                if _root_free(polys, _scaled_powers(F(q, q + 1), exponents))
+                if _root_free(polys, _scaled_powers(q, q + 1, exponents))
             ]
             assert kept == fraction_ladder(spec, rows, exponents, 30)
             sv = StealthVector(values=stealth, lam=lam, exponents=exponents, targets=spec.targets)
@@ -631,7 +632,7 @@ class TestIntegerFastPaths:
         exponents = {i: i - 1 for i in range(1, spec.k + 1)}
         for lam in candidates:
             stealth = _stealth_values(spec, lam, exponents)
-            value = _scaled_powers(lam, exponents)
+            value = _scaled_powers(lam.numerator, lam.denominator, exponents)
             zero = {l for l, terms in polys.items() if _vanishes(terms, value)}
             assert len(zero) == 1
             assert zero == {l for l in polys if sum(c * s for c, s in zip(rows[l - 1], stealth)) == 0}
@@ -764,6 +765,34 @@ class TestIntAudit:
             got = robust_attack_audit(spec, sv, eps1, eps2, samples=samples, seed=seed)
             assert got == robust_attack_audit_fraction(spec, sv, eps1, eps2, samples, seed)
         assert robust_attack_audit(spec, robust, eps1, eps2, samples, seed) >= eps1 / 2
+
+    @given(
+        hst.integers(min_value=3, max_value=9),
+        hst.integers(),
+        hst.integers(min_value=1, max_value=200),
+        hst.fractions(min_value=0, max_value=3, max_denominator=12).filter(lambda x: x > 0),
+        hst.fractions(min_value=1, max_value=4, max_denominator=9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_int_certificate_matches_the_fraction_one(self, n, seed, lam, eps1, widen):
+        from minorkit.stealth import _certified
+
+        spec, _, _ = spec_and_exponent_maps(n, seed)
+        eps2 = eps1 * widen
+        assert _certified(spec, lam, eps1, eps2) == certified_fraction(spec, F(lam), eps1, eps2)
+
+    @pytest.mark.parametrize("eps", [(1, 2), (F(1, 3), F(5, 7)), (2, 9), (F(3, 2), 3)])
+    def test_escalated_lambda_matches_the_fraction_certificate(self, eps):
+        # the high-degree hub of TestRobust, whose certificate needs doublings
+        edges = [(i, i + 1) for i in range(1, 20)] + [(i, 21) for i in range(1, 21)] + [(21, 22)]
+        g = Graph(22, edges)
+        spec = feasibility(g, [(i, 21) for i in range(1, 21)] + [(21, 22)])
+        eps1, eps2 = F(eps[0]), F(eps[1])
+        lam = threshold = robust_lambda_threshold(spec.k, eps1, eps2)
+        while not certified_fraction(spec, F(lam), eps1, eps2):
+            lam *= 2
+        sv, _ = build_robust_stealth(spec, g, eps1, eps2)
+        assert sv.lam == lam > threshold
 
     def test_coprime_bound_denominators(self):
         g = cycle_graph(6)
