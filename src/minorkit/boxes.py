@@ -12,6 +12,10 @@ decides C1 and re-checks the stored witnesses on those ints, and
 `grid_to_json` writes each x as the text of x / L.  `certify_grid` proves a
 builder's output (C1, witness points, radii) on such a grid, so an edit
 pipeline's lifts stay on their base's grid from the base to the written file.
+It proves a step from its input's certificate (which boxes meet, and each
+witness's gaps to the boxes within one grid unit): the boxes and points a
+lift extends are checked on the appended axes only, and only the boxes it
+changed are checked against every box on every axis.
 Boxes are closed, so two boxes that share only a boundary point do
 intersect; builders therefore keep strictly positive gaps between
 non-adjacent boxes.
@@ -31,7 +35,7 @@ on the grid of 2 * scale, and `GridRep.witnessed` re-bases the boxes there.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -429,41 +433,159 @@ def _radii(scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint]) -> 
                 nearest = gap
                 if gap == 0:
                     break
-        if nearest == 0:
-            radii[v] = None
-        elif 2 * nearest >= scale:  # nearest / (2 * scale) >= 1/4
-            radii[v] = (1, 4)
-        else:
-            num, den = nearest.as_integer_ratio()  # den > 1 only for a Fraction gap (scale 1)
-            radii[v] = (num, 2 * scale * den)
+        radii[v] = _radius(nearest, scale)
     return radii
 
 
+def _radius(nearest, scale: int) -> Pair | None:
+    """A witness radius: half the gap nearest / scale to the nearest other box, at most 1/4.
+
+    None when nearest is 0 (the witness lies in another box).
+    """
+    if nearest == 0:
+        return None
+    if 2 * nearest >= scale:  # nearest / (2 * scale) >= 1/4
+        return (1, 4)
+    num, den = nearest.as_integer_ratio()  # den > 1 only for a Fraction gap (scale 1)
+    return (num, 2 * scale * den)
+
+
 def certify_grid(
-    g: Graph, scale: int, grid: Mapping[int, IntBox], scaled: Mapping[int, IntPoint], what: str
-) -> dict[int, Pair]:
-    """Prove a builder's grid-form boxes and witness points; return the radii by vertex.
+    g: Graph,
+    scale: int,
+    grid: dict[int, IntBox],
+    scaled: dict[int, IntPoint],
+    what: str,
+    prev: GridRep | None = None,
+) -> GridRep:
+    """Prove a builder's grid-form boxes and witness points; return them as a certified GridRep.
 
     Coordinates are read as x / scale.  Every box must be full-dimensional, the
     boxes must meet exactly on g's edges, and each scaled[v] must lie on grid[v]'s
     boundary and outside every other box; a failure is a bug in the builder
-    `what` (AssertionError).
+    `what` (AssertionError).  The radii come in vertex order.
+
+    The result carries a certificate (_certificate): which boxes meet each box,
+    and each witness's gap to every box nearer than one grid unit.  Given a
+    certified prev on the same scale, a vertex whose box and point extend
+    prev's (kept) is checked on the appended axes only, and every other vertex
+    (changed) against every box on all axes.  Without one, every vertex is
+    changed: the full check.
     """
     if set(grid) != set(g.vertices()) or set(scaled) != set(grid):
         raise AssertionError(f"{what}: boxes and witness points must cover 1..{g.n}")
+    cert = prev._cert if prev is not None and prev.scale == scale else None
+    d0, kept = 0, set()
+    if cert is not None:
+        d0, old_boxes, old_points = prev.dim, prev.boxes, prev.points
+        kept = {
+            v for v, b in grid.items()
+            if b[:d0] == old_boxes.get(v) and scaled[v][:d0] == old_points.get(v)
+        }
     for v, box in grid.items():
-        if any(lo >= hi for lo, hi in box):
+        # a kept box's first d0 axes passed in prev
+        if any(lo >= hi for lo, hi in (box[d0:] if v in kept else box)):
             raise AssertionError(f"{what}: box for vertex {v} is degenerate")
-    bad = _c1_violations(g, grid)
-    if bad:
-        raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
-    radii = _radii(scale, grid, scaled)
+    meets, near = _certificate(scale, grid, scaled, cert, d0, kept)
+    for v, m in meets.items():
+        nbrs = g.neighbors(v)
+        if len(m) != len(nbrs) or not m.issuperset(nbrs):
+            bad = _c1_violations(g, grid)
+            raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
+    radii: dict[int, Pair] = {}
     for v, p in scaled.items():
-        if not _on_boundary(grid[v], p):
+        box = grid[v]
+        if v in kept:  # prev's point touched prev's box, so it stays on the boundary if inside
+            inside = len(p) == len(box) and all(
+                lo <= x <= hi for (lo, hi), x in zip(box[d0:], p[d0:])
+            )
+        else:
+            inside = _on_boundary(box, p)
+        if not inside:
             raise AssertionError(f"{what}: witness point for {v} is not on its boundary")
-        if radii[v] is None:
+        r = radii[v] = _radius(min(near[v].values(), default=scale), scale)
+        if r is None:
             raise AssertionError(f"{what}: witness point for {v} lies in another box")
-    return {v: radii[v] for v in sorted(radii)}
+    radii = {v: radii[v] for v in sorted(radii)}
+    return GridRep(scale, grid, scaled, radii, (meets, near))
+
+
+def _gap(box: IntBox, p: IntPoint, cap):
+    """The L-infinity gap from p to box (0 inside it), or any value >= cap once it reaches cap."""
+    gap = 0
+    for (lo, hi), x in zip(box, p):
+        d = lo - x if x < lo else x - hi  # <= 0 inside the interval
+        if d > gap:
+            if d >= cap:
+                return d
+            gap = d
+    return gap
+
+
+def _certificate(scale, grid, scaled, cert, d0: int, kept: set) -> tuple[dict, dict]:
+    """certify_grid's certificate (meets, near) of the boxes grid and the points scaled.
+
+    meets[v] is the set of vertices whose boxes meet v's box, and near[v] maps
+    each vertex whose box is less than scale from scaled[v] to that gap.  A
+    kept pair takes cert's answer, found on the first d0 axes, and the answer
+    on the appended axes: boxes meet iff they meet on every axis, and the
+    gap is the larger of the two gaps, so a box dropped from near stays out.
+    The kept vertices are grouped by the appended part of their box and of
+    their point, and each pair of groups is decided once.  A changed vertex
+    is checked against every box on all axes.
+    """
+    meets: dict[int, set] = {}
+    near: dict[int, dict] = {}
+    if kept:
+        meets0, near0 = cert
+        by_box: dict[IntBox, set] = {}
+        by_point: dict[IntPoint, set] = {}
+        for v in kept:
+            by_box.setdefault(grid[v][d0:], set()).add(v)
+            by_point.setdefault(scaled[v][d0:], set()).add(v)
+        for suffix, vs in by_box.items():
+            meet_ok = set().union(*(us for other, us in by_box.items() if _meet(suffix, other)))
+            for v in vs:
+                meets[v] = meets0[v] & meet_ok
+        for suffix, vs in by_point.items():
+            same: set = set()  # the new axes add nothing to these gaps
+            grown: dict = {}  # the new axes set these gaps, if larger
+            for box, us in by_box.items():
+                gap = _gap(box, suffix, scale)
+                if gap == 0:
+                    same |= us
+                elif gap < scale:
+                    grown.update(dict.fromkeys(us, gap))
+            for v in vs:
+                old = near0[v]
+                new = near[v] = dict(old)
+                for u in old.keys() - same:  # also every vertex that is changed or gone
+                    gap = grown.get(u)
+                    if gap is None:
+                        del new[u]
+                    elif gap > old[u]:
+                        new[u] = gap
+    changed = [v for v in grid if v not in kept]
+    order = {v: i for i, v in enumerate(changed)}
+    for v in changed:
+        meets[v], near[v] = set(), {}
+    for i, v in enumerate(changed):
+        box, p, mv, nv = grid[v], scaled[v], meets[v], near[v]
+        for u, b in grid.items():
+            j = order.get(u, -1)
+            if j == i:
+                continue
+            if (j < 0 or j > i) and _meet(box, b):  # each changed pair once
+                mv.add(u)
+                meets[u].add(v)
+            gap = _gap(b, p, scale)
+            if gap < scale:
+                nv[u] = gap
+            if j < 0:  # a kept point against the changed box
+                gap = _gap(box, scaled[u], scale)
+                if gap < scale:
+                    near[u][v] = gap
+    return meets, near
 
 
 def certify(g: Graph, boxes: Mapping[int, Box], points: Mapping[int, Point], what: str) -> Representation:
@@ -486,13 +608,16 @@ class GridRep:
     a (num, den) pair.  Lifts add integer levels and reuse coordinates, so a
     whole edit pipeline keeps the grid of its base.  Past GRID_MAX_BITS the
     scale is 1, or 2 once witnessed re-bases it, and the coordinates are
-    Fractions.
+    Fractions.  A grid that certify_grid made carries its certificate, which
+    the next lift's certify_grid starts from; any other grid has none.
     """
 
     scale: int
     boxes: dict[int, IntBox]
     points: dict[int, IntPoint]
     radii: dict[int, Pair]
+    # (meets, near) when certify_grid made this grid (see _certificate); not part of the value
+    _cert: tuple[dict, dict] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of(cls, rep: Representation) -> "GridRep":
@@ -506,19 +631,28 @@ class GridRep:
         cls, g: Graph, boxes: Mapping[int, Box], points: Mapping[int, Point], what: str
     ) -> "GridRep":
         """A builder's boxes with a witness at each points[v], on their grid and proved by certify_grid."""
-        scale, grid, scaled = _grid(boxes, points)
-        return cls(scale, grid, scaled, certify_grid(g, scale, grid, scaled, what))
+        return certify_grid(g, *_grid(boxes, points), what)
 
     @property
     def dim(self) -> int:
         return len(next(iter(self.boxes.values())))
 
     def rename(self, mapping: Mapping[int, int]) -> "GridRep":
+        """The grid with each vertex v relabelled mapping.get(v, v), certificate included."""
+        to = mapping.get
+        cert = self._cert
+        if cert is not None:
+            meets, near = cert
+            cert = (
+                {to(v, v): {to(u, u) for u in m} for v, m in meets.items()},
+                {to(v, v): {to(u, u): gap for u, gap in d.items()} for v, d in near.items()},
+            )
         return GridRep(
             self.scale,
-            {mapping.get(v, v): b for v, b in self.boxes.items()},
-            {mapping.get(v, v): p for v, p in self.points.items()},
-            {mapping.get(v, v): r for v, r in self.radii.items()},
+            {to(v, v): b for v, b in self.boxes.items()},
+            {to(v, v): p for v, p in self.points.items()},
+            {to(v, v): r for v, r in self.radii.items()},
+            cert,
         )
 
     def witnessed(self, order: list[int], swept: Mapping[int, IntPoint]) -> "GridRep":

@@ -11,17 +11,21 @@ pipeline replays a recorded edit sequence backwards, lifting a verified base
 representation up to the original graph, and a tiny brute-force oracle pins
 exact answers for hand-checkable instances.
 
-Every construction step is checked once: C1, each chosen witness point's
+Every construction step is certified once: C1, each chosen witness point's
 place on its box's boundary and every witness radius, decided on one integer
-grid.  The base builders hand their Fraction boxes to `boxes.certify`.  The
-lifts work on the grid form itself (`boxes.GridRep`: ints over one scale):
-a lift appends integer levels k * scale and reuses the input's coordinates,
-so the grid of its input is the grid of its output, and `boxes.certify_grid`
-checks the step's ints directly.  A pipeline puts its base on its grid once
-(and verifies it there, or certifies the tree base it builds itself), runs
-every lift there, and keeps the final grid: its trace builds the Fraction
-representation only when `final` is read.  Public lifts put their input on
-its grid, verify it there, lift and convert back.
+grid.  The base builders hand their Fraction boxes to `boxes.certify`, which
+checks every box.  The lifts work on the grid form itself (`boxes.GridRep`:
+ints over one scale): a lift appends integer levels k * scale and reuses the
+input's coordinates, so the grid of its input is the grid of its output, and
+`boxes.certify_grid` checks the step's ints against the input's certificate.
+A box and witness that a lift only extends are re-checked on the appended
+axes alone; a box the lift changes (the re-added vertex, the restored vertex,
+v after an edge lift) is checked against every box on every axis.  A
+pipeline puts its base on its grid once (and verifies it there, or certifies
+the tree base it builds itself), runs every lift there, and keeps the final
+grid: its trace builds the Fraction representation only when `final` is
+read.  Public lifts put their input on its grid, verify it there, lift with
+every box checked in full and convert back.
 """
 
 from __future__ import annotations
@@ -238,7 +242,7 @@ def _lift_vertex_add(rep: GridRep, g: Graph, v: int) -> GridRep:
     hi = max(x for u, b in rep.boxes.items() if u != v for _, x in b)
     boxes[v] = ((lo, hi),) * rep.dim + ((4 * s, 6 * s),)
     points[v] = (hi,) * rep.dim + (6 * s,)
-    return GridRep(s, boxes, points, certify_grid(g, s, boxes, points, "vertex lift"))
+    return certify_grid(g, s, boxes, points, "vertex lift", rep)
 
 
 def lift_edge_add(rep_h: Representation, g: Graph, e: Edge) -> Representation:
@@ -284,7 +288,7 @@ def _drop_edge(rep: GridRep, g: Graph, u: int, v: int) -> GridRep:
         boxes[i] = rep.boxes[i] + (level,)
         points[i] = rep.points[i] + (level[0],)
     h = Graph(g.n, [ed for ed in g.edges if ed != (u, v)])
-    return GridRep(s, boxes, points, certify_grid(h, s, boxes, points, "edge drop"))
+    return certify_grid(h, s, boxes, points, "edge drop", rep)
 
 
 def lift_uncontract(
@@ -341,7 +345,7 @@ def _lift_uncontract(rep: GridRep, g: Graph, u: int, n_restored: int) -> GridRep
         else:
             boxes[i] = rep.boxes[i] + ((0, 10 * s), (0, 10 * s))
             points[i] = rep.points[i] + (0, 0)
-    return GridRep(s, boxes, points, certify_grid(g, s, boxes, points, "uncontract lift"))
+    return certify_grid(g, s, boxes, points, "uncontract lift", rep)
 
 
 # -- edit-sequence pipeline --------------------------------------------------------------

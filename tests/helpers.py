@@ -259,6 +259,31 @@ def certified_fraction(spec, lam: Fraction, eps1: Fraction, eps2: Fraction) -> b
     return True
 
 
+# -- the certificate certify_grid carries, by brute force ------------------------------
+
+
+def full_certificate(rep) -> tuple[dict, dict]:
+    """(meets, near) of a GridRep from every pair of vertices on every axis.
+
+    meets[v] holds the vertices whose boxes meet v's box; near[v] maps each
+    vertex whose box is less than rep.scale from v's witness point to that
+    L-infinity gap (0 when the point is inside).
+    """
+    meets = {
+        v: {u for u, b in rep.boxes.items() if u != v
+            and all(max(a_lo, b_lo) <= min(a_hi, b_hi) for (a_lo, a_hi), (b_lo, b_hi) in zip(box, b))}
+        for v, box in rep.boxes.items()
+    }
+    near = {}
+    for v, p in rep.points.items():
+        gaps = {
+            u: max([0] + [max(lo - x, x - hi) for (lo, hi), x in zip(b, p)])
+            for u, b in rep.boxes.items() if u != v
+        }
+        near[v] = {u: gap for u, gap in gaps.items() if gap < rep.scale}
+    return meets, near
+
+
 # -- the Fraction lift bodies the grid-form lifts replaced --------------------------------
 # Each takes a valid, fully witnessed Representation and certifies its output,
 # exactly as the package did before its lifts ran on the integer grid.

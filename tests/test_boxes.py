@@ -25,7 +25,15 @@ from minorkit import (
     witness_radius,
 )
 from minorkit import boxes
-from minorkit.boxes import certify, grid_from_json, grid_to_json, verify_grid, witnesses_to_json
+from minorkit.boxes import (
+    GridRep,
+    certify,
+    certify_grid,
+    grid_from_json,
+    grid_to_json,
+    verify_grid,
+    witnesses_to_json,
+)
 from minorkit.exceptions import (
     DimensionMismatch,
     MissingWitness,
@@ -37,6 +45,7 @@ from minorkit.exceptions import (
 from helpers import (
     cross,
     exposed_witness_fraction,
+    full_certificate,
     permute,
     random_connected,
     random_rep,
@@ -603,6 +612,119 @@ class TestCertify:
             with patch.object(boxes, "GRID_MAX_BITS", max_bits):
                 with pytest.raises(AssertionError, match="degenerate"):
                     certify(Graph(3, [(1, 2), (2, 3)]), flat, points, "squares")
+
+
+class TestIncrementalCertify:
+    """certify_grid from a certified input: the kept boxes are checked on the appended axis."""
+
+    PATH = Graph(3, [(1, 2), (2, 3)])
+    MAX_BITS = (boxes.GRID_MAX_BITS, 0)  # 0 keeps every coordinate a Fraction on scale 1
+
+    def prev(self):
+        points = {1: (F(0), F(0)), 2: (F(3), F(3)), 3: (F(6), F(0))}
+        return GridRep.certified(self.PATH, fig_squares().boxes, points, "squares")
+
+    def lift(self, prev, levels, at=None, extra=None):
+        """prev's boxes and points, each with the appended interval levels[v], at its low end or at[v]."""
+        at = at or {}
+        grid = {v: b + (levels[v],) for v, b in prev.boxes.items()}
+        scaled = {v: p + (at.get(v, levels[v][0]),) for v, p in prev.points.items()}
+        for v, (box, point) in (extra or {}).items():
+            grid[v], scaled[v] = box, point
+        return grid, scaled
+
+    def test_a_sound_lift_keeps_every_box(self):
+        for max_bits in self.MAX_BITS:
+            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
+                prev = self.prev()
+                assert prev.scale == 1 and prev._cert == full_certificate(prev)
+                g = Graph(3, [(2, 3)])  # 1-2 cut by the appended axis
+                grid, scaled = self.lift(prev, {1: (0, 1), 2: (2, 5), 3: (0, 4)})
+                got = certify_grid(g, 1, grid, scaled, "lift", prev)
+                full = certify_grid(g, 1, grid, scaled, "lift")
+                assert list(got.radii.items()) == list(full.radii.items())
+                assert got._cert == full._cert == full_certificate(got)
+
+    def test_an_appended_axis_can_widen_a_gap(self):
+        # 2's witness is 1/8 from box 3 in the old axes and 3/8 in the appended one
+        g = self.PATH
+        for max_bits in self.MAX_BITS:
+            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
+                points = {1: (F(0), F(0)), 2: (F(31, 8), F(1)), 3: (F(6), F(0))}
+                prev = GridRep.certified(g, fig_squares().boxes, points, "squares")
+                assert F(*prev.radii[2]) == F(1, 16)
+                q = F(prev.scale, 8)  # 1/8 on prev's grid
+                grid, scaled = self.lift(prev, {1: (0, 16 * q), 2: (0, 16 * q), 3: (3 * q, 16 * q)})
+                got = certify_grid(g, prev.scale, grid, scaled, "lift", prev)
+                full = certify_grid(g, prev.scale, grid, scaled, "lift")
+                assert F(*got.radii[2]) == F(*full.radii[2]) == F(3, 16)
+                assert got.radii == full.radii and got._cert == full._cert == full_certificate(got)
+
+    @pytest.mark.parametrize("edges, levels, at, reason", [
+        # the lift meant to cut 1-2, but their appended intervals still overlap
+        ([(2, 3)], {1: (0, 2), 2: (2, 5), 3: (0, 4)}, {}, "intersection pattern"),
+        # an appended interval splits the kept edge 1-2
+        ([(1, 2), (2, 3)], {1: (0, 1), 2: (2, 5), 3: (0, 4)}, {}, "intersection pattern"),
+        # 1's witness leaves its own appended interval
+        ([(1, 2), (2, 3)], {1: (0, 4), 2: (0, 4), 3: (0, 4)}, {1: 5}, "not on its boundary"),
+        ([(1, 2), (2, 3)], {1: (0, 4), 2: (0, 4), 3: (4, 4)}, {}, "degenerate"),
+    ])
+    def test_each_fault_on_a_kept_box_raises(self, edges, levels, at, reason):
+        for max_bits in self.MAX_BITS:
+            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
+                prev = self.prev()
+                grid, scaled = self.lift(prev, levels, at)
+                with pytest.raises(AssertionError, match=reason):
+                    certify_grid(Graph(3, edges), 1, grid, scaled, "lift", prev)
+
+    def test_a_new_box_over_a_kept_witness_raises(self):
+        # 4's box reaches 1's witness (0, 0, 0) at its corner, so 4 meets only 1
+        for max_bits in self.MAX_BITS:
+            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
+                prev = self.prev()
+                new = {4: (((-1, 0), (-1, 0), (0, 1)), (-1, -1, 1))}
+                grid, scaled = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=new)
+                with pytest.raises(AssertionError, match="witness point for 1 lies in another box"):
+                    certify_grid(Graph(4, [(1, 2), (2, 3), (1, 4)]), 1, grid, scaled, "lift", prev)
+
+    def test_a_changed_prefix_is_checked_in_full(self):
+        # 3's old axes move onto box 1: 3 is changed, and its new meet with 1 is found
+        for max_bits in self.MAX_BITS:
+            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
+                prev = self.prev()
+                moved = {3: (((1, 3), (0, 2), (0, 4)), (3, 0, 0))}
+                grid, scaled = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=moved)
+                fault = r"intersection pattern fails at \[\(1, 3, 'unexpected'\)\]"
+                with pytest.raises(AssertionError, match=fault):
+                    certify_grid(self.PATH, 1, grid, scaled, "lift", prev)
+
+    def test_only_a_certified_grid_carries_a_certificate(self):
+        g = random_connected(9, 12, random.Random(3))
+        certified = tree_pipeline(g)[1].grid
+        assert certified._cert == full_certificate(certified)
+        rep = certified.to_representation()
+        assert GridRep.of(rep)._cert is None
+        assert grid_from_json(rep_to_json(rep))._cert is None
+        assert GridRep(certified.scale, certified.boxes, certified.points, certified.radii)._cert is None
+        # a sweep re-bases the grid on 2 * scale, which would double every gap
+        base = self.prev()
+        swept = boxes._exposed_point(1, base, 4, 64)
+        assert base.witnessed([1, 2, 3], {1: swept}).scale == 2
+        assert base.witnessed([1, 2, 3], {1: swept})._cert is None
+        assert base.witnessed([1, 2, 3], {})._cert is None
+
+    def test_rename_maps_the_certificate(self):
+        g = random_connected(9, 12, random.Random(3))
+        certified = tree_pipeline(g)[1].grid
+        for mapping in ({1: 2, 2: 1}, {4: 10}, {v: v + 1 for v in range(1, 10)}):
+            renamed = certified.rename(mapping)
+            assert renamed._cert == full_certificate(renamed)
+
+    def test_the_certificate_is_not_part_of_the_value(self):
+        certified = self.prev()
+        bare = GridRep(certified.scale, certified.boxes, certified.points, certified.radii)
+        assert certified == bare and repr(certified) == repr(bare)
+        assert certified._cert is not None and bare._cert is None
 
 
 class TestInvariances:

@@ -32,6 +32,7 @@ from minorkit import (
     verify_c2,
 )
 from minorkit import boxes, build
+from minorkit.boxes import certify_grid
 from minorkit.exceptions import (
     BadNesting,
     BadSnapshot,
@@ -45,6 +46,7 @@ from minorkit.graph import spanning_tree_edges
 
 from helpers import (
     drop_edge_fraction,
+    full_certificate,
     is_bridge,
     lift_uncontract_fraction,
     lift_vertex_add_fraction,
@@ -488,6 +490,61 @@ def test_pipeline_steps_match_the_fraction_lifts(case, oversized_grid):
         e = g.edges[len(g.edges) // 2]
         assert_same_rep(drop_edge(trace.final, g, e), drop_edge_fraction(trace.final, g, *e))
     assert_strong(g, trace.final)
+
+
+@given(connected_edit_cases(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_each_step_certifies_as_the_full_check(case, oversized_grid):
+    # every lift starts from its input's certificate; each step must give the radii and the
+    # certificate of a check from scratch (prev=None), which the old verifier pins
+    g, seq = case
+    steps = []
+
+    def recording(h, scale, grid, scaled, what, prev=None):
+        out = certify_grid(h, scale, grid, scaled, what, prev)
+        steps.append((h, scale, grid, scaled, what, prev, out))
+        return out
+
+    # GRID_MAX_BITS = 0 keeps every coordinate a Fraction on a grid of scale 1
+    with patch.object(boxes, "GRID_MAX_BITS", 0 if oversized_grid else boxes.GRID_MAX_BITS), \
+            patch.object(build, "certify_grid", recording):
+        trace = build_from_edit_sequence(g, seq)
+        e = g.edges[len(g.edges) // 2]
+        build._drop_edge(trace.grid, g, *e)  # from the pipeline's certified grid
+        drop_edge(trace.final, g, e)  # the public one: its verified input carries no certificate
+        assert len(steps) == len(seq.ops) + 2
+        assert [prev._cert is not None for *_, prev, _ in steps] == [True] * (len(seq.ops) + 1) + [False]
+        for h, scale, grid, scaled, what, prev, out in steps:
+            full = certify_grid(h, scale, grid, scaled, what)
+            assert list(out.radii.items()) == list(full.radii.items())
+            assert out.radii == {v: r for v, r in sorted(boxes._radii(scale, grid, scaled).items())}
+            assert out._cert == full._cert == full_certificate(out)
+
+
+def test_a_lift_meets_only_its_changed_boxes_with_every_box():
+    # a full check tests all n(n-1)/2 box pairs; a lift from a certified input tests each
+    # changed box against every box, plus one test per pair of appended-interval classes
+    rng = random.Random(12)
+    g = random_connected(24, 34, rng)
+    seq = reduce_to_spanning_tree(g)
+    calls, counts = [0], []
+    meet = boxes._meet
+
+    def counted(a, b):
+        calls[0] += 1
+        return meet(a, b)
+
+    def recording(h, scale, grid, scaled, what, prev=None):
+        calls[0] = 0
+        out = certify_grid(h, scale, grid, scaled, what, prev)
+        counts.append((calls[0], len(grid)))
+        return out
+
+    with patch.object(boxes, "_meet", counted), patch.object(build, "certify_grid", recording):
+        build_from_edit_sequence(g, seq)
+    assert len(counts) == len(seq.ops) == 11
+    # each edge lift changes one box; its two levels make at most 2 * 2 class pairs
+    assert all(c <= (n - 1) + 4 < n * (n - 1) // 2 for c, n in counts)
 
 
 class TestBruteForceOracle:
