@@ -13,6 +13,7 @@ printed in the report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -20,6 +21,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -35,8 +37,8 @@ from .boxes import (
 )
 from .exceptions import BadBounds, BadNesting, MinorkitError, ParseError, TooLarge
 from .flow import (
+    _cell_sum,
     assemble_gain_matrix,
-    matrix_to_json,
     pairs_from_json,
     recover_pairs,
 )
@@ -99,12 +101,25 @@ def _dumps(obj, pad: str = "") -> str:
 
 
 def _write_json(path: str, obj: dict) -> None:
+    _write_text(path, (_dumps(obj), "\n"))
+
+
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to `path`.tmp, then move that file onto `path`.
+
+    On any failure, a chunk that raises included, the tmp file is removed and
+    `path` is left as it was; an OSError is reported as ParseError.
+    """
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(_dumps(obj))
-            fh.write("\n")
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
@@ -274,20 +289,48 @@ def _parse_targets(spec: str, g: Graph) -> list[tuple[int, int]]:
     return out
 
 
+def _matrix_text(h) -> Iterator[str]:
+    """The text of _dumps(matrix_to_json(h)) + "\n", one row at a time.
+
+    Each row is the all-zero row's text with its few nonzero cells spliced in
+    over their "0"s: cell j's "0" sits at a fixed offset, so a row costs one
+    slice and one ``fmt_pair`` per nonzero cell, not n cells of work.
+    """
+    head = _dumps({"n": h.n, "t": h.t, "edges": [[u, v] for u, v in h.edges]})
+    yield head[:-2] + ',\n  "rows": '  # head ends with "\n}"
+    if not h.t:
+        yield "[]\n}\n"
+        return
+    pad = "\n      "
+    zeros = "[" + pad + ("," + pad).join(['"0"'] * h.n) + "\n    ]"
+    first, width = len(pad) + 2, len(pad) + 4  # cell 0's "0"; the text of one more cell
+    sep = "[\n    "
+    for cells in h._cells:
+        pieces, end = [sep], 0
+        for col, num, den in cells:
+            at = first + width * col
+            pieces += (zeros[end:at], fmt_pair(num, den))
+            end = at + 1
+        pieces.append(zeros[end:])
+        yield "".join(pieces)
+        sep = ",\n    "
+    yield "\n  ]\n}\n"
+
+
 def cmd_flow_matrix(args) -> int:
     rep = _Report("flow matrix")
     gobj, gdig = _read_json(args.graph)
     rep.input("graph", args.graph, gdig)
     g = graph_from_json(gobj)
     h = assemble_gain_matrix(g)
-    sums = h.row_sums()
     rep.data["results"] = {
         "n": h.n,
         "t": h.t,
-        "row_sums_zero": all(s == 0 for s in sums),
+        # summed on ints from the cells the file is written from
+        "row_sums_zero": all(_cell_sum(cells)[0] == 0 for cells in h._cells),
     }
     if args.out:
-        _write_json(args.out, matrix_to_json(h))
+        _write_text(args.out, _matrix_text(h))
         rep.data["results"]["matrix_file"] = args.out
     return rep.emit(OK)
 

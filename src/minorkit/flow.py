@@ -8,9 +8,12 @@ sums to zero, so constant states produce zero flow.
 Only the per-edge gains are stored, and they must be positive: an edge row
 has two nonzeros and a vertex row is the signed sum of its incident edge rows,
 so H*x costs O(n+m).  The product sums each entry as ints on that entry's own
-common denominator and builds one Fraction per entry.  The sparse rows are
-built from the gains once per matrix, on first use; the dense rows, the row
-sums and the export all read them.
+common denominator and builds one Fraction per entry.  The rows are stored
+sparse, as int cells (column, numerator, denominator) built from the gains once
+per matrix, on first use; the dense rows, the row sums and the export all read
+them.  ``flow matrix --out`` streams the dense grid from the same cells, row by
+row, splicing each row's few nonzeros into a run of "0" cells, so neither a
+Fraction nor a dense row of strings is built on its way to the file.
 
 State recovery inverts the through flows in the same way: ``recover_pairs``
 takes the flows and the reference state as (numerator, denominator) int pairs,
@@ -38,7 +41,7 @@ from .exceptions import (
     ParseError,
 )
 from .graph import Edge, Graph, bfs_order
-from .ratio import fmt_ratio, parse_pair, parse_ratio
+from .ratio import fmt_pair, fmt_ratio, parse_pair, parse_ratio
 
 F = Fraction
 
@@ -56,32 +59,47 @@ class GainMatrix:
                 raise BadBounds(f"gain {b} of edge ({u},{v}) is not positive")
 
     @cached_property
-    def _sparse_rows(self) -> list[dict[int, Fraction]]:
-        """Nonzero cells of every row (0-based column -> value); diagonals always present.
+    def _cells(self) -> list[list[tuple[int, int, int]]]:
+        """Nonzero cells of every row as (0-based column, num, den > 0), sorted by column.
 
-        Built once per matrix, on first use, and shared by ``row``,
-        ``row_sums`` and ``matrix_to_json``; callers only read it.
+        An edge row (u, v) holds +b at u and -b at v (u < v in a ``Graph``); a
+        vertex row holds -b at each neighbour and, always, its diagonal: the
+        sum of its incident gains, kept on a running lcm of their denominators
+        and left unreduced.  Built once per matrix, on first use, and shared by
+        ``row``, ``row_sums``, ``matrix_to_json`` and the CLI's matrix writer;
+        callers only read it.
         """
-        vertex_rows: list[dict[int, Fraction]] = [{i: F(0)} for i in range(self.n)]
+        diag = [(0, 1)] * self.n
+        vertex_rows: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
         edge_rows = []
         for (u, v), b in zip(self.edges, self.gains):
-            for a, c in ((u - 1, v - 1), (v - 1, u - 1)):
-                vertex_rows[a][a] += b
-                vertex_rows[a][c] = -b
-            edge_rows.append({u - 1: b, v - 1: -b})
+            bn, bd = b.numerator, b.denominator
+            u, v = u - 1, v - 1
+            for a, c in ((u, v), (v, u)):
+                vertex_rows[a].append((c, -bn, bd))
+                an, ad = diag[a]
+                common = math.lcm(ad, bd)
+                diag[a] = (an * (common // ad) + bn * (common // bd), common)
+            plus, minus = (u, bn, bd), (v, -bn, bd)
+            edge_rows.append([plus, minus] if u < v else [minus, plus])
+        for a, (cells, (an, ad)) in enumerate(zip(vertex_rows, diag)):
+            cells.append((a, an, ad))
+            cells.sort()
         return vertex_rows + edge_rows
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense rows 1..t (vertices, then edges), derived from the sparse rows on each access."""
+        """Dense rows 1..t (vertices, then edges), derived from the cells on each access."""
         return tuple(self.row(i) for i in range(1, self.t + 1))
 
     def row(self, index: int) -> tuple[Fraction, ...]:
-        """Row by 1-based flow index, built from its sparse row alone."""
+        """Row by 1-based flow index, built from its cells alone."""
         if not (1 <= index <= self.t):
             raise ValueError(f"row index {index} outside 1..{self.t}")
-        cells, zero = self._sparse_rows[index - 1], F(0)
-        return tuple(cells.get(j, zero) for j in range(self.n))
+        dense = [F(0)] * self.n
+        for col, num, den in self._cells[index - 1]:
+            dense[col] = F(num, den)
+        return tuple(dense)
 
     def multiply(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """H*x in O(n+m), each entry summed as ints on its own denominator.
@@ -111,7 +129,20 @@ class GainMatrix:
         return tuple([F(a, d) for a, d in zip(net_num, net_den)] + through)
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(cells.values()) for cells in self._sparse_rows)
+        return tuple(F(*_cell_sum(cells)) for cells in self._cells)
+
+
+def _cell_sum(cells: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
+    """The sum of (col, num, den > 0) cells as an unreduced (num, den) pair, on a running lcm."""
+    total, common = 0, 1
+    for _, num, den in cells:
+        if den != common:
+            lcm = math.lcm(common, den)
+            total *= lcm // common
+            num *= lcm // den
+            common = lcm
+        total += num
+    return total, common
 
 
 def assemble_gain_matrix(g: Graph) -> GainMatrix:
@@ -197,10 +228,10 @@ def recover_states(
 def matrix_to_json(h: GainMatrix) -> dict:
     """Dense text grid: every cell "0" except the few nonzeros each row carries."""
     rows = []
-    for cells in h._sparse_rows:
+    for cells in h._cells:
         row = ["0"] * h.n
-        for col, val in cells.items():
-            row[col] = fmt_ratio(val)
+        for col, num, den in cells:
+            row[col] = fmt_pair(num, den)
         rows.append(row)
     return {"n": h.n, "t": h.t, "edges": [[u, v] for u, v in h.edges], "rows": rows}
 

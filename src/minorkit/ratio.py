@@ -4,7 +4,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .exceptions import ParseError
+from .exceptions import ParseError, TooLarge
 
 # CPython's default int/str digit limit, for interpreters (3.10) that have none.
 DEFAULT_MAX_DIGITS = 4300
@@ -80,10 +80,27 @@ def _exponent_too_large(text: str) -> bool:
 
 
 def fmt_ratio(value) -> str:
-    return str(value) if isinstance(value, Fraction) else str(Fraction(value))
+    """str(Fraction(value)); TooLarge past the interpreter's int/str digit limit."""
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise _too_large(value.numerator, value.denominator) from exc
 
 
 def fmt_pair(num: int, den: int) -> str:
-    """The text of str(Fraction(num, den)) for den > 0, from one gcd."""
+    """The text of str(Fraction(num, den)) for den > 0, from one gcd.
+
+    TooLarge past the interpreter's int/str digit limit.
+    """
     g = math.gcd(num, den)
-    return f"{num // g}/{den // g}" if den != g else str(num // g)
+    try:
+        return f"{num // g}/{den // g}" if den != g else str(num // g)
+    except ValueError as exc:
+        raise _too_large(num // g, den // g) from exc
+
+
+def _too_large(num: int, den: int) -> TooLarge:
+    bits = max(abs(num).bit_length(), den.bit_length())
+    return TooLarge(f"a {bits}-bit rational has too many digits to print")

@@ -204,6 +204,27 @@ def recover_states_fraction(h, z, g: Graph, x1_ref=0) -> tuple[Fraction, ...]:
     return tuple(x[v] for v in g.vertices())
 
 
+def matrix_rows_fraction(h) -> list[list[Fraction]]:
+    """The t-by-n gain matrix cell by cell in Fractions, from the edge list and gains alone.
+
+    The reference for the int cells: vertex rows sum their incident gains on
+    the diagonal and carry -b at each neighbour; edge rows carry +b and -b.
+    """
+    rows = [[F(0)] * h.n for _ in range(h.t)]
+    for pos, ((u, v), b) in enumerate(zip(h.edges, h.gains)):
+        for a, c in ((u - 1, v - 1), (v - 1, u - 1)):
+            rows[a][a] += b
+            rows[a][c] = -b
+        rows[h.n + pos][u - 1], rows[h.n + pos][v - 1] = b, -b
+    return rows
+
+
+def matrix_to_json_fraction(h) -> dict:
+    """``matrix_to_json`` as it was written from Fraction rows: the reference for the streamed text."""
+    rows = [[str(c) for c in row] for row in matrix_rows_fraction(h)]
+    return {"n": h.n, "t": h.t, "edges": [[u, v] for u, v in h.edges], "rows": rows}
+
+
 def robust_attack_audit_fraction(spec, sv, eps1, eps2, samples: int, seed: int) -> Fraction:
     """The sampled audit as it ran in Fractions: one GainMatrix and one H*s per sample.
 

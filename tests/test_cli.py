@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import random
+import sys
+import tempfile
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,13 +29,15 @@ from minorkit import (
     vector_to_json,
 )
 from minorkit import build as bld
-from minorkit.cli import _dumps, main
+from minorkit.cli import _dumps, _matrix_text, _write_text, main
 from minorkit.flow import GainMatrix, matrix_to_json
 from minorkit.graph import edits_from_json, spanning_tree_edges
 from minorkit.ratio import fmt_ratio
 
 from helpers import (
     count_fractions,
+    matrix_rows_fraction,
+    matrix_to_json_fraction,
     random_connected,
     random_cut_targets,
     recover_states_fraction,
@@ -290,23 +297,78 @@ class TestFlowCommands:
         assert blob["t"] == 8 and len(blob["rows"]) == 8
 
     def test_matrix_builds_its_sparse_rows_once(self, tmp_path, monkeypatch, capsys):
-        """The row-sum check and the export share one pass over the gains."""
+        """The row-sum check and the export share one pass over the gains, and build no Fraction."""
         g = random_connected(40, 80, random.Random(8), gains=True)
         gf = write(tmp_path / "g.json", graph_to_json(g))
         built = []
-        sparse_rows = GainMatrix._sparse_rows
-        build = sparse_rows.func
+        cells = GainMatrix._cells
+        build = cells.func
 
         def counted(h):
             built.append(h)
             return build(h)
 
-        monkeypatch.setattr(sparse_rows, "func", counted)
+        monkeypatch.setattr(cells, "func", counted)
+        made = count_fractions(monkeypatch)
         out = tmp_path / "H.json"
         code, report = run(capsys, "flow", "matrix", gf, "--out", str(out))
         assert code == 0 and report["results"]["row_sums_zero"] is True
         assert len(built) == 1
+        assert made == [len(g.edges)]  # the parsed gains
         assert json.loads(out.read_text()) == matrix_to_json(assemble_gain_matrix(g))
+
+    def test_matrix_row_sums_read_the_written_cells(self, tmp_path, flow_file, monkeypatch, capsys):
+        """A cell off by one shows both in the file and in the row-sum verdict."""
+        cells = GainMatrix._cells
+        build = cells.func
+
+        def bumped(h):
+            rows = build(h)
+            col, num, den = rows[-1][0]
+            rows[-1][0] = (col, num + den, den)
+            return rows
+
+        monkeypatch.setattr(cells, "func", bumped)
+        out = tmp_path / "H.json"
+        code, report = run(capsys, "flow", "matrix", flow_file, "--out", str(out))
+        assert code == 0 and report["results"]["row_sums_zero"] is False
+        assert json.loads(out.read_text())["rows"][-1] == ["2", "0", "0", "-1"]  # edge (1,4), gain 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+    @pytest.mark.parametrize("before", [None, "old\n"])
+    def test_matrix_past_the_digit_limit(self, tmp_path, capsys, before):
+        """The hub's diagonal needs over 4300 digits: exit 2, and the target is left as it was."""
+        big = 10**1499
+        gains = {5: F(1, big + 1), 6: F(1, big + 3), 7: F(1, big + 7)}
+        gf = write(tmp_path / "star.json", graph_to_json(Graph(4, [(1, 2), (1, 3), (1, 4)], gains=gains)))
+        out = tmp_path / "H.json"
+        if before is not None:
+            out.write_text(before)
+        code = main(["flow", "matrix", gf, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: TooLarge:")
+        assert (out.read_text() if out.exists() else None) == before
+        assert not (tmp_path / "H.json.tmp").exists()
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+    def test_recover_past_the_digit_limit(self, tmp_path, capsys):
+        """Unit gains and through flows 1/(10^1499 + k): the far end's state needs over 4300 digits."""
+        g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], gains={k: F(1) for k in range(6, 10)})
+        gf = write(tmp_path / "path.json", graph_to_json(g))
+        big = 10**1499
+        zf = write(tmp_path / "z.json", {"values": ["0"] * 5 + [f"1/{big + k}" for k in (1, 3, 7, 9)]})
+        code = main(["flow", "recover", gf, "--flows", zf])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: TooLarge:")
+
+    def test_out_onto_a_directory_leaves_no_tmp(self, tmp_path, flow_file, capsys):
+        out = tmp_path / "H.json"
+        out.mkdir()
+        assert main(["flow", "matrix", flow_file, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ParseError: cannot write")
+        assert out.is_dir() and not (tmp_path / "H.json.tmp").exists()
 
     def test_attack_bridge(self, tmp_path, capsys):
         g = Graph(3, [(1, 2), (2, 3)], gains={4: F(1), 5: F(2)})
@@ -741,3 +803,52 @@ _json = hst.recursive(
 @settings(max_examples=300, deadline=None)
 def test_dumps_matches_json_indent_2(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83)
+
+
+@hst.composite
+def _gain_graphs(draw):
+    """(n, edges, gains): any simple graph on 1..9 vertices, isolated vertices and m = 0 included.
+
+    Half the draws give every edge its own prime denominator, so each vertex
+    row's diagonal sits on the product of its incident denominators.
+    """
+    n = draw(hst.integers(1, 9))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(hst.lists(hst.sampled_from(pairs), unique=True, max_size=len(_PRIMES))) if pairs else []
+    nums = hst.integers(1, 40)
+    if draw(hst.booleans()):
+        dens = draw(hst.permutations(_PRIMES))[: len(edges)]
+        gains = [F(draw(nums), d) for d in dens]
+    else:
+        gains = [F(draw(nums), draw(hst.integers(1, 6))) for _ in edges]
+    return n, sorted(edges), gains
+
+
+@given(_gain_graphs())
+@example((2, [(1, 2)], [F(3, 7)]))
+@example((5, [(2, 4)], [F(1, 2)]))  # vertices 1, 3 and 5 are isolated: a lone "0" diagonal
+@example((4, [(1, 4), (1, 2), (3, 4)], [F(1, 2), F(1, 3), F(1, 5)]))  # -b in columns 1 and n
+@example((3, [], []))
+@settings(max_examples=150, deadline=None)
+def test_streamed_matrix_matches_the_fraction_reference(case):
+    """`flow matrix --out` writes the text of the Fraction rows, and its int row sums are theirs."""
+    n, edges, gains = case
+    g = Graph(n, edges, gains={n + 1 + i: b for i, b in enumerate(gains)})
+    h = assemble_gain_matrix(g)
+    rows = [tuple(row) for row in matrix_rows_fraction(h)]
+    assert list(h.rows) == rows
+    assert h.row_sums() == tuple(sum(row) for row in h.rows)
+    want = _dumps(matrix_to_json_fraction(h)) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "H.json"
+        if edges:
+            gf = write(Path(tmp) / "g.json", graph_to_json(g))
+            with contextlib.redirect_stdout(io.StringIO()) as report:
+                assert main(["flow", "matrix", gf, "--out", str(out)]) == 0
+            assert json.loads(report.getvalue())["results"]["row_sums_zero"] is True
+        else:  # a graph file without edges carries no gains, so the CLI stops at MissingGain
+            _write_text(str(out), _matrix_text(h))
+        assert out.read_text() == want

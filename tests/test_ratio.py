@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from minorkit.exceptions import ParseError
+from minorkit.exceptions import ParseError, TooLarge
 from minorkit.ratio import DEFAULT_MAX_DIGITS, _parse_text, fmt_pair, fmt_ratio, parse_pair, parse_ratio
 
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_MAX_DIGITS
@@ -103,3 +103,15 @@ class TestPlainFastPath:
 @given(hst.integers(), hst.integers(min_value=1) | hst.integers(min_value=1, max_value=12))
 def test_fmt_pair_matches_fraction_text(num, den):
     assert fmt_pair(num, den) == str(F(num, den))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize("fmt", [
+    lambda big: fmt_pair(1, big),
+    lambda big: fmt_pair(-big, 1),
+    lambda big: fmt_ratio(F(1, big)),
+    lambda big: fmt_ratio(big),
+])
+def test_text_past_the_digit_limit_is_too_large(fmt):
+    with pytest.raises(TooLarge):
+        fmt(10**LIMIT)
