@@ -287,8 +287,10 @@ def rep_from_json(obj) -> Representation:
 # -- the integer grid ----------------------------------------------------------------
 
 # Many distinct coprime denominators make L as long as all of them together, and
-# every scaled coordinate that long.  Past this size the grid costs more time and
-# memory than the rationals it replaces, so the checks run on those instead.
+# every scaled coordinate that long, so the grid's memory grows with the boxes
+# times the bits of L.  Past this size the checks run on the rationals instead.
+# No builder gets here (the bases are ints at scale 1 and lifts keep their
+# input's scale): only a representation given as input can.
 GRID_MAX_BITS = 4096
 
 IntBox = tuple[tuple[int, int], ...]
@@ -588,16 +590,6 @@ def _certificate(scale, grid, scaled, cert, d0: int, kept: set) -> tuple[dict, d
     return meets, near
 
 
-def certify(g: Graph, boxes: Mapping[int, Box], points: Mapping[int, Point], what: str) -> Representation:
-    """A builder's boxes with a witness at each points[v], proved by certify_grid.
-
-    The boxes and points go on one integer grid, and the Representation is
-    built once, from the given rationals.
-    """
-    radii = GridRep.certified(g, boxes, points, what).radii
-    return Representation(boxes, {v: Witness(points[v], Fraction(*r)) for v, r in radii.items()})
-
-
 @dataclass(frozen=True)
 class GridRep:
     """A representation on the grid of `scale`: coordinate x stands for x / scale.
@@ -625,13 +617,6 @@ class GridRep:
         scale, grid, scaled = _grid(rep.boxes, {v: w.point for v, w in rep.witnesses.items()})
         radii = {v: (w.radius.numerator, w.radius.denominator) for v, w in rep.witnesses.items()}
         return cls(scale, grid, scaled, radii)
-
-    @classmethod
-    def certified(
-        cls, g: Graph, boxes: Mapping[int, Box], points: Mapping[int, Point], what: str
-    ) -> "GridRep":
-        """A builder's boxes with a witness at each points[v], on their grid and proved by certify_grid."""
-        return certify_grid(g, *_grid(boxes, points), what)
 
     @property
     def dim(self) -> int:

@@ -13,25 +13,25 @@ exact answers for hand-checkable instances.
 
 Every construction step is certified once: C1, each chosen witness point's
 place on its box's boundary and every witness radius, decided on one integer
-grid.  The base builders hand their Fraction boxes to `boxes.certify`, which
-checks every box.  The lifts work on the grid form itself (`boxes.GridRep`:
-ints over one scale): a lift appends integer levels k * scale and reuses the
-input's coordinates, so the grid of its input is the grid of its output, and
-`boxes.certify_grid` checks the step's ints against the input's certificate.
-A box and witness that a lift only extends are re-checked on the appended
-axes alone; a box the lift changes (the re-added vertex, the restored vertex,
-v after an edge lift) is checked against every box on every axis.  A
-pipeline puts its base on its grid once (and verifies it there, or certifies
-the tree base it builds itself), runs every lift there, and keeps the final
-grid: its trace builds the Fraction representation only when `final` is
-read.  Public lifts put their input on its grid, verify it there, lift with
-every box checked in full and convert back.
+grid (`boxes.GridRep`: ints over one scale) by `boxes.certify_grid`.  The base
+builders lay trees and threshold graphs out on ints at scale 1, with every
+coordinate O(n), and certify them in full.  A lift appends integer levels
+k * scale and reuses the input's coordinates, so the grid of its input is the
+grid of its output, and `certify_grid` checks the step's ints against the
+input's certificate.  A box and witness that a lift only extends are
+re-checked on the appended axes alone; a box the lift changes (the re-added
+vertex, the restored vertex, v after an edge lift) is checked against every
+box on every axis.  A pipeline builds its tree base on the grid (or puts a
+given base on its grid once and verifies it there), runs every lift there, and
+keeps the final grid: its trace builds the Fraction representation only when
+`final` is read.  Public builders and lifts convert their grid back to
+Fractions; public lifts put their input on its grid, verify it there and lift
+with every box checked in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -39,7 +39,6 @@ from typing import Iterable, Sequence
 from .boxes import (
     DEFAULT_MAX_SWEEP_BOXES,
     DEFAULT_MAX_SWEEP_DIM,
-    Box,
     GridRep,
     IntBox,
     IntPoint,
@@ -47,7 +46,6 @@ from .boxes import (
     _c1_violations,
     _c2_found,
     _meet,
-    certify,
     certify_grid,
     grid_to_json,
     verify_grid,
@@ -77,9 +75,6 @@ from .graph import (
     swap_labels,
 )
 
-F = Fraction
-Point = tuple[Fraction, ...]
-
 
 # -- helpers -----------------------------------------------------------------------
 
@@ -89,7 +84,7 @@ def _verified(vertices: Iterable[int], edges: Iterable[Edge], rep: GridRep, what
 
     A lift's input must pass C1 and then C2 (C2 may find witnesses by facet
     sweep, on the grid of twice rep's scale) and is rejected with InvalidInput.
-    Builders check their output with certify.
+    Builders check their output with certify_grid.
     """
     vertices = sorted(vertices)
     if set(rep.boxes) != set(vertices):
@@ -111,45 +106,55 @@ def _verified(vertices: Iterable[int], edges: Iterable[Edge], rep: GridRep, what
 
 
 def build_tree_rep(t: Graph) -> Representation:
-    """Planar strong representation of a tree.
+    """Planar strong representation of a tree (see _tree_grid)."""
+    return _tree_grid(t).to_representation()
 
-    The root gets the unit square.  Each vertex reserves equal slots on its top
-    facet: one attachment square per child straddling the facet, plus a free
-    slot that keeps the vertex's own exclusive boundary point.  Children are
-    shallow enough to stay clear of grandparents, and sibling subtrees stay in
-    disjoint vertical corridors, so only parent/child boxes meet.
+
+def _tree_grid(t: Graph) -> GridRep:
+    """build_tree_rep's boxes and witnesses on the grid of scale 1, certified.
+
+    The tree is rooted at vertex 1 and walked breadth first.  A vertex with no
+    children counts as one leaf, any other as the leaves under it; in DFS leaf
+    order each subtree's leaves are contiguous, so a child starts at its
+    parent's start plus the leaves of its earlier siblings.  A vertex at depth
+    d with start s and k leaves gets the box [2s, 2(s+k) - 1] x [2d, 2d + 2],
+    and only parent and child meet:
+    - a child's leaves lie among its parent's, and a parent at depth d
+      touches its children at y = 2d + 2;
+    - two vertices at one depth own disjoint runs of leaves, so their x-spans
+      keep a gap of 1;
+    - a vertex at depth d + 1 that is not v's child lies inside its own
+      parent's span, which is disjoint from v's; boxes two levels apart keep a
+      gap of 2 in y.
+    v's witness is (2s, 2d + 1), the midpoint of its left facet.  Only the boxes
+    at depth d reach the height 2d + 1, and each of them is at least 1 away in
+    x, so every witness clears every other box by a grid unit (radius 1/4).
+    Every coordinate is at most 2n, so a box takes O(log n) bits at any depth.
     """
-    return certify(t, *_tree_layout(t), "tree builder")
-
-
-def _tree_layout(t: Graph) -> tuple[dict[int, Box], dict[int, Point]]:
-    """build_tree_rep's boxes and witness points, before they are certified."""
     if not is_tree(t):
         raise NotATree("input graph is not a tree")
     if t.n < 3:
         raise TooSmall("tree builder needs at least three vertices")
-
-    root = 1
     parent: dict[int, int | None] = {}
-    order = bfs_order(t, root, parent=parent)
-    children: dict[int, list[int]] = {v: [] for v in order}
+    order = bfs_order(t, 1, parent=parent)
+    leaves = dict.fromkeys(order, 0)
+    for v in reversed(order):  # children before parents
+        leaves[v] = leaves[v] or 1
+        if parent[v] is not None:
+            leaves[parent[v]] += leaves[v]
+    start, depth, free = {1: 0}, {1: 0}, {1: 0}  # free[v]: the next child's start
     for v in order[1:]:
-        children[parent[v]].append(v)
-
-    boxes: dict[int, Box] = {root: Box.make((0, 1), (0, 1))}
-    points: dict[int, Point] = {}
+        p = parent[v]
+        start[v] = free[v] = free[p]
+        free[p] += leaves[v]
+        depth[v] = depth[p] + 1
+    boxes: dict[int, IntBox] = {}
+    points: dict[int, IntPoint] = {}
     for v in order:
-        (x0, x1), (y0, y1) = boxes[v].intervals
-        kids = children[v]
-        m = len(kids)
-        width = (x1 - x0) / (m + 1)
-        for i, c in enumerate(kids):
-            slot = x0 + i * width
-            half = min(width / 4, (y1 - y0) / 4)
-            boxes[c] = Box(((slot + width / 4, slot + width - width / 4), (y1 - half, y1 + half)))
-        # the spare slot keeps this vertex's own boundary exposed
-        points[v] = (x0 + m * width + width / 2, y1)
-    return boxes, points
+        s, d = start[v], depth[v]
+        boxes[v] = ((2 * s, 2 * (s + leaves[v]) - 1), (2 * d, 2 * d + 2))
+        points[v] = (2 * s, 2 * d + 1)
+    return certify_grid(t, 1, boxes, points, "tree builder")
 
 
 def threshold_graph(n_clique: int, nested_sizes: Sequence[int]) -> Graph:
@@ -176,33 +181,41 @@ def _checked_sizes(n_clique: int, nested_sizes: Sequence[int]) -> tuple[int, ...
 
 
 def build_threshold_rep(n_clique: int, nested_sizes: Sequence[int]) -> Representation:
-    """Planar strong representation of a threshold graph.
+    """Planar strong representation of a threshold graph (see _threshold_grid)."""
+    return _threshold_grid(n_clique, nested_sizes).to_representation()
 
-    Clique vertex i gets the 1/i-by-i rectangle centred at the origin, so the
-    clique boxes form nested crosses sharing the origin and each keeps a free
-    top-right corner.  Stable vertex n+i becomes a thin bar whose left edge sits
-    strictly between the widths of clique boxes l_i and l_i+1 and whose right
-    end sticks out past every clique box; distinct y-slices keep the bars
-    pairwise disjoint.
+
+def _threshold_grid(n_clique: int, nested_sizes: Sequence[int]) -> GridRep:
+    """build_threshold_rep's boxes and witnesses on the grid of scale 1, certified.
+
+    With n = n_clique, r stable vertices and K = 2(r + 1), clique vertex i gets
+    [-2(n+1-i), 2(n+1-i)] x [-K i, K i]: the clique boxes are nested crosses
+    through the origin, narrower and taller as i grows.  Stable vertex n+i,
+    adjacent to 1..l, gets the bar [2(n-l) + 1, 2(n+1)] x [2i - 1, 2i].
+    - Every bar lies below height 2r < K, inside each clique box's y-span, and
+      clique box j reaches x = 2(n+1-j), which is at least the bar's left end
+      2(n-l) + 1 iff j <= l; box l + 1 stops 1 short of it.
+    - Bars have disjoint y-slices, 1 apart.
+    - Clique vertex i's witness is its top-right corner (2(n+1-i), K i): a wider
+      clique box is at least K lower, a taller one at least 2 narrower, and
+      every bar at least K i - 2r >= 2 lower.
+    - Bar n+i's witness is (2(n+1), 2i - 1) on its right end: every clique box
+      stops at x <= 2n, and every other bar is at least 1 away in y.
+    So every witness clears every other box by a grid unit (radius 1/4), and
+    every coordinate is at most K n.
     """
     sizes = _checked_sizes(n_clique, nested_sizes)
-    g = threshold_graph(n_clique, sizes)
-    boxes: dict[int, Box] = {}
-    points: dict[int, Point] = {}
-    for i in range(1, n_clique + 1):
-        w = F(1, 2 * i)
-        h = F(i, 2)
-        boxes[i] = Box(((-w, w), (-h, h)))
-        points[i] = (w, h)  # top-right corner clears taller and thinner clique boxes
-    r = len(sizes)
-    height = F(1, 4 * (r + 1))
+    n, k = n_clique, 2 * (len(sizes) + 1)
+    boxes: dict[int, IntBox] = {}
+    points: dict[int, IntPoint] = {}
+    for i in range(1, n + 1):
+        w, h = 2 * (n + 1 - i), k * i
+        boxes[i] = ((-w, w), (-h, h))
+        points[i] = (w, h)
     for i, l in enumerate(sizes, start=1):
-        left = (F(1, 2 * (l + 1)) + F(1, 2 * l)) / 2
-        y0 = F(2 * i - 1, 4 * (r + 1))
-        boxes[n_clique + i] = Box(((left, F(3, 4)), (y0, y0 + height)))
-        points[n_clique + i] = (F(3, 4), y0 + height / 2)  # exposed right edge
-
-    return certify(g, boxes, points, "threshold builder")
+        boxes[n + i] = ((2 * (n - l) + 1, 2 * (n + 1)), (2 * i - 1, 2 * i))
+        points[n + i] = (2 * (n + 1), 2 * i - 1)
+    return certify_grid(threshold_graph(n, sizes), 1, boxes, points, "threshold builder")
 
 
 # -- lifts -----------------------------------------------------------------------------
@@ -401,14 +414,14 @@ def build_from_edit_sequence(
     Dimension grows by exactly one per inverted deletion and two per inverted
     contraction.  A given base is put on its integer grid once (a GridRep is
     taken as given) and verified there; without one, the base is
-    build_tree_rep's layout of seq.base, certified on its grid.  Each step
+    _tree_grid's layout of seq.base, certified on the grid of scale 1.  Each step
     runs on that grid and its output is certified against the graph it
     represents, so the last one covers g.  The trace's final Representation
     is made from the grid when it is first read.
     """
     steps_fw = replay_edits(g, seq)  # raises SequenceMismatch on any drift
     if base_rep is None:
-        rep = GridRep.certified(seq.base, *_tree_layout(seq.base), "tree builder")
+        rep = _tree_grid(seq.base)
     else:
         if isinstance(base_rep, Representation):
             base_rep = GridRep.of(base_rep)

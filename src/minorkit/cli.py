@@ -28,7 +28,6 @@ from json.encoder import encode_basestring_ascii as _escape
 from . import build as bld
 from . import stealth as st
 from .boxes import (
-    GridRep,
     grid_from_json,
     grid_to_json,
     rep_to_json,
@@ -204,7 +203,7 @@ def cmd_box_build(args) -> int:
         except ValueError as exc:
             raise ParseError(f"--nested wants a comma list of integers, got {args.nested!r}") from exc
         g = bld.threshold_graph(args.clique, sizes)
-        r = GridRep.of(bld.build_threshold_rep(args.clique, sizes))
+        r = bld._threshold_grid(args.clique, sizes)
         trace = None
     else:
         if not args.graph:
@@ -213,7 +212,7 @@ def cmd_box_build(args) -> int:
         rep.input("graph", args.graph, gdig)
         g = graph_from_json(gobj)
         if args.strategy == "tree":
-            r = GridRep.of(bld.build_tree_rep(g))
+            r = bld._tree_grid(g)
             trace = None
         else:  # edits
             if args.edits:

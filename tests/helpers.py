@@ -12,7 +12,15 @@ from fractions import Fraction
 from itertools import product
 
 from minorkit import Box, C1Report, C2Report, Graph, Representation, Witness, components, witness_radius
-from minorkit.boxes import DEFAULT_MAX_SWEEP_BOXES, DEFAULT_MAX_SWEEP_DIM, _json_object, _label, certify
+from minorkit.boxes import (
+    DEFAULT_MAX_SWEEP_BOXES,
+    DEFAULT_MAX_SWEEP_DIM,
+    GridRep,
+    _grid,
+    _json_object,
+    _label,
+    certify_grid,
+)
 from minorkit.exceptions import BadBounds, DimensionMismatch, EmptyF, Inconsistent, ParseError, TooLarge, VertexMismatch
 from minorkit.flow import GainMatrix
 from minorkit.graph import _json_int
@@ -303,6 +311,24 @@ def full_certificate(rep) -> tuple[dict, dict]:
         }
         near[v] = {u: gap for u, gap in gaps.items() if gap < rep.scale}
     return meets, near
+
+
+# -- the Fraction certifier the integer base builders replaced ------------------------------
+
+
+def certified_grid(g: Graph, boxes, points, what: str) -> GridRep:
+    """Fraction boxes with a witness at each points[v], put on their grid and proved by certify_grid."""
+    return certify_grid(g, *_grid(boxes, points), what)
+
+
+def certify(g: Graph, boxes, points, what: str) -> Representation:
+    """certified_grid's verdict on Fraction boxes, as a Representation of the given rationals.
+
+    The base builders certified their Fraction layouts this way before they
+    laid their boxes out on ints, and the Fraction lift bodies below still do.
+    """
+    radii = certified_grid(g, boxes, points, what).radii
+    return Representation(boxes, {v: Witness(points[v], Fraction(*r)) for v, r in radii.items()})
 
 
 # -- the Fraction lift bodies the grid-form lifts replaced --------------------------------

@@ -27,7 +27,6 @@ from minorkit import (
 from minorkit import boxes
 from minorkit.boxes import (
     GridRep,
-    certify,
     certify_grid,
     grid_from_json,
     grid_to_json,
@@ -43,6 +42,8 @@ from minorkit.exceptions import (
 )
 
 from helpers import (
+    certified_grid,
+    certify,
     cross,
     exposed_witness_fraction,
     full_certificate,
@@ -622,7 +623,7 @@ class TestIncrementalCertify:
 
     def prev(self):
         points = {1: (F(0), F(0)), 2: (F(3), F(3)), 3: (F(6), F(0))}
-        return GridRep.certified(self.PATH, fig_squares().boxes, points, "squares")
+        return certified_grid(self.PATH, fig_squares().boxes, points, "squares")
 
     def lift(self, prev, levels, at=None, extra=None):
         """prev's boxes and points, each with the appended interval levels[v], at its low end or at[v]."""
@@ -651,7 +652,7 @@ class TestIncrementalCertify:
         for max_bits in self.MAX_BITS:
             with patch.object(boxes, "GRID_MAX_BITS", max_bits):
                 points = {1: (F(0), F(0)), 2: (F(31, 8), F(1)), 3: (F(6), F(0))}
-                prev = GridRep.certified(g, fig_squares().boxes, points, "squares")
+                prev = certified_grid(g, fig_squares().boxes, points, "squares")
                 assert F(*prev.radii[2]) == F(1, 16)
                 q = F(prev.scale, 8)  # 1/8 on prev's grid
                 grid, scaled = self.lift(prev, {1: (0, 16 * q), 2: (0, 16 * q), 3: (3 * q, 16 * q)})

@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction as F
 from unittest.mock import patch
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.threshold import is_threshold_graph
 
 from minorkit import (
     Box,
@@ -32,7 +35,7 @@ from minorkit import (
     verify_c2,
 )
 from minorkit import boxes, build
-from minorkit.boxes import certify_grid
+from minorkit.boxes import GridRep, certify_grid, verify_grid
 from minorkit.exceptions import (
     BadNesting,
     BadSnapshot,
@@ -52,12 +55,15 @@ from helpers import (
     lift_vertex_add_fraction,
     random_connected,
     random_tree,
+    translate,
 )
 
 
 def test_tree_pipeline_makes_one_grid_and_one_rep():
-    # the tree base goes onto its grid once, through certify_grid, and makes no rep;
-    # the lifts make neither; the final rep is made once, when trace.final is read
+    # the tree base is laid out on the grid of scale 1 and certified there from scratch,
+    # so nothing goes through boxes._grid and no rep is made; each lift certifies from
+    # its input on that grid and makes neither; the final rep is made once, when
+    # trace.final is read
     assert "_grid" not in vars(build)  # so patching boxes._grid counts every call
     init = Representation.__init__
     for n, m, steps in ((8, 7, 0), (10, 15, 6), (12, 22, 11)):
@@ -69,12 +75,16 @@ def test_tree_pipeline_makes_one_grid_and_one_rep():
             init(self, *args, **kwargs)
 
         with patch.object(boxes, "_grid", wraps=boxes._grid) as grid, \
-                patch.object(Representation, "__init__", counted_init):
+                patch.object(Representation, "__init__", counted_init), \
+                patch.object(build, "certify_grid", wraps=certify_grid) as certified:
             seq, trace = tree_pipeline(g)
-            assert grid.call_count == 1 and len(reps) == 0
+            assert grid.call_count == 0 and len(reps) == 0
             assert trace.final is trace.final
         assert len(seq.ops) == len(trace.steps) == steps
-        assert grid.call_count == 1 and len(reps) == 1
+        assert grid.call_count == 0 and len(reps) == 1
+        base, *lifts = certified.call_args_list
+        assert base.args[1:] == (1,) + base.args[2:4] + ("tree builder",)  # scale 1, no prev
+        assert len(lifts) == steps and all(c.args[1] == 1 and c.args[5] is not None for c in lifts)
 
 
 def test_edit_pipeline_on_a_given_base_makes_one_grid_and_one_rep():
@@ -153,9 +163,11 @@ class TestThresholdBuilder:
         rep = build_threshold_rep(4, (3, 2))
         assert rep.dim == 2
         assert_strong(g, rep)
-        # clique boxes are the nested 1/i-by-i rectangles around the origin
-        assert rep.boxes[1] == Box.make(("-1/2", "1/2"), ("-1/2", "1/2"))
-        assert rep.boxes[4] == Box.make(("-1/8", "1/8"), (-2, 2))
+        # clique boxes are nested crosses around the origin: half-widths 2(n+1-i) and
+        # half-heights K i, with K = 2(r+1) = 6 for r = 2 stable vertices
+        assert rep.boxes[1] == Box.make((-8, 8), (-6, 6))
+        assert rep.boxes[4] == Box.make((-2, 2), (-24, 24))
+        assert rep.boxes[5] == Box.make((3, 10), (1, 2)) and rep.boxes[6] == Box.make((5, 10), (3, 4))
 
     def test_pure_clique_shares_origin(self):
         rep = build_threshold_rep(3, ())
@@ -175,6 +187,88 @@ class TestThresholdBuilder:
             build_threshold_rep(2, (3,))
         with pytest.raises(BadNesting):
             build_threshold_rep(3, (0,))
+
+
+# -- the integer bases against the oracles ---------------------------------------------
+
+
+@st.composite
+def trees(draw):
+    """A path, star, caterpillar or random recursive tree on 3..60 vertices, randomly labelled."""
+    n = draw(st.integers(3, 60))
+    kind = draw(st.sampled_from(["path", "star", "caterpillar", "recursive"]))
+    if kind == "path":
+        parents = [v - 1 for v in range(2, n + 1)]
+    elif kind == "star":
+        parents = [1] * (n - 1)
+    elif kind == "caterpillar":
+        spine = draw(st.integers(2, n - 1))
+        legs = [draw(st.integers(1, spine)) for _ in range(n - spine)]
+        parents = [v - 1 for v in range(2, spine + 1)] + legs
+    else:
+        parents = [draw(st.integers(1, v - 1)) for v in range(2, n + 1)]
+    label = dict(zip(range(1, n + 1), draw(st.permutations(range(1, n + 1)))))
+    return Graph(n, [(label[p], label[v]) for v, p in enumerate(parents, start=2)])
+
+
+@st.composite
+def threshold_cases(draw):
+    """A clique of 1..12 vertices and 0..6 nested stable vertices."""
+    n_clique = draw(st.integers(1, 12))
+    sizes = draw(st.lists(st.integers(1, n_clique), max_size=6))
+    return n_clique, sorted(sizes, reverse=True)
+
+
+def overlap_graph(grid: GridRep) -> nx.Graph:
+    """The intersection graph of grid's boxes, decided interval by interval."""
+    h = nx.Graph()
+    h.add_nodes_from(grid.boxes)
+    for (u, a), (v, b) in itertools.combinations(grid.boxes.items(), 2):
+        if all(max(a_lo, b_lo) <= min(a_hi, b_hi) for (a_lo, a_hi), (b_lo, b_hi) in zip(a, b)):
+            h.add_edge(u, v)
+    return h
+
+
+def assert_base_on_the_grid(g: Graph, grid: GridRep, bound: int):
+    """grid is a strong representation of g at scale 1 with every |coordinate| at most bound."""
+    assert grid.scale == 1 and grid.dim == 2
+    coords = [x for b in grid.boxes.values() for iv in b for x in iv]
+    coords += [x for p in grid.points.values() for x in p]
+    assert all(type(x) is int and abs(x) <= bound for x in coords)
+    assert nx.utils.edges_equal(overlap_graph(grid).edges, g.edges)
+    for rep in (grid, GridRep(1, grid.boxes, {}, {})):  # its witnesses, then the facet sweep
+        c1, c2 = verify_grid(g, rep)
+        assert c1.ok and c2.ok
+
+
+@given(trees())
+@settings(max_examples=80, deadline=None)
+def test_tree_grid_against_the_oracles(t):
+    grid = build._tree_grid(t)
+    assert nx.is_tree(overlap_graph(grid))
+    assert_base_on_the_grid(t, grid, 2 * t.n)
+
+
+@given(threshold_cases())
+@settings(max_examples=80, deadline=None)
+def test_threshold_grid_against_the_oracles(case):
+    n_clique, sizes = case
+    g = threshold_graph(n_clique, sizes)
+    grid = build._threshold_grid(n_clique, sizes)
+    assert is_threshold_graph(overlap_graph(grid))
+    assert_base_on_the_grid(g, grid, 2 * (len(sizes) + 1) * n_clique)
+
+
+def test_a_deep_path_stays_on_the_unit_grid():
+    # depth 2099: a layout that spent bits per level would pass GRID_MAX_BITS here and
+    # fall back to Fraction coordinates; the tree grid never scales a denominator
+    n = 2100
+    path = Graph(n, [(v, v + 1) for v in range(1, n)])
+    with patch.object(boxes, "_multipliers", side_effect=AssertionError("_multipliers called")):
+        grid = build._tree_grid(path)
+    assert grid.scale == 1 and grid.radii[n] == (1, 4)
+    coords = [x for b in grid.boxes.values() for iv in b for x in iv]
+    assert all(type(x) is int and 0 <= x <= 2 * n for x in coords) and max(coords) == 2 * n
 
 
 class TestVertexLift:
@@ -462,6 +556,11 @@ def assert_same_rep(got, want):
     assert list(got.witnesses.items()) == list(want.witnesses.items())
 
 
+def fraction_base(t):
+    """build_tree_rep's layout of t, moved off the integers: a base whose grid has a scale of 21."""
+    return translate(build_tree_rep(t), (F(1, 3), F(-2, 7)))
+
+
 @given(connected_edit_cases(), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_pipeline_steps_match_the_fraction_lifts(case, oversized_grid):
@@ -483,7 +582,7 @@ def test_pipeline_steps_match_the_fraction_lifts(case, oversized_grid):
     with patch.object(boxes, "GRID_MAX_BITS", 0 if oversized_grid else boxes.GRID_MAX_BITS), \
             patch.object(build, "_lift_vertex_add", recording(build._lift_vertex_add)), \
             patch.object(build, "_lift_uncontract", recording(build._lift_uncontract)):
-        trace = build_from_edit_sequence(g, seq, build_tree_rep(seq.base))
+        trace = build_from_edit_sequence(g, seq, fraction_base(seq.base))
         assert len(calls) == len(seq.ops)
         for body, rep, args, out in calls:
             assert_same_rep(out.to_representation(), reference[body](rep.to_representation(), *args))
@@ -496,9 +595,12 @@ def test_pipeline_steps_match_the_fraction_lifts(case, oversized_grid):
 @settings(max_examples=60, deadline=None)
 def test_each_step_certifies_as_the_full_check(case, oversized_grid):
     # every lift starts from its input's certificate; each step must give the radii and the
-    # certificate of a check from scratch (prev=None), which the old verifier pins
+    # certificate of a check from scratch (prev=None), which the old verifier pins.  The
+    # tree base is such a check on ints; the oversized grid needs a Fraction base, which
+    # is verified rather than certified, so its first lift checks every box in full
     g, seq = case
     steps = []
+    base = fraction_base(seq.base) if oversized_grid else None
 
     def recording(h, scale, grid, scaled, what, prev=None):
         out = certify_grid(h, scale, grid, scaled, what, prev)
@@ -508,12 +610,17 @@ def test_each_step_certifies_as_the_full_check(case, oversized_grid):
     # GRID_MAX_BITS = 0 keeps every coordinate a Fraction on a grid of scale 1
     with patch.object(boxes, "GRID_MAX_BITS", 0 if oversized_grid else boxes.GRID_MAX_BITS), \
             patch.object(build, "certify_grid", recording):
-        trace = build_from_edit_sequence(g, seq)
+        trace = build_from_edit_sequence(g, seq, base)
         e = g.edges[len(g.edges) // 2]
-        build._drop_edge(trace.grid, g, *e)  # from the pipeline's certified grid
+        build._drop_edge(trace.grid, g, *e)  # from the pipeline's last grid
         drop_edge(trace.final, g, e)  # the public one: its verified input carries no certificate
-        assert len(steps) == len(seq.ops) + 2
-        assert [prev._cert is not None for *_, prev, _ in steps] == [True] * (len(seq.ops) + 1) + [False]
+        ops = len(seq.ops)
+        certs = [None if prev is None else prev._cert is not None for *_, prev, _ in steps]
+        kinds = {type(x) for *_, out in steps for b in out.boxes.values() for iv in b for x in iv}
+        if oversized_grid:  # the lifts append int levels to the base's Fractions
+            assert certs == [False] + [True] * ops + [False] and F in kinds
+        else:
+            assert certs == [None] + [True] * (ops + 1) + [False] and kinds == {int}
         for h, scale, grid, scaled, what, prev, out in steps:
             full = certify_grid(h, scale, grid, scaled, what)
             assert list(out.radii.items()) == list(full.radii.items())
@@ -542,6 +649,8 @@ def test_a_lift_meets_only_its_changed_boxes_with_every_box():
 
     with patch.object(boxes, "_meet", counted), patch.object(build, "certify_grid", recording):
         build_from_edit_sequence(g, seq)
+    (base, n), *counts = counts  # the tree base is the full check
+    assert base == n * (n - 1) // 2  # every pair once
     assert len(counts) == len(seq.ops) == 11
     # each edge lift changes one box; its two levels make at most 2 * 2 class pairs
     assert all(c <= (n - 1) + 4 < n * (n - 1) // 2 for c, n in counts)
