@@ -23,6 +23,8 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import chain
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import build as bld
@@ -59,38 +61,62 @@ def _read_json(path: str) -> tuple[dict, str]:
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_LISTS = frozenset((list, tuple))
 
 
 @functools.cache
-def _scalar_list_encoder(sep: str):
-    """json.dumps(obj, separators=(sep, ": ")) without building an encoder per call.
+def _scalar_encoder(sep: str):
+    """json.dumps(obj, separators=(sep, ": ")) from one C encoder built for `sep`.
 
-    One per nesting depth; the few depths a report reaches bound the cache.
+    JSONEncoder.encode builds a new C encoder on every call, which costs more
+    than encoding a short list.  One per item separator, that is per nesting
+    depth; the few depths a report reaches bound the cache.  Callers pass only
+    a list or dict of scalars, or a list of lists of scalars, so no reference
+    cycle needs checking.
     """
-    return json.JSONEncoder(separators=(sep, ": ")).encode
+    if c_make_encoder is None:  # no C accelerator: the pure-Python encoder writes the same text
+        return json.JSONEncoder(separators=(sep, ": ")).encode
+    encode = c_make_encoder(None, json.JSONEncoder().default, _escape, None, ": ", sep, False, False, True)
+    return lambda obj: "".join(encode(obj, 0))
 
 
 def _dumps(obj, pad: str = "") -> str:
     """The text of json.dumps(obj, indent=2), nested `pad` deep, without the slow encoder.
 
     indent=2 switches json to its pure-Python encoder, so containers are laid
-    out here and their contents go to C: a list of strings is escaped in one
-    join (the escaper raises TypeError on anything else), any other list of
-    scalars is one call of a cached C encoder whose item separator carries the
-    indent, and a scalar is json.dumps(scalar).  A dict with a non-str key is
+    out here and their contents go to C, one call per container where it can:
+    - a list of strings is escaped in one join (the escaper raises TypeError
+      on anything else);
+    - any other list of scalars, or a dict of str keys and scalar values, is
+      one call of a cached C encoder whose item separator carries the indent;
+    - a list of non-empty lists of scalars is one such call one level deeper,
+      and a fixed rewrite of its "]<sep>[" seams and its outer brackets (the
+      separator holds a newline, which the encoder escapes inside a string);
+    - a scalar is json.dumps(scalar).
+    Anything else is laid out item by item.  A dict with a non-str key is
     left to json.dumps(obj, indent=2) whole.
     """
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        body = sep.join(f"{_escape(k)}: {_dumps(v, inner)}" for k, v in obj.items())
+        if _SCALARS.issuperset(map(type, obj.values())):
+            body = _scalar_encoder(sep)(obj)[1:-1]
+        else:
+            body = sep.join(f"{_escape(k)}: {_dumps(v, inner)}" for k, v in obj.items())
         return "{\n" + inner + body + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
         try:
             body = sep.join(map(_escape, obj))
         except TypeError:
             if _SCALARS.issuperset(map(type, obj)):
-                body = _scalar_list_encoder(sep)(obj)[1:-1]
+                body = _scalar_encoder(sep)(obj)[1:-1]
+            elif _LISTS.issuperset(map(type, obj)) and all(obj) and _SCALARS.issuperset(
+                map(type, chain.from_iterable(obj))
+            ):
+                deep = sep + "  "
+                open_, close = "[\n" + inner + "  ", "\n" + inner + "]"
+                body = _scalar_encoder(deep)(obj)[2:-2].replace("]" + deep + "[", close + sep + open_)
+                body = open_ + body + close
             else:
                 body = sep.join(_dumps(v, inner) for v in obj)
         return "[\n" + inner + body + "\n" + pad + "]"
@@ -359,6 +385,8 @@ def cmd_flow_attack(args) -> int:
     tol = args.float_tolerance
 
     if args.mode == "robust":
+        if args.audit < 0:
+            raise ParseError(f"--audit must not be negative, got {args.audit}")
         eps1, eps2 = parse_ratio(args.eps1), parse_ratio(args.eps2)
         sv, threshold = st.build_robust_stealth(spec, g, eps1, eps2)
         seed = _seed()

@@ -147,12 +147,11 @@ def _cell_sum(cells: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
 
 def assemble_gain_matrix(g: Graph) -> GainMatrix:
     """Build the gain matrix from a graph whose every edge carries a gain."""
-    if g.gains is None:
-        raise MissingGain("graph carries no gains")
-    for pos in range(len(g.edges)):
-        if g.n + 1 + pos not in g.gains:
-            raise MissingGain(f"edge {g.edges[pos]} has no gain")
-    gains = tuple(g.gains[g.n + 1 + pos] for pos in range(len(g.edges)))
+    known = g.gains or {}
+    for pos, e in enumerate(g.edges):
+        if g.n + 1 + pos not in known:
+            raise MissingGain(f"edge {e} has no gain")
+    gains = tuple(map(known.__getitem__, range(g.n + 1, g.t + 1)))
     return GainMatrix(n=g.n, t=g.t, gains=gains, edges=g.edges)
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Collection, Iterable, Sequence
 
 from .exceptions import (
@@ -40,41 +42,26 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge] = (), gains: dict | None = None):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen: set[Edge] = set()
-        norm: list[Edge] = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) out of vertex range 1..{n}")
-            e = norm_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
+        edges = edges if isinstance(edges, (list, tuple)) else list(edges)
+        try:  # whole-list tests; the ordered loop names the first fault
+            norm = [(u, v) if u <= v else (v, u) for u, v in edges]
+            index = dict(zip(norm, range(n + 1, n + 1 + len(norm))))
+            ok = len(index) == len(norm) and all(1 <= u < v <= n for u, v in norm)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            norm = _checked_edges(n, edges)
+            index = dict(zip(norm, range(n + 1, n + 1 + len(norm))))
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(norm)
         self.t = n + len(norm)
         adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        index: dict[Edge, int] = {}
-        for pos, (u, v) in enumerate(self.edges):
+        for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
-            index[(u, v)] = n + 1 + pos
-        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
+        self._adj = dict(zip(adj, map(tuple, map(sorted, adj.values()))))
         self._index = index
-        if gains is not None:
-            clean: dict[int, Fraction] = {}
-            for key, val in gains.items():
-                key = int(key)
-                if not (n + 1 <= key <= self.t):
-                    raise ValueError(f"gain key {key} is not an edge index")
-                g = parse_ratio(val)
-                if g.numerator <= 0:
-                    raise ValueError(f"gain for edge index {key} must be positive")
-                clean[key] = g
-            gains = clean
-        self.gains = gains
+        self.gains = None if gains is None else _gain_fractions(n, self.t, gains)
 
     # -- queries ------------------------------------------------------------
 
@@ -103,6 +90,60 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+def _checked_edges(n: int, edges: Iterable) -> list[Edge]:
+    """The edges normalised, checked one by one in order: the first fault raises."""
+    seen: set[Edge] = set()
+    norm: list[Edge] = []
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"edge ({u},{v}) out of vertex range 1..{n}")
+        e = norm_edge(u, v)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+        norm.append(e)
+    return norm
+
+
+def _gain_fractions(n: int, t: int, gains: dict) -> dict[int, Fraction]:
+    """Gains keyed by edge index n+1..t, each parsed and checked positive.
+
+    When every key is an int and every value a string, each distinct text is
+    parsed and checked once, and equal texts share one Fraction.  Any fault (a
+    key that is not an edge index, an unreadable or non-positive gain) or any
+    other key or value type goes to the ordered loop, which reads each key with
+    int() and names the first bad one.
+    """
+    texts = gains.values()
+    if (
+        {int}.issuperset(map(type, gains))
+        and {str}.issuperset(map(type, texts))
+        and (not gains or n < min(gains) and max(gains) <= t)
+    ):
+        spelled = dict.fromkeys(texts)
+        try:
+            for text in spelled:
+                g = spelled[text] = parse_ratio(text)
+                if g.numerator <= 0:
+                    break
+            else:
+                return dict(zip(gains, map(spelled.__getitem__, texts)))
+        except ParseError:
+            pass
+    clean: dict[int, Fraction] = {}
+    for key, val in gains.items():
+        key = int(key)
+        if not (n + 1 <= key <= t):
+            raise ValueError(f"gain key {key} is not an edge index")
+        g = parse_ratio(val)
+        if g.numerator <= 0:
+            raise ValueError(f"gain for edge index {key} must be positive")
+        clean[key] = g
+    return clean
+
+
 # -- JSON ---------------------------------------------------------------------
 
 
@@ -118,6 +159,9 @@ def graph_to_json(g: Graph) -> dict:
     return out
 
 
+_ENDS, _GAIN = itemgetter("u", "v"), itemgetter("gain")
+
+
 def _json_int(value, what: str) -> int:
     """A JSON integer as is: no bool, and no float or string to coerce."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -126,16 +170,29 @@ def _json_int(value, what: str) -> int:
 
 
 def graph_from_json(obj) -> Graph:
+    """A graph object {"n": int, "edges": [{"u": int, "v": int, "gain"?: rational}, ...]}.
+
+    The entries are read in one pass: their endpoints with one itemgetter, and
+    their types with one test over all of them.  Any entry that fails (not an
+    object, a missing or non-integer endpoint) sends the read to the ordered
+    loop, which names the first bad entry.  Graph checks the edges and parses
+    the gains.
+    """
     try:
         n = _json_int(obj["n"], "n")
-        edges = []
-        gains = {}  # raw values: Graph parses each gain once
-        for pos, entry in enumerate(obj.get("edges", [])):
-            u, v = _json_int(entry["u"], "u"), _json_int(entry["v"], "v")
-            edges.append((u, v))
-            if "gain" in entry:
-                gains[n + 1 + pos] = entry["gain"]
-        return Graph(n, edges, gains=gains or None)
+        entries = obj.get("edges", [])
+        try:
+            ends = list(map(_ENDS, entries))
+            ok = {int}.issuperset(map(type, chain.from_iterable(ends)))
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            ends = [(_json_int(entry["u"], "u"), _json_int(entry["v"], "v")) for entry in entries]
+        try:  # raw values: Graph parses each distinct gain once
+            gains = dict(zip(range(n + 1, n + 1 + len(ends)), map(_GAIN, entries)))
+        except KeyError:
+            gains = {n + 1 + pos: entry["gain"] for pos, entry in enumerate(entries) if "gain" in entry}
+        return Graph(n, ends, gains=gains or None)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

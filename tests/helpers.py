@@ -482,6 +482,67 @@ def exposed_witness_fraction(
     return Witness(p, r)
 
 
+# -- the per-edge graph reader the one-pass reader replaced ------------------------------
+
+
+def graph_state(g: Graph) -> tuple:
+    """Everything a Graph holds, for comparing two readers."""
+    return g.n, g.t, g.edges, g._index, g._adj, g.gains
+
+
+def graph_from_json_reference(obj) -> tuple:
+    """The per-edge graph reader and Graph constructor as they were: ``graph_state`` of the graph.
+
+    Each entry's endpoints are read with ``_json_int`` in order, then each edge
+    is checked (self-loop, range, duplicate) in order, then each gain is parsed
+    into its own Fraction and checked positive in order, so the first fault in
+    that order is the one named.  The reference for ``graph_from_json``.
+    """
+    try:
+        n = _json_int(obj["n"], "n")
+        edges = []
+        raw = {}
+        for pos, entry in enumerate(obj.get("edges", [])):
+            u, v = _json_int(entry["u"], "u"), _json_int(entry["v"], "v")
+            edges.append((u, v))
+            if "gain" in entry:
+                raw[n + 1 + pos] = entry["gain"]
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        seen: set = set()
+        norm = []
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge ({u},{v}) out of vertex range 1..{n}")
+            e = (u, v) if u <= v else (v, u)
+            if e in seen:
+                raise ValueError(f"duplicate edge {e}")
+            seen.add(e)
+            norm.append(e)
+        t = n + len(norm)
+        adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+        index = {}
+        for pos, (u, v) in enumerate(norm):
+            adj[u].append(v)
+            adj[v].append(u)
+            index[(u, v)] = n + 1 + pos
+        gains = None
+        if raw:
+            gains = {}
+            for key, val in raw.items():
+                g = parse_ratio(val)
+                if g.numerator <= 0:
+                    raise ValueError(f"gain for edge index {key} must be positive")
+                gains[key] = g
+        return n, t, tuple(norm), index, {v: tuple(sorted(ws)) for v, ws in adj.items()}, gains
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad graph object: {exc}") from exc
+
+
 # -- the Fraction reader and verifier the grid path replaced ------------------------------
 
 

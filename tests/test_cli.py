@@ -29,7 +29,8 @@ from minorkit import (
     vector_to_json,
 )
 from minorkit import build as bld
-from minorkit.cli import _dumps, _matrix_text, _write_text, main
+from minorkit import cli
+from minorkit.cli import _dumps, main
 from minorkit.flow import GainMatrix, matrix_to_json
 from minorkit.graph import edits_from_json, spanning_tree_edges
 from minorkit.ratio import fmt_ratio
@@ -299,7 +300,10 @@ class TestFlowCommands:
     def test_matrix_builds_its_sparse_rows_once(self, tmp_path, monkeypatch, capsys):
         """The row-sum check and the export share one pass over the gains, and build no Fraction."""
         g = random_connected(40, 80, random.Random(8), gains=True)
-        gf = write(tmp_path / "g.json", graph_to_json(g))
+        gobj = graph_to_json(g)
+        texts = {e["gain"] for e in gobj["edges"]}
+        assert len(texts) < len(g.edges)  # the gains repeat
+        gf = write(tmp_path / "g.json", gobj)
         built = []
         cells = GainMatrix._cells
         build = cells.func
@@ -314,7 +318,7 @@ class TestFlowCommands:
         code, report = run(capsys, "flow", "matrix", gf, "--out", str(out))
         assert code == 0 and report["results"]["row_sums_zero"] is True
         assert len(built) == 1
-        assert made == [len(g.edges)]  # the parsed gains
+        assert made == [len(texts)]  # one parsed gain per distinct text
         assert json.loads(out.read_text()) == matrix_to_json(assemble_gain_matrix(g))
 
     def test_matrix_row_sums_read_the_written_cells(self, tmp_path, flow_file, monkeypatch, capsys):
@@ -528,7 +532,10 @@ class TestFlowCommands:
         rng = random.Random(5)
         g = random_connected(12, 20, rng, gains=True)
         h = assemble_gain_matrix(g)
-        gf = write(tmp_path / "g.json", graph_to_json(g))
+        gobj = graph_to_json(g)
+        texts = {e["gain"] for e in gobj["edges"]}
+        assert len(texts) < len(g.edges)  # the gains repeat
+        gf = write(tmp_path / "g.json", gobj)
         x = tuple(F(rng.randrange(-30, 31), rng.randrange(1, 9)) for _ in range(g.n))
         zf = write(tmp_path / "z.json", vector_to_json(flows(h, x)))
         atk = str(tmp_path / "atk.json")
@@ -538,7 +545,7 @@ class TestFlowCommands:
         made = count_fractions(monkeypatch)
         code, report = run(capsys, "flow", "recover", gf, "--flows", zf, "--ref", "2/7", "--attack", atk)
         assert code == 0 and report["results"]["deltas_match_stealth_jumps"]
-        assert made == [len(g.edges)]
+        assert made == [len(texts)]  # one parsed gain per distinct text
 
     def test_inconsistent_attack_names_the_first_bad_edge(self, tmp_path, capsys):
         g = Graph(3, [(1, 2), (2, 3), (1, 3)], gains={4: F(1), 5: F(2), 6: F(3)})
@@ -652,6 +659,16 @@ class TestInputContract:
         self.assert_input_error(capsys, [*argv, "--schedule-gap=-1/100"])
         code, report = run(capsys, *argv, "--schedule-gap", "0")  # the limit, met exactly
         assert code == 0 and report["results"]["ratio"] == "1"
+
+    def test_negative_audit(self, flow_file, capsys):
+        # exited 0 and reported "audit_samples": -3
+        argv = ["flow", "attack", flow_file, "--target", "1-2,1-4", "--mode", "robust"]
+        assert main([*argv, "--audit", "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "input error: ParseError: --audit must not be negative, got -3\n"
+        code, report = run(capsys, *argv, "--audit", "0")  # no audit, as before
+        assert code == 0 and report["results"]["audit_samples"] == 0
+        assert "audit_min_boundary_entry" not in report["results"]
 
     def test_short_attack_vector(self, tmp_path, recover_args, capsys):
         bundle = write(tmp_path / "atk.json", {"targets": [[1, 2], [1, 4]], "a": ["1"] * 7})
@@ -789,6 +806,7 @@ _json = hst.recursive(
     lambda kids: hst.lists(kids, max_size=4)
     | hst.lists(_strings, max_size=4)
     | hst.lists(hst.lists(hst.integers(), max_size=3), max_size=4)  # targets, components
+    | hst.lists(hst.lists(_leaves | _strings, min_size=1, max_size=3), max_size=4)  # boxes
     | hst.dictionaries(_strings, kids, max_size=4)
     | hst.dictionaries(_strings | hst.integers() | hst.booleans() | hst.none(), kids, max_size=3),
     max_leaves=25,
@@ -800,9 +818,28 @@ _json = hst.recursive(
 @example({"results": {"components": [[1], [2, 3, 4], []], "support": [1, 2]}, "lambda": "1/2"})
 @example({"targets": [[1, 2]], "s": ["1", "1/2"], "a": ["0", "-1/2"]})
 @example([[[1, 2], [3]], [[]], [True, None, 1.5, "x"]])
+@example({"edge_difference_deltas": {"1-2": "1/2", "2-3": "0", "3-\u00e9": "-7/3"}})  # str -> str
+@example({"a": 1, "b": -2.5, "c": True, "d": None, "e": "x", "f": False})
+@example({"edges": [[1, 2], [], [3, 4]], "components": [[1], [2, 3]]})  # an empty inner list
+@example([["0", "1/2"], ["-1", "3"]])  # box JSON: lists of string pairs
+@example([["a]", ",\n  ["], ["]", "["], [1, "]\n    ["]])  # seam text inside strings
+@example([[1e25, -0.0], (float("inf"), 2), (float("-inf"), float("nan"))])
+@example(([1e25], (-0.0, float("inf")), [True, None]))
+@example({"x": [(1, 2), (3, 4)], "y": ([5], [6, 7])})
 @settings(max_examples=300, deadline=None)
 def test_dumps_matches_json_indent_2(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_without_the_c_encoder(monkeypatch):
+    """An interpreter without json's C accelerator gets the same text from the Python encoder."""
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    cli._scalar_encoder.cache_clear()
+    try:
+        for obj in ({"a": "1/2", "b": [1, 2.5, None]}, [[1, 2], ["x", True]], ["a", "b"], [1e25, -0.0]):
+            assert _dumps(obj) == json.dumps(obj, indent=2)
+    finally:
+        cli._scalar_encoder.cache_clear()
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83)
@@ -844,11 +881,8 @@ def test_streamed_matrix_matches_the_fraction_reference(case):
     want = _dumps(matrix_to_json_fraction(h)) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "H.json"
-        if edges:
-            gf = write(Path(tmp) / "g.json", graph_to_json(g))
-            with contextlib.redirect_stdout(io.StringIO()) as report:
-                assert main(["flow", "matrix", gf, "--out", str(out)]) == 0
-            assert json.loads(report.getvalue())["results"]["row_sums_zero"] is True
-        else:  # a graph file without edges carries no gains, so the CLI stops at MissingGain
-            _write_text(str(out), _matrix_text(h))
+        gf = write(Path(tmp) / "g.json", graph_to_json(g))
+        with contextlib.redirect_stdout(io.StringIO()) as report:
+            assert main(["flow", "matrix", gf, "--out", str(out)]) == 0
+        assert json.loads(report.getvalue())["results"]["row_sums_zero"] is True
         assert out.read_text() == want

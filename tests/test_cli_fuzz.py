@@ -59,8 +59,12 @@ EDITS = [
     [{"kind": "edge_delete", "u": 1, "v": 5}, {"kind": "edge_delete", "u": 2, "v": 5}],
     [{"kind": "vertex_delete", "v": 3}, {"kind": "contract", "u": 1, "v": 2}],
 ]
-GAIN_GRAPHS = [graph_to_json(g) for g in (CYCLE, TRIANGLE)]
-TARGETS = ["1-2,1-4", "1-2,2-3,1-3"]  # a feasible target set of each gain graph
+# an edgeless graph needs no gains; the last one spells the gain 2 three ways and repeats one
+REPEATED = {"n": 4, "edges": [{"u": 1, "v": 2, "gain": "2"}, {"u": 2, "v": 3, "gain": "4/2"},
+                              {"u": 3, "v": 4, "gain": "2/1"}, {"u": 1, "v": 4, "gain": "2"}]}
+GAIN_GRAPHS = [graph_to_json(g) for g in (CYCLE, TRIANGLE, Graph(3))] + [REPEATED]
+# a feasible target set of each gain graph; the edgeless graph has no edge to target
+TARGETS = ["1-2,1-4", "1-2,2-3,1-3", "1-2", "1-2,3-4"]
 FLOWS = [vector_to_json(flows(assemble_gain_matrix(CYCLE), (F(2), F(0), F(-1), F(5))))]
 BUNDLES = [{"targets": [[1, 2], [1, 4]], "lambda": "1/2", "s": ["1", "1", "1", "0"],
             "a": ["0"] * 4 + ["1", "0", "0", "-1"]}]
@@ -123,7 +127,7 @@ def invocations(draw):
         "flow recover", "flow theta",
     ]))
     files = {"g.json": draw(_file_text(BOX_GRAPHS))}
-    pick = draw(st.integers(0, 1))
+    pick = draw(st.integers(0, len(GAIN_GRAPHS) - 1))
     if cmd in ("flow attack", "flow theta"):
         files["g.json"] = draw(_file_text(GAIN_GRAPHS[pick:pick + 1]))
         target = TARGETS[pick] if draw(st.integers(0, 3)) else draw(_TARGETS)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minorkit import (
@@ -31,7 +31,7 @@ from minorkit.exceptions import (
 )
 from minorkit.graph import bfs_order, bfs_path, spanning_tree_edges
 
-from helpers import is_bridge, random_connected, random_tree
+from helpers import graph_from_json_reference, graph_state, is_bridge, random_connected, random_tree
 
 
 def path3():
@@ -328,3 +328,109 @@ class TestGraphValidation:
     def test_edge_indices_follow_positions(self):
         g = Graph(3, [(1, 3), (1, 2)])
         assert g.edge_index(1, 3) == 4 and g.edge_index(2, 1) == 5 and g.t == 5
+
+
+# -- the one-pass reader against the per-edge reader -----------------------------------------
+
+_GAIN_TEXTS = ["2", "4/2", "2/1", "3/2", "6/4", "1/3", "7", "2"]
+_FAULTS = {
+    "no u": lambda e: e.pop("u"),
+    "no v": lambda e: e.pop("v"),
+    "bool u": lambda e: e.update(u=True),
+    "str v": lambda e: e.update(v=str(e["v"])),
+    "float u": lambda e: e.update(u=float(e["u"])),
+    "self-loop": lambda e: e.update(v=e["u"]),
+    "out of range": lambda e: e.update(v=e["v"] + 20),
+    "vertex 0": lambda e: e.update(u=0),
+    "zero gain": lambda e: e.update(gain="0"),
+    "negative gain": lambda e: e.update(gain="-3/2"),
+    "float gain": lambda e: e.update(gain=1.5),
+    "null gain": lambda e: e.update(gain=None),
+    "bad gain text": lambda e: e.update(gain="x"),
+}
+
+
+@st.composite
+def graph_objects(draw):
+    """A graph file's object with up to two faults, each in its own entry, or in n or the entry list."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    gained = draw(st.sampled_from(["all", "all", "some", "none"]))
+    edges = []
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=9)):
+        entry = {"u": u, "v": v} if draw(st.booleans()) else {"u": v, "v": u}
+        if gained == "all" or (gained == "some" and draw(st.booleans())):
+            entry["gain"] = draw(st.sampled_from(_GAIN_TEXTS))
+        edges.append(entry)
+    obj = {"n": n, "edges": edges}
+    spots = draw(st.lists(st.integers(0, len(edges) - 1), unique=True, max_size=2))
+    for pos in spots:
+        fault = draw(st.sampled_from(sorted(_FAULTS) + ["duplicate", "not an object", "no n", "n = -1"]))
+        if fault == "duplicate":
+            u, v = edges[pos]["u"], edges[pos]["v"]
+            edges.insert(pos + 1, {"u": v, "v": u, "gain": "1"})
+        elif fault == "not an object":
+            edges[pos] = draw(st.sampled_from([[1, 2], "1-2", 7, None]))
+        elif fault == "no n":
+            obj.pop("n", None)
+        elif fault == "n = -1":
+            obj["n"] = -1
+        else:
+            _FAULTS[fault](edges[pos])
+    return obj
+
+
+def _outcome(read, obj):
+    try:
+        return read(obj)
+    except Exception as exc:  # compared by class and message
+        return exc
+
+
+@given(graph_objects())
+@example({"n": 3, "edges": []})
+@example({"n": 4, "edges": [{"u": 1, "v": 2, "gain": "2"}, {"u": 2, "v": 3, "gain": "4/2"},
+                            {"u": 3, "v": 1, "gain": "2/1"}, {"u": 4, "v": 1, "gain": "2"}]})
+@example({"n": 4, "edges": [{"u": 1, "v": 2, "gain": "x"}, {"u": 3, "v": 3, "gain": "1"}]})
+@example({"n": 4, "edges": [{"u": 1, "v": 2, "gain": "0"}, {"u": 2, "v": 3, "gain": "-1"}]})
+@example({"n": 4, "edges": [{"u": 1, "v": 9}, {"u": True, "v": 2}]})
+@example({"n": 4, "edges": [{"u": 2, "v": 1}, {"u": 1, "v": 2}, {"v": 3}]})
+@example({"n": -1, "edges": [{"u": 1, "v": 2}]})
+@example({"n": 2, "edges": {"u": 1, "v": 2}})
+@settings(max_examples=400, deadline=None)
+def test_reader_matches_the_per_edge_reference(obj):
+    """The same graph state, or the same exception class and message, as the per-edge reader."""
+    want = _outcome(graph_from_json_reference, obj)
+    got = _outcome(graph_from_json, obj)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert graph_state(got) == want
+    # each distinct gain text is parsed once: equal texts share one Fraction
+    by_text = {}
+    for pos, entry in enumerate(obj["edges"]):
+        if "gain" in entry:
+            assert by_text.setdefault(entry["gain"], got.gains[obj["n"] + 1 + pos]) is got.gains[obj["n"] + 1 + pos]
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(1, 2), (3, 3), (5, 1)], "self-loop at vertex 3"),
+    ([(1, 2), (5, 1), (3, 3)], "edge (5,1) out of vertex range 1..4"),
+    ([(2, 1), (1, 2), (0, 1)], "duplicate edge (1, 2)"),
+    (iter([(2, 1), (4, 4)]), "self-loop at vertex 4"),
+])
+def test_graph_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError) as info:
+        Graph(4, edges)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("gains, message", [
+    ({4: "1", 5: "0", 9: "1"}, "gain for edge index 5 must be positive"),
+    ({4: "1", 9: "1", 5: "0"}, "gain key 9 is not an edge index"),
+    ({"5": "-1", 4: "x"}, "gain for edge index 5 must be positive"),
+])
+def test_graph_names_the_first_bad_gain(gains, message):
+    with pytest.raises(ValueError) as info:
+        Graph(3, [(1, 2), (2, 3)], gains=gains)
+    assert str(info.value) == message
