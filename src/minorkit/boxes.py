@@ -166,16 +166,13 @@ def rep_to_json(rep: Representation) -> dict:
 
 
 def _grid_text(scale: int):
-    """x -> the text of x / scale, each distinct x formatted once: lifts repeat coordinates.
+    """x -> the text of x / scale, each distinct x formatted once: lifts repeat coordinates."""
+    memo: dict[int, str] = {}
 
-    Past GRID_MAX_BITS x may be a Fraction, on a scale of 1 or, once swept, 2.
-    """
-    memo: dict = {}
-
-    def text(x) -> str:
+    def text(x: int) -> str:
         t = memo.get(x)
         if t is None:
-            t = memo[x] = fmt_pair(x, scale) if isinstance(x, int) else str(x / scale)
+            t = memo[x] = fmt_pair(x, scale)
         return t
 
     return text
@@ -215,11 +212,10 @@ def grid_from_json(obj) -> GridRep:
     """A representation's JSON, read straight onto one integer grid.
 
     Each value is the (num, den) pair it spells (parse_pair), and the grid's
-    scale is the lcm of every box and witness-point den, with the same
-    GRID_MAX_BITS fallback as the verifier.  Witnesses are optional, and radii
-    stay pairs.  The checks, their order and their messages are those of
-    Box, Representation and rep_from_json, which is this reader plus
-    GridRep.to_representation.
+    scale is the lcm of every box and witness-point den (TooLarge past
+    GRID_MAX_BITS bits).  Witnesses are optional, and radii stay pairs.  The
+    checks, their order and their messages are those of Box, Representation
+    and rep_from_json, which is this reader plus GridRep.to_representation.
     """
     spelled: dict[str, Pair] = {}  # lifts repeat values, so each distinct text is parsed once
 
@@ -287,10 +283,11 @@ def rep_from_json(obj) -> Representation:
 # -- the integer grid ----------------------------------------------------------------
 
 # Many distinct coprime denominators make L as long as all of them together, and
-# every scaled coordinate that long, so the grid's memory grows with the boxes
-# times the bits of L.  Past this size the checks run on the rationals instead.
-# No builder gets here (the bases are ints at scale 1 and lifts keep their
-# input's scale): only a representation given as input can.
+# every scaled coordinate that long, so the grid's memory is the boxes times the
+# bits of L, quadratic in the number of distinct denominators.  This bound keeps
+# each value within 512 bytes.  No builder gets near it (the bases are ints at
+# scale 1 and lifts keep their input's scale): a given representation past it is
+# an input error.
 GRID_MAX_BITS = 4096
 
 IntBox = tuple[tuple[int, int], ...]
@@ -301,15 +298,13 @@ Pair = tuple[int, int]  # num / den, den > 0, not necessarily reduced
 def _multipliers(dens) -> tuple[int, dict]:
     """(L, {q: L // q}) for L the lcm of the denominators dens.
 
-    p * mult[q] is then p/q on the grid of L.  If L would pass GRID_MAX_BITS,
-    L is 1 and mult[q] is Fraction(1, q), so p * mult[q] is the rational
-    itself; the callers' comparisons and arithmetic are exact on either.
+    p * mult[q] is then p/q on the grid of L.  TooLarge if L passes GRID_MAX_BITS bits.
     """
     scale = 1
     for q in dens:
         scale = lcm(scale, q)
         if scale.bit_length() > GRID_MAX_BITS:
-            return 1, {q: Fraction(1, q) for q in dens}
+            raise TooLarge(f"the lcm of a representation's denominators passes {GRID_MAX_BITS} bits")
     return scale, {q: scale // q for q in dens}
 
 
@@ -439,7 +434,7 @@ def _radii(scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint]) -> 
     return radii
 
 
-def _radius(nearest, scale: int) -> Pair | None:
+def _radius(nearest: int, scale: int) -> Pair | None:
     """A witness radius: half the gap nearest / scale to the nearest other box, at most 1/4.
 
     None when nearest is 0 (the witness lies in another box).
@@ -448,8 +443,7 @@ def _radius(nearest, scale: int) -> Pair | None:
         return None
     if 2 * nearest >= scale:  # nearest / (2 * scale) >= 1/4
         return (1, 4)
-    num, den = nearest.as_integer_ratio()  # den > 1 only for a Fraction gap (scale 1)
-    return (num, 2 * scale * den)
+    return (nearest, 2 * scale)
 
 
 def certify_grid(
@@ -598,10 +592,9 @@ class GridRep:
     the grid, of those a file gives when grid_from_json read it, and of every
     vertex that keeps one when the verifier made it (witnessed); a radius is
     a (num, den) pair.  Lifts add integer levels and reuse coordinates, so a
-    whole edit pipeline keeps the grid of its base.  Past GRID_MAX_BITS the
-    scale is 1, or 2 once witnessed re-bases it, and the coordinates are
-    Fractions.  A grid that certify_grid made carries its certificate, which
-    the next lift's certify_grid starts from; any other grid has none.
+    whole edit pipeline keeps the grid of its base.  A grid that certify_grid
+    made carries its certificate, which the next lift's certify_grid starts
+    from; any other grid has none.
     """
 
     scale: int

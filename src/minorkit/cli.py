@@ -282,6 +282,8 @@ def cmd_box_build(args) -> int:
 
 
 def cmd_box_oracle(args) -> int:
+    if args.max_dim < 1:
+        raise ParseError(f"--max-dim must be at least 1, got {args.max_dim}")
     rep = _Report("box oracle")
     gobj, gdig = _read_json(args.graph)
     rep.input("graph", args.graph, gdig)

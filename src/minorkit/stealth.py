@@ -258,9 +258,16 @@ def build_stealth(
     spec: AttackSpec, h: GainMatrix, lambda_hint: Fraction = F(1, 2)
 ) -> tuple[StealthVector, AttackVector]:
     """Power stealth vector: component i gets lambda**(i-1), lambda root-free."""
+    return _root_free_build(spec, h, None, lambda_hint)
+
+
+def _root_free_build(
+    spec: AttackSpec, h: GainMatrix, colors: dict[int, int] | None, lambda_hint: Fraction
+) -> tuple[StealthVector, AttackVector]:
+    """_build on _exponent_map(spec, colors), lambda the first root-free one from lambda_hint."""
     spec = require_spec(spec)
     _check_matrix(spec, h)
-    exponents = {i: i - 1 for i in range(1, spec.k + 1)}
+    exponents = _exponent_map(spec, colors)
     lam = _root_free_lambda(spec, h, exponents, Fraction(lambda_hint))
     return _build(spec, h, exponents, lam)
 
@@ -463,11 +470,7 @@ def build_stealth_colored(
     lambda_hint: Fraction = F(1, 2),
 ) -> tuple[StealthVector, AttackVector]:
     """Stealth vector with exponents colour-1: fewer distinct powers, smaller ratio limit."""
-    spec = require_spec(spec)
-    _check_matrix(spec, h)
-    exponents = _exponent_map(spec, colors)
-    lam = _root_free_lambda(spec, h, exponents, Fraction(lambda_hint))
-    return _build(spec, h, exponents, lam)
+    return _root_free_build(spec, h, colors, lambda_hint)
 
 
 # -- robustness under gain bounds --------------------------------------------------------
@@ -530,7 +533,7 @@ def build_robust_stealth(
     lam = threshold
     while not _certified(spec, lam, eps1, eps2):
         lam *= 2
-    exponents = {i: i - 1 for i in range(1, spec.k + 1)}
+    exponents = _exponent_map(spec, None)
     s = _stealth_values(spec, F(lam), exponents)
     sv = StealthVector(values=s, lam=F(lam), exponents=exponents, targets=spec.targets)
     return sv, F(threshold)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 from minorkit import Box, C1Report, C2Report, Graph, Representation, Witness, components, witness_radius
 from minorkit.boxes import (
@@ -80,6 +80,28 @@ def random_rep(rng: random.Random, dim: int, count: int, span: int = 6) -> Repre
             ivs.append((F(min(a, b)), F(max(a, b))))
         boxes[v] = Box(tuple(ivs))
     return Representation(boxes)
+
+
+def coprime_boxes(k: int) -> tuple[Graph, Representation]:
+    """k boxes in 3-D; each endpoint is 2v or 2v + 1 plus 1/p for its own 20-bit prime p.
+
+    So the lcm of the denominators is the product of 6k distinct primes of
+    about 20 bits each.  The graph joins each odd v to v + 1; their boxes do not meet.
+    """
+    primes = (p for p in count(10**6) if all(p % d for d in range(2, 1100)))
+    boxes = {
+        v: Box(tuple((2 * v + F(1, next(primes)), 2 * v + 1 + F(1, next(primes))) for _ in range(3)))
+        for v in range(1, k + 1)
+    }
+    return Graph(k, [(v, v + 1) for v in range(1, k, 2)]), Representation(boxes)
+
+
+def boxes_json_fraction(rep: Representation) -> dict:
+    """rep's boxes as a representation's JSON, each value written from its Fraction."""
+    return {
+        "dim": rep.dim,
+        "boxes": {str(v): [[str(lo), str(hi)] for lo, hi in b.intervals] for v, b in rep.boxes.items()},
+    }
 
 
 def root_trap_graph() -> tuple[Graph, list[tuple[int, int]], list[Fraction]]:

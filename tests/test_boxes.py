@@ -1,8 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction as F
-from itertools import count, islice
-from unittest.mock import patch
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -42,8 +41,10 @@ from minorkit.exceptions import (
 )
 
 from helpers import (
+    boxes_json_fraction,
     certified_grid,
     certify,
+    coprime_boxes,
     cross,
     exposed_witness_fraction,
     full_certificate,
@@ -290,28 +291,47 @@ class TestIntegerGrid:
         g, rep = case
         points = {v: w.point for v, w in rep.witnesses.items()}
         expected = {v: reference_radius(p, rep, v) for v, p in points.items()}
-        # GRID_MAX_BITS = 0 keeps every coordinate a Fraction: the oversized-grid path
-        for max_bits in (boxes.GRID_MAX_BITS, 0):
-            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
-                assert verify_c1(g, rep).violations == reference_c1(g, rep)
-                assert witness_radii(points, rep) == expected
-                for v, p in points.items():
-                    assert witness_radius(p, rep, v) == expected[v]
-                    assert check_witness(v, rep) == reference_witness_ok(v, rep)
+        assert verify_c1(g, rep).violations == reference_c1(g, rep)
+        assert witness_radii(points, rep) == expected
+        for v, p in points.items():
+            assert witness_radius(p, rep, v) == expected[v]
+            assert check_witness(v, rep) == reference_witness_ok(v, rep)
 
     def test_many_coprime_denominators(self):
         # 40 boxes in 3-D with 240 distinct 20-bit prime denominators: L passes GRID_MAX_BITS
-        primes = list(islice((p for p in count(10**6) if all(p % d for d in range(2, 1100))), 240))
-        assert sum(p.bit_length() for p in primes) > boxes.GRID_MAX_BITS
-        it = iter(primes)
-        rep = Representation({
-            v: Box(tuple((2 * v + F(1, next(it)), 2 * v + 1 + F(1, next(it))) for _ in range(3)))
-            for v in range(1, 41)
-        })
-        g = Graph(40, [(v, v + 1) for v in range(1, 40, 2)])
+        g, rep = coprime_boxes(40)
+        dens = (x.denominator for b in rep.boxes.values() for iv in b.intervals for x in iv)
+        assert lcm(*dens).bit_length() > boxes.GRID_MAX_BITS
+        obj = boxes_json_fraction(rep)
+        points = {v: tuple(hi for _, hi in b.intervals) for v, b in rep.boxes.items()}
+        for call in (
+            lambda: grid_from_json(obj),
+            lambda: verify_c1(g, rep),
+            lambda: witness_radii(points, rep),
+            lambda: GridRep.of(rep),
+        ):
+            with pytest.raises(TooLarge, match=f"passes {boxes.GRID_MAX_BITS} bits"):
+                call()
+
+    def test_denominators_just_under_the_bound(self):
+        # 34 boxes have 204 distinct 20-bit prime denominators; a 35th box's six would pass the bound
+        g, rep = coprime_boxes(34)
+        grid = GridRep.of(rep)
+        assert boxes.GRID_MAX_BITS - 6 * 20 < grid.scale.bit_length() <= boxes.GRID_MAX_BITS
+        assert all(type(x) is int for b in grid.boxes.values() for iv in b for x in iv)
+        assert grid_from_json(boxes_json_fraction(rep)) == grid
         assert verify_c1(g, rep).violations == reference_c1(g, rep)
         points = {v: tuple(hi for _, hi in b.intervals) for v, b in rep.boxes.items()}
         assert witness_radii(points, rep) == {v: reference_radius(p, rep, v) for v, p in points.items()}
+
+    @pytest.mark.parametrize("bits", [boxes.GRID_MAX_BITS, boxes.GRID_MAX_BITS + 1])
+    def test_the_bound_counts_the_bits_of_the_lcm(self, bits):
+        obj = {"dim": 1, "boxes": {"1": [["0", f"1/{2 ** (bits - 1)}"]]}}
+        if bits > boxes.GRID_MAX_BITS:
+            with pytest.raises(TooLarge):
+                grid_from_json(obj)
+        else:
+            assert grid_from_json(obj).scale.bit_length() == bits
 
     def test_touching_endpoints_and_coprime_denominators(self):
         rep = Representation(
@@ -435,34 +455,32 @@ def witnesses_json_fraction(witnesses) -> dict:
 class TestGridPath:
     """grid_from_json and verify_grid against the Fraction reader and verifier they replaced."""
 
-    @given(rep_files(), st.booleans())
+    @given(rep_files())
     @settings(max_examples=300, deadline=None)
-    def test_reader_and_verifier_match_the_fraction_path(self, case, oversized_grid):
+    def test_reader_and_verifier_match_the_fraction_path(self, case):
         g, obj = case
-        # GRID_MAX_BITS = 0 keeps every coordinate a Fraction on a grid of scale 1
-        with patch.object(boxes, "GRID_MAX_BITS", 0 if oversized_grid else boxes.GRID_MAX_BITS):
-            want = outcome(lambda: rep_from_json_fraction(obj))
-            got = outcome(lambda: rep_from_json(obj))
-            if not isinstance(want, Representation):
-                assert got == want and want[0] is ParseError
-                assert outcome(lambda: grid_from_json(obj)) == want
-                return
-            # key order too: it decides the order of the written JSON
-            assert list(got.boxes.items()) == list(want.boxes.items())
-            assert list(got.witnesses.items()) == list(want.witnesses.items())
+        want = outcome(lambda: rep_from_json_fraction(obj))
+        got = outcome(lambda: rep_from_json(obj))
+        if not isinstance(want, Representation):
+            assert got == want and want[0] is ParseError
+            assert outcome(lambda: grid_from_json(obj)) == want
+            return
+        # key order too: it decides the order of the written JSON
+        assert list(got.boxes.items()) == list(want.boxes.items())
+        assert list(got.witnesses.items()) == list(want.witnesses.items())
 
-            ref = outcome(lambda: (verify_c1_fraction(g, want), verify_c2_fraction(g, want)))
-            grid = grid_from_json(obj)
-            for verify in (lambda: verify_grid(g, grid), lambda: (verify_c1(g, want), verify_c2(g, want))):
-                reports = outcome(verify)
-                if isinstance(ref[0], type):  # both raised
-                    assert reports == ref
-                    continue
-                (c1, c2), (r1, r2) = reports, ref
-                assert c1 == r1
-                assert c2.ok == r2.ok and c2.covered == r2.covered
-                assert list(c2.witnesses.items()) == list(r2.witnesses.items())
-                assert witnesses_to_json(c2.witnesses) == witnesses_json_fraction(r2.witnesses)
+        ref = outcome(lambda: (verify_c1_fraction(g, want), verify_c2_fraction(g, want)))
+        grid = grid_from_json(obj)
+        for verify in (lambda: verify_grid(g, grid), lambda: (verify_c1(g, want), verify_c2(g, want))):
+            reports = outcome(verify)
+            if isinstance(ref[0], type):  # both raised
+                assert reports == ref
+                continue
+            (c1, c2), (r1, r2) = reports, ref
+            assert c1 == r1
+            assert c2.ok == r2.ok and c2.covered == r2.covered
+            assert list(c2.witnesses.items()) == list(r2.witnesses.items())
+            assert witnesses_to_json(c2.witnesses) == witnesses_json_fraction(r2.witnesses)
 
     def test_written_file_matches_the_fraction_writer(self):
         g = random_connected(9, 12, random.Random(3))
@@ -470,11 +488,7 @@ class TestGridPath:
         c1, c2 = verify_grid(g, grid_from_json(rep_to_json(rep)))
         assert c1.ok and c2.ok
         obj = grid_to_json(grid_from_json(rep_to_json(rep)), c2.witnesses)
-        assert obj == {
-            "dim": rep.dim,
-            "boxes": {str(v): [[str(lo), str(hi)] for lo, hi in b.intervals] for v, b in rep.boxes.items()},
-            "witnesses": witnesses_json_fraction(rep.witnesses),
-        }
+        assert obj == {**boxes_json_fraction(rep), "witnesses": witnesses_json_fraction(rep.witnesses)}
 
 
 @st.composite
@@ -510,30 +524,27 @@ def sweep_cases(draw):
 class TestGridSweep:
     """The facet sweep on the grid's ints against the Fraction sweep it replaced."""
 
-    @given(sweep_cases(), st.booleans())
+    @given(sweep_cases())
     @settings(max_examples=300, deadline=None)
-    def test_sweep_matches_the_fraction_sweep(self, case, oversized_grid):
+    def test_sweep_matches_the_fraction_sweep(self, case):
         g, rep, max_dim = case
-        # GRID_MAX_BITS = 0 keeps every coordinate a Fraction on a grid of scale 1
-        with patch.object(boxes, "GRID_MAX_BITS", 0 if oversized_grid else boxes.GRID_MAX_BITS):
-            for v in rep.vertices():
-                want = outcome(lambda: exposed_witness_fraction(v, rep, max_dim=max_dim))
-                assert outcome(lambda: exposed_witness(v, rep, max_dim=max_dim)) == want
-                raised = isinstance(want, tuple)
-                assert outcome(lambda: boundary_covered(v, rep, max_dim=max_dim)) == (want if raised else want is None)
-            ref = outcome(lambda: verify_c2_fraction(g, rep, max_dim=max_dim))
-            got = outcome(lambda: verify_c2(g, rep, max_dim=max_dim))
-            if isinstance(ref, tuple):
-                assert got == ref
-                return
-            assert got.ok == ref.ok and got.covered == ref.covered
-            assert list(got.witnesses.items()) == list(ref.witnesses.items())
-            assert witnesses_to_json(got.witnesses) == witnesses_json_fraction(ref.witnesses)
-            # the sweep ran on the grid: ints, or the Fractions of an oversized grid
-            kind = F if oversized_grid else int
-            witnessed = got.witnesses.rep
-            assert all(type(x) is kind for p in witnessed.points.values() for x in p)
-            assert all(type(x) is kind for b in witnessed.boxes.values() for iv in b for x in iv)
+        for v in rep.vertices():
+            want = outcome(lambda: exposed_witness_fraction(v, rep, max_dim=max_dim))
+            assert outcome(lambda: exposed_witness(v, rep, max_dim=max_dim)) == want
+            raised = isinstance(want, tuple)
+            assert outcome(lambda: boundary_covered(v, rep, max_dim=max_dim)) == (want if raised else want is None)
+        ref = outcome(lambda: verify_c2_fraction(g, rep, max_dim=max_dim))
+        got = outcome(lambda: verify_c2(g, rep, max_dim=max_dim))
+        if isinstance(ref, tuple):
+            assert got == ref
+            return
+        assert got.ok == ref.ok and got.covered == ref.covered
+        assert list(got.witnesses.items()) == list(ref.witnesses.items())
+        assert witnesses_to_json(got.witnesses) == witnesses_json_fraction(ref.witnesses)
+        # the sweep ran on the grid's ints
+        witnessed = got.witnesses.rep
+        assert all(type(x) is int for p in witnessed.points.values() for x in p)
+        assert all(type(x) is int for b in witnessed.boxes.values() for iv in b for x in iv)
 
 
 def reference_certify(g, box_map, points):
@@ -573,15 +584,12 @@ class TestCertify:
     def test_matches_the_checks_it_replaces(self, case):
         g, box_map, points = case
         expected = reference_certify(g, box_map, points)
-        # GRID_MAX_BITS = 0 keeps every coordinate a Fraction: the oversized-grid path
-        for max_bits in (boxes.GRID_MAX_BITS, 0):
-            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
-                if expected is None:
-                    with pytest.raises(AssertionError):
-                        certify(g, box_map, points, "case")
-                else:
-                    got = certify(g, box_map, points, "case")
-                    assert got.boxes == box_map and got.witnesses == expected
+        if expected is None:
+            with pytest.raises(AssertionError):
+                certify(g, box_map, points, "case")
+        else:
+            got = certify(g, box_map, points, "case")
+            assert got.boxes == box_map and got.witnesses == expected
 
     def square_points(self):
         return {1: (F(0), F(0)), 2: (F(3), F(3)), 3: (F(6), F(0))}
@@ -600,26 +608,21 @@ class TestCertify:
     def test_each_failure_raises(self, edges, move, drop, reason):
         points = {**self.square_points(), **move}
         points.pop(drop, None)
-        for max_bits in (boxes.GRID_MAX_BITS, 0):
-            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
-                with pytest.raises(AssertionError, match=reason):
-                    certify(Graph(3, edges), fig_squares().boxes, points, "squares")
+        with pytest.raises(AssertionError, match=reason):
+            certify(Graph(3, edges), fig_squares().boxes, points, "squares")
 
     def test_degenerate_box_raises(self):
         # box 2 flattened to the segment y = 2: every meet and witness still holds
         flat = {**fig_squares().boxes, 2: Box.make((1, 5), (2, 2))}
         points = {**self.square_points(), 2: (F(3), F(2))}
-        for max_bits in (boxes.GRID_MAX_BITS, 0):
-            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
-                with pytest.raises(AssertionError, match="degenerate"):
-                    certify(Graph(3, [(1, 2), (2, 3)]), flat, points, "squares")
+        with pytest.raises(AssertionError, match="degenerate"):
+            certify(Graph(3, [(1, 2), (2, 3)]), flat, points, "squares")
 
 
 class TestIncrementalCertify:
     """certify_grid from a certified input: the kept boxes are checked on the appended axis."""
 
     PATH = Graph(3, [(1, 2), (2, 3)])
-    MAX_BITS = (boxes.GRID_MAX_BITS, 0)  # 0 keeps every coordinate a Fraction on scale 1
 
     def prev(self):
         points = {1: (F(0), F(0)), 2: (F(3), F(3)), 3: (F(6), F(0))}
@@ -635,31 +638,27 @@ class TestIncrementalCertify:
         return grid, scaled
 
     def test_a_sound_lift_keeps_every_box(self):
-        for max_bits in self.MAX_BITS:
-            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
-                prev = self.prev()
-                assert prev.scale == 1 and prev._cert == full_certificate(prev)
-                g = Graph(3, [(2, 3)])  # 1-2 cut by the appended axis
-                grid, scaled = self.lift(prev, {1: (0, 1), 2: (2, 5), 3: (0, 4)})
-                got = certify_grid(g, 1, grid, scaled, "lift", prev)
-                full = certify_grid(g, 1, grid, scaled, "lift")
-                assert list(got.radii.items()) == list(full.radii.items())
-                assert got._cert == full._cert == full_certificate(got)
+        prev = self.prev()
+        assert prev.scale == 1 and prev._cert == full_certificate(prev)
+        g = Graph(3, [(2, 3)])  # 1-2 cut by the appended axis
+        grid, scaled = self.lift(prev, {1: (0, 1), 2: (2, 5), 3: (0, 4)})
+        got = certify_grid(g, 1, grid, scaled, "lift", prev)
+        full = certify_grid(g, 1, grid, scaled, "lift")
+        assert list(got.radii.items()) == list(full.radii.items())
+        assert got._cert == full._cert == full_certificate(got)
 
     def test_an_appended_axis_can_widen_a_gap(self):
         # 2's witness is 1/8 from box 3 in the old axes and 3/8 in the appended one
         g = self.PATH
-        for max_bits in self.MAX_BITS:
-            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
-                points = {1: (F(0), F(0)), 2: (F(31, 8), F(1)), 3: (F(6), F(0))}
-                prev = certified_grid(g, fig_squares().boxes, points, "squares")
-                assert F(*prev.radii[2]) == F(1, 16)
-                q = F(prev.scale, 8)  # 1/8 on prev's grid
-                grid, scaled = self.lift(prev, {1: (0, 16 * q), 2: (0, 16 * q), 3: (3 * q, 16 * q)})
-                got = certify_grid(g, prev.scale, grid, scaled, "lift", prev)
-                full = certify_grid(g, prev.scale, grid, scaled, "lift")
-                assert F(*got.radii[2]) == F(*full.radii[2]) == F(3, 16)
-                assert got.radii == full.radii and got._cert == full._cert == full_certificate(got)
+        points = {1: (F(0), F(0)), 2: (F(31, 8), F(1)), 3: (F(6), F(0))}
+        prev = certified_grid(g, fig_squares().boxes, points, "squares")
+        assert F(*prev.radii[2]) == F(1, 16)
+        q = prev.scale // 8  # 1/8 on prev's grid
+        grid, scaled = self.lift(prev, {1: (0, 16 * q), 2: (0, 16 * q), 3: (3 * q, 16 * q)})
+        got = certify_grid(g, prev.scale, grid, scaled, "lift", prev)
+        full = certify_grid(g, prev.scale, grid, scaled, "lift")
+        assert F(*got.radii[2]) == F(*full.radii[2]) == F(3, 16)
+        assert got.radii == full.radii and got._cert == full._cert == full_certificate(got)
 
     @pytest.mark.parametrize("edges, levels, at, reason", [
         # the lift meant to cut 1-2, but their appended intervals still overlap
@@ -671,33 +670,27 @@ class TestIncrementalCertify:
         ([(1, 2), (2, 3)], {1: (0, 4), 2: (0, 4), 3: (4, 4)}, {}, "degenerate"),
     ])
     def test_each_fault_on_a_kept_box_raises(self, edges, levels, at, reason):
-        for max_bits in self.MAX_BITS:
-            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
-                prev = self.prev()
-                grid, scaled = self.lift(prev, levels, at)
-                with pytest.raises(AssertionError, match=reason):
-                    certify_grid(Graph(3, edges), 1, grid, scaled, "lift", prev)
+        prev = self.prev()
+        grid, scaled = self.lift(prev, levels, at)
+        with pytest.raises(AssertionError, match=reason):
+            certify_grid(Graph(3, edges), 1, grid, scaled, "lift", prev)
 
     def test_a_new_box_over_a_kept_witness_raises(self):
         # 4's box reaches 1's witness (0, 0, 0) at its corner, so 4 meets only 1
-        for max_bits in self.MAX_BITS:
-            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
-                prev = self.prev()
-                new = {4: (((-1, 0), (-1, 0), (0, 1)), (-1, -1, 1))}
-                grid, scaled = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=new)
-                with pytest.raises(AssertionError, match="witness point for 1 lies in another box"):
-                    certify_grid(Graph(4, [(1, 2), (2, 3), (1, 4)]), 1, grid, scaled, "lift", prev)
+        prev = self.prev()
+        new = {4: (((-1, 0), (-1, 0), (0, 1)), (-1, -1, 1))}
+        grid, scaled = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=new)
+        with pytest.raises(AssertionError, match="witness point for 1 lies in another box"):
+            certify_grid(Graph(4, [(1, 2), (2, 3), (1, 4)]), 1, grid, scaled, "lift", prev)
 
     def test_a_changed_prefix_is_checked_in_full(self):
         # 3's old axes move onto box 1: 3 is changed, and its new meet with 1 is found
-        for max_bits in self.MAX_BITS:
-            with patch.object(boxes, "GRID_MAX_BITS", max_bits):
-                prev = self.prev()
-                moved = {3: (((1, 3), (0, 2), (0, 4)), (3, 0, 0))}
-                grid, scaled = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=moved)
-                fault = r"intersection pattern fails at \[\(1, 3, 'unexpected'\)\]"
-                with pytest.raises(AssertionError, match=fault):
-                    certify_grid(self.PATH, 1, grid, scaled, "lift", prev)
+        prev = self.prev()
+        moved = {3: (((1, 3), (0, 2), (0, 4)), (3, 0, 0))}
+        grid, scaled = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=moved)
+        fault = r"intersection pattern fails at \[\(1, 3, 'unexpected'\)\]"
+        with pytest.raises(AssertionError, match=fault):
+            certify_grid(self.PATH, 1, grid, scaled, "lift", prev)
 
     def test_only_a_certified_grid_carries_a_certificate(self):
         g = random_connected(9, 12, random.Random(3))

@@ -261,7 +261,7 @@ def test_threshold_grid_against_the_oracles(case):
 
 def test_a_deep_path_stays_on_the_unit_grid():
     # depth 2099: a layout that spent bits per level would pass GRID_MAX_BITS here and
-    # fall back to Fraction coordinates; the tree grid never scales a denominator
+    # be refused as TooLarge; the tree grid never scales a denominator
     n = 2100
     path = Graph(n, [(v, v + 1) for v in range(1, n)])
     with patch.object(boxes, "_multipliers", side_effect=AssertionError("_multipliers called")):
@@ -561,9 +561,9 @@ def fraction_base(t):
     return translate(build_tree_rep(t), (F(1, 3), F(-2, 7)))
 
 
-@given(connected_edit_cases(), st.booleans())
+@given(connected_edit_cases())
 @settings(max_examples=60, deadline=None)
-def test_pipeline_steps_match_the_fraction_lifts(case, oversized_grid):
+def test_pipeline_steps_match_the_fraction_lifts(case):
     g, seq = case
     reference = {
         build._lift_vertex_add: lift_vertex_add_fraction,
@@ -578,9 +578,7 @@ def test_pipeline_steps_match_the_fraction_lifts(case, oversized_grid):
             return out
         return recorded
 
-    # GRID_MAX_BITS = 0 keeps every coordinate a Fraction on a grid of scale 1
-    with patch.object(boxes, "GRID_MAX_BITS", 0 if oversized_grid else boxes.GRID_MAX_BITS), \
-            patch.object(build, "_lift_vertex_add", recording(build._lift_vertex_add)), \
+    with patch.object(build, "_lift_vertex_add", recording(build._lift_vertex_add)), \
             patch.object(build, "_lift_uncontract", recording(build._lift_uncontract)):
         trace = build_from_edit_sequence(g, seq, fraction_base(seq.base))
         assert len(calls) == len(seq.ops)
@@ -593,23 +591,21 @@ def test_pipeline_steps_match_the_fraction_lifts(case, oversized_grid):
 
 @given(connected_edit_cases(), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_each_step_certifies_as_the_full_check(case, oversized_grid):
+def test_each_step_certifies_as_the_full_check(case, given_base):
     # every lift starts from its input's certificate; each step must give the radii and the
     # certificate of a check from scratch (prev=None), which the old verifier pins.  The
-    # tree base is such a check on ints; the oversized grid needs a Fraction base, which
-    # is verified rather than certified, so its first lift checks every box in full
+    # tree base is such a check; a given base is verified rather than certified, so its
+    # first lift checks every box in full
     g, seq = case
     steps = []
-    base = fraction_base(seq.base) if oversized_grid else None
+    base = fraction_base(seq.base) if given_base else None
 
     def recording(h, scale, grid, scaled, what, prev=None):
         out = certify_grid(h, scale, grid, scaled, what, prev)
         steps.append((h, scale, grid, scaled, what, prev, out))
         return out
 
-    # GRID_MAX_BITS = 0 keeps every coordinate a Fraction on a grid of scale 1
-    with patch.object(boxes, "GRID_MAX_BITS", 0 if oversized_grid else boxes.GRID_MAX_BITS), \
-            patch.object(build, "certify_grid", recording):
+    with patch.object(build, "certify_grid", recording):
         trace = build_from_edit_sequence(g, seq, base)
         e = g.edges[len(g.edges) // 2]
         build._drop_edge(trace.grid, g, *e)  # from the pipeline's last grid
@@ -617,10 +613,11 @@ def test_each_step_certifies_as_the_full_check(case, oversized_grid):
         ops = len(seq.ops)
         certs = [None if prev is None else prev._cert is not None for *_, prev, _ in steps]
         kinds = {type(x) for *_, out in steps for b in out.boxes.values() for iv in b for x in iv}
-        if oversized_grid:  # the lifts append int levels to the base's Fractions
-            assert certs == [False] + [True] * ops + [False] and F in kinds
+        assert kinds == {int}
+        if given_base:
+            assert certs == [False] + [True] * ops + [False]
         else:
-            assert certs == [None] + [True] * (ops + 1) + [False] and kinds == {int}
+            assert certs == [None] + [True] * (ops + 1) + [False]
         for h, scale, grid, scaled, what, prev, out in steps:
             full = certify_grid(h, scale, grid, scaled, what)
             assert list(out.radii.items()) == list(full.radii.items())

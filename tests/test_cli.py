@@ -36,6 +36,8 @@ from minorkit.graph import edits_from_json, spanning_tree_edges
 from minorkit.ratio import fmt_ratio
 
 from helpers import (
+    boxes_json_fraction,
+    coprime_boxes,
     count_fractions,
     matrix_rows_fraction,
     matrix_to_json_fraction,
@@ -669,6 +671,33 @@ class TestInputContract:
         code, report = run(capsys, *argv, "--audit", "0")  # no audit, as before
         assert code == 0 and report["results"]["audit_samples"] == 0
         assert "audit_min_boundary_entry" not in report["results"]
+
+    @pytest.mark.parametrize("max_dim", [0, -1])
+    def test_oracle_dimension_below_one(self, tmp_path, capsys, max_dim):
+        # exited 1 and reported "dim": null, a domain verdict on a malformed flag
+        gf = write(tmp_path / "p3.json", {"n": 3, "edges": [{"u": 1, "v": 2}, {"u": 2, "v": 3}]})
+        assert main(["box", "oracle", gf, f"--max-dim={max_dim}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"input error: ParseError: --max-dim must be at least 1, got {max_dim}\n"
+        code, report = run(capsys, "box", "oracle", gf, "--max-dim", "1")  # P3 has no 1-D representation
+        assert code == 1 and report["results"]["dim"] is None
+
+    def test_representation_past_the_grid_bound(self, tmp_path, capsys):
+        # 240 distinct 20-bit prime denominators: the lcm passes GRID_MAX_BITS (verified on Fractions before)
+        g, rep = coprime_boxes(40)
+        gf = write(tmp_path / "g.json", graph_to_json(g))
+        rf = write(tmp_path / "rep.json", boxes_json_fraction(rep))
+        ef = write(tmp_path / "edits.json", [])
+        out = tmp_path / "out.json"
+        for argv in (
+            ["box", "verify", rf, gf],
+            ["box", "build", gf, "--edits", ef, "--base-rep", rf, "--out", str(out)],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert captured.err.startswith("input error: TooLarge:")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["edits.json", "g.json", "rep.json"]
 
     def test_short_attack_vector(self, tmp_path, recover_args, capsys):
         bundle = write(tmp_path / "atk.json", {"targets": [[1, 2], [1, 4]], "a": ["1"] * 7})
