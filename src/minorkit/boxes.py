@@ -34,7 +34,7 @@ on the grid of 2 * scale, and `GridRep.witnessed` re-bases the boxes there.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -46,7 +46,7 @@ from .exceptions import (
     TooLarge,
     VertexMismatch,
 )
-from .graph import Graph, _json_int
+from .graph import Edge, Graph, _json_int
 from .ratio import fmt_pair, fmt_ratio, parse_pair, parse_ratio
 
 Point = tuple[Fraction, ...]
@@ -369,12 +369,12 @@ def verify_c1(g: Graph, rep: Representation) -> C1Report:
     """Boxes intersect exactly for edges; every discrepancy is reported."""
     _check_cover(g, rep)
     _, grid, _ = _grid(rep.boxes)
-    bad = _c1_violations(g, grid)
+    bad = _c1_violations(g.edges, grid)
     return C1Report(ok=not bad, violations=tuple(bad))
 
 
-def _c1_violations(g: Graph, grid: dict[int, IntBox]) -> list[tuple[int, int, str]]:
-    edges = set(g.edges)
+def _c1_violations(edges: Iterable[Edge], grid: dict[int, IntBox]) -> list[tuple[int, int, str]]:
+    edges = set(edges)
     bad: list[tuple[int, int, str]] = []
     verts = sorted(grid)
     for a_pos, i in enumerate(verts):
@@ -486,7 +486,7 @@ def certify_grid(
     for v, m in meets.items():
         nbrs = g.neighbors(v)
         if len(m) != len(nbrs) or not m.issuperset(nbrs):
-            bad = _c1_violations(g, grid)
+            bad = _c1_violations(g.edges, grid)
             raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
     radii: dict[int, Pair] = {}
     for v, p in scaled.items():
@@ -877,7 +877,7 @@ def verify_grid(
     when they are read, and witnesses_to_json writes them from the ints.
     """
     _check_cover(g, rep)
-    bad = _c1_violations(g, rep.boxes)
+    bad = _c1_violations(g.edges, rep.boxes)
     return C1Report(ok=not bad, violations=tuple(bad)), _c2_found(rep, max_dim, max_boxes)
 
 

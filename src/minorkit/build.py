@@ -86,20 +86,15 @@ def _verified(vertices: Iterable[int], edges: Iterable[Edge], rep: GridRep, what
     sweep, on the grid of twice rep's scale) and is rejected with InvalidInput.
     Builders check their output with certify_grid.
     """
-    vertices = sorted(vertices)
     if set(rep.boxes) != set(vertices):
         raise InvalidInput(f"{what}: representation covers the wrong vertex set")
-    # the verifier wants labels 1..k
-    idx = {v: i + 1 for i, v in enumerate(vertices)}
-    g = Graph(len(vertices), [norm_edge(idx[u], idx[v]) for u, v in edges])
-    local = rep.rename(idx)
-    bad = _c1_violations(g, local.boxes)
+    bad = _c1_violations(edges, rep.boxes)
     if bad:
         raise InvalidInput(f"{what}: intersection pattern fails at {tuple(bad[:3])}")
-    c2 = _c2_found(local, DEFAULT_MAX_SWEEP_DIM, DEFAULT_MAX_SWEEP_BOXES)
+    c2 = _c2_found(rep, DEFAULT_MAX_SWEEP_DIM, DEFAULT_MAX_SWEEP_BOXES)
     if not c2.ok:
         raise InvalidInput(f"{what}: vertices {c2.covered} have no exclusive boundary point")
-    return c2.witnesses.rep.rename({i: v for v, i in idx.items()})
+    return c2.witnesses.rep
 
 
 # -- base constructions ---------------------------------------------------------------
@@ -480,6 +475,8 @@ def brute_force_strong_boxicity(g: Graph, max_dim: int = 2, *, max_n: int = 5) -
     only on endpoint order, so searching the grid is complete.  The inner loops
     run on ints, and so does the exact verifier that confirms a full assignment.
     """
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be at least 1, got {max_dim}")
     if g.n > max_n:
         raise TooLarge(f"oracle gated at {max_n} vertices")
     if max_dim > 2:

@@ -23,9 +23,6 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import chain
-from json.encoder import c_make_encoder
-from json.encoder import encode_basestring_ascii as _escape
 
 from . import build as bld
 from . import stealth as st
@@ -60,69 +57,9 @@ def _read_json(path: str) -> tuple[dict, str]:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_LISTS = frozenset((list, tuple))
-
-
-@functools.cache
-def _scalar_encoder(sep: str):
-    """json.dumps(obj, separators=(sep, ": ")) from one C encoder built for `sep`.
-
-    JSONEncoder.encode builds a new C encoder on every call, which costs more
-    than encoding a short list.  One per item separator, that is per nesting
-    depth; the few depths a report reaches bound the cache.  Callers pass only
-    a list or dict of scalars, or a list of lists of scalars, so no reference
-    cycle needs checking.
-    """
-    if c_make_encoder is None:  # no C accelerator: the pure-Python encoder writes the same text
-        return json.JSONEncoder(separators=(sep, ": ")).encode
-    encode = c_make_encoder(None, json.JSONEncoder().default, _escape, None, ": ", sep, False, False, True)
-    return lambda obj: "".join(encode(obj, 0))
-
-
-def _dumps(obj, pad: str = "") -> str:
-    """The text of json.dumps(obj, indent=2), nested `pad` deep, without the slow encoder.
-
-    indent=2 switches json to its pure-Python encoder, so containers are laid
-    out here and their contents go to C, one call per container where it can:
-    - a list of strings is escaped in one join (the escaper raises TypeError
-      on anything else);
-    - any other list of scalars, or a dict of str keys and scalar values, is
-      one call of a cached C encoder whose item separator carries the indent;
-    - a list of non-empty lists of scalars is one such call one level deeper,
-      and a fixed rewrite of its "]<sep>[" seams and its outer brackets (the
-      separator holds a newline, which the encoder escapes inside a string);
-    - a scalar is json.dumps(scalar).
-    Anything else is laid out item by item.  A dict with a non-str key is
-    left to json.dumps(obj, indent=2) whole.
-    """
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        if _SCALARS.issuperset(map(type, obj.values())):
-            body = _scalar_encoder(sep)(obj)[1:-1]
-        else:
-            body = sep.join(f"{_escape(k)}: {_dumps(v, inner)}" for k, v in obj.items())
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        try:
-            body = sep.join(map(_escape, obj))
-        except TypeError:
-            if _SCALARS.issuperset(map(type, obj)):
-                body = _scalar_encoder(sep)(obj)[1:-1]
-            elif _LISTS.issuperset(map(type, obj)) and all(obj) and _SCALARS.issuperset(
-                map(type, chain.from_iterable(obj))
-            ):
-                deep = sep + "  "
-                open_, close = "[\n" + inner + "  ", "\n" + inner + "]"
-                body = _scalar_encoder(deep)(obj)[2:-2].replace("]" + deep + "[", close + sep + open_)
-                body = open_ + body + close
-            else:
-                body = sep.join(_dumps(v, inner) for v in obj)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-    return json.dumps(obj)
+def _dumps(obj) -> str:
+    """The one text format of every report and file: compact JSON, ASCII-escaped."""
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -320,28 +257,23 @@ def _matrix_text(h) -> Iterator[str]:
     """The text of _dumps(matrix_to_json(h)) + "\n", one row at a time.
 
     Each row is the all-zero row's text with its few nonzero cells spliced in
-    over their "0"s: cell j's "0" sits at a fixed offset, so a row costs one
+    over their "0"s: cell j's "0" sits at offset 2 + 4j, so a row costs one
     slice and one ``fmt_pair`` per nonzero cell, not n cells of work.
     """
     head = _dumps({"n": h.n, "t": h.t, "edges": [[u, v] for u, v in h.edges]})
-    yield head[:-2] + ',\n  "rows": '  # head ends with "\n}"
-    if not h.t:
-        yield "[]\n}\n"
-        return
-    pad = "\n      "
-    zeros = "[" + pad + ("," + pad).join(['"0"'] * h.n) + "\n    ]"
-    first, width = len(pad) + 2, len(pad) + 4  # cell 0's "0"; the text of one more cell
-    sep = "[\n    "
+    yield head[:-1] + ',"rows":['  # head ends with "}"
+    zeros = "[" + ",".join(['"0"'] * h.n) + "]"
+    sep = ""
     for cells in h._cells:
         pieces, end = [sep], 0
         for col, num, den in cells:
-            at = first + width * col
+            at = 2 + 4 * col
             pieces += (zeros[end:at], fmt_pair(num, den))
             end = at + 1
         pieces.append(zeros[end:])
         yield "".join(pieces)
-        sep = ",\n    "
-    yield "\n  ]\n}\n"
+        sep = ","
+    yield "]}\n"
 
 
 def cmd_flow_matrix(args) -> int:

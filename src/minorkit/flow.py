@@ -63,13 +63,12 @@ class GainMatrix:
         """Nonzero cells of every row as (0-based column, num, den > 0), sorted by column.
 
         An edge row (u, v) holds +b at u and -b at v (u < v in a ``Graph``); a
-        vertex row holds -b at each neighbour and, always, its diagonal: the
-        sum of its incident gains, kept on a running lcm of their denominators
-        and left unreduced.  Built once per matrix, on first use, and shared by
-        ``row``, ``row_sums``, ``matrix_to_json`` and the CLI's matrix writer;
-        callers only read it.
+        vertex row holds -b at each neighbour and, always, its diagonal: minus
+        the ``_cell_sum`` of those cells, which is the sum of its incident
+        gains on the lcm of their denominators, left unreduced.  Built once
+        per matrix, on first use, and shared by ``row``, ``row_sums``,
+        ``matrix_to_json`` and the CLI's matrix writer; callers only read it.
         """
-        diag = [(0, 1)] * self.n
         vertex_rows: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
         edge_rows = []
         for (u, v), b in zip(self.edges, self.gains):
@@ -77,13 +76,11 @@ class GainMatrix:
             u, v = u - 1, v - 1
             for a, c in ((u, v), (v, u)):
                 vertex_rows[a].append((c, -bn, bd))
-                an, ad = diag[a]
-                common = math.lcm(ad, bd)
-                diag[a] = (an * (common // ad) + bn * (common // bd), common)
             plus, minus = (u, bn, bd), (v, -bn, bd)
             edge_rows.append([plus, minus] if u < v else [minus, plus])
-        for a, (cells, (an, ad)) in enumerate(zip(vertex_rows, diag)):
-            cells.append((a, an, ad))
+        for a, cells in enumerate(vertex_rows):
+            total, common = _cell_sum(cells)
+            cells.append((a, -total, common))
             cells.sort()
         return vertex_rows + edge_rows
 

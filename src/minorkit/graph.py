@@ -5,8 +5,8 @@ so a graph doubles as the index space of a flow system.  Edit operations (vertex
 deletion, edge deletion, contraction) record the neighbourhood snapshots needed to
 invert them later.  Contraction always merges the currently highest label into a
 neighbour; arbitrary edges are handled by a recorded label swap first.  Replay
-checks snapshots alone: an op's snapshots rebuild the graph before it from the
-one after it, so they and the base graph pin every intermediate graph.
+re-runs the ops forward from the input graph, records each op's snapshots
+afresh and compares them with the recorded ones, then checks the base graph.
 
 One breadth-first walk, ``bfs_order``, gives components, shortest paths and the
 BFS spanning tree here, and the tree layout and state recovery elsewhere.

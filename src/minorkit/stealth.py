@@ -403,7 +403,11 @@ def component_graph(spec: AttackSpec) -> Graph:
     return Graph(spec.k, sorted(set(spec.crossing.values())))
 
 
-def color_assignment(gc: Graph, exact_limit: int = 12) -> tuple[dict[int, int], int, bool]:
+# the largest component graph whose chi, and so whose chi_c, is found exactly
+EXACT_COLOR_LIMIT = 12
+
+
+def color_assignment(gc: Graph, exact_limit: int = EXACT_COLOR_LIMIT) -> tuple[dict[int, int], int, bool]:
     """Proper colouring: exact chromatic number by backtracking up to the limit,
     greedy on a degeneracy order beyond it."""
     if gc.n <= exact_limit:
@@ -624,16 +628,17 @@ def theta_oracle(spec: AttackSpec, h: GainMatrix) -> Fraction:
 
     chi_c lies in (chi - 1, chi] and equals p/q for some p <= k (Bondy & Hell
     1990), so the least such p/q that admits a (p, q)-colouring is chi_c.
+    Past EXACT_COLOR_LIMIT components chi is not exact, so this raises TooLarge.
     """
     spec = require_spec(spec)
     _check_matrix(spec, h)
     if not spec.targets:
         raise EmptyF("variation oracle needs a non-empty target set")
     k = spec.k
-    if k > 5:
-        raise TooLarge("value search gated at 5 components")
     gc = component_graph(spec)
-    _, chi, _ = color_assignment(gc)
+    _, chi, exact = color_assignment(gc)
+    if not exact:
+        raise TooLarge(f"value search gated at {EXACT_COLOR_LIMIT} components")
     candidates = sorted({F(p, q) for p in range(1, k + 1) for q in range(1, p + 1)})
     # chi itself is a candidate and has its q = 1 colouring, so next() finds one
     chi_c = next(

@@ -306,6 +306,21 @@ class TestVertexLift:
         with pytest.raises(InvalidInput, match="intersection pattern fails"):
             lift_vertex_add(bad, Graph(3, [(1, 3)]), 3)
 
+    @pytest.mark.parametrize("boxes, message", [
+        # boxes 1 and 3 meet, boxes 3 and 4 miss
+        ({1: (0, 2), 3: (1, 3), 4: (5, 6)},
+         "intersection pattern fails at ((1, 3, 'unexpected'), (3, 4, 'missing'))"),
+        # box 4 lies inside box 3
+        ({1: (0, 1), 3: (2, 5), 4: (3, 4)}, "vertices (4,) have no exclusive boundary point"),
+    ], ids=["c1", "c2"])
+    def test_rejection_names_the_callers_vertices(self, boxes, message):
+        # vertex 2 of the path 1-2-3-4 is lifted in, so the input's vertices are 1, 3 and 4
+        bad = Representation({v: Box.make(iv) for v, iv in boxes.items()})
+        p4 = Graph(4, [(1, 2), (2, 3), (3, 4)])
+        with pytest.raises(InvalidInput) as exc:
+            lift_vertex_add(bad, p4, 2)
+        assert str(exc.value) == f"vertex lift input: {message}"
+
 
 class TestEdgeLift:
     def test_join_two_isolated(self):
@@ -682,6 +697,11 @@ class TestBruteForceOracle:
             brute_force_strong_boxicity(Graph(6, []))
         with pytest.raises(TooLarge):
             brute_force_strong_boxicity(Graph(2, [(1, 2)]), max_dim=3)
+
+    @pytest.mark.parametrize("max_dim", [0, -1])
+    def test_dimension_bound_below_one_is_rejected(self, max_dim):
+        with pytest.raises(ValueError, match=f"max_dim must be at least 1, got {max_dim}"):
+            brute_force_strong_boxicity(Graph(2, [(1, 2)]), max_dim=max_dim)
 
     def test_sandwich_against_edge_deletion(self):
         # removing edges from a verified construction can cost at most one

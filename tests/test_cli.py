@@ -29,7 +29,6 @@ from minorkit import (
     vector_to_json,
 )
 from minorkit import build as bld
-from minorkit import cli
 from minorkit.cli import _dumps, main
 from minorkit.flow import GainMatrix, matrix_to_json
 from minorkit.graph import edits_from_json, spanning_tree_edges
@@ -245,7 +244,7 @@ class TestBoxCommands:
             },
             "witnesses": witnesses,
         }
-        assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+        assert out.read_text() == json.dumps(expected, separators=(",", ":")) + "\n"
 
     @pytest.mark.parametrize("boxes, message", [
         ({v: b for v, b in PATH_BOXES.items() if v != "4"}, "representation covers the wrong vertex set"),
@@ -582,6 +581,14 @@ class TestFlowCommands:
         capsys.readouterr()
         assert exc.value.code == 2
 
+    def test_theta_past_five_components(self, tmp_path, capsys):
+        # unit C6, every edge targeted: six components, chi_c(C6) = 2, so theta = 1
+        c6 = Graph(6, [(i, i + 1) for i in range(1, 6)] + [(1, 6)], gains={i: F(1) for i in range(7, 13)})
+        gf = write(tmp_path / "c6.json", graph_to_json(c6))
+        code, report = run(capsys, "flow", "theta", gf, "--target", "1-2,2-3,3-4,4-5,5-6,1-6")
+        assert code == 0
+        assert report["results"]["k"] == 6 and report["results"]["oracle"] == "1"
+
     def test_parser_reuse_keeps_no_state(self, tmp_path, flow_file, capsys):
         out = str(tmp_path / "atk.json")
         code, report = run(capsys, "flow", "attack", flow_file, "--target", "1-2,1-4", "--out", out)
@@ -826,49 +833,31 @@ class TestInputContract:
         assert res["k"] == 3 and res["support"] == res["expected_support"]
 
 
-_strings = hst.text(max_size=8) | hst.sampled_from(
-    ['"', "\\", "\n\t\x00\x1f", "é", "日本", "\u2028", "\U0001f600"]
-)
-_leaves = hst.none() | hst.booleans() | hst.integers() | hst.floats() | _strings
-_json = hst.recursive(
-    _leaves,
-    lambda kids: hst.lists(kids, max_size=4)
-    | hst.lists(_strings, max_size=4)
-    | hst.lists(hst.lists(hst.integers(), max_size=3), max_size=4)  # targets, components
-    | hst.lists(hst.lists(_leaves | _strings, min_size=1, max_size=3), max_size=4)  # boxes
-    | hst.dictionaries(_strings, kids, max_size=4)
-    | hst.dictionaries(_strings | hst.integers() | hst.booleans() | hst.none(), kids, max_size=3),
-    max_leaves=25,
-)
+def test_every_report_and_file_is_compact_json(tmp_path, flow_file, capsys):
+    """Each command's report and each file it writes is one line: compact JSON and a newline.
 
-
-@given(_json)
-@example([[1, 2], [2, 6], [3, 4]])
-@example({"results": {"components": [[1], [2, 3, 4], []], "support": [1, 2]}, "lambda": "1/2"})
-@example({"targets": [[1, 2]], "s": ["1", "1/2"], "a": ["0", "-1/2"]})
-@example([[[1, 2], [3]], [[]], [True, None, 1.5, "x"]])
-@example({"edge_difference_deltas": {"1-2": "1/2", "2-3": "0", "3-\u00e9": "-7/3"}})  # str -> str
-@example({"a": 1, "b": -2.5, "c": True, "d": None, "e": "x", "f": False})
-@example({"edges": [[1, 2], [], [3, 4]], "components": [[1], [2, 3]]})  # an empty inner list
-@example([["0", "1/2"], ["-1", "3"]])  # box JSON: lists of string pairs
-@example([["a]", ",\n  ["], ["]", "["], [1, "]\n    ["]])  # seam text inside strings
-@example([[1e25, -0.0], (float("inf"), 2), (float("-inf"), float("nan"))])
-@example(([1e25], (-0.0, float("inf")), [True, None]))
-@example({"x": [(1, 2), (3, 4)], "y": ([5], [6, 7])})
-@settings(max_examples=300, deadline=None)
-def test_dumps_matches_json_indent_2(obj):
-    assert _dumps(obj) == json.dumps(obj, indent=2)
-
-
-def test_dumps_without_the_c_encoder(monkeypatch):
-    """An interpreter without json's C accelerator gets the same text from the Python encoder."""
-    monkeypatch.setattr(cli, "c_make_encoder", None)
-    cli._scalar_encoder.cache_clear()
-    try:
-        for obj in ({"a": "1/2", "b": [1, 2.5, None]}, [[1, 2], ["x", True]], ["a", "b"], [1e25, -0.0]):
-            assert _dumps(obj) == json.dumps(obj, indent=2)
-    finally:
-        cli._scalar_encoder.cache_clear()
+    The written paths end in "é", so each report's file names pin the ASCII escaping.
+    """
+    files = {name: str(tmp_path / f"{name}-é.json") for name in ("rep", "trace", "graph", "oracle", "H", "atk")}
+    h = assemble_gain_matrix(graph_from_json(json.loads(Path(flow_file).read_text())))
+    zf = write(tmp_path / "z.json", vector_to_json(flows(h, (F(2), F(0), F(-1, 3), F(5)))))
+    jobs = [
+        ["box", "build", flow_file, "--out", files["rep"], "--trace-out", files["trace"],
+         "--graph-out", files["graph"]],
+        ["box", "verify", files["rep"], flow_file],
+        ["box", "oracle", flow_file, "--out", files["oracle"]],
+        ["flow", "matrix", flow_file, "--out", files["H"]],
+        ["flow", "attack", flow_file, "--target", "1-2,1-4", "--out", files["atk"]],
+        ["flow", "recover", flow_file, "--flows", zf, "--attack", files["atk"]],
+        ["flow", "theta", flow_file, "--target", "1-2,2-3,3-4,1-4"],
+    ]
+    texts = []
+    for argv in jobs:
+        assert main(argv) == 0
+        texts.append(capsys.readouterr().out)
+    texts += [Path(f).read_text() for f in files.values()]
+    for text in texts:
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83)

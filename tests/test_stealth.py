@@ -414,7 +414,7 @@ class TestThetaOracle:
             assert 1 <= est <= F(chi - 1 if chi >= 2 else 1) + F(1, 20)
 
     def test_gate(self):
-        g = cycle_graph(6)
+        g = cycle_graph(13)
         spec = feasibility(g, g.edges)
         with pytest.raises(TooLarge):
             theta_oracle(spec, assemble_gain_matrix(g))
@@ -448,6 +448,13 @@ class TestThetaOracle:
         assert support == spec.expected_support()
         sv = StealthVector(values=values, lam=F(1, 2), exponents={}, targets=spec.targets)
         assert variation_ratio(sv) == F(1501, 999)
+
+    @pytest.mark.parametrize("k, theta", [(6, F(1)), (7, F(4, 3))], ids=["C6", "C7"])
+    def test_cycles_past_five_components(self, k, theta):
+        # every edge of the unit C_k targeted: chi_c is 2 for even k and 2 + 1/((k - 1)/2) for odd k
+        g = unit_cycle(k)
+        spec = feasibility(g, g.edges)
+        assert theta_oracle(spec, assemble_gain_matrix(g)) == theta
 
     @given(hst.integers(min_value=2, max_value=5), hst.integers(min_value=1, max_value=2 ** 10 - 1))
     @settings(max_examples=100, deadline=None)
