@@ -14,8 +14,9 @@ builder's output (C1, witness points, radii) on such a grid, so an edit
 pipeline's lifts stay on their base's grid from the base to the written file.
 It proves a step from its input's certificate (which boxes meet, and each
 witness's gaps to the boxes within one grid unit): the boxes and points a
-lift extends are checked on the appended axes only, and only the boxes it
-changed are checked against every box on every axis.
+lift extends are checked once per class of appended intervals, on the
+appended axes, and a box it changed is compared on the old axes only with
+the classes that the appended axes leave within reach.
 Boxes are closed, so two boxes that share only a boundary point do
 intersect; builders therefore keep strictly positive gaps between
 non-adjacent boxes.
@@ -464,45 +465,44 @@ def certify_grid(
     The result carries a certificate (_certificate): which boxes meet each box,
     and each witness's gap to every box nearer than one grid unit.  Given a
     certified prev on the same scale, a vertex whose box and point extend
-    prev's (kept) is checked on the appended axes only, and every other vertex
-    (changed) against every box on all axes.  Without one, every vertex is
-    changed: the full check.
+    prev's is kept, and each class of kept vertices (one appended box and
+    point part) is checked once on the appended axes; every other vertex is
+    changed.  Without prev every vertex is changed: the full check.  A failure
+    is named by a scan in vertex order, as the full check names it.
     """
     if set(grid) != set(g.vertices()) or set(scaled) != set(grid):
         raise AssertionError(f"{what}: boxes and witness points must cover 1..{g.n}")
-    cert = prev._cert if prev is not None and prev.scale == scale else None
-    d0, kept = 0, set()
-    if cert is not None:
+    classes: dict[tuple[IntBox, IntPoint], list] = {}  # appended (box, point) -> kept vertices
+    changed = list(grid)
+    if prev is not None and prev.scale == scale and prev._cert is not None:
         d0, old_boxes, old_points = prev.dim, prev.boxes, prev.points
-        kept = {
-            v for v, b in grid.items()
-            if b[:d0] == old_boxes.get(v) and scaled[v][:d0] == old_points.get(v)
-        }
-    for v, box in grid.items():
-        # a kept box's first d0 axes passed in prev
-        if any(lo >= hi for lo, hi in (box[d0:] if v in kept else box)):
-            raise AssertionError(f"{what}: box for vertex {v} is degenerate")
-    meets, near = _certificate(scale, grid, scaled, cert, d0, kept)
+        changed = []
+        for v, b in grid.items():
+            p = scaled[v]
+            if b[:d0] == old_boxes.get(v) and p[:d0] == old_points.get(v):
+                classes.setdefault((b[d0:], p[d0:]), []).append(v)
+            else:
+                changed.append(v)
+    # prev proved a kept box's first d0 axes, and its point on that box's boundary
+    checked = [box for box, _ in classes] + [grid[v] for v in changed]
+    if any(lo >= hi for box in checked for lo, hi in box):
+        for v, box in grid.items():
+            if any(lo >= hi for lo, hi in box):
+                raise AssertionError(f"{what}: box for vertex {v} is degenerate")
+    meets, near = _certificate(scale, grid, scaled, prev, classes, changed)
     for v, m in meets.items():
         nbrs = g.neighbors(v)
         if len(m) != len(nbrs) or not m.issuperset(nbrs):
             bad = _c1_violations(g.edges, grid)
             raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
-    radii: dict[int, Pair] = {}
-    for v, p in scaled.items():
-        box = grid[v]
-        if v in kept:  # prev's point touched prev's box, so it stays on the boundary if inside
-            inside = len(p) == len(box) and all(
-                lo <= x <= hi for (lo, hi), x in zip(box[d0:], p[d0:])
-            )
-        else:
-            inside = _on_boundary(box, p)
-        if not inside:
-            raise AssertionError(f"{what}: witness point for {v} is not on its boundary")
-        r = radii[v] = _radius(min(near[v].values(), default=scale), scale)
-        if r is None:
-            raise AssertionError(f"{what}: witness point for {v} lies in another box")
-    radii = {v: radii[v] for v in sorted(radii)}
+    radii = {v: _radius(min(near[v].values()), scale) if near[v] else (1, 4) for v in sorted(near)}
+    inside = all(len(b) == len(p) and all(lo <= x <= hi for (lo, hi), x in zip(b, p)) for b, p in classes)
+    if not inside or None in radii.values() or not all(_on_boundary(grid[v], scaled[v]) for v in changed):
+        for v, p in scaled.items():
+            if not _on_boundary(grid[v], p):
+                raise AssertionError(f"{what}: witness point for {v} is not on its boundary")
+            if radii[v] is None:
+                raise AssertionError(f"{what}: witness point for {v} lies in another box")
     return GridRep(scale, grid, scaled, radii, (meets, near))
 
 
@@ -518,41 +518,35 @@ def _gap(box: IntBox, p: IntPoint, cap):
     return gap
 
 
-def _certificate(scale, grid, scaled, cert, d0: int, kept: set) -> tuple[dict, dict]:
+def _certificate(scale, grid, scaled, prev, classes: dict, changed: list) -> tuple[dict, dict]:
     """certify_grid's certificate (meets, near) of the boxes grid and the points scaled.
 
     meets[v] is the set of vertices whose boxes meet v's box, and near[v] maps
-    each vertex whose box is less than scale from scaled[v] to that gap.  A
-    kept pair takes cert's answer, found on the first d0 axes, and the answer
-    on the appended axes: boxes meet iff they meet on every axis, and the
-    gap is the larger of the two gaps, so a box dropped from near stays out.
-    The kept vertices are grouped by the appended part of their box and of
-    their point, and each pair of groups is decided once.  A changed vertex
-    is checked against every box on all axes.
+    each vertex whose box is less than scale from scaled[v] to that gap.
+    Boxes meet iff they meet on every axis, and a gap is the larger of its
+    parts on prev's d0 axes and on the appended ones.  A kept pair takes
+    prev's certificate and its classes' answer, one per pair of classes.  A
+    changed box and point meet each class once on the appended axes, and its
+    members on the first d0 axes only where that part leaves them in reach.
+    Changed pairs are checked on all axes.
     """
     meets: dict[int, set] = {}
     near: dict[int, dict] = {}
-    if kept:
-        meets0, near0 = cert
-        by_box: dict[IntBox, set] = {}
-        by_point: dict[IntPoint, set] = {}
-        for v in kept:
-            by_box.setdefault(grid[v][d0:], set()).add(v)
-            by_point.setdefault(scaled[v][d0:], set()).add(v)
-        for suffix, vs in by_box.items():
-            meet_ok = set().union(*(us for other, us in by_box.items() if _meet(suffix, other)))
-            for v in vs:
-                meets[v] = meets0[v] & meet_ok
-        for suffix, vs in by_point.items():
+    if classes:
+        meets0, near0 = prev._cert
+        d0, old_boxes, old_points = prev.dim, prev.boxes, prev.points
+        for (suffix, point), vs in classes.items():
+            meet_ok = set().union(*(us for (other, _), us in classes.items() if _meet(suffix, other)))
             same: set = set()  # the new axes add nothing to these gaps
             grown: dict = {}  # the new axes set these gaps, if larger
-            for box, us in by_box.items():
-                gap = _gap(box, suffix, scale)
+            for (box, _), us in classes.items():
+                gap = _gap(box, point, scale)
                 if gap == 0:
-                    same |= us
+                    same.update(us)
                 elif gap < scale:
                     grown.update(dict.fromkeys(us, gap))
             for v in vs:
+                meets[v] = meets0[v] & meet_ok
                 old = near0[v]
                 new = near[v] = dict(old)
                 for u in old.keys() - same:  # also every vertex that is changed or gone
@@ -561,26 +555,41 @@ def _certificate(scale, grid, scaled, cert, d0: int, kept: set) -> tuple[dict, d
                         del new[u]
                     elif gap > old[u]:
                         new[u] = gap
-    changed = [v for v in grid if v not in kept]
-    order = {v: i for i, v in enumerate(changed)}
     for v in changed:
         meets[v], near[v] = set(), {}
     for i, v in enumerate(changed):
         box, p, mv, nv = grid[v], scaled[v], meets[v], near[v]
-        for u, b in grid.items():
-            j = order.get(u, -1)
+        for j, u in enumerate(changed):
             if j == i:
                 continue
-            if (j < 0 or j > i) and _meet(box, b):  # each changed pair once
+            b = grid[u]
+            if j > i and _meet(box, b):  # each changed pair once
                 mv.add(u)
                 meets[u].add(v)
             gap = _gap(b, p, scale)
             if gap < scale:
                 nv[u] = gap
-            if j < 0:  # a kept point against the changed box
-                gap = _gap(box, scaled[u], scale)
-                if gap < scale:
-                    near[u][v] = gap
+        if not classes:
+            continue
+        head, tail, p_head, p_tail = box[:d0], box[d0:], p[:d0], p[d0:]
+        for (suffix, point), us in classes.items():
+            if _meet(tail, suffix):
+                for u in us:
+                    if _meet(head, old_boxes[u]):
+                        mv.add(u)
+                        meets[u].add(v)
+            gap = _gap(suffix, p_tail, scale)  # the class's boxes to v's point
+            if gap < scale:
+                for u in us:
+                    g0 = _gap(old_boxes[u], p_head, scale)
+                    if g0 < scale:
+                        nv[u] = max(gap, g0)
+            gap = _gap(tail, point, scale)  # v's box to the class's points
+            if gap < scale:
+                for u in us:
+                    g0 = _gap(head, old_points[u], scale)
+                    if g0 < scale:
+                        near[u][v] = max(gap, g0)
     return meets, near
 
 

@@ -18,10 +18,11 @@ builders lay trees and threshold graphs out on ints at scale 1, with every
 coordinate O(n), and certify them in full.  A lift appends integer levels
 k * scale and reuses the input's coordinates, so the grid of its input is the
 grid of its output, and `certify_grid` checks the step's ints against the
-input's certificate.  A box and witness that a lift only extends are
-re-checked on the appended axes alone; a box the lift changes (the re-added
-vertex, the restored vertex, v after an edge lift) is checked against every
-box on every axis.  A pipeline builds its tree base on the grid (or puts a
+input's certificate.  The boxes and witnesses a lift only extends are
+re-checked once per level, on the appended axes; a box the lift changes (the
+re-added vertex, the restored vertex, v after an edge lift) is compared on
+the old axes only with the levels it reaches: a wide box only with v's
+neighbours.  A pipeline builds its tree base on the grid (or puts a
 given base on its grid once and verifies it there), runs every lift there, and
 keeps the final grid: its trace builds the Fraction representation only when
 `final` is read.  Public builders and lifts convert their grid back to
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .boxes import (
@@ -246,8 +248,8 @@ def _lift_vertex_add(rep: GridRep, g: Graph, v: int) -> GridRep:
         level = high if u in nbr_set else low
         boxes[u] = rep.boxes[u] + (level,)
         points[u] = rep.points[u] + (level[0],)
-    lo = min(x for u, b in rep.boxes.items() if u != v for x, _ in b)
-    hi = max(x for u, b in rep.boxes.items() if u != v for _, x in b)
+    intervals = [iv for u, b in rep.boxes.items() if u != v for iv in b]
+    lo, hi = min(map(itemgetter(0), intervals)), max(map(itemgetter(1), intervals))
     boxes[v] = ((lo, hi),) * rep.dim + ((4 * s, 6 * s),)
     points[v] = (hi,) * rep.dim + (6 * s,)
     return certify_grid(g, s, boxes, points, "vertex lift", rep)

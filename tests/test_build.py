@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.threshold import is_threshold_graph
 
@@ -640,10 +640,76 @@ def test_each_step_certifies_as_the_full_check(case, given_base):
             assert out._cert == full._cert == full_certificate(out)
 
 
-def test_a_lift_meets_only_its_changed_boxes_with_every_box():
-    # a full check tests all n(n-1)/2 box pairs; a lift from a certified input tests each
-    # changed box against every box, plus one test per pair of appended-interval classes
-    rng = random.Random(12)
+FAULTS = ("degenerate kept box", "kept witness off its level", "changed box moved", "kept witness inside")
+
+
+def corruptions(step, fault):
+    """Every way to plant `fault` in one lift step's grid: (grid, scaled) copies.
+
+    A kept vertex keeps prev's box and point on the first d0 axes; the faults on it
+    touch only its appended axes, so it stays kept.  A changed box moved onto a
+    non-neighbour's old axes counts only where that breaks the pattern.
+    """
+    h, scale, grid, scaled, _, prev = step
+    d0 = prev.dim
+    kept = [v for v in grid if grid[v][:d0] == prev.boxes.get(v) and scaled[v][:d0] == prev.points.get(v)]
+    changed = [v for v in grid if v not in kept]
+    for v in kept if fault in FAULTS[:2] else changed:
+        box, p = grid[v], scaled[v]
+        if fault == "degenerate kept box":
+            lo = box[d0][0]
+            yield grid | {v: box[:d0] + ((lo, lo),) + box[d0 + 1:]}, scaled
+        elif fault == "kept witness off its level":
+            yield grid, scaled | {v: p[:d0] + (box[d0][1] + scale,) + p[d0 + 1:]}
+        elif fault == "changed box moved":
+            for u in grid:
+                moved = grid | {v: grid[u][:d0] + box[d0:]}
+                if u != v and not h.has_edge(u, v) and boxes._c1_violations(h.edges, moved):
+                    yield moved, scaled
+        else:
+            corner = tuple(lo for lo, _ in box[d0:])
+            for u in kept:
+                if all(lo <= x <= hi for (lo, hi), x in zip(box, scaled[u][:d0])):
+                    yield grid, scaled | {u: scaled[u][:d0] + corner}
+
+
+def certify_message(*args):
+    try:
+        certify_grid(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+@given(connected_edit_cases(), st.sampled_from(FAULTS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_corrupted_lift_fails_as_the_full_check(case, fault, data):
+    # a lift's check from its input's certificate must catch every fault the full check
+    # catches, and name it the same way
+    g, seq = case
+    steps = []
+
+    def recording(h, scale, grid, scaled, what, prev=None):
+        steps.append((h, scale, grid, scaled, what, prev))
+        return certify_grid(h, scale, grid, scaled, what, prev)
+
+    with patch.object(build, "certify_grid", recording):
+        build_from_edit_sequence(g, seq)
+    planted = [(step, c) for step in steps[1:] for c in corruptions(step, fault)]
+    assume(planted)
+    (h, scale, _, _, what, prev), (grid, scaled) = data.draw(st.sampled_from(planted))
+    message = certify_message(h, scale, grid, scaled, what, prev)
+    assert message is not None
+    assert message == certify_message(h, scale, grid, scaled, what)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 12])
+def test_an_edge_lift_meets_the_wide_box_with_its_neighbours_only(seed):
+    # a full check tests all n(n-1)/2 box pairs.  An edge lift from a certified input keeps
+    # every box but the wide vertex v's, in two classes (the two levels): one test per pair of
+    # classes, one for v's box against each class on the appended axis, and on the old axes
+    # only the members of the class that axis leaves in reach, which are v's neighbours
+    rng = random.Random(seed)
     g = random_connected(24, 34, rng)
     seq = reduce_to_spanning_tree(g)
     calls, counts = [0], []
@@ -656,16 +722,17 @@ def test_a_lift_meets_only_its_changed_boxes_with_every_box():
     def recording(h, scale, grid, scaled, what, prev=None):
         calls[0] = 0
         out = certify_grid(h, scale, grid, scaled, what, prev)
-        counts.append((calls[0], len(grid)))
+        counts.append((calls[0], h))
         return out
 
     with patch.object(boxes, "_meet", counted), patch.object(build, "certify_grid", recording):
         build_from_edit_sequence(g, seq)
-    (base, n), *counts = counts  # the tree base is the full check
-    assert base == n * (n - 1) // 2  # every pair once
+    (base, t), *counts = counts  # the tree base is the full check
+    assert base == t.n * (t.n - 1) // 2  # every pair once
     assert len(counts) == len(seq.ops) == 11
-    # each edge lift changes one box; its two levels make at most 2 * 2 class pairs
-    assert all(c <= (n - 1) + 4 < n * (n - 1) // 2 for c, n in counts)
+    wide = [max(op.u, op.v) for op in reversed(seq.ops)]
+    for (c, h), v in zip(counts, wide):
+        assert c <= h.degree(v) + 6
 
 
 class TestBruteForceOracle:

@@ -766,7 +766,7 @@ class TestInputContract:
 
     @pytest.fixture()
     def tree_rep(self, tree_file):
-        g = graph_from_json(json.loads(open(tree_file).read()))
+        g = graph_from_json(json.loads(Path(tree_file).read_text()))
         return rep_to_json(build_tree_rep(g))
 
     @pytest.mark.parametrize("edit", [

@@ -394,6 +394,26 @@ class TestRobust:
             robust_attack_audit(spec, sv, 0, 1, samples=1, seed=0)
 
 
+def best_labelling_ratio(k, pairs):
+    """The least max/min jump |labels[i] - labels[j]| over the pairs, over every labelling
+    of 1..k by 0..k-1 with no zero jump.  A (p, q)-colouring has p <= k colours, so these
+    labels reach chi_c - 1.  Mirroring x -> k - 1 - x keeps every jump, so vertex 1 takes
+    only the lower half of the labels."""
+    ends = [(i - 1, j - 1) for i, j in pairs]
+    top, low = None, None
+    for labels in product(range((k + 1) // 2), *[range(k)] * (k - 1)):
+        lo, hi = k, 0
+        for i, j in ends:
+            d = abs(labels[i] - labels[j])
+            if d < lo:
+                lo = d
+            if d > hi:
+                hi = d
+        if lo and (top is None or hi * low < top * lo):
+            top, low = hi, lo
+    return F(top, low)
+
+
 class TestThetaOracle:
     def test_single_bridge_is_unit(self):
         g = Graph(2, [(1, 2)], gains={3: F(1)})
@@ -464,14 +484,27 @@ class TestThetaOracle:
         assume(pairs)
         g = gained(Graph(k, pairs), random.Random(mask))
         spec = feasibility(g, g.edges)
-        # a (p, q)-colouring has p <= k colours, so labels 0..k-1 reach chi_c - 1
-        best = None
-        for labels in product(range(k), repeat=k):
-            jumps = [abs(labels[i - 1] - labels[j - 1]) for i, j in pairs]
-            if min(jumps) > 0:
-                ratio = F(max(jumps), min(jumps))
-                best = ratio if best is None else min(best, ratio)
-        assert theta_oracle(spec, assemble_gain_matrix(g)) == best
+        assert theta_oracle(spec, assemble_gain_matrix(g)) == best_labelling_ratio(k, pairs)
+
+    @given(hst.sets(hst.sampled_from(list(combinations(range(1, 7), 2))), min_size=1, max_size=7))
+    @settings(max_examples=25, deadline=None)
+    def test_theta_is_best_integer_labelling_at_six_components(self, pairs):
+        # 6^6 labellings each: a few sparse component graphs, at most 7 of the 15 pairs
+        pairs = sorted(pairs)
+        g = gained(Graph(6, pairs), random.Random(len(pairs)))
+        spec = feasibility(g, g.edges)
+        assert theta_oracle(spec, assemble_gain_matrix(g)) == best_labelling_ratio(6, pairs)
+
+    @pytest.mark.parametrize("pairs, theta", [
+        ([(7, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)], F(2)),
+        ([(i, i % 5 + 1) for i in range(1, 6)] + [(5, 6), (6, 7)], F(3, 2)),
+    ], ids=["wheel-W6", "C5-with-a-tail"])
+    def test_seven_components_by_hand(self, pairs, theta):
+        # the wheel's hub leaves its even rim an arc shorter than q when p/q < 3, so chi_c = 3;
+        # a tail adds nothing to chi_c(C5) = 5/2.  Both are checked against all 7^7 labellings too
+        g = gained(Graph(7, pairs), random.Random(7))
+        spec = feasibility(g, g.edges)
+        assert theta_oracle(spec, assemble_gain_matrix(g)) == theta == best_labelling_ratio(7, pairs)
 
     @pytest.mark.parametrize("gc, chi_c", [
         (Graph(7, [(i, i % 7 + 1) for i in range(1, 8)]), F(7, 3)),
