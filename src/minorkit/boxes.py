@@ -448,7 +448,7 @@ def _radius(nearest: int, scale: int) -> Pair | None:
 
 
 def certify_grid(
-    g: Graph,
+    adj: dict,
     scale: int,
     grid: dict[int, IntBox],
     scaled: dict[int, IntPoint],
@@ -457,10 +457,10 @@ def certify_grid(
 ) -> GridRep:
     """Prove a builder's grid-form boxes and witness points; return them as a certified GridRep.
 
-    Coordinates are read as x / scale.  Every box must be full-dimensional, the
-    boxes must meet exactly on g's edges, and each scaled[v] must lie on grid[v]'s
-    boundary and outside every other box; a failure is a bug in the builder
-    `what` (AssertionError).  The radii come in vertex order.
+    adj maps each vertex to its neighbours and x stands for x / scale.  Every box
+    must be full-dimensional, the boxes must meet exactly on adj's edges, and each
+    scaled[v] must lie on grid[v]'s boundary and outside every other box; a failure
+    is a bug in the builder `what` (AssertionError).  The radii come in vertex order.
 
     The result carries a certificate (_certificate): which boxes meet each box,
     and each witness's gap to every box nearer than one grid unit.  Given a
@@ -470,8 +470,8 @@ def certify_grid(
     changed.  Without prev every vertex is changed: the full check.  A failure
     is named by a scan in vertex order, as the full check names it.
     """
-    if set(grid) != set(g.vertices()) or set(scaled) != set(grid):
-        raise AssertionError(f"{what}: boxes and witness points must cover 1..{g.n}")
+    if grid.keys() != adj.keys() or scaled.keys() != grid.keys():
+        raise AssertionError(f"{what}: boxes and witness points must cover 1..{len(adj)}")
     classes: dict[tuple[IntBox, IntPoint], list] = {}  # appended (box, point) -> kept vertices
     changed = list(grid)
     if prev is not None and prev.scale == scale and prev._cert is not None:
@@ -491,9 +491,9 @@ def certify_grid(
                 raise AssertionError(f"{what}: box for vertex {v} is degenerate")
     meets, near = _certificate(scale, grid, scaled, prev, classes, changed)
     for v, m in meets.items():
-        nbrs = g.neighbors(v)
+        nbrs = adj[v]
         if len(m) != len(nbrs) or not m.issuperset(nbrs):
-            bad = _c1_violations(g.edges, grid)
+            bad = _c1_violations(((i, j) for i, ns in adj.items() for j in ns if i < j), grid)
             raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
     radii = {v: _radius(min(near[v].values()), scale) if near[v] else (1, 4) for v in sorted(near)}
     inside = all(len(b) == len(p) and all(lo <= x <= hi for (lo, hi), x in zip(b, p)) for b, p in classes)

@@ -7,9 +7,9 @@ Both one-dimension lifts are one construction: the re-added vertex v becomes a
 wide box that spans the input's bounding box in the old axes and sits one level
 up in the new axis, and an edge lift is that vertex lift with v's old box
 discarded.  Lifts reuse the input's coordinates, so they add no bits.  A
-pipeline replays a recorded edit sequence backwards, lifting a verified base
-representation up to the original graph, and a tiny brute-force oracle pins
-exact answers for hand-checkable instances.
+pipeline walks a replayed edit sequence backwards on one neighbour map, lifting
+a verified base representation up to the original graph, and a tiny brute-force
+oracle pins exact answers for hand-checkable instances.
 
 Every construction step is certified once: C1, each chosen witness point's
 place on its box's boundary and every witness radius, decided on one integer
@@ -68,13 +68,15 @@ from .graph import (
     EditSequence,
     Graph,
     VertexDelete,
+    _adjacency,
+    _swap,
+    _unedit,
     apply_edit,
     bfs_order,
     is_tree,
     norm_edge,
     reduce_to_spanning_tree,
     replay_edits,
-    swap_labels,
 )
 
 
@@ -151,7 +153,7 @@ def _tree_grid(t: Graph) -> GridRep:
         s, d = start[v], depth[v]
         boxes[v] = ((2 * s, 2 * (s + leaves[v]) - 1), (2 * d, 2 * d + 2))
         points[v] = (2 * s, 2 * d + 1)
-    return certify_grid(t, 1, boxes, points, "tree builder")
+    return certify_grid(t._adj, 1, boxes, points, "tree builder")
 
 
 def threshold_graph(n_clique: int, nested_sizes: Sequence[int]) -> Graph:
@@ -212,7 +214,7 @@ def _threshold_grid(n_clique: int, nested_sizes: Sequence[int]) -> GridRep:
     for i, l in enumerate(sizes, start=1):
         boxes[n + i] = ((2 * (n - l) + 1, 2 * (n + 1)), (2 * i - 1, 2 * i))
         points[n + i] = (2 * (n + 1), 2 * i - 1)
-    return certify_grid(threshold_graph(n, sizes), 1, boxes, points, "threshold builder")
+    return certify_grid(threshold_graph(n, sizes)._adj, 1, boxes, points, "threshold builder")
 
 
 # -- lifts -----------------------------------------------------------------------------
@@ -232,17 +234,17 @@ def lift_vertex_add(rep_f: Representation, g: Graph, v: int) -> Representation:
         raise InvalidInput(f"vertex {v} is not in the target graph")
     rest = [u for u in g.vertices() if u != v]
     rep = _verified(rest, [e for e in g.edges if v not in e], GridRep.of(rep_f), "vertex lift input")
-    return _lift_vertex_add(rep, g, v).to_representation()
+    return _lift_vertex_add(rep, g._adj, v).to_representation()
 
 
-def _lift_vertex_add(rep: GridRep, g: Graph, v: int) -> GridRep:
-    """lift_vertex_add on a valid grid-form input; a box of v in it is ignored."""
+def _lift_vertex_add(rep: GridRep, adj: dict, v: int) -> GridRep:
+    """lift_vertex_add on a valid grid-form input, for the neighbour map adj; a box of v in it is ignored."""
     s = rep.scale
     low, high = (0, 3 * s), (2 * s, 5 * s)
-    nbr_set = set(g.neighbors(v))
+    nbr_set = set(adj[v])
     boxes: dict[int, IntBox] = {}
     points: dict[int, IntPoint] = {}
-    for u in g.vertices():
+    for u in range(1, len(adj) + 1):
         if u == v:
             continue
         level = high if u in nbr_set else low
@@ -252,7 +254,7 @@ def _lift_vertex_add(rep: GridRep, g: Graph, v: int) -> GridRep:
     lo, hi = min(map(itemgetter(0), intervals)), max(map(itemgetter(1), intervals))
     boxes[v] = ((lo, hi),) * rep.dim + ((4 * s, 6 * s),)
     points[v] = (hi,) * rep.dim + (6 * s,)
-    return certify_grid(g, s, boxes, points, "vertex lift", rep)
+    return certify_grid(adj, s, boxes, points, "vertex lift", rep)
 
 
 def lift_edge_add(rep_h: Representation, g: Graph, e: Edge) -> Representation:
@@ -267,7 +269,7 @@ def lift_edge_add(rep_h: Representation, g: Graph, e: Edge) -> Representation:
         raise InvalidInput(f"({u},{v}) is not an edge of the target graph")
     sub_edges = [ed for ed in g.edges if ed != (u, v)]
     rep = _verified(g.vertices(), sub_edges, GridRep.of(rep_h), "edge lift input")
-    return _lift_vertex_add(rep, g, v).to_representation()
+    return _lift_vertex_add(rep, g._adj, v).to_representation()
 
 
 def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
@@ -280,15 +282,15 @@ def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
     if not g.has_edge(u, v):
         raise InvalidInput(f"({u},{v}) is not an edge")
     rep = _verified(g.vertices(), g.edges, GridRep.of(rep_g), "edge drop input")
-    return _drop_edge(rep, g, u, v).to_representation()
+    return _drop_edge(rep, g._adj, u, v).to_representation()
 
 
-def _drop_edge(rep: GridRep, g: Graph, u: int, v: int) -> GridRep:
-    """drop_edge on a valid grid-form input, for the edge (u, v) of g."""
+def _drop_edge(rep: GridRep, adj: dict, u: int, v: int) -> GridRep:
+    """drop_edge on a valid grid-form input, for the edge (u, v) of the neighbour map adj."""
     s = rep.scale
     boxes: dict[int, IntBox] = {}
     points: dict[int, IntPoint] = {}
-    for i in g.vertices():
+    for i in range(1, len(adj) + 1):
         if i == u:
             level = (s, 2 * s)
         elif i == v:
@@ -297,7 +299,7 @@ def _drop_edge(rep: GridRep, g: Graph, u: int, v: int) -> GridRep:
             level = (0, 4 * s)
         boxes[i] = rep.boxes[i] + (level,)
         points[i] = rep.points[i] + (level[0],)
-    h = Graph(g.n, [ed for ed in g.edges if ed != (u, v)])
+    h = adj | {u: set(adj[u]) - {v}, v: set(adj[v]) - {u}}
     return certify_grid(h, s, boxes, points, "edge drop", rep)
 
 
@@ -326,20 +328,20 @@ def lift_uncontract(
         raise BadSnapshot(f"({u},{n_restored}) is not an edge of the target graph")
     g_e = apply_edit(g, Contract(u, n_restored))
     rep = _verified(g_e.vertices(), g_e.edges, GridRep.of(rep_ge), "uncontract input")
-    return _lift_uncontract(rep, g, u, n_restored).to_representation()
+    return _lift_uncontract(rep, g._adj, u, n_restored).to_representation()
 
 
-def _lift_uncontract(rep: GridRep, g: Graph, u: int, n_restored: int) -> GridRep:
-    """lift_uncontract on a valid grid-form input whose split matches g."""
+def _lift_uncontract(rep: GridRep, adj: dict, u: int, n_restored: int) -> GridRep:
+    """lift_uncontract on a valid grid-form input whose split matches the neighbour map adj."""
     s = rep.scale
-    set_u, set_n = set(g.neighbors(u)), set(g.neighbors(n_restored))
+    set_u, set_n = set(adj[u]), set(adj[n_restored])
     only_u = set_u - set_n - {n_restored}
     only_n = set_n - set_u - {u}
     s_u, x_u = rep.boxes[u], rep.points[u]
 
     boxes: dict[int, IntBox] = {}
     points: dict[int, IntPoint] = {}
-    for i in g.vertices():
+    for i in range(1, len(adj) + 1):
         if i == u:
             boxes[i] = s_u + ((0, 6 * s), (3 * s, 7 * s))
             points[i] = x_u + (0, 3 * s)
@@ -355,7 +357,7 @@ def _lift_uncontract(rep: GridRep, g: Graph, u: int, n_restored: int) -> GridRep
         else:
             boxes[i] = rep.boxes[i] + ((0, 10 * s), (0, 10 * s))
             points[i] = rep.points[i] + (0, 0)
-    return certify_grid(g, s, boxes, points, "uncontract lift", rep)
+    return certify_grid(adj, s, boxes, points, "uncontract lift", rep)
 
 
 # -- edit-sequence pipeline --------------------------------------------------------------
@@ -412,11 +414,12 @@ def build_from_edit_sequence(
     contraction.  A given base is put on its integer grid once (a GridRep is
     taken as given) and verified there; without one, the base is
     _tree_grid's layout of seq.base, certified on the grid of scale 1.  Each step
-    runs on that grid and its output is certified against the graph it
-    represents, so the last one covers g.  The trace's final Representation
-    is made from the grid when it is first read.
+    runs on that grid, and on one neighbour map walked from seq.base's back to
+    g's: an op is undone before the lift that certifies against it (a
+    contraction's label swap after), so the last one covers g.  The trace's
+    final Representation is made from the grid when it is first read.
     """
-    steps_fw = replay_edits(g, seq)  # raises SequenceMismatch on any drift
+    replay_edits(g, seq)  # raises SequenceMismatch on any drift
     if base_rep is None:
         rep = _tree_grid(seq.base)
     else:
@@ -426,31 +429,33 @@ def build_from_edit_sequence(
     base_dim = rep.dim
     steps: list[TraceStep] = []
 
-    for g_before, op, g_after in reversed(steps_fw):
+    adj = _adjacency(seq.base)
+    for op in reversed(seq.ops):
+        _unedit(adj, op)  # adj is now the graph this lift certifies against
         dim_before = rep.dim
         if isinstance(op, EdgeDelete):
-            rep = _lift_vertex_add(rep, g_before, max(op.u, op.v))
+            rep = _lift_vertex_add(rep, adj, max(op.u, op.v))
             roles = {"edge": (op.u, op.v), "wide": (op.v,)}
         elif isinstance(op, VertexDelete):
             if op.swap is not None:
                 a, b = op.swap  # label a currently holds the vertex that was b
                 rep = rep.rename({a: b})
-            rep = _lift_vertex_add(rep, g_before, op.v)
+            rep = _lift_vertex_add(rep, adj, op.v)
             roles = {"vertex": (op.v,), "neighbors": tuple(op.neighbors or ())}
-        elif isinstance(op, Contract):
-            gsw = g_before if op.swap is None else swap_labels(g_before, *op.swap)
-            rep = _lift_uncontract(rep, gsw, op.u_post, op.merged)
+        else:  # a contraction, lifted before its label swap is undone
+            rep = _lift_uncontract(rep, adj, op.u_post, op.merged)
             if op.swap is not None:
                 a, b = op.swap
                 rep = rep.rename({a: b, b: a})
+                _swap(adj, a, b)
             roles = {"kept": (op.u,), "restored": (op.v,)}
-        else:
-            raise TypeError(f"unknown edit op {op!r}")
         steps.append(TraceStep(op=op, dim_before=dim_before, dim_after=rep.dim, roles=roles))
 
     av, ae, bc = seq.counts()
     if rep.dim != base_dim + av + ae + 2 * bc:
         raise AssertionError("pipeline dimension drifted from its budget")
+    if adj != _adjacency(g):
+        raise AssertionError("pipeline walk did not come back to the input graph")
     return ConstructionTrace(base_dim=base_dim, steps=tuple(steps), grid=rep)
 
 

@@ -2,11 +2,12 @@
 
 Vertices are labelled 1..n and edges carry stable flow indices n+1..t (t = n + m),
 so a graph doubles as the index space of a flow system.  Edit operations (vertex
-deletion, edge deletion, contraction) record the neighbourhood snapshots needed to
-invert them later.  Contraction always merges the currently highest label into a
-neighbour; arbitrary edges are handled by a recorded label swap first.  Replay
-re-runs the ops forward from the input graph, records each op's snapshots
-afresh and compares them with the recorded ones, then checks the base graph.
+deletion, edge deletion, contraction) run in place on one neighbour map and record
+the snapshots needed to undo them.  A vertex deletion and a contraction both swap v
+with the highest label n, then remove n (a contraction first joins n's neighbours
+to the kept endpoint), so one in-place swap serves both and their inverses.  Replay
+walks the input's map forward, records each op's snapshots afresh, compares them
+with the recorded ones, then checks the base graph.
 
 One breadth-first walk, ``bfs_order``, gives components, shortest paths and the
 BFS spanning tree here, and the tree layout and state recovery elsewhere.
@@ -326,107 +327,111 @@ class Contract:
 EditOp = VertexDelete | EdgeDelete | Contract
 
 
-def swap_labels(g: Graph, a: int, b: int) -> Graph:
-    """Graph with labels a and b exchanged (gains dropped)."""
-    if a == b:
-        return Graph(g.n, g.edges)
-
-    def m(x: int) -> int:
-        return b if x == a else a if x == b else x
-
-    return Graph(g.n, [norm_edge(m(u), m(v)) for u, v in g.edges])
+def _adjacency(g: Graph) -> dict[int, set[int]]:
+    """g's neighbour map as mutable sets, labels 1..n in order."""
+    return {v: set(ns) for v, ns in g._adj.items()}
 
 
-def record_edit(g: Graph, op: EditOp) -> tuple[Graph, EditOp]:
-    """Apply one edit and return (minor, op completed with snapshots).
+def _graph(adj: dict[int, set[int]]) -> Graph:
+    """The Graph of a neighbour map on 1..n, its edges sorted (a self-loop is left out)."""
+    return Graph(len(adj), [(v, w) for v, ns in sorted(adj.items()) for w in sorted(ns) if v < w])
 
-    Gains are not carried into minors; the edit pipeline serves the box
-    constructions, which are gain-free.
-    """
+
+def _link(adj: dict[int, set[int]], v: int, nbrs: Iterable[int]) -> None:
+    for w in nbrs:
+        adj[v].add(w)
+        adj[w].add(v)
+
+
+def _swap(adj: dict[int, set[int]], a: int, b: int) -> None:
+    """Exchange labels a and b in place, touching only their neighbours."""
+    na, nb = adj[a], adj[b]
+    for w in (na ^ nb) - {a, b}:  # a common neighbour keeps both labels
+        adj[w] ^= {a, b}
+    adj[a], adj[b] = nb, na
+    if b in na:  # the edge ab: each end now lists itself
+        na ^= {a, b}
+        nb ^= {a, b}
+
+
+def _edit(adj: dict[int, set[int]], op: EditOp) -> EditOp:
+    """Apply one edit to adj in place, reading only op's u and v (or v); return op with its snapshots."""
+    n = len(adj)
     if isinstance(op, EdgeDelete):
         u, v = norm_edge(op.u, op.v)
-        if not g.has_edge(u, v):
+        if v not in adj.get(u, ()):
             raise InvalidEdit(f"({u},{v}) is not an edge")
-        edges = [e for e in g.edges if e != (u, v)]
-        return Graph(g.n, edges), EdgeDelete(u, v)
-
+        adj[u].remove(v)
+        adj[v].remove(u)
+        return EdgeDelete(u, v)
+    if not isinstance(op, (VertexDelete, Contract)):
+        raise TypeError(f"unknown edit op {op!r}")
+    v, swap = op.v, (None if op.v == n else (op.v, n))
     if isinstance(op, VertexDelete):
-        v = op.v
-        if not (1 <= v <= g.n):
+        if v not in adj:
             raise InvalidEdit(f"vertex {v} is not present")
-        nbrs = g.neighbors(v)
-        swap = None if v == g.n else (v, g.n)
+        nbrs = tuple(sorted(adj[v]))
+    elif v not in adj.get(op.u, ()):
+        raise InvalidEdit(f"({op.u},{v}) is not an edge")
+    _swap(adj, v, n)
+    merged = adj.pop(n)
+    for w in merged:
+        adj[w].remove(n)
+    if isinstance(op, VertexDelete):
+        return VertexDelete(v, nbrs, swap)
+    u_post = v if op.u == n else op.u
+    kept = (*sorted(adj[u_post]), n)  # n, the highest label, was a neighbour of u_post
+    _link(adj, u_post, merged - {u_post})
+    return Contract(op.u, v, swap, u_post, n, kept, tuple(sorted(merged)))
 
-        def m(x: int) -> int:
-            return v if x == g.n else x
 
-        edges = [norm_edge(m(a), m(b)) for a, b in g.edges if v not in (a, b)]
-        h = Graph(g.n - 1, edges)
-        return h, VertexDelete(v, neighbors=nbrs, swap=swap)
-
-    if isinstance(op, Contract):
-        u, v = op.u, op.v
-        if not g.has_edge(u, v):
-            raise InvalidEdit(f"({u},{v}) is not an edge")
-        m_label = g.n
-        swap = None if v == m_label else (v, m_label)
-        gsw = g if swap is None else swap_labels(g, v, m_label)
-        u_post = u if swap is None or u not in swap else (v if u == m_label else u)
-        nbrs_kept = gsw.neighbors(u_post)
-        nbrs_merged = gsw.neighbors(m_label)
-        edges = [e for e in gsw.edges if m_label not in e]
-        present = set(edges)
-        for w in nbrs_merged:
-            if w == u_post:
-                continue
-            e = norm_edge(u_post, w)
-            if e not in present:
-                edges.append(e)
-                present.add(e)
-        h = Graph(m_label - 1, edges)
-        return h, Contract(
-            u, v, swap=swap, u_post=u_post, merged=m_label,
-            nbrs_kept=nbrs_kept, nbrs_merged=nbrs_merged,
-        )
-
-    raise TypeError(f"unknown edit op {op!r}")
+def _unedit(adj: dict[int, set[int]], op: EditOp) -> None:
+    """Undo a completed op on adj in place from its snapshots, except a contraction's op.swap."""
+    if isinstance(op, EdgeDelete):
+        _link(adj, op.u, (op.v,))
+        return
+    n = len(adj) + 1
+    adj[n] = set()
+    if isinstance(op, VertexDelete):
+        _swap(adj, op.v, n)
+        _link(adj, op.v, op.neighbors)
+    elif isinstance(op, Contract):
+        for w in adj[op.u_post]:
+            adj[w].remove(op.u_post)
+        adj[op.u_post] = set()
+        _link(adj, op.u_post, op.nbrs_kept)
+        _link(adj, n, op.nbrs_merged)
+    else:
+        raise TypeError(f"unknown edit op {op!r}")
 
 
 def apply_edit(g: Graph, op: EditOp) -> Graph:
     """The minor produced by one edit operation (snapshots recomputed, not trusted)."""
-    return record_edit(g, op)[0]
+    return apply_edits(g, [op]).base
 
 
 def invert_edit(h: Graph, op: EditOp) -> Graph:
-    """Reconstruct the graph an applied edit came from, using its snapshots."""
-    if isinstance(op, EdgeDelete):
-        return Graph(h.n, list(h.edges) + [norm_edge(op.u, op.v)])
+    """Reconstruct the graph an applied edit came from, using its snapshots.
 
-    if isinstance(op, VertexDelete):
-        if op.neighbors is None:
-            raise SequenceMismatch("vertex deletion lacks its neighbourhood snapshot")
-        n_new = h.n + 1
-
-        def m(x: int) -> int:
-            return n_new if x == op.v else x
-
-        edges = [norm_edge(m(a), m(b)) for a, b in h.edges] if op.swap else list(h.edges)
-        edges += [norm_edge(op.v, w) for w in op.neighbors]
-        return Graph(n_new, edges)
-
-    if isinstance(op, Contract):
-        if op.nbrs_kept is None or op.nbrs_merged is None or op.u_post is None:
-            raise SequenceMismatch("contraction lacks its neighbourhood snapshots")
-        n_new = h.n + 1
-        edges = [e for e in h.edges if op.u_post not in e]
-        edges += [norm_edge(op.u_post, w) for w in op.nbrs_kept if w != op.merged]
-        edges += [norm_edge(op.merged, w) for w in op.nbrs_merged]
-        g = Graph(n_new, edges)
-        if op.swap is not None:
-            g = swap_labels(g, *op.swap)
-        return g
-
-    raise TypeError(f"unknown edit op {op!r}")
+    An op with a label outside 1..n+1 (1..n for an edge deletion), or whose
+    replay on the rebuilt graph misses op or h, cannot have come from h: SequenceMismatch.
+    """
+    if None in [x for field, x in vars(op).items() if field != "swap"]:
+        raise SequenceMismatch(f"{op!r} lacks its neighbourhood snapshots")
+    top = h.n + (not isinstance(op, EdgeDelete))
+    labels = [x for f in vars(op).values() if f is not None for x in (f if isinstance(f, tuple) else (f,))]
+    if not all(1 <= x <= top for x in labels):
+        raise SequenceMismatch(f"{op!r} names a label outside 1..{top}")
+    adj = _adjacency(h)
+    _unedit(adj, op)
+    if isinstance(op, Contract) and op.swap is not None:
+        _swap(adj, *op.swap)
+    g = _graph(adj)
+    try:
+        replay_edits(g, EditSequence(h, (op,)))
+    except InvalidEdit as exc:
+        raise SequenceMismatch(f"{op!r} cannot have come from this graph") from exc
+    return g
 
 
 @dataclass(frozen=True)
@@ -438,35 +443,25 @@ class EditSequence:
 
     def counts(self) -> tuple[int, int, int]:
         """(vertex deletions, edge deletions, contractions)."""
-        av = sum(1 for op in self.ops if isinstance(op, VertexDelete))
-        ae = sum(1 for op in self.ops if isinstance(op, EdgeDelete))
-        bc = sum(1 for op in self.ops if isinstance(op, Contract))
-        return av, ae, bc
+        kinds = [type(op) for op in self.ops]
+        return kinds.count(VertexDelete), kinds.count(EdgeDelete), kinds.count(Contract)
 
 
 def apply_edits(g: Graph, intents: Sequence[EditOp]) -> EditSequence:
-    """Apply edits in order, recording each op's snapshots."""
-    cur = g
-    ops: list[EditOp] = []
-    for intent in intents:
-        cur, done = record_edit(cur, intent)
-        ops.append(done)
-    return EditSequence(base=cur, ops=tuple(ops))
+    """Apply edits in order on one adjacency, recording each op's snapshots; the base carries no gains."""
+    adj = _adjacency(g)
+    ops = tuple(_edit(adj, intent) for intent in intents)
+    return EditSequence(base=_graph(adj), ops=ops)
 
 
-def replay_edits(g: Graph, seq: EditSequence) -> list[tuple[Graph, EditOp, Graph]]:
-    """Re-run a sequence from g, checking each op's snapshots and the base graph."""
-    cur = g
-    steps: list[tuple[Graph, EditOp, Graph]] = []
+def replay_edits(g: Graph, seq: EditSequence) -> None:
+    """Re-run a sequence from g on one adjacency, checking each op's snapshots and the base graph."""
+    adj = _adjacency(g)
     for op in seq.ops:
-        before = cur
-        cur, recomputed = record_edit(cur, op)
-        if recomputed != op:
+        if _edit(adj, op) != op:
             raise SequenceMismatch(f"snapshot mismatch at {op!r}")
-        steps.append((before, op, cur))
-    if not cur.same_topology(seq.base):
+    if adj != _adjacency(seq.base):
         raise SequenceMismatch("sequence does not reproduce its base graph")
-    return steps
 
 
 def spanning_tree_edges(g: Graph) -> set[Edge]:

@@ -21,9 +21,19 @@ from minorkit.boxes import (
     _label,
     certify_grid,
 )
-from minorkit.exceptions import BadBounds, DimensionMismatch, EmptyF, Inconsistent, ParseError, TooLarge, VertexMismatch
+from minorkit.exceptions import (
+    BadBounds,
+    DimensionMismatch,
+    EmptyF,
+    Inconsistent,
+    InvalidEdit,
+    ParseError,
+    SequenceMismatch,
+    TooLarge,
+    VertexMismatch,
+)
 from minorkit.flow import GainMatrix
-from minorkit.graph import _json_int
+from minorkit.graph import Contract, EdgeDelete, VertexDelete, _json_int, norm_edge
 from minorkit.ratio import parse_ratio
 
 F = Fraction
@@ -340,7 +350,7 @@ def full_certificate(rep) -> tuple[dict, dict]:
 
 def certified_grid(g: Graph, boxes, points, what: str) -> GridRep:
     """Fraction boxes with a witness at each points[v], put on their grid and proved by certify_grid."""
-    return certify_grid(g, *_grid(boxes, points), what)
+    return certify_grid(g._adj, *_grid(boxes, points), what)
 
 
 def certify(g: Graph, boxes, points, what: str) -> Representation:
@@ -637,3 +647,125 @@ def verify_c2_fraction(
         else:
             found[v] = got
     return C2Report(ok=not covered, witnesses=found, covered=tuple(covered))
+
+
+# -- the Graph-per-edit chain the one-adjacency edit walk replaced ---------------------------
+
+
+def snapshot(adj) -> dict:
+    """A frozen copy of a neighbour map that its owner goes on mutating."""
+    return {v: frozenset(ns) for v, ns in adj.items()}
+
+
+def edges_of(adj) -> list:
+    """The edges of a neighbour map as normalised pairs."""
+    return [(v, w) for v, ns in adj.items() for w in ns if v < w]
+
+
+def graph_of(adj) -> Graph:
+    """The Graph of a neighbour map on 1..n."""
+    return Graph(len(adj), sorted(edges_of(adj)))
+
+
+def swap_labels(g: Graph, a: int, b: int) -> Graph:
+    """Graph with labels a and b exchanged (gains dropped)."""
+    if a == b:
+        return Graph(g.n, g.edges)
+
+    def m(x: int) -> int:
+        return b if x == a else a if x == b else x
+
+    return Graph(g.n, [norm_edge(m(u), m(v)) for u, v in g.edges])
+
+
+def record_edit(g: Graph, op):
+    """One edit as a fresh Graph: (minor, op completed with snapshots).  The reference for apply_edits."""
+    if isinstance(op, EdgeDelete):
+        u, v = norm_edge(op.u, op.v)
+        if not g.has_edge(u, v):
+            raise InvalidEdit(f"({u},{v}) is not an edge")
+        edges = [e for e in g.edges if e != (u, v)]
+        return Graph(g.n, edges), EdgeDelete(u, v)
+
+    if isinstance(op, VertexDelete):
+        v = op.v
+        if not (1 <= v <= g.n):
+            raise InvalidEdit(f"vertex {v} is not present")
+        nbrs = g.neighbors(v)
+        swap = None if v == g.n else (v, g.n)
+
+        def m(x: int) -> int:
+            return v if x == g.n else x
+
+        edges = [norm_edge(m(a), m(b)) for a, b in g.edges if v not in (a, b)]
+        h = Graph(g.n - 1, edges)
+        return h, VertexDelete(v, neighbors=nbrs, swap=swap)
+
+    if isinstance(op, Contract):
+        u, v = op.u, op.v
+        if not g.has_edge(u, v):
+            raise InvalidEdit(f"({u},{v}) is not an edge")
+        m_label = g.n
+        swap = None if v == m_label else (v, m_label)
+        gsw = g if swap is None else swap_labels(g, v, m_label)
+        u_post = u if swap is None or u not in swap else (v if u == m_label else u)
+        nbrs_kept = gsw.neighbors(u_post)
+        nbrs_merged = gsw.neighbors(m_label)
+        edges = [e for e in gsw.edges if m_label not in e]
+        present = set(edges)
+        for w in nbrs_merged:
+            if w == u_post:
+                continue
+            e = norm_edge(u_post, w)
+            if e not in present:
+                edges.append(e)
+                present.add(e)
+        h = Graph(m_label - 1, edges)
+        return h, Contract(
+            u, v, swap=swap, u_post=u_post, merged=m_label,
+            nbrs_kept=nbrs_kept, nbrs_merged=nbrs_merged,
+        )
+
+    raise TypeError(f"unknown edit op {op!r}")
+
+
+def invert_edit_reference(h: Graph, op) -> Graph:
+    """The graph an applied edit came from, rebuilt from its snapshots as one fresh Graph."""
+    if isinstance(op, EdgeDelete):
+        return Graph(h.n, list(h.edges) + [norm_edge(op.u, op.v)])
+
+    if isinstance(op, VertexDelete):
+        if op.neighbors is None:
+            raise SequenceMismatch("vertex deletion lacks its neighbourhood snapshot")
+        n_new = h.n + 1
+
+        def m(x: int) -> int:
+            return n_new if x == op.v else x
+
+        edges = [norm_edge(m(a), m(b)) for a, b in h.edges] if op.swap else list(h.edges)
+        edges += [norm_edge(op.v, w) for w in op.neighbors]
+        return Graph(n_new, edges)
+
+    if isinstance(op, Contract):
+        if op.nbrs_kept is None or op.nbrs_merged is None or op.u_post is None:
+            raise SequenceMismatch("contraction lacks its neighbourhood snapshots")
+        n_new = h.n + 1
+        edges = [e for e in h.edges if op.u_post not in e]
+        edges += [norm_edge(op.u_post, w) for w in op.nbrs_kept if w != op.merged]
+        edges += [norm_edge(op.merged, w) for w in op.nbrs_merged]
+        g = Graph(n_new, edges)
+        if op.swap is not None:
+            g = swap_labels(g, *op.swap)
+        return g
+
+    raise TypeError(f"unknown edit op {op!r}")
+
+
+def reference_chain(g: Graph, intents) -> list:
+    """(before, op, after) for each intent, one fresh Graph per edit, as replay_edits returned them."""
+    steps, cur = [], g
+    for intent in intents:
+        after, op = record_edit(cur, intent)
+        steps.append((cur, op, after))
+        cur = after
+    return steps

@@ -642,8 +642,8 @@ class TestIncrementalCertify:
         assert prev.scale == 1 and prev._cert == full_certificate(prev)
         g = Graph(3, [(2, 3)])  # 1-2 cut by the appended axis
         grid, scaled = self.lift(prev, {1: (0, 1), 2: (2, 5), 3: (0, 4)})
-        got = certify_grid(g, 1, grid, scaled, "lift", prev)
-        full = certify_grid(g, 1, grid, scaled, "lift")
+        got = certify_grid(g._adj, 1, grid, scaled, "lift", prev)
+        full = certify_grid(g._adj, 1, grid, scaled, "lift")
         assert list(got.radii.items()) == list(full.radii.items())
         assert got._cert == full._cert == full_certificate(got)
 
@@ -655,8 +655,8 @@ class TestIncrementalCertify:
         assert F(*prev.radii[2]) == F(1, 16)
         q = prev.scale // 8  # 1/8 on prev's grid
         grid, scaled = self.lift(prev, {1: (0, 16 * q), 2: (0, 16 * q), 3: (3 * q, 16 * q)})
-        got = certify_grid(g, prev.scale, grid, scaled, "lift", prev)
-        full = certify_grid(g, prev.scale, grid, scaled, "lift")
+        got = certify_grid(g._adj, prev.scale, grid, scaled, "lift", prev)
+        full = certify_grid(g._adj, prev.scale, grid, scaled, "lift")
         assert F(*got.radii[2]) == F(*full.radii[2]) == F(3, 16)
         assert got.radii == full.radii and got._cert == full._cert == full_certificate(got)
 
@@ -673,7 +673,7 @@ class TestIncrementalCertify:
         prev = self.prev()
         grid, scaled = self.lift(prev, levels, at)
         with pytest.raises(AssertionError, match=reason):
-            certify_grid(Graph(3, edges), 1, grid, scaled, "lift", prev)
+            certify_grid(Graph(3, edges)._adj, 1, grid, scaled, "lift", prev)
 
     def test_a_new_box_over_a_kept_witness_raises(self):
         # 4's box reaches 1's witness (0, 0, 0) at its corner, so 4 meets only 1
@@ -681,7 +681,7 @@ class TestIncrementalCertify:
         new = {4: (((-1, 0), (-1, 0), (0, 1)), (-1, -1, 1))}
         grid, scaled = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=new)
         with pytest.raises(AssertionError, match="witness point for 1 lies in another box"):
-            certify_grid(Graph(4, [(1, 2), (2, 3), (1, 4)]), 1, grid, scaled, "lift", prev)
+            certify_grid(Graph(4, [(1, 2), (2, 3), (1, 4)])._adj, 1, grid, scaled, "lift", prev)
 
     def test_a_changed_prefix_is_checked_in_full(self):
         # 3's old axes move onto box 1: 3 is changed, and its new meet with 1 is found
@@ -690,7 +690,7 @@ class TestIncrementalCertify:
         grid, scaled = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=moved)
         fault = r"intersection pattern fails at \[\(1, 3, 'unexpected'\)\]"
         with pytest.raises(AssertionError, match=fault):
-            certify_grid(self.PATH, 1, grid, scaled, "lift", prev)
+            certify_grid(self.PATH._adj, 1, grid, scaled, "lift", prev)
 
     def test_only_a_certified_grid_carries_a_certificate(self):
         g = random_connected(9, 12, random.Random(3))

@@ -49,12 +49,17 @@ from minorkit.graph import spanning_tree_edges
 
 from helpers import (
     drop_edge_fraction,
+    edges_of,
     full_certificate,
+    graph_of,
     is_bridge,
     lift_uncontract_fraction,
     lift_vertex_add_fraction,
     random_connected,
     random_tree,
+    reference_chain,
+    snapshot,
+    swap_labels,
     translate,
 )
 
@@ -587,9 +592,9 @@ def test_pipeline_steps_match_the_fraction_lifts(case):
     calls = []
 
     def recording(body):
-        def recorded(rep, *args):
-            out = body(rep, *args)
-            calls.append((body, rep, args, out))
+        def recorded(rep, adj, *args):
+            out = body(rep, adj, *args)
+            calls.append((body, rep, (graph_of(adj), *args), out))
             return out
         return recorded
 
@@ -617,13 +622,13 @@ def test_each_step_certifies_as_the_full_check(case, given_base):
 
     def recording(h, scale, grid, scaled, what, prev=None):
         out = certify_grid(h, scale, grid, scaled, what, prev)
-        steps.append((h, scale, grid, scaled, what, prev, out))
+        steps.append((snapshot(h), scale, grid, scaled, what, prev, out))
         return out
 
     with patch.object(build, "certify_grid", recording):
         trace = build_from_edit_sequence(g, seq, base)
         e = g.edges[len(g.edges) // 2]
-        build._drop_edge(trace.grid, g, *e)  # from the pipeline's last grid
+        build._drop_edge(trace.grid, g._adj, *e)  # from the pipeline's last grid
         drop_edge(trace.final, g, e)  # the public one: its verified input carries no certificate
         ops = len(seq.ops)
         certs = [None if prev is None else prev._cert is not None for *_, prev, _ in steps]
@@ -638,6 +643,25 @@ def test_each_step_certifies_as_the_full_check(case, given_base):
             assert list(out.radii.items()) == list(full.radii.items())
             assert out.radii == {v: r for v, r in sorted(boxes._radii(scale, grid, scaled).items())}
             assert out._cert == full._cert == full_certificate(out)
+
+
+@given(connected_edit_cases())
+@settings(max_examples=60, deadline=None)
+def test_each_lift_certifies_against_the_graph_chain_before_graph(case):
+    # the walk on one adjacency hands each lift the graph the Graph-per-edit chain gave it:
+    # the graph before the op, with a contraction's labels still swapped
+    g, seq = case
+    maps = []
+
+    def recording(adj, *args):
+        maps.append(snapshot(adj))
+        return certify_grid(adj, *args)
+
+    with patch.object(build, "certify_grid", recording):
+        build_from_edit_sequence(g, seq)
+    want = [swap_labels(before, *op.swap) if isinstance(op, Contract) and op.swap else before
+            for before, op, _ in reversed(reference_chain(g, seq.ops))]
+    assert maps == [snapshot(seq.base._adj)] + [snapshot(w._adj) for w in want]
 
 
 FAULTS = ("degenerate kept box", "kept witness off its level", "changed box moved", "kept witness inside")
@@ -664,7 +688,7 @@ def corruptions(step, fault):
         elif fault == "changed box moved":
             for u in grid:
                 moved = grid | {v: grid[u][:d0] + box[d0:]}
-                if u != v and not h.has_edge(u, v) and boxes._c1_violations(h.edges, moved):
+                if u != v and u not in h[v] and boxes._c1_violations(edges_of(h), moved):
                     yield moved, scaled
         else:
             corner = tuple(lo for lo, _ in box[d0:])
@@ -690,7 +714,7 @@ def test_a_corrupted_lift_fails_as_the_full_check(case, fault, data):
     steps = []
 
     def recording(h, scale, grid, scaled, what, prev=None):
-        steps.append((h, scale, grid, scaled, what, prev))
+        steps.append((snapshot(h), scale, grid, scaled, what, prev))
         return certify_grid(h, scale, grid, scaled, what, prev)
 
     with patch.object(build, "certify_grid", recording):
@@ -722,17 +746,17 @@ def test_an_edge_lift_meets_the_wide_box_with_its_neighbours_only(seed):
     def recording(h, scale, grid, scaled, what, prev=None):
         calls[0] = 0
         out = certify_grid(h, scale, grid, scaled, what, prev)
-        counts.append((calls[0], h))
+        counts.append((calls[0], snapshot(h)))
         return out
 
     with patch.object(boxes, "_meet", counted), patch.object(build, "certify_grid", recording):
         build_from_edit_sequence(g, seq)
     (base, t), *counts = counts  # the tree base is the full check
-    assert base == t.n * (t.n - 1) // 2  # every pair once
+    assert base == len(t) * (len(t) - 1) // 2  # every pair once
     assert len(counts) == len(seq.ops) == 11
     wide = [max(op.u, op.v) for op in reversed(seq.ops)]
     for (c, h), v in zip(counts, wide):
-        assert c <= h.degree(v) + 6
+        assert c <= len(h[v]) + 6
 
 
 class TestBruteForceOracle:

@@ -284,6 +284,38 @@ class TestBoxCommands:
         code, report = run(capsys, "box", "oracle", gf)
         assert code == 0 and report["results"]["dim"] == 2
 
+    def test_an_edit_walk_builds_only_the_graphs_it_keeps(self, tmp_path, capsys, monkeypatch):
+        # a vertex deletion and a contraction that both swap labels, then the non-tree edges:
+        # the walk runs on one adjacency, so the only Graphs are the input file's and the base
+        g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 3), (1, 4)])
+        intents = [VertexDelete(2), Contract(4, 3)]
+        cur = apply_edits(g, intents).base
+        intents += [EdgeDelete(*e) for e in cur.edges if e not in spanning_tree_edges(cur)]
+        seq = apply_edits(g, intents)
+        assert seq.ops[0].swap == (2, 6) and seq.ops[1].swap == (3, 5) and len(seq.ops) == 3
+        gf = write(tmp_path / "g.json", graph_to_json(g))
+        ef = write(tmp_path / "e.json", [
+            {"kind": "vertex_delete", "v": 2},
+            {"kind": "contract", "u": 4, "v": 3},
+            *({"kind": "edge_delete", "u": op.u, "v": op.v} for op in seq.ops[2:]),
+        ])
+        built = []
+        init = Graph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        bld.build_from_edit_sequence(g, seq)
+        assert built == []
+        bld.tree_pipeline(g)
+        assert built == [1]  # the base
+        built.clear()
+        code, report = run(capsys, "box", "build", gf, "--strategy", "edits", "--edits", ef)
+        assert code == 0 and report["results"]["steps"] == 3
+        assert built == [1, 1]  # the input file and the base
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["box", "oracle", str(tmp_path / "nope.json")])
         capsys.readouterr()

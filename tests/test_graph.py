@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from minorkit import (
@@ -31,7 +32,16 @@ from minorkit.exceptions import (
 )
 from minorkit.graph import bfs_order, bfs_path, spanning_tree_edges
 
-from helpers import graph_from_json_reference, graph_state, is_bridge, random_connected, random_tree
+from helpers import (
+    graph_from_json_reference,
+    graph_state,
+    invert_edit_reference,
+    is_bridge,
+    random_connected,
+    random_tree,
+    record_edit,
+    reference_chain,
+)
 
 
 def path3():
@@ -208,8 +218,6 @@ def _random_intent(g, rng):
 
 class TestEditRoundTrip:
     def test_invert_reproduces_original(self):
-        from minorkit.graph import record_edit
-
         rng = random.Random(7)
         for _ in range(60):
             n = rng.randrange(3, 12)
@@ -247,6 +255,104 @@ class TestEditRoundTrip:
                     g2 = Graph(n, edges if g.has_edge(u, v) else [*edges, (u, v)])
                     with pytest.raises((SequenceMismatch, InvalidEdit)):
                         replay_edits(g2, seq)
+
+    @pytest.mark.parametrize("op", [
+        # a merged label 4 is right, but the kept endpoint 7 is past it
+        Contract(1, 3, u_post=7, merged=4, nbrs_kept=(4,), nbrs_merged=(1,)),
+        EdgeDelete(1, 4),  # out of range: h has no vertex 4
+        VertexDelete(2, neighbors=(9,), swap=(2, 4)),  # out of range
+        EdgeDelete(1, 2),  # h already has the edge
+        VertexDelete(4, neighbors=(1, 1)),  # a duplicate edge
+        VertexDelete(4, neighbors=(4,)),  # a self-loop
+        EdgeDelete(2, 2),  # a self-loop
+        Contract(1, 4, u_post=1, merged=4, nbrs_kept=(1, 4), nbrs_merged=(1,)),  # a self-loop
+    ], ids=["contract-past-n+1", "edge-out-of-range", "vertex-out-of-range", "edge-present",
+            "duplicate-neighbour", "vertex-self-loop", "edge-self-loop", "kept-self-loop"])
+    def test_invert_rejects_an_op_h_cannot_have_come_from(self, op):
+        with pytest.raises(SequenceMismatch):
+            invert_edit(path3(), op)
+
+
+@st.composite
+def edit_lists(draw):
+    """A random connected graph and a valid edit list for it: any vertex deletion,
+    edge deletion or contraction (swaps included), each edge named in either order."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(n - 1, n * (n - 1) // 2)) if n > 1 else 0
+    g = random_connected(n, m, random.Random(draw(st.integers(0, 2**16))))
+    cur, intents = g, []
+    for _ in range(draw(st.integers(0, 7))):
+        if cur.n == 0:
+            break
+        kind = draw(st.sampled_from(["vertex", "edge", "contract"] if cur.edges else ["vertex"]))
+        if kind == "vertex":
+            op = VertexDelete(draw(st.integers(1, cur.n)))
+        else:
+            u, v = draw(st.permutations(draw(st.sampled_from(cur.edges))))
+            op = EdgeDelete(u, v) if kind == "edge" else Contract(u, v)
+        cur = record_edit(cur, op)[0]
+        intents.append(op)
+    return g, intents
+
+
+def tampered(op, field):
+    """op with one snapshot tuple changed: its last label dropped, or a label added to an empty one."""
+    t = getattr(op, field)
+    return replace(op, **{field: t[:-1] if t else (1,)})
+
+
+@given(edit_lists(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_edit_walk_matches_the_graph_per_edit_chain(case, data):
+    # the one-adjacency walk against the chain that built a fresh Graph per edit
+    g, intents = case
+    chain = reference_chain(g, intents)
+    seq = apply_edits(g, intents)
+    assert seq.ops == tuple(op for _, op, _ in chain)
+    assert seq.base.same_topology(chain[-1][2] if chain else g)
+    assert list(seq.base.edges) == sorted(seq.base.edges)
+    replay_edits(g, seq)
+    for before, op, after in chain:
+        back = invert_edit(after, op)
+        assert back.same_topology(invert_edit_reference(after, op)) and back.same_topology(before)
+    snapshots = [(i, f) for i, op in enumerate(seq.ops)
+                 for f in {VertexDelete: ("neighbors",), Contract: ("nbrs_kept", "nbrs_merged")}.get(type(op), ())]
+    if snapshots:
+        i, field = data.draw(st.sampled_from(snapshots))
+        ops = seq.ops[:i] + (tampered(seq.ops[i], field),) + seq.ops[i + 1:]
+        with pytest.raises(SequenceMismatch):
+            replay_edits(g, replace(seq, ops=ops))
+    base = seq.base
+    other = Graph(base.n, set(base.edges) ^ {(1, 2)}) if base.n >= 2 else Graph(base.n + 1, base.edges)
+    with pytest.raises(SequenceMismatch):
+        replay_edits(g, replace(seq, base=other))
+
+
+@given(edit_lists(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_invert_on_any_op_in_range_rebuilds_a_graph_or_raises_sequence_mismatch(case, data):
+    # snapshots drawn at random over 1..n+1: the rebuilt graph must map back to h under op
+    g, intents = case
+    chain = reference_chain(g, intents)
+    assume(chain)
+    _, op, h = data.draw(st.sampled_from(chain))
+    labels = st.integers(1, h.n + 1)
+    nbrs = st.lists(labels, max_size=4).map(tuple)
+    swap = st.none() | st.tuples(labels, labels)
+    if isinstance(op, VertexDelete):
+        op = VertexDelete(data.draw(labels), data.draw(nbrs), data.draw(swap))
+    elif isinstance(op, Contract):
+        op = Contract(*(data.draw(labels) for _ in range(2)), data.draw(swap), data.draw(labels),
+                      h.n + 1, data.draw(nbrs), data.draw(nbrs))
+    else:
+        assume(h.n >= 2)
+        op = EdgeDelete(*data.draw(st.lists(st.integers(1, h.n), min_size=2, max_size=2)))
+    try:
+        back = invert_edit(h, op)
+    except SequenceMismatch:
+        return
+    assert apply_edits(back, [op]).ops == (op,)
+    assert apply_edit(back, op).same_topology(h)
 
 
 class TestSpanningTreeReduction:
