@@ -48,7 +48,7 @@ from .exceptions import (
     VertexMismatch,
 )
 from .graph import Edge, Graph, _json_int
-from .ratio import fmt_pair, fmt_ratio, parse_pair, parse_ratio
+from .ratio import fmt_pair, parse_pair, parse_ratio
 
 Point = tuple[Fraction, ...]
 Interval = tuple[Fraction, Fraction]
@@ -152,16 +152,6 @@ class Representation:
 # -- JSON -------------------------------------------------------------------------
 
 
-def _witness_json(w: Witness) -> dict:
-    return {"point": [fmt_ratio(x) for x in w.point], "radius": fmt_ratio(w.radius)}
-
-
-def witnesses_to_json(witnesses: Mapping[int, Witness]) -> dict:
-    if isinstance(witnesses, GridWitnesses):
-        return witnesses.to_json()
-    return {str(v): _witness_json(w) for v, w in witnesses.items()}
-
-
 def rep_to_json(rep: Representation) -> dict:
     return grid_to_json(GridRep.of(rep))
 
@@ -179,20 +169,15 @@ def _grid_text(scale: int):
     return text
 
 
-def grid_to_json(rep: GridRep, witnesses: Mapping[int, Witness] | None = None) -> dict:
-    """rep_to_json of the representation on rep's grid, written from its ints.
-
-    The boxes come in rep's order, then the given witnesses, or rep's own.
-    """
+def grid_to_json(rep: GridRep) -> dict:
+    """rep_to_json of the representation on rep's grid, written from its ints in rep's order."""
     text = _grid_text(rep.scale)
     out: dict = {
         "dim": rep.dim,
         "boxes": {str(v): [[text(lo), text(hi)] for lo, hi in b] for v, b in rep.boxes.items()},
     }
-    if witnesses is None:
-        witnesses = GridWitnesses(rep)
-    if witnesses:
-        out["witnesses"] = witnesses_to_json(witnesses)
+    if rep.radii:
+        out["witnesses"] = GridWitnesses(rep).to_json()
     return out
 
 
@@ -469,6 +454,11 @@ def certify_grid(
     point part) is checked once on the appended axes; every other vertex is
     changed.  Without prev every vertex is changed: the full check.  A failure
     is named by a scan in vertex order, as the full check names it.
+
+    So the result passes verify_grid as it stands.  With nearest the least L-infinity
+    gap from v's point to another box, v's radius is nearest / (2 * scale), or 1/4 <= that
+    when nearest >= scale / 2.  _witness_ok asks, for each other box, for an axis whose
+    gap exceeds radius / 2; the axis of the L-infinity gap has at least nearest / scale.
     """
     if grid.keys() != adj.keys() or scaled.keys() != grid.keys():
         raise AssertionError(f"{what}: boxes and witness points must cover 1..{len(adj)}")
@@ -638,7 +628,7 @@ class GridRep:
             self.scale,
             {to(v, v): b for v, b in self.boxes.items()},
             {to(v, v): p for v, p in self.points.items()},
-            {to(v, v): r for v, r in self.radii.items()},
+            dict(sorted((to(v, v), r) for v, r in self.radii.items())),  # the order witnesses are written in
             cert,
         )
 
@@ -883,7 +873,7 @@ def verify_grid(
     """verify_c1 and verify_c2 of the representation on rep's grid, decided on its ints.
 
     The report's witnesses stay ints on their grid: they build Fractions only
-    when they are read, and witnesses_to_json writes them from the ints.
+    when they are read, and their to_json writes them from the ints.
     """
     _check_cover(g, rep)
     bad = _c1_violations(g.edges, rep.boxes)
@@ -910,7 +900,7 @@ class GridWitnesses(Mapping):
         return len(self.rep.radii)
 
     def to_json(self) -> dict:
-        """witnesses_to_json of these witnesses."""
+        """The "witnesses" object of a representation's JSON, written from the ints."""
         text, points = _grid_text(self.rep.scale), self.rep.points
         return {
             str(v): {"point": [text(x) for x in points[v]], "radius": fmt_pair(*r)}

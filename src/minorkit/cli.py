@@ -31,7 +31,6 @@ from .boxes import (
     grid_to_json,
     rep_to_json,
     verify_grid,
-    witnesses_to_json,
 )
 from .exceptions import BadBounds, BadNesting, MinorkitError, ParseError, TooLarge
 from .flow import (
@@ -150,14 +149,21 @@ def cmd_box_verify(args) -> int:
         "c1_violations": [[i, j, kind] for i, j, kind in c1.violations],
         "c2_ok": c2.ok,
         "c2_covered_vertices": list(c2.covered),
-        "witnesses": witnesses_to_json(c2.witnesses),
+        "witnesses": c2.witnesses.to_json(),
         "dim": r.dim,
     }
     return rep.emit(OK if (c1.ok and c2.ok) else FAIL)
 
 
 def cmd_box_build(args) -> int:
+    if args.strategy != "edits" and (args.edits or args.base_rep):
+        raise ParseError(f"--edits and --base-rep are read only by --strategy edits, not {args.strategy}")
+    if args.base_rep and not args.edits:
+        raise ParseError("--base-rep needs --edits: it represents the edit list's base")
+    if bool(args.graph) == (args.strategy == "threshold"):
+        raise ParseError("--strategy tree and edits read a graph file; threshold builds its own graph")
     rep = _Report("box build")
+    trace = None
     if args.strategy == "threshold":
         if args.clique is None:
             raise ParseError("--strategy threshold needs --clique (and optional --nested)")
@@ -167,16 +173,12 @@ def cmd_box_build(args) -> int:
             raise ParseError(f"--nested wants a comma list of integers, got {args.nested!r}") from exc
         g = bld.threshold_graph(args.clique, sizes)
         r = bld._threshold_grid(args.clique, sizes)
-        trace = None
     else:
-        if not args.graph:
-            raise ParseError("graph file required")
         gobj, gdig = _read_json(args.graph)
         rep.input("graph", args.graph, gdig)
         g = graph_from_json(gobj)
         if args.strategy == "tree":
             r = bld._tree_grid(g)
-            trace = None
         else:  # edits
             if args.edits:
                 eobj, edig = _read_json(args.edits)
@@ -191,11 +193,6 @@ def cmd_box_build(args) -> int:
             else:
                 _, trace = bld.tree_pipeline(g)
             r = trace.grid
-    # builders self-verify, but reports carry fresh verdicts on the grid that is written
-    c1, c2 = verify_grid(g, r)
-    if not (c1.ok and c2.ok):
-        rep.data["results"] = {"error": "built representation failed verification"}
-        return rep.emit(FAIL)
     rep.data["results"] = {
         "dim": r.dim,
         "vertices": g.n,
@@ -210,7 +207,7 @@ def cmd_box_build(args) -> int:
             _write_json(args.trace_out, bld.trace_to_json(trace))
             rep.data["results"]["trace_file"] = args.trace_out
     if args.out:
-        _write_json(args.out, grid_to_json(r, c2.witnesses))
+        _write_json(args.out, grid_to_json(r))
         rep.data["results"]["rep_file"] = args.out
     if args.graph_out:
         _write_json(args.graph_out, graph_to_json(g))

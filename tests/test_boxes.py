@@ -30,7 +30,6 @@ from minorkit.boxes import (
     grid_from_json,
     grid_to_json,
     verify_grid,
-    witnesses_to_json,
 )
 from minorkit.exceptions import (
     DimensionMismatch,
@@ -480,14 +479,14 @@ class TestGridPath:
             assert c1 == r1
             assert c2.ok == r2.ok and c2.covered == r2.covered
             assert list(c2.witnesses.items()) == list(r2.witnesses.items())
-            assert witnesses_to_json(c2.witnesses) == witnesses_json_fraction(r2.witnesses)
+            assert c2.witnesses.to_json() == witnesses_json_fraction(r2.witnesses)
 
     def test_written_file_matches_the_fraction_writer(self):
         g = random_connected(9, 12, random.Random(3))
         rep = tree_pipeline(g)[1].final
         c1, c2 = verify_grid(g, grid_from_json(rep_to_json(rep)))
         assert c1.ok and c2.ok
-        obj = grid_to_json(grid_from_json(rep_to_json(rep)), c2.witnesses)
+        obj = grid_to_json(c2.witnesses.rep)
         assert obj == {**boxes_json_fraction(rep), "witnesses": witnesses_json_fraction(rep.witnesses)}
 
 
@@ -540,7 +539,7 @@ class TestGridSweep:
             return
         assert got.ok == ref.ok and got.covered == ref.covered
         assert list(got.witnesses.items()) == list(ref.witnesses.items())
-        assert witnesses_to_json(got.witnesses) == witnesses_json_fraction(ref.witnesses)
+        assert got.witnesses.to_json() == witnesses_json_fraction(ref.witnesses)
         # the sweep ran on the grid's ints
         witnessed = got.witnesses.rep
         assert all(type(x) is int for p in witnessed.points.values() for x in p)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 from unittest.mock import patch
@@ -35,7 +36,7 @@ from minorkit import (
     verify_c2,
 )
 from minorkit import boxes, build
-from minorkit.boxes import GridRep, certify_grid, verify_grid
+from minorkit.boxes import GridRep, certify_grid, grid_to_json, verify_grid
 from minorkit.exceptions import (
     BadNesting,
     BadSnapshot,
@@ -662,6 +663,43 @@ def test_each_lift_certifies_against_the_graph_chain_before_graph(case):
     want = [swap_labels(before, *op.swap) if isinstance(op, Contract) and op.swap else before
             for before, op, _ in reversed(reference_chain(g, seq.ops))]
     assert maps == [snapshot(seq.base._adj)] + [snapshot(w._adj) for w in want]
+
+
+@st.composite
+def built_grids(draw):
+    """(graph, grid) from each path of box build: the tree and threshold bases, an edit
+    pipeline from its tree base or from a given one, and a given base with no edits.  A
+    given base keeps its stored witnesses or has none, so that they are swept when read."""
+    kind = draw(st.sampled_from(["tree", "threshold", "edits", "base", "base, no edits"]))
+    if kind == "tree":
+        t = draw(trees())
+        return t, build._tree_grid(t)
+    if kind == "threshold":
+        n_clique, sizes = draw(threshold_cases())
+        return threshold_graph(n_clique, sizes), build._threshold_grid(n_clique, sizes)
+    g, seq = draw(connected_edit_cases())
+    if kind == "edits":
+        return g, build_from_edit_sequence(g, seq).grid
+    if kind == "base, no edits":
+        g, seq = seq.base, apply_edits(seq.base, [])
+    base = fraction_base(seq.base)
+    if draw(st.booleans()):
+        base = Representation(base.boxes)
+    return g, build_from_edit_sequence(g, seq, base).grid
+
+
+@given(built_grids())
+@settings(max_examples=150, deadline=None)
+def test_every_built_grid_passes_the_verifier_as_it_stands(case):
+    # box build writes a builder's certified grid with no verify_grid of its own, so the
+    # verifier stays the reference: it must pass the grid, keep every stored witness (a sweep
+    # would move the witnesses onto the grid of twice the scale) and write the same file
+    g, grid = case
+    c1, c2 = verify_grid(g, grid)
+    assert c1.ok and c2.ok
+    kept = c2.witnesses.rep
+    assert kept.scale == grid.scale and kept.points == grid.points and kept.radii == grid.radii
+    assert json.dumps(grid_to_json(kept)) == json.dumps(grid_to_json(grid))
 
 
 FAULTS = ("degenerate kept box", "kept witness off its level", "changed box moved", "kept witness inside")

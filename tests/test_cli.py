@@ -29,6 +29,7 @@ from minorkit import (
     vector_to_json,
 )
 from minorkit import build as bld
+from minorkit.boxes import grid_from_json, grid_to_json, verify_grid
 from minorkit.cli import _dumps, main
 from minorkit.flow import GainMatrix, matrix_to_json
 from minorkit.graph import edits_from_json, spanning_tree_edges
@@ -42,6 +43,7 @@ from helpers import (
     matrix_to_json_fraction,
     random_connected,
     random_cut_targets,
+    random_tree,
     recover_states_fraction,
     root_trap_graph,
 )
@@ -253,6 +255,69 @@ class TestBoxCommands:
     def test_base_rep_rejected(self, tmp_path, capsys, boxes, message):
         code, err, out = self.build_on_base(tmp_path, capsys, {"dim": 2, "boxes": boxes})
         assert code == 1 and err == f"error: InvalidInput: pipeline base: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["tree", "threshold", "edits", "base-rep", "base-rep-no-edits"])
+    def test_build_verifies_nothing_twice(self, tmp_path, capsys, monkeypatch, source):
+        # every builder path certifies the grid it returns, so box build writes it with no
+        # verify_grid and no full C1 pass of its own.  The file must be what box verify keeps:
+        # the verifier passes it without a sweep and writes its witnesses back byte for byte
+        g = random_connected(10, 14, random.Random(8))
+        if source in ("tree", "base-rep-no-edits"):
+            g = random_tree(10, random.Random(8))
+        gf = write(tmp_path / "g.json", graph_to_json(g))
+        rf = tmp_path / "rep.json"
+        argv = ["box", "build", gf, "--strategy", source, "--out", str(rf)]
+        if source == "threshold":
+            argv = ["box", "build", "--strategy", "threshold", "--clique", "5", "--nested", "4,2",
+                    "--out", str(rf), "--graph-out", gf]
+        elif source == "edits":  # a contraction first: the last lift's grid is relabelled
+            cur = apply_edit(g, Contract(*g.edges[0]))
+            tree = spanning_tree_edges(cur)
+            edits = [{"kind": "contract", "u": g.edges[0][0], "v": g.edges[0][1]}]
+            edits += [{"kind": "edge_delete", "u": u, "v": v} for u, v in cur.edges if (u, v) not in tree]
+            argv += ["--edits", write(tmp_path / "e.json", edits)]
+        elif source != "tree":  # a base with no witnesses: they are swept when it is read
+            edits = self.edits_of_every_kind(g) if source == "base-rep" else []
+            base = rep_to_json(build_tree_rep(apply_edits(g, edits_from_json(edits)).base))
+            del base["witnesses"]
+            argv[4:5] = ["edits", "--edits", write(tmp_path / "e.json", edits),
+                         "--base-rep", write(tmp_path / "b.json", base)]
+
+        def refuse(*args):
+            raise AssertionError("box build verified its certified grid again")
+
+        monkeypatch.setattr("minorkit.cli.verify_grid", refuse)
+        monkeypatch.setattr("minorkit.boxes._c1_violations", refuse)
+        code, report = run(capsys, *argv)
+        assert code == 0 and report["results"]["c1_ok"] and report["results"]["c2_ok"]
+        monkeypatch.undo()
+        written = rf.read_text()
+        g = graph_from_json(json.loads(Path(gf).read_text()))
+        c1, c2 = verify_grid(g, grid_from_json(json.loads(written)))
+        assert c1.ok and c2.ok
+        assert written == _dumps(grid_to_json(c2.witnesses.rep)) + "\n"
+        code, report = run(capsys, "box", "verify", str(rf), gf)
+        assert code == 0 and report["results"]["witnesses"] == json.loads(written)["witnesses"]
+
+    @pytest.mark.parametrize("strategy, extra", [
+        ("edits", ["--base-rep", "nonexist.json"]),
+        ("tree", ["--edits", "nonexist.json"]),
+        ("tree", ["--base-rep", "nonexist.json"]),
+        ("threshold", ["--edits", "nonexist.json"]),
+        ("threshold", ["--base-rep", "nonexist.json"]),
+        ("threshold", ["GRAPH"]),
+    ], ids=["base-rep-without-edits", "tree-edits", "tree-base-rep", "threshold-edits",
+            "threshold-base-rep", "threshold-graph"])
+    def test_build_rejects_an_input_it_would_not_read(self, tmp_path, tree_file, capsys, strategy, extra):
+        out = tmp_path / "rep.json"
+        argv = ["box", "build", "--strategy", strategy, "--out", str(out)]
+        argv += ["--clique", "3"] if strategy == "threshold" else [tree_file]
+        argv += [tree_file if x == "GRAPH" else x for x in extra]  # nonexist.json is never read
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: ParseError: ")
         assert not out.exists()
 
     def test_threshold_fixture(self, tmp_path, capsys):
