@@ -16,7 +16,15 @@ It proves a step from its input's certificate (which boxes meet, and each
 witness's gaps to the boxes within one grid unit): the boxes and points a
 lift extends are checked once per class of appended intervals, on the
 appended axes, and a box it changed is compared on the old axes only with
-the classes that the appended axes leave within reach.
+the classes that the appended axes leave within reach.  A certificate
+never changes once its grid exists: a lift keeps each entry that its step
+leaves as it was as the same object, and copies an entry before changing it.
+The full check, with no certificate to start from, is a sweep and prune on
+the grid: it sorts each axis's intervals, counts the pairs of boxes that come
+within one grid unit on that axis, and tests only those pairs of the axis
+with the fewest.  A pair at least a unit apart on one axis neither meets nor
+puts either box within a unit of the other's witness, which lies in its own
+box, so the sweep is exact; a path's base sweeps about n pairs, not n^2 / 2.
 Boxes are closed, so two boxes that share only a boundary point do
 intersect; builders therefore keep strictly positive gaps between
 non-adjacent boxes.
@@ -35,9 +43,11 @@ on the grid of 2 * scale, and `GridRep.witnessed` re-bases the boxes there.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .exceptions import (
@@ -452,8 +462,16 @@ def certify_grid(
     certified prev on the same scale, a vertex whose box and point extend
     prev's is kept, and each class of kept vertices (one appended box and
     point part) is checked once on the appended axes; every other vertex is
-    changed.  Without prev every vertex is changed: the full check.  A failure
-    is named by a scan in vertex order, as the full check names it.
+    changed.  Without prev every vertex is changed: the full check, which
+    tests only the pairs of boxes within one grid unit of each other on the
+    axis that has the fewest (_swept_pairs).  A failure is named by a scan in
+    vertex order, as a check of every pair names it: a witness point outside
+    its own box may leave gaps unseen, but the scan names it before its
+    radius is read, and every earlier radius is exact.
+
+    A certificate is never changed once its GridRep exists: a kept vertex's
+    entry stays prev's own set or dict where the step leaves it as it was, and
+    is copied before its first change.
 
     So the result passes verify_grid as it stands.  With nearest the least L-infinity
     gap from v's point to another box, v's radius is nearest / (2 * scale), or 1/4 <= that
@@ -508,6 +526,32 @@ def _gap(box: IntBox, p: IntPoint, cap):
     return gap
 
 
+def _swept_pairs(scale: int, grid: Mapping[int, IntBox]):
+    """Each pair of boxes whose intervals come within scale of each other on the best axis.
+
+    An axis's intervals are sorted by lo once; interval i comes within scale of
+    each later one whose lo is below hi_i + scale, so a bisect over the sorted
+    los counts the axis's near pairs.  The axis with the fewest is swept.  Any
+    other pair is at least scale apart on it, so its boxes do not meet, and no
+    point of either box comes within scale of the other.
+    """
+    verts = list(grid)
+    n, best = len(verts), None
+    for axis in range(len(grid[verts[0]])):
+        col = [grid[v][axis] for v in verts]
+        order = sorted(range(n), key=col.__getitem__)
+        los = [col[i][0] for i in order]
+        ends = [bisect_left(los, col[i][1] + scale) for i in order]
+        count = sum(ends) - n * (n + 1) // 2  # ends[i] - (i + 1) later boxes each
+        if best is None or count < best[0]:
+            best = (count, order, ends)
+    _, order, ends = best
+    for i, end in enumerate(ends):
+        v = verts[order[i]]
+        for j in range(i + 1, end):
+            yield v, verts[order[j]]
+
+
 def _certificate(scale, grid, scaled, prev, classes: dict, changed: list) -> tuple[dict, dict]:
     """certify_grid's certificate (meets, near) of the boxes grid and the points scaled.
 
@@ -515,59 +559,79 @@ def _certificate(scale, grid, scaled, prev, classes: dict, changed: list) -> tup
     each vertex whose box is less than scale from scaled[v] to that gap.
     Boxes meet iff they meet on every axis, and a gap is the larger of its
     parts on prev's d0 axes and on the appended ones.  A kept pair takes
-    prev's certificate and its classes' answer, one per pair of classes.  A
-    changed box and point meet each class once on the appended axes, and its
-    members on the first d0 axes only where that part leaves them in reach.
-    Changed pairs are checked on all axes.
+    prev's certificate and its classes' answer, one per pair of classes; a kept
+    vertex whose answer changes nothing keeps prev's set and dict themselves,
+    and gets a copy before the first change.  A changed box and point meet each
+    class once on the appended axes, and its members on the first d0 axes only
+    where that part leaves them in reach.  Changed pairs are checked on all
+    axes; in the full check (no class) those are the pairs _swept_pairs
+    leaves, which certify_grid shows to be enough.
     """
     meets: dict[int, set] = {}
     near: dict[int, dict] = {}
     if classes:
         meets0, near0 = prev._cert
         d0, old_boxes, old_points = prev.dim, prev.boxes, prev.points
+        kept = set().union(*classes.values())
         for (suffix, point), vs in classes.items():
-            meet_ok = set().union(*(us for (other, _), us in classes.items() if _meet(suffix, other)))
-            same: set = set()  # the new axes add nothing to these gaps
+            meeting = [us for (other, _), us in classes.items() if _meet(suffix, other)]
+            meet_ok = kept if len(meeting) == len(classes) else set().union(*meeting)
+            same = None  # the vertices whose gaps the new axes leave as they are
             grown: dict = {}  # the new axes set these gaps, if larger
-            for (box, _), us in classes.items():
-                gap = _gap(box, point, scale)
-                if gap == 0:
-                    same.update(us)
-                elif gap < scale:
-                    grown.update(dict.fromkeys(us, gap))
             for v in vs:
-                meets[v] = meets0[v] & meet_ok
-                old = near0[v]
-                new = near[v] = dict(old)
+                m = meets0[v]
+                meets[v] = m if m <= meet_ok else m & meet_ok
+                old = new = near[v] = near0[v]
+                if not old:
+                    continue
+                if same is None:
+                    same = set()
+                    for (box, _), us in classes.items():
+                        gap = _gap(box, point, scale)
+                        if gap == 0:
+                            same.update(us)
+                        elif gap < scale:
+                            grown.update(dict.fromkeys(us, gap))
                 for u in old.keys() - same:  # also every vertex that is changed or gone
                     gap = grown.get(u)
-                    if gap is None:
-                        del new[u]
-                    elif gap > old[u]:
-                        new[u] = gap
+                    if gap is None or gap > old[u]:
+                        if new is old:
+                            new = near[v] = dict(old)
+                        if gap is None:
+                            del new[u]
+                        else:
+                            new[u] = gap
     for v in changed:
         meets[v], near[v] = set(), {}
-    for i, v in enumerate(changed):
+    for v, u in combinations(changed, 2) if classes else _swept_pairs(scale, grid):
+        box, b = grid[v], grid[u]
+        if _meet(box, b):
+            meets[v].add(u)
+            meets[u].add(v)
+        gap = _gap(b, scaled[v], scale)
+        if gap < scale:
+            near[v][u] = gap
+        gap = _gap(box, scaled[u], scale)
+        if gap < scale:
+            near[u][v] = gap
+    if not classes:
+        return meets, near
+
+    def own(cert, cert0, u):  # u's entry of cert, copied off prev's before its first change
+        entry = cert[u]
+        if entry is cert0[u]:
+            entry = cert[u] = entry.copy()
+        return entry
+
+    for v in changed:
         box, p, mv, nv = grid[v], scaled[v], meets[v], near[v]
-        for j, u in enumerate(changed):
-            if j == i:
-                continue
-            b = grid[u]
-            if j > i and _meet(box, b):  # each changed pair once
-                mv.add(u)
-                meets[u].add(v)
-            gap = _gap(b, p, scale)
-            if gap < scale:
-                nv[u] = gap
-        if not classes:
-            continue
         head, tail, p_head, p_tail = box[:d0], box[d0:], p[:d0], p[d0:]
         for (suffix, point), us in classes.items():
             if _meet(tail, suffix):
                 for u in us:
                     if _meet(head, old_boxes[u]):
                         mv.add(u)
-                        meets[u].add(v)
+                        own(meets, meets0, u).add(v)
             gap = _gap(suffix, p_tail, scale)  # the class's boxes to v's point
             if gap < scale:
                 for u in us:
@@ -579,7 +643,7 @@ def _certificate(scale, grid, scaled, prev, classes: dict, changed: list) -> tup
                 for u in us:
                     g0 = _gap(head, old_points[u], scale)
                     if g0 < scale:
-                        near[u][v] = max(gap, g0)
+                        own(near, near0, u)[v] = max(gap, g0)
     return meets, near
 
 
@@ -593,7 +657,8 @@ class GridRep:
     a (num, den) pair.  Lifts add integer levels and reuse coordinates, so a
     whole edit pipeline keeps the grid of its base.  A grid that certify_grid
     made carries its certificate, which the next lift's certify_grid starts
-    from; any other grid has none.
+    from and may share entries with, so nothing changes it in place; any
+    other grid has none.
     """
 
     scale: int

@@ -160,6 +160,10 @@ def cmd_box_build(args) -> int:
         raise ParseError(f"--edits and --base-rep are read only by --strategy edits, not {args.strategy}")
     if args.base_rep and not args.edits:
         raise ParseError("--base-rep needs --edits: it represents the edit list's base")
+    if args.strategy != "threshold" and (args.clique is not None or args.nested):
+        raise ParseError(f"--clique and --nested are read only by --strategy threshold, not {args.strategy}")
+    if args.strategy != "edits" and args.trace_out:
+        raise ParseError(f"--trace-out is written only by --strategy edits, not {args.strategy}")
     if bool(args.graph) == (args.strategy == "threshold"):
         raise ParseError("--strategy tree and edits read a graph file; threshold builds its own graph")
     rep = _Report("box build")

@@ -16,9 +16,14 @@ from minorkit.boxes import (
     DEFAULT_MAX_SWEEP_BOXES,
     DEFAULT_MAX_SWEEP_DIM,
     GridRep,
+    _c1_violations,
+    _gap,
     _grid,
     _json_object,
     _label,
+    _meet,
+    _on_boundary,
+    _radius,
     certify_grid,
 )
 from minorkit.exceptions import (
@@ -343,6 +348,46 @@ def full_certificate(rep) -> tuple[dict, dict]:
         }
         near[v] = {u: gap for u, gap in gaps.items() if gap < rep.scale}
     return meets, near
+
+
+def certify_grid_all_pairs(adj: dict, scale: int, grid: dict, scaled: dict, what: str) -> GridRep:
+    """certify_grid's full check (no prev) as it was before it swept one axis: every pair of boxes.
+
+    Each unordered pair of boxes gets one _meet and each ordered pair the _gap
+    from the first's point to the second's box, in vertex order.  The checks
+    and their order (coverage, degenerate boxes, C1, then each point's boundary
+    and radius in vertex order) and every AssertionError message are certify_grid's.
+    """
+    if grid.keys() != adj.keys() or scaled.keys() != grid.keys():
+        raise AssertionError(f"{what}: boxes and witness points must cover 1..{len(adj)}")
+    for v, box in grid.items():
+        if any(lo >= hi for lo, hi in box):
+            raise AssertionError(f"{what}: box for vertex {v} is degenerate")
+    verts = list(grid)
+    meets = {v: set() for v in verts}
+    near = {v: {} for v in verts}
+    for i, v in enumerate(verts):
+        box, p = grid[v], scaled[v]
+        for j, u in enumerate(verts):
+            if j == i:
+                continue
+            if j > i and _meet(box, grid[u]):
+                meets[v].add(u)
+                meets[u].add(v)
+            gap = _gap(grid[u], p, scale)
+            if gap < scale:
+                near[v][u] = gap
+    for v, m in meets.items():
+        if m != set(adj[v]):
+            bad = _c1_violations(((i, j) for i, ns in adj.items() for j in ns if i < j), grid)
+            raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
+    radii = {v: _radius(min(near[v].values()), scale) if near[v] else (1, 4) for v in sorted(near)}
+    for v, p in scaled.items():
+        if not _on_boundary(grid[v], p):
+            raise AssertionError(f"{what}: witness point for {v} is not on its boundary")
+        if radii[v] is None:
+            raise AssertionError(f"{what}: witness point for {v} lies in another box")
+    return GridRep(scale, grid, scaled, radii, (meets, near))
 
 
 # -- the Fraction certifier the integer base builders replaced ------------------------------

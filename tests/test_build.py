@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -49,6 +50,7 @@ from minorkit.exceptions import (
 from minorkit.graph import spanning_tree_edges
 
 from helpers import (
+    certify_grid_all_pairs,
     drop_edge_fraction,
     edges_of,
     full_certificate,
@@ -646,6 +648,139 @@ def test_each_step_certifies_as_the_full_check(case, given_base):
             assert out._cert == full._cert == full_certificate(out)
 
 
+@st.composite
+def full_checks(draw):
+    """certify_grid's arguments (adj, scale, grid, scaled, what) for a full check.
+
+    A random integer grid (its points drawn on their boxes' boundaries, and adj
+    its boxes' intersection graph), a tree or threshold base, or a pipeline's
+    lifted grid, which is dense on every axis.
+    """
+    kind = draw(st.sampled_from(["random", "tree", "threshold", "lift"]))
+    if kind == "random":
+        n, d, scale = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        grid, scaled = {}, {}
+        for v in range(1, n + 1):
+            los = [draw(st.integers(-20, 20)) for _ in range(d)]
+            box = tuple((lo, lo + draw(st.integers(1, 8))) for lo in los)
+            p = [draw(st.integers(lo, hi)) for lo, hi in box]
+            axis = draw(st.integers(0, d - 1))
+            p[axis] = box[axis][draw(st.integers(0, 1))]
+            grid[v], scaled[v] = box, tuple(p)
+        meets, _ = full_certificate(GridRep(scale, grid, scaled, {}))
+        return meets, scale, grid, scaled, "random grid"
+    if kind == "tree":
+        t = draw(trees())
+        g, out = t, build._tree_grid(t)
+    elif kind == "threshold":
+        n_clique, sizes = draw(threshold_cases())
+        g, out = threshold_graph(n_clique, sizes), build._threshold_grid(n_clique, sizes)
+    else:
+        g, seq = draw(connected_edit_cases())
+        out = build_from_edit_sequence(g, seq).grid
+    return g._adj, out.scale, out.boxes, out.points, kind
+
+
+def full_check(certify, *args):
+    """certify's certified grid, or the message of the AssertionError it raises."""
+    try:
+        return certify(*args)
+    except AssertionError as exc:
+        return str(exc)
+
+
+@given(full_checks())
+@settings(max_examples=200, deadline=None)
+def test_the_swept_full_check_is_the_all_pairs_one(case):
+    # the full check tests only the pairs its best axis leaves within one grid unit; its
+    # meets, near gaps and radii, or its failure, must be those of every pair tested
+    got, want = full_check(certify_grid, *case), full_check(certify_grid_all_pairs, *case)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got._cert == want._cert
+        assert list(got.radii.items()) == list(want.radii.items())
+
+
+FULL_CHECK_FAULTS = ("overlap", "point in a far box", "point in a neighbour's box")
+
+
+def full_check_faults(adj, grid, scaled, fault):
+    """Every way to plant `fault` in a full check's grid: (grid, scaled) copies.
+
+    An overlap puts v's box on a non-neighbour's.  A point in a far box is a
+    non-neighbour's witness given to v: it lies outside v's box, maybe in a
+    box the sweep never pairs with v's.  A point in a neighbour's box lies in
+    both boxes and on v's boundary.
+    """
+    for v in grid:
+        for u in grid:
+            if u == v:
+                continue
+            if fault == "overlap" and u not in adj[v]:
+                yield grid | {v: grid[u]}, scaled
+            elif fault == "point in a far box" and u not in adj[v]:
+                yield grid, scaled | {v: scaled[u]}
+            elif fault == "point in a neighbour's box" and u in adj[v]:
+                both = [(max(a_lo, b_lo), min(a_hi, b_hi))
+                        for (a_lo, a_hi), (b_lo, b_hi) in zip(grid[v], grid[u])]
+                for axis, (lo, hi) in enumerate(grid[v]):
+                    for side, x in ((0, lo), (1, hi)):
+                        if both[axis][side] == x:
+                            p = tuple(b_lo for b_lo, _ in both)
+                            yield grid, scaled | {v: p[:axis] + (x,) + p[axis + 1:]}
+
+
+@given(full_checks(), st.sampled_from(FULL_CHECK_FAULTS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_corrupted_full_check_fails_as_the_all_pairs_one(case, fault, data):
+    # the sweep may leave a misplaced point's gaps unseen; the boundary scan must still name
+    # the first fault in vertex order, as the check of every pair does
+    adj, scale, grid, scaled, what = case
+    planted = list(full_check_faults(adj, grid, scaled, fault))
+    assume(planted)
+    bad_grid, bad_scaled = data.draw(st.sampled_from(planted))
+    args = (adj, scale, bad_grid, bad_scaled, what)
+    want = full_check(certify_grid_all_pairs, *args)
+    assert isinstance(want, str)
+    assert full_check(certify_grid, *args) == want
+
+
+@given(connected_edit_cases(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_a_certificate_never_changes_once_its_grid_exists(case, given_base):
+    # a lift keeps each unchanged entry of its input's certificate as the same object, so
+    # neither a lift nor a relabelling may change a certificate it was handed, or one it
+    # made, at any later step of the pipeline
+    g, seq = case
+    base = fraction_base(seq.base) if given_base else None
+    made = []
+    rename = GridRep.rename
+
+    def recording(h, scale, grid, scaled, what, prev=None):
+        before = copy.deepcopy(prev._cert) if prev is not None else None
+        out = certify_grid(h, scale, grid, scaled, what, prev)
+        if prev is not None:
+            assert prev._cert == before
+        made.append((out, copy.deepcopy(out._cert)))
+        return out
+
+    def renaming(self, mapping):
+        before = copy.deepcopy(self._cert)
+        out = rename(self, mapping)
+        assert self._cert == before
+        made.append((out, copy.deepcopy(out._cert)))
+        return out
+
+    with patch.object(build, "certify_grid", recording), patch.object(GridRep, "rename", renaming):
+        trace = build_from_edit_sequence(g, seq, base)
+        e = g.edges[len(g.edges) // 2]
+        build._drop_edge(trace.grid, g._adj, *e)
+    assert len(made) >= len(seq.ops) + 1
+    for out, cert in made:
+        assert out._cert == cert
+
+
 @given(connected_edit_cases())
 @settings(max_examples=60, deadline=None)
 def test_each_lift_certifies_against_the_graph_chain_before_graph(case):
@@ -784,17 +919,45 @@ def test_an_edge_lift_meets_the_wide_box_with_its_neighbours_only(seed):
     def recording(h, scale, grid, scaled, what, prev=None):
         calls[0] = 0
         out = certify_grid(h, scale, grid, scaled, what, prev)
-        counts.append((calls[0], snapshot(h)))
+        counts.append((calls[0], snapshot(h), out))
         return out
 
     with patch.object(boxes, "_meet", counted), patch.object(build, "certify_grid", recording):
         build_from_edit_sequence(g, seq)
-    (base, t), *counts = counts  # the tree base is the full check
-    assert base == len(t) * (len(t) - 1) // 2  # every pair once
+    (base, t, grid), *counts = counts  # the tree base is the full check
+    assert base == swept_pairs(grid) < len(t) * (len(t) - 1) // 2  # the best axis's near pairs
     assert len(counts) == len(seq.ops) == 11
     wide = [max(op.u, op.v) for op in reversed(seq.ops)]
-    for (c, h), v in zip(counts, wide):
+    for (c, h, _), v in zip(counts, wide):
         assert c <= len(h[v]) + 6
+
+
+def swept_pairs(grid: GridRep) -> int:
+    """The pairs of boxes whose intervals come within one grid unit of each other on the best axis."""
+    return min(
+        sum(max(a[axis][0], b[axis][0]) - min(a[axis][1], b[axis][1]) < grid.scale
+            for a, b in itertools.combinations(grid.boxes.values(), 2))
+        for axis in range(grid.dim)
+    )
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_a_long_path_or_star_base_tests_at_most_2n_pairs(shape):
+    # a path's boxes are apart on its depth axis but for parent and child, and a star's
+    # leaves are apart on its leaf axis: the full check sweeps that axis, not all n(n-1)/2 pairs
+    n = 400
+    t = Graph(n, [(v - 1 if shape == "path" else 1, v) for v in range(2, n + 1)])
+    calls = [0]
+    meet = boxes._meet
+
+    def counted(a, b):
+        calls[0] += 1
+        return meet(a, b)
+
+    with patch.object(boxes, "_meet", counted):
+        grid = build._tree_grid(t)
+    assert calls[0] == swept_pairs(grid) <= 2 * n
+    assert grid._cert == full_certificate(grid)
 
 
 class TestBruteForceOracle:

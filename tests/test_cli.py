@@ -320,6 +320,32 @@ class TestBoxCommands:
         assert captured.err.startswith("input error: ParseError: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("strategy, extra", [
+        ("tree", ["--clique", "3"]),
+        ("edits", ["--clique", "0"]),
+        ("tree", ["--nested", "2,1"]),
+        ("edits", ["--nested", "1"]),
+        ("tree", ["--trace-out", "TRACE"]),
+        ("threshold", ["--trace-out", "TRACE"]),
+    ], ids=["tree-clique", "edits-clique", "tree-nested", "edits-nested", "tree-trace-out",
+            "threshold-trace-out"])
+    def test_build_rejects_a_flag_outside_its_strategy(self, tmp_path, tree_file, capsys, strategy, extra):
+        # a flag the strategy would ignore (or a trace it never writes) is an input error
+        out, trace = tmp_path / "rep.json", tmp_path / "trace.json"
+        argv = ["box", "build", "--strategy", strategy, "--out", str(out)]
+        argv += ["--clique", "3"] if strategy == "threshold" else [tree_file]
+        argv += [str(trace) if x == "TRACE" else x for x in extra]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: ParseError: ")
+        assert not out.exists() and not trace.exists()
+
+    def test_build_accepts_an_empty_nested_with_any_strategy(self, tree_file, capsys):
+        # --nested defaults to "", so an empty list is no flag outside the strategy
+        code, report = run(capsys, "box", "build", tree_file, "--strategy", "tree", "--nested", "")
+        assert code == 0 and report["results"]["dim"] == 2
+
     def test_threshold_fixture(self, tmp_path, capsys):
         rep_file = str(tmp_path / "th.json")
         graph_file = str(tmp_path / "thg.json")

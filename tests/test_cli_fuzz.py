@@ -136,8 +136,10 @@ def invocations(draw):
         files = {"g.json": draw(_file_text([graph])), "r.json": draw(_file_text([rep]))}
         argv = ["box", "verify", "r.json", "g.json"]
     elif cmd == "box build":
-        argv = ["box", "build", "g.json", "--out", "out.json", "--trace-out", "trace.json",
-                "--strategy", draw(st.sampled_from(["tree", "edits"]))]
+        strategy = draw(st.sampled_from(["tree", "edits"]))
+        argv = ["box", "build", "g.json", "--out", "out.json", "--strategy", strategy]
+        if strategy == "edits":  # only an edits build writes a trace
+            argv += ["--trace-out", "trace.json"]
         if draw(st.booleans()):
             files["e.json"] = draw(_file_text(EDITS))
             argv += ["--edits", "e.json"]
