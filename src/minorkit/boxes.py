@@ -415,13 +415,7 @@ def _radii(scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint]) -> 
         for u, b in grid.items():
             if u == v:
                 continue
-            gap = 0
-            for (lo, hi), x in zip(b, p):
-                d = lo - x if x < lo else x - hi  # <= 0 inside the interval
-                if d > gap:
-                    gap = d
-                    if gap >= nearest:
-                        break
+            gap = _gap(b, p, nearest)
             if gap < nearest:
                 nearest = gap
                 if gap == 0:
@@ -782,7 +776,8 @@ def _clip_fulldim(box: IntBox, region: IntBox) -> IntBox | None:
     """
     out = []
     for (lo, hi), (rlo, rhi) in zip(box, region):
-        a, b = max(lo, rlo), min(hi, rhi)
+        a = lo if lo > rlo else rlo
+        b = hi if hi < rhi else rhi
         if a >= b:
             return None
         out.append((a, b))
@@ -813,18 +808,24 @@ def _search_uncovered(region: IntBox, boxes: list[IntBox]) -> IntPoint | None:
 
 
 def _facet_uncovered(v: int, axis: int, side: int, grid: Mapping[int, IntBox]) -> IntPoint | None:
-    """An uncovered point on the given facet of v's box, doubled, or None if fully covered."""
+    """An uncovered point on the given facet of v's box, doubled, or None if fully covered.
+
+    The facet is the region of v's box on the other axes; a box that holds all
+    of it settles the answer before the rest are clipped.  On the line the
+    region has no axes: any other box through the endpoint holds it.
+    """
     box = grid[v]
     c = box[axis][side]
-    others = [b for u, b in grid.items() if u != v and b[axis][0] <= c <= b[axis][1]]
-    if len(box) == 1:
-        return None if others else (2 * c,)
     region = box[:axis] + box[axis + 1:]
     cands = []
-    for b in others:
-        clipped = _clip_fulldim(b[:axis] + b[axis + 1:], region)
-        if clipped:
-            cands.append(clipped)
+    for u, b in grid.items():
+        lo, hi = b[axis]
+        if u != v and lo <= c <= hi:
+            clipped = _clip_fulldim(b[:axis] + b[axis + 1:], region)
+            if clipped == region:
+                return None
+            if clipped is not None:
+                cands.append(clipped)
     hit = _search_uncovered(region, cands)
     if hit is None:
         return None

@@ -9,7 +9,9 @@ up in the new axis, and an edge lift is that vertex lift with v's old box
 discarded.  Lifts reuse the input's coordinates, so they add no bits.  A
 pipeline walks a replayed edit sequence backwards on one neighbour map, lifting
 a verified base representation up to the original graph, and a tiny brute-force
-oracle pins exact answers for hand-checkable instances.
+oracle pins exact answers for hand-checkable instances.  The oracle searches
+boxes of any dimension on a small integer grid and prunes with the verifier's
+own facet sweep; its gate at dimension 2 limits its cost only.
 
 Every construction step is certified once: C1, each chosen witness point's
 place on its box's boundary and every witness radius, decided on one integer
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -47,6 +49,7 @@ from .boxes import (
     Representation,
     _c1_violations,
     _c2_found,
+    _facet_uncovered,
     _meet,
     certify_grid,
     grid_to_json,
@@ -481,6 +484,8 @@ def brute_force_strong_boxicity(g: Graph, max_dim: int = 2, *, max_n: int = 5) -
     the grid 0..2n-1 (ties included), and both verification conditions depend
     only on endpoint order, so searching the grid is complete.  The inner loops
     run on ints, and so does the exact verifier that confirms a full assignment.
+    The search (_oracle_search) works in any dimension; max_dim is gated at 2
+    only because each vertex tries C(2n, 2)^d boxes in dimension d.
     """
     if max_dim < 1:
         raise ValueError(f"max_dim must be at least 1, got {max_dim}")
@@ -498,71 +503,48 @@ def brute_force_strong_boxicity(g: Graph, max_dim: int = 2, *, max_n: int = 5) -
 
 
 def _oracle_search(g: Graph, d: int) -> Representation | None:
+    """Depth-first search for d-dimensional boxes on the grid 0..2n-1 that pass verify_grid.
+
+    Vertices are placed by falling degree, each trying every box on the grid,
+    wide boxes first.  A candidate must meet exactly the placed boxes of v's
+    neighbours (C1), and every placed box must keep an exposed point: a point
+    of its boundary outside every other box, found by the verifier's facet
+    sweep (_facet_uncovered) in any dimension.  Adding boxes only grows
+    coverage, so a buried box never recovers and its branch is cut.  Only v
+    and its placed neighbours need the test: the C1 filter has just shown
+    that v's box meets exactly those boxes, a box can be buried only by a box
+    that meets it, and every earlier box was exposed when it was placed.
+    """
     grid = 2 * g.n
     pairs = [(a, b) for a in range(grid) for b in range(a + 1, grid)]
     # wide boxes first: exclusivity prunes less often on them, successes come sooner
     pairs.sort(key=lambda p: (p[0] - p[1], p[0]))
-    if d == 1:
-        candidates = [(p,) for p in pairs]
-    else:
-        candidates = [(p, q) for p in pairs for q in pairs]
+    candidates = list(product(pairs, repeat=d))
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    assign: dict[int, tuple] = {}
-
-    def segment_covered(lo: int, hi: int, segs: list[tuple[int, int]]) -> bool:
-        cur = lo
-        for s_lo, s_hi in sorted(segs):
-            if s_lo > cur:
-                return False
-            cur = max(cur, s_hi)
-            if cur >= hi:
-                return True
-        return cur >= hi
+    assign: dict[int, IntBox] = {}
 
     def exposed(v: int) -> bool:
-        """Does v keep an uncovered boundary point against the current partial assignment?"""
-        box = assign[v]
-        others = [assign[u] for u in assign if u != v]
-        if d == 1:
-            (lo, hi), = box
-            return any(
-                all(not (o[0][0] <= x <= o[0][1]) for o in others) for x in (lo, hi)
-            )
-        for axis in range(2):
-            keep = 1 - axis
-            for side in (0, 1):
-                c = box[axis][side]
-                lo, hi = box[keep]
-                segs = [
-                    (max(o[keep][0], lo), min(o[keep][1], hi))
-                    for o in others
-                    if o[axis][0] <= c <= o[axis][1]
-                ]
-                segs = [s for s in segs if s[0] <= s[1]]
-                if not segment_covered(lo, hi, segs):
-                    return True
-        return False
+        return any(_facet_uncovered(v, axis, side, assign) is not None for axis in range(d) for side in (0, 1))
 
     def dfs(pos: int) -> Representation | None:
         if pos == len(order):
             c1, c2 = verify_grid(g, GridRep(1, assign, {}, {}))
             return c2.witnesses.rep.to_representation() if c1.ok and c2.ok else None
         v = order[pos]
+        nbrs = g.neighbors(v)
+        placed = [(b, u in nbrs) for u, b in assign.items()]
+        touched = [v] + [u for u in assign if u in nbrs]  # the boxes v's box can bury, and v's
         for cand in candidates:
-            ok = True
-            for u in assign:
-                if _meet(assign[u], cand) != g.has_edge(u, v):
-                    ok = False
+            for b, adjacent in placed:
+                if _meet(b, cand) != adjacent:
                     break
-            if not ok:
-                continue
-            assign[v] = cand
-            # adding boxes only grows coverage, so a buried vertex can never recover
-            if all(exposed(u) for u in assign):
-                hit = dfs(pos + 1)
-                if hit is not None:
-                    return hit
-            del assign[v]
+            else:
+                assign[v] = cand
+                if all(map(exposed, touched)):
+                    hit = dfs(pos + 1)
+                    if hit is not None:
+                        return hit
+                del assign[v]
         return None
 
     return dfs(0)

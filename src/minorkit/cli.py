@@ -45,17 +45,6 @@ from .ratio import fmt_pair, fmt_ratio, parse_pair, parse_ratio
 OK, FAIL, BAD_INPUT = 0, 1, 2
 
 
-def _read_json(path: str) -> tuple[dict, str]:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        return json.loads(raw), hashlib.sha256(raw).hexdigest()[:16]
-    except FileNotFoundError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _dumps(obj) -> str:
     """The one text format of every report and file: compact JSON, ASCII-escaped."""
     return json.dumps(obj, separators=(",", ":"))
@@ -122,8 +111,18 @@ class _Report:
         self.t0 = time.monotonic()
         self.data: dict = {"command": command, "inputs": {}, "results": {}}
 
-    def input(self, name: str, path: str, digest: str) -> None:
-        self.data["inputs"][name] = {"path": path, "sha256": digest}
+    def read(self, name: str, path: str):
+        """The JSON in `path`, recorded under `name` in the inputs with the file's digest."""
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            obj = json.loads(raw)
+        except FileNotFoundError as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        self.data["inputs"][name] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()[:16]}
+        return obj
 
     def emit(self, code: int) -> int:
         self.data["timing_ms"] = int((time.monotonic() - self.t0) * 1000)
@@ -137,10 +136,7 @@ class _Report:
 
 def cmd_box_verify(args) -> int:
     rep = _Report("box verify")
-    gobj, gdig = _read_json(args.graph)
-    robj, rdig = _read_json(args.rep)
-    rep.input("graph", args.graph, gdig)
-    rep.input("rep", args.rep, rdig)
+    gobj, robj = rep.read("graph", args.graph), rep.read("rep", args.rep)
     g = graph_from_json(gobj)
     r = grid_from_json(robj)
     c1, c2 = verify_grid(g, r)
@@ -178,21 +174,15 @@ def cmd_box_build(args) -> int:
         g = bld.threshold_graph(args.clique, sizes)
         r = bld._threshold_grid(args.clique, sizes)
     else:
-        gobj, gdig = _read_json(args.graph)
-        rep.input("graph", args.graph, gdig)
-        g = graph_from_json(gobj)
+        g = graph_from_json(rep.read("graph", args.graph))
         if args.strategy == "tree":
             r = bld._tree_grid(g)
         else:  # edits
             if args.edits:
-                eobj, edig = _read_json(args.edits)
-                rep.input("edits", args.edits, edig)
-                seq = apply_edits(g, edits_from_json(eobj))
+                seq = apply_edits(g, edits_from_json(rep.read("edits", args.edits)))
                 base = None  # the pipeline builds and certifies a tree base
                 if args.base_rep:
-                    bobj, bdig = _read_json(args.base_rep)
-                    rep.input("base_rep", args.base_rep, bdig)
-                    base = grid_from_json(bobj)
+                    base = grid_from_json(rep.read("base_rep", args.base_rep))
                 trace = bld.build_from_edit_sequence(g, seq, base)
             else:
                 _, trace = bld.tree_pipeline(g)
@@ -223,9 +213,7 @@ def cmd_box_oracle(args) -> int:
     if args.max_dim < 1:
         raise ParseError(f"--max-dim must be at least 1, got {args.max_dim}")
     rep = _Report("box oracle")
-    gobj, gdig = _read_json(args.graph)
-    rep.input("graph", args.graph, gdig)
-    g = graph_from_json(gobj)
+    g = graph_from_json(rep.read("graph", args.graph))
     res = bld.brute_force_strong_boxicity(g, max_dim=args.max_dim)
     rep.data["results"] = {"dim": res.dim, "max_dim": args.max_dim}
     if res.rep is not None and args.out:
@@ -248,6 +236,8 @@ def _parse_targets(spec: str, g: Graph) -> list[tuple[int, int]]:
             out.append((int(u), int(v)))
     except ValueError as exc:
         raise ParseError(f"bad target list {spec!r}; expected like '1-2,2-3'") from exc
+    if not out:
+        raise ParseError(f"target list {spec!r} names no edge")
     for u, v in out:
         if not g.has_edge(u, v):
             raise ParseError(f"target ({u},{v}) is not an edge")
@@ -279,9 +269,7 @@ def _matrix_text(h) -> Iterator[str]:
 
 def cmd_flow_matrix(args) -> int:
     rep = _Report("flow matrix")
-    gobj, gdig = _read_json(args.graph)
-    rep.input("graph", args.graph, gdig)
-    g = graph_from_json(gobj)
+    g = graph_from_json(rep.read("graph", args.graph))
     h = assemble_gain_matrix(g)
     rep.data["results"] = {
         "n": h.n,
@@ -296,10 +284,16 @@ def cmd_flow_matrix(args) -> int:
 
 
 def cmd_flow_attack(args) -> int:
+    robust = args.mode == "robust"
+    if robust and any(x is not None for x in (args.out, args.lam, args.schedule_gap, args.float_tolerance)):
+        raise ParseError("--out, --lambda, --schedule-gap and --float-tolerance are read only by "
+                         "--mode basic and colored, not robust")
+    if not robust and any(x is not None for x in (args.eps1, args.eps2, args.audit)):
+        raise ParseError(f"--eps1, --eps2 and --audit are read only by --mode robust, not {args.mode}")
+    if args.lam is not None and args.schedule_gap is not None:
+        raise ParseError("--lambda and --schedule-gap exclude each other: the schedule chooses lambda")
     rep = _Report("flow attack")
-    gobj, gdig = _read_json(args.graph)
-    rep.input("graph", args.graph, gdig)
-    g = graph_from_json(gobj)
+    g = graph_from_json(rep.read("graph", args.graph))
     targets = _parse_targets(args.target, g)
     outcome = st.feasibility(g, targets)
     if isinstance(outcome, st.Infeasibility):
@@ -319,22 +313,25 @@ def cmd_flow_attack(args) -> int:
     }
     tol = args.float_tolerance
 
-    if args.mode == "robust":
-        if args.audit < 0:
-            raise ParseError(f"--audit must not be negative, got {args.audit}")
-        eps1, eps2 = parse_ratio(args.eps1), parse_ratio(args.eps2)
+    if robust:
+        text1 = "1" if args.eps1 is None else args.eps1
+        text2 = "2" if args.eps2 is None else args.eps2
+        audit = 20 if args.audit is None else args.audit
+        if audit < 0:
+            raise ParseError(f"--audit must not be negative, got {audit}")
+        eps1, eps2 = parse_ratio(text1), parse_ratio(text2)
         sv, threshold = st.build_robust_stealth(spec, g, eps1, eps2)
         seed = _seed()
         worst = st.robust_attack_audit(
-            spec, sv, eps1, eps2, samples=args.audit, seed=seed
-        ) if args.audit > 0 else None
+            spec, sv, eps1, eps2, samples=audit, seed=seed
+        ) if audit > 0 else None
         results.update({
             "lambda_threshold": fmt_ratio(threshold),
             "lambda": fmt_ratio(sv.lam),
             "stealth": [fmt_ratio(v) for v in sv.values],
             "guarantee": f"every boundary entry stays >= {fmt_ratio(eps1 / 2)} "
-                         f"for all gains in [{args.eps1}, {args.eps2}]",
-            "audit_samples": args.audit,
+                         f"for all gains in [{text1}, {text2}]",
+            "audit_samples": audit,
             "seed": seed,
         })
         if worst is not None:
@@ -415,18 +412,14 @@ def cmd_flow_recover(args) -> int:
     output text: sums and comparisons cross-multiply, and ``fmt_pair`` prints.
     """
     rep = _Report("flow recover")
-    gobj, gdig = _read_json(args.graph)
-    zobj, zdig = _read_json(args.flows)
-    rep.input("graph", args.graph, gdig)
-    rep.input("flows", args.flows, zdig)
+    gobj, zobj = rep.read("graph", args.graph), rep.read("flows", args.flows)
     g = graph_from_json(gobj)
     h = assemble_gain_matrix(g)
     z = pairs_from_json(zobj)
     x = recover_pairs(h, z, g, parse_pair(args.ref))
     results: dict = {"states": [fmt_pair(n, d) for n, d in x]}
     if args.attack:
-        aobj, adig = _read_json(args.attack)
-        rep.input("attack", args.attack, adig)
+        aobj = rep.read("attack", args.attack)
         try:
             a = pairs_from_json(aobj, "a")
             ends = [(_json_int(u, "target"), _json_int(v, "target")) for u, v in aobj["targets"]]
@@ -466,9 +459,7 @@ def cmd_flow_recover(args) -> int:
 
 def cmd_flow_theta(args) -> int:
     rep = _Report("flow theta")
-    gobj, gdig = _read_json(args.graph)
-    rep.input("graph", args.graph, gdig)
-    g = graph_from_json(gobj)
+    g = graph_from_json(rep.read("graph", args.graph))
     targets = _parse_targets(args.target, g)
     outcome = st.feasibility(g, targets)
     if isinstance(outcome, st.Infeasibility):
@@ -545,15 +536,15 @@ def _build_parser() -> argparse.ArgumentParser:
     fa.add_argument("graph")
     fa.add_argument("--target", required=True, help="edges like '1-2,2-3'")
     fa.add_argument("--mode", choices=["basic", "colored", "robust"], default="basic")
-    fa.add_argument("--lambda", dest="lam", help="rational hint in (0,1)")
-    fa.add_argument("--eps1", default="1", help="robust: gain lower bound")
-    fa.add_argument("--eps2", default="2", help="robust: gain upper bound")
+    fa.add_argument("--lambda", dest="lam", help="basic and colored: rational hint in (0,1)")
+    fa.add_argument("--eps1", help="robust: gain lower bound (default 1)")
+    fa.add_argument("--eps2", help="robust: gain upper bound (default 2)")
     fa.add_argument("--schedule-gap", dest="schedule_gap",
-                    help="push lambda towards 1 until the ratio is this close to its limit")
-    fa.add_argument("--audit", type=int, default=20, help="robust: sampled gain matrices")
+                    help="basic and colored: push lambda towards 1 until the ratio is this close to its limit")
+    fa.add_argument("--audit", type=int, help="robust: sampled gain matrices (default 20)")
     fa.add_argument("--float-tolerance", dest="float_tolerance", type=_finite_float, default=None,
                     help="display rounding only; never feeds the exact core")
-    fa.add_argument("--out", help="write the attack bundle here")
+    fa.add_argument("--out", help="basic and colored: write the attack bundle here")
     fa.set_defaults(func=cmd_flow_attack)
 
     fr = flowsub.add_parser("recover", help="differential state recovery")

@@ -470,6 +470,48 @@ def lift_uncontract_fraction(rep: Representation, g: Graph, u: int, n_restored: 
     return certify(g, boxes, points, "uncontract lift")
 
 
+# -- the box oracle's segment-cover exposure test the facet sweep replaced ---------------------
+
+
+def segment_covered(lo: int, hi: int, segs: list[tuple[int, int]]) -> bool:
+    """Do the closed segments cover the closed segment [lo, hi]?"""
+    cur = lo
+    for s_lo, s_hi in sorted(segs):
+        if s_lo > cur:
+            return False
+        cur = max(cur, s_hi)
+        if cur >= hi:
+            return True
+    return cur >= hi
+
+
+def oracle_exposed(v: int, assign: dict, d: int) -> bool:
+    """Does v's box keep a boundary point outside every other box of assign (d <= 2)?
+
+    On the line an endpoint must avoid every other interval; in the plane some
+    edge of the rectangle must not be covered by the other boxes' closed
+    slices through it.
+    """
+    box = assign[v]
+    others = [assign[u] for u in assign if u != v]
+    if d == 1:
+        (lo, hi), = box
+        return any(all(not (o[0][0] <= x <= o[0][1]) for o in others) for x in (lo, hi))
+    for axis in range(2):
+        keep = 1 - axis
+        for side in (0, 1):
+            c = box[axis][side]
+            lo, hi = box[keep]
+            segs = [
+                (max(o[keep][0], lo), min(o[keep][1], hi))
+                for o in others
+                if o[axis][0] <= c <= o[axis][1]
+            ]
+            if not segment_covered(lo, hi, [s for s in segs if s[0] <= s[1]]):
+                return True
+    return False
+
+
 # -- the Fraction facet sweep the grid sweep replaced ---------------------------------------
 
 

@@ -37,7 +37,7 @@ from minorkit import (
     verify_c2,
 )
 from minorkit import boxes, build
-from minorkit.boxes import GridRep, certify_grid, grid_to_json, verify_grid
+from minorkit.boxes import GridRep, certify_grid, grid_to_json, rep_to_json, verify_grid
 from minorkit.exceptions import (
     BadNesting,
     BadSnapshot,
@@ -58,6 +58,7 @@ from helpers import (
     is_bridge,
     lift_uncontract_fraction,
     lift_vertex_add_fraction,
+    oracle_exposed,
     random_connected,
     random_tree,
     reference_chain,
@@ -960,7 +961,53 @@ def test_a_long_path_or_star_base_tests_at_most_2n_pairs(shape):
     assert grid._cert == full_certificate(grid)
 
 
+@st.composite
+def partial_assignments(draw):
+    """(d, boxes): up to five d-dimensional boxes with ends on the grid 0..2n-1, n the box count."""
+    d, n = draw(st.integers(1, 2)), draw(st.integers(1, 5))
+    pair = st.lists(st.integers(0, 2 * n - 1), min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
+    return d, {v: tuple(draw(pair) for _ in range(d)) for v in range(1, n + 1)}
+
+
+# the oracle's files on four small graphs: any change to the search order changes them
+ORACLE_REPS = [
+    (Graph(3, [(1, 2), (2, 3)]),
+     '{"dim": 2, "boxes": {"2": [["0", "5"], ["0", "4"]], "1": [["0", "3"], ["0", "5"]], "3": [["4", '
+     '"5"], ["0", "5"]]}, "witnesses": {"1": {"point": ["0", "9/2"], "radius": "1/4"}, '
+     '"2": {"point": ["7/2", "0"], "radius": "1/4"}, "3": {"point": ["4", "9/2"], "radius": "1/4"}}}'),
+    (Graph(3, [(1, 2), (2, 3), (1, 3)]),
+     '{"dim": 2, "boxes": {"1": [["0", "5"], ["0", "4"]], "2": [["0", "4"], ["0", "5"]], "3": [["1", '
+     '"5"], ["1", "5"]]}, "witnesses": {"1": {"point": ["5", "1/2"], "radius": "1/4"}, '
+     '"2": {"point": ["0", "9/2"], "radius": "1/4"}, "3": {"point": ["5", "9/2"], "radius": "1/4"}}}'),
+    (Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+     '{"dim": 2, "boxes": {"1": [["0", "7"], ["0", "5"]], "2": [["0", "5"], ["0", "7"]], "3": [["0", '
+     '"7"], ["6", "7"]], "4": [["6", "7"], ["0", "7"]]}, "witnesses": {"1": {"point": ["11/2", "0"], '
+     '"radius": "1/4"}, "2": {"point": ["0", "11/2"], "radius": "1/4"}, "3": {"point": ["11/2", "6"], '
+     '"radius": "1/4"}, "4": {"point": ["6", "11/2"], "radius": "1/4"}}}'),
+    (Graph(4, [(1, 2), (1, 3), (1, 4)]),
+     '{"dim": 2, "boxes": {"1": [["0", "7"], ["0", "6"]], "2": [["0", "3"], ["0", "7"]], "3": [["4", '
+     '"5"], ["0", "7"]], "4": [["6", "7"], ["0", "7"]]}, "witnesses": {"1": {"point": ["7/2", "0"], '
+     '"radius": "1/4"}, "2": {"point": ["0", "13/2"], "radius": "1/4"}, "3": {"point": ["4", "13/2"], '
+     '"radius": "1/4"}, "4": {"point": ["6", "13/2"], "radius": "1/4"}}}'),
+]
+
+
 class TestBruteForceOracle:
+    @given(partial_assignments())
+    @settings(max_examples=500, deadline=None)
+    def test_facet_sweep_exposure_matches_segment_cover(self, case):
+        d, assign = case
+        for v in assign:
+            swept = any(
+                boxes._facet_uncovered(v, axis, side, assign) is not None for axis in range(d) for side in (0, 1)
+            )
+            assert swept == oracle_exposed(v, assign, d)
+
+    @pytest.mark.parametrize("g, text", ORACLE_REPS)
+    def test_search_order_is_pinned(self, g, text):
+        res = brute_force_strong_boxicity(g)
+        assert res.dim == 2 and json.dumps(rep_to_json(res.rep)) == text
+
     def test_path3_needs_the_plane(self):
         res = brute_force_strong_boxicity(Graph(3, [(1, 2), (2, 3)]))
         assert res.dim == 2

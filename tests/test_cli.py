@@ -792,6 +792,46 @@ class TestInputContract:
         code, report = run(capsys, *argv, "--schedule-gap", "0")  # the limit, met exactly
         assert code == 0 and report["results"]["ratio"] == "1"
 
+    @pytest.mark.parametrize("mode, extra", [
+        ("robust", ["--out", "OUT"]),  # wrote no file and reported no attack_file
+        ("robust", ["--lambda", "1/3"]),
+        ("robust", ["--schedule-gap", "1/10"]),
+        ("robust", ["--float-tolerance", "0.1"]),
+        ("basic", ["--eps1", "1"]),
+        ("basic", ["--eps2", "2"]),
+        ("colored", ["--audit", "5"]),
+        ("basic", ["--lambda", "1/3", "--schedule-gap", "1/10"]),  # the schedule reported lambda 1/2
+        ("colored", ["--lambda", "1/3", "--schedule-gap", "1/10"]),
+    ], ids=["robust-out", "robust-lambda", "robust-schedule-gap", "robust-float-tolerance",
+            "basic-eps1", "basic-eps2", "colored-audit", "basic-lambda-and-gap", "colored-lambda-and-gap"])
+    def test_attack_rejects_a_flag_outside_its_mode(self, tmp_path, flow_file, capsys, mode, extra):
+        # each exited 0 with the flag ignored
+        out = tmp_path / "atk.json"
+        argv = ["flow", "attack", flow_file, "--target", "1-2,1-4", "--mode", mode]
+        code = main(argv + [str(out) if x == "OUT" else x for x in extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: ParseError: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--mode", "basic"], ["--mode", "colored"], ["--mode", "robust"], "theta"])
+    @pytest.mark.parametrize("spec", [",", "", " , "])
+    def test_a_target_list_naming_no_edge(self, flow_file, capsys, extra, spec):
+        # basic, colored and theta exited 1 with EmptyF; robust exited 0 with k=1
+        argv = ["flow", "theta", flow_file] if extra == "theta" else ["flow", "attack", flow_file, *extra]
+        code = main([*argv, f"--target={spec}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"input error: ParseError: target list {spec!r} names no edge\n"
+
+    def test_robust_defaults_keep_the_guarantee_text(self, flow_file, capsys):
+        argv = ["flow", "attack", flow_file, "--target", "1-2,1-4", "--mode", "robust"]
+        code, report = run(capsys, *argv)
+        _, given = run(capsys, *argv, "--eps1", "1", "--eps2", "2", "--audit", "20")
+        assert code == 0 and report["results"]["audit_samples"] == 20
+        assert report["results"]["guarantee"] == "every boundary entry stays >= 1/2 for all gains in [1, 2]"
+        assert report["results"] == given["results"]
+
     def test_negative_audit(self, flow_file, capsys):
         # exited 0 and reported "audit_samples": -3
         argv = ["flow", "attack", flow_file, "--target", "1-2,1-4", "--mode", "robust"]

@@ -154,12 +154,14 @@ def invocations(draw):
         files["g.json"] = draw(_file_text(GAIN_GRAPHS))
         argv = ["flow", "matrix", "g.json", "--out", draw(st.sampled_from(["h.json", "no/h.json"]))]
     elif cmd == "flow attack":
-        argv = ["flow", "attack", "g.json", f"--target={target}", "--out", "atk.json"]
-        argv += draw(_flags({
-            "mode": st.sampled_from(["basic", "colored", "robust"]),
-            "lambda": _RATIOS, "eps1": _RATIOS, "eps2": _RATIOS, "schedule-gap": _RATIOS,
-            "audit": _SMALL_INTS, "float-tolerance": _FLOATS,
-        }))
+        # each mode gets only the flags it reads (any other exits 2 before the graph is read)
+        mode = draw(st.sampled_from([None, "basic", "colored", "robust"]))
+        argv = ["flow", "attack", "g.json", f"--target={target}"] + ([f"--mode={mode}"] if mode else [])
+        if mode == "robust":
+            argv += draw(_flags({"eps1": _RATIOS, "eps2": _RATIOS, "audit": _SMALL_INTS}))
+        else:  # --lambda and --schedule-gap exclude each other
+            hint = draw(st.sampled_from(["lambda", "schedule-gap"]))
+            argv += ["--out", "atk.json"] + draw(_flags({hint: _RATIOS, "float-tolerance": _FLOATS}))
     elif cmd == "flow recover":
         files["g.json"] = draw(_file_text(GAIN_GRAPHS[:1]))
         files["z.json"] = draw(_file_text(FLOWS))
