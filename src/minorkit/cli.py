@@ -93,6 +93,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonempty(text: str) -> str:
+    """argparse type for file and value flags: an empty value ("--out=") is an input error, not no flag."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _display(value: Fraction, tolerance: float | None) -> float | None:
     """A float copy of an exact value, for reading only; None past the float range."""
     try:
@@ -152,15 +159,15 @@ def cmd_box_verify(args) -> int:
 
 
 def cmd_box_build(args) -> int:
-    if args.strategy != "edits" and (args.edits or args.base_rep):
+    if args.strategy != "edits" and (args.edits is not None or args.base_rep is not None):
         raise ParseError(f"--edits and --base-rep are read only by --strategy edits, not {args.strategy}")
-    if args.base_rep and not args.edits:
+    if args.base_rep is not None and args.edits is None:
         raise ParseError("--base-rep needs --edits: it represents the edit list's base")
     if args.strategy != "threshold" and (args.clique is not None or args.nested):
         raise ParseError(f"--clique and --nested are read only by --strategy threshold, not {args.strategy}")
-    if args.strategy != "edits" and args.trace_out:
+    if args.strategy != "edits" and args.trace_out is not None:
         raise ParseError(f"--trace-out is written only by --strategy edits, not {args.strategy}")
-    if bool(args.graph) == (args.strategy == "threshold"):
+    if (args.graph is not None) == (args.strategy == "threshold"):
         raise ParseError("--strategy tree and edits read a graph file; threshold builds its own graph")
     rep = _Report("box build")
     trace = None
@@ -178,10 +185,10 @@ def cmd_box_build(args) -> int:
         if args.strategy == "tree":
             r = bld._tree_grid(g)
         else:  # edits
-            if args.edits:
+            if args.edits is not None:
                 seq = apply_edits(g, edits_from_json(rep.read("edits", args.edits)))
                 base = None  # the pipeline builds and certifies a tree base
-                if args.base_rep:
+                if args.base_rep is not None:
                     base = grid_from_json(rep.read("base_rep", args.base_rep))
                 trace = bld.build_from_edit_sequence(g, seq, base)
             else:
@@ -197,13 +204,13 @@ def cmd_box_build(args) -> int:
     if trace is not None:
         rep.data["results"]["steps"] = len(trace.steps)
         rep.data["results"]["base_dim"] = trace.base_dim
-        if args.trace_out:
+        if args.trace_out is not None:
             _write_json(args.trace_out, bld.trace_to_json(trace))
             rep.data["results"]["trace_file"] = args.trace_out
-    if args.out:
+    if args.out is not None:
         _write_json(args.out, grid_to_json(r))
         rep.data["results"]["rep_file"] = args.out
-    if args.graph_out:
+    if args.graph_out is not None:
         _write_json(args.graph_out, graph_to_json(g))
         rep.data["results"]["graph_file"] = args.graph_out
     return rep.emit(OK)
@@ -216,7 +223,7 @@ def cmd_box_oracle(args) -> int:
     g = graph_from_json(rep.read("graph", args.graph))
     res = bld.brute_force_strong_boxicity(g, max_dim=args.max_dim)
     rep.data["results"] = {"dim": res.dim, "max_dim": args.max_dim}
-    if res.rep is not None and args.out:
+    if res.rep is not None and args.out is not None:
         _write_json(args.out, rep_to_json(res.rep))
         rep.data["results"]["rep_file"] = args.out
     return rep.emit(OK if res.dim is not None else FAIL)
@@ -277,7 +284,7 @@ def cmd_flow_matrix(args) -> int:
         # summed on ints from the cells the file is written from
         "row_sums_zero": all(_cell_sum(cells)[0] == 0 for cells in h._cells),
     }
-    if args.out:
+    if args.out is not None:
         _write_text(args.out, _matrix_text(h))
         rep.data["results"]["matrix_file"] = args.out
     return rep.emit(OK)
@@ -352,12 +359,9 @@ def cmd_flow_attack(args) -> int:
         gap = parse_ratio(args.schedule_gap)
         if gap < 0:  # no ratio comes within a negative gap: the ladder would run to its end
             raise ParseError(f"--schedule-gap must not be negative, got {args.schedule_gap}")
-        sv, ratio = st.variation_limit_schedule(spec, h, gap, colors=colors)
-        av_values = h.multiply(sv.values)
-        support = sorted(i + 1 for i, val in enumerate(av_values) if val != 0)
-        av = st.AttackVector(values=av_values, support=frozenset(support))
+        sv, av, ratio = st._schedule(spec, h, gap, colors)
     else:
-        hint = parse_ratio(args.lam) if args.lam else Fraction(1, 2)
+        hint = parse_ratio(args.lam) if args.lam is not None else Fraction(1, 2)
         if not 0 < hint < 1:
             raise ParseError(f"--lambda must lie strictly between 0 and 1, got {args.lam}")
         if colors is not None:
@@ -369,8 +373,11 @@ def cmd_flow_attack(args) -> int:
     c = len(set(sv.exponents.values()))
     # formatted once: the report and the --out bundle share these lists
     lam = fmt_ratio(sv.lam)
-    stealth = [fmt_ratio(v) for v in sv.values]
-    attack = [fmt_ratio(v) for v in av.values]
+    comp_text = {i: fmt_ratio(sv.values[comp[0] - 1]) for i, comp in enumerate(spec.comps, start=1)}
+    stealth = [comp_text[spec.comp_of[v]] for v in g.vertices()]
+    attack = ["0"] * g.t
+    for i in av.support:
+        attack[i - 1] = fmt_ratio(av.values[i - 1])
     results.update({
         "lambda": lam,
         "stealth": stealth,
@@ -384,7 +391,7 @@ def cmd_flow_attack(args) -> int:
         "bound_k_minus_1": spec.k - 1,
     })
     rep.data["results"] = results
-    if args.out:
+    if args.out is not None:
         _write_json(args.out, {
             "targets": sorted(map(list, spec.targets)),
             "lambda": lam,
@@ -418,7 +425,7 @@ def cmd_flow_recover(args) -> int:
     z = pairs_from_json(zobj)
     x = recover_pairs(h, z, g, parse_pair(args.ref))
     results: dict = {"states": [fmt_pair(n, d) for n, d in x]}
-    if args.attack:
+    if args.attack is not None:
         aobj = rep.read("attack", args.attack)
         try:
             a = pairs_from_json(aobj, "a")
@@ -509,19 +516,19 @@ def _build_parser() -> argparse.ArgumentParser:
     bb = boxsub.add_parser("build", help="construct a verified representation")
     bb.add_argument("graph", nargs="?")
     bb.add_argument("--strategy", choices=["tree", "threshold", "edits"], default="edits")
-    bb.add_argument("--edits", help="JSON list of edit operations")
-    bb.add_argument("--base-rep", dest="base_rep", help="representation of the edit base")
+    bb.add_argument("--edits", type=_nonempty, help="JSON list of edit operations")
+    bb.add_argument("--base-rep", dest="base_rep", type=_nonempty, help="representation of the edit base")
     bb.add_argument("--clique", type=int, help="threshold: clique size")
     bb.add_argument("--nested", default="", help="threshold: comma list of neighbourhood sizes")
-    bb.add_argument("--out", help="write the representation JSON here")
-    bb.add_argument("--trace-out", dest="trace_out", help="write the construction trace here")
-    bb.add_argument("--graph-out", dest="graph_out", help="write the (generated) graph here")
+    bb.add_argument("--out", type=_nonempty, help="write the representation JSON here")
+    bb.add_argument("--trace-out", dest="trace_out", type=_nonempty, help="write the construction trace here")
+    bb.add_argument("--graph-out", dest="graph_out", type=_nonempty, help="write the (generated) graph here")
     bb.set_defaults(func=cmd_box_build)
 
     bo = boxsub.add_parser("oracle", help="tiny-instance exact smallest dimension")
     bo.add_argument("graph")
     bo.add_argument("--max-dim", dest="max_dim", type=int, default=2)
-    bo.add_argument("--out")
+    bo.add_argument("--out", type=_nonempty)
     bo.set_defaults(func=cmd_box_oracle)
 
     flow = sub.add_parser("flow", help="flow graphs and stealthy attacks")
@@ -529,14 +536,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fm = flowsub.add_parser("matrix", help="assemble and export the gain matrix")
     fm.add_argument("graph")
-    fm.add_argument("--out")
+    fm.add_argument("--out", type=_nonempty)
     fm.set_defaults(func=cmd_flow_matrix)
 
     fa = flowsub.add_parser("attack", help="feasibility and stealth-vector construction")
     fa.add_argument("graph")
     fa.add_argument("--target", required=True, help="edges like '1-2,2-3'")
     fa.add_argument("--mode", choices=["basic", "colored", "robust"], default="basic")
-    fa.add_argument("--lambda", dest="lam", help="basic and colored: rational hint in (0,1)")
+    fa.add_argument("--lambda", dest="lam", type=_nonempty, help="basic and colored: rational hint in (0,1)")
     fa.add_argument("--eps1", help="robust: gain lower bound (default 1)")
     fa.add_argument("--eps2", help="robust: gain upper bound (default 2)")
     fa.add_argument("--schedule-gap", dest="schedule_gap",
@@ -544,14 +551,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fa.add_argument("--audit", type=int, help="robust: sampled gain matrices (default 20)")
     fa.add_argument("--float-tolerance", dest="float_tolerance", type=_finite_float, default=None,
                     help="display rounding only; never feeds the exact core")
-    fa.add_argument("--out", help="basic and colored: write the attack bundle here")
+    fa.add_argument("--out", type=_nonempty, help="basic and colored: write the attack bundle here")
     fa.set_defaults(func=cmd_flow_attack)
 
     fr = flowsub.add_parser("recover", help="differential state recovery")
     fr.add_argument("graph")
     fr.add_argument("--flows", required=True)
     fr.add_argument("--ref", default="0", help="reference state of vertex 1")
-    fr.add_argument("--attack", help="attack bundle to replay on top of the flows")
+    fr.add_argument("--attack", type=_nonempty, help="attack bundle to replay on top of the flows")
     fr.set_defaults(func=cmd_flow_recover)
 
     ft = flowsub.add_parser("theta", help="edge variation factor bracket")

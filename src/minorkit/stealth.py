@@ -16,15 +16,19 @@ chi_c - 1, for chi_c the circular chromatic number of the component graph.  A
 robust variant picks an integer lambda large enough to work for every gain
 matrix inside known bounds.
 
-Every zero test runs on Python ints.  A boundary polynomial carries integer
-masses (scaled by its gains' denominators) and lambda = p/q enters as the ints
-p**e * q**(E-e) on the common denominator q**E; Fractions are built only for
-returned values.  Each loop runs its cheap int test before any root test: the
-lambda ladder (``_ladder``) yields every step's jumps unfiltered, the schedule
+Every zero test runs on Python ints.  The root test of a candidate lambda is
+the attack product itself: ``_attack_entries`` takes one int per component
+(lambda = p/q enters as p**e * q**(E-e), lambda**e times the common factor
+q**E), visits every edge row of H*s once, and sums each vertex's rows on the
+lcm of their gains' denominators.  A lambda is root-free when every boundary
+vertex gets a nonzero entry, and the entries of the accepted lambda are the
+attack: Fractions are built only for its nonzero entries and the returned
+values.  Each loop runs its cheap int test before any root test: the lambda
+ladder (``_ladder``) yields every step's jumps unfiltered, the schedule
 root-tests only a step inside its gap, and the best constructive ratio
-root-tests the steps in (ratio, q) order, where each boundary polynomial can
-reject at most one step.  The sampled robust audit runs H*s as int masses on
-one denominator, D * S for the gains' D and the stealth values' S, and the
+root-tests the steps in (ratio, q) order, where each boundary vertex's entry
+can reject at most one step.  The sampled robust audit runs H*s as int masses
+on one denominator, D * S for the gains' D and the stealth values' S, and the
 robust certificate sums each boundary vertex's int coefficients for its int
 lambda, the positive and the negative ones apart.
 """
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 
 from .exceptions import (
@@ -69,13 +74,22 @@ class AttackSpec:
         return len(self.comps)
 
     def boundary_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for e in self.targets for v in e}))
+        return self._boundary
 
     def target_indices(self) -> frozenset[int]:
         return frozenset(self.graph.edge_index(u, v) for u, v in self.targets)
 
     def expected_support(self) -> frozenset[int]:
-        return self.target_indices() | frozenset(self.boundary_vertices())
+        return self._expected
+
+    # computed once per spec, on first use: every root test and build reads them
+    @cached_property
+    def _boundary(self) -> tuple[int, ...]:
+        return tuple(sorted({v for e in self.targets for v in e}))
+
+    @cached_property
+    def _expected(self) -> frozenset[int]:
+        return self.target_indices() | frozenset(self._boundary)
 
 
 @dataclass(frozen=True)
@@ -157,33 +171,6 @@ def _stealth_values(spec: AttackSpec, lam: Fraction, exponents: dict[int, int]) 
     return tuple(powers[spec.comp_of[v]] for v in spec.graph.vertices())
 
 
-def _boundary_polys(spec: AttackSpec, h: GainMatrix) -> dict[int, list[tuple[int, int]]]:
-    """Per boundary vertex: [(component index of itself/neighbour, integer gain mass)].
-
-    The attack entry at vertex l is sum of gain * (own power - neighbour power);
-    grouping by component gives a short polynomial in lambda for exact root
-    tests.  Same-component gains cancel, so one pass over the crossing edges
-    finds every term.  Each vertex's masses are scaled by the lcm of its
-    crossing gains' denominators, a positive factor that moves no root.
-    """
-    comp_of = spec.comp_of
-    crossing: dict[int, list[tuple[int, Fraction]]] = {}
-    for (u, v), b in zip(h.edges, h.gains):
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv:
-            crossing.setdefault(u, []).append((cv, b))
-            crossing.setdefault(v, []).append((cu, b))
-    polys: dict[int, list[tuple[int, int]]] = {}
-    for l in sorted(crossing):
-        scale = math.lcm(*(b.denominator for _, b in crossing[l]))
-        mass: dict[int, int] = {}
-        for c, b in crossing[l]:
-            mass[c] = mass.get(c, 0) + b.numerator * (scale // b.denominator)
-        # the own coefficient is the crossing mass, the only positive one
-        polys[l] = [(comp_of[l], sum(mass.values()))] + [(c, -m) for c, m in sorted(mass.items())]
-    return polys
-
-
 def _scaled_powers(p: int, q: int, exponents: dict[int, int]) -> dict[int, int]:
     """Component -> p**e * q**(top - e) for lambda = p/q and top the largest exponent.
 
@@ -195,14 +182,46 @@ def _scaled_powers(p: int, q: int, exponents: dict[int, int]) -> dict[int, int]:
     return {c: scaled[e] for c, e in exponents.items()}
 
 
-def _vanishes(terms, value) -> bool:
-    """Is the boundary polynomial zero at these (scaled) component values?"""
-    return sum(m * value[c] for c, m in terms) == 0
+def _attack_entries(spec: AttackSpec, h: GainMatrix, value: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """The nonzero entries of H*s, by 1-based flow index, as (num, den > 0) int pairs.
+
+    s is the int value[c] on every vertex of component c.  Every edge row
+    (u, v) is visited: with d = value[c(u)] - value[c(v)] its entry is
+    exactly 0 when d = 0 and (b.num * d, b.den) otherwise.  A vertex row is
+    the signed sum of its edge rows, so each vertex sums its nonzero rows on
+    the running lcm of their denominators.  With values from
+    ``_scaled_powers`` each entry is the true entry times S = q**top, one
+    positive factor, so it has the same zero tests.
+    """
+    comp_of = spec.comp_of
+    n = h.n
+    level = [0] + [value[comp_of[v]] for v in range(1, n + 1)]
+    entries: dict[int, tuple[int, int]] = {}
+    net_num, net_den = [0] * (n + 1), [1] * (n + 1)
+    for i, ((u, v), b) in enumerate(zip(h.edges, h.gains), start=n + 1):
+        d = level[u] - level[v]
+        if not d:
+            continue
+        num, den = b.numerator * d, b.denominator
+        entries[i] = (num, den)
+        for w, term in ((u, num), (v, -num)):
+            wd = net_den[w]
+            if wd == den:
+                net_num[w] += term
+            else:
+                common = math.lcm(wd, den)
+                net_num[w] = net_num[w] * (common // wd) + term * (common // den)
+                net_den[w] = common
+    for w in range(1, n + 1):
+        if net_num[w]:
+            entries[w] = (net_num[w], net_den[w])
+    return entries
 
 
-def _root_free(polys: dict[int, list[tuple[int, int]]], value: dict[int, int]) -> bool:
-    """The root test of one lambda: does it zero no boundary polynomial?"""
-    return not any(_vanishes(terms, value) for terms in polys.values())
+def _root_free(spec: AttackSpec, h: GainMatrix, value: dict[int, int]) -> dict[int, tuple[int, int]] | None:
+    """The root test of one set of component values: H*s's entries if no boundary entry is 0, else None."""
+    entries = _attack_entries(spec, h, value)
+    return entries if all(l in entries for l in spec.boundary_vertices()) else None
 
 
 def _primes():
@@ -216,42 +235,53 @@ def _primes():
 
 def _root_free_lambda(
     spec: AttackSpec, h: GainMatrix, exponents: dict[int, int], hint: Fraction
-) -> Fraction:
-    """First lambda, starting from the hint, that zeroes no boundary polynomial.
+) -> tuple[Fraction, dict[int, tuple[int, int]]]:
+    """First lambda, starting from the hint, that zeroes no boundary entry, with its entries.
 
-    lambda = 1 always fails (every polynomial's coefficients cancel), so the
-    hint must be in (0,1); deterministic shrinks lam *= 1 - 1/p over the primes
-    p = 2, 3, 5, ... give distinct candidates in (0,1).  With positive gains a
-    polynomial's own coefficient is its only positive one, so by Descartes'
-    rule of signs it has at most one positive root besides lambda = 1: each
-    polynomial rejects at most one candidate, and one of the first
-    (#polynomials + 1) candidates is root-free.
+    The entry of H*s at a boundary vertex l is a polynomial in lambda: the sum
+    over l's neighbours y of gain * (lambda**e(l) - lambda**e(y)).  lambda = 1
+    zeroes it (its coefficients cancel), so the hint must be in (0,1);
+    deterministic shrinks lam *= 1 - 1/p over the primes p = 2, 3, 5, ... give
+    distinct candidates in (0,1).  Same-component neighbours cancel and a
+    crossing neighbour's exponent differs from l's, so with positive gains the
+    own coefficient is the only positive one: by Descartes' rule of signs the
+    polynomial has at most one positive root besides lambda = 1.  Each
+    boundary vertex rejects at most one candidate, and one of the first
+    (#boundary vertices + 1) candidates is root-free.
     """
     if not (0 < hint < 1):
         raise ValueError("lambda hint must lie strictly between 0 and 1")
-    polys = _boundary_polys(spec, h)
     lam = hint
     primes = _primes()
-    for _ in range(len(polys) + 1):
-        if _root_free(polys, _scaled_powers(lam.numerator, lam.denominator, exponents)):
-            return lam
+    for _ in range(len(spec.boundary_vertices()) + 1):
+        entries = _root_free(spec, h, _scaled_powers(lam.numerator, lam.denominator, exponents))
+        if entries is not None:
+            return lam, entries
         lam = lam * (1 - F(1, next(primes)))
     raise AssertionError("every candidate lambda is a root: some gain is not positive")
 
 
 def _build(
-    spec: AttackSpec, h: GainMatrix, exponents: dict[int, int], lam: Fraction
+    spec: AttackSpec, exponents: dict[int, int], lam: Fraction, entries: dict[int, tuple[int, int]]
 ) -> tuple[StealthVector, AttackVector]:
-    s = _stealth_values(spec, lam, exponents)
-    a = h.multiply(s)
-    support = frozenset(i + 1 for i, val in enumerate(a) if val != 0)
+    """The stealth and attack vectors of lambda, from its ``_attack_entries`` on ``_scaled_powers``.
+
+    Those entries carry the factor S = q**top, so each nonzero one becomes
+    num / (den * S); the zeros share one Fraction.
+    """
+    support = frozenset(entries)
     expected = spec.expected_support()
     if support != expected:
         raise AssertionError(
             f"attack support {sorted(support)} deviates from {sorted(expected)}"
         )
+    scale = lam.denominator ** max(exponents.values(), default=0)
+    a = [F(0)] * spec.graph.t
+    for i, (num, den) in entries.items():
+        a[i - 1] = F(num, den * scale)
+    s = _stealth_values(spec, lam, exponents)
     sv = StealthVector(values=s, lam=lam, exponents=dict(exponents), targets=spec.targets)
-    return sv, AttackVector(values=a, support=support)
+    return sv, AttackVector(values=tuple(a), support=support)
 
 
 def build_stealth(
@@ -268,8 +298,8 @@ def _root_free_build(
     spec = require_spec(spec)
     _check_matrix(spec, h)
     exponents = _exponent_map(spec, colors)
-    lam = _root_free_lambda(spec, h, exponents, Fraction(lambda_hint))
-    return _build(spec, h, exponents, lam)
+    lam, entries = _root_free_lambda(spec, h, exponents, Fraction(lambda_hint))
+    return _build(spec, exponents, lam, entries)
 
 
 def variation_ratio(s: StealthVector, targets=None) -> Fraction:
@@ -325,12 +355,16 @@ def _ladder(spec: AttackSpec, exponents: dict[int, int], steps: int):
         yield q, max(jumps), min(jumps)
 
 
+# the schedule's default ladder length
+_SCHEDULE_STEPS = 20_000
+
+
 def variation_limit_schedule(
     spec: AttackSpec,
     h: GainMatrix,
     epsilon_gap: Fraction,
     colors: dict[int, int] | None = None,
-    max_steps: int = 20_000,
+    max_steps: int = _SCHEDULE_STEPS,
 ) -> tuple[StealthVector, Fraction]:
     """Walk lambda_q = q/(q+1) upward until the ratio is within the gap of c-1.
 
@@ -341,6 +375,18 @@ def variation_limit_schedule(
     extreme exponent gap and a unit gap; otherwise the schedule stalls and
     says so rather than looping forever.
     """
+    sv, _, ratio = _schedule(spec, h, epsilon_gap, colors, max_steps)
+    return sv, ratio
+
+
+def _schedule(
+    spec: AttackSpec,
+    h: GainMatrix,
+    epsilon_gap: Fraction,
+    colors: dict[int, int] | None = None,
+    max_steps: int = _SCHEDULE_STEPS,
+) -> tuple[StealthVector, AttackVector, Fraction]:
+    """``variation_limit_schedule`` with the attack of its pick, built from the accepted entries."""
     spec = require_spec(spec)
     _check_matrix(spec, h)
     if not spec.targets:
@@ -350,13 +396,12 @@ def variation_limit_schedule(
     target = c - 1 if c >= 2 else 1
     epsilon_gap = Fraction(epsilon_gap)
     gap_num, gap_den = epsilon_gap.numerator, epsilon_gap.denominator
-    polys = _boundary_polys(spec, h)
     for q, top, low in _ladder(spec, exponents, max_steps):
         if abs(top - target * low) * gap_den > gap_num * low:
             continue
-        if _root_free(polys, _scaled_powers(q, q + 1, exponents)):
-            sv, _ = _build(spec, h, exponents, F(q, q + 1))
-            return sv, F(top, low)
+        entries = _root_free(spec, h, _scaled_powers(q, q + 1, exponents))
+        if entries is not None:
+            return (*_build(spec, exponents, F(q, q + 1), entries), F(top, low))
     raise ScheduleStalled(
         f"ratio did not come within {epsilon_gap} of {target}; "
         "the crossing structure does not realise the extreme exponent gaps"
@@ -374,24 +419,24 @@ def best_constructive_ratio(
     Every step's ratio comes from its jumps first; the steps are then ranked
     by (ratio, q) and root-tested in that order, and the first root-free one
     is the pick: the least ratio, ties to the smallest q.  Each boundary
-    polynomial has at most one root in (0, 1) (the Descartes argument in
-    ``_root_free_lambda``), so at most #polynomials ranked steps fail and at
-    most #polynomials + 1 root tests run.
+    vertex's entry of H*s, a polynomial in lambda, has at most one root in
+    (0, 1) (the Descartes argument in ``_root_free_lambda``), so at most
+    #boundary vertices ranked steps fail and at most #boundary vertices + 1
+    root tests run.
     """
     spec = require_spec(spec)
     _check_matrix(spec, h)
     if not spec.targets:
         raise EmptyF("variation needs a non-empty target set")
     exponents = _exponent_map(spec, colors)
-    polys = _boundary_polys(spec, h)
     # a stable sort on the ratio keeps equal ratios in q order
     ranked = sorted(
         ((F(top, low), q) for q, top, low in _ladder(spec, exponents, steps)), key=itemgetter(0)
     )
     for ratio, q in ranked:
-        if _root_free(polys, _scaled_powers(q, q + 1, exponents)):
+        if _root_free(spec, h, _scaled_powers(q, q + 1, exponents)) is not None:
             return F(q, q + 1), ratio
-    raise AssertionError("every ladder step is a root: the ladder is shorter than the polynomials")
+    raise AssertionError("every ladder step is a root: the ladder has no more steps than boundary vertices")
 
 
 # -- component graph and colouring -----------------------------------------------------

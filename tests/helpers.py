@@ -221,9 +221,11 @@ def count_fractions(monkeypatch):
     return made
 
 
-def poly_value(terms, lam: Fraction, exponents: dict[int, int]) -> Fraction:
-    """A boundary polynomial's value in Fractions: the reference for the int root tests."""
-    return sum(m * lam ** exponents[c] for c, m in terms)
+def dense_entries(spec, rows, values) -> dict[int, Fraction]:
+    """Boundary attack entries row_l . s in Fractions, s constant per component: the
+    reference for the int root tests."""
+    s = [values[spec.comp_of[v]] for v in spec.graph.vertices()]
+    return {l: sum(c * x for c, x in zip(rows[l - 1], s)) for l in spec.boundary_vertices()}
 
 
 def recover_states_fraction(h, z, g: Graph, x1_ref=0) -> tuple[Fraction, ...]:

@@ -307,8 +307,9 @@ class TestBoxCommands:
         ("threshold", ["--edits", "nonexist.json"]),
         ("threshold", ["--base-rep", "nonexist.json"]),
         ("threshold", ["GRAPH"]),
+        ("threshold", [""]),  # an empty graph path was read as none, and the build exited 0
     ], ids=["base-rep-without-edits", "tree-edits", "tree-base-rep", "threshold-edits",
-            "threshold-base-rep", "threshold-graph"])
+            "threshold-base-rep", "threshold-graph", "threshold-empty-graph"])
     def test_build_rejects_an_input_it_would_not_read(self, tmp_path, tree_file, capsys, strategy, extra):
         out = tmp_path / "rep.json"
         argv = ["box", "build", "--strategy", strategy, "--out", str(out)]
@@ -962,6 +963,32 @@ class TestInputContract:
     def test_lambda_outside_the_unit_interval(self, flow_file, capsys, lam):
         argv = ["flow", "attack", flow_file, "--target", "1-2,1-4", f"--lambda={lam}"]
         self.assert_input_error(capsys, argv)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["flow", "attack", "FLOW", "--target", "1-2,1-4"], "--lambda"),  # exited 0 with lambda 1/2
+        (["flow", "attack", "FLOW", "--target", "1-2,1-4"], "--out"),  # exited 0 and wrote no file
+        (["box", "build", "TREE"], "--out"),
+        (["box", "oracle", "TREE"], "--out"),
+        (["box", "build", "TREE"], "--trace-out"),
+        (["box", "build", "--strategy", "threshold", "--clique", "3"], "--graph-out"),
+        (["box", "build", "TREE"], "--edits"),
+        (["box", "build", "TREE", "--edits", "EDITS"], "--base-rep"),
+        (["flow", "matrix", "FLOW"], "--out"),
+        (["flow", "recover", "FLOW", "--flows", "FLOWS"], "--attack"),
+    ], ids=["attack-lambda", "attack-out", "build-out", "oracle-out", "build-trace-out",
+            "build-graph-out", "build-edits", "build-base-rep", "matrix-out", "recover-attack"])
+    def test_an_empty_flag_value(self, tmp_path, tree_file, flow_file, capsys, argv, flag):
+        # an empty value read as no flag: each of these exited 0 and ignored it
+        edits = write(tmp_path / "e.json", [])
+        flows = write(tmp_path / "z.json", {"values": ["0"] * 8})
+        files = {"FLOW": flow_file, "TREE": tree_file, "EDITS": edits, "FLOWS": flows}
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main([files.get(x, x) for x in argv] + [f"{flag}="])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"{flag}: must not be empty" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("cmd", ["attack", "theta"])
     @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "x"])

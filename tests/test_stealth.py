@@ -42,8 +42,8 @@ from minorkit.exceptions import (
 from helpers import (
     certified_fraction,
     count_fractions,
+    dense_entries,
     is_bridge,
-    poly_value,
     random_connected,
     random_cut_targets,
     random_gain,
@@ -187,9 +187,10 @@ class TestVariationRatio:
     def test_triangle_reference_value(self):
         spec = feasibility(triangle(), triangle().edges)
         h = assemble_gain_matrix(triangle())
-        from minorkit.stealth import _build
+        from minorkit.stealth import _attack_entries, _build, _scaled_powers
 
-        sv, _ = _build(spec, h, {1: 0, 2: 1, 3: 2}, F(9, 10))
+        exponents = {1: 0, 2: 1, 3: 2}
+        sv, _ = _build(spec, exponents, F(9, 10), _attack_entries(spec, h, _scaled_powers(9, 10, exponents)))
         assert variation_ratio(sv) == F(19, 9)
 
     def test_never_below_one(self):
@@ -546,7 +547,8 @@ class TestStealthMeansConsistent:
 
 class TestDegeneracyAtOne:
     def test_boundary_polynomials_vanish_at_lambda_one(self):
-        from minorkit.stealth import _boundary_polys
+        # each boundary entry of H*s, a polynomial in lambda, has lambda = 1 as a root
+        from minorkit.stealth import _attack_entries, _root_free, _scaled_powers
 
         rng = random.Random(101)
         for _ in range(20):
@@ -556,17 +558,13 @@ class TestDegeneracyAtOne:
             spec = feasibility(g, random_cut_targets(g, rng))
             h = assemble_gain_matrix(g)
             exponents = {i: i - 1 for i in range(1, spec.k + 1)}
-            for terms in _boundary_polys(spec, h).values():
-                assert poly_value(terms, F(1), exponents) == 0
+            assert not any(dense_entries(spec, h.rows, dict.fromkeys(exponents, F(1))).values())
+            value = _scaled_powers(1, 1, exponents)
+            assert _attack_entries(spec, h, value) == {}
+            assert _root_free(spec, h, value) is None
 
 
 # -- integer fast paths against the Fraction formulas they replace ---------------------
-
-
-def dense_entries(spec, rows, values):
-    """Boundary attack entries row_l . s in Fractions, s constant per component."""
-    s = [values[spec.comp_of[v]] for v in spec.graph.vertices()]
-    return {l: sum(c * x for c, x in zip(rows[l - 1], s)) for l in spec.boundary_vertices()}
 
 
 def fraction_ladder(spec, rows, exponents, steps):
@@ -620,29 +618,28 @@ class TestIntegerFastPaths:
     )
     @settings(max_examples=80, deadline=None)
     def test_root_verdicts_ladders_and_ratios(self, n, seed, lam):
-        from minorkit.stealth import (
-            _boundary_polys,
-            _ladder,
-            _root_free,
-            _scaled_powers,
-            _stealth_values,
-            _vanishes,
-        )
+        from minorkit.stealth import _attack_entries, _ladder, _root_free, _scaled_powers, _stealth_values
 
         spec, h, expmaps = spec_and_exponent_maps(n, seed)
         rows = h.rows
-        polys = _boundary_polys(spec, h)
-        assert all(type(m) is int for terms in polys.values() for _, m in terms)
         for exponents in expmaps:
             stealth = _stealth_values(spec, lam, exponents)
             value = _scaled_powers(lam.numerator, lam.denominator, exponents)
+            entries = _attack_entries(spec, h, value)
+            assert all(type(x) is int for pair in entries.values() for x in pair)
+            dense = dense_entries(spec, rows, {c: lam ** e for c, e in exponents.items()})
             for l in spec.boundary_vertices():
-                dense = sum(c * s for c, s in zip(rows[l - 1], stealth))
-                assert _vanishes(polys[l], value) == (dense == 0)
+                assert (l in entries) == (dense[l] != 0)
+            assert (_root_free(spec, h, value) is not None) == all(dense.values())
+            # each entry is the true one times S = q**top
+            scale = lam.denominator ** max(exponents.values())
+            assert {i: F(num, den * scale) for i, (num, den) in entries.items()} == {
+                i: a for i, a in enumerate(h.multiply(stealth), start=1) if a
+            }
             kept = [
                 (F(q, q + 1), F(top, low))
                 for q, top, low in _ladder(spec, exponents, 30)
-                if _root_free(polys, _scaled_powers(q, q + 1, exponents))
+                if _root_free(spec, h, _scaled_powers(q, q + 1, exponents)) is not None
             ]
             assert kept == fraction_ladder(spec, rows, exponents, 30)
             sv = StealthVector(values=stealth, lam=lam, exponents=exponents, targets=spec.targets)
@@ -660,22 +657,59 @@ class TestIntegerFastPaths:
         else:
             assert variation_ratio(sv) == max(jumps) / min(jumps)
 
+    @given(
+        hst.integers(min_value=2, max_value=9),
+        hst.integers(),
+        hst.lists(hst.integers(min_value=-3, max_value=3), min_size=9, max_size=9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_entries_are_the_nonzero_entries_of_the_product(self, n, seed, levels):
+        # arbitrary int values per component, ties included, on coprime gain denominators
+        from minorkit.stealth import _attack_entries, _root_free
+
+        rng = random.Random(seed)
+        g = random_connected(n, rng.randrange(n - 1, n * (n - 1) // 2 + 1), rng)
+        gains = {n + 1 + i: F(rng.randrange(1, 9), rng.choice((1, 2, 3, 5, 7))) for i in range(len(g.edges))}
+        g = Graph(n, g.edges, gains=gains)
+        spec = feasibility(g, random_cut_targets(g, rng))
+        h = assemble_gain_matrix(g)
+        value = {c: levels[c - 1] for c in range(1, spec.k + 1)}
+        entries = _attack_entries(spec, h, value)
+        assert all(den > 0 for _, den in entries.values())
+        s = [F(value[spec.comp_of[v]]) for v in g.vertices()]
+        product = {i: a for i, a in enumerate(h.multiply(s), start=1) if a}
+        assert {i: F(num, den) for i, (num, den) in entries.items()} == product
+        dense = dense_entries(spec, h.rows, {c: F(x) for c, x in value.items()})
+        assert (_root_free(spec, h, value) is not None) == all(dense.values())
+
+    def test_build_rejects_a_target_between_equal_values(self):
+        # components 1 and 2 share exponent 0 across the target (1,2): its entry is 0
+        from minorkit.stealth import _attack_entries, _build, _scaled_powers
+
+        g = Graph(3, [(1, 2), (2, 3)], gains={4: F(1), 5: F(2, 3)})
+        spec = feasibility(g, g.edges)
+        exponents = {1: 0, 2: 0, 3: 1}
+        entries = _attack_entries(spec, assemble_gain_matrix(g), _scaled_powers(1, 2, exponents))
+        assert 4 not in entries and 5 in entries
+        with pytest.raises(AssertionError, match="deviates from"):
+            _build(spec, exponents, F(1, 2), entries)
+
     def test_root_verdicts_at_known_roots(self):
-        # each candidate is a root of exactly one path vertex's polynomial
-        from minorkit.stealth import _boundary_polys, _scaled_powers, _stealth_values, _vanishes
+        # each candidate zeroes the boundary entry of exactly one path vertex
+        from minorkit.stealth import _attack_entries, _scaled_powers
 
         g, targets, candidates = root_trap_graph()
         spec = feasibility(g, targets)
         h = assemble_gain_matrix(g)
         rows = h.rows
-        polys = _boundary_polys(spec, h)
+        boundary = set(spec.boundary_vertices())
         exponents = {i: i - 1 for i in range(1, spec.k + 1)}
         for lam in candidates:
-            stealth = _stealth_values(spec, lam, exponents)
-            value = _scaled_powers(lam.numerator, lam.denominator, exponents)
-            zero = {l for l, terms in polys.items() if _vanishes(terms, value)}
+            entries = _attack_entries(spec, h, _scaled_powers(lam.numerator, lam.denominator, exponents))
+            zero = boundary - entries.keys()
             assert len(zero) == 1
-            assert zero == {l for l in polys if sum(c * s for c, s in zip(rows[l - 1], stealth)) == 0}
+            dense = dense_entries(spec, rows, {c: lam ** e for c, e in exponents.items()})
+            assert zero == {l for l, a in dense.items() if a == 0}
 
     @given(hst.integers(min_value=3, max_value=7), hst.integers())
     @settings(max_examples=25, deadline=None)
@@ -714,9 +748,9 @@ def counted_root_tests(monkeypatch):
     tests = [0]
     root_free = stealth._root_free
 
-    def counted(polys, value):
+    def counted(*args):
         tests[0] += 1
-        return root_free(polys, value)
+        return root_free(*args)
 
     monkeypatch.setattr(stealth, "_root_free", counted)
     return tests
@@ -765,8 +799,7 @@ class TestRankedLadders:
         assert tests == [roots + 1]
 
     def test_root_tests_bounded_by_the_polynomials(self, monkeypatch):
-        from minorkit.stealth import _boundary_polys
-
+        # each boundary vertex's entry is a polynomial in lambda with at most one root in (0, 1)
         tests = counted_root_tests(monkeypatch)
         rng = random.Random(83)
         for _ in range(25):
@@ -778,7 +811,7 @@ class TestRankedLadders:
             for c in (None, colors):
                 tests[0] = 0
                 best_constructive_ratio(spec, h, colors=c)
-                assert 1 <= tests[0] <= len(_boundary_polys(spec, h)) + 1
+                assert 1 <= tests[0] <= len(spec.boundary_vertices()) + 1
 
 
 def path_spec():
