@@ -35,9 +35,10 @@ from .boxes import (
 from .exceptions import BadBounds, BadNesting, MinorkitError, ParseError, TooLarge
 from .flow import (
     _cell_sum,
+    _recover,
+    _tree,
     assemble_gain_matrix,
     pairs_from_json,
-    recover_pairs,
 )
 from .graph import Graph, _json_int, apply_edits, edits_from_json, graph_from_json, graph_to_json
 from .ratio import fmt_pair, fmt_ratio, parse_pair, parse_ratio
@@ -232,9 +233,22 @@ def cmd_box_oracle(args) -> int:
 # -- flow commands -----------------------------------------------------------------
 
 
+# besides whitespace a target list holds only these: int() alone would also read
+# a sign, an underscore or another script's digits in a label
+_TARGET_CHARS = dict.fromkeys(map(ord, "0123456789-,"))
+
+
 def _parse_targets(spec: str, g: Graph) -> list[tuple[int, int]]:
+    """The edges of g that "u-v,..." names, each pair as written.
+
+    A label is ASCII digits, with whitespace around it allowed; a sign, an
+    underscore or a digit of another script makes the list an input error.
+    Empty parts are skipped, but the list must name an edge.
+    """
     out = []
     try:
+        if spec.translate(_TARGET_CHARS).strip():
+            raise ValueError("a label is not ASCII digits")
         for part in spec.split(","):
             part = part.strip()
             if not part:
@@ -288,6 +302,14 @@ def cmd_flow_matrix(args) -> int:
         _write_text(args.out, _matrix_text(h))
         rep.data["results"]["matrix_file"] = args.out
     return rep.emit(OK)
+
+
+def _attack_text(av: st.AttackVector) -> list[str]:
+    """The attack's t entries as text, written from its int pairs: "0" off its support."""
+    attack = ["0"] * av.t
+    for i, (num, den) in av.entries.items():
+        attack[i - 1] = fmt_pair(num, den)
+    return attack
 
 
 def cmd_flow_attack(args) -> int:
@@ -364,26 +386,21 @@ def cmd_flow_attack(args) -> int:
         hint = parse_ratio(args.lam) if args.lam is not None else Fraction(1, 2)
         if not 0 < hint < 1:
             raise ParseError(f"--lambda must lie strictly between 0 and 1, got {args.lam}")
-        if colors is not None:
-            sv, av = st.build_stealth_colored(spec, h, colors, hint)
-        else:
-            sv, av = st.build_stealth(spec, h, hint)
-        ratio = st.variation_ratio(sv)
+        sv, av, ratio = st._stealth_attack(spec, h, colors, hint)
 
     c = len(set(sv.exponents.values()))
     # formatted once: the report and the --out bundle share these lists
     lam = fmt_ratio(sv.lam)
     comp_text = {i: fmt_ratio(sv.values[comp[0] - 1]) for i, comp in enumerate(spec.comps, start=1)}
     stealth = [comp_text[spec.comp_of[v]] for v in g.vertices()]
-    attack = ["0"] * g.t
-    for i in av.support:
-        attack[i - 1] = fmt_ratio(av.values[i - 1])
+    attack = _attack_text(av)
+    support = sorted(av.support)  # the expected support too: the build asserts they are equal
     results.update({
         "lambda": lam,
         "stealth": stealth,
         "attack": attack,
-        "support": sorted(av.support),
-        "expected_support": sorted(spec.expected_support()),
+        "support": support,
+        "expected_support": support,
         "ratio": fmt_ratio(ratio),
         "ratio_float": _display(ratio, tol),
         "distinct_exponents": c,
@@ -408,9 +425,10 @@ def cmd_flow_recover(args) -> int:
     The replay recovers y from the attack vector a alone, with reference 0,
     and reports x + y as the corrupted states.  That equals recovering z + a
     with x's reference: the walk is linear in the flows and the reference, and
-    the breadth-first tree depends only on the graph.  Once x and y each pass
-    the per-edge check, x_u - x_v = z_e / b_e and y_u - y_v = a_e / b_e, so
-    each edge's delta is exactly a_e / b_e.  Given that z passed, z + a is
+    the breadth-first tree depends only on the graph, so both recoveries walk
+    one tree.  Once x and y each pass the per-edge check, x_u - x_v =
+    z_e / b_e and y_u - y_v = a_e / b_e, so each edge's delta is exactly the
+    difference a_e / b_e that y's check compared.  Given that z passed, z + a is
     consistent exactly when a is, and the two checks fail first on the same
     edge because they walk the edges in the same order; so the Inconsistent
     verdict and the edge it names are unchanged.
@@ -423,7 +441,8 @@ def cmd_flow_recover(args) -> int:
     g = graph_from_json(gobj)
     h = assemble_gain_matrix(g)
     z = pairs_from_json(zobj)
-    x = recover_pairs(h, z, g, parse_pair(args.ref))
+    tree = _tree(g)  # the walk depends only on g: the replay takes it too
+    x, _ = _recover(h, z, g, parse_pair(args.ref), tree)
     results: dict = {"states": [fmt_pair(n, d) for n, d in x]}
     if args.attack is not None:
         aobj = rep.read("attack", args.attack)
@@ -438,12 +457,8 @@ def cmd_flow_recover(args) -> int:
             raise ParseError(f"attack vector has length {len(a)}, expected {len(z)}")
         if s is not None and len(s) != g.n:
             raise ParseError(f"stealth vector has length {len(s)}, expected {g.n}")
-        y = recover_pairs(h, a, g, (0, 1))
-        # delta_e = a_e / b_e; a zero a_e keeps its own (0, den)
-        deltas = {
-            e: (an * b.denominator, ad * b.numerator)
-            for e, b, (an, ad) in zip(g.edges, h.gains, a[g.n :])
-        }
+        # delta_e = a_e / b_e, the difference the replay checked; a zero a_e keeps its own (0, den)
+        y, deltas = _recover(h, a, g, (0, 1), tree)
         results["corrupted_states"] = [
             fmt_pair(xn * yd + yn * xd, xd * yd) for (xn, xd), (yn, yd) in zip(x, y)
         ]

@@ -21,7 +21,10 @@ walks the graph once (``graph.bfs_order``, which also shows it connected), sets
 each state from its parent's, one lcm per step, checks every edge by
 cross-multiplication, and returns pairs, so the CLI reads, recovers and prints
 without a Fraction.  ``recover_states`` is the same walk on Fractions in and
-out.  Recovery is linear in the flows and the reference state.
+out.  Recovery is linear in the flows and the reference state.  The walk
+depends only on the graph, so ``flow recover`` makes it once and replays an
+attack along it too, and the differences the replay checked are the edge
+deltas it reports.
 """
 
 from __future__ import annotations
@@ -175,10 +178,30 @@ def recover_pairs(
     difference copies the parent's pair.  The check compares cross products.
     Input pairs need not be reduced, and neither are the returned ones.
     """
+    return _recover(h, z, g, ref, _tree(g))[0]
+
+
+def _tree(g: Graph) -> tuple[list[int], dict[int, int | None]]:
+    """The breadth-first walk from vertex 1 that recovery propagates along, as (order, parent).
+
+    It depends only on the graph, so one walk serves every recovery on g.
+    """
     parent: dict[int, int | None] = {}
     order = bfs_order(g, 1, parent=parent) if g.n else []
     if len(order) != g.n:
         raise Disconnected("state recovery needs a connected graph")
+    return order, parent
+
+
+def _recover(
+    h: GainMatrix,
+    z: Sequence[tuple[int, int]],
+    g: Graph,
+    ref: tuple[int, int],
+    tree: tuple[list[int], dict[int, int | None]],
+) -> tuple[tuple[tuple[int, int], ...], dict[Edge, tuple[int, int]]]:
+    """``recover_pairs`` along g's ``_tree``, with the per-edge differences z_e / b_e it checked."""
+    order, parent = tree
     if g.n != h.n or g.t != h.t or g.edges != h.edges:
         raise DimensionMismatch("gain matrix does not match the graph")
     if len(z) != h.t:
@@ -207,7 +230,7 @@ def recover_pairs(
         (un, ud), (vn, vd) = x[u], x[v]
         if (un * vd - vn * ud) * dd != dn * ud * vd:
             raise Inconsistent(f"edge ({u},{v}) implies a conflicting state difference")
-    return tuple(x[v] for v in g.vertices())
+    return tuple(x[v] for v in g.vertices()), diffs
 
 
 def recover_states(

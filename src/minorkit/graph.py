@@ -11,6 +11,8 @@ with the recorded ones, then checks the base graph.
 
 One breadth-first walk, ``bfs_order``, gives components, shortest paths and the
 BFS spanning tree here, and the tree layout and state recovery elsewhere.
+``components`` walks the neighbour lists of the graph minus the removed edges,
+built once from its edge list.
 """
 
 from __future__ import annotations
@@ -211,11 +213,13 @@ def bfs_order(g: Graph, root: int, removed: Collection[Edge] = (), parent: dict 
     (root -> None) and a vertex already there is skipped, so one map shared
     across several roots walks each vertex once.  The order is its own queue.
     """
-    if parent is None:
-        parent = {}
+    return _walk(g._adj, root, {} if parent is None else parent, removed)
+
+
+def _walk(adj: dict, root: int, parent: dict, removed: Collection[Edge] = ()) -> list[int]:
+    """``bfs_order`` on the neighbour map adj."""
     parent[root] = None
     order = [root]
-    adj = g._adj
     for v in order:
         for w in adj[v]:
             if w in parent or (removed and ((v, w) if v < w else (w, v)) in removed):
@@ -231,12 +235,25 @@ def components(g: Graph, removed: Iterable[Edge] = ()) -> list[tuple[int, ...]]:
     for e in removed_set:
         if e not in g._index:
             raise ValueError(f"removed edge {e} is not in the graph")
+    return _components(g, removed_set)
+
+
+def _components(g: Graph, removed: Collection[Edge]) -> list[tuple[int, ...]]:
+    """``components`` for removed edges given as normalised pairs.
+
+    The neighbour lists of g minus those edges are built once, from g.edges,
+    so the walk tests no edge pair on a neighbour visit.
+    """
+    adj = g._adj
+    if removed:
+        adj = {v: [] for v in g.vertices()}
+        for e in g.edges:
+            if e not in removed:
+                u, v = e
+                adj[u].append(v)
+                adj[v].append(u)
     parent: dict[int, int | None] = {}
-    return [
-        tuple(sorted(bfs_order(g, start, removed_set, parent)))
-        for start in g.vertices()
-        if start not in parent
-    ]
+    return [tuple(sorted(_walk(adj, start, parent))) for start in g.vertices() if start not in parent]
 
 
 def is_connected(g: Graph) -> bool:

@@ -22,12 +22,18 @@ the attack product itself: ``_attack_entries`` takes one int per component
 q**E), visits every edge row of H*s once, and sums each vertex's rows on the
 lcm of their gains' denominators.  A lambda is root-free when every boundary
 vertex gets a nonzero entry, and the entries of the accepted lambda are the
-attack: Fractions are built only for its nonzero entries and the returned
-values.  Each loop runs its cheap int test before any root test: the lambda
-ladder (``_ladder``) yields every step's jumps unfiltered, the schedule
-root-tests only a step inside its gap, and the best constructive ratio
-root-tests the steps in (ratio, q) order, where each boundary vertex's entry
-can reject at most one step.  The sampled robust audit runs H*s as int masses
+attack.  ``_build`` takes them over any int component values and their
+common factor S (q**E for the powers) and keeps each as the int pair
+(num, den * S): an ``AttackVector`` builds its Fractions only when its
+``values`` are read, and the CLI writes the attack text from the pairs.  The
+reported ratio comes from the int jumps of the component values across the
+crossing component pairs (``_jump_range``).
+
+Each loop runs its cheap int test before any root test: the lambda ladder
+(``_ladder``) yields every step's jumps unfiltered, the schedule root-tests
+only a step inside its gap, and the best constructive ratio root-tests the
+steps in (ratio, q) order, where each boundary vertex's entry can reject at
+most one step.  The sampled robust audit runs H*s as int masses
 on one denominator, D * S for the gains' D and the stealth values' S, and the
 robust certificate sums each boundary vertex's int coefficients for its int
 lambda, the positive and the negative ones apart.
@@ -51,7 +57,7 @@ from .exceptions import (
     TooLarge,
 )
 from .flow import GainMatrix
-from .graph import Edge, Graph, bfs_path, components, norm_edge
+from .graph import Edge, Graph, _components, bfs_path, norm_edge
 
 F = Fraction
 
@@ -77,7 +83,7 @@ class AttackSpec:
         return self._boundary
 
     def target_indices(self) -> frozenset[int]:
-        return frozenset(self.graph.edge_index(u, v) for u, v in self.targets)
+        return frozenset(map(self.graph._index.__getitem__, self.targets))
 
     def expected_support(self) -> frozenset[int]:
         return self._expected
@@ -108,11 +114,12 @@ def feasibility(g: Graph, targets) -> AttackSpec | Infeasibility:
     targets; a violation yields a cycle through exactly one target edge (the
     within-component path closed by that edge).
     """
+    # normalised once: every later step reads these pairs
     f_set = {norm_edge(u, v) for u, v in targets}
     for e in f_set:
-        if not g.has_edge(*e):
+        if e not in g._index:
             raise ValueError(f"target {e} is not an edge")
-    comps = components(g, f_set)
+    comps = _components(g, f_set)
     comp_of = {v: i for i, comp in enumerate(comps, start=1) for v in comp}
     crossing: dict[Edge, tuple[int, int]] = {}
     for e in sorted(f_set):
@@ -156,8 +163,22 @@ class StealthVector:
 
 @dataclass(frozen=True, eq=False)
 class AttackVector:
-    values: tuple[Fraction, ...]  # length t
+    """The attack a = H*s, kept as its nonzero entries' int pairs.
+
+    ``values`` builds the t Fractions when it is first read; the CLI writes
+    the attack text from ``entries`` and never reads them.
+    """
+
+    t: int
+    entries: dict[int, tuple[int, int]]  # 1-based flow index -> (num, den > 0), nonzero entries only
     support: frozenset[int]  # 1-based flow indices with nonzero entries
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:  # length t
+        a = [F(0)] * self.t
+        for i, (num, den) in self.entries.items():
+            a[i - 1] = F(num, den)
+        return tuple(a)
 
 
 def _check_matrix(spec: AttackSpec, h: GainMatrix) -> None:
@@ -261,13 +282,13 @@ def _root_free_lambda(
     raise AssertionError("every candidate lambda is a root: some gain is not positive")
 
 
-def _build(
-    spec: AttackSpec, exponents: dict[int, int], lam: Fraction, entries: dict[int, tuple[int, int]]
-) -> tuple[StealthVector, AttackVector]:
-    """The stealth and attack vectors of lambda, from its ``_attack_entries`` on ``_scaled_powers``.
+def _build(spec: AttackSpec, scale: int, entries: dict[int, tuple[int, int]]) -> AttackVector:
+    """The attack of component values s = value / scale, from ``_attack_entries(spec, h, value)``.
 
-    Those entries carry the factor S = q**top, so each nonzero one becomes
-    num / (den * S); the zeros share one Fraction.
+    value holds one int per component and scale is their common factor S > 0,
+    so each entry (num, den) of H*value is the true entry times S and is
+    kept as the pair (num, den * S).  Its support must be the spec's
+    expected one: the targets and their end vertices.
     """
     support = frozenset(entries)
     expected = spec.expected_support()
@@ -275,13 +296,21 @@ def _build(
         raise AssertionError(
             f"attack support {sorted(support)} deviates from {sorted(expected)}"
         )
+    pairs = {i: (num, den * scale) for i, (num, den) in entries.items()}
+    return AttackVector(t=spec.graph.t, entries=pairs, support=support)
+
+
+def _power_vectors(
+    spec: AttackSpec, exponents: dict[int, int], lam: Fraction, entries: dict[int, tuple[int, int]]
+) -> tuple[StealthVector, AttackVector]:
+    """The stealth and attack vectors of lambda, from its ``_attack_entries`` on ``_scaled_powers``.
+
+    Those values share the factor S = q**top for lambda = p/q.
+    """
     scale = lam.denominator ** max(exponents.values(), default=0)
-    a = [F(0)] * spec.graph.t
-    for i, (num, den) in entries.items():
-        a[i - 1] = F(num, den * scale)
     s = _stealth_values(spec, lam, exponents)
     sv = StealthVector(values=s, lam=lam, exponents=dict(exponents), targets=spec.targets)
-    return sv, AttackVector(values=tuple(a), support=support)
+    return sv, _build(spec, scale, entries)
 
 
 def build_stealth(
@@ -294,12 +323,29 @@ def build_stealth(
 def _root_free_build(
     spec: AttackSpec, h: GainMatrix, colors: dict[int, int] | None, lambda_hint: Fraction
 ) -> tuple[StealthVector, AttackVector]:
-    """_build on _exponent_map(spec, colors), lambda the first root-free one from lambda_hint."""
+    """_power_vectors on _exponent_map(spec, colors), lambda the first root-free one from lambda_hint."""
     spec = require_spec(spec)
     _check_matrix(spec, h)
     exponents = _exponent_map(spec, colors)
     lam, entries = _root_free_lambda(spec, h, exponents, Fraction(lambda_hint))
-    return _build(spec, exponents, lam, entries)
+    return _power_vectors(spec, exponents, lam, entries)
+
+
+def _stealth_attack(
+    spec: AttackSpec, h: GainMatrix, colors: dict[int, int] | None, lambda_hint: Fraction
+) -> tuple[StealthVector, AttackVector, Fraction]:
+    """``build_stealth`` (or ``build_stealth_colored`` with colors) and the variation ratio of its pick.
+
+    The ratio comes from the int jumps of the scaled component values across
+    the crossing component pairs, as ``_schedule``'s does; the spec must have
+    a target.
+    """
+    if colors is None:
+        sv, av = build_stealth(spec, h, lambda_hint)
+    else:
+        sv, av = build_stealth_colored(spec, h, colors, lambda_hint)
+    value = _scaled_powers(sv.lam.numerator, sv.lam.denominator, sv.exponents)
+    return sv, av, F(*_jump_range(value, spec.crossing.values()))
 
 
 def variation_ratio(s: StealthVector, targets=None) -> Fraction:
@@ -343,16 +389,29 @@ def _ladder(spec: AttackSpec, exponents: dict[int, int], steps: int):
     The jumps run across the crossing component pairs on the scaled int
     powers of ``_scaled_powers``, so their ratio is the step's variation
     ratio.  A jump depends only on the pair's two exponents, so each step
-    scales each distinct exponent once and takes each exponent pair once.  No
-    step is root-tested here: the callers test the jumps first and root-test
-    (``_root_free``) only a step they would keep.
+    scales each distinct exponent once, q**e * (q+1)**(top - e), and
+    ``_jump_range`` takes each exponent pair once.  No step is root-tested
+    here: the callers test the jumps first and root-test (``_root_free``)
+    only a step they would keep.
     """
-    levels = {e: e for e in exponents.values()}
+    levels = sorted(set(exponents.values()))
+    top = max(levels, default=0)
     pairs = {(exponents[ci], exponents[cj]) for ci, cj in spec.crossing.values()}
     for q in range(1, steps + 1):
-        value = _scaled_powers(q, q + 1, levels)
-        jumps = [abs(value[a] - value[b]) for a, b in pairs]
-        yield q, max(jumps), min(jumps)
+        yield q, *_jump_range({e: q ** e * (q + 1) ** (top - e) for e in levels}, pairs)
+
+
+def _jump_range(value: dict, pairs) -> tuple[int, int]:
+    """(largest, smallest) |value[a] - value[b]| over the key pairs.
+
+    The values are ints that share one positive factor S.  With one value per
+    component and the crossing component pairs of ``spec.crossing``, the
+    jumps are the state jumps across the targets times S, so their ratio is
+    the variation ratio; ``_ladder`` passes one value per exponent and the
+    crossing exponent pairs instead.
+    """
+    jumps = [abs(value[a] - value[b]) for a, b in pairs]
+    return max(jumps), min(jumps)
 
 
 # the schedule's default ladder length
@@ -401,7 +460,7 @@ def _schedule(
             continue
         entries = _root_free(spec, h, _scaled_powers(q, q + 1, exponents))
         if entries is not None:
-            return (*_build(spec, exponents, F(q, q + 1), entries), F(top, low))
+            return (*_power_vectors(spec, exponents, F(q, q + 1), entries), F(top, low))
     raise ScheduleStalled(
         f"ratio did not come within {epsilon_gap} of {target}; "
         "the crossing structure does not realise the extreme exponent gaps"

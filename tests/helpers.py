@@ -39,7 +39,7 @@ from minorkit.exceptions import (
 )
 from minorkit.flow import GainMatrix
 from minorkit.graph import Contract, EdgeDelete, VertexDelete, _json_int, norm_edge
-from minorkit.ratio import parse_ratio
+from minorkit.ratio import fmt_ratio, parse_ratio
 
 F = Fraction
 
@@ -226,6 +226,65 @@ def dense_entries(spec, rows, values) -> dict[int, Fraction]:
     reference for the int root tests."""
     s = [values[spec.comp_of[v]] for v in spec.graph.vertices()]
     return {l: sum(c * x for c, x in zip(rows[l - 1], s)) for l in spec.boundary_vertices()}
+
+
+def attack_fraction(spec, exponents, lam: Fraction, entries) -> tuple[tuple[Fraction, ...], frozenset[int], list[str]]:
+    """The attack as ``stealth._build`` made it from lambda's entries before it kept int pairs.
+
+    The entries carry the factor S = q**top, so each nonzero one became the
+    Fraction num / (den * S), all t values at once, and the CLI wrote each
+    support entry with ``fmt_ratio``.  Returns (values, support, text).
+    """
+    support = frozenset(entries)
+    scale = lam.denominator ** max(exponents.values(), default=0)
+    a = [F(0)] * spec.graph.t
+    for i, (num, den) in entries.items():
+        a[i - 1] = F(num, den * scale)
+    text = ["0"] * spec.graph.t
+    for i in support:
+        text[i - 1] = fmt_ratio(a[i - 1])
+    return tuple(a), support, text
+
+
+def components_reference(g: Graph, removed=()) -> list[tuple[int, ...]]:
+    """The breadth-first ``components`` that tested a normalised pair against the
+    removed set on every neighbour visit."""
+    removed_set = {norm_edge(u, v) for u, v in removed}
+    for e in removed_set:
+        if not g.has_edge(*e):
+            raise ValueError(f"removed edge {e} is not in the graph")
+    parent: dict[int, int | None] = {}
+    comps = []
+    for start in g.vertices():
+        if start in parent:
+            continue
+        parent[start] = None
+        order = [start]
+        for v in order:
+            for w in g.neighbors(v):
+                if w in parent or norm_edge(v, w) in removed_set:
+                    continue
+                parent[w] = v
+                order.append(w)
+        comps.append(tuple(sorted(order)))
+    return comps
+
+
+def parse_targets_int(spec: str) -> list[tuple[int, int]] | None:
+    """A --target list read the way it was before its labels had to be ASCII digits:
+    each endpoint by int(), which also takes a sign, underscores and the digits of
+    other scripts.  None where that reading failed."""
+    out = []
+    try:
+        for part in spec.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            u, v = part.split("-")
+            out.append((int(u), int(v)))
+    except ValueError:
+        return None
+    return out
 
 
 def recover_states_fraction(h, z, g: Graph, x1_ref=0) -> tuple[Fraction, ...]:

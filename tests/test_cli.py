@@ -41,6 +41,7 @@ from helpers import (
     count_fractions,
     matrix_rows_fraction,
     matrix_to_json_fraction,
+    parse_targets_int,
     random_connected,
     random_cut_targets,
     random_tree,
@@ -506,7 +507,7 @@ class TestFlowCommands:
         assert code == 0
         res = report["results"]
         assert res["feasible"] and res["k"] == 2 and res["ratio"] == "1"
-        assert res["support"] == res["expected_support"]
+        assert res["support"] == res["expected_support"] == [1, 2, 4]  # the bridge 1-2 is flow 4
 
     def test_attack_infeasible_prints_witness(self, tmp_path, capsys):
         g = Graph(3, [(1, 2), (2, 3), (1, 3)], gains={4: F(1), 5: F(1), 6: F(1)})
@@ -825,6 +826,47 @@ class TestInputContract:
         assert code == 2 and captured.out == ""
         assert captured.err == f"input error: ParseError: target list {spec!r} names no edge\n"
 
+    # each named the edge 1-4 through int(): a sign, an underscore, an Arabic-Indic four
+    @pytest.mark.parametrize("cmd", [["attack"], ["attack", "--mode", "robust"], ["theta"]])
+    @pytest.mark.parametrize("spec", ["1-2,1-+4", "1-2,1-0_4", "1-2,1-\u0664"])
+    def test_a_target_label_is_ascii_digits(self, flow_file, capsys, cmd, spec):
+        code = main(["flow", cmd[0], flow_file, "--target", spec, *cmd[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"input error: ParseError: bad target list {spec!r}")
+
+    @pytest.mark.parametrize("cmd", ["attack", "theta"])
+    def test_whitespace_around_a_label_is_allowed(self, flow_file, capsys, cmd):
+        plain = run(capsys, "flow", cmd, flow_file, "--target", "1-2,1-4")
+        spaced = run(capsys, "flow", cmd, flow_file, "--target", " 1 -\t2 ,, 4- 1 ")
+        for _, report in (plain, spaced):
+            report.pop("timing_ms")
+        assert plain[0] == spaced[0] == 0 and plain[1]["results"] == spaced[1]["results"]
+
+    @given(hst.text(alphabet="0124-, +_\t\x1c\u0664", max_size=14))
+    @example("1-2,1-4")
+    @example("1-+4")
+    @example("1-0_4")
+    @example("\x1c1-2")  # str.strip takes it around a part, int() not around a label
+    @example("1\x1c-2")
+    @settings(max_examples=300, deadline=None)
+    def test_only_non_ascii_digit_labels_change_verdict(self, spec):
+        from minorkit.cli import _parse_targets
+        from minorkit.exceptions import ParseError
+
+        g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        old = parse_targets_int(spec)
+        if not (old and all(g.has_edge(u, v) for u, v in old)):
+            old = None
+        try:
+            new = _parse_targets(spec, g)
+        except ParseError:
+            new = None
+        if new != old:
+            labels = [x.strip() for part in spec.split(",") for x in part.split("-")]
+            # only a label that int() read but that is not ASCII digits inside its whitespace
+            assert new is None and not all(x.isascii() and x.isdigit() for x in labels if x)
+
     def test_robust_defaults_keep_the_guarantee_text(self, flow_file, capsys):
         argv = ["flow", "attack", flow_file, "--target", "1-2,1-4", "--mode", "robust"]
         code, report = run(capsys, *argv)
@@ -1020,7 +1062,9 @@ class TestInputContract:
         out, err = capsys.readouterr()
         assert code == 0 and "Traceback" not in err
         res = json.loads(out)["results"]
-        assert res["k"] == 3 and res["support"] == res["expected_support"]
+        # the targets' flows and their end vertices
+        expected = sorted({g.edge_index(u, v) for u, v in targets} | {x for e in targets for x in e})
+        assert res["k"] == 3 and res["support"] == res["expected_support"] == expected
 
 
 def test_every_report_and_file_is_compact_json(tmp_path, flow_file, capsys):

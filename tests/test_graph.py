@@ -33,6 +33,7 @@ from minorkit.exceptions import (
 from minorkit.graph import bfs_order, bfs_path, spanning_tree_edges
 
 from helpers import (
+    components_reference,
     graph_from_json_reference,
     graph_state,
     invert_edit_reference,
@@ -69,6 +70,26 @@ class TestComponents:
     def test_removed_must_be_edges(self):
         with pytest.raises(ValueError):
             components(path3(), [(1, 3)])
+
+    @given(st.integers(min_value=1, max_value=12), st.integers(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference_walk(self, n, seed, non_edge):
+        # unsorted edge lists, removed pairs in either orientation, and a removed non-edge
+        rng = random.Random(seed)
+        g = random_connected(n, rng.randrange(n - 1, n * (n - 1) // 2 + 1), rng)
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+        removed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges if rng.random() < 0.4]
+        absent = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if not g.has_edge(u, v)]
+        if non_edge and absent:
+            removed.insert(rng.randrange(len(removed) + 1), rng.choice(absent))
+            with pytest.raises(ValueError, match="is not in the graph"):
+                components_reference(g, removed)
+            with pytest.raises(ValueError, match="is not in the graph"):
+                components(g, removed)
+        else:
+            assert components(g, removed) == components_reference(g, removed)
 
 
 class TestBfsOrder:

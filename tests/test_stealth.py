@@ -40,6 +40,7 @@ from minorkit.exceptions import (
 )
 
 from helpers import (
+    attack_fraction,
     certified_fraction,
     count_fractions,
     dense_entries,
@@ -187,10 +188,10 @@ class TestVariationRatio:
     def test_triangle_reference_value(self):
         spec = feasibility(triangle(), triangle().edges)
         h = assemble_gain_matrix(triangle())
-        from minorkit.stealth import _attack_entries, _build, _scaled_powers
+        from minorkit.stealth import _attack_entries, _power_vectors, _scaled_powers
 
         exponents = {1: 0, 2: 1, 3: 2}
-        sv, _ = _build(spec, exponents, F(9, 10), _attack_entries(spec, h, _scaled_powers(9, 10, exponents)))
+        sv, _ = _power_vectors(spec, exponents, F(9, 10), _attack_entries(spec, h, _scaled_powers(9, 10, exponents)))
         assert variation_ratio(sv) == F(19, 9)
 
     def test_never_below_one(self):
@@ -692,7 +693,7 @@ class TestIntegerFastPaths:
         entries = _attack_entries(spec, assemble_gain_matrix(g), _scaled_powers(1, 2, exponents))
         assert 4 not in entries and 5 in entries
         with pytest.raises(AssertionError, match="deviates from"):
-            _build(spec, exponents, F(1, 2), entries)
+            _build(spec, 2, entries)  # S = 2**1 for lambda = 1/2 and top exponent 1
 
     def test_root_verdicts_at_known_roots(self):
         # each candidate zeroes the boundary entry of exactly one path vertex
@@ -717,6 +718,84 @@ class TestIntegerFastPaths:
         spec, h, _ = spec_and_exponent_maps(n, seed)
         assume(spec.k <= 5)
         assert theta_oracle(spec, h) <= fraction_theta(spec, h.rows, 6)
+
+
+# -- the int attack path against the Fraction path it replaced -----------------------------
+
+
+class TestIntAttackPath:
+    @given(
+        hst.integers(min_value=3, max_value=9),
+        hst.integers(),
+        hst.fractions(min_value=0, max_value=1, max_denominator=40).filter(lambda x: 0 < x < 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_lazy_values_and_pair_text_match_the_fraction_build(self, n, seed, lam):
+        from minorkit.cli import _attack_text
+        from minorkit.stealth import _power_vectors, _root_free, _scaled_powers
+
+        spec, h, expmaps = spec_and_exponent_maps(n, seed)
+        for exponents in expmaps:
+            entries = _root_free(spec, h, _scaled_powers(lam.numerator, lam.denominator, exponents))
+            if entries is None:  # lambda is a root for this map: nothing to build
+                continue
+            values, support, text = attack_fraction(spec, exponents, lam, entries)
+            _, av = _power_vectors(spec, exponents, lam, entries)
+            assert all(type(x) is int for pair in av.entries.values() for x in pair)
+            assert "values" not in vars(av)  # no Fraction until values is read
+            assert _attack_text(av) == text
+            assert "values" not in vars(av)
+            assert av.t == spec.graph.t and av.support == support == frozenset(av.entries)
+            assert av.values == values
+            assert av.values is av.values  # built once
+
+    @given(
+        hst.integers(min_value=3, max_value=9),
+        hst.integers(),
+        hst.fractions(min_value=0, max_value=1, max_denominator=40).filter(lambda x: 0 < x < 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_int_jump_ratio_is_the_variation_ratio(self, n, seed, lam):
+        from minorkit.stealth import _jump_range, _scaled_powers, _stealth_values
+
+        spec, _, expmaps = spec_and_exponent_maps(n, seed)
+        for exponents in expmaps:  # basic and coloured
+            sv = StealthVector(
+                values=_stealth_values(spec, lam, exponents), lam=lam, exponents=exponents, targets=spec.targets
+            )
+            value = _scaled_powers(lam.numerator, lam.denominator, exponents)
+            assert F(*_jump_range(value, spec.crossing.values())) == variation_ratio(sv)
+
+        # any int component values over a common factor S, not only lambda powers
+        rng = random.Random(seed)
+        value = {c: rng.randrange(-40, 41) for c in range(1, spec.k + 1)}
+        scale = rng.randrange(1, 30)
+        values = tuple(F(value[spec.comp_of[v]], scale) for v in spec.graph.vertices())
+        sv = StealthVector(values=values, lam=lam, exponents=expmaps[0], targets=spec.targets)
+        top, low = _jump_range(value, spec.crossing.values())
+        if low == 0:
+            with pytest.raises(EmptyF):
+                variation_ratio(sv)
+        else:
+            assert F(top, low) == variation_ratio(sv)
+
+    @given(
+        hst.integers(min_value=3, max_value=9),
+        hst.integers(),
+        hst.fractions(min_value=0, max_value=1, max_denominator=40).filter(lambda x: 0 < x < 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stealth_attack_reports_the_variation_ratio(self, n, seed, lam):
+        from minorkit.stealth import _stealth_attack
+
+        spec, h, _ = spec_and_exponent_maps(n, seed)
+        assume(spec.targets)
+        colors, _, _ = color_assignment(component_graph(spec))
+        for picked, built in ((None, build_stealth(spec, h, lam)), (colors, build_stealth_colored(spec, h, colors, lam))):
+            sv, av, ratio = _stealth_attack(spec, h, picked, lam)
+            assert (sv.lam, sv.values, sv.exponents) == (built[0].lam, built[0].values, built[0].exponents)
+            assert av.entries == built[1].entries and av.support == built[1].support
+            assert ratio == variation_ratio(sv)
 
 
 # -- ranked ladders and the int-mass audit against their Fraction references ------------
