@@ -9,7 +9,10 @@ representation in that form, with radii as (num, den) pairs.  A file goes
 to the grid and back without Fractions: `grid_from_json` reads each value as
 the (num, den) pair it spells and scales it onto one grid, `verify_grid`
 decides C1 and re-checks the stored witnesses on those ints, and
-`grid_to_json` writes each x as the text of x / L.  `certify_grid` proves a
+`grid_to_json` writes each x as the text of x / L.  `GridRep.of` scales
+Fractions by the same `_on_grid`.  A `C2Report` keeps the grid it decided on
+as `rep`; its Fraction `witnesses` are built when first read, and
+`witnesses_to_json` writes them from the ints.  `certify_grid` proves a
 builder's output (C1, witness points, radii) on such a grid, so an edit
 pipeline's lifts stay on their base's grid from the base to the written file.
 It proves a step from its input's certificate (which boxes meet, and each
@@ -47,8 +50,10 @@ from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import attrgetter
 
 from .exceptions import (
     DimensionMismatch,
@@ -153,11 +158,6 @@ class Representation:
     def vertices(self) -> list[int]:
         return sorted(self.boxes)
 
-    def rename(self, mapping: Mapping[int, int]) -> "Representation":
-        boxes = {mapping.get(v, v): b for v, b in self.boxes.items()}
-        ws = {mapping.get(v, v): w for v, w in self.witnesses.items()}
-        return Representation(boxes, ws)
-
 
 # -- JSON -------------------------------------------------------------------------
 
@@ -187,8 +187,17 @@ def grid_to_json(rep: GridRep) -> dict:
         "boxes": {str(v): [[text(lo), text(hi)] for lo, hi in b] for v, b in rep.boxes.items()},
     }
     if rep.radii:
-        out["witnesses"] = GridWitnesses(rep).to_json()
+        out["witnesses"] = witnesses_to_json(rep)
     return out
+
+
+def witnesses_to_json(rep: GridRep) -> dict:
+    """The "witnesses" object of rep's JSON, written from its ints in rep's order."""
+    text = _grid_text(rep.scale)
+    return {
+        str(v): {"point": [text(x) for x in rep.points[v]], "radius": fmt_pair(*r)}
+        for v, r in rep.radii.items()
+    }
 
 
 def _json_object(value, what: str) -> dict:
@@ -249,13 +258,7 @@ def grid_from_json(obj) -> GridRep:
             points[v], radii[v] = point, radius
         if not boxes:
             raise ValueError("a representation needs at least one box")
-        dens = {d for box in boxes.values() for iv in box for _, d in iv}
-        dens.update(d for p in points.values() for _, d in p)
-        scale, mult = _multipliers(dens)
-        grid = {
-            v: tuple((lo_n * mult[lo_d], hi_n * mult[hi_d]) for (lo_n, lo_d), (hi_n, hi_d) in box)
-            for v, box in boxes.items()
-        }
+        scale, grid, scaled = _on_grid(boxes, points)
         for v, b in grid.items():
             if any(lo == hi for lo, hi in b):
                 raise ValueError(f"box for vertex {v} is degenerate")
@@ -264,7 +267,6 @@ def grid_from_json(obj) -> GridRep:
                 raise VertexMismatch(f"witness for unknown vertex {v}")
             if len(p) != dim:
                 raise DimensionMismatch(f"witness point for {v} has wrong dimension")
-        scaled = {v: tuple(n * mult[d] for n, d in p) for v, p in points.items()}
         return GridRep(scale, grid, scaled, radii)
     except ParseError:
         raise
@@ -291,39 +293,38 @@ IntPoint = tuple[int, ...]
 Pair = tuple[int, int]  # num / den, den > 0, not necessarily reduced
 
 
-def _multipliers(dens) -> tuple[int, dict]:
-    """(L, {q: L // q}) for L the lcm of the denominators dens.
+def _on_grid(
+    boxes: Mapping[int, Iterable[tuple[Pair, Pair]]], points: Mapping[int, Iterable[Pair]]
+) -> tuple[int, dict[int, IntBox], dict[int, IntPoint]]:
+    """Scale (num, den) boxes and points onto the grid of L, the lcm of every den: p/q is p * (L // q).
 
-    p * mult[q] is then p/q on the grid of L.  TooLarge if L passes GRID_MAX_BITS bits.
+    TooLarge if L passes GRID_MAX_BITS bits.
     """
+    dens = {d for box in boxes.values() for iv in box for _, d in iv}
+    dens.update(d for p in points.values() for _, d in p)
     scale = 1
     for q in dens:
         scale = lcm(scale, q)
         if scale.bit_length() > GRID_MAX_BITS:
             raise TooLarge(f"the lcm of a representation's denominators passes {GRID_MAX_BITS} bits")
-    return scale, {q: scale // q for q in dens}
+    mult = {q: scale // q for q in dens}
+    grid = {
+        v: tuple((lo_n * mult[lo_d], hi_n * mult[hi_d]) for (lo_n, lo_d), (hi_n, hi_d) in box)
+        for v, box in boxes.items()
+    }
+    scaled = {v: tuple(n * mult[d] for n, d in p) for v, p in points.items()}
+    return scale, grid, scaled
 
 
 def _grid(
     boxes: Mapping[int, Box], points: Mapping[int, Point] | None = None
 ) -> tuple[int, dict[int, IntBox], dict[int, IntPoint]]:
-    """Scale the boxes and the given points onto one integer grid (see _multipliers).
-
-    Comparisons and differences of the ints equal those of the rationals, times L.
-    """
-    points = points or {}
-    dens = {x.denominator for b in boxes.values() for iv in b.intervals for x in iv}
-    dens.update(x.denominator for p in points.values() for x in p)
-    scale, mult = _multipliers(dens)
-    scaled_boxes = {
-        v: tuple(
-            (lo.numerator * mult[lo.denominator], hi.numerator * mult[hi.denominator])
-            for lo, hi in b.intervals
-        )
-        for v, b in boxes.items()
-    }
-    scaled = {v: tuple(x.numerator * mult[x.denominator] for x in p) for v, p in points.items()}
-    return scale, scaled_boxes, scaled
+    """_on_grid of Fraction boxes and points."""
+    pair = attrgetter("numerator", "denominator")
+    return _on_grid(
+        {v: [tuple(map(pair, iv)) for iv in b.intervals] for v, b in boxes.items()},
+        {v: list(map(pair, p)) for v, p in (points or {}).items()},
+    )
 
 
 def _meet(a: IntBox, b: IntBox) -> bool:
@@ -885,8 +886,14 @@ def exposed_witness(
 @dataclass(frozen=True)
 class C2Report:
     ok: bool
-    witnesses: GridWitnesses  # by vertex, in vertex order, on the grid they were found on
+    rep: GridRep  # the checked grid with the witnesses found, in vertex order
     covered: tuple[int, ...]  # vertices whose whole boundary is covered by the others
+
+    @cached_property
+    def witnesses(self) -> dict[int, Witness]:
+        """rep's witnesses as Fractions, by vertex, built on first read."""
+        q = self.rep._fraction()
+        return {v: self.rep.witness(v, q) for v in self.rep.radii}
 
 
 def _c2_found(rep: GridRep, max_dim: int, max_boxes: int) -> C2Report:
@@ -908,8 +915,7 @@ def _c2_found(rep: GridRep, max_dim: int, max_boxes: int) -> C2Report:
                 continue
             swept[v] = p
         found.append(v)
-    witnesses = GridWitnesses(rep.witnessed(found, swept))
-    return C2Report(ok=not covered, witnesses=witnesses, covered=tuple(covered))
+    return C2Report(ok=not covered, rep=rep.witnessed(found, swept), covered=tuple(covered))
 
 
 def verify_c2(
@@ -936,39 +942,8 @@ def verify_grid(
     max_dim: int = DEFAULT_MAX_SWEEP_DIM,
     max_boxes: int = DEFAULT_MAX_SWEEP_BOXES,
 ) -> tuple[C1Report, C2Report]:
-    """verify_c1 and verify_c2 of the representation on rep's grid, decided on its ints.
-
-    The report's witnesses stay ints on their grid: they build Fractions only
-    when they are read, and their to_json writes them from the ints.
-    """
+    """verify_c1 and verify_c2 of the representation on rep's grid, decided on its ints."""
     _check_cover(g, rep)
     bad = _c1_violations(g.edges, rep.boxes)
     return C1Report(ok=not bad, violations=tuple(bad)), _c2_found(rep, max_dim, max_boxes)
 
-
-class GridWitnesses(Mapping):
-    """The witnesses of a grid-form representation, by vertex.
-
-    They stay ints on rep's grid: a Witness is built when one is read, and
-    to_json writes them from the ints.
-    """
-
-    def __init__(self, rep: GridRep):
-        self.rep = rep
-
-    def __getitem__(self, v: int) -> Witness:
-        return self.rep.witness(v)
-
-    def __iter__(self):
-        return iter(self.rep.radii)
-
-    def __len__(self) -> int:
-        return len(self.rep.radii)
-
-    def to_json(self) -> dict:
-        """The "witnesses" object of a representation's JSON, written from the ints."""
-        text, points = _grid_text(self.rep.scale), self.rep.points
-        return {
-            str(v): {"point": [text(x) for x in points[v]], "radius": fmt_pair(*r)}
-            for v, r in self.rep.radii.items()
-        }

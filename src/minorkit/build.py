@@ -27,9 +27,10 @@ the old axes only with the levels it reaches: a wide box only with v's
 neighbours.  A pipeline builds its tree base on the grid (or puts a
 given base on its grid once and verifies it there), runs every lift there, and
 keeps the final grid: its trace builds the Fraction representation only when
-`final` is read.  Public builders and lifts convert their grid back to
-Fractions; public lifts put their input on its grid, verify it there and lift
-with every box checked in full.
+`final` is read.  The oracle likewise keeps the grid the verifier witnessed
+(`OracleResult.grid`) and builds `rep` from it when read.  Public builders
+and lifts convert their grid back to Fractions; public lifts put their input
+on its grid, verify it there and lift with every box checked in full.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _verified(vertices: Iterable[int], edges: Iterable[Edge], rep: GridRep, what
     c2 = _c2_found(rep, DEFAULT_MAX_SWEEP_DIM, DEFAULT_MAX_SWEEP_BOXES)
     if not c2.ok:
         raise InvalidInput(f"{what}: vertices {c2.covered} have no exclusive boundary point")
-    return c2.witnesses.rep
+    return c2.rep
 
 
 # -- base constructions ---------------------------------------------------------------
@@ -474,7 +475,11 @@ def tree_pipeline(g: Graph) -> tuple[EditSequence, ConstructionTrace]:
 @dataclass(frozen=True)
 class OracleResult:
     dim: int | None  # smallest working dimension, or None if > max_dim
-    rep: Representation | None
+    grid: GridRep | None  # the verifier's witnessed grid of the representation found
+
+    @cached_property
+    def rep(self) -> Representation | None:
+        return None if self.grid is None else self.grid.to_representation()
 
 
 def brute_force_strong_boxicity(g: Graph, max_dim: int = 2, *, max_n: int = 5) -> OracleResult:
@@ -496,13 +501,13 @@ def brute_force_strong_boxicity(g: Graph, max_dim: int = 2, *, max_n: int = 5) -
     if g.n == 0:
         raise TooLarge("empty graph")
     for d in range(1, max_dim + 1):
-        rep = _oracle_search(g, d)
-        if rep is not None:
-            return OracleResult(dim=d, rep=rep)
-    return OracleResult(dim=None, rep=None)
+        grid = _oracle_search(g, d)
+        if grid is not None:
+            return OracleResult(dim=d, grid=grid)
+    return OracleResult(dim=None, grid=None)
 
 
-def _oracle_search(g: Graph, d: int) -> Representation | None:
+def _oracle_search(g: Graph, d: int) -> GridRep | None:
     """Depth-first search for d-dimensional boxes on the grid 0..2n-1 that pass verify_grid.
 
     Vertices are placed by falling degree, each trying every box on the grid,
@@ -526,10 +531,10 @@ def _oracle_search(g: Graph, d: int) -> Representation | None:
     def exposed(v: int) -> bool:
         return any(_facet_uncovered(v, axis, side, assign) is not None for axis in range(d) for side in (0, 1))
 
-    def dfs(pos: int) -> Representation | None:
+    def dfs(pos: int) -> GridRep | None:
         if pos == len(order):
             c1, c2 = verify_grid(g, GridRep(1, assign, {}, {}))
-            return c2.witnesses.rep.to_representation() if c1.ok and c2.ok else None
+            return c2.rep if c1.ok and c2.ok else None
         v = order[pos]
         nbrs = g.neighbors(v)
         placed = [(b, u in nbrs) for u, b in assign.items()]

@@ -29,8 +29,8 @@ from . import stealth as st
 from .boxes import (
     grid_from_json,
     grid_to_json,
-    rep_to_json,
     verify_grid,
+    witnesses_to_json,
 )
 from .exceptions import BadBounds, BadNesting, MinorkitError, ParseError, TooLarge
 from .flow import (
@@ -153,7 +153,7 @@ def cmd_box_verify(args) -> int:
         "c1_violations": [[i, j, kind] for i, j, kind in c1.violations],
         "c2_ok": c2.ok,
         "c2_covered_vertices": list(c2.covered),
-        "witnesses": c2.witnesses.to_json(),
+        "witnesses": witnesses_to_json(c2.rep),
         "dim": r.dim,
     }
     return rep.emit(OK if (c1.ok and c2.ok) else FAIL)
@@ -224,8 +224,8 @@ def cmd_box_oracle(args) -> int:
     g = graph_from_json(rep.read("graph", args.graph))
     res = bld.brute_force_strong_boxicity(g, max_dim=args.max_dim)
     rep.data["results"] = {"dim": res.dim, "max_dim": args.max_dim}
-    if res.rep is not None and args.out is not None:
-        _write_json(args.out, rep_to_json(res.rep))
+    if res.grid is not None and args.out is not None:
+        _write_json(args.out, grid_to_json(res.grid))
         rep.data["results"]["rep_file"] = args.out
     return rep.emit(OK if res.dim is not None else FAIL)
 

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
 
-from minorkit import Box, C1Report, C2Report, Graph, Representation, Witness, components, witness_radius
+from minorkit import Box, C1Report, Graph, Representation, Witness, components, witness_radius
 from minorkit.boxes import (
     DEFAULT_MAX_SWEEP_BOXES,
     DEFAULT_MAX_SWEEP_DIM,
@@ -774,9 +775,18 @@ def verify_c1_fraction(g: Graph, rep: Representation) -> C1Report:
     return C1Report(ok=not bad, violations=tuple(bad))
 
 
+@dataclass(frozen=True)
+class C2Fraction:
+    """verify_c2_fraction's verdict, with its witnesses as a plain Fraction dict."""
+
+    ok: bool
+    witnesses: dict[int, Witness]
+    covered: tuple[int, ...]
+
+
 def verify_c2_fraction(
     g: Graph, rep: Representation, *, max_dim=DEFAULT_MAX_SWEEP_DIM, max_boxes=DEFAULT_MAX_SWEEP_BOXES
-) -> C2Report:
+) -> C2Fraction:
     """verify_c2 on the Fractions: a stored witness passes when its point lies on v's
     boundary and every other box is farther than radius / 2 from it; every other
     vertex gets exposed_witness_fraction's facet sweep, one vertex at a time."""
@@ -794,7 +804,7 @@ def verify_c2_fraction(
             covered.append(v)
         else:
             found[v] = got
-    return C2Report(ok=not covered, witnesses=found, covered=tuple(covered))
+    return C2Fraction(ok=not covered, witnesses=found, covered=tuple(covered))
 
 
 # -- the Graph-per-edit chain the one-adjacency edit walk replaced ---------------------------

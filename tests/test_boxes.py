@@ -30,6 +30,7 @@ from minorkit.boxes import (
     grid_from_json,
     grid_to_json,
     verify_grid,
+    witnesses_to_json,
 )
 from minorkit.exceptions import (
     DimensionMismatch,
@@ -296,6 +297,16 @@ class TestIntegerGrid:
             assert witness_radius(p, rep, v) == expected[v]
             assert check_witness(v, rep) == reference_witness_ok(v, rep)
 
+    @given(witnessed_reps())
+    @settings(max_examples=200, deadline=None)
+    def test_both_ways_onto_the_grid_agree(self, case):
+        # GridRep.of scales Fractions and grid_from_json a file's pairs, both through _on_grid
+        _, rep = case
+        want, got = GridRep.of(rep), grid_from_json(rep_to_json(rep))
+        assert got.scale == want.scale
+        for part in ("boxes", "points", "radii"):
+            assert list(getattr(got, part).items()) == list(getattr(want, part).items())
+
     def test_many_coprime_denominators(self):
         # 40 boxes in 3-D with 240 distinct 20-bit prime denominators: L passes GRID_MAX_BITS
         g, rep = coprime_boxes(40)
@@ -479,14 +490,14 @@ class TestGridPath:
             assert c1 == r1
             assert c2.ok == r2.ok and c2.covered == r2.covered
             assert list(c2.witnesses.items()) == list(r2.witnesses.items())
-            assert c2.witnesses.to_json() == witnesses_json_fraction(r2.witnesses)
+            assert witnesses_to_json(c2.rep) == witnesses_json_fraction(r2.witnesses)
 
     def test_written_file_matches_the_fraction_writer(self):
         g = random_connected(9, 12, random.Random(3))
         rep = tree_pipeline(g)[1].final
         c1, c2 = verify_grid(g, grid_from_json(rep_to_json(rep)))
         assert c1.ok and c2.ok
-        obj = grid_to_json(c2.witnesses.rep)
+        obj = grid_to_json(c2.rep)
         assert obj == {**boxes_json_fraction(rep), "witnesses": witnesses_json_fraction(rep.witnesses)}
 
 
@@ -538,10 +549,12 @@ class TestGridSweep:
             assert got == ref
             return
         assert got.ok == ref.ok and got.covered == ref.covered
+        assert "witnesses" not in vars(got)  # the Fraction witnesses are built when read, once
+        assert got.witnesses is got.witnesses
         assert list(got.witnesses.items()) == list(ref.witnesses.items())
-        assert got.witnesses.to_json() == witnesses_json_fraction(ref.witnesses)
+        assert witnesses_to_json(got.rep) == witnesses_json_fraction(ref.witnesses)
         # the sweep ran on the grid's ints
-        witnessed = got.witnesses.rep
+        witnessed = got.rep
         assert all(type(x) is int for p in witnessed.points.values() for x in p)
         assert all(type(x) is int for b in witnessed.boxes.values() for iv in b for x in iv)
 

@@ -273,7 +273,7 @@ def test_a_deep_path_stays_on_the_unit_grid():
     # be refused as TooLarge; the tree grid never scales a denominator
     n = 2100
     path = Graph(n, [(v, v + 1) for v in range(1, n)])
-    with patch.object(boxes, "_multipliers", side_effect=AssertionError("_multipliers called")):
+    with patch.object(boxes, "_on_grid", side_effect=AssertionError("_on_grid called")):
         grid = build._tree_grid(path)
     assert grid.scale == 1 and grid.radii[n] == (1, 4)
     coords = [x for b in grid.boxes.values() for iv in b for x in iv]
@@ -833,7 +833,7 @@ def test_every_built_grid_passes_the_verifier_as_it_stands(case):
     g, grid = case
     c1, c2 = verify_grid(g, grid)
     assert c1.ok and c2.ok
-    kept = c2.witnesses.rep
+    kept = c2.rep
     assert kept.scale == grid.scale and kept.points == grid.points and kept.radii == grid.radii
     assert json.dumps(grid_to_json(kept)) == json.dumps(grid_to_json(grid))
 

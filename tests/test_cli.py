@@ -29,7 +29,7 @@ from minorkit import (
     vector_to_json,
 )
 from minorkit import build as bld
-from minorkit.boxes import grid_from_json, grid_to_json, verify_grid
+from minorkit.boxes import grid_from_json, grid_to_json, verify_grid, witnesses_to_json
 from minorkit.cli import _dumps, main
 from minorkit.flow import GainMatrix, matrix_to_json
 from minorkit.graph import edits_from_json, spanning_tree_edges
@@ -297,7 +297,7 @@ class TestBoxCommands:
         g = graph_from_json(json.loads(Path(gf).read_text()))
         c1, c2 = verify_grid(g, grid_from_json(json.loads(written)))
         assert c1.ok and c2.ok
-        assert written == _dumps(grid_to_json(c2.witnesses.rep)) + "\n"
+        assert written == _dumps(grid_to_json(c2.rep)) + "\n"
         code, report = run(capsys, "box", "verify", str(rf), gf)
         assert code == 0 and report["results"]["witnesses"] == json.loads(written)["witnesses"]
 
@@ -376,6 +376,49 @@ class TestBoxCommands:
         gf = write(tmp_path / "g.json", graph_to_json(g))
         code, report = run(capsys, "box", "oracle", gf)
         assert code == 0 and report["results"]["dim"] == 2
+
+    @pytest.mark.parametrize("g", [
+        Graph(3, [(1, 2), (2, 3)]),
+        Graph(3, [(1, 2), (2, 3), (1, 3)]),
+        Graph(4, [(1, 2), (1, 3), (1, 4)]),
+        Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    ], ids=["P3", "K3", "K13", "C4"])
+    def test_oracle_out_is_written_from_its_grid(self, tmp_path, capsys, monkeypatch, g):
+        # the file comes straight from the oracle's grid, with the bytes of the Fraction writer
+        results = []
+        search = bld.brute_force_strong_boxicity
+
+        def kept(*args, **kwargs):
+            results.append(search(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(bld, "brute_force_strong_boxicity", kept)
+        gf, rf = write(tmp_path / "g.json", graph_to_json(g)), tmp_path / "rep.json"
+        code, report = run(capsys, "box", "oracle", gf, "--out", str(rf))
+        [res] = results
+        assert code == 0 and report["results"]["rep_file"] == str(rf)
+        assert "rep" not in vars(res)
+        assert rf.read_text() == _dumps(rep_to_json(res.rep)) + "\n"
+
+    def test_verify_builds_no_fraction_witness(self, tmp_path, capsys, monkeypatch):
+        # one witness stored, the others found by the facet sweep: the report writes them from the ints
+        tree = Graph(5, [(1, 2), (1, 3), (2, 4), (2, 5)])
+        obj = rep_to_json(build_tree_rep(tree))
+        obj["witnesses"] = {"3": obj["witnesses"]["3"]}
+        gf, rf = write(tmp_path / "g.json", graph_to_json(tree)), write(tmp_path / "rep.json", obj)
+        reports = []
+
+        def kept(*args, **kwargs):
+            reports.append(verify_grid(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr("minorkit.cli.verify_grid", kept)
+        code, report = run(capsys, "box", "verify", rf, gf)
+        [(c1, c2)] = reports
+        assert code == 0 and c1.ok and c2.ok
+        assert "witnesses" not in vars(c2)
+        assert report["results"]["witnesses"] == witnesses_to_json(c2.rep)
+        assert list(report["results"]["witnesses"]) == ["1", "2", "3", "4", "5"]
 
     def test_an_edit_walk_builds_only_the_graphs_it_keeps(self, tmp_path, capsys, monkeypatch):
         # a vertex deletion and a contraction that both swap labels, then the non-tree edges:
