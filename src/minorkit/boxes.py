@@ -6,11 +6,21 @@ on one integer grid: with L the lcm of all their denominators, p/q becomes the
 int p * (L // q), which keeps order, equality and L-scaled gaps exact, so C1,
 witness radii and witness checks compare ints.  `GridRep` holds a
 representation in that form, with radii as (num, den) pairs.  A file goes
-to the grid and back without Fractions: `grid_from_json` reads each value as
-the (num, den) pair it spells and scales it onto one grid, `verify_grid`
-decides C1 and re-checks the stored witnesses on those ints, and
-`grid_to_json` writes each x as the text of x / L.  `GridRep.of` scales
-Fractions by the same `_on_grid`.  A `C2Report` keeps the grid it decided on
+to the grid and back without Fractions, each distinct coordinate read and
+written once: `grid_from_json` reads a well-formed file in flat passes, each
+distinct value as the (num, den) pair it spells, scales them onto one grid and
+tests order and degeneracy on the ints at once (any other file goes to an
+ordered reader that names its first fault), and `grid_to_json` formats each
+distinct x once as the text of x / L.  `GridRep.of` scales Fractions by the
+same `_on_grid`.  `verify_grid` decides C1 and re-checks the stored witnesses
+on per-axis interval tables (`_Tables`): each vertex is one bit of an int
+mask, each axis groups the boxes by distinct interval, and prefix ORs over
+the intervals sorted by lo and by hi give, with two bisects, the boxes that
+meet an interval or lie at least t from a coordinate.  A box meets the AND
+over its axes of its intervals' sets, and a witness of radius rn/rd passes
+when the boxes at least t = rn * L // (2 * rd) + 1 away on some axis, with
+its own, are all of them; so a verify makes O(n * d) mask lookups, not
+n^2 / 2 box-pair tests.  A `C2Report` keeps the grid it decided on
 as `rep`; its Fraction `witnesses` are built when first read, and
 `witnesses_to_json` writes them from the ints.  `certify_grid` proves a
 builder's output (C1, witness points, radii) on such a grid, so an edit
@@ -46,14 +56,14 @@ on the grid of 2 * scale, and `GridRep.witnessed` re-bases the boxes there.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from itertools import accumulate, chain, combinations
 from math import lcm
-from operator import attrgetter
+from operator import and_, attrgetter, itemgetter, or_
 
 from .exceptions import (
     DimensionMismatch,
@@ -166,37 +176,43 @@ def rep_to_json(rep: Representation) -> dict:
     return grid_to_json(GridRep.of(rep))
 
 
-def _grid_text(scale: int):
-    """x -> the text of x / scale, each distinct x formatted once: lifts repeat coordinates."""
-    memo: dict[int, str] = {}
+class _Texts(dict):
+    """x -> the text of x / scale, each distinct x formatted on its first lookup: lifts repeat coordinates."""
 
-    def text(x: int) -> str:
-        t = memo.get(x)
-        if t is None:
-            t = memo[x] = fmt_pair(x, scale)
-        return t
+    __slots__ = ("scale",)
 
-    return text
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def __missing__(self, x: int) -> str:
+        text = self[x] = fmt_pair(x, self.scale)
+        return text
 
 
 def grid_to_json(rep: GridRep) -> dict:
     """rep_to_json of the representation on rep's grid, written from its ints in rep's order."""
-    text = _grid_text(rep.scale)
+    texts = _Texts(rep.scale)
+    text = texts.__getitem__
     out: dict = {
         "dim": rep.dim,
         "boxes": {str(v): [[text(lo), text(hi)] for lo, hi in b] for v, b in rep.boxes.items()},
     }
     if rep.radii:
-        out["witnesses"] = witnesses_to_json(rep)
+        out["witnesses"] = _witnesses_json(rep, texts)
     return out
 
 
 def witnesses_to_json(rep: GridRep) -> dict:
     """The "witnesses" object of rep's JSON, written from its ints in rep's order."""
-    text = _grid_text(rep.scale)
+    return _witnesses_json(rep, _Texts(rep.scale))
+
+
+def _witnesses_json(rep: GridRep, texts: _Texts) -> dict:
+    """witnesses_to_json, with the texts of rep's ints formatted so far."""
+    text, points = texts.__getitem__, rep.points
+    radius = {r: fmt_pair(*r) for r in set(rep.radii.values())}
     return {
-        str(v): {"point": [text(x) for x in rep.points[v]], "radius": fmt_pair(*r)}
-        for v, r in rep.radii.items()
+        str(v): {"point": list(map(text, points[v])), "radius": radius[r]} for v, r in rep.radii.items()
     }
 
 
@@ -218,20 +234,86 @@ def grid_from_json(obj) -> GridRep:
 
     Each value is the (num, den) pair it spells (parse_pair), and the grid's
     scale is the lcm of every box and witness-point den (TooLarge past
-    GRID_MAX_BITS bits).  Witnesses are optional, and radii stay pairs.  The
-    checks, their order and their messages are those of Box, Representation
-    and rep_from_json, which is this reader plus GridRep.to_representation.
+    GRID_MAX_BITS bits).  Witnesses are optional, and radii stay pairs.  A
+    well-formed file is read flat (_grid_flat); any other goes to the ordered
+    reader, whose checks, their order and their messages are those of Box,
+    Representation and rep_from_json, which is this reader plus
+    GridRep.to_representation.
     """
-    spelled: dict[str, Pair] = {}  # lifts repeat values, so each distinct text is parsed once
+    rep = _grid_flat(obj)
+    return rep if rep is not None else _grid_ordered(obj)
 
-    def pair(value) -> Pair:
-        if value.__class__ is not str:
-            return parse_pair(value)
-        p = spelled.get(value)
-        if p is None:
-            p = spelled[value] = parse_pair(value)
-        return p
 
+_POINT, _RADIUS = itemgetter("point"), itemgetter("radius")
+
+
+def _grid_flat(obj) -> GridRep | None:
+    """grid_from_json of a well-formed file in flat passes, or None on any doubt.
+
+    The boxes' values and then the points' are taken as one flat list, each
+    distinct value is parsed once, and order and degeneracy are one test over
+    the scaled ints.  Any other shape or type, a label that is not canonical, a
+    value that does not parse, an unknown witness vertex, an interval with lo
+    >= hi or a grid past GRID_MAX_BITS gives None, and the ordered reader then
+    names the first fault.
+    """
+    if obj.__class__ is not dict:
+        return None
+    dim, boxes, ws = obj.get("dim"), obj.get("boxes"), obj.get("witnesses", {})
+    if dim.__class__ is not int or dim < 1 or boxes.__class__ is not dict or not boxes or ws.__class__ is not dict:
+        return None
+    keys = [*boxes, *ws]
+    try:
+        labels = list(map(int, keys))
+    except (TypeError, ValueError):  # ValueError past the int/str digit limit too
+        return None
+    if min(labels) < 0 or list(map(str, labels)) != keys:  # each label spelled in canonical decimal
+        return None
+    box_ivs = list(boxes.values())
+    if not {list}.issuperset(map(type, box_ivs)) or not {dim}.issuperset(map(len, box_ivs)):
+        return None
+    ivs = list(chain.from_iterable(box_ivs))
+    if not {list}.issuperset(map(type, ivs)) or not {2}.issuperset(map(len, ivs)):
+        return None
+    entries = list(ws.values())
+    if not {dict}.issuperset(map(type, entries)):
+        return None
+    try:
+        points, radii = list(map(_POINT, entries)), list(map(_RADIUS, entries))
+    except KeyError:
+        return None
+    if not {list}.issuperset(map(type, points)) or not {dim}.issuperset(map(len, points)):
+        return None
+    coords = [*chain.from_iterable(ivs), *chain.from_iterable(points)]
+    if not {str, int}.issuperset(map(type, chain(coords, radii))):
+        return None
+    spelled = dict.fromkeys(coords)
+    try:
+        for x in spelled:
+            spelled[x] = parse_pair(x)
+        radii = [spelled.get(r) or parse_pair(r) for r in radii]
+    except ParseError:
+        return None
+    try:  # the distinct values, scaled as one point by the one way onto the grid
+        scale, _, scaled = _on_grid({}, {0: spelled.values()})
+    except TooLarge:
+        return None
+    ints = list(map(dict(zip(spelled, scaled[0])).__getitem__, coords))
+    end = 2 * dim * len(box_ivs)
+    lo, hi = ints[0:end:2], ints[1:end:2]
+    if not all(map(int.__lt__, lo, hi)) or not all(map(boxes.__contains__, ws)):
+        return None
+    wlabels = labels[len(box_ivs):]
+    return GridRep(
+        scale,
+        dict(zip(labels, zip(*[zip(lo, hi)] * dim))),
+        dict(zip(wlabels, zip(*[iter(ints[end:])] * dim))),
+        dict(zip(wlabels, radii)),
+    )
+
+
+def _grid_ordered(obj) -> GridRep:
+    """grid_from_json one check at a time, in the order that names the first fault."""
     try:
         obj = _json_object(obj, "a representation")
         dim = _json_int(obj["dim"], "dim")
@@ -239,7 +321,7 @@ def grid_from_json(obj) -> GridRep:
         for key, ivs in _json_object(obj["boxes"], "boxes").items():
             if not isinstance(ivs, list) or not all(isinstance(iv, list) for iv in ivs):
                 raise ParseError(f"box {key} must be a JSON list of [lo, hi] lists")
-            box = [(pair(lo), pair(hi)) for lo, hi in ivs]
+            box = [(parse_pair(lo), parse_pair(hi)) for lo, hi in ivs]
             if not box:
                 raise ValueError("a box needs dimension >= 1")
             for (lo_n, lo_d), (hi_n, hi_d) in box:
@@ -252,8 +334,8 @@ def grid_from_json(obj) -> GridRep:
         for key, w in _json_object(obj.get("witnesses", {}), "witnesses").items():
             if not isinstance(w, dict) or not isinstance(w.get("point"), list):
                 raise ParseError(f"witness {key} must be a JSON object with a list point")
-            point = [pair(x) for x in w["point"]]
-            radius = pair(w["radius"])
+            point = [parse_pair(x) for x in w["point"]]
+            radius = parse_pair(w["radius"])
             v = _label(key)
             points[v], radii[v] = point, radius
         if not boxes:
@@ -371,19 +453,91 @@ def verify_c1(g: Graph, rep: Representation) -> C1Report:
 
 
 def _c1_violations(edges: Iterable[Edge], grid: dict[int, IntBox]) -> list[tuple[int, int, str]]:
-    edges = set(edges)
-    bad: list[tuple[int, int, str]] = []
-    verts = sorted(grid)
-    for a_pos, i in enumerate(verts):
-        box = grid[i]
-        for j in verts[a_pos + 1:]:
-            meet = _meet(box, grid[j])
-            edge = (i, j) in edges
-            if meet and not edge:
-                bad.append((i, j, "unexpected"))
-            elif edge and not meet:
-                bad.append((i, j, "missing"))
-    return bad
+    """Each pair i < j whose boxes meet without an edge (i, j), or have one and do not meet.
+
+    In vertex order, as a check of every pair lists them; _Tables decides it.
+    """
+    return _Tables(grid).c1(edges)
+
+
+class _Tables:
+    """The verifier's kernel: one table per axis of a grid's boxes, keyed by distinct interval.
+
+    Each vertex is one bit of an int mask, in sorted label order.  On each
+    axis the boxes are grouped by interval, one mask per distinct interval,
+    and the distinct intervals are sorted by lo and by hi with prefix ORs over
+    both orders, so pre_lo[bisect_right(los, y)] is the set of boxes with lo
+    <= y and pre_hi[bisect_left(his, y)] the set with hi < y.  The boxes that
+    meet [lo, hi] on an axis are those with lo' <= hi and not hi' < lo, and
+    two boxes meet iff they meet on every axis (C1).  A box is far from a point
+    x on an axis when its gap there is at least t: lo' >= x + t or hi' <= x - t.
+    Each question is answered once per distinct interval, or per distinct
+    coordinate and t, on its axis; a verify does O(n * d) mask lookups on top
+    of that.
+    """
+
+    def __init__(self, grid: Mapping[int, IntBox]):
+        self.grid = grid
+        self.verts = verts = sorted(grid)
+        self.bit = dict(zip(verts, map((1).__lshift__, range(len(verts)))))
+        self.full = (1 << len(verts)) - 1
+        self.axes = []
+        for col in zip(*map(grid.__getitem__, verts)):
+            masks: dict[tuple[int, int], int] = {}
+            for iv, b in zip(col, self.bit.values()):
+                masks[iv] = masks.get(iv, 0) | b
+            by_lo, by_hi = sorted(masks), sorted(masks, key=itemgetter(1))
+            los, pre_lo = [lo for lo, _ in by_lo], [0, *accumulate(map(masks.__getitem__, by_lo), or_)]
+            his, pre_hi = [hi for _, hi in by_hi], [0, *accumulate(map(masks.__getitem__, by_hi), or_)]
+            self.axes.append((los, pre_lo, his, pre_hi, masks))
+
+    def c1(self, edges: Iterable[Edge]) -> list[tuple[int, int, str]]:
+        """The C1 violations (i, j, kind), i < j, of the edges (i, j) with i < j, in vertex order."""
+        verts, bit = self.verts, self.bit
+        adj = dict.fromkeys(verts, 0)
+        for i, j in edges:
+            if i < j and i in bit and j in bit:
+                adj[i] |= bit[j]
+                adj[j] |= bit[i]
+        tabs = [
+            {(lo, hi): pre_lo[bisect_right(los, hi)] & ~pre_hi[bisect_left(his, lo)] for lo, hi in masks}
+            for los, pre_lo, his, pre_hi, masks in self.axes
+        ]
+        bad: list[tuple[int, int, str]] = []
+        for k, v in enumerate(verts):
+            meets = reduce(and_, map(dict.__getitem__, tabs, self.grid[v]))
+            diff = (meets ^ adj[v]) >> (k + 1)  # the pairs (v, j) with j > v that disagree
+            while diff:
+                low = diff & -diff
+                j = k + low.bit_length()
+                bad.append((v, verts[j], "unexpected" if meets >> j & 1 else "missing"))
+                diff ^= low
+        return bad
+
+    def passing(self, points: Mapping[int, IntPoint], radii: Mapping[int, Pair], scale: int) -> set[int]:
+        """The vertices v of points whose witness, points[v] with radius radii[v], re-checks.
+
+        It must lie on v's boundary, with every other box farther than radius/2
+        from it.  On the grid a gap g stands for g/scale, so with radius rn/rd
+        the test g/scale > rn/(2*rd) is 2*rd*g > rn*scale, and for an int g that
+        is g >= t = rn*scale // (2*rd) + 1, for an unreduced pair too.  A box is
+        far enough once one axis puts it at least t away, so for each t the far
+        boxes of each distinct coordinate on each axis are found once.
+        """
+        by_t: dict[int, list[int]] = {}
+        for v, p in points.items():
+            rn, rd = radii[v]
+            if rn > 0 and _on_boundary(self.grid[v], p):
+                by_t.setdefault(rn * scale // (2 * rd) + 1, []).append(v)
+        full, bit = self.full, self.bit
+        ok: set[int] = set()
+        for t, vs in by_t.items():
+            tabs = [
+                {x: (full ^ pre_lo[bisect_left(los, x + t)]) | pre_hi[bisect_right(his, x - t)] for x in set(col)}
+                for (los, pre_lo, his, pre_hi, _), col in zip(self.axes, zip(*map(points.__getitem__, vs)))
+            ]
+            ok.update(v for v in vs if reduce(or_, map(dict.__getitem__, tabs, points[v]), bit[v]) == full)
+        return ok
 
 
 # -- exclusive-boundary machinery ----------------------------------------------------
@@ -468,10 +622,13 @@ def certify_grid(
     entry stays prev's own set or dict where the step leaves it as it was, and
     is copied before its first change.
 
-    So the result passes verify_grid as it stands.  With nearest the least L-infinity
-    gap from v's point to another box, v's radius is nearest / (2 * scale), or 1/4 <= that
-    when nearest >= scale / 2.  _witness_ok asks, for each other box, for an axis whose
-    gap exceeds radius / 2; the axis of the L-infinity gap has at least nearest / scale.
+    So the result passes verify_grid as it stands.  With nearest >= 1 the least
+    L-infinity gap from v's point to another box, on the grid, v's radius is the
+    pair (nearest, 2 * scale), or 1/4 when 2 * nearest >= scale.  The re-check
+    (_Tables.passing) asks, for each other box, for an axis whose gap is at
+    least t = rn * scale // (2 * rd) + 1 for the radius rn/rd: t = nearest // 4 + 1
+    for the first, and t = scale // 8 + 1 for 1/4, and both are at most nearest.
+    Each other box is at least nearest away on the axis of its L-infinity gap.
     """
     if grid.keys() != adj.keys() or scaled.keys() != grid.keys():
         raise AssertionError(f"{what}: boxes and witness points must cover 1..{len(adj)}")
@@ -743,29 +900,7 @@ def check_witness(v: int, rep: Representation) -> bool:
     if w is None:
         raise MissingWitness(f"vertex {v} has no stored witness")
     scale, grid, scaled = _grid(rep.boxes, {v: w.point})
-    return _witness_ok(v, (w.radius.numerator, w.radius.denominator), scaled[v], scale, grid)
-
-
-def _witness_ok(v: int, radius: Pair, p: IntPoint, scale: int, grid: dict[int, IntBox]) -> bool:
-    """p on v's boundary and every other box farther than radius/2 from it.
-
-    On the grid a distance d stands for d/scale, so with radius rn/rd the test
-    d/scale > rn/(2*rd) becomes 2*rd*d > rn*scale, which holds for an
-    unreduced pair too.  A box is far enough once one axis puts it so.
-    """
-    rn, rd = radius
-    if rn <= 0 or not _on_boundary(grid[v], p):
-        return False
-    twice_den, need = 2 * rd, rn * scale
-    for u, b in grid.items():
-        if u == v:
-            continue
-        for (lo, hi), x in zip(b, p):
-            if twice_den * (lo - x if x < lo else x - hi) > need:
-                break
-        else:
-            return False
-    return True
+    return v in _Tables(grid).passing(scaled, {v: (w.radius.numerator, w.radius.denominator)}, scale)
 
 
 def _clip_fulldim(box: IntBox, region: IntBox) -> IntBox | None:
@@ -896,19 +1031,19 @@ class C2Report:
         return {v: self.rep.witness(v, q) for v in self.rep.radii}
 
 
-def _c2_found(rep: GridRep, max_dim: int, max_boxes: int) -> C2Report:
+def _c2_found(rep: GridRep, max_dim: int, max_boxes: int, tables: _Tables) -> C2Report:
     """C2 on rep's grid, with the witnesses and the covered vertices in vertex order.
 
-    A stored witness that passes the exact re-check is kept; every other
-    vertex gets a facet sweep, and the witnesses live on rep.witnessed's grid.
+    A stored witness that passes the exact re-check on tables, the _Tables of
+    rep's boxes, is kept; every other vertex gets a facet sweep, and the
+    witnesses live on rep.witnessed's grid.
     """
-    scale, grid = rep.scale, rep.boxes
+    kept = tables.passing(rep.points, rep.radii, rep.scale)
     found: list[int] = []
     swept: dict[int, IntPoint] = {}
     covered: list[int] = []
-    for v in sorted(grid):
-        p = rep.points.get(v)
-        if p is None or not _witness_ok(v, rep.radii[v], p, scale, grid):
+    for v in sorted(rep.boxes):
+        if v not in kept:
             p = _exposed_point(v, rep, max_dim, max_boxes)
             if p is None:
                 covered.append(v)
@@ -932,7 +1067,8 @@ def verify_c2(
     callers can persist it.
     """
     _check_cover(g, rep)
-    return _c2_found(GridRep.of(rep), max_dim, max_boxes)
+    grid = GridRep.of(rep)
+    return _c2_found(grid, max_dim, max_boxes, _Tables(grid.boxes))
 
 
 def verify_grid(
@@ -944,6 +1080,7 @@ def verify_grid(
 ) -> tuple[C1Report, C2Report]:
     """verify_c1 and verify_c2 of the representation on rep's grid, decided on its ints."""
     _check_cover(g, rep)
-    bad = _c1_violations(g.edges, rep.boxes)
-    return C1Report(ok=not bad, violations=tuple(bad)), _c2_found(rep, max_dim, max_boxes)
+    tables = _Tables(rep.boxes)
+    bad = tables.c1(g.edges)
+    return C1Report(ok=not bad, violations=tuple(bad)), _c2_found(rep, max_dim, max_boxes, tables)
 

@@ -48,8 +48,8 @@ from .boxes import (
     IntBox,
     IntPoint,
     Representation,
-    _c1_violations,
     _c2_found,
+    _Tables,
     _facet_uncovered,
     _meet,
     certify_grid,
@@ -96,10 +96,11 @@ def _verified(vertices: Iterable[int], edges: Iterable[Edge], rep: GridRep, what
     """
     if set(rep.boxes) != set(vertices):
         raise InvalidInput(f"{what}: representation covers the wrong vertex set")
-    bad = _c1_violations(edges, rep.boxes)
+    tables = _Tables(rep.boxes)
+    bad = tables.c1(edges)
     if bad:
         raise InvalidInput(f"{what}: intersection pattern fails at {tuple(bad[:3])}")
-    c2 = _c2_found(rep, DEFAULT_MAX_SWEEP_DIM, DEFAULT_MAX_SWEEP_BOXES)
+    c2 = _c2_found(rep, DEFAULT_MAX_SWEEP_DIM, DEFAULT_MAX_SWEEP_BOXES, tables)
     if not c2.ok:
         raise InvalidInput(f"{what}: vertices {c2.covered} have no exclusive boundary point")
     return c2.rep

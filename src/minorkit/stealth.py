@@ -44,8 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, cmp_to_key
 
 from .exceptions import (
     BadBounds,
@@ -467,6 +466,11 @@ def _schedule(
     )
 
 
+def _by_ratio(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
+    """Order two ladder steps (q, top, low) by their ratios top / low."""
+    return a[1] * b[2] - b[1] * a[2]
+
+
 def best_constructive_ratio(
     spec: AttackSpec,
     h: GainMatrix,
@@ -488,13 +492,12 @@ def best_constructive_ratio(
     if not spec.targets:
         raise EmptyF("variation needs a non-empty target set")
     exponents = _exponent_map(spec, colors)
-    # a stable sort on the ratio keeps equal ratios in q order
-    ranked = sorted(
-        ((F(top, low), q) for q, top, low in _ladder(spec, exponents, steps)), key=itemgetter(0)
-    )
-    for ratio, q in ranked:
+    # top / low against top' / low' is top * low' against top' * low (every jump is positive),
+    # and a stable sort keeps equal ratios in q order
+    ranked = sorted(_ladder(spec, exponents, steps), key=cmp_to_key(_by_ratio))
+    for q, top, low in ranked:
         if _root_free(spec, h, _scaled_powers(q, q + 1, exponents)) is not None:
-            return F(q, q + 1), ratio
+            return F(q, q + 1), F(top, low)
     raise AssertionError("every ladder step is a root: the ladder has no more steps than boundary vertices")
 
 

@@ -120,6 +120,24 @@ def boxes_json_fraction(rep: Representation) -> dict:
     }
 
 
+# Malformed representation files, as edits of a well-formed one's JSON, by id.
+MALFORMED_REP_EDITS = {
+    "boxes-list": lambda r: r.update(boxes=list(r["boxes"].values())),
+    "witnesses-list": lambda r: r.update(witnesses=[]),
+    "witness-list": lambda r: r["witnesses"].update({"1": ["0", "0"]}),
+    "dim-true": lambda r: r.update(dim=True),
+    "dim-float": lambda r: r.update(dim=1.9),
+    "dim-string": lambda r: r.update(dim="2"),
+    # labels must be canonical decimals: accepted before, now exit 2
+    "key-space": lambda r: r["boxes"].update({" 1": r["boxes"].pop("1")}),
+    "key-zero": lambda r: r["boxes"].update({"01": r["boxes"].pop("1")}),
+    "key-plus": lambda r: r["witnesses"].update({"+1": r["witnesses"].pop("1")}),
+    # strings of digits: read as one coordinate per character before
+    "interval-string": lambda r: r["boxes"].update({"1": ["01", "01"]}),
+    "point-string": lambda r: r["witnesses"]["1"].update(point="00"),
+}
+
+
 def root_trap_graph() -> tuple[Graph, list[tuple[int, int]], list[Fraction]]:
     """Gains that make the first 21 root-avoidance candidates all fail.
 

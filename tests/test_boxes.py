@@ -23,7 +23,7 @@ from minorkit import (
     witness_radii,
     witness_radius,
 )
-from minorkit import boxes
+from minorkit import boxes, build
 from minorkit.boxes import (
     GridRep,
     certify_grid,
@@ -41,6 +41,7 @@ from minorkit.exceptions import (
 )
 
 from helpers import (
+    MALFORMED_REP_EDITS,
     boxes_json_fraction,
     certified_grid,
     certify,
@@ -357,6 +358,79 @@ class TestIntegerGrid:
         assert not check_witness(3, Representation(rep.boxes, {3: Witness((F(1, 2),), F(1, 11))}))
 
 
+class TestKernel:
+    """C1 and the witness re-check on the per-axis interval tables (boxes._Tables)."""
+
+    @given(witnessed_reps())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_match_the_references(self, case):
+        g, rep = case
+        grid = GridRep.of(rep)
+        tables = boxes._Tables(grid.boxes)
+        assert tables.c1(g.edges) == list(reference_c1(g, rep))
+        passing = tables.passing(grid.points, grid.radii, grid.scale)
+        assert passing == {v for v in rep.witnesses if reference_witness_ok(v, rep)}
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_a_box_exactly_half_the_radius_away_fails(self, side):
+        # on the grid of 6, box 2 is 1/3 (two units) from the witness at 1, and the radius
+        # is 4/6, unreduced, so radius / 2 is the gap itself and the closed cube reaches box 2;
+        # one unit further, at 1/2, the cube clears it
+        def grid_of(gap):  # box 1 is [0, 1], and side -1 mirrors the line about 1/2
+            at = lambda *xs: [str(x) for x in sorted(F(x) if side == 1 else 1 - F(x) for x in xs)]  # noqa: E731
+            obj = {
+                "dim": 1,
+                "boxes": {"1": [at(0, 1)], "2": [at(1 + gap, 2 + gap)], "3": [at(F(11, 2), F(17, 3))]},
+                "witnesses": {"1": {"point": at(1), "radius": "4/6"}},
+            }
+            return grid_from_json(obj)
+
+        for gap, ok in ((F(1, 3), False), (F(1, 2), True)):
+            grid = grid_of(gap)
+            assert grid.scale == 6 and grid.radii[1] == (4, 6)
+            assert (boxes._Tables(grid.boxes).passing(grid.points, grid.radii, grid.scale) == {1}) is ok
+            assert check_witness(1, grid.to_representation()) is ok
+            assert reference_witness_ok(1, grid.to_representation()) is ok
+            _, c2 = verify_grid(Graph(3, []), grid)
+            assert c2.ok and (c2.rep.radii[1] == (4, 6)) is ok  # a failed witness is swept afresh
+
+    def test_boxes_that_share_only_an_endpoint_meet(self):
+        rep = Representation({
+            1: Box.make((0, 1), (0, 1)),
+            2: Box.make((1, 2), (1, 2)),  # the corner (1, 1) of box 1
+            3: Box.make(("3/2", 3), (0, "1/2")),
+        })
+        grid = GridRep.of(rep).boxes
+        assert boxes._c1_violations([(1, 2)], grid) == []
+        assert boxes._c1_violations([], grid) == [(1, 2, "unexpected")]
+        assert boxes._c1_violations([(1, 2), (2, 3)], grid) == [(2, 3, "missing")]
+
+    def test_several_faults_in_the_references_order(self):
+        rep = Representation({
+            1: Box.make((0, 2)),
+            2: Box.make((1, 3)),
+            3: Box.make(("5/2", 4)),
+            4: Box.make((5, 6)),
+            5: Box.make((0, 6)),
+            6: Box.make((4, 5)),
+        })
+        g = Graph(6, [(1, 4), (2, 3), (3, 6), (4, 6), (5, 6)])
+        want = reference_c1(g, rep)
+        assert len(want) >= 6 and {kind for *_, kind in want} == {"unexpected", "missing"}
+        assert boxes._c1_violations(g.edges, GridRep.of(rep).boxes) == list(want)
+        assert verify_c1(g, rep).violations == want
+        assert verify_grid(g, GridRep.of(rep))[0].violations == want
+
+    @pytest.mark.parametrize("shape", ["path", "star"])
+    def test_a_1600_vertex_tree_verifies(self, shape):
+        n = 1600
+        g = Graph(n, [(1 if shape == "star" else v - 1, v) for v in range(2, n + 1)])
+        grid = grid_from_json(grid_to_json(build._tree_grid(g)))
+        c1, c2 = verify_grid(g, grid)
+        assert c1.ok and c2.ok
+        assert c2.rep == grid  # every stored witness passed, so nothing was swept
+
+
 def spelled(x: F, how: int):
     """x as a JSON value: by `how`, "3p/3q", a decimal, an exponent, "-0", an int, or "p/q"."""
     n, d = x.numerator, x.denominator
@@ -499,6 +573,116 @@ class TestGridPath:
         assert c1.ok and c2.ok
         obj = grid_to_json(c2.rep)
         assert obj == {**boxes_json_fraction(rep), "witnesses": witnesses_json_fraction(rep.witnesses)}
+
+
+def read_outcome(read, obj):
+    """read(obj)'s GridRep, or the type and message of whatever it raised."""
+    try:
+        return read(obj)
+    except Exception as exc:  # noqa: BLE001 -- any error, so the two readers compare whole
+        return type(exc), str(exc)
+
+
+def assert_flat_read_agrees(obj) -> GridRep | tuple:
+    """grid_from_json(obj) does what the ordered reader does, and a flat read gives the same grid."""
+    want = read_outcome(boxes._grid_ordered, obj)
+    assert read_outcome(grid_from_json, obj) == want
+    flat = boxes._grid_flat(obj)
+    if flat is not None:
+        assert flat == want
+        for part in ("boxes", "points", "radii"):  # in the file's order, which the writer keeps
+            assert list(getattr(flat, part).items()) == list(getattr(want, part).items())
+    return want
+
+
+def _coordinate(obj, rnd):
+    """A random [lo, hi] interval list of obj's boxes."""
+    box = obj["boxes"][rnd.choice(sorted(obj["boxes"]))]
+    return box[rnd.randrange(len(box))]
+
+
+def _relabel(obj, key):
+    """Vertex 1 renamed key in the boxes and, if it has one, in the witnesses."""
+    for part in ("boxes", "witnesses"):
+        if "1" in obj.get(part, {}):
+            obj[part][key] = obj[part].pop("1")
+
+
+def _witness(obj, rnd):
+    return obj["witnesses"][rnd.choice(sorted(obj["witnesses"]))]
+
+
+READER_MUTATIONS = {
+    "value-type": lambda obj, rnd: _coordinate(obj, rnd).__setitem__(
+        rnd.randrange(2), rnd.choice([1.5, True, None, [], {}, 7, -3])),
+    "point-type": lambda obj, rnd: _witness(obj, rnd)["point"].__setitem__(0, rnd.choice([0.5, False, None, 2])),
+    "radius-type": lambda obj, rnd: _witness(obj, rnd).__setitem__("radius", rnd.choice([0.25, True, None, [], 1])),
+    "interval-string": lambda obj, rnd: obj["boxes"][rnd.choice(sorted(obj["boxes"]))].__setitem__(0, "0/1"),
+    "box-string": lambda obj, rnd: obj["boxes"].__setitem__(rnd.choice(sorted(obj["boxes"])), "[0, 1]"),
+    "out-of-order": lambda obj, rnd: _coordinate(obj, rnd).reverse(),
+    "degenerate": lambda obj, rnd: (lambda iv: iv.__setitem__(1, iv[0]))(_coordinate(obj, rnd)),
+    "bad-value": lambda obj, rnd: _coordinate(obj, rnd).__setitem__(0, rnd.choice(["x", "1/0", "", "1e99999"])),
+    "bad-label": lambda obj, rnd: _relabel(obj, rnd.choice([" 1", "+1", "\u0661", "1.0", "", "-1", "-0", "1_0", "0x1"])),
+    "duplicate-label": lambda obj, rnd: (lambda part: obj[part].__setitem__("0" + rnd.choice(sorted(obj[part])), obj[part]["1"]))(
+        rnd.choice(["boxes", "witnesses"])),
+    "huge-label": lambda obj, rnd: obj["boxes"].__setitem__("1" * 5000, obj["boxes"]["1"]),
+    "unknown-witness": lambda obj, rnd: obj["witnesses"].__setitem__(str(len(obj["boxes"]) + 1), dict(_witness(obj, rnd))),
+    "point-length": lambda obj, rnd: _witness(obj, rnd)["point"].pop(),
+    "no-radius": lambda obj, rnd: _witness(obj, rnd).pop("radius"),
+    "box-length": lambda obj, rnd: obj["boxes"][rnd.choice(sorted(obj["boxes"]))].pop(),
+    "dim": lambda obj, rnd: obj.__setitem__("dim", rnd.choice([obj["dim"] + 1, 0, -1, True, 2.0, None])),
+    "no-boxes": lambda obj, rnd: obj.__setitem__("boxes", rnd.choice([{}, [], None])),
+    "witnesses-type": lambda obj, rnd: obj.__setitem__("witnesses", rnd.choice([[], None, "x"])),
+    "int-values": lambda obj, rnd: _coordinate(obj, rnd).__setitem__(0, -1),
+    "past-the-grid-bound": lambda obj, rnd: (_coordinate if rnd.randrange(2) else lambda o, r: _witness(o, r)["point"])(
+        obj, rnd).__setitem__(0, f"-1/{2 ** boxes.GRID_MAX_BITS}"),
+    "no-witnesses": lambda obj, rnd: obj.pop("witnesses"),
+    "reduced-den": lambda obj, rnd: _witness(obj, rnd).__setitem__("radius", "2/8"),
+}
+
+
+@st.composite
+def reader_files(draw):
+    """A lifted representation's JSON, with one mutation of READER_MUTATIONS or none."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(3, 7))
+    g = random_connected(n, min(n - 1 + draw(st.integers(0, 3)), n * (n - 1) // 2), rnd)
+    obj = rep_to_json(tree_pipeline(g)[1].final)
+    kind = draw(st.sampled_from([None, *READER_MUTATIONS]))
+    if kind is not None:
+        READER_MUTATIONS[kind](obj, rnd)
+    return kind, obj
+
+
+class TestFlatReader:
+    """grid_from_json reads a well-formed file flat, and leaves every other file to the ordered reader."""
+
+    @pytest.mark.parametrize("edit", list(MALFORMED_REP_EDITS.values()), ids=list(MALFORMED_REP_EDITS))
+    def test_input_contract_files(self, edit):
+        obj = rep_to_json(tree_pipeline(Graph(5, [(1, 2), (1, 3), (2, 4), (2, 5)]))[1].final)
+        assert isinstance(assert_flat_read_agrees(obj), GridRep) and boxes._grid_flat(obj) is not None
+        edit(obj)
+        assert boxes._grid_flat(obj) is None
+        assert assert_flat_read_agrees(obj)[0] is ParseError
+
+    @given(reader_files())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_files(self, case):
+        kind, obj = case
+        want = assert_flat_read_agrees(obj)
+        if kind is None:
+            assert boxes._grid_flat(obj) is not None
+        if kind == "past-the-grid-bound":
+            assert want[0] is TooLarge
+
+    def test_lifted_files_read_flat(self):
+        rnd = random.Random(5)
+        for n in (8, 20, 40):
+            g = random_connected(n, n + 6, rnd)
+            obj = rep_to_json(tree_pipeline(g)[1].final)
+            grid = boxes._grid_flat(obj)
+            assert grid is not None and grid == boxes._grid_ordered(obj)
+            assert grid_to_json(grid) == obj
 
 
 @st.composite

@@ -36,6 +36,7 @@ from minorkit.graph import edits_from_json, spanning_tree_edges
 from minorkit.ratio import fmt_ratio
 
 from helpers import (
+    MALFORMED_REP_EDITS,
     boxes_json_fraction,
     coprime_boxes,
     count_fractions,
@@ -1018,22 +1019,7 @@ class TestInputContract:
         g = graph_from_json(json.loads(Path(tree_file).read_text()))
         return rep_to_json(build_tree_rep(g))
 
-    @pytest.mark.parametrize("edit", [
-        lambda r: r.update(boxes=list(r["boxes"].values())),
-        lambda r: r.update(witnesses=[]),
-        lambda r: r["witnesses"].update({"1": ["0", "0"]}),
-        lambda r: r.update(dim=True),
-        lambda r: r.update(dim=1.9),
-        lambda r: r.update(dim="2"),
-        # labels must be canonical decimals: accepted before, now exit 2
-        lambda r: r["boxes"].update({" 1": r["boxes"].pop("1")}),
-        lambda r: r["boxes"].update({"01": r["boxes"].pop("1")}),
-        lambda r: r["witnesses"].update({"+1": r["witnesses"].pop("1")}),
-        # strings of digits: read as one coordinate per character before
-        lambda r: r["boxes"].update({"1": ["01", "01"]}),
-        lambda r: r["witnesses"]["1"].update(point="00"),
-    ], ids=["boxes-list", "witnesses-list", "witness-list", "dim-true", "dim-float", "dim-string",
-            "key-space", "key-zero", "key-plus", "interval-string", "point-string"])
+    @pytest.mark.parametrize("edit", list(MALFORMED_REP_EDITS.values()), ids=list(MALFORMED_REP_EDITS))
     def test_malformed_representation(self, tmp_path, tree_file, tree_rep, capsys, edit):
         edit(tree_rep)
         rf = write(tmp_path / "rep.json", tree_rep)
