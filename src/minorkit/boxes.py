@@ -19,12 +19,14 @@ the intervals sorted by lo and by hi give, with two bisects, the boxes that
 meet an interval or lie at least t from a coordinate.  A box meets the AND
 over its axes of its intervals' sets, and a witness of radius rn/rd passes
 when the boxes at least t = rn * L // (2 * rd) + 1 away on some axis, with
-its own, are all of them; so a verify makes O(n * d) mask lookups, not
-n^2 / 2 box-pair tests.  A `C2Report` keeps the grid it decided on
-as `rep`; its Fraction `witnesses` are built when first read, and
-`witnesses_to_json` writes them from the ints.  `certify_grid` proves a
-builder's output (C1, witness points, radii) on such a grid, so an edit
-pipeline's lifts stay on their base's grid from the base to the written file.
+its own, are all of them.  So a verify makes O(n * d) ANDs and ORs of n-bit
+masks, not n^2 / 2 box-pair tests, and its tables hold up to Theta(n^2 * d)
+bits: one n-bit mask per distinct interval, and a tree's leaf axis has about
+n of them.  A `C2Report` keeps the grid it decided on as `rep`; its Fraction
+`witnesses` are built when first read, and `witnesses_to_json` writes them
+from the ints.  `certify_grid` proves a builder's output (C1, witness points,
+radii) on such a grid, so an edit pipeline's lifts stay on their base's grid
+from the base to the written file.
 It proves a step from its input's certificate (which boxes meet, and each
 witness's gaps to the boxes within one grid unit): the boxes and points a
 lift extends are checked once per class of appended intervals, on the
@@ -176,43 +178,37 @@ def rep_to_json(rep: Representation) -> dict:
     return grid_to_json(GridRep.of(rep))
 
 
-class _Texts(dict):
-    """x -> the text of x / scale, each distinct x formatted on its first lookup: lifts repeat coordinates."""
+def _grid_text(scale: int):
+    """x -> the text of x / scale, each distinct x formatted once: lifts repeat coordinates."""
+    memo: dict[int, str] = {}
 
-    __slots__ = ("scale",)
+    def text(x: int) -> str:
+        t = memo.get(x)
+        if t is None:
+            t = memo[x] = fmt_pair(x, scale)
+        return t
 
-    def __init__(self, scale: int):
-        self.scale = scale
-
-    def __missing__(self, x: int) -> str:
-        text = self[x] = fmt_pair(x, self.scale)
-        return text
+    return text
 
 
 def grid_to_json(rep: GridRep) -> dict:
     """rep_to_json of the representation on rep's grid, written from its ints in rep's order."""
-    texts = _Texts(rep.scale)
-    text = texts.__getitem__
+    text = _grid_text(rep.scale)
     out: dict = {
         "dim": rep.dim,
         "boxes": {str(v): [[text(lo), text(hi)] for lo, hi in b] for v, b in rep.boxes.items()},
     }
     if rep.radii:
-        out["witnesses"] = _witnesses_json(rep, texts)
+        out["witnesses"] = witnesses_to_json(rep)
     return out
 
 
 def witnesses_to_json(rep: GridRep) -> dict:
     """The "witnesses" object of rep's JSON, written from its ints in rep's order."""
-    return _witnesses_json(rep, _Texts(rep.scale))
-
-
-def _witnesses_json(rep: GridRep, texts: _Texts) -> dict:
-    """witnesses_to_json, with the texts of rep's ints formatted so far."""
-    text, points = texts.__getitem__, rep.points
-    radius = {r: fmt_pair(*r) for r in set(rep.radii.values())}
+    text = _grid_text(rep.scale)
     return {
-        str(v): {"point": list(map(text, points[v])), "radius": radius[r]} for v, r in rep.radii.items()
+        str(v): {"point": [text(x) for x in rep.points[v]], "radius": fmt_pair(*r)}
+        for v, r in rep.radii.items()
     }
 
 
@@ -472,8 +468,9 @@ class _Tables:
     two boxes meet iff they meet on every axis (C1).  A box is far from a point
     x on an axis when its gap there is at least t: lo' >= x + t or hi' <= x - t.
     Each question is answered once per distinct interval, or per distinct
-    coordinate and t, on its axis; a verify does O(n * d) mask lookups on top
-    of that.
+    coordinate and t, on its axis, so a verify does O(n * d) ANDs and ORs of
+    n-bit masks.  The tables hold one n-bit mask per distinct interval and
+    prefix, up to Theta(n^2 * d) bits where an axis has about n intervals.
     """
 
     def __init__(self, grid: Mapping[int, IntBox]):

@@ -290,6 +290,7 @@ class TestBoxCommands:
             raise AssertionError("box build verified its certified grid again")
 
         monkeypatch.setattr("minorkit.cli.verify_grid", refuse)
+        monkeypatch.setattr("minorkit.build.verify_grid", refuse)
         monkeypatch.setattr("minorkit.boxes._c1_violations", refuse)
         code, report = run(capsys, *argv)
         assert code == 0 and report["results"]["c1_ok"] and report["results"]["c2_ok"]
