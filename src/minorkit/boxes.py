@@ -27,13 +27,18 @@ n of them.  A `C2Report` keeps the grid it decided on as `rep`; its Fraction
 from the ints.  `certify_grid` proves a builder's output (C1, witness points,
 radii) on such a grid, so an edit pipeline's lifts stay on their base's grid
 from the base to the written file.
-It proves a step from its input's certificate (which boxes meet, and each
-witness's gaps to the boxes within one grid unit): the boxes and points a
-lift extends are checked once per class of appended intervals, on the
-appended axes, and a box it changed is compared on the old axes only with
-the classes that the appended axes leave within reach.  A certificate
-never changes once its grid exists: a lift keeps each entry that its step
-leaves as it was as the same object, and copies an entry before changing it.
+`certify_lift` proves a lift from its input's certificate (which boxes meet,
+and each witness's gaps to the boxes within one grid unit).  The lift hands
+it the input grid, the part it appends to each kept box and point, and the
+whole box and point of each changed vertex; the certifier joins each kept
+box to its input box, so the first axes are the input's proven tuples.  The
+kept boxes are checked once per class of appended parts, on the appended
+axes, and a changed box is compared on the old axes only with the classes
+that the appended axes leave within reach.  The certificate is carried: the
+input's maps are copied, and only the entries the step touches are fixed.
+A certificate never changes once its grid exists: a lift keeps each entry
+that its step leaves as it was as the same object, and copies an entry
+before changing it.
 The full check, with no certificate to start from, is a sweep and prune on
 the grid: it sorts each axis's intervals, counts the pairs of boxes that come
 within one grid unit on that axis, and tests only those pairs of the axis
@@ -63,7 +68,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, compress
 from math import lcm
 from operator import and_, attrgetter, itemgetter, or_
 
@@ -588,14 +593,7 @@ def _radius(nearest: int, scale: int) -> Pair | None:
     return (nearest, 2 * scale)
 
 
-def certify_grid(
-    adj: dict,
-    scale: int,
-    grid: dict[int, IntBox],
-    scaled: dict[int, IntPoint],
-    what: str,
-    prev: GridRep | None = None,
-) -> GridRep:
+def certify_grid(adj: dict, scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint], what: str) -> GridRep:
     """Prove a builder's grid-form boxes and witness points; return them as a certified GridRep.
 
     adj maps each vertex to its neighbours and x stands for x / scale.  Every box
@@ -603,21 +601,13 @@ def certify_grid(
     scaled[v] must lie on grid[v]'s boundary and outside every other box; a failure
     is a bug in the builder `what` (AssertionError).  The radii come in vertex order.
 
-    The result carries a certificate (_certificate): which boxes meet each box,
-    and each witness's gap to every box nearer than one grid unit.  Given a
-    certified prev on the same scale, a vertex whose box and point extend
-    prev's is kept, and each class of kept vertices (one appended box and
-    point part) is checked once on the appended axes; every other vertex is
-    changed.  Without prev every vertex is changed: the full check, which
-    tests only the pairs of boxes within one grid unit of each other on the
-    axis that has the fewest (_swept_pairs).  A failure is named by a scan in
-    vertex order, as a check of every pair names it: a witness point outside
-    its own box may leave gaps unseen, but the scan names it before its
-    radius is read, and every earlier radius is exact.
-
-    A certificate is never changed once its GridRep exists: a kept vertex's
-    entry stays prev's own set or dict where the step leaves it as it was, and
-    is copied before its first change.
+    This is the full check.  Its certificate (_certificate) tests only the pairs
+    of boxes within one grid unit of each other on the axis that has the fewest
+    (_swept_pairs).  A failure is named by a scan in vertex order, as a check of
+    every pair names it: a witness point outside its own box may leave gaps
+    unseen, but the scan names it before its radius is read, and every earlier
+    radius is exact.  The result carries its certificate, which a lift of it
+    carries on (certify_lift).
 
     So the result passes verify_grid as it stands.  With nearest >= 1 the least
     L-infinity gap from v's point to another box, on the grid, v's radius is the
@@ -629,38 +619,97 @@ def certify_grid(
     """
     if grid.keys() != adj.keys() or scaled.keys() != grid.keys():
         raise AssertionError(f"{what}: boxes and witness points must cover 1..{len(adj)}")
+    _nondegenerate(grid, grid.values(), what)
+    meets, near = _certificate(scale, grid, scaled)
+    radii = {v: _radius(min(near[v].values()), scale) if near[v] else (1, 4) for v in sorted(near)}
+    placed = all(_on_boundary(grid[v], p) for v, p in scaled.items())
+    return _proved(adj, GridRep(scale, grid, scaled, radii, (meets, near)), what, placed)
+
+
+def certify_lift(adj: dict, prev: GridRep, tails: dict, changed: dict, what: str) -> GridRep:
+    """certify_grid of a lift of prev, which keeps every vertex of tails and changes those of changed.
+
+    tails maps each kept vertex v to the (box, point) parts that the lift
+    appends to prev.boxes[v] and prev.points[v]; changed maps every other
+    vertex to its whole box and point.  The grid is prev's scale, and its
+    vertices are those of tails in their order, then those of changed.  The
+    certifier joins each kept box and point itself, so their first d0 axes are
+    the tuples prev proved: a full-dimensional box, with the point on its
+    boundary.  The kept vertices fall into classes by their appended part, and
+    each class is checked once, on the appended axes.
+
+    A prev with no certificate (a verified input) gets certify_grid's full
+    check of the joined grid.  Otherwise the certificate is prev's, carried
+    (_carried): prev's maps are copied in C, and only the entries the step
+    touches are fixed.  A kept vertex whose near entry is still prev's own
+    keeps prev's radius.  So a step costs one pass over the kept vertices to
+    join and group them, O(n) work in C (the copies, C1 compared on every
+    vertex against adj), and Python work only in proportion to the classes,
+    the changed boxes and the kept boxes they reach: an edge or vertex lift's
+    wide box reaches its neighbours.  Each check, its order and its message
+    are certify_grid's.
+
+    A certificate is never changed once its GridRep exists: a kept vertex's
+    entry stays prev's own set or dict where the step leaves it as it was, and
+    is copied before its first change.
+    """
+    old_boxes, old_points, scale = prev.boxes, prev.points, prev.scale
+    grid: dict[int, IntBox] = {}
+    scaled: dict[int, IntPoint] = {}
     classes: dict[tuple[IntBox, IntPoint], list] = {}  # appended (box, point) -> kept vertices
-    changed = list(grid)
-    if prev is not None and prev.scale == scale and prev._cert is not None:
-        d0, old_boxes, old_points = prev.dim, prev.boxes, prev.points
-        changed = []
-        for v, b in grid.items():
-            p = scaled[v]
-            if b[:d0] == old_boxes.get(v) and p[:d0] == old_points.get(v):
-                classes.setdefault((b[d0:], p[d0:]), []).append(v)
-            else:
-                changed.append(v)
-    # prev proved a kept box's first d0 axes, and its point on that box's boundary
-    checked = [box for box, _ in classes] + [grid[v] for v in changed]
+    try:
+        for v, tail in tails.items():
+            box, point = tail
+            grid[v] = old_boxes[v] + box
+            scaled[v] = old_points[v] + point
+            classes.setdefault(tail, []).append(v)
+    except KeyError as exc:
+        raise AssertionError(f"{what}: kept vertex {exc} has no box or no point in the input") from None
+    for v, (box, point) in changed.items():
+        grid[v], scaled[v] = box, point
+    if grid.keys() != adj.keys() or len(grid) != len(tails) + len(changed):
+        raise AssertionError(f"{what}: boxes and witness points must cover 1..{len(adj)}")
+    if prev._cert is None:
+        return certify_grid(adj, scale, grid, scaled, what)
+    _nondegenerate(grid, [box for box, _ in classes] + [box for box, _ in changed.values()], what)
+    meets, near, renear = _carried(prev, tails, classes, changed, grid, scaled)
+    order = sorted(grid)
+    radii = dict(zip(order, map(prev.radii.get, order)))
+    for v in renear:
+        radii[v] = _radius(min(near[v].values()), scale) if near[v] else (1, 4)
+    placed = all(
+        len(box) == len(p) and all(lo <= x <= hi for (lo, hi), x in zip(box, p)) for box, p in classes
+    ) and all(_on_boundary(box, p) for box, p in changed.values())
+    return _proved(adj, GridRep(scale, grid, scaled, radii, (meets, near)), what, placed)
+
+
+def _nondegenerate(grid: dict[int, IntBox], checked: Iterable[IntBox], what: str) -> None:
+    """Name the first degenerate box of grid, in its order, if a box of checked is degenerate."""
     if any(lo >= hi for box in checked for lo, hi in box):
         for v, box in grid.items():
             if any(lo >= hi for lo, hi in box):
                 raise AssertionError(f"{what}: box for vertex {v} is degenerate")
-    meets, near = _certificate(scale, grid, scaled, prev, classes, changed)
-    for v, m in meets.items():
-        nbrs = adj[v]
-        if len(m) != len(nbrs) or not m.issuperset(nbrs):
-            bad = _c1_violations(((i, j) for i, ns in adj.items() for j in ns if i < j), grid)
-            raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
-    radii = {v: _radius(min(near[v].values()), scale) if near[v] else (1, 4) for v in sorted(near)}
-    inside = all(len(b) == len(p) and all(lo <= x <= hi for (lo, hi), x in zip(b, p)) for b, p in classes)
-    if not inside or None in radii.values() or not all(_on_boundary(grid[v], scaled[v]) for v in changed):
-        for v, p in scaled.items():
-            if not _on_boundary(grid[v], p):
+
+
+def _proved(adj: dict, rep: GridRep, what: str, placed: bool) -> GridRep:
+    """rep, once its certificate's meets are adj and every witness has a radius.
+
+    placed says that every witness point lies on its box's boundary; if not,
+    or if a point lies in another box, a scan in vertex order names the first
+    fault.
+    """
+    meets = rep._cert[0]
+    # a neighbour map of sets (every lift's) is compared in one C call
+    if meets != adj and any(len(m) != len(adj[v]) or not m.issuperset(adj[v]) for v, m in meets.items()):
+        bad = _c1_violations(((i, j) for i, ns in adj.items() for j in ns if i < j), rep.boxes)
+        raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
+    if not placed or None in rep.radii.values():
+        for v, p in rep.points.items():
+            if not _on_boundary(rep.boxes[v], p):
                 raise AssertionError(f"{what}: witness point for {v} is not on its boundary")
-            if radii[v] is None:
+            if rep.radii[v] is None:
                 raise AssertionError(f"{what}: witness point for {v} lies in another box")
-    return GridRep(scale, grid, scaled, radii, (meets, near))
+    return rep
 
 
 def _gap(box: IntBox, p: IntPoint, cap):
@@ -701,58 +750,23 @@ def _swept_pairs(scale: int, grid: Mapping[int, IntBox]):
             yield v, verts[order[j]]
 
 
-def _certificate(scale, grid, scaled, prev, classes: dict, changed: list) -> tuple[dict, dict]:
+def _certificate(scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint]) -> tuple[dict, dict]:
     """certify_grid's certificate (meets, near) of the boxes grid and the points scaled.
 
     meets[v] is the set of vertices whose boxes meet v's box, and near[v] maps
-    each vertex whose box is less than scale from scaled[v] to that gap.
-    Boxes meet iff they meet on every axis, and a gap is the larger of its
-    parts on prev's d0 axes and on the appended ones.  A kept pair takes
-    prev's certificate and its classes' answer, one per pair of classes; a kept
-    vertex whose answer changes nothing keeps prev's set and dict themselves,
-    and gets a copy before the first change.  A changed box and point meet each
-    class once on the appended axes, and its members on the first d0 axes only
-    where that part leaves them in reach.  Changed pairs are checked on all
-    axes; in the full check (no class) those are the pairs _swept_pairs
-    leaves, which certify_grid shows to be enough.
+    each vertex whose box is less than scale from scaled[v] to that gap.  Only
+    the pairs that _swept_pairs leaves are tested, which certify_grid shows to
+    be enough.
     """
-    meets: dict[int, set] = {}
-    near: dict[int, dict] = {}
-    if classes:
-        meets0, near0 = prev._cert
-        d0, old_boxes, old_points = prev.dim, prev.boxes, prev.points
-        kept = set().union(*classes.values())
-        for (suffix, point), vs in classes.items():
-            meeting = [us for (other, _), us in classes.items() if _meet(suffix, other)]
-            meet_ok = kept if len(meeting) == len(classes) else set().union(*meeting)
-            same = None  # the vertices whose gaps the new axes leave as they are
-            grown: dict = {}  # the new axes set these gaps, if larger
-            for v in vs:
-                m = meets0[v]
-                meets[v] = m if m <= meet_ok else m & meet_ok
-                old = new = near[v] = near0[v]
-                if not old:
-                    continue
-                if same is None:
-                    same = set()
-                    for (box, _), us in classes.items():
-                        gap = _gap(box, point, scale)
-                        if gap == 0:
-                            same.update(us)
-                        elif gap < scale:
-                            grown.update(dict.fromkeys(us, gap))
-                for u in old.keys() - same:  # also every vertex that is changed or gone
-                    gap = grown.get(u)
-                    if gap is None or gap > old[u]:
-                        if new is old:
-                            new = near[v] = dict(old)
-                        if gap is None:
-                            del new[u]
-                        else:
-                            new[u] = gap
-    for v in changed:
-        meets[v], near[v] = set(), {}
-    for v, u in combinations(changed, 2) if classes else _swept_pairs(scale, grid):
+    meets: dict[int, set] = {v: set() for v in grid}
+    near: dict[int, dict] = {v: {} for v in grid}
+    _tested(scale, grid, scaled, meets, near, _swept_pairs(scale, grid))
+    return meets, near
+
+
+def _tested(scale, grid, scaled, meets: dict, near: dict, pairs) -> None:
+    """Enter each pair (v, u) of pairs into the certificate (meets, near), tested on every axis."""
+    for v, u in pairs:
         box, b = grid[v], grid[u]
         if _meet(box, b):
             meets[v].add(u)
@@ -763,8 +777,31 @@ def _certificate(scale, grid, scaled, prev, classes: dict, changed: list) -> tup
         gap = _gap(box, scaled[u], scale)
         if gap < scale:
             near[u][v] = gap
-    if not classes:
-        return meets, near
+
+
+def _carried(prev: GridRep, tails: dict, classes: dict, changed: dict, grid, scaled) -> tuple[dict, dict, set]:
+    """certify_lift's certificate (meets, near), from prev's, and the vertices whose near entry is new.
+
+    Boxes meet iff they meet on every axis, and a gap is the larger of its
+    parts on prev's d0 axes and on the appended ones, so a kept pair's answer
+    is prev's and its classes' together.  meets and near start as copies of
+    prev's maps that share every entry, and only these entries are fixed:
+    - a vertex of prev that the step changed or dropped leaves the meets entry
+      of each kept box it met, which prev's entry for it lists;
+    - two classes whose appended boxes do not meet cut each other's members
+      from their meets entries;
+    - a kept vertex with a near entry (the boxes less than a grid unit from its
+      point) keeps a gap only to a kept box that its class's appended part
+      leaves less than a unit away, and takes the larger of the two parts;
+    - a changed box and point meet each class once on the appended axes, and
+      its members on the first d0 axes only where that part leaves them in
+      reach; changed pairs are tested on every axis.
+    An entry is copied off prev's before its first change.
+    """
+    meets0, near0 = prev._cert
+    meets, near = meets0.copy(), near0.copy()
+    d0, old_boxes, old_points, scale = prev.dim, prev.boxes, prev.points, prev.scale
+    renear = set(changed)
 
     def own(cert, cert0, u):  # u's entry of cert, copied off prev's before its first change
         entry = cert[u]
@@ -772,10 +809,51 @@ def _certificate(scale, grid, scaled, prev, classes: dict, changed: list) -> tup
             entry = cert[u] = entry.copy()
         return entry
 
+    for x in old_boxes.keys() - tails.keys():
+        for u in meets0[x]:
+            if u in tails:
+                own(meets, meets0, u).discard(x)
+        del meets[x], near[x]
+    parts = list(classes.items())
+    for i, ((box, _), us) in enumerate(parts):
+        for (other, _), ws in parts[i + 1:]:
+            if not _meet(box, other):
+                for a, b in ((us, ws), (ws, us)):
+                    cut = set(b)
+                    for v in a:
+                        if not meets[v].isdisjoint(cut):
+                            meets[v] = meets[v] - cut
+    reach: dict = {}  # an appended point part -> (the kept vertices at gap 0, the gaps below a unit)
+    for v in compress(tails, map(near0.__getitem__, tails)):
+        point = tails[v][1]
+        if point not in reach:
+            same, grown = set(), {}
+            for (box, _), us in parts:
+                gap = _gap(box, point, scale)
+                if gap == 0:
+                    same.update(us)
+                elif gap < scale:
+                    grown.update(dict.fromkeys(us, gap))
+            reach[point] = same, grown
+        same, grown = reach[point]
+        old = new = near0[v]
+        for u in old.keys() - same:  # also every vertex that is changed or gone
+            gap = grown.get(u)
+            if gap is None or gap > old[u]:
+                if new is old:
+                    new = near[v] = dict(old)
+                    renear.add(v)
+                if gap is None:
+                    del new[u]
+                else:
+                    new[u] = gap
+    for v in changed:
+        meets[v], near[v] = set(), {}
+    _tested(scale, grid, scaled, meets, near, combinations(changed, 2))
     for v in changed:
         box, p, mv, nv = grid[v], scaled[v], meets[v], near[v]
         head, tail, p_head, p_tail = box[:d0], box[d0:], p[:d0], p[d0:]
-        for (suffix, point), us in classes.items():
+        for (suffix, point), us in parts:
             if _meet(tail, suffix):
                 for u in us:
                     if _meet(head, old_boxes[u]):
@@ -793,7 +871,8 @@ def _certificate(scale, grid, scaled, prev, classes: dict, changed: list) -> tup
                     g0 = _gap(head, old_points[u], scale)
                     if g0 < scale:
                         own(near, near0, u)[v] = max(gap, g0)
-    return meets, near
+                        renear.add(u)
+    return meets, near, renear
 
 
 @dataclass(frozen=True)
@@ -805,16 +884,16 @@ class GridRep:
     vertex that keeps one when the verifier made it (witnessed); a radius is
     a (num, den) pair.  Lifts add integer levels and reuse coordinates, so a
     whole edit pipeline keeps the grid of its base.  A grid that certify_grid
-    made carries its certificate, which the next lift's certify_grid starts
-    from and may share entries with, so nothing changes it in place; any
-    other grid has none.
+    or certify_lift made carries its certificate, which the next lift's
+    certify_lift carries on and may share entries with, so nothing changes it
+    in place; any other grid has none.
     """
 
     scale: int
     boxes: dict[int, IntBox]
     points: dict[int, IntPoint]
     radii: dict[int, Pair]
-    # (meets, near) when certify_grid made this grid (see _certificate); not part of the value
+    # (meets, near) when certify_grid or certify_lift made this grid (see _certificate); not part of the value
     _cert: tuple[dict, dict] | None = field(default=None, compare=False, repr=False)
 
     @classmethod

@@ -15,22 +15,25 @@ own facet sweep; its gate at dimension 2 limits its cost only.
 
 Every construction step is certified once: C1, each chosen witness point's
 place on its box's boundary and every witness radius, decided on one integer
-grid (`boxes.GridRep`: ints over one scale) by `boxes.certify_grid`.  The base
-builders lay trees and threshold graphs out on ints at scale 1, with every
-coordinate O(n), and certify them in full.  A lift appends integer levels
+grid (`boxes.GridRep`: ints over one scale).  The base builders lay trees and
+threshold graphs out on ints at scale 1, with every coordinate O(n), and
+`boxes.certify_grid` checks them in full.  A lift appends integer levels
 k * scale and reuses the input's coordinates, so the grid of its input is the
-grid of its output, and `certify_grid` checks the step's ints against the
-input's certificate.  The boxes and witnesses a lift only extends are
-re-checked once per level, on the appended axes; a box the lift changes (the
-re-added vertex, the restored vertex, v after an edge lift) is compared on
-the old axes only with the levels it reaches: a wide box only with v's
-neighbours.  A pipeline builds its tree base on the grid (or puts a
-given base on its grid once and verifies it there), runs every lift there, and
-keeps the final grid: its trace builds the Fraction representation only when
-`final` is read.  The oracle likewise keeps the grid the verifier witnessed
-(`OracleResult.grid`) and builds `rep` from it when read.  Public builders
-and lifts convert their grid back to Fractions; public lifts put their input
-on its grid, verify it there and lift with every box checked in full.
+grid of its output.  It hands `boxes.certify_lift` its input, the levels it
+appends to each kept box and point, and the whole box and point of each
+vertex it changes (the re-added vertex, the restored vertex, v after an edge
+lift); the certifier joins the kept boxes and checks the step against the
+input's certificate.  The kept boxes are re-checked once per level, on the
+appended axes, and a changed box is compared on the old axes only with the
+levels it reaches: a wide box only with v's neighbours.  The wide box's span
+is one scan of the input's intervals.  A pipeline builds its tree base on the
+grid (or puts a given base on its grid once and verifies it there), runs every
+lift there, and keeps the final grid: its trace builds the Fraction
+representation only when `final` is read.  The oracle likewise keeps the grid
+the verifier witnessed (`OracleResult.grid`) and builds `rep` from it when
+read.  Public builders and lifts convert their grid back to Fractions; public
+lifts put their input on its grid, verify it there and lift with every box
+checked in full.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .boxes import (
     _facet_uncovered,
     _meet,
     certify_grid,
+    certify_lift,
     grid_to_json,
     verify_grid,
 )
@@ -244,22 +248,14 @@ def lift_vertex_add(rep_f: Representation, g: Graph, v: int) -> Representation:
 
 def _lift_vertex_add(rep: GridRep, adj: dict, v: int) -> GridRep:
     """lift_vertex_add on a valid grid-form input, for the neighbour map adj; a box of v in it is ignored."""
-    s = rep.scale
-    low, high = (0, 3 * s), (2 * s, 5 * s)
-    nbr_set = set(adj[v])
-    boxes: dict[int, IntBox] = {}
-    points: dict[int, IntPoint] = {}
-    for u in range(1, len(adj) + 1):
-        if u == v:
-            continue
-        level = high if u in nbr_set else low
-        boxes[u] = rep.boxes[u] + (level,)
-        points[u] = rep.points[u] + (level[0],)
-    intervals = [iv for u, b in rep.boxes.items() if u != v for iv in b]
+    s, d = rep.scale, rep.dim
+    tails = dict.fromkeys(range(1, len(adj) + 1), (((0, 3 * s),), (0,)))
+    tails.update(dict.fromkeys(adj[v], (((2 * s, 5 * s),), (2 * s,))))
+    del tails[v]
+    intervals = [iv for u, b in rep.boxes.items() if u != v for iv in b]  # every box but v's old one
     lo, hi = min(map(itemgetter(0), intervals)), max(map(itemgetter(1), intervals))
-    boxes[v] = ((lo, hi),) * rep.dim + ((4 * s, 6 * s),)
-    points[v] = (hi,) * rep.dim + (6 * s,)
-    return certify_grid(adj, s, boxes, points, "vertex lift", rep)
+    wide = (((lo, hi),) * d + ((4 * s, 6 * s),), (hi,) * d + (6 * s,))
+    return certify_lift(adj, rep, tails, {v: wide}, "vertex lift")
 
 
 def lift_edge_add(rep_h: Representation, g: Graph, e: Edge) -> Representation:
@@ -293,19 +289,11 @@ def drop_edge(rep_g: Representation, g: Graph, e: Edge) -> Representation:
 def _drop_edge(rep: GridRep, adj: dict, u: int, v: int) -> GridRep:
     """drop_edge on a valid grid-form input, for the edge (u, v) of the neighbour map adj."""
     s = rep.scale
-    boxes: dict[int, IntBox] = {}
-    points: dict[int, IntPoint] = {}
-    for i in range(1, len(adj) + 1):
-        if i == u:
-            level = (s, 2 * s)
-        elif i == v:
-            level = (3 * s, 5 * s)
-        else:
-            level = (0, 4 * s)
-        boxes[i] = rep.boxes[i] + (level,)
-        points[i] = rep.points[i] + (level[0],)
+    tails = dict.fromkeys(range(1, len(adj) + 1), (((0, 4 * s),), (0,)))
+    tails[u] = (((s, 2 * s),), (s,))
+    tails[v] = (((3 * s, 5 * s),), (3 * s,))
     h = adj | {u: set(adj[u]) - {v}, v: set(adj[v]) - {u}}
-    return certify_grid(h, s, boxes, points, "edge drop", rep)
+    return certify_lift(h, rep, tails, {}, "edge drop")
 
 
 def lift_uncontract(
@@ -337,32 +325,21 @@ def lift_uncontract(
 
 
 def _lift_uncontract(rep: GridRep, adj: dict, u: int, n_restored: int) -> GridRep:
-    """lift_uncontract on a valid grid-form input whose split matches the neighbour map adj."""
+    """lift_uncontract on a valid grid-form input whose split matches the neighbour map adj.
+
+    n_restored is the largest label, so the grid keeps every vertex's order.
+    """
     s = rep.scale
     set_u, set_n = set(adj[u]), set(adj[n_restored])
     only_u = set_u - set_n - {n_restored}
     only_n = set_n - set_u - {u}
-    s_u, x_u = rep.boxes[u], rep.points[u]
-
-    boxes: dict[int, IntBox] = {}
-    points: dict[int, IntPoint] = {}
-    for i in range(1, len(adj) + 1):
-        if i == u:
-            boxes[i] = s_u + ((0, 6 * s), (3 * s, 7 * s))
-            points[i] = x_u + (0, 3 * s)
-        elif i == n_restored:
-            boxes[i] = s_u + ((4 * s, 10 * s), (6 * s, 10 * s))
-            points[i] = x_u + (10 * s, 6 * s)
-        elif i in only_u:
-            boxes[i] = rep.boxes[i] + ((0, 10 * s), (0, 5 * s))
-            points[i] = rep.points[i] + (0, 0)
-        elif i in only_n:
-            boxes[i] = rep.boxes[i] + ((8 * s, 10 * s), (0, 10 * s))
-            points[i] = rep.points[i] + (8 * s, 0)
-        else:
-            boxes[i] = rep.boxes[i] + ((0, 10 * s), (0, 10 * s))
-            points[i] = rep.points[i] + (0, 0)
-    return certify_grid(adj, s, boxes, points, "uncontract lift", rep)
+    tails = dict.fromkeys(range(1, len(adj) + 1), (((0, 10 * s), (0, 10 * s)), (0, 0)))
+    tails.update(dict.fromkeys(only_u, (((0, 10 * s), (0, 5 * s)), (0, 0))))
+    tails.update(dict.fromkeys(only_n, (((8 * s, 10 * s), (0, 10 * s)), (8 * s, 0))))
+    tails[u] = (((0, 6 * s), (3 * s, 7 * s)), (0, 3 * s))
+    del tails[n_restored]
+    restored = (rep.boxes[u] + ((4 * s, 10 * s), (6 * s, 10 * s)), rep.points[u] + (10 * s, 6 * s))
+    return certify_lift(adj, rep, tails, {n_restored: restored}, "uncontract lift")
 
 
 # -- edit-sequence pipeline --------------------------------------------------------------

@@ -470,6 +470,22 @@ def certify_grid_all_pairs(adj: dict, scale: int, grid: dict, scaled: dict, what
     return GridRep(scale, grid, scaled, radii, (meets, near))
 
 
+def joined(prev: GridRep, tails: dict, changed: dict) -> tuple[dict, dict]:
+    """The (grid, scaled) of certify_lift's arguments: prev's box and point with the appended
+    part for each kept vertex, in the order of tails, then each changed vertex's own."""
+    grid = {v: prev.boxes[v] + box for v, (box, _) in tails.items()}
+    scaled = {v: prev.points[v] + p for v, (_, p) in tails.items()}
+    for v, (box, p) in changed.items():
+        grid[v], scaled[v] = box, p
+    return grid, scaled
+
+
+def span_without(rep: GridRep, v: int) -> tuple[int, int]:
+    """The least lo and the greatest hi on any axis of every box of rep but v's, by a scan of them all."""
+    ivs = [iv for u, b in rep.boxes.items() if u != v for iv in b]
+    return min(lo for lo, _ in ivs), max(hi for _, hi in ivs)
+
+
 # -- the Fraction certifier the integer base builders replaced ------------------------------
 
 

@@ -2,6 +2,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction as F
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from minorkit import boxes, build
 from minorkit.boxes import (
     GridRep,
     certify_grid,
+    certify_lift,
     grid_from_json,
     grid_to_json,
     verify_grid,
@@ -816,7 +818,7 @@ class TestCertify:
 
 
 class TestIncrementalCertify:
-    """certify_grid from a certified input: the kept boxes are checked on the appended axis."""
+    """certify_lift from a certified input: the kept boxes are checked on the appended axis."""
 
     PATH = Graph(3, [(1, 2), (2, 3)])
 
@@ -825,21 +827,22 @@ class TestIncrementalCertify:
         return certified_grid(self.PATH, fig_squares().boxes, points, "squares")
 
     def lift(self, prev, levels, at=None, extra=None):
-        """prev's boxes and points, each with the appended interval levels[v], at its low end or at[v]."""
-        at = at or {}
-        grid = {v: b + (levels[v],) for v, b in prev.boxes.items()}
-        scaled = {v: p + (at.get(v, levels[v][0]),) for v, p in prev.points.items()}
-        for v, (box, point) in (extra or {}).items():
-            grid[v], scaled[v] = box, point
-        return grid, scaled
+        """certify_lift's (tails, changed): each vertex of prev but those of extra is kept, with
+        the appended interval levels[v] and its point at the interval's low end or at[v];
+        extra maps each changed vertex to its whole (box, point)."""
+        at, extra = at or {}, extra or {}
+        tails = {v: ((levels[v],), (at.get(v, levels[v][0]),)) for v in prev.boxes if v not in extra}
+        return tails, dict(extra)
 
     def test_a_sound_lift_keeps_every_box(self):
         prev = self.prev()
         assert prev.scale == 1 and prev._cert == full_certificate(prev)
         g = Graph(3, [(2, 3)])  # 1-2 cut by the appended axis
-        grid, scaled = self.lift(prev, {1: (0, 1), 2: (2, 5), 3: (0, 4)})
-        got = certify_grid(g._adj, 1, grid, scaled, "lift", prev)
-        full = certify_grid(g._adj, 1, grid, scaled, "lift")
+        tails, changed = self.lift(prev, {1: (0, 1), 2: (2, 5), 3: (0, 4)})
+        got = certify_lift(g._adj, prev, tails, changed, "lift")
+        assert got.boxes == {v: prev.boxes[v] + box for v, (box, _) in tails.items()}
+        assert got.points == {v: prev.points[v] + p for v, (_, p) in tails.items()}
+        full = certify_grid(g._adj, 1, got.boxes, got.points, "lift")
         assert list(got.radii.items()) == list(full.radii.items())
         assert got._cert == full._cert == full_certificate(got)
 
@@ -850,9 +853,9 @@ class TestIncrementalCertify:
         prev = certified_grid(g, fig_squares().boxes, points, "squares")
         assert F(*prev.radii[2]) == F(1, 16)
         q = prev.scale // 8  # 1/8 on prev's grid
-        grid, scaled = self.lift(prev, {1: (0, 16 * q), 2: (0, 16 * q), 3: (3 * q, 16 * q)})
-        got = certify_grid(g._adj, prev.scale, grid, scaled, "lift", prev)
-        full = certify_grid(g._adj, prev.scale, grid, scaled, "lift")
+        tails, changed = self.lift(prev, {1: (0, 16 * q), 2: (0, 16 * q), 3: (3 * q, 16 * q)})
+        got = certify_lift(g._adj, prev, tails, changed, "lift")
+        full = certify_grid(g._adj, prev.scale, got.boxes, got.points, "lift")
         assert F(*got.radii[2]) == F(*full.radii[2]) == F(3, 16)
         assert got.radii == full.radii and got._cert == full._cert == full_certificate(got)
 
@@ -867,26 +870,73 @@ class TestIncrementalCertify:
     ])
     def test_each_fault_on_a_kept_box_raises(self, edges, levels, at, reason):
         prev = self.prev()
-        grid, scaled = self.lift(prev, levels, at)
+        tails, changed = self.lift(prev, levels, at)
         with pytest.raises(AssertionError, match=reason):
-            certify_grid(Graph(3, edges)._adj, 1, grid, scaled, "lift", prev)
+            certify_lift(Graph(3, edges)._adj, prev, tails, changed, "lift")
 
     def test_a_new_box_over_a_kept_witness_raises(self):
         # 4's box reaches 1's witness (0, 0, 0) at its corner, so 4 meets only 1
         prev = self.prev()
         new = {4: (((-1, 0), (-1, 0), (0, 1)), (-1, -1, 1))}
-        grid, scaled = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=new)
+        tails, changed = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=new)
         with pytest.raises(AssertionError, match="witness point for 1 lies in another box"):
-            certify_grid(Graph(4, [(1, 2), (2, 3), (1, 4)])._adj, 1, grid, scaled, "lift", prev)
+            certify_lift(Graph(4, [(1, 2), (2, 3), (1, 4)])._adj, prev, tails, changed, "lift")
 
     def test_a_changed_prefix_is_checked_in_full(self):
         # 3's old axes move onto box 1: 3 is changed, and its new meet with 1 is found
         prev = self.prev()
         moved = {3: (((1, 3), (0, 2), (0, 4)), (3, 0, 0))}
-        grid, scaled = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=moved)
+        tails, changed = self.lift(prev, {1: (0, 4), 2: (0, 4), 3: (0, 4)}, extra=moved)
         fault = r"intersection pattern fails at \[\(1, 3, 'unexpected'\)\]"
         with pytest.raises(AssertionError, match=fault):
-            certify_grid(self.PATH._adj, 1, grid, scaled, "lift", prev)
+            certify_lift(self.PATH._adj, prev, tails, changed, "lift")
+
+    def test_a_changed_witness_off_its_boundary_raises(self):
+        # 3's box is widened away from 1 and 2, and its point sits inside it, clear of every box
+        prev = self.prev()
+        box, inner = ((4, 8), (-2, 2), (0, 4)), (7, 0, 2)
+        tails, changed = self.lift(prev, {1: (0, 4), 2: (0, 4)}, extra={3: (box, inner)})
+        with pytest.raises(AssertionError, match="witness point for 3 is not on its boundary"):
+            certify_lift(self.PATH._adj, prev, tails, changed, "lift")
+
+    def test_a_changed_box_can_leave_a_neighbour(self):
+        # 3 moves off 2: the kept box 2 loses the meet that prev's certificate lists
+        prev = self.prev()
+        far = {3: (((10, 12), (10, 12), (0, 4)), (10, 10, 0))}
+        tails, changed = self.lift(prev, {1: (0, 4), 2: (0, 4)}, extra=far)
+        g = Graph(3, [(1, 2)])
+        got = certify_lift(g._adj, prev, tails, changed, "lift")
+        full = certify_grid(g._adj, 1, got.boxes, got.points, "lift")
+        assert list(got.radii.items()) == list(full.radii.items())
+        assert got._cert == full._cert == full_certificate(got)
+
+    @pytest.mark.parametrize("tails, changed, reason", [
+        ({1: (((0, 4),), (0,)), 2: (((0, 4),), (0,))}, {}, "must cover"),  # 3 is left out
+        ({1: (((0, 4),), (0,)), 2: (((0, 4),), (0,)), 3: (((0, 4),), (0,))},
+         {3: (((4, 6),) * 3, (4, 4, 4))}, "must cover"),  # 3 both kept and changed
+        ({v: (((0, 4),), (0,)) for v in (1, 2, 3, 4)}, {}, "no box or no point in the input"),
+    ])
+    def test_the_lift_must_cover_the_graph_once(self, tails, changed, reason):
+        with pytest.raises(AssertionError, match=reason):
+            certify_lift(Graph(4, [(1, 2), (2, 3)])._adj, self.prev(), tails, changed, "lift")
+
+    def test_an_input_without_a_certificate_gets_the_full_check(self):
+        prev = self.prev()
+        bare = GridRep(prev.scale, prev.boxes, prev.points, prev.radii)
+        g = Graph(3, [(2, 3)])
+        tails, changed = self.lift(prev, {1: (0, 1), 2: (2, 5), 3: (0, 4)})
+        calls = []
+        full = boxes.certify_grid
+
+        def recording(*args):
+            calls.append(args)
+            return full(*args)
+
+        with patch.object(boxes, "certify_grid", recording):
+            got = certify_lift(g._adj, bare, tails, changed, "lift")
+        assert [args[2:] for args in calls] == [(got.boxes, got.points, "lift")]
+        assert got == certify_lift(g._adj, prev, tails, changed, "lift")
+        assert got._cert == full_certificate(got)
 
     def test_only_a_certified_grid_carries_a_certificate(self):
         g = random_connected(9, 12, random.Random(3))

@@ -37,7 +37,7 @@ from minorkit import (
     verify_c2,
 )
 from minorkit import boxes, build
-from minorkit.boxes import GridRep, certify_grid, grid_to_json, rep_to_json, verify_grid
+from minorkit.boxes import GridRep, certify_grid, certify_lift, grid_to_json, rep_to_json, verify_grid
 from minorkit.exceptions import (
     BadNesting,
     BadSnapshot,
@@ -56,6 +56,7 @@ from helpers import (
     full_certificate,
     graph_of,
     is_bridge,
+    joined,
     lift_uncontract_fraction,
     lift_vertex_add_fraction,
     oracle_exposed,
@@ -63,6 +64,7 @@ from helpers import (
     random_tree,
     reference_chain,
     snapshot,
+    span_without,
     swap_labels,
     translate,
 )
@@ -85,15 +87,17 @@ def test_tree_pipeline_makes_one_grid_and_one_rep():
 
         with patch.object(boxes, "_grid", wraps=boxes._grid) as grid, \
                 patch.object(Representation, "__init__", counted_init), \
-                patch.object(build, "certify_grid", wraps=certify_grid) as certified:
+                patch.object(build, "certify_grid", wraps=certify_grid) as certified, \
+                patch.object(build, "certify_lift", wraps=certify_lift) as lifted:
             seq, trace = tree_pipeline(g)
             assert grid.call_count == 0 and len(reps) == 0
             assert trace.final is trace.final
         assert len(seq.ops) == len(trace.steps) == steps
         assert grid.call_count == 0 and len(reps) == 1
-        base, *lifts = certified.call_args_list
-        assert base.args[1:] == (1,) + base.args[2:4] + ("tree builder",)  # scale 1, no prev
-        assert len(lifts) == steps and all(c.args[1] == 1 and c.args[5] is not None for c in lifts)
+        (base,) = certified.call_args_list
+        assert base.args[1:] == (1,) + base.args[2:4] + ("tree builder",)  # scale 1, the full check
+        lifts = lifted.call_args_list
+        assert len(lifts) == steps and all(c.args[1].scale == 1 and c.args[1]._cert is not None for c in lifts)
 
 
 def test_edit_pipeline_on_a_given_base_makes_one_grid_and_one_rep():
@@ -613,40 +617,149 @@ def test_pipeline_steps_match_the_fraction_lifts(case):
     assert_strong(g, trace.final)
 
 
+def recorders(steps: list, full=None, lift=None):
+    """certify_grid and certify_lift for patching into build: each call appends (adj, what, prev,
+    tails, changed, out) to steps, prev, tails and changed None for a full check.  full and lift
+    run before each call of their kind, with its arguments."""
+
+    def recording_full(h, scale, grid, scaled, what):
+        if full is not None:
+            full(h, scale, grid, scaled, what)
+        out = certify_grid(h, scale, grid, scaled, what)
+        steps.append((snapshot(h), what, None, None, None, out))
+        return out
+
+    def recording_lift(h, prev, tails, changed, what):
+        if lift is not None:
+            lift(h, prev, tails, changed, what)
+        out = certify_lift(h, prev, tails, changed, what)
+        steps.append((snapshot(h), what, prev, tails, changed, out))
+        return out
+
+    return patch.multiple(build, certify_grid=recording_full, certify_lift=recording_lift)
+
+
 @given(connected_edit_cases(), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_each_step_certifies_as_the_full_check(case, given_base):
     # every lift starts from its input's certificate; each step must give the radii and the
-    # certificate of a check from scratch (prev=None), which the old verifier pins.  The
+    # certificate of a check from scratch (certify_grid), which the old verifier pins.  The
     # tree base is such a check; a given base is verified rather than certified, so its
     # first lift checks every box in full
     g, seq = case
     steps = []
     base = fraction_base(seq.base) if given_base else None
 
-    def recording(h, scale, grid, scaled, what, prev=None):
-        out = certify_grid(h, scale, grid, scaled, what, prev)
-        steps.append((snapshot(h), scale, grid, scaled, what, prev, out))
-        return out
-
-    with patch.object(build, "certify_grid", recording):
+    with recorders(steps):
         trace = build_from_edit_sequence(g, seq, base)
         e = g.edges[len(g.edges) // 2]
         build._drop_edge(trace.grid, g._adj, *e)  # from the pipeline's last grid
         drop_edge(trace.final, g, e)  # the public one: its verified input carries no certificate
         ops = len(seq.ops)
-        certs = [None if prev is None else prev._cert is not None for *_, prev, _ in steps]
+        certs = [None if prev is None else prev._cert is not None for _, _, prev, *_ in steps]
         kinds = {type(x) for *_, out in steps for b in out.boxes.values() for iv in b for x in iv}
         assert kinds == {int}
         if given_base:
             assert certs == [False] + [True] * ops + [False]
         else:
             assert certs == [None] + [True] * (ops + 1) + [False]
-        for h, scale, grid, scaled, what, prev, out in steps:
+        for h, what, prev, tails, changed, out in steps:
+            scale, grid, scaled = out.scale, out.boxes, out.points
+            if prev is not None:  # the certifier joins each kept box to prev's, in the order given
+                assert scale == prev.scale
+                assert (list(grid.items()), list(scaled.items())) == tuple(
+                    list(part.items()) for part in joined(prev, tails, changed))
             full = certify_grid(h, scale, grid, scaled, what)
             assert list(out.radii.items()) == list(full.radii.items())
             assert out.radii == {v: r for v, r in sorted(boxes._radii(scale, grid, scaled).items())}
             assert out._cert == full._cert == full_certificate(out)
+
+
+def test_the_wide_box_spans_every_box_but_its_own():
+    # tree_pipeline(K4) re-adds the edges 3-4, 2-4 and 2-3, each by a vertex lift of its larger
+    # end.  At the second lift of 4 the input holds 4's first wide box, which reaches 6 on the
+    # axis its lift appended; the boxes of 1, 2 and 3 reach only 5, and so must the new wide box
+    k4 = Graph(4, list(itertools.combinations(range(1, 5), 2)))
+    calls = []
+    body = build._lift_vertex_add
+
+    def recording(rep, adj, v):
+        out = body(rep, adj, v)
+        calls.append((rep, graph_of(adj), v, out))
+        return out
+
+    with patch.object(build, "_lift_vertex_add", recording):
+        tree_pipeline(k4)
+    assert [v for _, _, v, _ in calls] == [4, 4, 3]
+    rep, g, v, out = calls[1]
+    assert max(hi for b in rep.boxes.values() for _, hi in b) == 6 and span_without(rep, 4) == (0, 5)
+    assert out.boxes[4] == ((0, 5),) * rep.dim + ((4, 6),) and out.points[4] == (5,) * rep.dim + (6,)
+    assert_same_rep(out.to_representation(), lift_vertex_add_fraction(rep.to_representation(), g, 4))
+
+
+@st.composite
+def oracle_base_cases(draw):
+    """(g, seq, base): g is taken back by seq to a small graph h whose `box oracle` file
+    (ORACLE_REPS) is the base, on the grid of scale 2.  g has h's vertices and edges, chords
+    among them, and new vertices, each with one to three earlier neighbours.  seq deletes the
+    chords and some new vertices' edges in a drawn order, then the new vertices, last first."""
+    h, text = draw(st.sampled_from(ORACLE_REPS))
+    n, size = h.n, h.n + draw(st.integers(1, 4))
+    missing = [e for e in itertools.combinations(range(1, n + 1), 2) if e not in h.edges]
+    chords = draw(st.sets(st.sampled_from(missing))) if missing else set()
+    new = set()
+    for v in range(n + 1, size + 1):
+        new |= {(u, v) for u in draw(st.sets(st.integers(1, v - 1), min_size=1, max_size=3))}
+    deleted = draw(st.permutations(sorted(chords | draw(st.sets(st.sampled_from(sorted(new)))))))
+    g = Graph(size, sorted(set(h.edges) | chords | new))
+    seq = apply_edits(g, [EdgeDelete(*e) for e in deleted] + [VertexDelete(v) for v in range(size, n, -1)])
+    assert seq.base.same_topology(h)
+    return g, seq, boxes.grid_from_json(json.loads(text))
+
+
+def uncontracted(adj: dict, u: int, sides: list) -> dict:
+    """The neighbour map that contracting u with a new vertex r = len(adj) + 1 takes back to adj.
+
+    sides[i] says whether u's i-th neighbour (in label order) stays with u, goes to r, or
+    is a neighbour of both.
+    """
+    r = len(adj) + 1
+    out = {v: set(ns) for v, ns in adj.items()} | {r: {u}}
+    for w, side in zip(sorted(adj[u]), sides):
+        if side != "u":
+            out[w].add(r)
+            out[r].add(w)
+        if side == "r":
+            out[w].discard(u)
+            out[u].discard(w)
+    out[u].add(r)
+    return out
+
+
+@given(oracle_base_cases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lifts_carry_the_gaps_of_a_scale_two_base(case, data):
+    # the oracle's witnesses lie half a unit from a neighbour's box, so on its grid of scale 2
+    # the certificate has near entries: gaps below one unit, which set the radii.  A given base
+    # is verified, not certified, so the first lift is the full check; each later lift, and an
+    # edge drop and an uncontraction of the last grid, carry those entries on
+    g, seq, base = case
+    steps = []
+    with recorders(steps):
+        trace = build_from_edit_sequence(g, seq, base)
+        build._drop_edge(trace.grid, g._adj, *data.draw(st.sampled_from(g.edges)))
+        u = data.draw(st.sampled_from(list(g.vertices())))
+        sides = data.draw(st.lists(st.sampled_from(["u", "r", "both"]), min_size=g.degree(u), max_size=g.degree(u)))
+        build._lift_uncontract(trace.grid, uncontracted(g._adj, u, sides), u, g.n + 1)
+    (first, *carried) = [step for step in steps if step[2] is not None]
+    assert first[2]._cert is None and all(prev._cert is not None for _, _, prev, *_ in carried)
+    assert any(any(map(prev._cert[1].get, tails)) for _, _, prev, tails, *_ in carried)
+    for h, what, prev, tails, changed, out in [first, *carried]:
+        assert out.scale == 2
+        full = certify_grid(h, 2, out.boxes, out.points, what)
+        assert list(out.radii.items()) == list(full.radii.items())
+        assert out.radii == {v: r for v, r in sorted(boxes._radii(2, out.boxes, out.points).items())}
+        assert out._cert == full._cert == full_certificate(out)
 
 
 @st.composite
@@ -758,28 +871,35 @@ def test_a_certificate_never_changes_once_its_grid_exists(case, given_base):
     made = []
     rename = GridRep.rename
 
-    def recording(h, scale, grid, scaled, what, prev=None):
-        before = copy.deepcopy(prev._cert) if prev is not None else None
-        out = certify_grid(h, scale, grid, scaled, what, prev)
-        if prev is not None:
-            assert prev._cert == before
-        made.append((out, copy.deepcopy(out._cert)))
+    def carried(grid):  # what a later step reads of grid: its certificate
+        return copy.deepcopy(grid._cert)
+
+    def full(h, scale, grid, scaled, what):
+        out = certify_grid(h, scale, grid, scaled, what)
+        made.append((out, carried(out)))
+        return out
+
+    def lift(h, prev, tails, changed, what):
+        before = carried(prev)
+        out = certify_lift(h, prev, tails, changed, what)
+        assert carried(prev) == before
+        made.append((out, carried(out)))
         return out
 
     def renaming(self, mapping):
-        before = copy.deepcopy(self._cert)
+        before = carried(self)
         out = rename(self, mapping)
-        assert self._cert == before
-        made.append((out, copy.deepcopy(out._cert)))
+        assert carried(self) == before
+        made.append((out, carried(out)))
         return out
 
-    with patch.object(build, "certify_grid", recording), patch.object(GridRep, "rename", renaming):
+    with patch.multiple(build, certify_grid=full, certify_lift=lift), patch.object(GridRep, "rename", renaming):
         trace = build_from_edit_sequence(g, seq, base)
         e = g.edges[len(g.edges) // 2]
         build._drop_edge(trace.grid, g._adj, *e)
     assert len(made) >= len(seq.ops) + 1
-    for out, cert in made:
-        assert out._cert == cert
+    for out, before in made:
+        assert carried(out) == before
 
 
 @given(connected_edit_cases())
@@ -789,13 +909,9 @@ def test_each_lift_certifies_against_the_graph_chain_before_graph(case):
     # the graph before the op, with a contraction's labels still swapped
     g, seq = case
     maps = []
-
-    def recording(adj, *args):
-        maps.append(snapshot(adj))
-        return certify_grid(adj, *args)
-
-    with patch.object(build, "certify_grid", recording):
+    with recorders(maps):
         build_from_edit_sequence(g, seq)
+    maps = [h for h, *_ in maps]
     want = [swap_labels(before, *op.swap) if isinstance(op, Contract) and op.swap else before
             for before, op, _ in reversed(reference_chain(g, seq.ops))]
     assert maps == [snapshot(seq.base._adj)] + [snapshot(w._adj) for w in want]
@@ -842,38 +958,40 @@ FAULTS = ("degenerate kept box", "kept witness off its level", "changed box move
 
 
 def corruptions(step, fault):
-    """Every way to plant `fault` in one lift step's grid: (grid, scaled) copies.
+    """Every way to plant `fault` in one lift step's arguments: (tails, changed) copies.
 
     A kept vertex keeps prev's box and point on the first d0 axes; the faults on it
-    touch only its appended axes, so it stays kept.  A changed box moved onto a
+    touch only its appended part, so it stays kept.  A changed box moved onto a
     non-neighbour's old axes counts only where that breaks the pattern.
     """
-    h, scale, grid, scaled, _, prev = step
-    d0 = prev.dim
-    kept = [v for v in grid if grid[v][:d0] == prev.boxes.get(v) and scaled[v][:d0] == prev.points.get(v)]
-    changed = [v for v in grid if v not in kept]
-    for v in kept if fault in FAULTS[:2] else changed:
-        box, p = grid[v], scaled[v]
+    h, _, prev, tails, changed, _ = step
+    d0, scale = prev.dim, prev.scale
+    grid, _ = joined(prev, tails, changed)
+    for v in tails if fault in FAULTS[:2] else changed:
         if fault == "degenerate kept box":
-            lo = box[d0][0]
-            yield grid | {v: box[:d0] + ((lo, lo),) + box[d0 + 1:]}, scaled
+            box, p = tails[v]
+            lo = box[0][0]
+            yield tails | {v: (((lo, lo),) + box[1:], p)}, changed
         elif fault == "kept witness off its level":
-            yield grid, scaled | {v: p[:d0] + (box[d0][1] + scale,) + p[d0 + 1:]}
+            box, p = tails[v]
+            yield tails | {v: (box, (box[0][1] + scale,) + p[1:])}, changed
         elif fault == "changed box moved":
+            box, p = changed[v]
             for u in grid:
-                moved = grid | {v: grid[u][:d0] + box[d0:]}
-                if u != v and u not in h[v] and boxes._c1_violations(edges_of(h), moved):
-                    yield moved, scaled
+                moved = grid[u][:d0] + box[d0:]
+                if u != v and u not in h[v] and boxes._c1_violations(edges_of(h), grid | {v: moved}):
+                    yield tails, changed | {v: (moved, p)}
         else:
+            box = changed[v][0]
             corner = tuple(lo for lo, _ in box[d0:])
-            for u in kept:
-                if all(lo <= x <= hi for (lo, hi), x in zip(box, scaled[u][:d0])):
-                    yield grid, scaled | {u: scaled[u][:d0] + corner}
+            for u, (tail, _) in tails.items():
+                if all(lo <= x <= hi for (lo, hi), x in zip(box, prev.points[u])):
+                    yield tails | {u: (tail, corner)}, changed
 
 
-def certify_message(*args):
+def certify_message(certify, *args):
     try:
-        certify_grid(*args)
+        certify(*args)
     except AssertionError as exc:
         return str(exc)
     return None
@@ -886,27 +1004,22 @@ def test_a_corrupted_lift_fails_as_the_full_check(case, fault, data):
     # catches, and name it the same way
     g, seq = case
     steps = []
-
-    def recording(h, scale, grid, scaled, what, prev=None):
-        steps.append((snapshot(h), scale, grid, scaled, what, prev))
-        return certify_grid(h, scale, grid, scaled, what, prev)
-
-    with patch.object(build, "certify_grid", recording):
+    with recorders(steps):
         build_from_edit_sequence(g, seq)
-    planted = [(step, c) for step in steps[1:] for c in corruptions(step, fault)]
+    planted = [(step, c) for step in steps if step[2] is not None for c in corruptions(step, fault)]
     assume(planted)
-    (h, scale, _, _, what, prev), (grid, scaled) = data.draw(st.sampled_from(planted))
-    message = certify_message(h, scale, grid, scaled, what, prev)
+    (h, what, prev, *_), (tails, changed) = data.draw(st.sampled_from(planted))
+    message = certify_message(certify_lift, h, prev, tails, changed, what)
     assert message is not None
-    assert message == certify_message(h, scale, grid, scaled, what)
+    assert message == certify_message(certify_grid, h, prev.scale, *joined(prev, tails, changed), what)
 
 
 @pytest.mark.parametrize("seed", [3, 7, 12])
 def test_an_edge_lift_meets_the_wide_box_with_its_neighbours_only(seed):
     # a full check tests all n(n-1)/2 box pairs.  An edge lift from a certified input keeps
-    # every box but the wide vertex v's, in two classes (the two levels): one test per pair of
-    # classes, one for v's box against each class on the appended axis, and on the old axes
-    # only the members of the class that axis leaves in reach, which are v's neighbours
+    # every box but the wide vertex v's, in two classes (the two levels): one test for the
+    # pair of classes, one for v's box against each class on the appended axis, and on the
+    # old axes only the members of the class that axis leaves in reach, which are v's neighbours
     rng = random.Random(seed)
     g = random_connected(24, 34, rng)
     seq = reduce_to_spanning_tree(g)
@@ -917,20 +1030,20 @@ def test_an_edge_lift_meets_the_wide_box_with_its_neighbours_only(seed):
         calls[0] += 1
         return meet(a, b)
 
-    def recording(h, scale, grid, scaled, what, prev=None):
+    def reset(*_):
+        counts.append(calls[0])  # the calls before this one's
         calls[0] = 0
-        out = certify_grid(h, scale, grid, scaled, what, prev)
-        counts.append((calls[0], snapshot(h), out))
-        return out
 
-    with patch.object(boxes, "_meet", counted), patch.object(build, "certify_grid", recording):
+    steps = []
+    with patch.object(boxes, "_meet", counted), recorders(steps, full=reset, lift=reset):
         build_from_edit_sequence(g, seq)
-    (base, t, grid), *counts = counts  # the tree base is the full check
+    counts = counts[1:] + [calls[0]]  # each call's own count
+    (base, *counts), ((t, *_, grid), *steps) = counts, steps  # the tree base is the full check
     assert base == swept_pairs(grid) < len(t) * (len(t) - 1) // 2  # the best axis's near pairs
-    assert len(counts) == len(seq.ops) == 11
+    assert len(counts) == len(steps) == len(seq.ops) == 11
     wide = [max(op.u, op.v) for op in reversed(seq.ops)]
-    for (c, h, _), v in zip(counts, wide):
-        assert c <= len(h[v]) + 6
+    for c, (h, *_), v in zip(counts, steps, wide):
+        assert c <= len(h[v]) + 3
 
 
 def swept_pairs(grid: GridRep) -> int:
