@@ -26,7 +26,9 @@ n of them.  A `C2Report` keeps the grid it decided on as `rep`; its Fraction
 `witnesses` are built when first read, and `witnesses_to_json` writes them
 from the ints.  `certify_grid` proves a builder's output (C1, witness points,
 radii) on such a grid, so an edit pipeline's lifts stay on their base's grid
-from the base to the written file.
+from the base to the written file.  Its full check, and the radii of swept
+witnesses, run on the same tables: the boxes within a grid unit of a point
+are those that no axis puts a unit (t = L) away.
 `certify_lift` proves a lift from its input's certificate (which boxes meet,
 and each witness's gaps to the boxes within one grid unit).  The lift hands
 it the input grid, the part it appends to each kept box and point, and the
@@ -39,12 +41,6 @@ input's maps are copied, and only the entries the step touches are fixed.
 A certificate never changes once its grid exists: a lift keeps each entry
 that its step leaves as it was as the same object, and copies an entry
 before changing it.
-The full check, with no certificate to start from, is a sweep and prune on
-the grid: it sorts each axis's intervals, counts the pairs of boxes that come
-within one grid unit on that axis, and tests only those pairs of the axis
-with the fewest.  A pair at least a unit apart on one axis neither meets nor
-puts either box within a unit of the other's witness, which lies in its own
-box, so the sweep is exact; a path's base sweeps about n pairs, not n^2 / 2.
 Boxes are closed, so two boxes that share only a boundary point do
 intersect; builders therefore keep strictly positive gaps between
 non-adjacent boxes.
@@ -449,16 +445,8 @@ def verify_c1(g: Graph, rep: Representation) -> C1Report:
     """Boxes intersect exactly for edges; every discrepancy is reported."""
     _check_cover(g, rep)
     _, grid, _ = _grid(rep.boxes)
-    bad = _c1_violations(g.edges, grid)
+    bad = _Tables(grid).c1(g.edges)
     return C1Report(ok=not bad, violations=tuple(bad))
-
-
-def _c1_violations(edges: Iterable[Edge], grid: dict[int, IntBox]) -> list[tuple[int, int, str]]:
-    """Each pair i < j whose boxes meet without an edge (i, j), or have one and do not meet.
-
-    In vertex order, as a check of every pair lists them; _Tables decides it.
-    """
-    return _Tables(grid).c1(edges)
 
 
 class _Tables:
@@ -476,6 +464,7 @@ class _Tables:
     coordinate and t, on its axis, so a verify does O(n * d) ANDs and ORs of
     n-bit masks.  The tables hold one n-bit mask per distinct interval and
     prefix, up to Theta(n^2 * d) bits where an axis has about n intervals.
+    The same questions give a full check's certificate and witness radii.
     """
 
     def __init__(self, grid: Mapping[int, IntBox]):
@@ -493,6 +482,22 @@ class _Tables:
             his, pre_hi = [hi for _, hi in by_hi], [0, *accumulate(map(masks.__getitem__, by_hi), or_)]
             self.axes.append((los, pre_lo, his, pre_hi, masks))
 
+    def _met(self) -> list[int]:
+        """Each vertex's mask of the boxes that meet its box, its own included, in vertex order."""
+        tabs = [
+            {(lo, hi): pre_lo[bisect_right(los, hi)] & ~pre_hi[bisect_left(his, lo)] for lo, hi in masks}
+            for los, pre_lo, his, pre_hi, masks in self.axes
+        ]
+        return [reduce(and_, map(dict.__getitem__, tabs, self.grid[v])) for v in self.verts]
+
+    def _far(self, t: int, cols: Iterable[Iterable[int]]) -> list[dict[int, int]]:
+        """Per axis, each coordinate x of that axis's col -> the set of boxes at least t from x there."""
+        full = self.full
+        return [
+            {x: (full ^ pre_lo[bisect_left(los, x + t)]) | pre_hi[bisect_right(his, x - t)] for x in set(col)}
+            for (los, pre_lo, his, pre_hi, _), col in zip(self.axes, cols)
+        ]
+
     def c1(self, edges: Iterable[Edge]) -> list[tuple[int, int, str]]:
         """The C1 violations (i, j, kind), i < j, of the edges (i, j) with i < j, in vertex order."""
         verts, bit = self.verts, self.bit
@@ -501,19 +506,11 @@ class _Tables:
             if i < j and i in bit and j in bit:
                 adj[i] |= bit[j]
                 adj[j] |= bit[i]
-        tabs = [
-            {(lo, hi): pre_lo[bisect_right(los, hi)] & ~pre_hi[bisect_left(his, lo)] for lo, hi in masks}
-            for los, pre_lo, his, pre_hi, masks in self.axes
-        ]
         bad: list[tuple[int, int, str]] = []
-        for k, v in enumerate(verts):
-            meets = reduce(and_, map(dict.__getitem__, tabs, self.grid[v]))
-            diff = (meets ^ adj[v]) >> (k + 1)  # the pairs (v, j) with j > v that disagree
-            while diff:
-                low = diff & -diff
-                j = k + low.bit_length()
-                bad.append((v, verts[j], "unexpected" if meets >> j & 1 else "missing"))
-                diff ^= low
+        for k, (v, meets) in enumerate(zip(verts, self._met())):
+            # the pairs (v, u) with u > v that disagree
+            for u in _labels((meets ^ adj[v]) >> (k + 1) << (k + 1), verts):
+                bad.append((v, u, "unexpected" if meets & bit[u] else "missing"))
         return bad
 
     def passing(self, points: Mapping[int, IntPoint], radii: Mapping[int, Pair], scale: int) -> set[int]:
@@ -534,12 +531,42 @@ class _Tables:
         full, bit = self.full, self.bit
         ok: set[int] = set()
         for t, vs in by_t.items():
-            tabs = [
-                {x: (full ^ pre_lo[bisect_left(los, x + t)]) | pre_hi[bisect_right(his, x - t)] for x in set(col)}
-                for (los, pre_lo, his, pre_hi, _), col in zip(self.axes, zip(*map(points.__getitem__, vs)))
-            ]
+            tabs = self._far(t, zip(*map(points.__getitem__, vs)))
             ok.update(v for v in vs if reduce(or_, map(dict.__getitem__, tabs, points[v]), bit[v]) == full)
         return ok
+
+    def near(self, points: Mapping[int, IntPoint], scale: int) -> dict[int, dict[int, int]]:
+        """Each v of points -> {u: L-infinity gap} for each box u but v's less than scale from points[v].
+
+        Those are the boxes that no axis puts at least t = scale away, and each
+        costs one _gap.  v need not have a box.
+        """
+        far = self._far(scale, zip(*points.values()))
+        verts, grid, bit, full = self.verts, self.grid, self.bit, self.full
+        near = {}
+        for v, p in points.items():
+            close = full ^ reduce(or_, map(dict.__getitem__, far, p), bit.get(v, 0))
+            near[v] = {u: _gap(grid[u], p, scale) for u in _labels(close, verts)} if close else {}
+        return near
+
+    def certificate(self, points: Mapping[int, IntPoint], scale: int) -> tuple[dict, dict]:
+        """certify_grid's certificate (meets, near): meets[v] holds the other boxes that meet v's.
+
+        near is self.near(points, scale).
+        """
+        verts = self.verts
+        met = zip(verts, self._met(), self.bit.values())
+        return {v: set(_labels(m ^ b, verts)) for v, m, b in met}, self.near(points, scale)
+
+
+def _labels(mask: int, verts: list[int]) -> list[int]:
+    """The vertices of mask's set bits, bit k standing for verts[k], lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(verts[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 # -- exclusive-boundary machinery ----------------------------------------------------
@@ -555,37 +582,21 @@ def witness_radius(point: Point, rep: Representation, exclude: int) -> Fraction 
 
 def witness_radii(points: Mapping[int, Point], rep: Representation) -> dict[int, Fraction | None]:
     """witness_radius of each points[v] against every box but v's, on one shared grid."""
-    radii = _radii(*_grid(rep.boxes, points))
+    scale, grid, scaled = _grid(rep.boxes, points)
+    radii = {v: _radius(gaps, scale) for v, gaps in _Tables(grid).near(scaled, scale).items()}
     return {v: r if r is None else Fraction(*r) for v, r in radii.items()}
 
 
-def _radii(scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint]) -> dict[int, Pair | None]:
-    """Each point's radius: its gap to the nearest other box over 2 * scale, at most 1/4.
+def _radius(gaps: Mapping[int, int], scale: int) -> Pair | None:
+    """A witness radius from its near gaps: half the least gap / scale, at most 1/4.
 
-    None when the point lies in another box.  Any gap of scale or more gives 1/4,
-    so the search starts from that bound and leaves a box as soon as one axis
-    puts it no nearer than the nearest so far.
+    gaps maps each other box less than scale from the witness to its gap, so
+    with none the radius is 1/4.  None when the least gap is 0 (the witness
+    lies in another box).
     """
-    radii: dict[int, Pair | None] = {}
-    for v, p in scaled.items():
-        nearest = scale
-        for u, b in grid.items():
-            if u == v:
-                continue
-            gap = _gap(b, p, nearest)
-            if gap < nearest:
-                nearest = gap
-                if gap == 0:
-                    break
-        radii[v] = _radius(nearest, scale)
-    return radii
-
-
-def _radius(nearest: int, scale: int) -> Pair | None:
-    """A witness radius: half the gap nearest / scale to the nearest other box, at most 1/4.
-
-    None when nearest is 0 (the witness lies in another box).
-    """
+    if not gaps:
+        return (1, 4)
+    nearest = min(gaps.values())
     if nearest == 0:
         return None
     if 2 * nearest >= scale:  # nearest / (2 * scale) >= 1/4
@@ -601,13 +612,10 @@ def certify_grid(adj: dict, scale: int, grid: dict[int, IntBox], scaled: dict[in
     scaled[v] must lie on grid[v]'s boundary and outside every other box; a failure
     is a bug in the builder `what` (AssertionError).  The radii come in vertex order.
 
-    This is the full check.  Its certificate (_certificate) tests only the pairs
-    of boxes within one grid unit of each other on the axis that has the fewest
-    (_swept_pairs).  A failure is named by a scan in vertex order, as a check of
-    every pair names it: a witness point outside its own box may leave gaps
-    unseen, but the scan names it before its radius is read, and every earlier
-    radius is exact.  The result carries its certificate, which a lift of it
-    carries on (certify_lift).
+    This is the full check: its certificate comes from the boxes' _Tables
+    (_Tables.certificate), exact for any points, and a failure is named by a
+    scan in vertex order, as a check of every pair names it.  The result
+    carries its certificate, which a lift of it carries on (certify_lift).
 
     So the result passes verify_grid as it stands.  With nearest >= 1 the least
     L-infinity gap from v's point to another box, on the grid, v's radius is the
@@ -620,8 +628,8 @@ def certify_grid(adj: dict, scale: int, grid: dict[int, IntBox], scaled: dict[in
     if grid.keys() != adj.keys() or scaled.keys() != grid.keys():
         raise AssertionError(f"{what}: boxes and witness points must cover 1..{len(adj)}")
     _nondegenerate(grid, grid.values(), what)
-    meets, near = _certificate(scale, grid, scaled)
-    radii = {v: _radius(min(near[v].values()), scale) if near[v] else (1, 4) for v in sorted(near)}
+    meets, near = _Tables(grid).certificate(scaled, scale)
+    radii = {v: _radius(near[v], scale) for v in sorted(near)}
     placed = all(_on_boundary(grid[v], p) for v, p in scaled.items())
     return _proved(adj, GridRep(scale, grid, scaled, radii, (meets, near)), what, placed)
 
@@ -676,7 +684,7 @@ def certify_lift(adj: dict, prev: GridRep, tails: dict, changed: dict, what: str
     order = sorted(grid)
     radii = dict(zip(order, map(prev.radii.get, order)))
     for v in renear:
-        radii[v] = _radius(min(near[v].values()), scale) if near[v] else (1, 4)
+        radii[v] = _radius(near[v], scale)
     placed = all(
         len(box) == len(p) and all(lo <= x <= hi for (lo, hi), x in zip(box, p)) for box, p in classes
     ) and all(_on_boundary(box, p) for box, p in changed.values())
@@ -701,7 +709,7 @@ def _proved(adj: dict, rep: GridRep, what: str, placed: bool) -> GridRep:
     meets = rep._cert[0]
     # a neighbour map of sets (every lift's) is compared in one C call
     if meets != adj and any(len(m) != len(adj[v]) or not m.issuperset(adj[v]) for v, m in meets.items()):
-        bad = _c1_violations(((i, j) for i, ns in adj.items() for j in ns if i < j), rep.boxes)
+        bad = _Tables(rep.boxes).c1((i, j) for i, ns in adj.items() for j in ns if i < j)
         raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
     if not placed or None in rep.radii.values():
         for v, p in rep.points.items():
@@ -722,46 +730,6 @@ def _gap(box: IntBox, p: IntPoint, cap):
                 return d
             gap = d
     return gap
-
-
-def _swept_pairs(scale: int, grid: Mapping[int, IntBox]):
-    """Each pair of boxes whose intervals come within scale of each other on the best axis.
-
-    An axis's intervals are sorted by lo once; interval i comes within scale of
-    each later one whose lo is below hi_i + scale, so a bisect over the sorted
-    los counts the axis's near pairs.  The axis with the fewest is swept.  Any
-    other pair is at least scale apart on it, so its boxes do not meet, and no
-    point of either box comes within scale of the other.
-    """
-    verts = list(grid)
-    n, best = len(verts), None
-    for axis in range(len(grid[verts[0]])):
-        col = [grid[v][axis] for v in verts]
-        order = sorted(range(n), key=col.__getitem__)
-        los = [col[i][0] for i in order]
-        ends = [bisect_left(los, col[i][1] + scale) for i in order]
-        count = sum(ends) - n * (n + 1) // 2  # ends[i] - (i + 1) later boxes each
-        if best is None or count < best[0]:
-            best = (count, order, ends)
-    _, order, ends = best
-    for i, end in enumerate(ends):
-        v = verts[order[i]]
-        for j in range(i + 1, end):
-            yield v, verts[order[j]]
-
-
-def _certificate(scale: int, grid: dict[int, IntBox], scaled: dict[int, IntPoint]) -> tuple[dict, dict]:
-    """certify_grid's certificate (meets, near) of the boxes grid and the points scaled.
-
-    meets[v] is the set of vertices whose boxes meet v's box, and near[v] maps
-    each vertex whose box is less than scale from scaled[v] to that gap.  Only
-    the pairs that _swept_pairs leaves are tested, which certify_grid shows to
-    be enough.
-    """
-    meets: dict[int, set] = {v: set() for v in grid}
-    near: dict[int, dict] = {v: {} for v in grid}
-    _tested(scale, grid, scaled, meets, near, _swept_pairs(scale, grid))
-    return meets, near
 
 
 def _tested(scale, grid, scaled, meets: dict, near: dict, pairs) -> None:
@@ -893,7 +861,7 @@ class GridRep:
     boxes: dict[int, IntBox]
     points: dict[int, IntPoint]
     radii: dict[int, Pair]
-    # (meets, near) when certify_grid or certify_lift made this grid (see _certificate); not part of the value
+    # (meets, near) when certify_grid or certify_lift made this grid (see _Tables.certificate); not part of the value
     _cert: tuple[dict, dict] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
@@ -939,7 +907,7 @@ class GridRep:
             scale *= 2
             boxes = {v: tuple((2 * lo, 2 * hi) for lo, hi in b) for v, b in boxes.items()}
             points = {v: tuple(2 * x for x in p) for v, p in points.items()} | swept
-            found = _radii(scale, boxes, swept)
+            found = {v: _radius(gaps, scale) for v, gaps in _Tables(boxes).near(swept, scale).items()}
             if None in found.values():
                 raise AssertionError("uncovered facet point lies in another box")
             radii = radii | found

@@ -125,9 +125,10 @@ class _Report:
             with open(path, "rb") as fh:
                 raw = fh.read()
             obj = json.loads(raw)
-        except FileNotFoundError as exc:
+        except OSError as exc:  # a missing file, a directory, no permission
             raise ParseError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        # bad JSON, bytes no UTF decodes, an int past the digit limit, nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
         self.data["inputs"][name] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()[:16]}
         return obj

@@ -17,7 +17,7 @@ from minorkit.boxes import (
     DEFAULT_MAX_SWEEP_BOXES,
     DEFAULT_MAX_SWEEP_DIM,
     GridRep,
-    _c1_violations,
+    _Tables,
     _gap,
     _grid,
     _json_object,
@@ -430,8 +430,23 @@ def full_certificate(rep) -> tuple[dict, dict]:
     return meets, near
 
 
+def full_radii(rep) -> dict:
+    """Each witness's radius pair, in vertex order, from full_certificate's near gaps.
+
+    With nearest the least gap to another box (rep.scale when none is nearer),
+    it is None at 0, (1, 4) once nearest / (2 * scale) reaches 1/4, and
+    (nearest, 2 * scale) below that.
+    """
+    _, near = full_certificate(rep)
+    radii = {}
+    for v in sorted(near):
+        nearest = min(near[v].values(), default=rep.scale)
+        radii[v] = None if nearest == 0 else (1, 4) if 2 * nearest >= rep.scale else (nearest, 2 * rep.scale)
+    return radii
+
+
 def certify_grid_all_pairs(adj: dict, scale: int, grid: dict, scaled: dict, what: str) -> GridRep:
-    """certify_grid's full check (no prev) as it was before it swept one axis: every pair of boxes.
+    """certify_grid's full check (no prev) by brute force: every pair of boxes.
 
     Each unordered pair of boxes gets one _meet and each ordered pair the _gap
     from the first's point to the second's box, in vertex order.  The checks
@@ -459,9 +474,9 @@ def certify_grid_all_pairs(adj: dict, scale: int, grid: dict, scaled: dict, what
                 near[v][u] = gap
     for v, m in meets.items():
         if m != set(adj[v]):
-            bad = _c1_violations(((i, j) for i, ns in adj.items() for j in ns if i < j), grid)
+            bad = _Tables(grid).c1((i, j) for i, ns in adj.items() for j in ns if i < j)
             raise AssertionError(f"{what}: intersection pattern fails at {bad[:3]}")
-    radii = {v: _radius(min(near[v].values()), scale) if near[v] else (1, 4) for v in sorted(near)}
+    radii = {v: _radius(near[v], scale) for v in sorted(near)}
     for v, p in scaled.items():
         if not _on_boundary(grid[v], p):
             raise AssertionError(f"{what}: witness point for {v} is not on its boundary")

@@ -403,9 +403,10 @@ class TestKernel:
             3: Box.make(("3/2", 3), (0, "1/2")),
         })
         grid = GridRep.of(rep).boxes
-        assert boxes._c1_violations([(1, 2)], grid) == []
-        assert boxes._c1_violations([], grid) == [(1, 2, "unexpected")]
-        assert boxes._c1_violations([(1, 2), (2, 3)], grid) == [(2, 3, "missing")]
+        tables = boxes._Tables(grid)
+        assert tables.c1([(1, 2)]) == []
+        assert tables.c1([]) == [(1, 2, "unexpected")]
+        assert tables.c1([(1, 2), (2, 3)]) == [(2, 3, "missing")]
 
     def test_several_faults_in_the_references_order(self):
         rep = Representation({
@@ -419,7 +420,7 @@ class TestKernel:
         g = Graph(6, [(1, 4), (2, 3), (3, 6), (4, 6), (5, 6)])
         want = reference_c1(g, rep)
         assert len(want) >= 6 and {kind for *_, kind in want} == {"unexpected", "missing"}
-        assert boxes._c1_violations(g.edges, GridRep.of(rep).boxes) == list(want)
+        assert boxes._Tables(GridRep.of(rep).boxes).c1(g.edges) == list(want)
         assert verify_c1(g, rep).violations == want
         assert verify_grid(g, GridRep.of(rep))[0].violations == want
 

@@ -54,6 +54,7 @@ from helpers import (
     drop_edge_fraction,
     edges_of,
     full_certificate,
+    full_radii,
     graph_of,
     is_bridge,
     joined,
@@ -671,7 +672,7 @@ def test_each_step_certifies_as_the_full_check(case, given_base):
                     list(part.items()) for part in joined(prev, tails, changed))
             full = certify_grid(h, scale, grid, scaled, what)
             assert list(out.radii.items()) == list(full.radii.items())
-            assert out.radii == {v: r for v, r in sorted(boxes._radii(scale, grid, scaled).items())}
+            assert out.radii == full_radii(out)
             assert out._cert == full._cert == full_certificate(out)
 
 
@@ -758,7 +759,7 @@ def test_lifts_carry_the_gaps_of_a_scale_two_base(case, data):
         assert out.scale == 2
         full = certify_grid(h, 2, out.boxes, out.points, what)
         assert list(out.radii.items()) == list(full.radii.items())
-        assert out.radii == {v: r for v, r in sorted(boxes._radii(2, out.boxes, out.points).items())}
+        assert out.radii == full_radii(out)
         assert out._cert == full._cert == full_certificate(out)
 
 
@@ -805,9 +806,9 @@ def full_check(certify, *args):
 
 @given(full_checks())
 @settings(max_examples=200, deadline=None)
-def test_the_swept_full_check_is_the_all_pairs_one(case):
-    # the full check tests only the pairs its best axis leaves within one grid unit; its
-    # meets, near gaps and radii, or its failure, must be those of every pair tested
+def test_the_full_check_is_the_all_pairs_one(case):
+    # the full check reads its certificate off the verifier's tables; its meets, near gaps
+    # and radii, or its failure, must be those of every pair tested
     got, want = full_check(certify_grid, *case), full_check(certify_grid_all_pairs, *case)
     if isinstance(want, str):
         assert got == want
@@ -848,8 +849,9 @@ def full_check_faults(adj, grid, scaled, fault):
 @given(full_checks(), st.sampled_from(FULL_CHECK_FAULTS), st.data())
 @settings(max_examples=150, deadline=None)
 def test_a_corrupted_full_check_fails_as_the_all_pairs_one(case, fault, data):
-    # the sweep may leave a misplaced point's gaps unseen; the boundary scan must still name
-    # the first fault in vertex order, as the check of every pair does
+    # the boundary scan must name the first fault in vertex order, as the check of every pair
+    # does, and the tables' certificate stays exact on the faulted grid: every meet and every
+    # gap below a unit, a misplaced point's too
     adj, scale, grid, scaled, what = case
     planted = list(full_check_faults(adj, grid, scaled, fault))
     assume(planted)
@@ -858,6 +860,8 @@ def test_a_corrupted_full_check_fails_as_the_all_pairs_one(case, fault, data):
     want = full_check(certify_grid_all_pairs, *args)
     assert isinstance(want, str)
     assert full_check(certify_grid, *args) == want
+    cert = boxes._Tables(bad_grid).certificate(bad_scaled, scale)
+    assert cert == full_certificate(GridRep(scale, bad_grid, bad_scaled, {}))
 
 
 @given(connected_edit_cases(), st.booleans())
@@ -979,7 +983,7 @@ def corruptions(step, fault):
             box, p = changed[v]
             for u in grid:
                 moved = grid[u][:d0] + box[d0:]
-                if u != v and u not in h[v] and boxes._c1_violations(edges_of(h), grid | {v: moved}):
+                if u != v and u not in h[v] and boxes._Tables(grid | {v: moved}).c1(edges_of(h)):
                     yield tails, changed | {v: (moved, p)}
         else:
             box = changed[v][0]
@@ -1016,10 +1020,11 @@ def test_a_corrupted_lift_fails_as_the_full_check(case, fault, data):
 
 @pytest.mark.parametrize("seed", [3, 7, 12])
 def test_an_edge_lift_meets_the_wide_box_with_its_neighbours_only(seed):
-    # a full check tests all n(n-1)/2 box pairs.  An edge lift from a certified input keeps
-    # every box but the wide vertex v's, in two classes (the two levels): one test for the
-    # pair of classes, one for v's box against each class on the appended axis, and on the
-    # old axes only the members of the class that axis leaves in reach, which are v's neighbours
+    # the tree base's full check reads which boxes meet off the verifier's tables, with no
+    # pair test.  An edge lift from a certified input keeps every box but the wide vertex v's,
+    # in two classes (the two levels): one test for the pair of classes, one for v's box
+    # against each class on the appended axis, and on the old axes only the members of the
+    # class that axis leaves in reach, which are v's neighbours
     rng = random.Random(seed)
     g = random_connected(24, 34, rng)
     seq = reduce_to_spanning_tree(g)
@@ -1038,39 +1043,33 @@ def test_an_edge_lift_meets_the_wide_box_with_its_neighbours_only(seed):
     with patch.object(boxes, "_meet", counted), recorders(steps, full=reset, lift=reset):
         build_from_edit_sequence(g, seq)
     counts = counts[1:] + [calls[0]]  # each call's own count
-    (base, *counts), ((t, *_, grid), *steps) = counts, steps  # the tree base is the full check
-    assert base == swept_pairs(grid) < len(t) * (len(t) - 1) // 2  # the best axis's near pairs
+    (base, *counts), (_, *steps) = counts, steps  # the tree base is the full check
+    assert base == 0
     assert len(counts) == len(steps) == len(seq.ops) == 11
     wide = [max(op.u, op.v) for op in reversed(seq.ops)]
     for c, (h, *_), v in zip(counts, steps, wide):
         assert c <= len(h[v]) + 3
 
 
-def swept_pairs(grid: GridRep) -> int:
-    """The pairs of boxes whose intervals come within one grid unit of each other on the best axis."""
-    return min(
-        sum(max(a[axis][0], b[axis][0]) - min(a[axis][1], b[axis][1]) < grid.scale
-            for a, b in itertools.combinations(grid.boxes.values(), 2))
-        for axis in range(grid.dim)
-    )
-
-
 @pytest.mark.parametrize("shape", ["path", "star"])
 def test_a_long_path_or_star_base_tests_at_most_2n_pairs(shape):
-    # a path's boxes are apart on its depth axis but for parent and child, and a star's
-    # leaves are apart on its leaf axis: the full check sweeps that axis, not all n(n-1)/2 pairs
+    # the full check tests no pair of boxes for meeting, and takes one gap per box that the
+    # tables leave within a grid unit of a witness, not all n(n-1) of them
     n = 400
     t = Graph(n, [(v - 1 if shape == "path" else 1, v) for v in range(2, n + 1)])
-    calls = [0]
-    meet = boxes._meet
+    calls = {"_meet": 0, "_gap": 0}
+    pair_tests = {name: getattr(boxes, name) for name in calls}
 
-    def counted(a, b):
-        calls[0] += 1
-        return meet(a, b)
+    def counter(name):
+        def counted(*args):
+            calls[name] += 1
+            return pair_tests[name](*args)
+        return counted
 
-    with patch.object(boxes, "_meet", counted):
+    with patch.object(boxes, "_meet", counter("_meet")), patch.object(boxes, "_gap", counter("_gap")):
         grid = build._tree_grid(t)
-    assert calls[0] == swept_pairs(grid) <= 2 * n
+    assert calls["_meet"] == 0
+    assert calls["_gap"] == sum(map(len, grid._cert[1].values())) <= 2 * n
     assert grid._cert == full_certificate(grid)
 
 

@@ -29,6 +29,7 @@ from minorkit import (
     vector_to_json,
 )
 from minorkit import build as bld
+from minorkit import boxes as bxs
 from minorkit.boxes import grid_from_json, grid_to_json, verify_grid, witnesses_to_json
 from minorkit.cli import _dumps, main
 from minorkit.flow import GainMatrix, matrix_to_json
@@ -262,8 +263,9 @@ class TestBoxCommands:
     @pytest.mark.parametrize("source", ["tree", "threshold", "edits", "base-rep", "base-rep-no-edits"])
     def test_build_verifies_nothing_twice(self, tmp_path, capsys, monkeypatch, source):
         # every builder path certifies the grid it returns, so box build writes it with no
-        # verify_grid and no full C1 pass of its own.  The file must be what box verify keeps:
-        # the verifier passes it without a sweep and writes its witnesses back byte for byte
+        # verify_grid and no C1 pass of its own: the only one is the check of a given base,
+        # which is read, not built.  The file must be what box verify keeps: the verifier
+        # passes it without a sweep and writes its witnesses back byte for byte
         g = random_connected(10, 14, random.Random(8))
         if source in ("tree", "base-rep-no-edits"):
             g = random_tree(10, random.Random(8))
@@ -289,12 +291,20 @@ class TestBoxCommands:
         def refuse(*args):
             raise AssertionError("box build verified its certified grid again")
 
+        c1_calls = []
+        c1 = bxs._Tables.c1
+
+        def counted(tables, edges):
+            c1_calls.append(edges)
+            return c1(tables, edges)
+
         monkeypatch.setattr("minorkit.cli.verify_grid", refuse)
         monkeypatch.setattr("minorkit.build.verify_grid", refuse)
-        monkeypatch.setattr("minorkit.boxes._c1_violations", refuse)
+        monkeypatch.setattr(bxs._Tables, "c1", counted)
         code, report = run(capsys, *argv)
         assert code == 0 and report["results"]["c1_ok"] and report["results"]["c2_ok"]
         monkeypatch.undo()
+        assert len(c1_calls) == (1 if source.startswith("base-rep") else 0)
         written = rf.read_text()
         g = graph_from_json(json.loads(Path(gf).read_text()))
         c1, c2 = verify_grid(g, grid_from_json(json.loads(written)))
@@ -785,6 +795,33 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and err.startswith("input error:")
+
+    @pytest.mark.parametrize("content", [
+        None,  # a directory: IsADirectoryError
+        b'{"n":\x80}',  # no UTF-8, -16 or -32 decodes it: UnicodeDecodeError
+        b"1" * 5000,  # an int past the 4300-digit limit: ValueError
+        b"[" * 200_000,  # nested past the recursion limit: RecursionError
+    ], ids=["directory", "not-utf", "long-int", "deep-nesting"])
+    @pytest.mark.parametrize("read", ["box-verify-rep", "box-verify-graph", "box-build-edits", "flow-recover-flows"])
+    def test_a_file_json_cannot_read(self, tmp_path, tree_file, flow_file, capsys, read, content):
+        # each exited 1 with a traceback and nothing on stdout
+        path = tmp_path / "hostile.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        tree = graph_from_json(json.loads(Path(tree_file).read_text()))
+        rf = write(tmp_path / "rep.json", rep_to_json(build_tree_rep(tree)))  # read after the graph
+        argv = {
+            "box-verify-rep": ["box", "verify", str(path), tree_file],
+            "box-verify-graph": ["box", "verify", rf, str(path)],
+            "box-build-edits": ["box", "build", flow_file, "--strategy", "edits", "--edits", str(path)],
+            "flow-recover-flows": ["flow", "recover", flow_file, "--flows", str(path)],
+        }[read]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: ParseError: ") and captured.err.count("\n") == 1
 
     def test_non_integer_bundle_target(self, tmp_path, recover_args, capsys):
         bundle = write(tmp_path / "atk.json", {"targets": [["1", "x"]], "a": ["0"] * 8})
