@@ -32,12 +32,13 @@ are those that no axis puts a unit (t = L) away.
 `certify_lift` proves a lift from its input's certificate (which boxes meet,
 and each witness's gaps to the boxes within one grid unit).  The lift hands
 it the input grid, the part it appends to each kept box and point, and the
-whole box and point of each changed vertex; the certifier joins each kept
-box to its input box, so the first axes are the input's proven tuples.  The
-kept boxes are checked once per class of appended parts, on the appended
-axes, and a changed box is compared on the old axes only with the classes
-that the appended axes leave within reach.  The certificate is carried: the
-input's maps are copied, and only the entries the step touches are fixed.
+whole box and point of the one vertex it changes, if any; the certifier
+joins each kept box to its input box, so the first axes are the input's
+proven tuples.  The kept boxes are checked once per class of appended parts,
+on the appended axes, and the changed box is compared on the old axes only
+with the classes that the appended axes leave within reach.  The
+certificate is carried: the input's maps are copied, and only the entries
+the step touches are fixed.
 A certificate never changes once its grid exists: a lift keeps each entry
 that its step leaves as it was as the same object, and copies an entry
 before changing it.
@@ -64,7 +65,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations, compress
+from itertools import accumulate, chain, compress
 from math import lcm
 from operator import and_, attrgetter, itemgetter, or_
 
@@ -635,12 +636,13 @@ def certify_grid(adj: dict, scale: int, grid: dict[int, IntBox], scaled: dict[in
 
 
 def certify_lift(adj: dict, prev: GridRep, tails: dict, changed: dict, what: str) -> GridRep:
-    """certify_grid of a lift of prev, which keeps every vertex of tails and changes those of changed.
+    """certify_grid of a lift of prev, which keeps every vertex of tails and changes the one of changed.
 
     tails maps each kept vertex v to the (box, point) parts that the lift
-    appends to prev.boxes[v] and prev.points[v]; changed maps every other
-    vertex to its whole box and point.  The grid is prev's scale, and its
-    vertices are those of tails in their order, then those of changed.  The
+    appends to prev.boxes[v] and prev.points[v]; changed maps the one other
+    vertex, if any, to its whole box and point: a lift changes a wide or
+    restored box, or none (an edge drop).  The grid is prev's scale, and its
+    vertices are those of tails in their order, then the changed one.  The
     certifier joins each kept box and point itself, so their first d0 axes are
     the tuples prev proved: a full-dimensional box, with the point on its
     boundary.  The kept vertices fall into classes by their appended part, and
@@ -653,7 +655,7 @@ def certify_lift(adj: dict, prev: GridRep, tails: dict, changed: dict, what: str
     keeps prev's radius.  So a step costs one pass over the kept vertices to
     join and group them, O(n) work in C (the copies, C1 compared on every
     vertex against adj), and Python work only in proportion to the classes,
-    the changed boxes and the kept boxes they reach: an edge or vertex lift's
+    the changed box and the kept boxes it reaches: an edge or vertex lift's
     wide box reaches its neighbours.  Each check, its order and its message
     are certify_grid's.
 
@@ -661,6 +663,8 @@ def certify_lift(adj: dict, prev: GridRep, tails: dict, changed: dict, what: str
     entry stays prev's own set or dict where the step leaves it as it was, and
     is copied before its first change.
     """
+    if len(changed) > 1:
+        raise AssertionError(f"{what}: a lift changes at most one box, not those of {sorted(changed)}")
     old_boxes, old_points, scale = prev.boxes, prev.points, prev.scale
     grid: dict[int, IntBox] = {}
     scaled: dict[int, IntPoint] = {}
@@ -732,21 +736,6 @@ def _gap(box: IntBox, p: IntPoint, cap):
     return gap
 
 
-def _tested(scale, grid, scaled, meets: dict, near: dict, pairs) -> None:
-    """Enter each pair (v, u) of pairs into the certificate (meets, near), tested on every axis."""
-    for v, u in pairs:
-        box, b = grid[v], grid[u]
-        if _meet(box, b):
-            meets[v].add(u)
-            meets[u].add(v)
-        gap = _gap(b, scaled[v], scale)
-        if gap < scale:
-            near[v][u] = gap
-        gap = _gap(box, scaled[u], scale)
-        if gap < scale:
-            near[u][v] = gap
-
-
 def _carried(prev: GridRep, tails: dict, classes: dict, changed: dict, grid, scaled) -> tuple[dict, dict, set]:
     """certify_lift's certificate (meets, near), from prev's, and the vertices whose near entry is new.
 
@@ -761,9 +750,9 @@ def _carried(prev: GridRep, tails: dict, classes: dict, changed: dict, grid, sca
     - a kept vertex with a near entry (the boxes less than a grid unit from its
       point) keeps a gap only to a kept box that its class's appended part
       leaves less than a unit away, and takes the larger of the two parts;
-    - a changed box and point meet each class once on the appended axes, and
-      its members on the first d0 axes only where that part leaves them in
-      reach; changed pairs are tested on every axis.
+    - the changed box and point (certify_lift allows at most one) meet each
+      class once on the appended axes, and its members on the first d0 axes
+      only where that part leaves them in reach.
     An entry is copied off prev's before its first change.
     """
     meets0, near0 = prev._cert
@@ -816,10 +805,9 @@ def _carried(prev: GridRep, tails: dict, classes: dict, changed: dict, grid, sca
                 else:
                     new[u] = gap
     for v in changed:
-        meets[v], near[v] = set(), {}
-    _tested(scale, grid, scaled, meets, near, combinations(changed, 2))
-    for v in changed:
-        box, p, mv, nv = grid[v], scaled[v], meets[v], near[v]
+        box, p = grid[v], scaled[v]
+        mv = meets[v] = set()
+        nv = near[v] = {}
         head, tail, p_head, p_tail = box[:d0], box[d0:], p[:d0], p[d0:]
         for (suffix, point), us in parts:
             if _meet(tail, suffix):

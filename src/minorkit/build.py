@@ -11,7 +11,7 @@ pipeline walks a replayed edit sequence backwards on one neighbour map, lifting
 a verified base representation up to the original graph, and a tiny brute-force
 oracle pins exact answers for hand-checkable instances.  The oracle searches
 boxes of any dimension on a small integer grid and prunes with the verifier's
-own facet sweep; its gate at dimension 2 limits its cost only.
+own kernels (`_Tables` meet masks, the facet sweep), gated at dimension 2.
 
 Every construction step is certified once: C1, each chosen witness point's
 place on its box's boundary and every witness radius, decided on one integer
@@ -20,9 +20,9 @@ threshold graphs out on ints at scale 1, with every coordinate O(n), and
 `boxes.certify_grid` checks them in full.  A lift appends integer levels
 k * scale and reuses the input's coordinates, so the grid of its input is the
 grid of its output.  It hands `boxes.certify_lift` its input, the levels it
-appends to each kept box and point, and the whole box and point of each
-vertex it changes (the re-added vertex, the restored vertex, v after an edge
-lift); the certifier joins the kept boxes and checks the step against the
+appends to each kept box and point, and the whole box and point of the one
+vertex it changes, if any (the re-added or restored vertex, or v after an
+edge lift); the certifier joins the kept boxes and checks the step against the
 input's certificate.  The kept boxes are re-checked once per level, on the
 appended axes, and a changed box is compared on the old axes only with the
 levels it reaches: a wide box only with v's neighbours.  The wide box's span
@@ -54,7 +54,7 @@ from .boxes import (
     _c2_found,
     _Tables,
     _facet_uncovered,
-    _meet,
+    _labels,
     certify_grid,
     certify_lift,
     grid_to_json,
@@ -460,20 +460,20 @@ class OracleResult:
         return None if self.grid is None else self.grid.to_representation()
 
 
-def brute_force_strong_boxicity(g: Graph, max_dim: int = 2, *, max_n: int = 5) -> OracleResult:
-    """Exhaustive search for the smallest working dimension on an integer grid.
+def brute_force_strong_boxicity(g: Graph, max_dim: int = 2) -> OracleResult:
+    """Exhaustive search for the smallest working dimension on an integer grid, for n <= 5.
 
     Any representation can be squeezed order-isomorphically, axis by axis, onto
     the grid 0..2n-1 (ties included), and both verification conditions depend
     only on endpoint order, so searching the grid is complete.  The inner loops
     run on ints, and so does the exact verifier that confirms a full assignment.
     The search (_oracle_search) works in any dimension; max_dim is gated at 2
-    only because each vertex tries C(2n, 2)^d boxes in dimension d.
+    for time and memory: the 91125 boxes at n = 5, d = 3 take 1 GB of masks.
     """
     if max_dim < 1:
         raise ValueError(f"max_dim must be at least 1, got {max_dim}")
-    if g.n > max_n:
-        raise TooLarge(f"oracle gated at {max_n} vertices")
+    if g.n > 5:
+        raise TooLarge("oracle gated at 5 vertices")
     if max_dim > 2:
         raise TooLarge("oracle gated at dimension 2")
     if g.n == 0:
@@ -490,19 +490,21 @@ def _oracle_search(g: Graph, d: int) -> GridRep | None:
 
     Vertices are placed by falling degree, each trying every box on the grid,
     wide boxes first.  A candidate must meet exactly the placed boxes of v's
-    neighbours (C1), and every placed box must keep an exposed point: a point
-    of its boundary outside every other box, found by the verifier's facet
-    sweep (_facet_uncovered) in any dimension.  Adding boxes only grows
-    coverage, so a buried box never recovers and its branch is cut.  Only v
-    and its placed neighbours need the test: the C1 filter has just shown
-    that v's box meets exactly those boxes, a box can be buried only by a box
-    that meets it, and every earlier box was exposed when it was placed.
+    neighbours (C1, on the verifier's kernel: _feasible), and every placed box
+    must keep an exposed point: a point of its boundary outside every other
+    box, found by the verifier's facet sweep (_facet_uncovered) in any
+    dimension.  Adding boxes only grows coverage, so a buried box never
+    recovers and its branch is cut.  Only v and its placed neighbours need the
+    test: C1 has just shown that v's box meets exactly those boxes, a box can
+    be buried only by a box that meets it, and every earlier box was exposed
+    when it was placed.
     """
     grid = 2 * g.n
     pairs = [(a, b) for a in range(grid) for b in range(a + 1, grid)]
     # wide boxes first: exclusivity prunes less often on them, successes come sooner
     pairs.sort(key=lambda p: (p[0] - p[1], p[0]))
     candidates = list(product(pairs, repeat=d))
+    meets = dict(zip(candidates, _Tables(dict(enumerate(candidates)))._met()))  # box -> its meet mask
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     assign: dict[int, IntBox] = {}
 
@@ -515,19 +517,25 @@ def _oracle_search(g: Graph, d: int) -> GridRep | None:
             return c2.rep if c1.ok and c2.ok else None
         v = order[pos]
         nbrs = g.neighbors(v)
-        placed = [(b, u in nbrs) for u, b in assign.items()]
         touched = [v] + [u for u in assign if u in nbrs]  # the boxes v's box can bury, and v's
-        for cand in candidates:
-            for b, adjacent in placed:
-                if _meet(b, cand) != adjacent:
-                    break
-            else:
-                assign[v] = cand
-                if all(map(exposed, touched)):
-                    hit = dfs(pos + 1)
-                    if hit is not None:
-                        return hit
-                del assign[v]
+        for cand in _feasible(candidates, meets, assign, nbrs):
+            assign[v] = cand
+            if all(map(exposed, touched)):
+                hit = dfs(pos + 1)
+                if hit is not None:
+                    return hit
+            del assign[v]
         return None
 
     return dfs(0)
+
+
+def _feasible(candidates: list[IntBox], meets: dict, assign: dict, nbrs) -> list[IntBox]:
+    """The candidates that meet exactly the boxes that assign gives nbrs, in order (C1).
+
+    meets[b] is the mask of the candidates that meet b, bit k for candidates[k].
+    """
+    fits = (1 << len(candidates)) - 1
+    for u, b in assign.items():
+        fits &= meets[b] if u in nbrs else ~meets[b]
+    return _labels(fits, candidates)

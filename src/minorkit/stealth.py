@@ -741,12 +741,15 @@ def theta_oracle(spec: AttackSpec, h: GainMatrix) -> Fraction:
     _check_matrix(spec, h)
     if not spec.targets:
         raise EmptyF("variation oracle needs a non-empty target set")
-    k = spec.k
     gc = component_graph(spec)
-    _, chi, exact = color_assignment(gc)
-    if not exact:
+    return _circular_theta(gc, color_assignment(gc)[1])
+
+
+def _circular_theta(gc: Graph, chi: int) -> Fraction:
+    """theta_oracle's chi_c(gc) - 1, by a Farey scan of (chi - 1, chi] from gc's chromatic number chi."""
+    if gc.n > EXACT_COLOR_LIMIT:  # chi is not exact
         raise TooLarge(f"value search gated at {EXACT_COLOR_LIMIT} components")
-    candidates = sorted({F(p, q) for p in range(1, k + 1) for q in range(1, p + 1)})
+    candidates = sorted({F(p, q) for p in range(1, gc.n + 1) for q in range(1, p + 1)})
     # chi itself is a candidate and has its q = 1 colouring, so next() finds one
     chi_c = next(
         r for r in candidates
@@ -768,7 +771,7 @@ def theta_bounds(spec: AttackSpec, h: GainMatrix) -> dict:
     colors, chi, exact = color_assignment(gc)
     lam_b, basic = best_constructive_ratio(spec, h)
     lam_c, colored = best_constructive_ratio(spec, h, colors=colors)
-    oracle = theta_oracle(spec, h)
+    oracle = _circular_theta(gc, chi)
     return {
         "lower": F(1),
         "constructive_basic": basic,

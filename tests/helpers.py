@@ -623,6 +623,12 @@ def oracle_exposed(v: int, assign: dict, d: int) -> bool:
     return False
 
 
+def pairwise_feasible(candidates: list, assign: dict, nbrs) -> list:
+    """The oracle's C1 filter before its meet masks: the candidates, in order, that _meet
+    exactly the placed boxes of assign's vertices in nbrs, one pair test per placed box."""
+    return [c for c in candidates if all(_meet(b, c) == (u in nbrs) for u, b in assign.items())]
+
+
 # -- the Fraction facet sweep the grid sweep replaced ---------------------------------------
 
 

@@ -911,6 +911,15 @@ class TestIncrementalCertify:
         assert list(got.radii.items()) == list(full.radii.items())
         assert got._cert == full._cert == full_certificate(got)
 
+    def test_a_lift_that_changes_two_boxes_raises(self):
+        # every lift changes one box or none, so two changed boxes are a bug in the named lift
+        prev = self.prev()
+        two = {2: (((2, 4), (2, 4), (0, 4)), (2, 2, 0)), 3: (((4, 8), (-2, 2), (0, 4)), (8, 0, 0))}
+        tails, changed = self.lift(prev, {1: (0, 4)}, extra=two)
+        fault = r"two-box lift: a lift changes at most one box, not those of \[2, 3\]"
+        with pytest.raises(AssertionError, match=fault):
+            certify_lift(self.PATH._adj, prev, tails, changed, "two-box lift")
+
     @pytest.mark.parametrize("tails, changed, reason", [
         ({1: (((0, 4),), (0,)), 2: (((0, 4),), (0,))}, {}, "must cover"),  # 3 is left out
         ({1: (((0, 4),), (0,)), 2: (((0, 4),), (0,)), 3: (((0, 4),), (0,))},

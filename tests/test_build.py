@@ -61,6 +61,7 @@ from helpers import (
     lift_uncontract_fraction,
     lift_vertex_add_fraction,
     oracle_exposed,
+    pairwise_feasible,
     random_connected,
     random_tree,
     reference_chain,
@@ -1114,6 +1115,32 @@ class TestBruteForceOracle:
                 boxes._facet_uncovered(v, axis, side, assign) is not None for axis in range(d) for side in (0, 1)
             )
             assert swept == oracle_exposed(v, assign, d)
+
+    @given(partial_assignments(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_meet_masks_keep_the_pairwise_filter_and_its_order(self, case, data):
+        # one more vertex with a drawn neighbour set: the candidates that the meet masks leave
+        # are those that the pairwise _meet filter passes, in candidate order (wide first)
+        d, assign = case
+        nbrs = data.draw(st.sets(st.sampled_from(sorted(assign))))
+        grid = 2 * (len(assign) + 1)  # the oracle's grid once the new vertex is counted
+        pairs = sorted(itertools.combinations(range(grid), 2), key=lambda p: (p[0] - p[1], p[0]))
+        candidates = list(itertools.product(pairs, repeat=d))
+        meets = dict(zip(candidates, boxes._Tables(dict(enumerate(candidates)))._met()))
+        got = build._feasible(candidates, meets, assign, nbrs)
+        assert got == pairwise_feasible(candidates, assign, nbrs)
+
+    def test_c5_needs_the_plane(self):
+        g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+        res = brute_force_strong_boxicity(g)
+        c1, c2 = verify_grid(g, res.grid)
+        assert res.dim == 2 and c1.ok and c2.ok
+
+    def test_the_vertex_gate_is_five(self):
+        with pytest.raises(TooLarge, match="oracle gated at 5 vertices"):
+            brute_force_strong_boxicity(Graph(6, [(1, 2)]))
+        with pytest.raises(TypeError):
+            brute_force_strong_boxicity(Graph(6, [(1, 2)]), max_n=6)
 
     @pytest.mark.parametrize("g, text", ORACLE_REPS)
     def test_search_order_is_pinned(self, g, text):

@@ -441,6 +441,28 @@ class TestThetaOracle:
         with pytest.raises(TooLarge):
             theta_oracle(spec, assemble_gain_matrix(g))
 
+    def test_bounds_keep_the_gate(self):
+        g = cycle_graph(13)
+        spec = feasibility(g, g.edges)
+        with pytest.raises(TooLarge, match="value search gated at 12 components"):
+            theta_bounds(spec, assemble_gain_matrix(g))
+
+    def test_bounds_colour_the_component_graph_once(self, monkeypatch):
+        # the oracle's Farey scan reads chi off the bracket's own colouring of G_F
+        from minorkit import stealth
+
+        calls = []
+        for name in ("component_graph", "color_assignment"):
+            def counted(*args, _name=name, _real=getattr(stealth, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(stealth, name, counted)
+        g = unit_cycle(5)
+        spec = feasibility(g, g.edges)
+        h = assemble_gain_matrix(g)
+        assert theta_bounds(spec, h)["oracle"] == F(3, 2)
+        assert calls == ["component_graph", "color_assignment"]
+
     def test_bounds_report(self):
         g = cycle_graph(4)
         spec = feasibility(g, g.edges)
