@@ -29,16 +29,18 @@ radii) on such a grid, so an edit pipeline's lifts stay on their base's grid
 from the base to the written file.  Its full check, and the radii of swept
 witnesses, run on the same tables: the boxes within a grid unit of a point
 are those that no axis puts a unit (t = L) away.
-`certify_lift` proves a lift from its input's certificate (which boxes meet,
-and each witness's gaps to the boxes within one grid unit).  The lift hands
-it the input grid, the part it appends to each kept box and point, and the
-whole box and point of the one vertex it changes, if any; the certifier
-joins each kept box to its input box, so the first axes are the input's
-proven tuples.  The kept boxes are checked once per class of appended parts,
-on the appended axes, and the changed box is compared on the old axes only
-with the classes that the appended axes leave within reach.  The
-certificate is carried: the input's maps are copied, and only the entries
-the step touches are fixed.
+`certify_lift` proves a lift from its input's certificate, the map of which
+boxes meet.  The lift hands it the input grid, the part it appends to each
+kept box and point, and the whole box and point of the one vertex it changes,
+if any; the certifier joins each kept box to its input box, so the first axes
+are the input's proven tuples.  The kept boxes are checked once per class of
+appended parts, on the appended axes, and the changed box is compared on the
+old axes only with the classes whose appended parts it meets or comes within
+half a grid unit of.  The certificate is carried: the input's map is copied,
+and only the entries the step touches are fixed.  A grid carries a
+certificate only when every witness radius is 1/4; a lift of any other grid,
+or one that brings its changed box or point within half a grid unit of a
+kept point or box, gets the full check.
 A certificate never changes once its grid exists: a lift keeps each entry
 that its step leaves as it was as the same object, and copies an entry
 before changing it.
@@ -65,7 +67,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from math import lcm
 from operator import and_, attrgetter, itemgetter, or_
 
@@ -551,9 +553,9 @@ class _Tables:
         return near
 
     def certificate(self, points: Mapping[int, IntPoint], scale: int) -> tuple[dict, dict]:
-        """certify_grid's certificate (meets, near): meets[v] holds the other boxes that meet v's.
+        """certify_grid's full check (meets, near): meets[v] holds the other boxes that meet v's.
 
-        near is self.near(points, scale).
+        near is self.near(points, scale), which sets the radii.
         """
         verts = self.verts
         met = zip(verts, self._met(), self.bit.values())
@@ -613,10 +615,12 @@ def certify_grid(adj: dict, scale: int, grid: dict[int, IntBox], scaled: dict[in
     scaled[v] must lie on grid[v]'s boundary and outside every other box; a failure
     is a bug in the builder `what` (AssertionError).  The radii come in vertex order.
 
-    This is the full check: its certificate comes from the boxes' _Tables
-    (_Tables.certificate), exact for any points, and a failure is named by a
-    scan in vertex order, as a check of every pair names it.  The result
-    carries its certificate, which a lift of it carries on (certify_lift).
+    This is the full check: which boxes meet and each witness's near gaps come
+    from the boxes' _Tables (_Tables.certificate), exact for any points, and a
+    failure is named by a scan in vertex order, as a check of every pair names
+    it.  When every radius is 1/4 the result carries the meets as its
+    certificate, which a lift of it carries on (certify_lift); otherwise it
+    carries none.
 
     So the result passes verify_grid as it stands.  With nearest >= 1 the least
     L-infinity gap from v's point to another box, on the grid, v's radius is the
@@ -632,7 +636,8 @@ def certify_grid(adj: dict, scale: int, grid: dict[int, IntBox], scaled: dict[in
     meets, near = _Tables(grid).certificate(scaled, scale)
     radii = {v: _radius(near[v], scale) for v in sorted(near)}
     placed = all(_on_boundary(grid[v], p) for v, p in scaled.items())
-    return _proved(adj, GridRep(scale, grid, scaled, radii, (meets, near)), what, placed)
+    cert = meets if {(1, 4)}.issuperset(radii.values()) else None
+    return _proved(adj, meets, GridRep(scale, grid, scaled, radii, cert), what, placed)
 
 
 def certify_lift(adj: dict, prev: GridRep, tails: dict, changed: dict, what: str) -> GridRep:
@@ -648,20 +653,21 @@ def certify_lift(adj: dict, prev: GridRep, tails: dict, changed: dict, what: str
     boundary.  The kept vertices fall into classes by their appended part, and
     each class is checked once, on the appended axes.
 
-    A prev with no certificate (a verified input) gets certify_grid's full
-    check of the joined grid.  Otherwise the certificate is prev's, carried
-    (_carried): prev's maps are copied in C, and only the entries the step
-    touches are fixed.  A kept vertex whose near entry is still prev's own
-    keeps prev's radius.  So a step costs one pass over the kept vertices to
-    join and group them, O(n) work in C (the copies, C1 compared on every
-    vertex against adj), and Python work only in proportion to the classes,
-    the changed box and the kept boxes it reaches: an edge or vertex lift's
-    wide box reaches its neighbours.  Each check, its order and its message
-    are certify_grid's.
+    A prev with no certificate (a verified input, or a grid with a radius
+    below 1/4) gets certify_grid's full check of the joined grid, and so does a
+    step that brings its changed box or point within half a grid unit of a
+    kept point or box.  Otherwise the certificate is prev's, carried
+    (_carried): prev's map is copied in C, only the entries the step touches
+    are fixed, and every radius is 1/4.  So a step costs one pass over the
+    kept vertices to join and group them, O(n) work in C (the copy, C1
+    compared on every vertex against adj), and Python work only in proportion
+    to the classes, the changed box and the kept boxes it meets on the
+    appended axes: an edge or vertex lift's wide box meets its neighbours
+    there.  Each check, its order and its message are certify_grid's.
 
     A certificate is never changed once its GridRep exists: a kept vertex's
-    entry stays prev's own set or dict where the step leaves it as it was, and
-    is copied before its first change.
+    entry stays prev's own set where the step leaves it as it was, and is
+    copied before its first change.
     """
     if len(changed) > 1:
         raise AssertionError(f"{what}: a lift changes at most one box, not those of {sorted(changed)}")
@@ -681,18 +687,15 @@ def certify_lift(adj: dict, prev: GridRep, tails: dict, changed: dict, what: str
         grid[v], scaled[v] = box, point
     if grid.keys() != adj.keys() or len(grid) != len(tails) + len(changed):
         raise AssertionError(f"{what}: boxes and witness points must cover 1..{len(adj)}")
-    if prev._cert is None:
+    meets = None if prev._cert is None else _carried(prev, tails, classes, changed)
+    if meets is None:
         return certify_grid(adj, scale, grid, scaled, what)
     _nondegenerate(grid, [box for box, _ in classes] + [box for box, _ in changed.values()], what)
-    meets, near, renear = _carried(prev, tails, classes, changed, grid, scaled)
-    order = sorted(grid)
-    radii = dict(zip(order, map(prev.radii.get, order)))
-    for v in renear:
-        radii[v] = _radius(near[v], scale)
     placed = all(
         len(box) == len(p) and all(lo <= x <= hi for (lo, hi), x in zip(box, p)) for box, p in classes
     ) and all(_on_boundary(box, p) for box, p in changed.values())
-    return _proved(adj, GridRep(scale, grid, scaled, radii, (meets, near)), what, placed)
+    radii = dict.fromkeys(sorted(grid), (1, 4))
+    return _proved(adj, meets, GridRep(scale, grid, scaled, radii, meets), what, placed)
 
 
 def _nondegenerate(grid: dict[int, IntBox], checked: Iterable[IntBox], what: str) -> None:
@@ -703,14 +706,13 @@ def _nondegenerate(grid: dict[int, IntBox], checked: Iterable[IntBox], what: str
                 raise AssertionError(f"{what}: box for vertex {v} is degenerate")
 
 
-def _proved(adj: dict, rep: GridRep, what: str, placed: bool) -> GridRep:
-    """rep, once its certificate's meets are adj and every witness has a radius.
+def _proved(adj: dict, meets: dict, rep: GridRep, what: str, placed: bool) -> GridRep:
+    """rep, once meets, which of its boxes meet, is adj and every witness has a radius.
 
     placed says that every witness point lies on its box's boundary; if not,
     or if a point lies in another box, a scan in vertex order names the first
     fault.
     """
-    meets = rep._cert[0]
     # a neighbour map of sets (every lift's) is compared in one C call
     if meets != adj and any(len(m) != len(adj[v]) or not m.issuperset(adj[v]) for v, m in meets.items()):
         bad = _Tables(rep.boxes).c1((i, j) for i, ns in adj.items() for j in ns if i < j)
@@ -725,7 +727,7 @@ def _proved(adj: dict, rep: GridRep, what: str, placed: bool) -> GridRep:
 
 
 def _gap(box: IntBox, p: IntPoint, cap):
-    """The L-infinity gap from p to box (0 inside it), or any value >= cap once it reaches cap."""
+    """The L-infinity gap from p to box (0 inside it), or any value >= cap once it gets to cap."""
     gap = 0
     for (lo, hi), x in zip(box, p):
         d = lo - x if x < lo else x - hi  # <= 0 inside the interval
@@ -736,41 +738,42 @@ def _gap(box: IntBox, p: IntPoint, cap):
     return gap
 
 
-def _carried(prev: GridRep, tails: dict, classes: dict, changed: dict, grid, scaled) -> tuple[dict, dict, set]:
-    """certify_lift's certificate (meets, near), from prev's, and the vertices whose near entry is new.
+def _carried(prev: GridRep, tails: dict, classes: dict, changed: dict) -> dict | None:
+    """certify_lift's meets, from prev's, or None when a radius may fall below 1/4.
 
-    Boxes meet iff they meet on every axis, and a gap is the larger of its
-    parts on prev's d0 axes and on the appended ones, so a kept pair's answer
-    is prev's and its classes' together.  meets and near start as copies of
-    prev's maps that share every entry, and only these entries are fixed:
+    Boxes meet iff they meet on every axis, so a kept pair's answer is prev's
+    and its classes' together.  meets starts as a copy of prev's map that
+    shares every entry, and only these entries are fixed:
     - a vertex of prev that the step changed or dropped leaves the meets entry
       of each kept box it met, which prev's entry for it lists;
     - two classes whose appended boxes do not meet cut each other's members
       from their meets entries;
-    - a kept vertex with a near entry (the boxes less than a grid unit from its
-      point) keeps a gap only to a kept box that its class's appended part
-      leaves less than a unit away, and takes the larger of the two parts;
-    - the changed box and point (certify_lift allows at most one) meet each
-      class once on the appended axes, and its members on the first d0 axes
-      only where that part leaves them in reach.
-    An entry is copied off prev's before its first change.
+    - the changed box (certify_lift allows at most one) meets each class once
+      on the appended axes, and on the first d0 axes only the members of the
+      classes it meets there.
+    An entry is copied off prev's before its first change.  Every radius of
+    prev is 1/4, so each kept point is at least half a grid unit from every
+    other kept box on prev's axes, and a gap only grows on appended axes.
+    The lift's radii are then all 1/4 unless the changed point comes within
+    half a unit of a kept box, or the changed box within half a unit of a
+    kept point, and then this gives None.
     """
-    meets0, near0 = prev._cert
-    meets, near = meets0.copy(), near0.copy()
+    meets0 = prev._cert
+    meets = meets0.copy()
     d0, old_boxes, old_points, scale = prev.dim, prev.boxes, prev.points, prev.scale
-    renear = set(changed)
+    half = (scale + 1) // 2  # a gap g is under half a unit, 2 * g < scale, iff g < half
 
-    def own(cert, cert0, u):  # u's entry of cert, copied off prev's before its first change
-        entry = cert[u]
-        if entry is cert0[u]:
-            entry = cert[u] = entry.copy()
+    def own(u):  # u's entry of meets, copied off prev's before its first change
+        entry = meets[u]
+        if entry is meets0[u]:
+            entry = meets[u] = entry.copy()
         return entry
 
     for x in old_boxes.keys() - tails.keys():
         for u in meets0[x]:
             if u in tails:
-                own(meets, meets0, u).discard(x)
-        del meets[x], near[x]
+                own(u).discard(x)
+        del meets[x]
     parts = list(classes.items())
     for i, ((box, _), us) in enumerate(parts):
         for (other, _), ws in parts[i + 1:]:
@@ -780,55 +783,22 @@ def _carried(prev: GridRep, tails: dict, classes: dict, changed: dict, grid, sca
                     for v in a:
                         if not meets[v].isdisjoint(cut):
                             meets[v] = meets[v] - cut
-    reach: dict = {}  # an appended point part -> (the kept vertices at gap 0, the gaps below a unit)
-    for v in compress(tails, map(near0.__getitem__, tails)):
-        point = tails[v][1]
-        if point not in reach:
-            same, grown = set(), {}
-            for (box, _), us in parts:
-                gap = _gap(box, point, scale)
-                if gap == 0:
-                    same.update(us)
-                elif gap < scale:
-                    grown.update(dict.fromkeys(us, gap))
-            reach[point] = same, grown
-        same, grown = reach[point]
-        old = new = near0[v]
-        for u in old.keys() - same:  # also every vertex that is changed or gone
-            gap = grown.get(u)
-            if gap is None or gap > old[u]:
-                if new is old:
-                    new = near[v] = dict(old)
-                    renear.add(v)
-                if gap is None:
-                    del new[u]
-                else:
-                    new[u] = gap
-    for v in changed:
-        box, p = grid[v], scaled[v]
+    for v, (box, p) in changed.items():
         mv = meets[v] = set()
-        nv = near[v] = {}
         head, tail, p_head, p_tail = box[:d0], box[d0:], p[:d0], p[d0:]
         for (suffix, point), us in parts:
             if _meet(tail, suffix):
                 for u in us:
                     if _meet(head, old_boxes[u]):
                         mv.add(u)
-                        own(meets, meets0, u).add(v)
-            gap = _gap(suffix, p_tail, scale)  # the class's boxes to v's point
-            if gap < scale:
-                for u in us:
-                    g0 = _gap(old_boxes[u], p_head, scale)
-                    if g0 < scale:
-                        nv[u] = max(gap, g0)
-            gap = _gap(tail, point, scale)  # v's box to the class's points
-            if gap < scale:
-                for u in us:
-                    g0 = _gap(head, old_points[u], scale)
-                    if g0 < scale:
-                        own(near, near0, u)[v] = max(gap, g0)
-                        renear.add(u)
-    return meets, near, renear
+                        own(u).add(v)
+            if _gap(suffix, p_tail, half) < half:  # the class's boxes to v's point
+                if any(_gap(old_boxes[u], p_head, half) < half for u in us):
+                    return None
+            if _gap(tail, point, half) < half:  # v's box to the class's points
+                if any(_gap(head, old_points[u], half) < half for u in us):
+                    return None
+    return meets
 
 
 @dataclass(frozen=True)
@@ -840,17 +810,17 @@ class GridRep:
     vertex that keeps one when the verifier made it (witnessed); a radius is
     a (num, den) pair.  Lifts add integer levels and reuse coordinates, so a
     whole edit pipeline keeps the grid of its base.  A grid that certify_grid
-    or certify_lift made carries its certificate, which the next lift's
-    certify_lift carries on and may share entries with, so nothing changes it
-    in place; any other grid has none.
+    or certify_lift made with every radius 1/4 carries its certificate, which
+    the next lift's certify_lift carries on and may share entries with, so
+    nothing changes it in place; any other grid has none.
     """
 
     scale: int
     boxes: dict[int, IntBox]
     points: dict[int, IntPoint]
     radii: dict[int, Pair]
-    # (meets, near) when certify_grid or certify_lift made this grid (see _Tables.certificate); not part of the value
-    _cert: tuple[dict, dict] | None = field(default=None, compare=False, repr=False)
+    # which boxes meet, when certify_grid or certify_lift made this grid with every radius 1/4; not part of the value
+    _cert: dict | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of(cls, rep: Representation) -> "GridRep":
@@ -868,11 +838,7 @@ class GridRep:
         to = mapping.get
         cert = self._cert
         if cert is not None:
-            meets, near = cert
-            cert = (
-                {to(v, v): {to(u, u) for u in m} for v, m in meets.items()},
-                {to(v, v): {to(u, u): gap for u, gap in d.items()} for v, d in near.items()},
-            )
+            cert = {to(v, v): {to(u, u) for u in m} for v, m in cert.items()}
         return GridRep(
             self.scale,
             {to(v, v): b for v, b in self.boxes.items()},
@@ -972,7 +938,7 @@ def _search_uncovered(region: IntBox, boxes: list[IntBox]) -> IntPoint | None:
                             return hit
                     return None
     # every box spans the region in every axis, so one of them contains it
-    raise AssertionError("unreachable: no covering box and no split point")
+    raise AssertionError("facet search: no covering box and no split point")
 
 
 def _facet_uncovered(v: int, axis: int, side: int, grid: Mapping[int, IntBox]) -> IntPoint | None:

@@ -23,10 +23,12 @@ grid of its output.  It hands `boxes.certify_lift` its input, the levels it
 appends to each kept box and point, and the whole box and point of the one
 vertex it changes, if any (the re-added or restored vertex, or v after an
 edge lift); the certifier joins the kept boxes and checks the step against the
-input's certificate.  The kept boxes are re-checked once per level, on the
-appended axes, and a changed box is compared on the old axes only with the
-levels it reaches: a wide box only with v's neighbours.  The wide box's span
-is one scan of the input's intervals.  A pipeline builds its tree base on the
+input's certificate, the map of which boxes meet, which a grid carries only
+when every witness radius is 1/4 (a lift of any other grid is the full
+check).  The kept boxes are re-checked once per level, on the appended axes,
+and a changed box is compared on the old axes only with the levels it
+reaches: a wide box only with v's neighbours.  The wide box's span is one
+scan of the input's intervals.  A pipeline builds its tree base on the
 grid (or puts a given base on its grid once and verifies it there), runs every
 lift there, and keeps the final grid: its trace builds the Fraction
 representation only when `final` is read.  The oracle likewise keeps the grid

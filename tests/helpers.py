@@ -445,13 +445,21 @@ def full_radii(rep) -> dict:
     return radii
 
 
+def attached_certificate(rep) -> dict | None:
+    """The certificate a certified rep carries: full_certificate's meets when every radius
+    (full_radii) is 1/4, and None otherwise."""
+    meets, _ = full_certificate(rep)
+    return meets if all(r == (1, 4) for r in full_radii(rep).values()) else None
+
+
 def certify_grid_all_pairs(adj: dict, scale: int, grid: dict, scaled: dict, what: str) -> GridRep:
     """certify_grid's full check (no prev) by brute force: every pair of boxes.
 
     Each unordered pair of boxes gets one _meet and each ordered pair the _gap
     from the first's point to the second's box, in vertex order.  The checks
     and their order (coverage, degenerate boxes, C1, then each point's boundary
-    and radius in vertex order) and every AssertionError message are certify_grid's.
+    and radius in vertex order) and every AssertionError message are certify_grid's,
+    and so is the certificate: the meets when every radius is 1/4, else None.
     """
     if grid.keys() != adj.keys() or scaled.keys() != grid.keys():
         raise AssertionError(f"{what}: boxes and witness points must cover 1..{len(adj)}")
@@ -482,7 +490,8 @@ def certify_grid_all_pairs(adj: dict, scale: int, grid: dict, scaled: dict, what
             raise AssertionError(f"{what}: witness point for {v} is not on its boundary")
         if radii[v] is None:
             raise AssertionError(f"{what}: witness point for {v} lies in another box")
-    return GridRep(scale, grid, scaled, radii, (meets, near))
+    cert = meets if all(r == (1, 4) for r in radii.values()) else None
+    return GridRep(scale, grid, scaled, radii, cert)
 
 
 def joined(prev: GridRep, tails: dict, changed: dict) -> tuple[dict, dict]:

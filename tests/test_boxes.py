@@ -44,13 +44,14 @@ from minorkit.exceptions import (
 
 from helpers import (
     MALFORMED_REP_EDITS,
+    attached_certificate,
     boxes_json_fraction,
     certified_grid,
     certify,
     coprime_boxes,
     cross,
     exposed_witness_fraction,
-    full_certificate,
+    joined,
     permute,
     random_connected,
     random_rep,
@@ -827,6 +828,18 @@ class TestIncrementalCertify:
         points = {1: (F(0), F(0)), 2: (F(3), F(3)), 3: (F(6), F(0))}
         return certified_grid(self.PATH, fig_squares().boxes, points, "squares")
 
+    def near_prev(self):
+        # 2's witness is 1/8 from box 3 in the old axes: a radius of 1/16
+        points = {1: (F(0), F(0)), 2: (F(31, 8), F(1)), 3: (F(6), F(0))}
+        return certified_grid(self.PATH, fig_squares().boxes, points, "squares")
+
+    def fine_prev(self):
+        # prev() on the grid of scale 8, where one step is 1/8 of a unit
+        prev = self.prev()
+        grid = {v: tuple((8 * lo, 8 * hi) for lo, hi in box) for v, box in prev.boxes.items()}
+        scaled = {v: tuple(8 * x for x in p) for v, p in prev.points.items()}
+        return certify_grid(self.PATH._adj, 8, grid, scaled, "squares")
+
     def lift(self, prev, levels, at=None, extra=None):
         """certify_lift's (tails, changed): each vertex of prev but those of extra is kept, with
         the appended interval levels[v] and its point at the interval's low end or at[v];
@@ -837,7 +850,7 @@ class TestIncrementalCertify:
 
     def test_a_sound_lift_keeps_every_box(self):
         prev = self.prev()
-        assert prev.scale == 1 and prev._cert == full_certificate(prev)
+        assert prev.scale == 1 and prev._cert == attached_certificate(prev)
         g = Graph(3, [(2, 3)])  # 1-2 cut by the appended axis
         tails, changed = self.lift(prev, {1: (0, 1), 2: (2, 5), 3: (0, 4)})
         got = certify_lift(g._adj, prev, tails, changed, "lift")
@@ -845,20 +858,47 @@ class TestIncrementalCertify:
         assert got.points == {v: prev.points[v] + p for v, (_, p) in tails.items()}
         full = certify_grid(g._adj, 1, got.boxes, got.points, "lift")
         assert list(got.radii.items()) == list(full.radii.items())
-        assert got._cert == full._cert == full_certificate(got)
+        assert got._cert == full._cert == attached_certificate(got)
 
     def test_an_appended_axis_can_widen_a_gap(self):
         # 2's witness is 1/8 from box 3 in the old axes and 3/8 in the appended one
         g = self.PATH
-        points = {1: (F(0), F(0)), 2: (F(31, 8), F(1)), 3: (F(6), F(0))}
-        prev = certified_grid(g, fig_squares().boxes, points, "squares")
+        prev = self.near_prev()
         assert F(*prev.radii[2]) == F(1, 16)
         q = prev.scale // 8  # 1/8 on prev's grid
         tails, changed = self.lift(prev, {1: (0, 16 * q), 2: (0, 16 * q), 3: (3 * q, 16 * q)})
         got = certify_lift(g._adj, prev, tails, changed, "lift")
         full = certify_grid(g._adj, prev.scale, got.boxes, got.points, "lift")
         assert F(*got.radii[2]) == F(*full.radii[2]) == F(3, 16)
-        assert got.radii == full.radii and got._cert == full._cert == full_certificate(got)
+        assert got.radii == full.radii and got._cert == full._cert == attached_certificate(got)
+
+    @pytest.mark.parametrize("near", ["changed point", "prev"])
+    def test_a_radius_below_a_quarter_gets_the_full_check(self, near):
+        # a grid carries a certificate only when every radius is 1/4: a lift whose changed
+        # point lies 1/8 from a kept box, or a lift of a radius-1/16 prev, is the full check
+        if near == "changed point":
+            prev, g = self.fine_prev(), Graph(4, [(1, 2), (2, 3), (3, 4)])
+            # 4 meets box 3 ((32, 48), (0, 16)) at x = 48, and its point is one step right of it
+            new = {4: (((48, 56), (8, 16), (0, 32)), (49, 16, 0))}
+            tails, changed = self.lift(prev, {1: (0, 32), 2: (0, 32), 3: (0, 32)}, extra=new)
+        else:
+            prev, g = self.near_prev(), self.PATH
+            q = prev.scale // 8
+            tails, changed = self.lift(prev, {1: (0, 16 * q), 2: (0, 16 * q), 3: (3 * q, 16 * q)})
+        calls = []
+        full = boxes.certify_grid
+
+        def recording(*args):
+            calls.append(args)
+            return full(*args)
+
+        with patch.object(boxes, "certify_grid", recording):
+            got = certify_lift(g._adj, prev, tails, changed, "lift")
+        assert calls == [(g._adj, prev.scale, *joined(prev, tails, changed), "lift")]
+        want = full(g._adj, prev.scale, got.boxes, got.points, "lift")
+        assert list(got.radii.items()) == list(want.radii.items())
+        assert min(F(*r) for r in got.radii.values()) < QUARTER
+        assert got._cert is None
 
     @pytest.mark.parametrize("edges, levels, at, reason", [
         # the lift meant to cut 1-2, but their appended intervals still overlap
@@ -909,7 +949,7 @@ class TestIncrementalCertify:
         got = certify_lift(g._adj, prev, tails, changed, "lift")
         full = certify_grid(g._adj, 1, got.boxes, got.points, "lift")
         assert list(got.radii.items()) == list(full.radii.items())
-        assert got._cert == full._cert == full_certificate(got)
+        assert got._cert == full._cert == attached_certificate(got)
 
     def test_a_lift_that_changes_two_boxes_raises(self):
         # every lift changes one box or none, so two changed boxes are a bug in the named lift
@@ -946,12 +986,12 @@ class TestIncrementalCertify:
             got = certify_lift(g._adj, bare, tails, changed, "lift")
         assert [args[2:] for args in calls] == [(got.boxes, got.points, "lift")]
         assert got == certify_lift(g._adj, prev, tails, changed, "lift")
-        assert got._cert == full_certificate(got)
+        assert got._cert == attached_certificate(got)
 
     def test_only_a_certified_grid_carries_a_certificate(self):
         g = random_connected(9, 12, random.Random(3))
         certified = tree_pipeline(g)[1].grid
-        assert certified._cert == full_certificate(certified)
+        assert certified._cert is not None and certified._cert == attached_certificate(certified)
         rep = certified.to_representation()
         assert GridRep.of(rep)._cert is None
         assert grid_from_json(rep_to_json(rep))._cert is None
@@ -968,7 +1008,7 @@ class TestIncrementalCertify:
         certified = tree_pipeline(g)[1].grid
         for mapping in ({1: 2, 2: 1}, {4: 10}, {v: v + 1 for v in range(1, 10)}):
             renamed = certified.rename(mapping)
-            assert renamed._cert == full_certificate(renamed)
+            assert renamed._cert is not None and renamed._cert == attached_certificate(renamed)
 
     def test_the_certificate_is_not_part_of_the_value(self):
         certified = self.prev()

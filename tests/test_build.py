@@ -18,6 +18,7 @@ from minorkit import (
     Graph,
     Representation,
     VertexDelete,
+    Witness,
     apply_edit,
     apply_edits,
     brute_force_strong_boxicity,
@@ -50,6 +51,7 @@ from minorkit.exceptions import (
 from minorkit.graph import spanning_tree_edges
 
 from helpers import (
+    attached_certificate,
     certify_grid_all_pairs,
     drop_edge_fraction,
     edges_of,
@@ -591,6 +593,17 @@ def fraction_base(t):
     return translate(build_tree_rep(t), (F(1, 3), F(-2, 7)))
 
 
+def near_base(t):
+    """fraction_base(t) with the root's witness 1/8 of a unit from a box: a radius of 1/16.
+
+    The root's box is [0, x] x [0, 2] and its first child's starts at (0, 2), so
+    the point (0, 15/8) lies on the root's left facet, 1/8 below the child.
+    """
+    rep = build_tree_rep(t)
+    rep = Representation(rep.boxes, rep.witnesses | {1: Witness((F(0), F(15, 8)), F(1, 16))})
+    return translate(rep, (F(1, 3), F(-2, 7)))
+
+
 @given(connected_edit_cases())
 @settings(max_examples=60, deadline=None)
 def test_pipeline_steps_match_the_fraction_lifts(case):
@@ -641,16 +654,18 @@ def recorders(steps: list, full=None, lift=None):
     return patch.multiple(build, certify_grid=recording_full, certify_lift=recording_lift)
 
 
-@given(connected_edit_cases(), st.booleans())
+@given(connected_edit_cases(), st.sampled_from(["tree", "given", "near"]))
 @settings(max_examples=60, deadline=None)
-def test_each_step_certifies_as_the_full_check(case, given_base):
+def test_each_step_certifies_as_the_full_check(case, base_kind):
     # every lift starts from its input's certificate; each step must give the radii and the
     # certificate of a check from scratch (certify_grid), which the old verifier pins.  The
     # tree base is such a check; a given base is verified rather than certified, so its
-    # first lift checks every box in full
+    # first lift checks every box in full.  A grid carries its meets as its certificate only
+    # when every radius is 1/4, so a lift of the near base's radius-1/16 grid checks every
+    # box in full until a lift clears that radius
     g, seq = case
     steps = []
-    base = fraction_base(seq.base) if given_base else None
+    base = None if base_kind == "tree" else {"given": fraction_base, "near": near_base}[base_kind](seq.base)
 
     with recorders(steps):
         trace = build_from_edit_sequence(g, seq, base)
@@ -661,10 +676,13 @@ def test_each_step_certifies_as_the_full_check(case, given_base):
         certs = [None if prev is None else prev._cert is not None for _, _, prev, *_ in steps]
         kinds = {type(x) for *_, out in steps for b in out.boxes.values() for iv in b for x in iv}
         assert kinds == {int}
-        if given_base:
+        if base_kind == "given":
             assert certs == [False] + [True] * ops + [False]
-        else:
+        elif base_kind == "tree":
             assert certs == [None] + [True] * (ops + 1) + [False]
+        else:
+            quarter = [set(out.radii.values()) == {(1, 4)} for *_, out in steps[:-2]]
+            assert certs == [False] + quarter + [False]
         for h, what, prev, tails, changed, out in steps:
             scale, grid, scaled = out.scale, out.boxes, out.points
             if prev is not None:  # the certifier joins each kept box to prev's, in the order given
@@ -674,7 +692,7 @@ def test_each_step_certifies_as_the_full_check(case, given_base):
             full = certify_grid(h, scale, grid, scaled, what)
             assert list(out.radii.items()) == list(full.radii.items())
             assert out.radii == full_radii(out)
-            assert out._cert == full._cert == full_certificate(out)
+            assert out._cert == full._cert == attached_certificate(out)
 
 
 def test_the_wide_box_spans_every_box_but_its_own():
@@ -742,9 +760,10 @@ def uncontracted(adj: dict, u: int, sides: list) -> dict:
 @settings(max_examples=60, deadline=None)
 def test_lifts_carry_the_gaps_of_a_scale_two_base(case, data):
     # the oracle's witnesses lie half a unit from a neighbour's box, so on its grid of scale 2
-    # the certificate has near entries: gaps below one unit, which set the radii.  A given base
-    # is verified, not certified, so the first lift is the full check; each later lift, and an
-    # edge drop and an uncontraction of the last grid, carry those entries on
+    # the full check finds gaps below one unit, and every radius is still 1/4.  A given base
+    # is verified, not certified, so the first lift is the full check, which attaches its
+    # meets; each later lift, and an edge drop and an uncontraction of the last grid, carry
+    # that certificate on, and their radii must stay those of the full check
     g, seq, base = case
     steps = []
     with recorders(steps):
@@ -755,13 +774,13 @@ def test_lifts_carry_the_gaps_of_a_scale_two_base(case, data):
         build._lift_uncontract(trace.grid, uncontracted(g._adj, u, sides), u, g.n + 1)
     (first, *carried) = [step for step in steps if step[2] is not None]
     assert first[2]._cert is None and all(prev._cert is not None for _, _, prev, *_ in carried)
-    assert any(any(map(prev._cert[1].get, tails)) for _, _, prev, tails, *_ in carried)
+    assert any(any(map(full_certificate(prev)[1].get, tails)) for _, _, prev, tails, *_ in carried)
     for h, what, prev, tails, changed, out in [first, *carried]:
         assert out.scale == 2
         full = certify_grid(h, 2, out.boxes, out.points, what)
         assert list(out.radii.items()) == list(full.radii.items())
         assert out.radii == full_radii(out)
-        assert out._cert == full._cert == full_certificate(out)
+        assert out._cert == full._cert == attached_certificate(out)
 
 
 @st.composite
@@ -816,6 +835,7 @@ def test_the_full_check_is_the_all_pairs_one(case):
     else:
         assert got._cert == want._cert
         assert list(got.radii.items()) == list(want.radii.items())
+        assert boxes._Tables(got.boxes).certificate(got.points, got.scale) == full_certificate(got)
 
 
 FULL_CHECK_FAULTS = ("overlap", "point in a far box", "point in a neighbour's box")
@@ -1070,8 +1090,8 @@ def test_a_long_path_or_star_base_tests_at_most_2n_pairs(shape):
     with patch.object(boxes, "_meet", counter("_meet")), patch.object(boxes, "_gap", counter("_gap")):
         grid = build._tree_grid(t)
     assert calls["_meet"] == 0
-    assert calls["_gap"] == sum(map(len, grid._cert[1].values())) <= 2 * n
-    assert grid._cert == full_certificate(grid)
+    assert calls["_gap"] == sum(map(len, full_certificate(grid)[1].values())) <= 2 * n
+    assert grid._cert == attached_certificate(grid)
 
 
 @st.composite
