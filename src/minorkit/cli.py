@@ -84,13 +84,15 @@ def _seed() -> int:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for display tolerances: any finite float ("inf" would print NaN)."""
+    """argparse type for display tolerances: a finite float ("inf" would print NaN), not negative."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
     return value
 
 
@@ -107,7 +109,7 @@ def _display(value: Fraction, tolerance: float | None) -> float | None:
         f = float(value)
     except OverflowError:
         return None
-    if tolerance and tolerance > 0:
+    if tolerance:
         steps = f / tolerance
         if math.isfinite(steps):  # a subnormal tolerance can overflow the quotient
             f = round(steps) * tolerance

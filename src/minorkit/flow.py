@@ -7,11 +7,12 @@ sums to zero, so constant states produce zero flow.
 
 Only the per-edge gains are stored, and they must be positive: an edge row
 has two nonzeros and a vertex row is the signed sum of its incident edge rows,
-so H*x costs O(n+m).  The product sums each entry as ints on that entry's own
-common denominator and builds one Fraction per entry.  The rows are stored
-sparse, as int cells (column, numerator, denominator) built from the gains once
-per matrix, on first use; the dense rows, the row sums and the export all read
-them.  ``flow matrix --out`` streams the dense grid from the same cells, row by
+so H*x costs O(n+m).  H*x is ``GainMatrix._product``, on one int state per
+vertex, and returns the nonzero entries as int pairs; ``multiply`` puts its
+states on one common denominator S and divides each entry by S.  The rows
+are stored sparse, as int cells (column, numerator, denominator) built from
+the gains once per matrix, on first use; the dense rows, the row sums and the
+export all read them.  ``flow matrix --out`` streams the dense grid from the same cells, row by
 row, splicing each row's few nonzeros into a run of "0" cells, so neither a
 Fraction nor a dense row of strings is built on its way to the file.
 
@@ -57,6 +58,8 @@ class GainMatrix:
     edges: tuple[Edge, ...]  # edge order mirrors the flow indices n+1..t
 
     def __post_init__(self) -> None:
+        if len(self.gains) != len(self.edges) or self.t != self.n + len(self.edges):
+            raise DimensionMismatch(f"{len(self.gains)} gains, {len(self.edges)} edges, n={self.n}, t={self.t}")
         for (u, v), b in zip(self.edges, self.gains):
             if b.numerator <= 0:
                 raise BadBounds(f"gain {b} of edge ({u},{v}) is not positive")
@@ -102,31 +105,51 @@ class GainMatrix:
         return tuple(dense)
 
     def multiply(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """H*x in O(n+m), each entry summed as ints on its own denominator.
-
-        A through flow b*(x_u - x_v) puts both states on the lcm of their two
-        denominators; a net flow keeps a running lcm of its own terms.  Only
-        the returned entries become Fractions.  (One lcm for the whole vector
-        would grow with every coprime denominator in it.)
-        """
+        """H*x in O(n+m): ``_product`` of x on the lcm S of its denominators, each entry divided by S."""
         if len(x) != self.n:
             raise DimensionMismatch(f"state has length {len(x)}, expected {self.n}")
-        xs = [(xi.numerator, xi.denominator) for xi in x]
-        net_num = [0] * self.n
-        net_den = [1] * self.n
-        through = []
-        for (u, v), b in zip(self.edges, self.gains):
-            (un, ud), (vn, vd) = xs[u - 1], xs[v - 1]
-            den = math.lcm(ud, vd)
-            num = b.numerator * (un * (den // ud) - vn * (den // vd))
-            den *= b.denominator
-            through.append(F(num, den))
-            for w, term in ((u - 1, num), (v - 1, -num)):
+        scale = math.lcm(*(xi.denominator for xi in x))
+        out = [F(0)] * self.t
+        for i, (num, den) in self._product([xi.numerator * (scale // xi.denominator) for xi in x]).items():
+            out[i - 1] = F(num, den * scale)
+        return tuple(out)
+
+    def _product(self, level: Sequence[int]) -> dict[int, tuple[int, int]]:
+        """The nonzero entries of H*x, by 1-based flow index, as (num, den > 0) int pairs.
+
+        level holds one int state per vertex, vertex v at level[v - 1].  Every
+        edge row (u, v) is visited: with d = x_u - x_v its entry is exactly 0
+        when d = 0 and (b.num * d, b.den) otherwise.  A vertex row is the
+        signed sum of its edge rows, so each vertex sums its nonzero rows on
+        the running lcm of their denominators.
+        """
+        n = self.n
+        level = [0, *level]
+        entries: dict[int, tuple[int, int]] = {}
+        net_num, net_den = [0] * (n + 1), [1] * (n + 1)
+        for i, ((u, v), b) in enumerate(zip(self.edges, self.gains), start=n + 1):
+            d = level[u] - level[v]
+            if not d:
+                continue
+            num, den = b.numerator * d, b.denominator
+            entries[i] = (num, den)
+            for w, term in ((u, num), (v, -num)):
                 wd = net_den[w]
-                common = math.lcm(wd, den)
-                net_num[w] = net_num[w] * (common // wd) + term * (common // den)
-                net_den[w] = common
-        return tuple([F(a, d) for a, d in zip(net_num, net_den)] + through)
+                if wd == den:
+                    net_num[w] += term
+                else:
+                    common = math.lcm(wd, den)
+                    net_num[w] = net_num[w] * (common // wd) + term * (common // den)
+                    net_den[w] = common
+        for w in range(1, n + 1):
+            if net_num[w]:
+                entries[w] = (net_num[w], net_den[w])
+        return entries
+
+    def _require_graph(self, g: Graph) -> None:
+        """Raise ``DimensionMismatch`` unless this is g's matrix: the same n, t and edges."""
+        if g.n != self.n or g.t != self.t or g.edges != self.edges:
+            raise DimensionMismatch("gain matrix does not match the graph")
 
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(F(*_cell_sum(cells)) for cells in self._cells)
@@ -172,7 +195,7 @@ def recover_pairs(
     named.  Vertex rows are not consulted: the differential procedure needs
     only the through flows.
 
-    The walk runs on ints, like ``GainMatrix.multiply``: each difference and
+    The walk runs on ints, like ``GainMatrix._product``: each difference and
     each state is a (numerator, denominator) pair.  A step puts the parent
     state and the difference on the lcm of their two denominators, and a zero
     difference copies the parent's pair.  The check compares cross products.
@@ -202,8 +225,7 @@ def _recover(
 ) -> tuple[tuple[tuple[int, int], ...], dict[Edge, tuple[int, int]]]:
     """``recover_pairs`` along g's ``_tree``, with the per-edge differences z_e / b_e it checked."""
     order, parent = tree
-    if g.n != h.n or g.t != h.t or g.edges != h.edges:
-        raise DimensionMismatch("gain matrix does not match the graph")
+    h._require_graph(g)
     if len(z) != h.t:
         raise DimensionMismatch(f"flow vector has length {len(z)}, expected {h.t}")
 

@@ -17,26 +17,26 @@ robust variant picks an integer lambda large enough to work for every gain
 matrix inside known bounds.
 
 Every zero test runs on Python ints.  The root test of a candidate lambda is
-the attack product itself: ``_attack_entries`` takes one int per component
+the attack product itself: ``GainMatrix._product`` of one int per component
 (lambda = p/q enters as p**e * q**(E-e), lambda**e times the common factor
-q**E), visits every edge row of H*s once, and sums each vertex's rows on the
-lcm of their gains' denominators.  A lambda is root-free when every boundary
-vertex gets a nonzero entry, and the entries of the accepted lambda are the
-attack.  ``_build`` takes them over any int component values and their
-common factor S (q**E for the powers) and keeps each as the int pair
-(num, den * S): an ``AttackVector`` builds its Fractions only when its
-``values`` are read, and the CLI writes the attack text from the pairs.  The
-reported ratio comes from the int jumps of the component values across the
-crossing component pairs (``_jump_range``).
+q**E).  A lambda is root-free when every boundary vertex gets a nonzero
+entry, and the entries of the accepted lambda are the attack.  ``_build``
+takes them over any int component values and their common factor S (q**E
+for the powers) and keeps each as the int pair (num, den * S): an
+``AttackVector`` builds its Fractions only when its ``values`` are read, and
+the CLI writes the attack text from the pairs.  The reported ratio comes
+from the int jumps of the component values across the crossing component
+pairs (``_jump_range``).
 
 Each loop runs its cheap int test before any root test: the lambda ladder
 (``_ladder``) yields every step's jumps unfiltered, the schedule root-tests
 only a step inside its gap, and the best constructive ratio root-tests the
 steps in (ratio, q) order, where each boundary vertex's entry can reject at
-most one step.  The sampled robust audit runs H*s as int masses
-on one denominator, D * S for the gains' D and the stealth values' S, and the
-robust certificate sums each boundary vertex's int coefficients for its int
-lambda, the positive and the negative ones apart.
+most one step.  The sampled robust audit runs H*s as int masses on one
+denominator, D * S for the gains' D and the stealth values' S, in its own
+loop over the crossing edges (see there), and the robust certificate sums
+each boundary vertex's int coefficients for its int lambda, the positive
+and the negative ones apart.
 """
 
 from __future__ import annotations
@@ -180,12 +180,6 @@ class AttackVector:
         return tuple(a)
 
 
-def _check_matrix(spec: AttackSpec, h: GainMatrix) -> None:
-    g = spec.graph
-    if h.n != g.n or h.t != g.t or h.edges != g.edges:
-        raise DimensionMismatch("gain matrix does not match the spec's graph")
-
-
 def _stealth_values(spec: AttackSpec, lam: Fraction, exponents: dict[int, int]) -> tuple[Fraction, ...]:
     powers = {i: lam ** e for i, e in exponents.items()}
     return tuple(powers[spec.comp_of[v]] for v in spec.graph.vertices())
@@ -202,45 +196,10 @@ def _scaled_powers(p: int, q: int, exponents: dict[int, int]) -> dict[int, int]:
     return {c: scaled[e] for c, e in exponents.items()}
 
 
-def _attack_entries(spec: AttackSpec, h: GainMatrix, value: dict[int, int]) -> dict[int, tuple[int, int]]:
-    """The nonzero entries of H*s, by 1-based flow index, as (num, den > 0) int pairs.
-
-    s is the int value[c] on every vertex of component c.  Every edge row
-    (u, v) is visited: with d = value[c(u)] - value[c(v)] its entry is
-    exactly 0 when d = 0 and (b.num * d, b.den) otherwise.  A vertex row is
-    the signed sum of its edge rows, so each vertex sums its nonzero rows on
-    the running lcm of their denominators.  With values from
-    ``_scaled_powers`` each entry is the true entry times S = q**top, one
-    positive factor, so it has the same zero tests.
-    """
-    comp_of = spec.comp_of
-    n = h.n
-    level = [0] + [value[comp_of[v]] for v in range(1, n + 1)]
-    entries: dict[int, tuple[int, int]] = {}
-    net_num, net_den = [0] * (n + 1), [1] * (n + 1)
-    for i, ((u, v), b) in enumerate(zip(h.edges, h.gains), start=n + 1):
-        d = level[u] - level[v]
-        if not d:
-            continue
-        num, den = b.numerator * d, b.denominator
-        entries[i] = (num, den)
-        for w, term in ((u, num), (v, -num)):
-            wd = net_den[w]
-            if wd == den:
-                net_num[w] += term
-            else:
-                common = math.lcm(wd, den)
-                net_num[w] = net_num[w] * (common // wd) + term * (common // den)
-                net_den[w] = common
-    for w in range(1, n + 1):
-        if net_num[w]:
-            entries[w] = (net_num[w], net_den[w])
-    return entries
-
-
 def _root_free(spec: AttackSpec, h: GainMatrix, value: dict[int, int]) -> dict[int, tuple[int, int]] | None:
-    """The root test of one set of component values: H*s's entries if no boundary entry is 0, else None."""
-    entries = _attack_entries(spec, h, value)
+    """Root test of int values s = value[c] on component c: H*s's entries if no boundary one is 0, else None."""
+    comp_of = spec.comp_of
+    entries = h._product([value[comp_of[v]] for v in range(1, h.n + 1)])
     return entries if all(l in entries for l in spec.boundary_vertices()) else None
 
 
@@ -282,7 +241,7 @@ def _root_free_lambda(
 
 
 def _build(spec: AttackSpec, scale: int, entries: dict[int, tuple[int, int]]) -> AttackVector:
-    """The attack of component values s = value / scale, from ``_attack_entries(spec, h, value)``.
+    """The attack of component values s = value / scale, from their ``GainMatrix._product``.
 
     value holds one int per component and scale is their common factor S > 0,
     so each entry (num, den) of H*value is the true entry times S and is
@@ -302,7 +261,7 @@ def _build(spec: AttackSpec, scale: int, entries: dict[int, tuple[int, int]]) ->
 def _power_vectors(
     spec: AttackSpec, exponents: dict[int, int], lam: Fraction, entries: dict[int, tuple[int, int]]
 ) -> tuple[StealthVector, AttackVector]:
-    """The stealth and attack vectors of lambda, from its ``_attack_entries`` on ``_scaled_powers``.
+    """The stealth and attack vectors of lambda, from its ``GainMatrix._product`` on ``_scaled_powers``.
 
     Those values share the factor S = q**top for lambda = p/q.
     """
@@ -324,7 +283,7 @@ def _root_free_build(
 ) -> tuple[StealthVector, AttackVector]:
     """_power_vectors on _exponent_map(spec, colors), lambda the first root-free one from lambda_hint."""
     spec = require_spec(spec)
-    _check_matrix(spec, h)
+    h._require_graph(spec.graph)
     exponents = _exponent_map(spec, colors)
     lam, entries = _root_free_lambda(spec, h, exponents, Fraction(lambda_hint))
     return _power_vectors(spec, exponents, lam, entries)
@@ -333,16 +292,13 @@ def _root_free_build(
 def _stealth_attack(
     spec: AttackSpec, h: GainMatrix, colors: dict[int, int] | None, lambda_hint: Fraction
 ) -> tuple[StealthVector, AttackVector, Fraction]:
-    """``build_stealth`` (or ``build_stealth_colored`` with colors) and the variation ratio of its pick.
+    """The basic (or, with colors, the coloured) stealth attack and the variation ratio of its pick.
 
     The ratio comes from the int jumps of the scaled component values across
     the crossing component pairs, as ``_schedule``'s does; the spec must have
     a target.
     """
-    if colors is None:
-        sv, av = build_stealth(spec, h, lambda_hint)
-    else:
-        sv, av = build_stealth_colored(spec, h, colors, lambda_hint)
+    sv, av = _root_free_build(spec, h, colors, lambda_hint)
     value = _scaled_powers(sv.lam.numerator, sv.lam.denominator, sv.exponents)
     return sv, av, F(*_jump_range(value, spec.crossing.values()))
 
@@ -354,11 +310,10 @@ def variation_ratio(s: StealthVector, targets=None) -> Fraction:
         raise EmptyF("variation factor needs a non-empty target set")
     ends = {v: s.values[v - 1] for e in f_set for v in e}
     scale = math.lcm(*(x.denominator for x in ends.values()))
-    scaled = {v: x.numerator * (scale // x.denominator) for v, x in ends.items()}
-    jumps = [abs(scaled[u] - scaled[v]) for u, v in f_set]
-    if any(j == 0 for j in jumps):
+    top, low = _jump_range({v: x.numerator * (scale // x.denominator) for v, x in ends.items()}, f_set)
+    if not low:
         raise EmptyF("stealth vector does not separate some target edge")
-    return F(max(jumps), min(jumps))
+    return F(top, low)
 
 
 def ratio_bound(c: int, lam: Fraction) -> Fraction:
@@ -406,8 +361,8 @@ def _jump_range(value: dict, pairs) -> tuple[int, int]:
     The values are ints that share one positive factor S.  With one value per
     component and the crossing component pairs of ``spec.crossing``, the
     jumps are the state jumps across the targets times S, so their ratio is
-    the variation ratio; ``_ladder`` passes one value per exponent and the
-    crossing exponent pairs instead.
+    the variation ratio.  ``_ladder`` passes the exponents' values and pairs
+    instead, and ``variation_ratio`` the target ends' values and the targets.
     """
     jumps = [abs(value[a] - value[b]) for a, b in pairs]
     return max(jumps), min(jumps)
@@ -446,7 +401,7 @@ def _schedule(
 ) -> tuple[StealthVector, AttackVector, Fraction]:
     """``variation_limit_schedule`` with the attack of its pick, built from the accepted entries."""
     spec = require_spec(spec)
-    _check_matrix(spec, h)
+    h._require_graph(spec.graph)
     if not spec.targets:
         raise EmptyF("schedule needs a non-empty target set")
     exponents = _exponent_map(spec, colors)
@@ -488,7 +443,7 @@ def best_constructive_ratio(
     root tests run.
     """
     spec = require_spec(spec)
-    _check_matrix(spec, h)
+    h._require_graph(spec.graph)
     if not spec.targets:
         raise EmptyF("variation needs a non-empty target set")
     exponents = _exponent_map(spec, colors)
@@ -663,7 +618,10 @@ def robust_attack_audit(
     is its gain numerator times the jump of the scaled values, and a vertex
     sums its edges' flows.  Only edges whose ends differ carry mass.  Only
     the bounds, the result and a failing entry become Fractions, so their
-    count does not grow with the samples.
+    count does not grow with the samples.  So this loop, not
+    ``GainMatrix._product``, forms H s: the kernel would need a matrix of
+    Fraction gains per sample and would visit every edge (about 4.5 times
+    the audit time on 40- and 60-vertex graphs with 2n edges).
     """
     import random
 
@@ -738,7 +696,7 @@ def theta_oracle(spec: AttackSpec, h: GainMatrix) -> Fraction:
     Past EXACT_COLOR_LIMIT components chi is not exact, so this raises TooLarge.
     """
     spec = require_spec(spec)
-    _check_matrix(spec, h)
+    h._require_graph(spec.graph)
     if not spec.targets:
         raise EmptyF("variation oracle needs a non-empty target set")
     gc = component_graph(spec)

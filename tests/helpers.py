@@ -247,6 +247,18 @@ def dense_entries(spec, rows, values) -> dict[int, Fraction]:
     return {l: sum(c * x for c, x in zip(rows[l - 1], s)) for l in spec.boundary_vertices()}
 
 
+def dense_product(rows, x) -> dict[int, Fraction]:
+    """The nonzero entries of H*x, by 1-based flow index, as row . x sums over the dense
+    rows: the reference for the int product kernel."""
+    sums = (sum(c * xi for c, xi in zip(row, x)) for row in rows)
+    return {i: a for i, a in enumerate(sums, start=1) if a}
+
+
+def component_levels(spec, value) -> list:
+    """value[c] on every vertex of component c, in vertex order: the kernel's per-vertex levels."""
+    return [value[spec.comp_of[v]] for v in spec.graph.vertices()]
+
+
 def attack_fraction(spec, exponents, lam: Fraction, entries) -> tuple[tuple[Fraction, ...], frozenset[int], list[str]]:
     """The attack as ``stealth._build`` made it from lambda's entries before it kept int pairs.
 

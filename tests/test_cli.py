@@ -1100,7 +1100,7 @@ class TestInputContract:
         assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("cmd", ["attack", "theta"])
-    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "x"])
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "x", "-1"])
     def test_non_finite_float_tolerance(self, flow_file, capsys, cmd, tol):
         with pytest.raises(SystemExit) as exc:
             main(["flow", cmd, flow_file, "--target", "1-2,1-4", f"--float-tolerance={tol}"])

@@ -25,7 +25,7 @@ from minorkit.exceptions import (
 from minorkit.flow import GainMatrix, recover_pairs
 from minorkit.ratio import fmt_ratio
 
-from helpers import is_bridge, random_connected, recover_states_fraction
+from helpers import dense_product, is_bridge, random_connected, recover_states_fraction
 
 
 def k2(gain=F(1)):
@@ -70,6 +70,13 @@ class TestAssembly:
         # root avoidance needs positive gains; a direct build must not get past here
         with pytest.raises(BadBounds):
             GainMatrix(n=2, t=3, gains=(gain,), edges=((1, 2),))
+
+    @pytest.mark.parametrize("t, gains", [(3, ()), (9, (F(1),)), (2, (F(1),)), (3, (F(1), F(2)))],
+                             ids=["no-gain", "t-too-large", "t-too-small", "extra-gain"])
+    def test_gains_and_edges_must_fit(self, t, gains):
+        # t rows are n vertex rows and one row per edge, and each edge has one gain
+        with pytest.raises(DimensionMismatch):
+            GainMatrix(n=2, t=t, gains=gains, edges=((1, 2),))
 
 
 class TestFlows:
@@ -285,3 +292,25 @@ def test_sparse_engine_matches_dense_rows(n, seed):
         assert h.multiply(x) == tuple(sum(c * xi for c, xi in zip(row, x)) for row in rows)
     assert matrix_to_json(h)["rows"] == [[fmt_ratio(c) for c in row] for row in rows]
     assert h.row_sums() == tuple(sum(row) for row in rows)
+
+
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=10, max_size=10),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_product_kernel_matches_dense_rows(n, seed, levels, flat):
+    # any int state per vertex, ties and all-equal levels included, on coprime gain denominators
+    rng = random.Random(seed)
+    g = random_connected(n, rng.randrange(n - 1, n * (n - 1) // 2 + 1), rng)
+    gains = {n + 1 + i: F(rng.randrange(1, 9), rng.choice((1, 2, 3, 5, 7))) for i in range(len(g.edges))}
+    h = assemble_gain_matrix(Graph(n, g.edges, gains=gains))
+    level = [levels[0]] * n if flat else levels[:n]
+    entries = h._product(level)
+    assert all(type(x) is int for pair in entries.values() for x in pair)
+    assert all(den > 0 for _, den in entries.values())
+    assert {i: F(num, den) for i, (num, den) in entries.items()} == dense_product(h.rows, level)
+    if flat:
+        assert entries == {}

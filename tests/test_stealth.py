@@ -42,8 +42,10 @@ from minorkit.exceptions import (
 from helpers import (
     attack_fraction,
     certified_fraction,
+    component_levels,
     count_fractions,
     dense_entries,
+    dense_product,
     is_bridge,
     random_connected,
     random_cut_targets,
@@ -188,10 +190,10 @@ class TestVariationRatio:
     def test_triangle_reference_value(self):
         spec = feasibility(triangle(), triangle().edges)
         h = assemble_gain_matrix(triangle())
-        from minorkit.stealth import _attack_entries, _power_vectors, _scaled_powers
+        from minorkit.stealth import _power_vectors, _root_free, _scaled_powers
 
         exponents = {1: 0, 2: 1, 3: 2}
-        sv, _ = _power_vectors(spec, exponents, F(9, 10), _attack_entries(spec, h, _scaled_powers(9, 10, exponents)))
+        sv, _ = _power_vectors(spec, exponents, F(9, 10), _root_free(spec, h, _scaled_powers(9, 10, exponents)))
         assert variation_ratio(sv) == F(19, 9)
 
     def test_never_below_one(self):
@@ -571,7 +573,7 @@ class TestStealthMeansConsistent:
 class TestDegeneracyAtOne:
     def test_boundary_polynomials_vanish_at_lambda_one(self):
         # each boundary entry of H*s, a polynomial in lambda, has lambda = 1 as a root
-        from minorkit.stealth import _attack_entries, _root_free, _scaled_powers
+        from minorkit.stealth import _root_free, _scaled_powers
 
         rng = random.Random(101)
         for _ in range(20):
@@ -583,7 +585,7 @@ class TestDegeneracyAtOne:
             exponents = {i: i - 1 for i in range(1, spec.k + 1)}
             assert not any(dense_entries(spec, h.rows, dict.fromkeys(exponents, F(1))).values())
             value = _scaled_powers(1, 1, exponents)
-            assert _attack_entries(spec, h, value) == {}
+            assert h._product(component_levels(spec, value)) == {}
             assert _root_free(spec, h, value) is None
 
 
@@ -641,14 +643,14 @@ class TestIntegerFastPaths:
     )
     @settings(max_examples=80, deadline=None)
     def test_root_verdicts_ladders_and_ratios(self, n, seed, lam):
-        from minorkit.stealth import _attack_entries, _ladder, _root_free, _scaled_powers, _stealth_values
+        from minorkit.stealth import _ladder, _root_free, _scaled_powers, _stealth_values
 
         spec, h, expmaps = spec_and_exponent_maps(n, seed)
         rows = h.rows
         for exponents in expmaps:
             stealth = _stealth_values(spec, lam, exponents)
             value = _scaled_powers(lam.numerator, lam.denominator, exponents)
-            entries = _attack_entries(spec, h, value)
+            entries = h._product(component_levels(spec, value))
             assert all(type(x) is int for pair in entries.values() for x in pair)
             dense = dense_entries(spec, rows, {c: lam ** e for c, e in exponents.items()})
             for l in spec.boundary_vertices():
@@ -656,9 +658,7 @@ class TestIntegerFastPaths:
             assert (_root_free(spec, h, value) is not None) == all(dense.values())
             # each entry is the true one times S = q**top
             scale = lam.denominator ** max(exponents.values())
-            assert {i: F(num, den * scale) for i, (num, den) in entries.items()} == {
-                i: a for i, a in enumerate(h.multiply(stealth), start=1) if a
-            }
+            assert {i: F(num, den * scale) for i, (num, den) in entries.items()} == dense_product(rows, stealth)
             kept = [
                 (F(q, q + 1), F(top, low))
                 for q, top, low in _ladder(spec, exponents, 30)
@@ -688,7 +688,7 @@ class TestIntegerFastPaths:
     @settings(max_examples=80, deadline=None)
     def test_entries_are_the_nonzero_entries_of_the_product(self, n, seed, levels):
         # arbitrary int values per component, ties included, on coprime gain denominators
-        from minorkit.stealth import _attack_entries, _root_free
+        from minorkit.stealth import _root_free
 
         rng = random.Random(seed)
         g = random_connected(n, rng.randrange(n - 1, n * (n - 1) // 2 + 1), rng)
@@ -697,29 +697,28 @@ class TestIntegerFastPaths:
         spec = feasibility(g, random_cut_targets(g, rng))
         h = assemble_gain_matrix(g)
         value = {c: levels[c - 1] for c in range(1, spec.k + 1)}
-        entries = _attack_entries(spec, h, value)
+        entries = h._product(component_levels(spec, value))
         assert all(den > 0 for _, den in entries.values())
-        s = [F(value[spec.comp_of[v]]) for v in g.vertices()]
-        product = {i: a for i, a in enumerate(h.multiply(s), start=1) if a}
+        product = dense_product(h.rows, component_levels(spec, value))
         assert {i: F(num, den) for i, (num, den) in entries.items()} == product
         dense = dense_entries(spec, h.rows, {c: F(x) for c, x in value.items()})
         assert (_root_free(spec, h, value) is not None) == all(dense.values())
 
     def test_build_rejects_a_target_between_equal_values(self):
         # components 1 and 2 share exponent 0 across the target (1,2): its entry is 0
-        from minorkit.stealth import _attack_entries, _build, _scaled_powers
+        from minorkit.stealth import _build, _scaled_powers
 
         g = Graph(3, [(1, 2), (2, 3)], gains={4: F(1), 5: F(2, 3)})
         spec = feasibility(g, g.edges)
         exponents = {1: 0, 2: 0, 3: 1}
-        entries = _attack_entries(spec, assemble_gain_matrix(g), _scaled_powers(1, 2, exponents))
+        entries = assemble_gain_matrix(g)._product(component_levels(spec, _scaled_powers(1, 2, exponents)))
         assert 4 not in entries and 5 in entries
         with pytest.raises(AssertionError, match="deviates from"):
             _build(spec, 2, entries)  # S = 2**1 for lambda = 1/2 and top exponent 1
 
     def test_root_verdicts_at_known_roots(self):
         # each candidate zeroes the boundary entry of exactly one path vertex
-        from minorkit.stealth import _attack_entries, _scaled_powers
+        from minorkit.stealth import _scaled_powers
 
         g, targets, candidates = root_trap_graph()
         spec = feasibility(g, targets)
@@ -728,7 +727,7 @@ class TestIntegerFastPaths:
         boundary = set(spec.boundary_vertices())
         exponents = {i: i - 1 for i in range(1, spec.k + 1)}
         for lam in candidates:
-            entries = _attack_entries(spec, h, _scaled_powers(lam.numerator, lam.denominator, exponents))
+            entries = h._product(component_levels(spec, _scaled_powers(lam.numerator, lam.denominator, exponents)))
             zero = boundary - entries.keys()
             assert len(zero) == 1
             dense = dense_entries(spec, rows, {c: lam ** e for c, e in exponents.items()})
