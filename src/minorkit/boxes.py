@@ -84,10 +84,10 @@ from .ratio import fmt_pair, parse_pair, parse_ratio
 Point = tuple[Fraction, ...]
 Interval = tuple[Fraction, Fraction]
 
-# Exact facet sweeps are gated; past these sizes a representation must carry
-# witnesses to be checkable.
-DEFAULT_MAX_SWEEP_DIM = 4
-DEFAULT_MAX_SWEEP_BOXES = 64
+# The exact facet sweep's size gates, read by _exposed_point alone: past them a
+# representation must carry witnesses to be checkable.
+MAX_SWEEP_DIM = 4
+MAX_SWEEP_BOXES = 64
 
 
 @dataclass(frozen=True)
@@ -966,24 +966,20 @@ def _facet_uncovered(v: int, axis: int, side: int, grid: Mapping[int, IntBox]) -
     return hit[:axis] + (2 * c,) + hit[axis:]
 
 
-def _sweep_gate(rep: GridRep, max_dim: int, max_boxes: int) -> None:
-    if rep.dim > max_dim:
-        raise TooLarge(
-            f"exact facet sweep gated at dimension {max_dim}; "
-            "store witnesses to verify higher-dimensional representations"
-        )
-    if len(rep.boxes) > max_boxes:
-        raise TooLarge(f"exact facet sweep gated at {max_boxes} boxes")
-
-
-def _exposed_point(v: int, rep: GridRep, max_dim: int, max_boxes: int) -> IntPoint | None:
+def _exposed_point(v: int, rep: GridRep) -> IntPoint | None:
     """A boundary point of v's box outside every other box, or None if all are covered.
 
     The point lies on the grid of 2 * rep.scale.
     """
     if v not in rep.boxes:
         raise VertexMismatch(f"vertex {v} has no box")
-    _sweep_gate(rep, max_dim, max_boxes)
+    if rep.dim > MAX_SWEEP_DIM:
+        raise TooLarge(
+            f"exact facet sweep gated at dimension {MAX_SWEEP_DIM}; "
+            "store witnesses to verify higher-dimensional representations"
+        )
+    if len(rep.boxes) > MAX_SWEEP_BOXES:
+        raise TooLarge(f"exact facet sweep gated at {MAX_SWEEP_BOXES} boxes")
     for axis in range(rep.dim):
         for side in (0, 1):
             p = _facet_uncovered(v, axis, side, rep.boxes)
@@ -992,27 +988,15 @@ def _exposed_point(v: int, rep: GridRep, max_dim: int, max_boxes: int) -> IntPoi
     return None
 
 
-def boundary_covered(
-    v: int,
-    rep: Representation,
-    *,
-    max_dim: int = DEFAULT_MAX_SWEEP_DIM,
-    max_boxes: int = DEFAULT_MAX_SWEEP_BOXES,
-) -> bool:
+def boundary_covered(v: int, rep: Representation) -> bool:
     """True iff every point of v's boundary lies in some other box (exact)."""
-    return _exposed_point(v, GridRep.of(rep), max_dim, max_boxes) is None
+    return _exposed_point(v, GridRep.of(rep)) is None
 
 
-def exposed_witness(
-    v: int,
-    rep: Representation,
-    *,
-    max_dim: int = DEFAULT_MAX_SWEEP_DIM,
-    max_boxes: int = DEFAULT_MAX_SWEEP_BOXES,
-) -> Witness | None:
+def exposed_witness(v: int, rep: Representation) -> Witness | None:
     """Find an exclusive boundary point for v by facet sweep, or None if covered."""
     grid = GridRep.of(rep)
-    p = _exposed_point(v, grid, max_dim, max_boxes)
+    p = _exposed_point(v, grid)
     return None if p is None else grid.witnessed([v], {v: p}).witness(v)
 
 
@@ -1029,7 +1013,7 @@ class C2Report:
         return {v: self.rep.witness(v, q) for v in self.rep.radii}
 
 
-def _c2_found(rep: GridRep, max_dim: int, max_boxes: int, tables: _Tables) -> C2Report:
+def _c2_found(rep: GridRep, tables: _Tables) -> C2Report:
     """C2 on rep's grid, with the witnesses and the covered vertices in vertex order.
 
     A stored witness that passes the exact re-check on tables, the _Tables of
@@ -1042,7 +1026,7 @@ def _c2_found(rep: GridRep, max_dim: int, max_boxes: int, tables: _Tables) -> C2
     covered: list[int] = []
     for v in sorted(rep.boxes):
         if v not in kept:
-            p = _exposed_point(v, rep, max_dim, max_boxes)
+            p = _exposed_point(v, rep)
             if p is None:
                 covered.append(v)
                 continue
@@ -1051,13 +1035,7 @@ def _c2_found(rep: GridRep, max_dim: int, max_boxes: int, tables: _Tables) -> C2
     return C2Report(ok=not covered, rep=rep.witnessed(found, swept), covered=tuple(covered))
 
 
-def verify_c2(
-    g: Graph,
-    rep: Representation,
-    *,
-    max_dim: int = DEFAULT_MAX_SWEEP_DIM,
-    max_boxes: int = DEFAULT_MAX_SWEEP_BOXES,
-) -> C2Report:
+def verify_c2(g: Graph, rep: Representation) -> C2Report:
     """Every vertex must keep an exclusive boundary point.
 
     Stored witnesses are trusted only after an exact re-check; vertices without a
@@ -1066,19 +1044,13 @@ def verify_c2(
     """
     _check_cover(g, rep)
     grid = GridRep.of(rep)
-    return _c2_found(grid, max_dim, max_boxes, _Tables(grid.boxes))
+    return _c2_found(grid, _Tables(grid.boxes))
 
 
-def verify_grid(
-    g: Graph,
-    rep: GridRep,
-    *,
-    max_dim: int = DEFAULT_MAX_SWEEP_DIM,
-    max_boxes: int = DEFAULT_MAX_SWEEP_BOXES,
-) -> tuple[C1Report, C2Report]:
+def verify_grid(g: Graph, rep: GridRep) -> tuple[C1Report, C2Report]:
     """verify_c1 and verify_c2 of the representation on rep's grid, decided on its ints."""
     _check_cover(g, rep)
     tables = _Tables(rep.boxes)
     bad = tables.c1(g.edges)
-    return C1Report(ok=not bad, violations=tuple(bad)), _c2_found(rep, max_dim, max_boxes, tables)
+    return C1Report(ok=not bad, violations=tuple(bad)), _c2_found(rep, tables)
 

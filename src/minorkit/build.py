@@ -11,7 +11,7 @@ pipeline walks a replayed edit sequence backwards on one neighbour map, lifting
 a verified base representation up to the original graph, and a tiny brute-force
 oracle pins exact answers for hand-checkable instances.  The oracle searches
 boxes of any dimension on a small integer grid and prunes with the verifier's
-own kernels (`_Tables` meet masks, the facet sweep), gated at dimension 2.
+own kernels (`_Tables` meet masks, the facet sweep), gated at ORACLE_MAX_DIM dimensions.
 
 Every construction step is certified once: C1, each chosen witness point's
 place on its box's boundary and every witness radius, decided on one integer
@@ -47,8 +47,6 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .boxes import (
-    DEFAULT_MAX_SWEEP_BOXES,
-    DEFAULT_MAX_SWEEP_DIM,
     GridRep,
     IntBox,
     IntPoint,
@@ -106,7 +104,7 @@ def _verified(vertices: Iterable[int], edges: Iterable[Edge], rep: GridRep, what
     bad = tables.c1(edges)
     if bad:
         raise InvalidInput(f"{what}: intersection pattern fails at {tuple(bad[:3])}")
-    c2 = _c2_found(rep, DEFAULT_MAX_SWEEP_DIM, DEFAULT_MAX_SWEEP_BOXES, tables)
+    c2 = _c2_found(rep, tables)
     if not c2.ok:
         raise InvalidInput(f"{what}: vertices {c2.covered} have no exclusive boundary point")
     return c2.rep
@@ -451,6 +449,10 @@ def tree_pipeline(g: Graph) -> tuple[EditSequence, ConstructionTrace]:
 
 # -- tiny exact oracle ----------------------------------------------------------------
 
+# the oracle's size gates, read by brute_force_strong_boxicity alone
+ORACLE_MAX_VERTICES = 5
+ORACLE_MAX_DIM = 2
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -462,22 +464,22 @@ class OracleResult:
         return None if self.grid is None else self.grid.to_representation()
 
 
-def brute_force_strong_boxicity(g: Graph, max_dim: int = 2) -> OracleResult:
+def brute_force_strong_boxicity(g: Graph, max_dim: int = ORACLE_MAX_DIM) -> OracleResult:
     """Exhaustive search for the smallest working dimension on an integer grid, for n <= 5.
 
     Any representation can be squeezed order-isomorphically, axis by axis, onto
     the grid 0..2n-1 (ties included), and both verification conditions depend
     only on endpoint order, so searching the grid is complete.  The inner loops
     run on ints, and so does the exact verifier that confirms a full assignment.
-    The search (_oracle_search) works in any dimension; max_dim is gated at 2
+    The search (_oracle_search) works in any dimension; max_dim is gated at ORACLE_MAX_DIM
     for time and memory: the 91125 boxes at n = 5, d = 3 take 1 GB of masks.
     """
     if max_dim < 1:
         raise ValueError(f"max_dim must be at least 1, got {max_dim}")
-    if g.n > 5:
-        raise TooLarge("oracle gated at 5 vertices")
-    if max_dim > 2:
-        raise TooLarge("oracle gated at dimension 2")
+    if g.n > ORACLE_MAX_VERTICES:
+        raise TooLarge(f"oracle gated at {ORACLE_MAX_VERTICES} vertices")
+    if max_dim > ORACLE_MAX_DIM:
+        raise TooLarge(f"oracle gated at dimension {ORACLE_MAX_DIM}")
     if g.n == 0:
         raise TooLarge("empty graph")
     for d in range(1, max_dim + 1):

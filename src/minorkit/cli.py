@@ -444,6 +444,8 @@ def cmd_flow_recover(args) -> int:
     g = graph_from_json(gobj)
     h = assemble_gain_matrix(g)
     z = pairs_from_json(zobj)
+    if len(z) != h.t:
+        raise ParseError(f"flow vector has length {len(z)}, expected {h.t}")
     tree = _tree(g)  # the walk depends only on g: the replay takes it too
     x, _ = _recover(h, z, g, parse_pair(args.ref), tree)
     results: dict = {"states": [fmt_pair(n, d) for n, d in x]}

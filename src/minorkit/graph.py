@@ -279,15 +279,20 @@ def bfs_path(g: Graph, start: int, goal: int, removed: Iterable[Edge] = ()) -> l
 # -- cycle oracle ---------------------------------------------------------------
 
 
-def enumerate_cycles(g: Graph, limit: int = 10_000, max_vertices: int = 10) -> list[frozenset[Edge]]:
+# the cycle oracle's gates, read by enumerate_cycles alone
+CYCLE_MAX_VERTICES = 10
+CYCLE_MAX_COUNT = 10_000
+
+
+def enumerate_cycles(g: Graph) -> list[frozenset[Edge]]:
     """All simple cycles, each as a frozen set of edges.
 
-    Brute-force oracle: exponential in general, hence the vertex and count gates.
+    Brute-force oracle: exponential in general, hence the CYCLE_MAX_* gates.
     Each cycle is found once, anchored at its smallest vertex with a canonical
     direction (second vertex smaller than the last).
     """
-    if g.n > max_vertices:
-        raise OracleTooLarge(f"cycle oracle gated at {max_vertices} vertices")
+    if g.n > CYCLE_MAX_VERTICES:
+        raise OracleTooLarge(f"cycle oracle gated at {CYCLE_MAX_VERTICES} vertices")
     cycles: list[frozenset[Edge]] = []
 
     def extend(anchor: int, path: list[int], on_path: set[int]) -> None:
@@ -299,8 +304,8 @@ def enumerate_cycles(g: Graph, limit: int = 10_000, max_vertices: int = 10) -> l
                         norm_edge(path[i], path[(i + 1) % len(path)]) for i in range(len(path))
                     )
                     cycles.append(cycle)
-                    if len(cycles) > limit:
-                        raise OracleTooLarge(f"more than {limit} simple cycles")
+                    if len(cycles) > CYCLE_MAX_COUNT:
+                        raise OracleTooLarge(f"more than {CYCLE_MAX_COUNT} simple cycles")
             elif w > anchor and w not in on_path:
                 path.append(w)
                 on_path.add(w)

@@ -368,8 +368,9 @@ def _jump_range(value: dict, pairs) -> tuple[int, int]:
     return max(jumps), min(jumps)
 
 
-# the schedule's default ladder length
+# the ladder lengths: the schedule's, and best_constructive_ratio's ranked ladder
 _SCHEDULE_STEPS = 20_000
+_CONSTRUCTIVE_STEPS = 400
 
 
 def variation_limit_schedule(
@@ -377,7 +378,6 @@ def variation_limit_schedule(
     h: GainMatrix,
     epsilon_gap: Fraction,
     colors: dict[int, int] | None = None,
-    max_steps: int = _SCHEDULE_STEPS,
 ) -> tuple[StealthVector, Fraction]:
     """Walk lambda_q = q/(q+1) upward until the ratio is within the gap of c-1.
 
@@ -385,10 +385,10 @@ def variation_limit_schedule(
     first, on ints (|top - (c-1) low| * den <= num * low for the gap num/den),
     and root-tests only a step inside it, skipping it if it is a root.  The
     limit c-1 is only attained when the crossing structure realises both the
-    extreme exponent gap and a unit gap; otherwise the schedule stalls and
-    says so rather than looping forever.
+    extreme exponent gap and a unit gap; otherwise the schedule stalls at
+    q = _SCHEDULE_STEPS and says so rather than looping forever.
     """
-    sv, _, ratio = _schedule(spec, h, epsilon_gap, colors, max_steps)
+    sv, _, ratio = _schedule(spec, h, epsilon_gap, colors)
     return sv, ratio
 
 
@@ -397,7 +397,6 @@ def _schedule(
     h: GainMatrix,
     epsilon_gap: Fraction,
     colors: dict[int, int] | None = None,
-    max_steps: int = _SCHEDULE_STEPS,
 ) -> tuple[StealthVector, AttackVector, Fraction]:
     """``variation_limit_schedule`` with the attack of its pick, built from the accepted entries."""
     spec = require_spec(spec)
@@ -409,7 +408,7 @@ def _schedule(
     target = c - 1 if c >= 2 else 1
     epsilon_gap = Fraction(epsilon_gap)
     gap_num, gap_den = epsilon_gap.numerator, epsilon_gap.denominator
-    for q, top, low in _ladder(spec, exponents, max_steps):
+    for q, top, low in _ladder(spec, exponents, _SCHEDULE_STEPS):
         if abs(top - target * low) * gap_den > gap_num * low:
             continue
         entries = _root_free(spec, h, _scaled_powers(q, q + 1, exponents))
@@ -430,7 +429,6 @@ def best_constructive_ratio(
     spec: AttackSpec,
     h: GainMatrix,
     colors: dict[int, int] | None = None,
-    steps: int = 400,
 ) -> tuple[Fraction, Fraction]:
     """Best (lambda, ratio) over the root-free ladder steps, without demanding convergence to c-1.
 
@@ -440,7 +438,7 @@ def best_constructive_ratio(
     vertex's entry of H*s, a polynomial in lambda, has at most one root in
     (0, 1) (the Descartes argument in ``_root_free_lambda``), so at most
     #boundary vertices ranked steps fail and at most #boundary vertices + 1
-    root tests run.
+    root tests run, on a ladder of _CONSTRUCTIVE_STEPS steps.
     """
     spec = require_spec(spec)
     h._require_graph(spec.graph)
@@ -449,7 +447,7 @@ def best_constructive_ratio(
     exponents = _exponent_map(spec, colors)
     # top / low against top' / low' is top * low' against top' * low (every jump is positive),
     # and a stable sort keeps equal ratios in q order
-    ranked = sorted(_ladder(spec, exponents, steps), key=cmp_to_key(_by_ratio))
+    ranked = sorted(_ladder(spec, exponents, _CONSTRUCTIVE_STEPS), key=cmp_to_key(_by_ratio))
     for q, top, low in ranked:
         if _root_free(spec, h, _scaled_powers(q, q + 1, exponents)) is not None:
             return F(q, q + 1), F(top, low)
@@ -469,10 +467,10 @@ def component_graph(spec: AttackSpec) -> Graph:
 EXACT_COLOR_LIMIT = 12
 
 
-def color_assignment(gc: Graph, exact_limit: int = EXACT_COLOR_LIMIT) -> tuple[dict[int, int], int, bool]:
-    """Proper colouring: exact chromatic number by backtracking up to the limit,
-    greedy on a degeneracy order beyond it."""
-    if gc.n <= exact_limit:
+def color_assignment(gc: Graph) -> tuple[dict[int, int], int, bool]:
+    """Proper colouring: exact chromatic number by backtracking up to EXACT_COLOR_LIMIT
+    components, greedy on a degeneracy order beyond it; the flag says which."""
+    if gc.n <= EXACT_COLOR_LIMIT:
         for c in range(1, gc.n + 1):
             colors = _try_color(gc, c)
             if colors is not None:
@@ -700,12 +698,12 @@ def theta_oracle(spec: AttackSpec, h: GainMatrix) -> Fraction:
     if not spec.targets:
         raise EmptyF("variation oracle needs a non-empty target set")
     gc = component_graph(spec)
-    return _circular_theta(gc, color_assignment(gc)[1])
+    return _circular_theta(gc, *color_assignment(gc)[1:])
 
 
-def _circular_theta(gc: Graph, chi: int) -> Fraction:
+def _circular_theta(gc: Graph, chi: int, exact: bool) -> Fraction:
     """theta_oracle's chi_c(gc) - 1, by a Farey scan of (chi - 1, chi] from gc's chromatic number chi."""
-    if gc.n > EXACT_COLOR_LIMIT:  # chi is not exact
+    if not exact:  # color_assignment's chi is greedy, and the scan needs the exact one
         raise TooLarge(f"value search gated at {EXACT_COLOR_LIMIT} components")
     candidates = sorted({F(p, q) for p in range(1, gc.n + 1) for q in range(1, p + 1)})
     # chi itself is a candidate and has its q = 1 colouring, so next() finds one
@@ -729,7 +727,7 @@ def theta_bounds(spec: AttackSpec, h: GainMatrix) -> dict:
     colors, chi, exact = color_assignment(gc)
     lam_b, basic = best_constructive_ratio(spec, h)
     lam_c, colored = best_constructive_ratio(spec, h, colors=colors)
-    oracle = _circular_theta(gc, chi)
+    oracle = _circular_theta(gc, chi, exact)
     return {
         "lower": F(1),
         "constructive_basic": basic,

@@ -14,8 +14,8 @@ from itertools import count, product
 
 from minorkit import Box, C1Report, Graph, Representation, Witness, components, witness_radius
 from minorkit.boxes import (
-    DEFAULT_MAX_SWEEP_BOXES,
-    DEFAULT_MAX_SWEEP_DIM,
+    MAX_SWEEP_BOXES,
+    MAX_SWEEP_DIM,
     GridRep,
     _Tables,
     _gap,
@@ -727,7 +727,7 @@ def exposed_point_fraction(v: int, rep: Representation, max_dim: int, max_boxes:
 
 
 def exposed_witness_fraction(
-    v: int, rep: Representation, *, max_dim=DEFAULT_MAX_SWEEP_DIM, max_boxes=DEFAULT_MAX_SWEEP_BOXES
+    v: int, rep: Representation, *, max_dim=MAX_SWEEP_DIM, max_boxes=MAX_SWEEP_BOXES
 ) -> Witness | None:
     """exposed_witness as it swept the facets in Fraction arithmetic."""
     p = exposed_point_fraction(v, rep, max_dim, max_boxes)
@@ -861,7 +861,7 @@ class C2Fraction:
 
 
 def verify_c2_fraction(
-    g: Graph, rep: Representation, *, max_dim=DEFAULT_MAX_SWEEP_DIM, max_boxes=DEFAULT_MAX_SWEEP_BOXES
+    g: Graph, rep: Representation, *, max_dim=MAX_SWEEP_DIM, max_boxes=MAX_SWEEP_BOXES
 ) -> C2Fraction:
     """verify_c2 on the Fractions: a stored witness passes when its point lies on v's
     boundary and every other box is farther than radius / 2 from it; every other

@@ -166,8 +166,9 @@ class TestVerifyC2:
         g = Graph(3, [(1, 2), (2, 3)])
         rep = fig_squares()
         stored = verify_c2(g, rep).witnesses
-        # high sweep gates are irrelevant once witnesses are stored
-        report = verify_c2(g, Representation(rep.boxes, stored), max_dim=0, max_boxes=0)
+        # the sweep gates are irrelevant once witnesses are stored
+        with patch.object(boxes, "MAX_SWEEP_DIM", 0), patch.object(boxes, "MAX_SWEEP_BOXES", 0):
+            report = verify_c2(g, Representation(rep.boxes, stored))
         assert report.ok
 
     def test_bad_stored_witness_falls_back_to_sweep(self):
@@ -726,13 +727,14 @@ class TestGridSweep:
     @settings(max_examples=300, deadline=None)
     def test_sweep_matches_the_fraction_sweep(self, case):
         g, rep, max_dim = case
-        for v in rep.vertices():
-            want = outcome(lambda: exposed_witness_fraction(v, rep, max_dim=max_dim))
-            assert outcome(lambda: exposed_witness(v, rep, max_dim=max_dim)) == want
-            raised = isinstance(want, tuple)
-            assert outcome(lambda: boundary_covered(v, rep, max_dim=max_dim)) == (want if raised else want is None)
-        ref = outcome(lambda: verify_c2_fraction(g, rep, max_dim=max_dim))
-        got = outcome(lambda: verify_c2(g, rep, max_dim=max_dim))
+        with patch.object(boxes, "MAX_SWEEP_DIM", max_dim):
+            for v in rep.vertices():
+                want = outcome(lambda: exposed_witness_fraction(v, rep, max_dim=max_dim))
+                assert outcome(lambda: exposed_witness(v, rep)) == want
+                raised = isinstance(want, tuple)
+                assert outcome(lambda: boundary_covered(v, rep)) == (want if raised else want is None)
+            ref = outcome(lambda: verify_c2_fraction(g, rep, max_dim=max_dim))
+            got = outcome(lambda: verify_c2(g, rep))
         if isinstance(ref, tuple):
             assert got == ref
             return
@@ -998,7 +1000,7 @@ class TestIncrementalCertify:
         assert GridRep(certified.scale, certified.boxes, certified.points, certified.radii)._cert is None
         # a sweep re-bases the grid on 2 * scale, which would double every gap
         base = self.prev()
-        swept = boxes._exposed_point(1, base, 4, 64)
+        swept = boxes._exposed_point(1, base)
         assert base.witnessed([1, 2, 3], {1: swept}).scale == 2
         assert base.witnessed([1, 2, 3], {1: swept})._cert is None
         assert base.witnessed([1, 2, 3], {})._cert is None

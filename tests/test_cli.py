@@ -998,6 +998,15 @@ class TestInputContract:
         bundle = write(tmp_path / "atk.json", {"targets": [[1, 2], [1, 4]], "a": ["1"] * 7})
         self.assert_input_error(capsys, [*recover_args, "--attack", bundle])
 
+    @pytest.mark.parametrize("length", [3, 9])
+    def test_flow_vector_of_the_wrong_length(self, tmp_path, flow_file, capsys, length):
+        # exited 1 with "error: DimensionMismatch"; t = 8 here
+        zf = write(tmp_path / "z.json", {"values": ["0"] * length})
+        assert main(["flow", "recover", flow_file, "--flows", zf]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: ParseError: flow vector has length {length}, expected 8\n"
+
     def test_short_stealth_vector(self, tmp_path, recover_args, capsys):
         bundle = write(tmp_path / "atk.json", {"targets": [[1, 2]], "a": ["0"] * 8, "s": ["1"] * 3})
         self.assert_input_error(capsys, [*recover_args, "--attack", bundle])

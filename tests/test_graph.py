@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import networkx as nx
 import pytest
@@ -23,6 +24,7 @@ from minorkit import (
     reduce_to_spanning_tree,
     replay_edits,
 )
+from minorkit import graph
 from minorkit.exceptions import (
     Disconnected,
     InvalidEdit,
@@ -192,8 +194,8 @@ class TestCycles:
             enumerate_cycles(Graph(11, []))
 
     def test_count_gate(self):
-        with pytest.raises(OracleTooLarge):
-            enumerate_cycles(k4(), limit=3)
+        with patch.object(graph, "CYCLE_MAX_COUNT", 3), pytest.raises(OracleTooLarge, match="more than 3 simple cycles"):
+            enumerate_cycles(k4())
 
 
 class TestApplyEdit:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +31,7 @@ from minorkit import (
     variation_limit_schedule,
     variation_ratio,
 )
+from minorkit import stealth
 from minorkit.exceptions import (
     BadBounds,
     EmptyF,
@@ -241,8 +243,8 @@ class TestSchedule:
         # over the ladder and then sinks to 1, never within 1/100 of c-1 = 3
         g = Graph(4, [(1, 2), (2, 3), (3, 4)], gains={5: F(1), 6: F(1), 7: F(1)})
         spec = feasibility(g, g.edges)
-        with pytest.raises(ScheduleStalled):
-            variation_limit_schedule(spec, assemble_gain_matrix(g), F(1, 100), max_steps=300)
+        with pytest.raises(ScheduleStalled), patch.object(stealth, "_SCHEDULE_STEPS", 300):
+            variation_limit_schedule(spec, assemble_gain_matrix(g), F(1, 100))
 
     def test_ratio_respects_per_lambda_bound(self):
         rng = random.Random(51)
@@ -251,7 +253,8 @@ class TestSchedule:
             g = random_connected(n, rng.randrange(n - 1, n * (n - 1) // 2 + 1), rng, gains=True)
             spec = feasibility(g, random_cut_targets(g, rng))
             h = assemble_gain_matrix(g)
-            lam, ratio = best_constructive_ratio(spec, h, steps=60)
+            with patch.object(stealth, "_CONSTRUCTIVE_STEPS", 60):
+                lam, ratio = best_constructive_ratio(spec, h)
             assert ratio <= ratio_bound(spec.k, lam)
 
 
@@ -449,10 +452,17 @@ class TestThetaOracle:
         with pytest.raises(TooLarge, match="value search gated at 12 components"):
             theta_bounds(spec, assemble_gain_matrix(g))
 
+    def test_a_greedy_chi_is_gated(self):
+        # past EXACT_COLOR_LIMIT components the colouring is greedy, and the Farey scan refuses its chi
+        g = cycle_graph(4)
+        spec = feasibility(g, g.edges)
+        with patch.object(stealth, "EXACT_COLOR_LIMIT", 3):
+            assert spec.k == 4 and color_assignment(component_graph(spec))[2] is False
+            with pytest.raises(TooLarge, match="value search gated at 3 components"):
+                theta_bounds(spec, assemble_gain_matrix(g))
+
     def test_bounds_colour_the_component_graph_once(self, monkeypatch):
         # the oracle's Farey scan reads chi off the bracket's own colouring of G_F
-        from minorkit import stealth
-
         calls = []
         for name in ("component_graph", "color_assignment"):
             def counted(*args, _name=name, _real=getattr(stealth, name)):
@@ -843,8 +853,6 @@ def ladder_trap_graph(steps: int, roots: int):
 
 def counted_root_tests(monkeypatch):
     """A one-item list that counts every ladder root test from now on."""
-    from minorkit import stealth
-
     tests = [0]
     root_free = stealth._root_free
 
@@ -866,24 +874,25 @@ class TestRankedLadders:
     @settings(max_examples=60, deadline=None)
     def test_picks_match_the_fraction_ladder(self, n, seed, steps, gap):
         spec, h, (basic, colored) = spec_and_exponent_maps(n, seed)
-        for colors, exponents in ((None, basic), ({i: e + 1 for i, e in colored.items()}, colored)):
-            ladder = fraction_ladder(spec, h.rows, exponents, steps)
-            if ladder:
-                # least ratio, ties to the smallest q (lambda_q grows with q)
-                best = min(ladder, key=lambda pair: (pair[1], pair[0]))
-                assert best_constructive_ratio(spec, h, colors=colors, steps=steps) == best
-            else:
-                with pytest.raises(AssertionError):
-                    best_constructive_ratio(spec, h, colors=colors, steps=steps)
-            c = len(set(exponents.values()))
-            target = c - 1 if c >= 2 else 1
-            first = next(((lam, r) for lam, r in ladder if abs(r - target) <= gap), None)
-            if first is None:
-                with pytest.raises(ScheduleStalled):
-                    variation_limit_schedule(spec, h, gap, colors=colors, max_steps=steps)
-            else:
-                sv, ratio = variation_limit_schedule(spec, h, gap, colors=colors, max_steps=steps)
-                assert (sv.lam, ratio) == first
+        with patch.object(stealth, "_CONSTRUCTIVE_STEPS", steps), patch.object(stealth, "_SCHEDULE_STEPS", steps):
+            for colors, exponents in ((None, basic), ({i: e + 1 for i, e in colored.items()}, colored)):
+                ladder = fraction_ladder(spec, h.rows, exponents, steps)
+                if ladder:
+                    # least ratio, ties to the smallest q (lambda_q grows with q)
+                    best = min(ladder, key=lambda pair: (pair[1], pair[0]))
+                    assert best_constructive_ratio(spec, h, colors=colors) == best
+                else:
+                    with pytest.raises(AssertionError):
+                        best_constructive_ratio(spec, h, colors=colors)
+                c = len(set(exponents.values()))
+                target = c - 1 if c >= 2 else 1
+                first = next(((lam, r) for lam, r in ladder if abs(r - target) <= gap), None)
+                if first is None:
+                    with pytest.raises(ScheduleStalled):
+                        variation_limit_schedule(spec, h, gap, colors=colors)
+                else:
+                    sv, ratio = variation_limit_schedule(spec, h, gap, colors=colors)
+                    assert (sv.lam, ratio) == first
 
     def test_ranked_roots_are_skipped_in_order(self, monkeypatch):
         steps, roots = 30, 6
@@ -894,7 +903,8 @@ class TestRankedLadders:
         ladder = fraction_ladder(spec, h.rows, {1: 0, 2: 1, 3: 2}, steps)
         assert [lam.numerator for lam, _ in ladder] == list(range(1, steps - roots + 1))
         tests = counted_root_tests(monkeypatch)
-        lam, ratio = best_constructive_ratio(spec, h, steps=steps)
+        with patch.object(stealth, "_CONSTRUCTIVE_STEPS", steps):
+            lam, ratio = best_constructive_ratio(spec, h)
         assert (lam, ratio) == (F(steps - roots, steps - roots + 1), F(steps - roots + 1, steps - roots))
         assert tests == [roots + 1]
 
