@@ -8,10 +8,11 @@ witness radii and witness checks compare ints.  `GridRep` holds a
 representation in that form, with radii as (num, den) pairs.  A file goes
 to the grid and back without Fractions, each distinct coordinate read and
 written once: `grid_from_json` reads a well-formed file in flat passes, each
-distinct value as the (num, den) pair it spells, scales them onto one grid and
-tests order and degeneracy on the ints at once (any other file goes to an
-ordered reader that names its first fault), and `grid_to_json` formats each
-distinct x once as the text of x / L.  `GridRep.of` scales Fractions by the
+distinct value as the (num, den) pair it spells (`ratio.parse_table`), scales
+them onto one grid and tests order and degeneracy on the ints at once (any
+other file goes to an ordered reader that names its first fault), and the
+writers and the Fraction view read one table, `GridRep._table(f)`, which maps
+each distinct x to f(x, L) once.  `GridRep.of` scales Fractions by the
 same `_on_grid`.  `verify_grid` decides C1 and re-checks the stored witnesses
 on per-axis interval tables (`_Tables`): each vertex is one bit of an int
 mask, each axis groups the boxes by distinct interval, and prefix ORs over
@@ -79,7 +80,7 @@ from .exceptions import (
     VertexMismatch,
 )
 from .graph import Edge, Graph, _json_int
-from .ratio import fmt_pair, parse_pair, parse_ratio
+from .ratio import fmt_pair, parse_pair, parse_ratio, parse_table
 
 Point = tuple[Fraction, ...]
 Interval = tuple[Fraction, Fraction]
@@ -182,36 +183,26 @@ def rep_to_json(rep: Representation) -> dict:
     return grid_to_json(GridRep.of(rep))
 
 
-def _grid_text(scale: int):
-    """x -> the text of x / scale, each distinct x formatted once: lifts repeat coordinates."""
-    memo: dict[int, str] = {}
-
-    def text(x: int) -> str:
-        t = memo.get(x)
-        if t is None:
-            t = memo[x] = fmt_pair(x, scale)
-        return t
-
-    return text
-
-
 def grid_to_json(rep: GridRep) -> dict:
     """rep_to_json of the representation on rep's grid, written from its ints in rep's order."""
-    text = _grid_text(rep.scale)
+    text = rep._table(fmt_pair)
     out: dict = {
         "dim": rep.dim,
-        "boxes": {str(v): [[text(lo), text(hi)] for lo, hi in b] for v, b in rep.boxes.items()},
+        "boxes": {str(v): [[text[lo], text[hi]] for lo, hi in b] for v, b in rep.boxes.items()},
     }
     if rep.radii:
-        out["witnesses"] = witnesses_to_json(rep)
+        out["witnesses"] = _witnesses_json(rep, text)
     return out
 
 
 def witnesses_to_json(rep: GridRep) -> dict:
     """The "witnesses" object of rep's JSON, written from its ints in rep's order."""
-    text = _grid_text(rep.scale)
+    return _witnesses_json(rep, rep._table(fmt_pair, boxes=False))
+
+
+def _witnesses_json(rep: GridRep, text: dict[int, str]) -> dict:
     return {
-        str(v): {"point": [text(x) for x in rep.points[v]], "radius": fmt_pair(*r)}
+        str(v): {"point": list(map(text.__getitem__, rep.points[v])), "radius": fmt_pair(*r)}
         for v, r in rep.radii.items()
     }
 
@@ -287,11 +278,8 @@ def _grid_flat(obj) -> GridRep | None:
     coords = [*chain.from_iterable(ivs), *chain.from_iterable(points)]
     if not {str, int}.issuperset(map(type, chain(coords, radii))):
         return None
-    spelled = dict.fromkeys(coords)
     try:
-        for x in spelled:
-            spelled[x] = parse_pair(x)
-        radii = [spelled.get(r) or parse_pair(r) for r in radii]
+        spelled, radii = parse_table(coords), list(map(parse_table(radii).__getitem__, radii))
     except ParseError:
         return None
     try:  # the distinct values, scaled as one point by the one way onto the grid
@@ -867,27 +855,24 @@ class GridRep:
             radii = radii | found
         return GridRep(scale, boxes, {v: points[v] for v in order}, {v: radii[v] for v in order})
 
-    def _fraction(self):
-        """x -> x / scale as a Fraction, each distinct x divided once: lifts repeat coordinates."""
-        scale, memo = self.scale, {}
+    def _table(self, f, boxes: bool = True) -> dict:
+        """Each distinct coordinate x of the points (and boxes, if boxes) -> f(x, scale): lifts repeat them."""
+        xs = chain.from_iterable(self.points.values())
+        if boxes:
+            xs = chain(chain.from_iterable(chain.from_iterable(self.boxes.values())), xs)
+        return {x: f(x, self.scale) for x in dict.fromkeys(xs)}
 
-        def q(x) -> Fraction:
-            f = memo.get(x)
-            if f is None:
-                f = memo[x] = Fraction(x, scale)
-            return f
+    def witnesses(self) -> dict[int, Witness]:
+        """The witnesses as Fractions, by vertex in the grid's order."""
+        return self._witnesses(self._table(Fraction, boxes=False))
 
-        return q
-
-    def witness(self, v: int, q=None) -> Witness:
-        """v's witness as Fractions; q divides by the scale (a fresh _fraction by default)."""
-        q = q or self._fraction()
-        return Witness(tuple(map(q, self.points[v])), Fraction(*self.radii[v]))
+    def _witnesses(self, q: dict[int, Fraction]) -> dict[int, Witness]:
+        return {v: Witness(tuple(map(q.__getitem__, self.points[v])), Fraction(*r)) for v, r in self.radii.items()}
 
     def to_representation(self) -> Representation:
-        q = self._fraction()
-        boxes = {v: Box(tuple((q(lo), q(hi)) for lo, hi in b)) for v, b in self.boxes.items()}
-        return Representation(boxes, {v: self.witness(v, q) for v in self.radii})
+        q = self._table(Fraction)
+        boxes = {v: Box(tuple((q[lo], q[hi]) for lo, hi in b)) for v, b in self.boxes.items()}
+        return Representation(boxes, self._witnesses(q))
 
 
 def check_witness(v: int, rep: Representation) -> bool:
@@ -997,7 +982,7 @@ def exposed_witness(v: int, rep: Representation) -> Witness | None:
     """Find an exclusive boundary point for v by facet sweep, or None if covered."""
     grid = GridRep.of(rep)
     p = _exposed_point(v, grid)
-    return None if p is None else grid.witnessed([v], {v: p}).witness(v)
+    return None if p is None else grid.witnessed([v], {v: p}).witnesses()[v]
 
 
 @dataclass(frozen=True)
@@ -1009,8 +994,7 @@ class C2Report:
     @cached_property
     def witnesses(self) -> dict[int, Witness]:
         """rep's witnesses as Fractions, by vertex, built on first read."""
-        q = self.rep._fraction()
-        return {v: self.rep.witness(v, q) for v in self.rep.radii}
+        return self.rep.witnesses()
 
 
 def _c2_found(rep: GridRep, tables: _Tables) -> C2Report:

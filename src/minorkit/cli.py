@@ -547,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bo = boxsub.add_parser("oracle", help="tiny-instance exact smallest dimension")
     bo.add_argument("graph")
-    bo.add_argument("--max-dim", dest="max_dim", type=int, default=2)
+    bo.add_argument("--max-dim", dest="max_dim", type=int, default=bld.ORACLE_MAX_DIM)
     bo.add_argument("--out", type=_nonempty)
     bo.set_defaults(func=cmd_box_oracle)
 

@@ -30,7 +30,7 @@ from .exceptions import (
     ParseError,
     SequenceMismatch,
 )
-from .ratio import fmt_ratio, parse_ratio
+from .ratio import fmt_ratio, parse_ratio, parse_table
 
 Edge = tuple[int, int]
 
@@ -125,16 +125,14 @@ def _gain_fractions(n: int, t: int, gains: dict) -> dict[int, Fraction]:
         and {str}.issuperset(map(type, texts))
         and (not gains or n < min(gains) and max(gains) <= t)
     ):
-        spelled = dict.fromkeys(texts)
         try:
-            for text in spelled:
-                g = spelled[text] = parse_ratio(text)
-                if g.numerator <= 0:
-                    break
-            else:
-                return dict(zip(gains, map(spelled.__getitem__, texts)))
+            spelled = parse_table(texts)
         except ParseError:
             pass
+        else:
+            if all(num > 0 for num, _ in spelled.values()):
+                shared = {text: Fraction(num, den) for text, (num, den) in spelled.items()}
+                return dict(zip(gains, map(shared.__getitem__, texts)))
     clean: dict[int, Fraction] = {}
     for key, val in gains.items():
         key = int(key)

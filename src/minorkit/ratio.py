@@ -1,4 +1,4 @@
-"""Parsing and formatting of exact rationals as "p/q" strings."""
+"""Parsing and formatting of exact rationals as "p/q" strings; ``parse_table`` parses each distinct value once."""
 
 import math
 import sys
@@ -43,6 +43,15 @@ def parse_pair(value) -> tuple[int, int]:
     elif not isinstance(value, Fraction):  # an ABC check, so tested after str and int
         raise ParseError(f"cannot read a rational from {type(value).__name__}")
     return value.numerator, value.denominator
+
+
+def parse_table(values) -> dict:
+    """Each distinct value -> its parse_pair, first seen first, so the first bad one raises as a loop would.
+    Values must be of exact type str or int: True and 1.0 hash like 1, so they would share its entry."""
+    table = dict.fromkeys(values)
+    for value in table:  # in place: cheaper than a second dict when most values are distinct
+        table[value] = parse_pair(value)
+    return table
 
 
 def parse_ratio(value) -> Fraction:

@@ -40,7 +40,7 @@ from minorkit.exceptions import (
 )
 from minorkit.flow import GainMatrix
 from minorkit.graph import Contract, EdgeDelete, VertexDelete, _json_int, norm_edge
-from minorkit.ratio import fmt_ratio, parse_ratio
+from minorkit.ratio import fmt_pair, fmt_ratio, parse_ratio
 
 F = Fraction
 
@@ -801,6 +801,31 @@ def graph_from_json_reference(obj) -> tuple:
 
 
 # -- the Fraction reader and verifier the grid path replaced ------------------------------
+
+
+def grid_to_json_per_value(rep: GridRep) -> dict:
+    """grid_to_json with one fmt_pair per coordinate, repeats included."""
+    s = rep.scale
+    out: dict = {
+        "dim": rep.dim,
+        "boxes": {str(v): [[fmt_pair(lo, s), fmt_pair(hi, s)] for lo, hi in b] for v, b in rep.boxes.items()},
+    }
+    if rep.radii:
+        out["witnesses"] = {
+            str(v): {"point": [fmt_pair(x, s) for x in rep.points[v]], "radius": fmt_pair(*r)}
+            for v, r in rep.radii.items()
+        }
+    return out
+
+
+def to_representation_per_value(rep: GridRep) -> Representation:
+    """GridRep.to_representation with one Fraction per coordinate, repeats included."""
+    s = rep.scale
+    boxes = {v: Box(tuple((Fraction(lo, s), Fraction(hi, s)) for lo, hi in b)) for v, b in rep.boxes.items()}
+    witnesses = {
+        v: Witness(tuple(Fraction(x, s) for x in rep.points[v]), Fraction(*r)) for v, r in rep.radii.items()
+    }
+    return Representation(boxes, witnesses)
 
 
 def rep_from_json_fraction(obj) -> Representation:

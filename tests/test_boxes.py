@@ -51,12 +51,14 @@ from helpers import (
     coprime_boxes,
     cross,
     exposed_witness_fraction,
+    grid_to_json_per_value,
     joined,
     permute,
     random_connected,
     random_rep,
     rep_from_json_fraction,
     sampled_uncovered_point,
+    to_representation_per_value,
     translate,
     verify_c1_fraction,
     verify_c2_fraction,
@@ -578,6 +580,35 @@ class TestGridPath:
         assert c1.ok and c2.ok
         obj = grid_to_json(c2.rep)
         assert obj == {**boxes_json_fraction(rep), "witnesses": witnesses_json_fraction(rep.witnesses)}
+
+
+@st.composite
+def grids(draw):
+    """GridReps at a random scale whose coordinates repeat (a few levels, as lifts
+    leave them), with witnesses for some, all or none of the vertices."""
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    levels = st.integers(-6, 6)
+    boxes = {}
+    for v in draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True)):
+        ends = draw(st.lists(st.lists(levels, min_size=2, max_size=2, unique=True), min_size=dim, max_size=dim))
+        boxes[v] = tuple((min(e), max(e)) for e in ends)
+    kept = draw(st.lists(st.sampled_from(sorted(boxes)), unique=True))
+    points = {v: tuple(draw(st.lists(levels, min_size=dim, max_size=dim))) for v in kept}
+    radii = {v: (draw(st.integers(1, 5)), draw(st.integers(1, 20))) for v in kept}
+    return GridRep(draw(st.integers(1, 360)), boxes, points, radii)
+
+
+@given(grids())
+@settings(max_examples=200, deadline=None)
+def test_grid_tables_match_the_per_value_writers(grid):
+    assert grid_to_json(grid) == grid_to_json_per_value(grid)
+    want = to_representation_per_value(grid)
+    got = grid.to_representation()
+    assert list(got.boxes.items()) == list(want.boxes.items())
+    assert list(got.witnesses.items()) == list(want.witnesses.items())
+    assert grid.witnesses() == want.witnesses
+    if grid.radii:
+        assert witnesses_to_json(grid) == grid_to_json_per_value(grid)["witnesses"]
 
 
 def read_outcome(read, obj):

@@ -31,7 +31,7 @@ from minorkit import (
 from minorkit import build as bld
 from minorkit import boxes as bxs
 from minorkit.boxes import grid_from_json, grid_to_json, verify_grid, witnesses_to_json
-from minorkit.cli import _dumps, main
+from minorkit.cli import _build_parser, _dumps, main
 from minorkit.flow import GainMatrix, matrix_to_json
 from minorkit.graph import edits_from_json, spanning_tree_edges
 from minorkit.ratio import fmt_ratio
@@ -976,6 +976,19 @@ class TestInputContract:
         assert out == "" and err == f"input error: ParseError: --max-dim must be at least 1, got {max_dim}\n"
         code, report = run(capsys, "box", "oracle", gf, "--max-dim", "1")  # P3 has no 1-D representation
         assert code == 1 and report["results"]["dim"] is None
+
+    def test_oracle_dimension_default_is_the_gate(self, tmp_path, capsys, monkeypatch):
+        # --max-dim defaulted to a literal 2 beside build.ORACLE_MAX_DIM; lowering the gate lowers the default
+        gf = write(tmp_path / "p3.json", {"n": 3, "edges": [{"u": 1, "v": 2}, {"u": 2, "v": 3}]})
+        code, report = run(capsys, "box", "oracle", gf)
+        assert code == 0 and report["results"] == {"dim": 2, "max_dim": bld.ORACLE_MAX_DIM}
+        monkeypatch.setattr(bld, "ORACLE_MAX_DIM", 1)
+        _build_parser.cache_clear()  # the parser is built once per process
+        try:
+            code, report = run(capsys, "box", "oracle", gf)  # P3 has no 1-D representation
+        finally:
+            _build_parser.cache_clear()  # rebuilt on the default gate once monkeypatch restores it
+        assert code == 1 and report["results"] == {"dim": None, "max_dim": 1}
 
     def test_representation_past_the_grid_bound(self, tmp_path, capsys):
         # 240 distinct 20-bit prime denominators: the lcm passes GRID_MAX_BITS (verified on Fractions before)

@@ -22,7 +22,7 @@ from minorkit.exceptions import (
     MissingGain,
     ParseError,
 )
-from minorkit.flow import GainMatrix, recover_pairs
+from minorkit.flow import GainMatrix, pairs_from_json, recover_pairs
 from minorkit.ratio import fmt_ratio
 
 from helpers import dense_product, is_bridge, random_connected, recover_states_fraction
@@ -259,6 +259,17 @@ class TestJson:
     def test_malformed_vector_rejected(self, obj):
         with pytest.raises(ParseError):
             vector_from_json(obj)
+
+
+    def test_repeated_values_read_as_written(self):
+        obj = {"values": ["1/2", 3, "1/2", "2/4", 3, "-0"]}
+        assert pairs_from_json(obj) == [(1, 2), (3, 1), (1, 2), (2, 4), (3, 1), (0, 1)]
+
+    @pytest.mark.parametrize("values, kind", [([1, True], "bool"), ([1, 1.0], "float"), (["1", [1]], "list")])
+    def test_values_a_table_cannot_key_are_named(self, values, kind):
+        # True and 1.0 hash like 1, and [1] does not hash: each is read value by value and named
+        with pytest.raises(ParseError, match=f"^cannot read a rational from {kind}$"):
+            pairs_from_json({"values": values})
 
 
 class TestFlowRecoveryIdentities:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from minorkit.exceptions import ParseError, TooLarge
-from minorkit.ratio import DEFAULT_MAX_DIGITS, _parse_text, fmt_pair, fmt_ratio, parse_pair, parse_ratio
+from minorkit import ratio
+from minorkit.ratio import DEFAULT_MAX_DIGITS, _parse_text, fmt_pair, fmt_ratio, parse_pair, parse_ratio, parse_table
 
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_MAX_DIGITS
 
@@ -115,3 +116,20 @@ def test_fmt_pair_matches_fraction_text(num, den):
 def test_text_past_the_digit_limit_is_too_large(fmt):
     with pytest.raises(TooLarge):
         fmt(10**LIMIT)
+
+
+def test_parse_table_parses_each_distinct_value_once(monkeypatch):
+    parsed = []
+
+    def counted(value):
+        parsed.append(value)
+        return parse_pair(value)
+
+    monkeypatch.setattr(ratio, "parse_pair", counted)
+    assert parse_table(["0", "1/2", "0", 3, "2/4", 3]) == {"0": (0, 1), "1/2": (1, 2), 3: (3, 1), "2/4": (2, 4)}
+    assert parsed == ["0", "1/2", 3, "2/4"]
+    parsed.clear()
+    # the first bad value is named, as a value-by-value loop names it, and nothing after it is read
+    with pytest.raises(ParseError, match="^bad rational literal 'x'$"):
+        parse_table(["0", "1/2", "0", "x", "y"])
+    assert parsed == ["0", "1/2", "x"]
